@@ -24,7 +24,6 @@ from .isometries import (
     twist_split_certificate,
 )
 from .lattices import (
-    Lattice,
     LatticeError,
     NAMED_LATTICES,
     lattice_from_json,
@@ -359,6 +358,10 @@ def build_parser():
     p.add_argument("name", choices=NAMED_LATTICES)
     p.set_defaults(func=cmd_lattice)
 
+    # --format may also follow the subcommand; SUPPRESS keeps the value given
+    # before it when it is absent there
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
     return parser
 
 

@@ -160,12 +160,7 @@ def kernel_sublattice(f: Isometry, p: IntPolynomial):
     ker = linalg.rat_kernel(P)
     if not ker:
         raise IsometryError("kernel is trivial")
-    den = 1
-    for row in ker:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    int_rows = tuple(tuple(int(Fraction(x) * den) for x in row) for row in ker)
-    B = linalg.saturation(int_rows)
+    B = linalg.saturation(linalg.clear_denominators(ker)[1])
     sub_gram = linalg.mat_mul(linalg.mat_mul(B, f.lattice.gram), linalg.transpose(B))
     if linalg.bareiss_det(sub_gram) == 0:
         raise IsometryError("kernel sublattice is degenerate")
@@ -175,7 +170,10 @@ def kernel_sublattice(f: Isometry, p: IntPolynomial):
 
 
 def _restrict_to_rows(F, B):
-    """Matrix of the action on row-span coordinates: rows b -> b F^T."""
+    """Matrix of the action on row-span coordinates: rows b -> b F^T.
+
+    Column convention; raises IsometryError when the row span is not invariant.
+    """
     image = linalg.mat_mul(B, linalg.transpose(F))
     # solve X B = image; pick an invertible column set of B
     _, pivots = linalg.rat_row_reduce(B)
@@ -183,8 +181,7 @@ def _restrict_to_rows(F, B):
     Ip = tuple(tuple(row[j] for j in pivots) for row in image)
     X = linalg.mat_mul(Ip, linalg.rat_inverse(Bp))
     if linalg.mat_mul(X, linalg.mat_to_fraction(B)) != linalg.mat_to_fraction(image):
-        raise AssertionError("row span is not invariant under the isometry")
-    # column-action convention
+        raise IsometryError("row span is not invariant under the isometry")
     return linalg.transpose(X)
 
 
@@ -232,17 +229,10 @@ def power_to_integral(L: Lattice, f: Isometry):
         return 1, Isometry(L, linalg.mat_to_int(F))
     rows = []
     power = linalg.identity(n)
-    den = 1
-    powers = []
     for _ in range(n):
-        powers.append(power)
-        for row in linalg.transpose(power):
-            rows.append(row)
+        rows.extend(linalg.transpose(power))
         power = linalg.mat_mul(F, power)
-    for row in rows:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    int_rows = tuple(tuple(int(Fraction(x) * den) for x in row) for row in rows)
+    den, int_rows = linalg.clear_denominators(rows)
     H = linalg.hnf(int_rows)
     BM = tuple(tuple(Fraction(x, den) for x in row) for row in H)  # rows: basis of M
     C = linalg.rat_inverse(BM)  # rows: coordinates of Z^n inside M
@@ -302,13 +292,8 @@ def invariant_symmetric_forms(F):
     kernel = linalg.rat_kernel(tuple(rows))
     out = []
     for vec in kernel:
-        den = 1
-        for x in vec:
-            den = lcm(den, x.denominator)
-        ints = [int(x * den) for x in vec]
-        g = gcd(0, 0)
-        for x in ints:
-            g = gcd(g, x)
+        _, (ints,) = linalg.clear_denominators((vec,))
+        g = gcd(*ints)
         if g:
             ints = [x // g for x in ints]
         G = [[0] * n for _ in range(n)]

@@ -161,10 +161,6 @@ def named_lattice(name):
 # --- discriminant forms -------------------------------------------------------
 
 
-def _mod2(x):
-    return x - 2 * (x / 2).__floor__() if isinstance(x, Fraction) else Fraction(x) % 2
-
-
 def _frac_mod(x, m):
     x = Fraction(x)
     return x - m * (x / m).__floor__()
@@ -492,14 +488,9 @@ def glue_map_problems(source, target, matrix):
 
 def _span_with_extra_rows(rank, extra_rows):
     """Integer basis (rows) of Z^rank + sum Z * extra (rational rows)."""
-    den = 1
-    for row in extra_rows:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    rows = [tuple(den if i == j else 0 for j in range(rank)) for i in range(rank)]
-    for row in extra_rows:
-        rows.append(tuple(int(Fraction(x) * den) for x in row))
-    H = linalg.hnf(tuple(rows))
+    den, extra = linalg.clear_denominators(extra_rows)
+    rows = tuple(tuple(den if i == j else 0 for j in range(rank)) for i in range(rank))
+    H = linalg.hnf(rows + extra)
     return tuple(tuple(Fraction(x, den) for x in row) for row in H)
 
 

@@ -6,7 +6,7 @@ Basis matrices for sublattices keep the basis vectors as rows.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 
 def identity(n):
@@ -23,10 +23,6 @@ def transpose(A):
 
 def mat_add(A, B):
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_sub(A, B):
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def mat_scale(c, A):
@@ -48,14 +44,6 @@ def vec_mat(v, A):
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
 
 
 def dot(u, v):
@@ -156,11 +144,6 @@ def rat_inverse(A):
     return tuple(tuple(row[n:]) for row in M)
 
 
-def rat_solve(A, B):
-    """Solve A X = B exactly (B a matrix); raises if A is singular."""
-    return mat_mul(rat_inverse(A), B)
-
-
 def rat_row_reduce(A):
     """Reduced row echelon form over the rationals; returns (R, pivot_columns)."""
     M = [[Fraction(x) for x in row] for row in A]
@@ -208,6 +191,45 @@ def rank(A):
 # --- integer normal forms ---------------------------------------------------
 
 
+def _hnf_in_place(M, n):
+    """Row-reduce the list of rows M to Hermite form on its first n columns.
+
+    Pivots end up positive with the entries above them reduced into
+    [0, pivot); columns past n ride along. Returns the number of nonzero rows.
+    """
+    m = len(M)
+    row = 0
+    for col in range(n):
+        piv = None
+        for i in range(row, m):
+            if M[i][col] != 0 and (piv is None or abs(M[i][col]) < abs(M[piv][col])):
+                piv = i
+        if piv is None:
+            continue
+        M[row], M[piv] = M[piv], M[row]
+        while True:
+            done = True
+            for i in range(row + 1, m):
+                if M[i][col]:
+                    q = M[i][col] // M[row][col]
+                    M[i] = [a - q * b for a, b in zip(M[i], M[row])]
+                    if M[i][col]:
+                        M[row], M[i] = M[i], M[row]
+                        done = False
+            if done:
+                break
+        if M[row][col] < 0:
+            M[row] = [-a for a in M[row]]
+        for i in range(row):
+            q = M[i][col] // M[row][col]
+            if q:
+                M[i] = [a - q * b for a, b in zip(M[i], M[row])]
+        row += 1
+        if row == m:
+            break
+    return row
+
+
 def hnf(A):
     """Row Hermite normal form of an integer matrix (rows span preserved).
 
@@ -215,78 +237,17 @@ def hnf(A):
     into [0, pivot). Row-span over Z is unchanged.
     """
     M = [list(row) for row in A]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if M[i][col] != 0 and (piv is None or abs(M[i][col]) < abs(M[piv][col])):
-                piv = i
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        while True:
-            done = True
-            for i in range(row + 1, m):
-                if M[i][col]:
-                    q = M[i][col] // M[row][col]
-                    M[i] = [a - q * b for a, b in zip(M[i], M[row])]
-                    if M[i][col]:
-                        M[row], M[i] = M[i], M[row]
-                        done = False
-            if done:
-                break
-        if M[row][col] < 0:
-            M[row] = [-a for a in M[row]]
-        for i in range(row):
-            q = M[i][col] // M[row][col]
-            if q:
-                M[i] = [a - q * b for a, b in zip(M[i], M[row])]
-        row += 1
-        if row == m:
-            break
-    return tuple(tuple(r) for r in M[:row])
+    r = _hnf_in_place(M, len(M[0]) if M else 0)
+    return tuple(tuple(row) for row in M[:r])
 
 
 def hnf_with_transform(A):
     """(H, U) with U unimodular, U A = [H; 0] and H the nonzero HNF rows."""
     m = len(A)
     n = len(A[0]) if m else 0
-    aug = [list(A[i]) + [int(i == j) for j in range(m)] for i in range(m)]
-    M = [row[:] for row in aug]
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if M[i][col] != 0 and (piv is None or abs(M[i][col]) < abs(M[piv][col])):
-                piv = i
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        while True:
-            done = True
-            for i in range(row + 1, m):
-                if M[i][col]:
-                    q = M[i][col] // M[row][col]
-                    M[i] = [a - q * b for a, b in zip(M[i], M[row])]
-                    if M[i][col]:
-                        M[row], M[i] = M[i], M[row]
-                        done = False
-            if done:
-                break
-        if M[row][col] < 0:
-            M[row] = [-a for a in M[row]]
-        for i in range(row):
-            q = M[i][col] // M[row][col]
-            if q:
-                M[i] = [a - q * b for a, b in zip(M[i], M[row])]
-        row += 1
-        if row == m:
-            break
-    H = tuple(tuple(r[:n]) for r in M[:row])
-    U = tuple(tuple(r[n:]) for r in M)
-    return H, U
+    M = [list(A[i]) + [int(i == j) for j in range(m)] for i in range(m)]
+    r = _hnf_in_place(M, n)
+    return tuple(tuple(row[:n]) for row in M[:r]), tuple(tuple(row[n:]) for row in M)
 
 
 def int_row_kernel(A):
@@ -294,11 +255,6 @@ def int_row_kernel(A):
     H, U = hnf_with_transform(A)
     r = len(H)
     return tuple(U[r:])
-
-
-def int_col_kernel(A):
-    """Integer basis (rows of the result) of {x in Z^n : A x = 0}."""
-    return int_row_kernel(transpose(A))
 
 
 def snf_with_transform(A):
@@ -389,6 +345,15 @@ def snf_diagonal(A):
     return tuple(S[i][i] for i in range(min(len(S), len(S[0]) if S else 0)) if S[i][i] != 0)
 
 
+def clear_denominators(rows):
+    """(den, int_rows): the least common denominator of rational rows and den times them."""
+    den = 1
+    for row in rows:
+        for x in row:
+            den = lcm(den, Fraction(x).denominator)
+    return den, tuple(tuple(int(Fraction(x) * den) for x in row) for row in rows)
+
+
 def saturation(B):
     """Saturation of the row span of integer matrix B inside Z^n.
 
@@ -397,23 +362,30 @@ def saturation(B):
     ker = rat_kernel(B)  # rows t with B t^T ... kernel of v -> B v
     if not ker:
         return hnf(identity(len(B[0])))
-    den = 1
-    for row in ker:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    K = tuple(tuple(int(x * den) for x in row) for row in ker)
+    _, K = clear_denominators(ker)
     # saturated lattice = integer vectors orthogonal (as coordinates) to ker
     return int_row_kernel(transpose(K))
 
 
 def charpoly(A):
     """Coefficients (ascending) of det(x I - A) by Faddeev-LeVerrier."""
+    return charpoly_and_adjugate(A)[0]
+
+
+def charpoly_and_adjugate(A):
+    """Char poly of A and the matrix coefficients of adj(x I - A).
+
+    Returns (coeffs, mats) with adj(x I - A) = sum_k mats[k] * x^k,
+    k = 0 .. n-1, and coeffs ascending. Integer input gives int coefficients.
+    """
     n = len(A)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
+    mats = [None] * n
     M = identity(n)
     exact_int = all(isinstance(x, int) for row in A for x in row)
     for k in range(1, n + 1):
+        mats[n - k] = M
         AM = mat_mul(A, M)
         tr = sum(AM[i][i] for i in range(n))
         if exact_int:
@@ -422,29 +394,6 @@ def charpoly(A):
             c = -c
         else:
             c = -Fraction(tr, k)
-        coeffs[n - k] = c
-        M = mat_add(AM, mat_scale(c, identity(n)))
-    return tuple(coeffs)
-
-
-def charpoly_and_adjugate(A):
-    """Char poly of A and the matrix coefficients of adj(x I - A).
-
-    Returns (coeffs, mats) with adj(x I - A) = sum_k mats[k] * x^k,
-    k = 0 .. n-1, and coeffs ascending as in charpoly().
-    """
-    n = len(A)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mats = [None] * n
-    M = identity(n)
-    for k in range(1, n + 1):
-        mats[n - k] = M
-        AM = mat_mul(A, M)
-        tr = sum(AM[i][i] for i in range(n))
-        c = -Fraction(tr, k)
-        if c.denominator == 1 and all(isinstance(x, int) for row in A for x in row):
-            c = int(c)
         coeffs[n - k] = c
         M = mat_add(AM, mat_scale(c, identity(n)))
     return tuple(coeffs), tuple(mats)

@@ -10,7 +10,7 @@ m is irreducible.
 
 from fractions import Fraction
 
-from .polynomials import IntPolynomial, refine_interval
+from .polynomials import IntPolynomial, _fp_divmod, refine_interval
 
 # intervals are (lo, hi) Fraction pairs
 
@@ -19,19 +19,6 @@ def _trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def _polydiv(f, g):
-    f = f[:]
-    q = [Fraction(0)] * max(1, len(f) - len(g) + 1)
-    while len(f) >= len(g):
-        c = f[-1] / g[-1]
-        k = len(f) - len(g)
-        q[k] += c
-        for i, gc in enumerate(g):
-            f[k + i] -= c * gc
-        _trim(f)
-    return _trim(q), f
 
 
 def _polymul(f, g):
@@ -58,21 +45,9 @@ def iv_add(a, b):
     return (a[0] + b[0], a[1] + b[1])
 
 
-def iv_sub(a, b):
-    return (a[0] - b[1], a[1] - b[0])
-
-
-def iv_neg(a):
-    return (-a[1], -a[0])
-
-
 def iv_mul(a, b):
     products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(products), max(products))
-
-
-def iv_scale(c, a):
-    return (c * a[0], c * a[1]) if c >= 0 else (c * a[1], c * a[0])
 
 
 def iv_contains_zero(a):
@@ -169,7 +144,7 @@ class RealAlgebraicField:
         r0, r1 = self._modulus[:], _trim(list(a))
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while r1:
-            q, rem = _polydiv(r0, r1)
+            q, rem = _fp_divmod(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _polysub(s0, _polymul(q, s1))
         if len(r0) != 1:
@@ -250,20 +225,6 @@ class RealAlgebraicField:
 
 
 # --- linear algebra over a field --------------------------------------------
-
-
-def field_mat_from_rational(field, M):
-    return tuple(tuple(field.element(Fraction(x)) for x in row) for row in M)
-
-
-def field_mat_vec(field, M, v):
-    out = []
-    for row in M:
-        acc = field.zero()
-        for a, x in zip(row, v):
-            acc = field.add(acc, field.mul(a, x))
-        out.append(acc)
-    return tuple(out)
 
 
 def field_kernel(field, M):

@@ -36,13 +36,6 @@ def is_prime(n):
     return True
 
 
-def next_prime(n):
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 def _pollard_rho(n):
     if n % 2 == 0:
         return 2

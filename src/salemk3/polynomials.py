@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 from . import linalg
-from .numbertheory import is_perfect_square
+from .numbertheory import factorize, is_perfect_square
 
 
 class NotSalemError(ValueError):
@@ -161,29 +161,28 @@ def _at(t, i):
 X = IntPolynomial([0, 1])
 
 
-def from_coeffs(*coeffs):
-    """Ascending-order convenience constructor."""
-    return IntPolynomial(coeffs)
-
-
 def poly_divmod_exact(p, d):
-    """(q, r) with p = q d + r over Q; raises if the division is not int-exact."""
+    """(q, r) with p = q d + r over Q; raises if the division is not int-exact.
+
+    Divides in integers and stops at the first quotient coefficient that is
+    not an integer; once every quotient coefficient is, so is the remainder.
+    """
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    rem = [Fraction(c) for c in p.coeffs]
-    quo = [Fraction(0)] * max(0, len(rem) - len(d.coeffs) + 1)
-    dlead = Fraction(d.leading)
+    rem = list(p.coeffs)
+    quo = [0] * max(0, len(rem) - len(d.coeffs) + 1)
+    dlead = d.leading
     while len(rem) >= len(d.coeffs):
-        c = rem[-1] / dlead
+        c, r = divmod(rem[-1], dlead)
+        if r:
+            raise ArithmeticError("polynomial division is not integral")
         k = len(rem) - len(d.coeffs)
         quo[k] = c
         for i, dc in enumerate(d.coeffs):
             rem[k + i] -= c * dc
         while rem and rem[-1] == 0:
             rem.pop()
-    if any(c.denominator != 1 for c in quo) or any(c.denominator != 1 for c in rem):
-        raise ArithmeticError("polynomial division is not integral")
-    return IntPolynomial([int(c) for c in quo]), IntPolynomial([int(c) for c in rem])
+    return IntPolynomial(quo), IntPolynomial(rem)
 
 
 def divides(d, p):
@@ -475,17 +474,6 @@ class SalemCertificate:
     quadratic_degenerate: bool
 
 
-def is_irreducible(p):
-    """Irreducibility over Q by exact factorization over Z (sympy backend)."""
-    if p.is_zero() or p.degree < 1:
-        return False
-    import sympy
-
-    poly = sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"))
-    _, factors = poly.factor_list()
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree() == p.degree
-
-
 def is_salem(p):
     """Certify p as a Salem polynomial or raise NotSalemError with a reason.
 
@@ -493,6 +481,13 @@ def is_salem(p):
     has exactly one real root of absolute value > 2, that root positive, and
     all remaining roots real inside (-2, 2). Degree-2 polynomials (no
     conjugates on the unit circle) are flagged quadratic_degenerate.
+
+    Irreducibility needs no factoring. Once p is squarefree and has this
+    root pattern, every irreducible factor other than the minimal polynomial
+    of lambda has all its roots on the unit circle, so it is cyclotomic by
+    Kronecker's theorem: p is irreducible iff it has no cyclotomic factor.
+    Hence a squarefree reducible p with the wrong pattern reports
+    wrong_root_pattern, not reducible.
     """
     if p.is_zero() or p.degree < 2:
         raise NotSalemError("wrong_degree", str(p))
@@ -502,7 +497,7 @@ def is_salem(p):
         raise NotSalemError("odd_degree", str(p))
     if not p.is_reciprocal():
         raise NotSalemError("not_reciprocal", str(p))
-    if not is_irreducible(p):
+    if poly_gcd(p, p.derivative()).degree > 0:
         raise NotSalemError("reducible", str(p))
     r = trace_polynomial(p)
     m = r.degree
@@ -516,6 +511,8 @@ def is_salem(p):
             "wrong_root_pattern",
             f"{above_two} trace roots above 2, {below_minus_two} at or below -2",
         )
+    if cyclotomic_factors(p):
+        raise NotSalemError("reducible", str(p))
     # lambda is the largest real root of p; isolate it and push the interval above 1
     iso = isolate_real_roots(p)
     a, b = iso.intervals[-1]
@@ -528,14 +525,6 @@ def is_salem(p):
         lambda_interval=(a, b),
         quadratic_degenerate=p.degree == 2,
     )
-
-
-def salem_or_reason(p):
-    """(certificate, None) on success, (None, reason) on rejection."""
-    try:
-        return is_salem(p), None
-    except NotSalemError as exc:
-        return None, exc.reason
 
 
 def power_min_poly(s, n):
@@ -585,14 +574,18 @@ def graeffe(p):
     return q
 
 
-def _max_root_of_unity_order(d):
-    n, best = 1, 1
-    while n <= 2 * d * d + 6:
-        phi = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+@lru_cache(maxsize=None)
+def _orders_of_degree_at_most(d):
+    """Ascending n <= 2 d^2 + 6 with phi(n) <= d: the orders of the roots of
+    unity of degree at most d (phi(n) >= sqrt(n / 2) bounds n by 2 d^2)."""
+    out = []
+    for n in range(1, 2 * d * d + 7):
+        phi = n
+        for q in factorize(n):
+            phi = phi // q * (q - 1)
         if phi <= d:
-            best = n
-        n += 1
-    return best
+            out.append(n)
+    return tuple(out)
 
 
 def is_cyclotomic_product(c):
@@ -609,7 +602,7 @@ def is_cyclotomic_product(c):
     cur = squarefree_part(c)
     if cur.degree == 0:
         return True
-    cap = _max_root_of_unity_order(cur.degree) + 16
+    cap = _orders_of_degree_at_most(cur.degree)[-1] + 16
     seen = {cur.coeffs}
     for _ in range(cap):
         cur = squarefree_part(graeffe(cur))
@@ -635,11 +628,7 @@ def cyclotomic(n):
 def cyclotomic_factors(p, exclude_x_minus_one=False):
     """(n, cyclotomic(n)) for every cyclotomic polynomial dividing p."""
     out = []
-    d = p.degree
-    for n in range(1, 2 * d * d + 7):
-        phi = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-        if phi > d:
-            continue
+    for n in _orders_of_degree_at_most(p.degree):
         if n == 1 and exclude_x_minus_one:
             continue
         cyc = cyclotomic(n)

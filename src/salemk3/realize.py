@@ -17,6 +17,7 @@ from . import linalg
 from .isometries import (
     Isometry,
     TwistElement,
+    _restrict_to_rows,
     matrix_from_json,
     matrix_to_json,
     twist,
@@ -167,12 +168,7 @@ def mod2_trivial(matrix):
     """True iff the integral matrix is congruent to the identity mod 2."""
     if not linalg.is_integral(matrix):
         raise RealizeError("mod-2 reduction needs an integral matrix")
-    n = len(matrix)
-    return all(
-        (int(matrix[i][j]) - (1 if i == j else 0)) % 2 == 0
-        for i in range(n)
-        for j in range(n)
-    )
+    return _group_matrix_is_identity(linalg.mat_to_int(matrix), (2,) * len(matrix))
 
 
 # --- split primes and norm elements ----------------------------------------------
@@ -234,6 +230,20 @@ def _synthetic_quotient_mod(coeffs, root, p):
     return list(reversed(out))
 
 
+def _split_roots(r: IntPolynomial, p):
+    """(a, w) for each simple root a of r mod p, in ascending order, such that
+    a^2 - 4 is a nonzero square mod p; w is a square root of a^2 - 4 mod p."""
+    rm = _poly_mod_p(r, p)
+    rderiv = _poly_mod_p(r.derivative(), p)
+    for a in range(p):
+        if _polyval_mod(rm, a, p) != 0 or _polyval_mod(rderiv, a, p) == 0:
+            continue
+        d = (a * a - 4) % p
+        if d == 0 or legendre(d, p) != 1:
+            continue
+        yield a, sqrt_mod(d, p)
+
+
 def find_split_prime(s: IntPolynomial, det_R, lower_bound=None, cap=2_000_000):
     """Smallest prime p = 1 mod 8|det_R| above the bound that is split for s.
 
@@ -259,17 +269,8 @@ def find_split_prime(s: IntPolynomial, det_R, lower_bound=None, cap=2_000_000):
             continue
         if (2 * disc_s) % p == 0 or disc_r % p == 0:
             continue
-        rm = _poly_mod_p(r, p)
-        rderiv = _poly_mod_p(r.derivative(), p)
-        for a in range(p):
-            if _polyval_mod(rm, a, p) != 0:
-                continue
-            if _polyval_mod(rderiv, a, p) == 0:
-                continue
-            d = (a * a - 4) % p
-            if d == 0 or legendre(d, p) != 1:
-                continue
-            return SplitPrimeEvidence(p, a, sqrt_mod(d, p), modulus)
+        for a, w in _split_roots(r, p):
+            return SplitPrimeEvidence(p, a, w, modulus)
 
 
 def check_split_prime(s: IntPolynomial, ev: SplitPrimeEvidence):
@@ -319,19 +320,24 @@ def find_norm_element(s: IntPolynomial, ev: SplitPrimeEvidence, l_max=3, box=30)
     raise SearchCapExceeded("norm-element box exhausted")
 
 
+def _lift_square(c, x, rest, p, e):
+    """Hensel-lift a solution x of c x^2 = rest mod p to mod p^e (odd p, p not
+    dividing c x) by Newton steps x <- x - (c x^2 - rest) / (2 c x)."""
+    pk = p
+    for _ in range(e - 1):
+        pk *= p
+        num = (c * x * x - rest) % pk
+        x = (x - num * pow(2 * c * x, -1, pk)) % pk
+    return x
+
+
 def _sqrt_mod_prime_power(a, p, e):
     """Square root of a unit modulo p^e (odd p), or None."""
     a %= p**e
     root = sqrt_mod(a % p, p)
     if root is None or root == 0:
         return None
-    pk = p
-    for _ in range(e - 1):
-        pk *= p
-        # Hensel: root <- root - (root^2 - a) / (2 root)
-        num = (root * root - a) % pk
-        root = (root - num * pow(2 * root, -1, pk)) % pk
-    return root
+    return _lift_square(1, root, a, p, e)
 
 
 # --- seeds ----------------------------------------------------------------------
@@ -489,13 +495,6 @@ def _group_power(A, n, orders):
     return result
 
 
-def _divisors_of(n):
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
 def _represent_by_binary(c1, c2, target, p, e):
     """(x, y) with c1 x^2 + c2 y^2 = target mod p^e; units c1, c2, target, p odd."""
     pe = p**e
@@ -511,19 +510,11 @@ def _represent_by_binary(c1, c2, target, p, e):
         if x0 % p == 0 and y0 % p == 0:
             continue
         x, y = x0, y0
+        # lift the coordinate that is a unit, the other one fixed
         if x % p != 0:
-            # lift x with y fixed
-            pk = p
-            for _ in range(e - 1):
-                pk *= p
-                num = (c1 * x * x + c2 * y * y - target) % pk
-                x = (x - num * pow(2 * c1 * x, -1, pk)) % pk
+            x = _lift_square(c1, x, target - c2 * y * y, p, e)
         else:
-            pk = p
-            for _ in range(e - 1):
-                pk *= p
-                num = (c1 * x * x + c2 * y * y - target) % pk
-                y = (y - num * pow(2 * c2 * y, -1, pk)) % pk
+            y = _lift_square(c2, y, target - c1 * x * x, p, e)
         if (c1 * x * x + c2 * y * y - target) % pe == 0:
             return x % pe, y % pe
     raise AssertionError("binary odd unimodular form failed to represent a unit")
@@ -713,15 +704,7 @@ def pipeline_split_prime(s: IntPolynomial, exclude, cap=100000, order_cap=400000
         p += 1
         if not is_prime(p) or exclude % p == 0 or disc_r % p == 0:
             continue
-        rm = _poly_mod_p(r, p)
-        rderiv = _poly_mod_p(r.derivative(), p)
-        for a in range(p):
-            if _polyval_mod(rm, a, p) != 0 or _polyval_mod(rderiv, a, p) == 0:
-                continue
-            dd = (a * a - 4) % p
-            if dd == 0 or legendre(dd, p) != 1:
-                continue
-            w = sqrt_mod(dd, p)
+        for a, w in _split_roots(r, p):
             b = (a + w) * pow(2, -1, p) % p
             o = _unit_order(b, p)
             o2 = o if pow(b, o, p * p) == 1 else o * p
@@ -911,18 +894,6 @@ def _conjugate_to_basis(block, basis):
     return linalg.mat_mul(linalg.mat_mul(linalg.rat_inverse(Bt), block), Bt)
 
 
-def _restriction_to_rows(F, rows):
-    """Column-convention matrix of F on the row span; raises if not invariant."""
-    image = linalg.mat_mul(rows, linalg.transpose(F))
-    _, pivots = linalg.rat_row_reduce(rows)
-    Rp = tuple(tuple(r[j] for j in pivots) for r in rows)
-    Ip = tuple(tuple(r[j] for j in pivots) for r in image)
-    X = linalg.mat_mul(Ip, linalg.rat_inverse(Rp))
-    if linalg.mat_mul(X, linalg.mat_to_fraction(rows)) != linalg.mat_to_fraction(image):
-        raise RealizeError("rows are not invariant under the isometry")
-    return linalg.transpose(X)
-
-
 def verify_certificate(cert: RealizationCertificate):
     """Re-run every check the certificate claims; returns (ok, itemized list).
 
@@ -945,6 +916,7 @@ def verify_certificate(cert: RealizationCertificate):
         return False, tuple(items)
     item("surface", True, K.kind)
 
+    snk = None  # minimal polynomial of lambda^power, computed once
     try:
         is_salem(cert.salem)
         salem_ok = True
@@ -952,20 +924,21 @@ def verify_certificate(cert: RealizationCertificate):
         salem_ok = False
         item("salem", False, exc.reason)
     if salem_ok:
-        power_ok = cert.power >= 1 and cert.salem_power_poly.coeffs == power_min_poly(
-            cert.salem, cert.power
-        ).coeffs
+        if cert.power >= 1:
+            snk = power_min_poly(cert.salem, cert.power)
+        power_ok = snk is not None and cert.salem_power_poly.coeffs == snk.coeffs
         item("salem", power_ok, f"power = {cert.power}")
     d = cert.salem_power_poly.degree
 
     L = cert.lattice
+    L_sig = L.signature()
     item(
         "ambient_lattice",
         L.rank == K.b2
         and L.is_even()
         and L.is_unimodular()
-        and L.signature() == ((3, K.b2 - 3) if K.kind != "enriques" else (1, 9)),
-        f"rank {L.rank}, signature {L.signature()}",
+        and L_sig == ((3, K.b2 - 3) if K.kind != "enriques" else (1, 9)),
+        f"rank {L.rank}, signature {L_sig}",
     )
 
     from .isometries import is_isometry as _is_iso
@@ -987,7 +960,8 @@ def verify_certificate(cert: RealizationCertificate):
         primitive, _ = is_primitive_sublattice(L, rows)
         kernel_ok &= primitive and len(rows) == d
         expected_sig = (1, d - 1) if cert.projective else (3, d - 3)
-        kernel_ok &= kernel_lat.signature() == expected_sig
+        kernel_sig = kernel_lat.signature()
+        kernel_ok &= kernel_sig == expected_sig
     except (LatticeError, ValueError) as exc:
         kernel_ok = False
         kernel_lat = None
@@ -996,13 +970,13 @@ def verify_certificate(cert: RealizationCertificate):
         item(
             "kernel",
             kernel_ok,
-            f"rank {len(rows)}, signature {kernel_lat.signature()}",
+            f"rank {len(rows)}, signature {kernel_sig}",
         )
 
     char_ok = False
     if iso_ok and kernel_lat is not None:
         try:
-            restricted = _restriction_to_rows(h, rows)
+            restricted = _restrict_to_rows(h, rows)
             g = cert.kernel_generator
             g_iso = Isometry(kernel_lat, g)
             g_char_ok = g_iso.char_poly().coeffs == cert.salem.coeffs
@@ -1019,9 +993,12 @@ def verify_certificate(cert: RealizationCertificate):
             fixed_ok = linalg.mat_mul(comp_rows, linalg.transpose(h)) == tuple(
                 tuple(x for x in row) for row in comp_rows
             )
-            sn = cert.salem_power_poly
-            snk = power_min_poly(cert.salem, cert.power) if salem_ok else sn
-            char_ok = g_char_ok and match_ok and fixed_ok and sn.coeffs == snk.coeffs
+            if salem_ok and snk is None:
+                # power < 1 (possible only for certificates built in code) raises
+                # here, and the item reports it
+                snk = power_min_poly(cert.salem, cert.power)
+            power_poly_ok = not salem_ok or cert.salem_power_poly.coeffs == snk.coeffs
+            char_ok = g_char_ok and match_ok and fixed_ok and power_poly_ok
             item(
                 "char_poly",
                 char_ok,
@@ -1155,19 +1132,27 @@ def certificate_from_json(data):
     if data["format"] != CERTIFICATE_FORMAT:
         raise ValueError(f"unsupported certificate format {data['format']!r}")
 
-    def int_matrix(rows):
-        return tuple(tuple(int(Fraction(x)) for x in row) for row in matrix_from_json(rows))
+    def int_matrix(field):
+        rows = matrix_from_json(data[field])
+        if any(x.denominator != 1 for row in rows for x in row):
+            raise ValueError(f"certificate field {field!r} must have integer entries")
+        return tuple(tuple(int(x) for x in row) for row in rows)
 
+    if not isinstance(data["projective"], bool):
+        raise ValueError("certificate field 'projective' must be a JSON boolean")
+    power = data["power"]
+    if not isinstance(power, int) or isinstance(power, bool) or power < 1:
+        raise ValueError("certificate field 'power' must be a positive JSON integer")
     return RealizationCertificate(
         surface=data["surface"],
-        projective=bool(data["projective"]),
+        projective=data["projective"],
         salem=poly_from_json(data["salem_polynomial"]),
-        power=int(data["power"]),
+        power=power,
         salem_power_poly=poly_from_json(data["salem_power_polynomial"]),
         lattice=lattice_from_json(data["lattice"]),
-        isometry=int_matrix(data["isometry"]),
-        kernel_basis=int_matrix(data["kernel_basis"]),
-        kernel_generator=int_matrix(data["kernel_generator"]),
+        isometry=int_matrix("isometry"),
+        kernel_basis=int_matrix("kernel_basis"),
+        kernel_generator=int_matrix("kernel_generator"),
         positivity=None if data["positivity"] is None else _report_from_json(data["positivity"]),
         mod2_identity=data["mod2_identity"],
         glue_evidence=data["glue"],

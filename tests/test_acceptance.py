@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines. Time budgets exclude interpreter and sympy warm-up (a session fixture
-pays that cost up front); every numerical assertion is exact.
+lines. Time budgets exclude interpreter and first-call warm-up (a module
+fixture pays that cost up front); every numerical assertion is exact.
 """
 
 import random
@@ -59,7 +59,7 @@ LEHMER_P = P(LEHMER)
 
 @pytest.fixture(scope="module", autouse=True)
 def warmup():
-    # pay the sympy import once, outside any timed region
+    # pay the first-call costs (imports, caches) once, outside any timed region
     is_salem(QUAD)
     yield
 

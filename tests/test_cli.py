@@ -131,3 +131,15 @@ def test_malformed_json_diagnostic(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert run(["certify-salem", str(path)]) == 2
     assert "malformed JSON" in capsys.readouterr().out
+
+
+def test_format_after_subcommand(tmp_path, capsys):
+    path = write(tmp_path, "lehmer.json", LEHMER_JSON)
+    for argv in (["lattice", "U"], ["certify-salem", path]):
+        results = []
+        for args in (["--format", "json", *argv], [*argv, "--format", "json"]):
+            code = run(args)
+            results.append((code, capsys.readouterr().out))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+        json.loads(results[0][1])

@@ -305,3 +305,15 @@ def test_lattice_validation():
         Lattice([[1, 2], [3, 4]])
     with pytest.raises(LatticeError):
         Lattice([[1, 1], [1, 1]])
+
+
+def test_hnf_with_transform_invariant():
+    rng = random.Random(17)
+    for _ in range(30):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+        A = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(m))
+        H, U = linalg.hnf_with_transform(A)
+        assert H == linalg.hnf(A)
+        zero_rows = tuple((0,) * n for _ in range(m - len(H)))
+        assert linalg.mat_mul(U, A) == H + zero_rows
+        assert abs(fraction_det(U)) == 1

@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +236,55 @@ def test_json_roundtrip():
     assert poly_to_json(QUAD) == ["1", "-3", "1"]
     with pytest.raises(ValueError):
         poly_from_json([1, 2])  # not strings
+
+
+# --- irreducibility through Kronecker's theorem -------------------------------
+
+
+def _reason(p):
+    with pytest.raises(NotSalemError) as exc:
+        is_salem(p)
+    return exc.value.reason
+
+
+CORPUS_POLYS = [P(list(coeffs)) for _, coeffs, _ in all_entries()]
+
+
+def test_kronecker_cyclotomic_multiple_is_reducible():
+    # phi(n) even and Phi_n reciprocal, so s * Phi_n passes every earlier check
+    for s in CORPUS_POLYS:
+        for n in (3, 4, 5, 12):
+            assert _reason(s * cyclotomic(n)) == "reducible"
+
+
+def test_kronecker_square_is_reducible():
+    for s in CORPUS_POLYS:
+        assert _reason(s * s) == "reducible"
+
+
+def test_product_of_salem_polynomials_reports_root_pattern():
+    # squarefree and reducible, but two trace roots above 2: the root pattern
+    # is checked before the cyclotomic factors
+    for s, t in zip(CORPUS_POLYS, CORPUS_POLYS[1:]):
+        assert _reason(s * t) == "wrong_root_pattern"
+
+
+def test_certify_salem_without_sympy(tmp_path):
+    path = tmp_path / "lehmer.json"
+    path.write_text(json.dumps([str(c) for c in LEHMER]), encoding="utf-8")
+    code = (
+        "import sys; sys.modules['sympy'] = None; "
+        "from salemk3.cli import run; sys.exit(run(sys.argv[1:]))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--format", "json", "certify-salem", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["accepted"] is True and payload["degree"] == 10

@@ -249,6 +249,42 @@ def test_tampered_certificate_fails(k3_certificate):
     assert "isometry" in failed
 
 
+def _tamper_entry(doc, field):
+    """Replace the first "0" entry of a certificate matrix by "1/2"."""
+    for row in doc[field]:
+        for j, x in enumerate(row):
+            if x == "0":
+                row[j] = "1/2"
+                return doc
+    raise AssertionError(f"no zero entry in {field}")
+
+
+@pytest.mark.parametrize(
+    "field, tamper",
+    [
+        pytest.param("isometry", lambda doc: _tamper_entry(doc, "isometry"), id="isometry"),
+        pytest.param("kernel_basis", lambda doc: _tamper_entry(doc, "kernel_basis"), id="kernel_basis"),
+        pytest.param(
+            "kernel_generator", lambda doc: _tamper_entry(doc, "kernel_generator"), id="kernel_generator"
+        ),
+        pytest.param("projective", lambda doc: dict(doc, projective="false"), id="projective"),
+        pytest.param("power", lambda doc: dict(doc, power=doc["power"] + 0.9), id="power-float"),
+        # a negative power would never return from the matrix powering in verify
+        pytest.param("power", lambda doc: dict(doc, power=-1), id="power-negative"),
+    ],
+)
+def test_certificate_parsing_rejects_non_canonical(k3_certificate, tmp_path, capsys, field, tamper):
+    from salemk3.cli import run
+
+    doc = tamper(json.loads(json.dumps(certificate_to_json(k3_certificate))))
+    with pytest.raises(ValueError, match=field):
+        certificate_from_json(doc)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["--format", "json", "verify", str(path)]) == 2
+    assert field in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_no_seed_failure():
     with pytest.raises(RealizeError) as exc:
         build_k3_certificate(P([1, -2, 0, 1, 0, -2, 1]))
