@@ -11,12 +11,12 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .isometries import (
     Isometry,
     IsometryError,
     TwistElement,
+    int_matrix_from_json,
     matrix_from_json,
     matrix_to_json,
     power_to_integral,
@@ -153,7 +153,7 @@ def _seed_from_json(path):
         return Seed(
             salem=poly_from_json(data["salem"]),
             S=lattice_from_json(data["S"]),
-            f_S=tuple(tuple(int(Fraction(x)) for x in row) for row in matrix_from_json(data["f_S"])),
+            f_S=int_matrix_from_json(data["f_S"], "seed field 'f_S'"),
             R_rest=lattice_from_json(data["R_rest"]),
         )
     except (ValueError, LatticeError) as exc:

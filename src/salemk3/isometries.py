@@ -186,28 +186,38 @@ def _restrict_to_rows(F, B):
 
 
 def _matrix_order_mod(A, m, cap=None):
-    """Multiplicative order of an invertible matrix modulo m (m >= 2)."""
+    """Multiplicative order of an invertible matrix modulo m (m >= 2).
+
+    Modulo a prime p the order divides the exponent N of GL_n(F_p): the
+    semisimple part of A has order dividing lcm(p^i - 1 : i <= n) and the
+    unipotent part the least p^t >= n. For each prime power q^a exactly
+    dividing N, the q-part of the order is the least q^j with
+    (A^(N / q^a))^(q^j) = I; the order modulo p^e is then lifted one factor
+    of p at a time.
+    """
     n = len(A)
+    one = linalg.identity(n)
     order = 1
     for p, e in factorize(m).items():
-        # order modulo p divides |GL_n(F_p)|
-        bound = p ** (n * (n - 1) // 2)
-        for i in range(1, n + 1):
-            bound *= p**i - 1
         Ap = linalg.mat_mod(A, p)
-        if linalg.mat_pow_mod(Ap, bound, p) != linalg.mat_mod(linalg.identity(n), p):
+        if linalg.bareiss_det(Ap) % p == 0:
             raise ArithmeticError("matrix is not invertible modulo p")
-        o = bound
-        for q in factorize(bound):
-            while o % q == 0 and linalg.mat_pow_mod(Ap, o // q, p) == linalg.mat_mod(
-                linalg.identity(n), p
-            ):
-                o //= q
+        bound = 1
+        while bound < n:
+            bound *= p
+        for i in range(1, n + 1):
+            bound = lcm(bound, p**i - 1)
+        o = 1
+        for q, a in factorize(bound).items():
+            B = linalg.mat_pow_mod(Ap, bound // q**a, p)
+            while B != one:
+                B = linalg.mat_pow_mod(B, q, p)
+                o *= q
         # lift to p^e: order grows by factors of p only
         pk = p
         for _ in range(e - 1):
             pk *= p
-            if linalg.mat_pow_mod(A, o, pk) != linalg.mat_mod(linalg.identity(n), pk):
+            if linalg.mat_pow_mod(A, o, pk) != one:
                 o *= p
         order = lcm(order, o)
         if cap is not None and order > cap:
@@ -219,8 +229,14 @@ def power_to_integral(L: Lattice, f: Isometry):
     """Minimal n >= 1 with f^n integral, plus the integral matrix f^n.
 
     Computes the module M = Z[f] L by Hermite reduction, the index
-    k = [M : L], and the order of f on M / k M; the minimal n is then the
-    smallest divisor of that order whose power is integral.
+    k = [M : L] and the integral action Psi of f on M, so that
+    F = X^-1 Psi X for the integer matrix X of L inside M, det X = +-k.
+    The exponents d with f^d(L) in L form a subgroup nZ (an inclusion of
+    equal covolume is an equality), and n divides the order n0 of Psi
+    modulo k. Prime stripping finds n: starting from n0, divide by a prime
+    q while the quotient still gives an integral power. Each test runs in
+    integers mod k: f^d is integral iff adj(X) (Psi^d mod k) X = 0 mod k.
+    The exact f^n is formed once, at the end.
     """
     f.char_poly()  # raises when not integral
     F = f.matrix
@@ -238,31 +254,30 @@ def power_to_integral(L: Lattice, f: Isometry):
     C = linalg.rat_inverse(BM)  # rows: coordinates of Z^n inside M
     if not linalg.is_integral(C):
         raise AssertionError("L is not contained in Z[f]L")
-    k = abs(linalg.bareiss_det(linalg.mat_to_int(C)))
+    X = linalg.mat_to_int(linalg.transpose(C))
+    det = linalg.bareiss_det(X)
+    k = abs(det)
+    if k == 1:
+        raise AssertionError("index 1 but f not integral")
+    adj = linalg.mat_to_int(linalg.mat_scale(det, linalg.transpose(BM)))  # det * X^-1
     # action of f in M-coordinates (column convention)
-    Psi = linalg.mat_mul(
-        linalg.mat_mul(linalg.rat_inverse(linalg.transpose(BM)), F), linalg.transpose(BM)
-    )
+    Psi = linalg.mat_mul(linalg.mat_mul(X, F), linalg.transpose(BM))
     if not linalg.is_integral(Psi):
         raise AssertionError("Z[f]L is not f-stable; integral char poly violated?")
     Psi = linalg.mat_to_int(Psi)
-    if k == 1:
-        raise AssertionError("index 1 but f not integral")
-    n0 = _matrix_order_mod(Psi, k)
-    # minimal exponent divides n0
-    divisors = sorted(_divisors(n0))
-    for d in divisors:
-        Fd = f.power_matrix(d)
-        if linalg.is_integral(Fd):
-            return d, Isometry(L, linalg.mat_to_int(Fd))
-    raise AssertionError("no integral power found below the group-order bound")
 
+    def integral(d):
+        P = linalg.mat_mul(linalg.mat_mul(adj, linalg.mat_pow_mod(Psi, d, k)), X)
+        return all(x % k == 0 for row in P for x in row)
 
-def _divisors(n):
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return out
+    m = _matrix_order_mod(Psi, k)
+    for q in factorize(m):
+        while m % q == 0 and integral(m // q):
+            m //= q
+    P = linalg.mat_mul(linalg.mat_mul(adj, linalg.mat_pow(Psi, m)), X)
+    if any(x % k for row in P for x in row):
+        raise AssertionError("the stripped exponent does not give an integral power")
+    return m, Isometry(L, tuple(tuple(x // det for x in row) for row in P))
 
 
 # --- invariant forms ----------------------------------------------------------
@@ -433,3 +448,11 @@ def matrix_from_json(data):
             new_row.append(Fraction(x))
         out.append(tuple(new_row))
     return tuple(out)
+
+
+def int_matrix_from_json(data, field):
+    """Integer matrix from JSON; a non-integer entry raises naming the field."""
+    rows = matrix_from_json(data)
+    if any(x.denominator != 1 for row in rows for x in row):
+        raise ValueError(f"{field} must have integer entries")
+    return linalg.mat_to_int(rows)

@@ -66,10 +66,6 @@ class Lattice:
             layer = poly_gcd(layer, layer.derivative())
         return (pos, self.rank - pos)
 
-    def is_definite(self):
-        s_plus, s_minus = self.signature()
-        return s_plus == 0 or s_minus == 0
-
     def is_hyperbolic(self):
         s_plus, s_minus = self.signature()
         return s_plus == 1 and s_minus >= 1

@@ -167,13 +167,6 @@ class RealAlgebraicField:
             n >>= 1
         return result
 
-    def eval_poly(self, coeff_elements, point):
-        """Horner evaluation of a polynomial whose coefficients are field elements."""
-        acc = self.zero()
-        for c in reversed(coeff_elements):
-            acc = self.add(self.mul(acc, point), c)
-        return acc
-
     # --- certified real data ---
 
     def refine(self, max_width):
@@ -216,9 +209,6 @@ class RealAlgebraicField:
             self.refine(width)
             iv = self._eval_interval(a)
         return 1 if iv[0] > 0 else -1
-
-    def abs_element(self, a):
-        return a if self.sign(a) >= 0 else self.neg(a)
 
     def compare(self, a, b):
         return self.sign(self.sub(a, b))

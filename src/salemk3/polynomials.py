@@ -106,10 +106,6 @@ class IntPolynomial:
     def derivative(self):
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def reversed_coeffs(self):
-        """The reciprocal polynomial x^deg * p(1/x)."""
-        return IntPolynomial(list(reversed(self.coeffs)))
-
     def is_reciprocal(self):
         return not self.is_zero() and self.coeffs == tuple(reversed(self.coeffs))
 

@@ -18,7 +18,7 @@ from .isometries import (
     Isometry,
     TwistElement,
     _restrict_to_rows,
-    matrix_from_json,
+    int_matrix_from_json,
     matrix_to_json,
     twist,
 )
@@ -1133,10 +1133,7 @@ def certificate_from_json(data):
         raise ValueError(f"unsupported certificate format {data['format']!r}")
 
     def int_matrix(field):
-        rows = matrix_from_json(data[field])
-        if any(x.denominator != 1 for row in rows for x in row):
-            raise ValueError(f"certificate field {field!r} must have integer entries")
-        return tuple(tuple(int(x) for x in row) for row in rows)
+        return int_matrix_from_json(data[field], f"certificate field {field!r}")
 
     if not isinstance(data["projective"], bool):
         raise ValueError("certificate field 'projective' must be a JSON boolean")

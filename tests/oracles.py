@@ -4,7 +4,7 @@ Everything here is deliberately written against different primitives than
 the code under test: Fraction Gaussian elimination instead of Bareiss,
 numpy box scans instead of Fincke-Pohst, gcd-chasing Smith reduction
 instead of the transform-tracking one, Euler powering instead of
-reciprocity.
+reciprocity, repeated multiplication instead of prime stripping.
 """
 
 from fractions import Fraction
@@ -113,6 +113,18 @@ def smith_diagonal(M):
         diag.append(abs(A[t][t]))
         t += 1
     return [d for d in diag if d]
+
+
+def matrix_order_mod(A, m, cap=100000):
+    """Least j >= 1 with A^j = I modulo m, by repeated numpy multiplication."""
+    A = np.array(A, dtype=np.int64) % m
+    identity = np.eye(len(A), dtype=np.int64)
+    power = A
+    for j in range(1, cap + 1):
+        if np.array_equal(power, identity):
+            return j
+        power = (power @ A) % m
+    raise ValueError("no power of the matrix reached the identity within the cap")
 
 
 def count_e8_roots_standard_model():

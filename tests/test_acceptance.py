@@ -36,7 +36,6 @@ from salemk3.polynomials import (
     companion_matrix,
     discriminant,
     is_salem,
-    power_min_poly,
     square_class_test,
 )
 from salemk3.positivity import determinant_bound_test, obstructing_root_search

@@ -1,8 +1,10 @@
 import json
 
-import pytest
-
 from salemk3.cli import run
+from salemk3.isometries import matrix_to_json
+from salemk3.lattices import lattice_to_json
+from salemk3.polynomials import poly_from_json
+from salemk3.realize import seed_for
 
 LEHMER_JSON = ["1", "1", "0", "-1", "-1", "-1", "-1", "-1", "0", "1", "1"]
 S4_JSON = ["1", "-1", "-1", "-1", "1"]
@@ -124,6 +126,24 @@ def test_build_and_verify_certificate(tmp_path, capsys):
     tampered = write(tmp_path, "tampered.json", doc)
     assert run(["verify", tampered]) == 1
     assert "isometry" in capsys.readouterr().out
+
+
+def test_seed_rejects_non_integer_isometry(tmp_path, capsys):
+    seed = seed_for(poly_from_json(S4_JSON))
+    doc = {
+        "salem": S4_JSON,
+        "S": lattice_to_json(seed.S),
+        "f_S": matrix_to_json(seed.f_S),
+        "R_rest": lattice_to_json(seed.R_rest),
+    }
+    poly = write(tmp_path, "s4.json", S4_JSON)
+    assert run(["build-certificate", poly, "--seed", write(tmp_path, "seed.json", doc)]) == 0
+    from_seed = capsys.readouterr().out
+    assert run(["build-certificate", poly]) == 0
+    assert capsys.readouterr().out == from_seed
+    doc["f_S"][0][0] = "1/2"  # used to be read as 0
+    assert run(["build-certificate", poly, "--seed", write(tmp_path, "bad.json", doc)]) == 2
+    assert "f_S" in capsys.readouterr().out
 
 
 def test_malformed_json_diagnostic(tmp_path, capsys):

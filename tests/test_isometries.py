@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from salemk3.isometries import (
     Isometry,
     IsometryError,
     TwistElement,
+    _matrix_order_mod,
     invariant_symmetric_forms,
     is_isometry,
     kernel_sublattice,
@@ -18,8 +20,11 @@ from salemk3.isometries import (
     twist,
     twist_split_certificate,
 )
-from salemk3.lattices import Lattice, discriminant_form, lattice_A2
+from salemk3.lattices import Lattice
+from salemk3.numbertheory import factorize
 from salemk3.polynomials import IntPolynomial, companion_matrix
+
+from oracles import matrix_order_mod
 
 P = IntPolynomial
 QUAD = P([1, -3, 1])
@@ -147,10 +152,42 @@ def test_power_to_integral_randomized():
         L, F = built
         f = Isometry(L, F)
         n, fn = power_to_integral(L, f)
-        assert linalg.is_integral(fn.matrix)
+        assert fn.matrix == linalg.mat_to_int(f.power_matrix(n))
         assert linalg.is_integral(f.power_matrix(2 * n))
         assert linalg.is_integral(f.power_matrix(3 * n))
+        for q in factorize(n):  # minimal: no proper divisor n/q works
+            assert not linalg.is_integral(f.power_matrix(n // q))
         done += 1
+
+
+def test_matrix_order_mod_matches_brute_force():
+    rng = random.Random(20)
+    for m in (2, 3, 4, 8, 9, 12, 25):
+        for rank in (2, 3, 4):
+            checked = 0
+            while checked < 4:
+                A = tuple(tuple(rng.randint(-6, 6) for _ in range(rank)) for _ in range(rank))
+                if gcd(linalg.bareiss_det(A), m) != 1:
+                    continue
+                assert _matrix_order_mod(A, m) == matrix_order_mod(A, m)
+                checked += 1
+    jordan = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))  # unipotent
+    for m in (2, 3, 4, 8, 9):
+        assert _matrix_order_mod(jordan, m) == matrix_order_mod(jordan, m)
+
+
+def test_matrix_order_mod_rejects_singular_and_cap():
+    with pytest.raises(ArithmeticError):
+        _matrix_order_mod(((1, 2), (3, 6)), 5)  # singular over Q
+    with pytest.raises(ArithmeticError):
+        _matrix_order_mod(((2, 1), (0, 3)), 12)  # det 6: singular mod 2 and mod 3
+    with pytest.raises(ArithmeticError):
+        _matrix_order_mod(((2,),), 2)  # rank 1 mod 2, where |GL_1(F_2)| = 1
+    assert _matrix_order_mod(((3,),), 2) == 1
+    A = ((0, -1), (1, 3))  # companion matrix of x^2 - 3x + 1
+    assert _matrix_order_mod(A, 25) == matrix_order_mod(A, 25)
+    with pytest.raises(ArithmeticError):
+        _matrix_order_mod(A, 25, cap=matrix_order_mod(A, 25) - 1)
 
 
 def test_twist_examples():
