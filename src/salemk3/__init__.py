@@ -1,11 +1,12 @@
 """Exact lattice computations deciding when powers of a Salem number arise
 as dynamical degrees of automorphisms of 2-tori, K3 and Enriques surfaces.
 
-The library is organized around six pieces: integer polynomials with Salem
+The library is organized around seven pieces: integer polynomials with Salem
 certification (`polynomials`), lattices with discriminant-form calculus and
 gluing (`lattices`), lattice isometries with twists and integral powering
 (`isometries`), chamber-preservation analysis (`positivity`), realizability
-decisions and certificates (`realize`), and a command-line front end (`cli`).
+decisions and certificates (`realize`), the JSON codec (`codec`), and a
+command-line front end (`cli`).
 """
 
 from .polynomials import (

@@ -1,39 +1,23 @@
 """Command-line front end.
 
-Subcommands parse JSON documents (strict: unknown fields are rejected),
+Subcommands read their JSON documents through ``codec`` field tables,
 dispatch to the library, and emit either human-readable text or canonical
 JSON (sorted keys, fixed separators, so identical inputs give byte-identical
 output). Exit codes: 0 yes / verified / positive, 1 no / failed, 2
-inconclusive or error.
+inconclusive or error; every error, a rejected input included, leaves
+through the one handler in ``run``.
 """
 
 import argparse
-import json
 import sys
 import time
 
-from .isometries import (
-    Isometry,
-    IsometryError,
-    TwistElement,
-    int_matrix_from_json,
-    matrix_from_json,
-    matrix_to_json,
-    power_to_integral,
-    twist,
-    twist_split_certificate,
-)
-from .lattices import (
-    LatticeError,
-    NAMED_LATTICES,
-    lattice_from_json,
-    lattice_to_json,
-    named_lattice,
-)
-from .polynomials import NotSalemError, is_salem, poly_from_json, poly_to_json
-from .positivity import PositivityError, is_positive
+from . import codec
+from .isometries import Isometry, TwistElement, power_to_integral, twist, twist_split_certificate
+from .lattices import NAMED_LATTICES, named_lattice
+from .polynomials import NotSalemError, is_salem
+from .positivity import is_positive
 from .realize import (
-    RealizeError,
     Seed,
     build_k3_certificate,
     certificate_from_json,
@@ -43,60 +27,30 @@ from .realize import (
     verify_certificate,
 )
 
-
-class InputError(ValueError):
-    pass
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"input file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}")
+PAIR = {"lattice": codec.lattice, "isometry": codec.rat_matrix}
+TWIST = dict(PAIR, element=codec.poly)
+TWIST_SPLIT = dict(TWIST, exponent=codec.json_int, prime=codec.json_int)
+SEED = {"salem": codec.poly, "S": codec.lattice, "f_S": codec.int_matrix, "R_rest": codec.lattice}
 
 
-def _strict_object(data, required, where):
-    if not isinstance(data, dict):
-        raise InputError(f"{where}: expected a JSON object")
-    unknown = set(data) - set(required)
-    if unknown:
-        raise InputError(f"{where}: unknown fields {sorted(unknown)}")
-    missing = set(required) - set(data)
-    if missing:
-        raise InputError(f"{where}: missing fields {sorted(missing)}")
-    return data
+def _read(path, table, name):
+    return codec.fields(codec.load(path), table, name)
+
+
+def _isometry(doc):
+    return doc["lattice"], Isometry(doc["lattice"], doc["isometry"])
 
 
 def _emit(payload, text_lines, fmt):
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(codec.dumps(payload))
     else:
         for line in text_lines:
             print(line)
 
 
-def _load_poly(path):
-    try:
-        return poly_from_json(_load_json(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}")
-
-
-def _load_pair(path):
-    data = _strict_object(_load_json(path), ("lattice", "isometry"), path)
-    try:
-        L = lattice_from_json(data["lattice"])
-        M = matrix_from_json(data["isometry"])
-        return L, Isometry(L, M)
-    except (ValueError, LatticeError, IsometryError) as exc:
-        raise InputError(f"{path}: {exc}")
-
-
 def cmd_certify_salem(args):
-    poly = _load_poly(args.polynomial)
+    poly = codec.poly(codec.load(args.polynomial), "polynomial")
     try:
         cert = is_salem(poly)
     except NotSalemError as exc:
@@ -111,7 +65,7 @@ def cmd_certify_salem(args):
         {
             "accepted": True,
             "degree": cert.degree,
-            "trace_polynomial": poly_to_json(cert.trace_polynomial),
+            "trace_polynomial": codec.poly_to_json(cert.trace_polynomial),
             "lambda_interval": [str(lo), str(hi)],
             "quadratic_degenerate": cert.quadratic_degenerate,
         },
@@ -127,13 +81,11 @@ def cmd_certify_salem(args):
 
 
 def cmd_realizable(args):
-    poly = _load_poly(args.polynomial)
+    poly = codec.poly(codec.load(args.polynomial), "polynomial")
     try:
         decision = stable_realizable(poly, args.surface_class, projective=args.projective)
     except NotSalemError as exc:
-        _emit({"error": f"not a Salem polynomial: {exc.reason}"},
-              [f"error: not a Salem polynomial: {exc.reason}"], args.format)
-        return 2
+        raise ValueError(f"not a Salem polynomial: {exc.reason}") from None
     payload = {
         "realizable": decision.answer,
         "reason": decision.reason,
@@ -145,57 +97,32 @@ def cmd_realizable(args):
     return 0 if decision.answer else 1
 
 
-def _seed_from_json(path):
-    data = _strict_object(
-        _load_json(path), ("salem", "S", "f_S", "R_rest"), path
-    )
-    try:
-        return Seed(
-            salem=poly_from_json(data["salem"]),
-            S=lattice_from_json(data["S"]),
-            f_S=int_matrix_from_json(data["f_S"], "seed field 'f_S'"),
-            R_rest=lattice_from_json(data["R_rest"]),
-        )
-    except (ValueError, LatticeError) as exc:
-        raise InputError(f"{path}: {exc}")
-
-
 def cmd_build_certificate(args):
-    poly = _load_poly(args.polynomial)
-    seed = _seed_from_json(args.seed) if args.seed else seed_for(poly)
-    try:
-        cert = build_k3_certificate(
-            poly,
-            seed=seed,
-            box=args.box,
-            prime_cap=args.prime_cap,
-            congruence_prime=args.congruence_prime,
-        )
-    except (RealizeError, NotSalemError) as exc:
-        _emit({"error": str(exc)}, [f"error: {exc}"], args.format)
-        return 2
-    doc = certificate_to_json(cert)
+    poly = codec.poly(codec.load(args.polynomial), "polynomial")
+    seed = Seed(**_read(args.seed, SEED, "seed")) if args.seed else seed_for(poly)
+    cert = build_k3_certificate(
+        poly,
+        seed=seed,
+        box=args.box,
+        prime_cap=args.prime_cap,
+        congruence_prime=args.congruence_prime,
+    )
+    text = codec.dumps(certificate_to_json(cert))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(text + "\n")
         _emit(
             {"written": args.output, "power": cert.power},
             [f"certificate written to {args.output} (power {cert.power})"],
             args.format,
         )
     else:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        print(text)
     return 0
 
 
 def cmd_verify(args):
-    try:
-        cert = certificate_from_json(_load_json(args.certificate))
-    except ValueError as exc:
-        _emit({"error": str(exc)}, [f"error: {exc}"], args.format)
-        return 2
-    ok, items = verify_certificate(cert)
+    ok, items = verify_certificate(certificate_from_json(codec.load(args.certificate)))
     payload = {
         "verified": ok,
         "items": [{"check": n, "passed": p, "detail": d} for n, p, d in items],
@@ -208,44 +135,25 @@ def cmd_verify(args):
 
 
 def cmd_positivity(args):
-    L, f = _load_pair(args.pair)
+    L, f = _isometry(_read(args.pair, PAIR, "pair"))
     start = time.perf_counter()
-    try:
-        report = is_positive(L, f, orbit_bound=args.orbit_bound)
-    except (PositivityError, IsometryError, NotSalemError) as exc:
-        _emit({"error": str(exc)}, [f"error: {exc}"], args.format)
-        return 2
+    report = is_positive(L, f, orbit_bound=args.orbit_bound)
     elapsed = time.perf_counter() - start
-    payload = {
-        "status": report.status,
-        "method": report.method,
-        "witnesses": [
-            {"vector": [str(x) for x in v], "kind": kind} for v, kind in report.witnesses
-        ],
-        "search_bound": None if report.search_bound is None else str(report.search_bound),
-        "candidate_count": report.candidate_count,
-    }
     # timing goes to the text report only; JSON output stays byte-deterministic
     lines = [f"{report.status} (method: {report.method}, {elapsed:.3f}s)"] + [
         f"  witness {list(v)} [{kind}]" for v, kind in report.witnesses
     ]
-    _emit(payload, lines, args.format)
+    _emit(codec.report_to_json(report), lines, args.format)
     return 0 if report.status == "positive" else (1 if report.status == "not_positive" else 2)
 
 
 def cmd_twist(args):
-    data = _strict_object(_load_json(args.input), ("lattice", "isometry", "element"), args.input)
-    try:
-        L = lattice_from_json(data["lattice"])
-        f = Isometry(L, matrix_from_json(data["isometry"]))
-        element = TwistElement([int(c) for c in data["element"]])
-        twisted, f2 = twist(L, f, element)
-    except (ValueError, LatticeError, IsometryError) as exc:
-        _emit({"error": str(exc)}, [f"error: {exc}"], args.format)
-        return 2
+    doc = _read(args.input, TWIST, "twist")
+    L, f = _isometry(doc)
+    twisted, f2 = twist(L, f, TwistElement(doc["element"]))
     payload = {
-        "lattice": lattice_to_json(twisted),
-        "isometry": matrix_to_json(f2.matrix),
+        "lattice": codec.lattice_to_json(twisted),
+        "isometry": codec.matrix_to_json(f2.matrix),
         "determinant": str(twisted.determinant()),
     }
     _emit(payload, [f"twisted gram: {twisted.gram}", f"determinant: {twisted.determinant()}"], args.format)
@@ -253,31 +161,16 @@ def cmd_twist(args):
 
 
 def cmd_power_integral(args):
-    L, f = _load_pair(args.pair)
-    try:
-        n, fn = power_to_integral(L, f)
-    except (IsometryError, ArithmeticError) as exc:
-        _emit({"error": str(exc)}, [f"error: {exc}"], args.format)
-        return 2
-    payload = {"power": n, "matrix": matrix_to_json(fn.matrix)}
+    n, fn = power_to_integral(*_isometry(_read(args.pair, PAIR, "pair")))
+    payload = {"power": n, "matrix": codec.matrix_to_json(fn.matrix)}
     _emit(payload, [f"f^{n} is integral", f"matrix: {fn.matrix}"], args.format)
     return 0
 
 
 def cmd_twist_split_check(args):
-    data = _strict_object(
-        _load_json(args.input),
-        ("lattice", "isometry", "element", "exponent", "prime"),
-        args.input,
-    )
-    try:
-        L = lattice_from_json(data["lattice"])
-        f = Isometry(L, matrix_from_json(data["isometry"]))
-        element = TwistElement([int(c) for c in data["element"]])
-        report = twist_split_certificate(L, f, element, int(data["exponent"]), int(data["prime"]))
-    except (ValueError, LatticeError, IsometryError) as exc:
-        _emit({"error": str(exc)}, [f"error: {exc}"], args.format)
-        return 2
+    doc = _read(args.input, TWIST_SPLIT, "twist_split")
+    L, f = _isometry(doc)
+    report = twist_split_certificate(L, f, TwistElement(doc["element"]), doc["exponent"], doc["prime"])
     payload = {
         "passed": report.passed,
         "problems": list(report.problems),
@@ -291,13 +184,9 @@ def cmd_twist_split_check(args):
 
 
 def cmd_lattice(args):
-    try:
-        L = named_lattice(args.name)
-    except LatticeError as exc:
-        _emit({"error": str(exc)}, [f"error: {exc}"], args.format)
-        return 2
+    L = named_lattice(args.name)
     _emit(
-        lattice_to_json(L),
+        codec.lattice_to_json(L),
         [f"{args.name}: rank {L.rank}, signature {L.signature()}, det {L.determinant()}"],
         args.format,
     )
@@ -373,8 +262,9 @@ def run(argv):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as exc:
-        print(json.dumps({"error": str(exc)}) if args.format == "json" else f"error: {exc}")
+    except (ValueError, ArithmeticError) as exc:
+        # every library error is a ValueError; each one exits 2 here
+        _emit({"error": str(exc)}, [f"error: {exc}"], args.format)
         return 2
 
 

@@ -236,9 +236,10 @@ def power_to_integral(L: Lattice, f: Isometry):
     modulo k. Prime stripping finds n: starting from n0, divide by a prime
     q while the quotient still gives an integral power. Each test runs in
     integers mod k: f^d is integral iff adj(X) (Psi^d mod k) X = 0 mod k.
-    The exact f^n is formed once, at the end.
+    The exact f^n is formed once, at the end. Psi is integral exactly when
+    the characteristic polynomial of f is (Cayley-Hamilton one way, F
+    conjugate to Psi over Q the other), so that is the integrality test.
     """
-    f.char_poly()  # raises when not integral
     F = f.matrix
     n = L.rank
     if linalg.is_integral(F):
@@ -263,7 +264,7 @@ def power_to_integral(L: Lattice, f: Isometry):
     # action of f in M-coordinates (column convention)
     Psi = linalg.mat_mul(linalg.mat_mul(X, F), linalg.transpose(BM))
     if not linalg.is_integral(Psi):
-        raise AssertionError("Z[f]L is not f-stable; integral char poly violated?")
+        raise IsometryError("characteristic polynomial is not integral")
     Psi = linalg.mat_to_int(Psi)
 
     def integral(d):
@@ -420,39 +421,3 @@ def twist_split_certificate(L: Lattice, f: Isometry, t: TwistElement, n: int, p:
         p_part_orders=part.orders,
         form_matches_hyperbolic=form_ok,
     )
-
-
-# --- serialization --------------------------------------------------------------
-
-
-def matrix_to_json(M):
-    out = []
-    for row in M:
-        json_row = []
-        for x in row:
-            x = Fraction(x)
-            json_row.append(str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}")
-        out.append(json_row)
-    return out
-
-
-def matrix_from_json(data):
-    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-        raise ValueError("matrix JSON must be a list of rows")
-    out = []
-    for row in data:
-        new_row = []
-        for x in row:
-            if not isinstance(x, str):
-                raise ValueError("matrix entries must be strings like '3' or '3/2'")
-            new_row.append(Fraction(x))
-        out.append(tuple(new_row))
-    return tuple(out)
-
-
-def int_matrix_from_json(data, field):
-    """Integer matrix from JSON; a non-integer entry raises naming the field."""
-    rows = matrix_from_json(data)
-    if any(x.denominator != 1 for row in rows for x in row):
-        raise ValueError(f"{field} must have integer entries")
-    return linalg.mat_to_int(rows)

@@ -782,25 +782,3 @@ def hyperbolic_p_form(p, n):
         (Fraction(0), Fraction(0)),
         ((Fraction(0), Fraction(1, pn)), (Fraction(1, pn), Fraction(0))),
     )
-
-
-# --- serialization -------------------------------------------------------------
-
-
-def lattice_to_json(L: Lattice):
-    return {"rank": L.rank, "gram": [[str(x) for x in row] for row in L.gram]}
-
-
-def lattice_from_json(data):
-    if not isinstance(data, dict) or set(data) != {"rank", "gram"}:
-        raise ValueError("lattice JSON must have exactly the fields 'rank' and 'gram'")
-    gram = data["gram"]
-    if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
-        raise ValueError("lattice gram must be a list of rows")
-    try:
-        rows = [[int(x) for x in row] for row in gram]
-    except (TypeError, ValueError):
-        raise ValueError("lattice gram entries must be decimal integer strings") from None
-    if data["rank"] != len(rows):
-        raise ValueError("lattice rank does not match the gram matrix")
-    return Lattice(rows)

@@ -631,19 +631,3 @@ def cyclotomic_factors(p, exclude_x_minus_one=False):
         if divides(cyc, p):
             out.append((n, cyc))
     return out
-
-
-# --- serialization -----------------------------------------------------------
-
-
-def poly_to_json(p):
-    return [str(c) for c in p.coeffs]
-
-
-def poly_from_json(data):
-    if not isinstance(data, list) or not all(isinstance(c, str) for c in data):
-        raise ValueError("polynomial JSON must be a list of decimal integer strings")
-    try:
-        return IntPolynomial([int(c) for c in data])
-    except ValueError as exc:
-        raise ValueError(f"bad polynomial coefficient: {exc}") from None

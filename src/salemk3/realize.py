@@ -13,13 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import linalg
+from . import codec, linalg
 from .isometries import (
     Isometry,
     TwistElement,
     _restrict_to_rows,
-    int_matrix_from_json,
-    matrix_to_json,
     twist,
 )
 from .lattices import (
@@ -34,8 +32,6 @@ from .lattices import (
     lattice_E6,
     lattice_E8,
     lattice_U,
-    lattice_from_json,
-    lattice_to_json,
     named_lattice,
     odd_diagonalize_tracked,
 )
@@ -45,13 +41,11 @@ from .polynomials import (
     NotSalemError,
     discriminant,
     is_salem,
-    poly_from_json,
-    poly_to_json,
     power_min_poly,
     square_class_test,
     trace_polynomial,
 )
-from .positivity import ObstructionReport, is_positive
+from .positivity import is_positive
 
 
 class RealizeError(ValueError):
@@ -1056,101 +1050,55 @@ def power_certificate(cert: RealizationCertificate, m: int):
 # --- certificate serialization -----------------------------------------------------
 
 
-def _report_to_json(rep: ObstructionReport):
-    return {
-        "status": rep.status,
-        "method": rep.method,
-        "witnesses": [
-            {"vector": [str(x) for x in vec], "kind": kind} for vec, kind in rep.witnesses
-        ],
-        "search_bound": None if rep.search_bound is None else str(rep.search_bound),
-        "candidate_count": rep.candidate_count,
-    }
-
-
-def _report_from_json(data):
-    allowed = {"status", "method", "witnesses", "search_bound", "candidate_count"}
-    if set(data) != allowed:
-        raise ValueError("positivity report has unexpected fields")
-    witnesses = tuple(
-        (tuple(int(x) for x in w["vector"]), w["kind"]) for w in data["witnesses"]
-    )
-    bound = data["search_bound"]
-    return ObstructionReport(
-        status=data["status"],
-        witnesses=witnesses,
-        method=data["method"],
-        search_bound=None if bound is None else Fraction(bound),
-        candidate_count=data["candidate_count"],
-    )
-
-
 def certificate_to_json(cert: RealizationCertificate):
     return {
         "format": CERTIFICATE_FORMAT,
         "surface": cert.surface,
         "projective": cert.projective,
-        "salem_polynomial": poly_to_json(cert.salem),
+        "salem_polynomial": codec.poly_to_json(cert.salem),
         "power": cert.power,
-        "salem_power_polynomial": poly_to_json(cert.salem_power_poly),
-        "lattice": lattice_to_json(cert.lattice),
-        "isometry": matrix_to_json(cert.isometry),
-        "kernel_basis": matrix_to_json(cert.kernel_basis),
-        "kernel_generator": matrix_to_json(cert.kernel_generator),
-        "positivity": None if cert.positivity is None else _report_to_json(cert.positivity),
+        "salem_power_polynomial": codec.poly_to_json(cert.salem_power_poly),
+        "lattice": codec.lattice_to_json(cert.lattice),
+        "isometry": codec.matrix_to_json(cert.isometry),
+        "kernel_basis": codec.matrix_to_json(cert.kernel_basis),
+        "kernel_generator": codec.matrix_to_json(cert.kernel_generator),
+        "positivity": None if cert.positivity is None else codec.report_to_json(cert.positivity),
         "mod2_identity": cert.mod2_identity,
         "glue": cert.glue_evidence,
     }
 
 
-_CERT_FIELDS = {
-    "format",
-    "surface",
-    "projective",
-    "salem_polynomial",
-    "power",
-    "salem_power_polynomial",
-    "lattice",
-    "isometry",
-    "kernel_basis",
-    "kernel_generator",
-    "positivity",
-    "mod2_identity",
-    "glue",
+# the surface name stays a string here: verify's own "surface" item judges it
+CERTIFICATE = {
+    "format": codec.choice(CERTIFICATE_FORMAT),
+    "surface": codec.string,
+    "projective": codec.boolean,
+    "salem_polynomial": codec.poly,
+    "power": codec.positive_int,
+    "salem_power_polynomial": codec.poly,
+    "lattice": codec.lattice,
+    "isometry": codec.int_matrix,
+    "kernel_basis": codec.int_matrix,
+    "kernel_generator": codec.int_matrix,
+    "positivity": codec.nullable(codec.report),
+    "mod2_identity": codec.nullable(codec.boolean),
+    "glue": codec.free,
 }
 
 
 def certificate_from_json(data):
-    if not isinstance(data, dict):
-        raise ValueError("certificate must be a JSON object")
-    unknown = set(data) - _CERT_FIELDS
-    if unknown:
-        raise ValueError(f"certificate has unknown fields: {sorted(unknown)}")
-    missing = _CERT_FIELDS - set(data)
-    if missing:
-        raise ValueError(f"certificate is missing fields: {sorted(missing)}")
-    if data["format"] != CERTIFICATE_FORMAT:
-        raise ValueError(f"unsupported certificate format {data['format']!r}")
-
-    def int_matrix(field):
-        return int_matrix_from_json(data[field], f"certificate field {field!r}")
-
-    if not isinstance(data["projective"], bool):
-        raise ValueError("certificate field 'projective' must be a JSON boolean")
-    power = data["power"]
-    if not isinstance(power, int) or isinstance(power, bool) or power < 1:
-        raise ValueError("certificate field 'power' must be a positive JSON integer")
+    doc = codec.fields(data, CERTIFICATE, "certificate")
     return RealizationCertificate(
-        surface=data["surface"],
-        projective=data["projective"],
-        salem=poly_from_json(data["salem_polynomial"]),
-        power=power,
-        salem_power_poly=poly_from_json(data["salem_power_polynomial"]),
-        lattice=lattice_from_json(data["lattice"]),
-        isometry=int_matrix("isometry"),
-        kernel_basis=int_matrix("kernel_basis"),
-        kernel_generator=int_matrix("kernel_generator"),
-        positivity=None if data["positivity"] is None else _report_from_json(data["positivity"]),
-        mod2_identity=data["mod2_identity"],
-        glue_evidence=data["glue"],
+        surface=doc["surface"],
+        projective=doc["projective"],
+        salem=doc["salem_polynomial"],
+        power=doc["power"],
+        salem_power_poly=doc["salem_power_polynomial"],
+        lattice=doc["lattice"],
+        isometry=doc["isometry"],
+        kernel_basis=doc["kernel_basis"],
+        kernel_generator=doc["kernel_generator"],
+        positivity=doc["positivity"],
+        mod2_identity=doc["mod2_identity"],
+        glue_evidence=doc["glue"],
     )

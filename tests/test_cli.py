@@ -1,9 +1,9 @@
 import json
 
+import pytest
+
+from salemk3 import codec
 from salemk3.cli import run
-from salemk3.isometries import matrix_to_json
-from salemk3.lattices import lattice_to_json
-from salemk3.polynomials import poly_from_json
 from salemk3.realize import seed_for
 
 LEHMER_JSON = ["1", "1", "0", "-1", "-1", "-1", "-1", "-1", "0", "1", "1"]
@@ -91,6 +91,14 @@ def test_power_integral(tmp_path, capsys):
     assert run(["--format", "json", "power-integral", path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["power"] == 3
+    # a rotation by an angle of infinite order: no power is integral
+    doc = {
+        "lattice": {"rank": 2, "gram": [["1", "0"], ["0", "1"]]},
+        "isometry": [["3/5", "-4/5"], ["4/5", "3/5"]],
+    }
+    path = write(tmp_path, "rot.json", doc)
+    assert run(["--format", "json", "power-integral", path]) == 2
+    assert "not integral" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_lattice_constructors(capsys):
@@ -126,15 +134,22 @@ def test_build_and_verify_certificate(tmp_path, capsys):
     tampered = write(tmp_path, "tampered.json", doc)
     assert run(["verify", tampered]) == 1
     assert "isometry" in capsys.readouterr().out
+    # a second "power" key used to win silently
+    text = open(cert_path).read()
+    assert text.count('"power":') == 1
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(text.replace('"power":', '"power":1,"power":'), encoding="utf-8")
+    assert run(["--format", "json", "verify", str(doubled)]) == 2
+    assert "duplicate key 'power'" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_seed_rejects_non_integer_isometry(tmp_path, capsys):
-    seed = seed_for(poly_from_json(S4_JSON))
+    seed = seed_for(codec.poly(S4_JSON, "salem"))
     doc = {
         "salem": S4_JSON,
-        "S": lattice_to_json(seed.S),
-        "f_S": matrix_to_json(seed.f_S),
-        "R_rest": lattice_to_json(seed.R_rest),
+        "S": codec.lattice_to_json(seed.S),
+        "f_S": codec.matrix_to_json(seed.f_S),
+        "R_rest": codec.lattice_to_json(seed.R_rest),
     }
     poly = write(tmp_path, "s4.json", S4_JSON)
     assert run(["build-certificate", poly, "--seed", write(tmp_path, "seed.json", doc)]) == 0
@@ -143,7 +158,25 @@ def test_seed_rejects_non_integer_isometry(tmp_path, capsys):
     assert capsys.readouterr().out == from_seed
     doc["f_S"][0][0] = "1/2"  # used to be read as 0
     assert run(["build-certificate", poly, "--seed", write(tmp_path, "bad.json", doc)]) == 2
-    assert "f_S" in capsys.readouterr().out
+    assert "seed.f_S[0][0]" in capsys.readouterr().out
+
+
+def test_seed_isometry_not_preserving_the_form_exits_2(tmp_path, capsys):
+    # used to escape as a traceback with exit 1, which reads as "no"
+    seed = seed_for(codec.poly(S4_JSON, "salem"))
+    S = codec.lattice_to_json(seed.S)
+    for i, j in ((0, 1), (1, 0)):
+        S["gram"][i][j] = str(int(S["gram"][i][j]) + 2)
+    doc = {
+        "salem": S4_JSON,
+        "S": S,
+        "f_S": codec.matrix_to_json(seed.f_S),
+        "R_rest": codec.lattice_to_json(seed.R_rest),
+    }
+    poly = write(tmp_path, "s4.json", S4_JSON)
+    seed_path = write(tmp_path, "seed.json", doc)
+    assert run(["--format", "json", "build-certificate", poly, "--seed", seed_path]) == 2
+    assert "does not preserve the bilinear form" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_malformed_json_diagnostic(tmp_path, capsys):
@@ -151,6 +184,39 @@ def test_malformed_json_diagnostic(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert run(["certify-salem", str(path)]) == 2
     assert "malformed JSON" in capsys.readouterr().out
+    # the error document is canonical JSON, like every other output
+    assert run(["--format", "json", "certify-salem", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out == codec.dumps(json.loads(out)) + "\n"
+    assert out.startswith('{"error":"malformed JSON in ')
+
+
+@pytest.mark.parametrize(
+    "command, edit, where",
+    [
+        ("twist", {"element": [11.9]}, "twist.element[0]"),
+        ("twist-split-check", {"element": ["11"], "exponent": "1", "prime": 11}, "twist_split.exponent"),
+        ("twist-split-check", {"element": ["11"], "exponent": True, "prime": 11}, "twist_split.exponent"),
+        ("twist-split-check", {"element": ["11"], "exponent": 1, "prime": 11.0}, "twist_split.prime"),
+        ("positivity", {"lattice": {"rank": 2, "gram": [[2.4, "3"], ["3", "2"]]}}, "pair.lattice.gram[0][0]"),
+        ("power-integral", {"isometry": [["0", "-1"], ["1", "3/1"]]}, "pair.isometry[1][1]"),
+    ],
+)
+def test_non_canonical_input_names_the_field(tmp_path, capsys, command, edit, where):
+    path = write(tmp_path, "input.json", dict(PAIR, **edit))
+    assert run(["--format", "json", command, path]) == 2
+    assert where in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_duplicate_keys_are_rejected(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    isometry = json.dumps(PAIR["isometry"])
+    path.write_text(
+        '{"lattice":%s,"isometry":%s,"isometry":%s}' % (json.dumps(PAIR["lattice"]), isometry, isometry),
+        encoding="utf-8",
+    )
+    assert run(["--format", "json", "positivity", str(path)]) == 2
+    assert "duplicate key 'isometry'" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_format_after_subcommand(tmp_path, capsys):

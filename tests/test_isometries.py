@@ -13,8 +13,6 @@ from salemk3.isometries import (
     invariant_symmetric_forms,
     is_isometry,
     kernel_sublattice,
-    matrix_from_json,
-    matrix_to_json,
     power_to_integral,
     search_even_invariant_lattice,
     twist,
@@ -114,6 +112,14 @@ def test_power_to_integral_known_case():
     finv = Isometry(L, f.inverse_matrix())
     n_inv, _ = power_to_integral(L, finv)
     assert n == n_inv
+
+
+def test_power_to_integral_rejects_non_integral_char_poly():
+    # rotation by an angle of infinite order: x^2 - 6/5 x + 1
+    L = Lattice([[1, 0], [0, 1]])
+    f = Isometry(L, ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5))))
+    with pytest.raises(IsometryError, match="characteristic polynomial is not integral"):
+        power_to_integral(L, f)
 
 
 def _random_conjugated_companion(rng, char_poly):
@@ -265,9 +271,3 @@ def test_search_even_invariant_lattice():
         search_even_invariant_lattice(companion_matrix(S4), signature=(4, 0), box=2)
 
 
-def test_matrix_json_roundtrip():
-    M = ((Fraction(3, 2), 1), (0, Fraction(-5, 7)))
-    doc = matrix_to_json(M)
-    assert doc == [["3/2", "1"], ["0", "-5/7"]]
-    back = matrix_from_json(doc)
-    assert back == tuple(tuple(Fraction(x) for x in row) for row in M)

@@ -22,8 +22,6 @@ from salemk3.lattices import (
     lattice_E6,
     lattice_E8,
     lattice_U,
-    lattice_from_json,
-    lattice_to_json,
     named_lattice,
     orthogonal_complement,
     overlattice_from_isotropic,
@@ -289,13 +287,6 @@ def test_discriminant_action():
         col = tuple(A[i][j] for i in range(k))
         basis = tuple(1 if i == j else 0 for i in range(k))
         assert q.q_of(col) == q.q_of(basis)
-
-
-def test_lattice_json_roundtrip():
-    doc = lattice_to_json(E8)
-    assert lattice_from_json(doc).gram == E8.gram
-    with pytest.raises(ValueError):
-        lattice_from_json({"rank": 1, "gram": [["2"]], "extra": 1})
 
 
 def test_lattice_validation():

@@ -21,9 +21,7 @@ from salemk3.polynomials import (
     is_salem,
     isolate_real_roots,
     poly_divmod_exact,
-    poly_from_json,
     poly_gcd,
-    poly_to_json,
     power_min_poly,
     resultant,
     square_class_test,
@@ -229,13 +227,6 @@ def test_poly_division_and_squarefree():
     q, r = poly_divmod_exact(S4 * QUAD, QUAD)
     assert q.coeffs == S4.coeffs and r.is_zero()
     assert squarefree_part(QUAD * QUAD * S4).coeffs == (QUAD * S4).coeffs
-
-
-def test_json_roundtrip():
-    assert poly_from_json(poly_to_json(QUAD)).coeffs == QUAD.coeffs
-    assert poly_to_json(QUAD) == ["1", "-3", "1"]
-    with pytest.raises(ValueError):
-        poly_from_json([1, 2])  # not strings
 
 
 # --- irreducibility through Kronecker's theorem -------------------------------

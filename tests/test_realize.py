@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -259,6 +260,22 @@ def _tamper_entry(doc, field):
     raise AssertionError(f"no zero entry in {field}")
 
 
+def _set(doc, obj, key, value):
+    doc[obj][key] = value
+    return doc
+
+
+def _set_gram(doc, value):
+    assert doc["lattice"]["gram"][0][0] == "8"
+    doc["lattice"]["gram"][0][0] = value
+    return doc
+
+
+def _set_isometry(doc, edit):
+    doc["isometry"][0][0] = edit(doc["isometry"][0][0])
+    return doc
+
+
 @pytest.mark.parametrize(
     "field, tamper",
     [
@@ -271,18 +288,36 @@ def _tamper_entry(doc, field):
         pytest.param("power", lambda doc: dict(doc, power=doc["power"] + 0.9), id="power-float"),
         # a negative power would never return from the matrix powering in verify
         pytest.param("power", lambda doc: dict(doc, power=-1), id="power-negative"),
+        pytest.param("lattice.gram[0][0]", lambda doc: _set_gram(doc, 8.5), id="gram-float"),
+        pytest.param("lattice.gram[0][0]", lambda doc: _set_gram(doc, "+8"), id="gram-plus"),
+        pytest.param(
+            "isometry[0][0]", lambda doc: _set_isometry(doc, lambda x: " " + x), id="isometry-space"
+        ),
+        pytest.param(
+            "isometry[0][0]", lambda doc: _set_isometry(doc, lambda x: x + "/1"), id="isometry-over-1"
+        ),
+        pytest.param("lattice.rank", lambda doc: _set(doc, "lattice", "rank", 22.0), id="rank-float"),
+        pytest.param(
+            "positivity.search_bound",
+            lambda doc: _set(doc, "positivity", "search_bound", "1e2"),
+            id="search-bound-exponent",
+        ),
+        pytest.param(
+            "positivity.method", lambda doc: _set(doc, "positivity", "method", "vibes"), id="method"
+        ),
+        pytest.param("mod2_identity", lambda doc: dict(doc, mod2_identity="yes"), id="mod2-string"),
     ],
 )
 def test_certificate_parsing_rejects_non_canonical(k3_certificate, tmp_path, capsys, field, tamper):
     from salemk3.cli import run
 
     doc = tamper(json.loads(json.dumps(certificate_to_json(k3_certificate))))
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=re.escape(f"certificate.{field}")):
         certificate_from_json(doc)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["--format", "json", "verify", str(path)]) == 2
-    assert field in json.loads(capsys.readouterr().out)["error"]
+    assert f"certificate.{field}" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_no_seed_failure():
