@@ -13,7 +13,14 @@ import sys
 import time
 
 from . import codec
-from .isometries import Isometry, TwistElement, power_to_integral, twist, twist_split_certificate
+from .isometries import (
+    Isometry,
+    IsometryError,
+    TwistElement,
+    power_to_integral,
+    twist,
+    twist_split_certificate,
+)
 from .lattices import NAMED_LATTICES, named_lattice
 from .polynomials import NotSalemError, is_salem
 from .positivity import is_positive
@@ -37,8 +44,18 @@ def _read(path, table, name):
     return codec.fields(codec.load(path), table, name)
 
 
-def _isometry(doc):
-    return doc["lattice"], Isometry(doc["lattice"], doc["isometry"])
+def _isometry(L, matrix, path):
+    """Isometry(L, matrix), with an error that names the input field."""
+    try:
+        return Isometry(L, matrix)
+    except IsometryError as exc:
+        raise IsometryError(f"{path}: {exc}") from None
+
+
+def _read_pair(path, table, name):
+    """The document at ``path`` with its lattice and its isometry."""
+    doc = _read(path, table, name)
+    return doc, doc["lattice"], _isometry(doc["lattice"], doc["isometry"], f"{name}.isometry")
 
 
 def _emit(payload, text_lines, fmt):
@@ -99,7 +116,12 @@ def cmd_realizable(args):
 
 def cmd_build_certificate(args):
     poly = codec.poly(codec.load(args.polynomial), "polynomial")
-    seed = Seed(**_read(args.seed, SEED, "seed")) if args.seed else seed_for(poly)
+    if args.seed:
+        doc = _read(args.seed, SEED, "seed")
+        _isometry(doc["S"], doc["f_S"], "seed.f_S")
+        seed = Seed(**doc)
+    else:
+        seed = seed_for(poly)
     cert = build_k3_certificate(
         poly,
         seed=seed,
@@ -135,7 +157,7 @@ def cmd_verify(args):
 
 
 def cmd_positivity(args):
-    L, f = _isometry(_read(args.pair, PAIR, "pair"))
+    _, L, f = _read_pair(args.pair, PAIR, "pair")
     start = time.perf_counter()
     report = is_positive(L, f, orbit_bound=args.orbit_bound)
     elapsed = time.perf_counter() - start
@@ -148,8 +170,7 @@ def cmd_positivity(args):
 
 
 def cmd_twist(args):
-    doc = _read(args.input, TWIST, "twist")
-    L, f = _isometry(doc)
+    doc, L, f = _read_pair(args.input, TWIST, "twist")
     twisted, f2 = twist(L, f, TwistElement(doc["element"]))
     payload = {
         "lattice": codec.lattice_to_json(twisted),
@@ -161,15 +182,15 @@ def cmd_twist(args):
 
 
 def cmd_power_integral(args):
-    n, fn = power_to_integral(*_isometry(_read(args.pair, PAIR, "pair")))
+    _, L, f = _read_pair(args.pair, PAIR, "pair")
+    n, fn = power_to_integral(L, f)
     payload = {"power": n, "matrix": codec.matrix_to_json(fn.matrix)}
     _emit(payload, [f"f^{n} is integral", f"matrix: {fn.matrix}"], args.format)
     return 0
 
 
 def cmd_twist_split_check(args):
-    doc = _read(args.input, TWIST_SPLIT, "twist_split")
-    L, f = _isometry(doc)
+    doc, L, f = _read_pair(args.input, TWIST_SPLIT, "twist_split")
     report = twist_split_certificate(L, f, TwistElement(doc["element"]), doc["exponent"], doc["prime"])
     payload = {
         "passed": report.passed,

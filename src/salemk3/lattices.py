@@ -12,7 +12,6 @@ from math import gcd, lcm
 
 from . import linalg
 from .numbertheory import factorize, is_prime, legendre, valuation
-from .polynomials import IntPolynomial, count_real_roots
 
 
 class LatticeError(ValueError):
@@ -50,21 +49,44 @@ class Lattice:
         return abs(self.determinant()) == 1
 
     def signature(self):
-        """(s_plus, s_minus), decided by Sturm counts on the characteristic polynomial.
+        """(s_plus, s_minus), by Sylvester's law of inertia.
 
-        Eigenvalue multiplicities are recovered by peeling gcd(p, p') layers,
-        since a Sturm chain only sees distinct roots.
+        Symmetric fraction-free (Bareiss) elimination changes the form only
+        by congruences and leaves the leading minors d_1, ..., d_n of the
+        transformed Gram matrix on the diagonal; by Jacobi, each
+        d_k / d_{k-1} > 0 is one positive eigenvalue. A zero pivot is swapped,
+        rows and columns together, with a later nonzero diagonal entry; when
+        the whole trailing diagonal is zero, the congruence e_i <- e_i + e_j
+        on a nonzero entry (i, j) puts 2 a_ij on the diagonal.
         """
-        if self.rank == 0:
-            return (0, 0)
-        from .polynomials import poly_gcd
-
-        layer = IntPolynomial(linalg.charpoly(self.gram))
-        pos = 0
-        while layer.degree > 0:
-            pos += count_real_roots(layer, Fraction(0), "inf")
-            layer = poly_gcd(layer, layer.derivative())
-        return (pos, self.rank - pos)
+        n = self.rank
+        M = [list(row) for row in self.gram]
+        prev, pos = 1, 0
+        for k in range(n):
+            p = next((i for i in range(k, n) if M[i][i]), None)
+            if p is None:
+                # the trailing block is nonzero because the form is nondegenerate
+                i, j = next((i, j) for i in range(k, n) for j in range(i + 1, n) if M[i][j])
+                for c in range(k, n):
+                    M[i][c] += M[j][c]
+                for r in range(k, n):
+                    M[r][i] += M[r][j]
+                p = i
+            if p != k:
+                M[k], M[p] = M[p], M[k]
+                for row in M:
+                    row[k], row[p] = row[p], row[k]
+            pivot = M[k][k]
+            pos += (pivot > 0) == (prev > 0)
+            for i in range(k + 1, n):
+                Mi, mik = M[i], M[i][k]
+                for j in range(i, n):
+                    q, r = divmod(Mi[j] * pivot - mik * M[k][j], prev)
+                    if r:
+                        raise ArithmeticError("non-exact division in Bareiss elimination")
+                    Mi[j] = M[j][i] = q
+            prev = pivot
+        return (pos, n - pos)
 
     def is_hyperbolic(self):
         s_plus, s_minus = self.signature()
@@ -511,7 +533,7 @@ def glue(M: Lattice, N: Lattice, phi: GlueMap):
             lift_n = [a + c * b for a, b in zip(lift_n, qN.lifts[i])]
         extras.append(tuple(lift_m) + tuple(lift_n))
     basis = _span_with_extra_rows(ambient.rank, extras)
-    gram = linalg.mat_mul(linalg.mat_mul(basis, ambient.gram), linalg.transpose(basis))
+    gram = linalg.rat_mat_mul(basis, ambient.gram, linalg.transpose(basis))
     if not linalg.is_integral(gram):
         raise LatticeError("glue produced a non-integral overlattice (invalid glue map)")
     L = Lattice(linalg.mat_to_int(gram))
@@ -545,7 +567,7 @@ def overlattice_from_isotropic(M: Lattice, subgroup_gens):
             lift = [a + c * b for a, b in zip(lift, qM.lifts[i])]
         extras.append(tuple(lift))
     basis = _span_with_extra_rows(M.rank, extras)
-    gram = linalg.mat_mul(linalg.mat_mul(basis, M.gram), linalg.transpose(basis))
+    gram = linalg.rat_mat_mul(basis, M.gram, linalg.transpose(basis))
     if not linalg.is_integral(gram):
         raise AssertionError("isotropic subgroup produced a non-integral overlattice")
     L = Lattice(linalg.mat_to_int(gram))
@@ -559,6 +581,8 @@ def overlattice_from_isotropic(M: Lattice, subgroup_gens):
 
 def is_primitive_sublattice(L: Lattice, basis_rows):
     B = tuple(tuple(int(x) for x in row) for row in basis_rows)
+    if not B:
+        return True, B  # the zero sublattice is its own saturation
     sat = linalg.saturation(B)
     return len(linalg.hnf(B)) == len(B) and linalg.hnf(B) == linalg.hnf(sat), sat
 

@@ -34,6 +34,21 @@ def mat_mul(A, B):
     return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
 
 
+def rat_mat_mul(*factors):
+    """Product of rational matrices, computed over one common denominator.
+
+    Each factor's denominators are cleared, the integer matrices are
+    multiplied, and the product is divided once at the end. Equal to chaining
+    ``mat_mul``; much faster when the factors are large Fraction matrices.
+    """
+    den, P = clear_denominators(factors[0])
+    for A in factors[1:]:
+        d, IA = clear_denominators(A)
+        den *= d
+        P = mat_mul(P, IA)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in P)
+
+
 def mat_vec(A, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
 
@@ -347,11 +362,8 @@ def snf_diagonal(A):
 
 def clear_denominators(rows):
     """(den, int_rows): the least common denominator of rational rows and den times them."""
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    return den, tuple(tuple(int(Fraction(x) * den) for x in row) for row in rows)
+    den = lcm(1, *(x.denominator for row in rows for x in row))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
 
 
 def saturation(B):

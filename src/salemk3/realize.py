@@ -885,7 +885,7 @@ def _block_diag(A, B):
 def _conjugate_to_basis(block, basis):
     """Matrix of the block map in the overlattice basis (column convention)."""
     Bt = linalg.transpose(basis)
-    return linalg.mat_mul(linalg.mat_mul(linalg.rat_inverse(Bt), block), Bt)
+    return linalg.rat_mat_mul(linalg.rat_inverse(Bt), block, Bt)
 
 
 def verify_certificate(cert: RealizationCertificate):

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against different primitives than
 the code under test: Fraction Gaussian elimination instead of Bareiss,
-numpy box scans instead of Fincke-Pohst, gcd-chasing Smith reduction
-instead of the transform-tracking one, Euler powering instead of
-reciprocity, repeated multiplication instead of prime stripping.
+Descartes' rule on an interpolated characteristic polynomial instead of
+the law of inertia, numpy box scans instead of Fincke-Pohst, gcd-chasing
+Smith reduction instead of the transform-tracking one, Euler powering
+instead of reciprocity, repeated multiplication instead of prime stripping.
 """
 
 from fractions import Fraction
@@ -31,6 +32,27 @@ def fraction_det(M):
                 f = A[r][col] * inv
                 A[r] = [a - f * b for a, b in zip(A[r], A[col])]
     return det
+
+
+def descartes_signature(G):
+    """(s_plus, s_minus) of a nondegenerate symmetric matrix, by Descartes' rule.
+
+    The characteristic polynomial is interpolated from fraction_det(t I - G)
+    at t = 0..n. It is real-rooted and 0 is not a root (det G != 0), so the
+    sign changes of its coefficients count the positive eigenvalues exactly.
+    """
+    n = len(G)
+    coeffs = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        value = fraction_det([[k * (i == j) - G[i][j] for j in range(n)] for i in range(n)])
+        basis = [Fraction(1)]  # prod_{m != k} (x - m) / (k - m), ascending
+        for m in range(n + 1):
+            if m != k:
+                basis = [(lo - m * hi) / (k - m) for lo, hi in zip([0] + basis, basis + [0])]
+        coeffs = [c + value * b for c, b in zip(coeffs, basis)]
+    signs = [c > 0 for c in coeffs if c]
+    s_plus = sum(a != b for a, b in zip(signs, signs[1:]))
+    return (s_plus, n - s_plus)
 
 
 def sylvester_resultant(p_coeffs, q_coeffs):

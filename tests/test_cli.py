@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -176,7 +177,44 @@ def test_seed_isometry_not_preserving_the_form_exits_2(tmp_path, capsys):
     poly = write(tmp_path, "s4.json", S4_JSON)
     seed_path = write(tmp_path, "seed.json", doc)
     assert run(["--format", "json", "build-certificate", poly, "--seed", seed_path]) == 2
-    assert "does not preserve the bilinear form" in json.loads(capsys.readouterr().out)["error"]
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == "seed.f_S: matrix does not preserve the bilinear form"
+
+
+@pytest.mark.parametrize(
+    "command, extra, name",
+    [
+        ("positivity", {}, "pair"),
+        ("power-integral", {}, "pair"),
+        ("twist", {"element": ["11"]}, "twist"),
+        ("twist-split-check", {"element": ["11"], "exponent": 1, "prime": 11}, "twist_split"),
+    ],
+)
+def test_isometry_not_preserving_the_form_names_the_field(tmp_path, capsys, command, extra, name):
+    doc = dict(PAIR, isometry=[["1", "1"], ["0", "1"]], **extra)
+    assert run(["--format", "json", command, write(tmp_path, "input.json", doc)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == f"{name}.isometry: matrix does not preserve the bilinear form"
+
+
+def test_s4_certificate_bytes_are_pinned(tmp_path, capsys):
+    # the canonical certificate is a contract: any change to its bytes is a format change
+    poly = write(tmp_path, "s4.json", S4_JSON)
+    assert run(["--format", "json", "build-certificate", poly]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "9dc789226e00bb556a4d5a9aae5f3712b70865bf27e419ca3b6d8af9b21fd462"
+
+
+def test_verify_empty_kernel_basis_fails_the_kernel_item(tmp_path, capsys):
+    # used to raise IndexError in linalg.saturation: a traceback and an empty stdout
+    poly = write(tmp_path, "s4.json", S4_JSON)
+    assert run(["--format", "json", "build-certificate", poly]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["kernel_basis"] = []
+    assert run(["--format", "json", "verify", write(tmp_path, "cert.json", doc)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verified"] is False
+    assert {item["check"]: item["passed"] for item in report["items"]}["kernel"] is False
 
 
 def test_malformed_json_diagnostic(tmp_path, capsys):

@@ -29,7 +29,7 @@ from salemk3.lattices import (
     roots,
 )
 
-from oracles import brute_vectors_of_norm, fraction_det, smith_diagonal
+from oracles import brute_vectors_of_norm, descartes_signature, fraction_det, smith_diagonal
 
 U = lattice_U()
 E8 = lattice_E8()
@@ -59,6 +59,10 @@ def test_signature_examples():
     assert named_lattice("3U+2E8").signature() == (3, 19)
     assert named_lattice("3U").signature() == (3, 3)
     assert named_lattice("U+E8").signature() == (1, 9)
+    # hollow Gram matrices take the congruence branch of the elimination
+    for L, expected in ((U.direct_sum(U), (2, 2)), (Lattice([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), (1, 2))):
+        assert L.signature() == expected
+        assert descartes_signature(L.gram) == expected
 
 
 def test_signature_additive_det_multiplicative():
@@ -308,3 +312,48 @@ def test_hnf_with_transform_invariant():
         zero_rows = tuple((0,) * n for _ in range(m - len(H)))
         assert linalg.mat_mul(U, A) == H + zero_rows
         assert abs(fraction_det(U)) == 1
+
+
+def test_signature_matches_descartes_oracle():
+    # an all-zero diagonal sends the elimination through its congruence branch
+    rng = random.Random(20260808)
+    checked = hollow_checked = 0
+    while checked < 300:
+        n = rng.randint(1, 9)
+        hollow = rng.random() < 0.4
+        G = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                G[i][j] = G[j][i] = 0 if hollow and i == j else rng.randint(-4, 4)
+        if fraction_det(G) == 0:
+            continue
+        assert Lattice(G).signature() == descartes_signature(G), G
+        checked += 1
+        hollow_checked += hollow
+    assert hollow_checked >= 80
+
+
+def test_signature_of_the_glued_s4_lattice():
+    from salemk3.polynomials import IntPolynomial
+    from salemk3.realize import build_k3_certificate
+
+    glued = build_k3_certificate(IntPolynomial([1, -1, -1, -1, 1])).lattice
+    assert glued.signature() == (3, 19)
+    assert descartes_signature(glued.gram) == (3, 19)
+
+
+def test_rat_mat_mul_matches_mat_mul():
+    rng = random.Random(29)
+
+    def entry(rational):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rational else rng.randint(-9, 9)
+
+    for _ in range(60):
+        m, k, l, n = (rng.randint(1, 5) for _ in range(4))
+        rational = rng.random() < 0.7
+        A = tuple(tuple(entry(rational) for _ in range(k)) for _ in range(m))
+        B = tuple(tuple(entry(rational) for _ in range(l)) for _ in range(k))
+        C = tuple(tuple(entry(rng.random() < 0.5) for _ in range(n)) for _ in range(l))
+        assert linalg.rat_mat_mul(A, B) == linalg.mat_mul(A, B)
+        assert linalg.rat_mat_mul(A, B, C) == linalg.mat_mul(linalg.mat_mul(A, B), C)
+    assert linalg.rat_mat_mul(((Fraction(2, 3),),), ((Fraction(3, 4),),)) == ((Fraction(1, 2),),)
