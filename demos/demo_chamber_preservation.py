@@ -32,6 +32,10 @@ print("  all", len(roots), "roots are cyclic ->",
 E8 = lattice_E8()
 ident = Isometry(E8, tuple(tuple(int(i == j) for j in range(8)) for i in range(8)))
 print("  identity on E8 has no cyclic roots ->", is_positive(E8, ident).status)
+A1_3 = Lattice([[-2, 0, 0], [0, -2, 0], [0, 0, -2]])
+cycle = Isometry(A1_3, ((0, 0, -1), (1, 0, 0), (0, 1, 0)))  # e1 -> e2 -> e3 -> -e1
+print("  the signed 3-cycle on A1^3 (char x^3 + 1 = Phi_2 Phi_6) has",
+      len(cyclic_roots(A1_3, cycle)), "cyclic roots ->", is_positive(A1_3, cycle).status)
 print()
 
 quad = IntPolynomial([1, -3, 1])

@@ -159,7 +159,7 @@ def cmd_verify(args):
 def cmd_positivity(args):
     _, L, f = _read_pair(args.pair, PAIR, "pair")
     start = time.perf_counter()
-    report = is_positive(L, f, orbit_bound=args.orbit_bound)
+    report = is_positive(L, f)
     elapsed = time.perf_counter() - start
     # timing goes to the text report only; JSON output stays byte-deterministic
     lines = [f"{report.status} (method: {report.method}, {elapsed:.3f}s)"] + [
@@ -249,7 +249,6 @@ def build_parser():
 
     p = sub.add_parser("positivity", help="chamber-preservation report")
     p.add_argument("pair", help="JSON with fields lattice and isometry")
-    p.add_argument("--orbit-bound", type=int, default=32)
     p.set_defaults(func=cmd_positivity)
 
     p = sub.add_parser("twist", help="twist a lattice by an element of Z[f + f^-1]")

@@ -30,11 +30,7 @@ def is_isometry(L: Lattice, M) -> bool:
     """Exact check M^T G M = G."""
     if len(M) != L.rank or any(len(row) != L.rank for row in M):
         return False
-    Mt = linalg.transpose(M)
-    product = linalg.mat_mul(linalg.mat_mul(Mt, L.gram), M)
-    return all(
-        Fraction(a) == b for prow, grow in zip(product, L.gram) for a, b in zip(prow, grow)
-    )
+    return linalg.mat_mul(linalg.mat_mul(linalg.transpose(M), L.gram), M) == L.gram
 
 
 @dataclass(frozen=True)
@@ -180,7 +176,7 @@ def _restrict_to_rows(F, B):
     Bp = tuple(tuple(row[j] for j in pivots) for row in B)
     Ip = tuple(tuple(row[j] for j in pivots) for row in image)
     X = linalg.mat_mul(Ip, linalg.rat_inverse(Bp))
-    if linalg.mat_mul(X, linalg.mat_to_fraction(B)) != linalg.mat_to_fraction(image):
+    if linalg.mat_mul(X, B) != image:
         raise IsometryError("row span is not invariant under the isometry")
     return linalg.transpose(X)
 
@@ -294,15 +290,14 @@ def invariant_symmetric_forms(F):
     idx = [(i, j) for i in range(n) for j in range(i, n)]
     pos = {ij: k for k, ij in enumerate(idx)}
     rows = []
-    Ff = linalg.mat_to_fraction(F)
     for a in range(n):
         for b in range(a, n):
             # (F^T G F - G)[a][b] as a linear form in the g_ij
-            row = [Fraction(0)] * len(idx)
+            row = [0] * len(idx)
             for i in range(n):
                 for j in range(n):
                     key = (i, j) if i <= j else (j, i)
-                    row[pos[key]] += Ff[i][a] * Ff[j][b]
+                    row[pos[key]] += F[i][a] * F[j][b]
             row[pos[(a, b)]] -= 1
             rows.append(tuple(row))
     kernel = linalg.rat_kernel(tuple(rows))

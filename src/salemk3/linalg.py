@@ -105,10 +105,6 @@ def mat_to_int(A):
     return tuple(tuple(int(a) for a in row) for row in A)
 
 
-def mat_to_fraction(A):
-    return tuple(tuple(Fraction(a) for a in row) for row in A)
-
-
 def bareiss_det(A):
     """Exact determinant by fraction-free Gaussian elimination.
 

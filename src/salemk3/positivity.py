@@ -1,11 +1,15 @@
 """Chamber preservation for isometries of hyperbolic and definite lattices.
 
 Positivity (preservation of a chamber of the positive cone) is decided
-through obstructing roots. Cyclic roots are found inside kernels of
-cyclotomic factors; for a hyperbolic lattice whose isometry has an
-irreducible Salem characteristic polynomial, the remaining obstructions are
-roots whose orthogonal hyperplane crosses the invariant geodesic plane, and
-those admit a complete search over a compact set of eigencoordinates.
+through obstructing roots. On a definite lattice the obstructions are the
+cyclic roots, the roots whose orbit sum under f vanishes: exactly the roots
+of ker c(f), where c is the product of the cyclotomic factors of the
+characteristic polynomial other than x - 1 (f has finite order there, and an
+orbit sum is a multiple of the projection onto ker(f - 1)). For a hyperbolic
+lattice whose isometry has an irreducible Salem characteristic polynomial,
+the obstructions are roots whose orthogonal hyperplane crosses the invariant
+geodesic plane, and those admit a complete search over a compact set of
+eigencoordinates.
 
 The search box is certified: eigenvector data lives in the field Q[x]/(s(x))
 with interval enclosures refined on demand, the integer enumeration runs on
@@ -16,12 +20,14 @@ point appears nowhere.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import linalg
-from .isometries import Isometry, IsometryError, kernel_sublattice
+from .isometries import Isometry, kernel_sublattice
 from .lattices import Lattice, enumerate_vectors_of_norm
 from .numberfield import RealAlgebraicField, field_kernel
 from .polynomials import (
+    IntPolynomial,
     NotSalemError,
     cyclotomic_factors,
     discriminant,
@@ -118,46 +124,29 @@ def geodesic_plane(S: Lattice, f: Isometry):
     return plane
 
 
-def cyclic_roots(L: Lattice, f: Isometry, orbit_bound=32):
-    """All roots whose orbit sum under f vanishes within the bound.
+def cyclic_roots(L: Lattice, f: Isometry):
+    """All roots of L whose orbit sum under f vanishes, sorted.
 
-    Candidates live in kernels of cyclotomic factors (other than powers of
-    x - 1) of the characteristic polynomial; when there is no such factor the
-    answer is empty with no enumeration at all.
+    Let c be the product of the cyclotomic factors of char f other than
+    x - 1. On a definite lattice f has finite order N and is semisimple, and
+    the sum of f^k(r) over k < N is N times the projection of r onto
+    ker(f - 1). So the orbit sum of a root vanishes exactly when the root lies
+    in ker c(f), and the answer is every root of that kernel. When char f has
+    no such factor the answer is empty with no enumeration at all.
     """
     if not f.is_integral():
         raise PositivityError("cyclic-root search needs an integral isometry")
-    char = f.char_poly()
-    factors = cyclotomic_factors(char, exclude_x_minus_one=True)
-    found = set()
-    for n_cyc, phi in factors:
-        try:
-            ker = kernel_sublattice(f, phi)
-        except IsometryError:
-            continue
-        s_plus, s_minus = ker.lattice.signature()
-        if s_plus and s_minus:
-            raise PositivityError(
-                "indefinite cyclotomic kernel; cyclic-root enumeration unsupported"
-            )
-        if s_minus == 0:
-            continue  # positive definite: no roots
-        for v in enumerate_vectors_of_norm(ker.lattice, -2):
-            ambient = linalg.vec_mat(v, ker.basis)
-            if _orbit_sum_vanishes(f, ambient, orbit_bound):
-                found.add(tuple(ambient))
-    return sorted(found)
-
-
-def _orbit_sum_vanishes(f, root, orbit_bound):
-    total = tuple(root)
-    image = tuple(root)
-    for _ in range(orbit_bound):
-        image = f.apply(image)
-        if all(x == 0 for x in total):
-            return True
-        total = linalg.vec_add(total, image)
-    return all(x == 0 for x in total)
+    factors = [phi for _, phi in cyclotomic_factors(f.char_poly(), exclude_x_minus_one=True)]
+    if not factors:
+        return []
+    ker = kernel_sublattice(f, prod(factors, start=IntPolynomial([1])))
+    s_plus, s_minus = ker.lattice.signature()
+    if s_plus and s_minus:
+        raise PositivityError("indefinite cyclotomic kernel; cyclic-root enumeration unsupported")
+    return sorted(
+        tuple(linalg.vec_mat(v, ker.basis))
+        for v in enumerate_vectors_of_norm(ker.lattice, -2)
+    )
 
 
 def determinant_bound_test(S: Lattice, f: Isometry):
@@ -334,7 +323,7 @@ def _orbit_reduce(f, witnesses, cap):
     return sorted(reps)
 
 
-def is_positive(S: Lattice, f: Isometry, orbit_bound=32):
+def is_positive(S: Lattice, f: Isometry):
     """Decide chamber preservation; records which method settled it.
 
     Negative definite lattices: positive iff there is no cyclic root.
@@ -343,7 +332,7 @@ def is_positive(S: Lattice, f: Isometry, orbit_bound=32):
     """
     s_plus, s_minus = S.signature()
     if s_plus == 0:
-        wits = tuple((w, "cyclic") for w in cyclic_roots(S, f, orbit_bound))
+        wits = tuple((w, "cyclic") for w in cyclic_roots(S, f))
         return ObstructionReport(
             status="not_positive" if wits else "positive",
             witnesses=wits,

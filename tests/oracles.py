@@ -5,7 +5,8 @@ the code under test: Fraction Gaussian elimination instead of Bareiss,
 Descartes' rule on an interpolated characteristic polynomial instead of
 the law of inertia, numpy box scans instead of Fincke-Pohst, gcd-chasing
 Smith reduction instead of the transform-tracking one, Euler powering
-instead of reciprocity, repeated multiplication instead of prime stripping.
+instead of reciprocity, repeated multiplication instead of prime stripping,
+full orbit sums instead of cyclotomic kernels.
 """
 
 from fractions import Fraction
@@ -88,6 +89,27 @@ def brute_vectors_of_norm(gram, m, radius):
     norms = np.einsum("ij,jk,ik->i", coords, G, coords)
     hits = coords[norms == m]
     return sorted(tuple(int(x) for x in row) for row in hits if any(row))
+
+
+def cyclic_roots_by_orbit_sum(F, roots, cap=10000):
+    """The given roots whose orbit sum under F (column convention) vanishes.
+
+    The order N of F is found by repeated multiplication; a root r is kept
+    when r + F r + ... + F^(N-1) r = 0. ``roots`` is a root list such as a
+    brute_vectors_of_norm scan.
+    """
+    F = np.array(F, dtype=np.int64)
+    identity = np.eye(len(F), dtype=np.int64)
+    power, order = F, 1
+    while not np.array_equal(power, identity):
+        if order == cap:
+            raise ValueError("the matrix has no finite order within the cap")
+        power, order = power @ F, order + 1
+    R = np.array(roots, dtype=np.int64).reshape(len(roots), len(F))
+    total, image = np.zeros_like(R), R
+    for _ in range(order):
+        total, image = total + image, image @ F.T
+    return sorted(tuple(int(x) for x in r) for r, s in zip(R, total) if not s.any())
 
 
 def smith_diagonal(M):

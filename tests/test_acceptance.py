@@ -162,7 +162,7 @@ def test_criterion_3_integral_powering():
         for _ in range(n):
             power = linalg.mat_mul(F, power)
         assert linalg.is_integral(power)
-        assert linalg.mat_to_fraction(power) == linalg.mat_to_fraction(fn.matrix)
+        assert power == fn.matrix
         assert linalg.is_integral(f.power_matrix(2 * n))
         assert linalg.is_integral(f.power_matrix(3 * n))
         checked += 1

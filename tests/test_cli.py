@@ -58,6 +58,11 @@ def test_positivity_exit_codes(tmp_path, capsys):
     assert "determinant_bound" in out
 
 
+def test_positivity_has_no_orbit_bound_option(tmp_path):
+    # cyclic roots are exact with no cap, so there is no bound to set
+    assert run(["positivity", write(tmp_path, "pair.json", PAIR), "--orbit-bound", "32"]) == 2
+
+
 def test_strict_unknown_field(tmp_path, capsys):
     bad = dict(PAIR)
     bad["comment"] = "sneaky"

@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 
 from salemk3 import linalg
@@ -12,6 +14,8 @@ from salemk3.positivity import (
     is_positive,
     obstructing_root_search,
 )
+
+from oracles import brute_vectors_of_norm, count_e8_roots_standard_model, cyclic_roots_by_orbit_sum
 
 P = IntPolynomial
 QUAD = P([1, -3, 1])
@@ -56,6 +60,107 @@ def test_cyclic_roots_salem_shape_empty_fast():
     L = Lattice([[2, 3, 0], [3, 2, 0], [0, 0, -2]])
     f = Isometry(L, block)
     assert cyclic_roots(L, f) == []
+
+
+# Definite lattices with a cyclotomic isometry, each with a complete list of
+# its roots from an independent box scan.
+
+
+def a2_rotation():
+    A2 = lattice_A2()
+    return A2, Isometry(A2, ((0, -1), (1, -1))), brute_vectors_of_norm(A2.gram, -2, 2)
+
+
+def a2_rotation_plus_fixed_a1():
+    # the A1 roots are fixed by f, so they are not cyclic
+    L = lattice_A2().direct_sum(Lattice([[-2]]))
+    f = Isometry(L, ((0, -1, 0), (1, -1, 0), (0, 0, 1)))
+    return L, f, brute_vectors_of_norm(L.gram, -2, 2)
+
+
+def a1_cubed_signed_cycle():
+    # e1 -> e2 -> e3 -> -e1, char f = x^3 + 1 = Phi_2 Phi_6
+    L = Lattice([[-2, 0, 0], [0, -2, 0], [0, 0, -2]])
+    f = Isometry(L, ((0, 0, -1), (1, 0, 0), (0, 1, 0)))
+    assert f.char_poly() == P([1, 0, 0, 1])
+    return L, f, brute_vectors_of_norm(L.gram, -2, 2)
+
+
+def d4_flip_rotation():
+    # D4 on the simple roots e1-e2, e2-e3, e3-e4, e3+e4 with the form -x.y;
+    # f = diag(-1, -1, rot90) on the coordinates, char f = Phi_2^2 Phi_4
+    L = Lattice([[-2, 1, 0, 0], [1, -2, 1, 1], [0, 1, -2, 0], [0, 1, 0, -2]])
+    f = Isometry(L, ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, -1), (0, -1, 1, 0)))
+    assert f.char_poly() == P([1, 1]) * P([1, 1]) * P([1, 0, 1])
+    return L, f, brute_vectors_of_norm(L.gram, -2, 3)
+
+
+@cache
+def e8_roots():
+    """The 240 roots of lattice_E8 from a box scan in the dual basis.
+
+    A root has coordinates <r, a_i> in [-2, 2] against the dual basis of the
+    simple roots a_i, and E8 is unimodular, so the scan runs on G^-1.
+    """
+    G = lattice_E8().gram
+    Ginv = linalg.mat_to_int(linalg.rat_inverse(G))
+    assert linalg.mat_mul(G, Ginv) == linalg.identity(8)
+    roots = [tuple(linalg.mat_vec(Ginv, w)) for w in brute_vectors_of_norm(Ginv, -2, 2)]
+    assert len(roots) == count_e8_roots_standard_model()
+    return roots
+
+
+def e8_coxeter():
+    """Product of the simple reflections x -> x + <x, a_i> a_i of lattice_E8."""
+    G = lattice_E8().gram
+    c = linalg.identity(8)
+    for i in range(8):
+        s = tuple(
+            tuple(int(r == j) + (G[i][j] if r == i else 0) for j in range(8)) for r in range(8)
+        )
+        c = linalg.mat_mul(c, s)
+    return c
+
+
+def e8_e8_coxeter():
+    # f(x, y) = (y, c x), so f^2 = c (+) c and char f = Phi_30(x^2) = Phi_60
+    E8 = lattice_E8()
+    L = E8.direct_sum(E8)
+    c = e8_coxeter()
+    F = tuple(
+        tuple(int(j == i + 8) if i < 8 else (c[i - 8][j] if j < 8 else 0) for j in range(16))
+        for i in range(16)
+    )
+    f = Isometry(L, F)
+    assert f.char_poly() == P([1, 0, 1, 0, 0, 0, -1, 0, -1, 0, -1, 0, 0, 0, 1, 0, 1])
+    zero = (0,) * 8
+    # a root of an orthogonal sum of negative definite lattices lies in one summand
+    roots = [r + zero for r in e8_roots()] + [zero + r for r in e8_roots()]
+    return L, f, roots
+
+
+@pytest.mark.parametrize(
+    "case, count",
+    [
+        (a2_rotation, 6),
+        (a2_rotation_plus_fixed_a1, 6),
+        # each cyclotomic factor's kernel alone holds none of these roots
+        (a1_cubed_signed_cycle, 6),
+        # each cyclotomic factor's kernel alone holds 4 of these roots
+        (d4_flip_rotation, 24),
+        # Phi_60: the partial orbit sums of a root vanish only at multiples of 60 steps
+        (e8_e8_coxeter, 480),
+    ],
+    ids=lambda case: getattr(case, "__name__", str(case)),
+)
+def test_cyclic_roots_match_the_orbit_sum_oracle(case, count):
+    L, f, roots = case()
+    expected = cyclic_roots_by_orbit_sum(f.matrix, roots)
+    assert len(expected) == count
+    assert cyclic_roots(L, f) == expected
+    report = is_positive(L, f)
+    assert report.status == "not_positive" and report.method == "cyclic_only"
+    assert report.witnesses == tuple((r, "cyclic") for r in expected)
 
 
 def test_determinant_bound_examples():

@@ -250,6 +250,18 @@ def test_tampered_certificate_fails(k3_certificate):
     assert "isometry" in failed
 
 
+@pytest.mark.parametrize("claim", [True, False])
+def test_k3_certificate_with_mod2_claim_fails_surface(k3_certificate, claim):
+    # mod2_identity means something for torus and Enriques only; on K3 it must be null
+    doc = certificate_to_json(k3_certificate)
+    doc["mod2_identity"] = claim
+    ok, items = verify_certificate(certificate_from_json(doc))
+    assert not ok
+    failed = {name: detail for name, passed, detail in items if not passed}
+    assert list(failed) == ["surface"]
+    assert "mod2_identity" in failed["surface"]
+
+
 def _tamper_entry(doc, field):
     """Replace the first "0" entry of a certificate matrix by "1/2"."""
     for row in doc[field]:
