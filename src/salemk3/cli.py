@@ -122,13 +122,7 @@ def cmd_build_certificate(args):
         seed = Seed(**doc)
     else:
         seed = seed_for(poly)
-    cert = build_k3_certificate(
-        poly,
-        seed=seed,
-        box=args.box,
-        prime_cap=args.prime_cap,
-        congruence_prime=args.congruence_prime,
-    )
+    cert = build_k3_certificate(poly, seed=seed)
     text = codec.dumps(certificate_to_json(cert))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -236,10 +230,6 @@ def build_parser():
     p = sub.add_parser("build-certificate", help="construct a projective K3 certificate")
     p.add_argument("polynomial")
     p.add_argument("--seed", default=None, help="seed JSON path (defaults to the curated library)")
-    p.add_argument("--box", type=int, default=30, help="norm-element search box")
-    p.add_argument("--prime-cap", type=int, default=100000, help="split-prime search cap")
-    p.add_argument("--congruence-prime", action="store_true",
-                   help="restrict to primes p = 1 mod 8|det R| above |disc s| (can be very slow)")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_build_certificate)
 

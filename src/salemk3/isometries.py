@@ -221,6 +221,35 @@ def _matrix_order_mod(A, m, cap=None):
     return order
 
 
+def _least_power(A, m, test):
+    """Least d >= 1 with test(A^d mod m), by prime stripping.
+
+    The exponents that pass must form a subgroup dZ of Z that contains the
+    order of A modulo m. Starting from that order, a prime q is divided out
+    while the quotient still passes; the loop ends exactly at d.
+    """
+    d = _matrix_order_mod(A, m)
+    for q in factorize(d):
+        while d % q == 0 and test(linalg.mat_pow_mod(A, d // q, m)):
+            d //= q
+    return d
+
+
+def discriminant_order(L: Lattice, f: Isometry):
+    """Order of the action of an integral isometry f on L^dual / L.
+
+    With e the exponent of L^dual / L and D = e G^-1 (an integer matrix),
+    f^d acts trivially exactly when (F^d - I) D = 0 mod e. The exponents
+    that pass form a subgroup containing the order of F modulo e, so
+    prime stripping finds the least one.
+    """
+    if not f.is_integral():
+        raise IsometryError("discriminant action needs an integral isometry")
+    e, D = linalg.clear_denominators(L.dual_basis())
+    D = linalg.mat_mod(D, e)
+    return _least_power(f.matrix, e, lambda P: linalg.mat_mod(linalg.mat_mul(P, D), e) == D)
+
+
 def power_to_integral(L: Lattice, f: Isometry):
     """Minimal n >= 1 with f^n integral, plus the integral matrix f^n.
 
@@ -229,8 +258,7 @@ def power_to_integral(L: Lattice, f: Isometry):
     F = X^-1 Psi X for the integer matrix X of L inside M, det X = +-k.
     The exponents d with f^d(L) in L form a subgroup nZ (an inclusion of
     equal covolume is an equality), and n divides the order n0 of Psi
-    modulo k. Prime stripping finds n: starting from n0, divide by a prime
-    q while the quotient still gives an integral power. Each test runs in
+    modulo k, so prime stripping (``_least_power``) finds n. Each test runs in
     integers mod k: f^d is integral iff adj(X) (Psi^d mod k) X = 0 mod k.
     The exact f^n is formed once, at the end. Psi is integral exactly when
     the characteristic polynomial of f is (Cayley-Hamilton one way, F
@@ -263,14 +291,11 @@ def power_to_integral(L: Lattice, f: Isometry):
         raise IsometryError("characteristic polynomial is not integral")
     Psi = linalg.mat_to_int(Psi)
 
-    def integral(d):
-        P = linalg.mat_mul(linalg.mat_mul(adj, linalg.mat_pow_mod(Psi, d, k)), X)
+    def integral(Pd):
+        P = linalg.mat_mul(linalg.mat_mul(adj, Pd), X)
         return all(x % k == 0 for row in P for x in row)
 
-    m = _matrix_order_mod(Psi, k)
-    for q in factorize(m):
-        while m % q == 0 and integral(m // q):
-            m //= q
+    m = _least_power(Psi, k, integral)
     P = linalg.mat_mul(linalg.mat_mul(adj, linalg.mat_pow(Psi, m)), X)
     if any(x % k for row in P for x in row):
         raise AssertionError("the stripped exponent does not give an integral power")

@@ -106,10 +106,11 @@ def mat_to_int(A):
 
 
 def bareiss_det(A):
-    """Exact determinant by fraction-free Gaussian elimination.
+    """Exact determinant of an integer matrix by fraction-free Gaussian elimination.
 
-    Integer input stays integer throughout; Fractions are also accepted
-    (the algorithm then runs with exact rational pivots).
+    Integer input only: every caller passes an integer matrix (Gram matrices,
+    Sylvester matrices, integer transforms), and each Bareiss division is
+    exact on integers.
     """
     n = len(A)
     if n == 0:
@@ -119,20 +120,23 @@ def bareiss_det(A):
     prev = 1
     for k in range(n - 1):
         if M[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if pivot is None:
+            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if swap is None:
                 return 0
-            M[k], M[pivot] = M[pivot], M[k]
+            M[k], M[swap] = M[swap], M[k]
             sign = -sign
+        Mk = M[k]
+        pivot = Mk[k]
         for i in range(k + 1, n):
+            Mi = M[i]
+            mik = Mi[k]
             for j in range(k + 1, n):
-                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                q, r = divmod(num, prev) if isinstance(num, int) and isinstance(prev, int) else (num / prev, 0)
+                q, r = divmod(Mi[j] * pivot - mik * Mk[j], prev)
                 if r:
                     raise ArithmeticError("non-exact division in Bareiss elimination")
-                M[i][j] = q
-            M[i][k] = 0
-        prev = M[k][k]
+                Mi[j] = q
+            Mi[k] = 0
+        prev = pivot
     return sign * M[n - 1][n - 1]
 
 

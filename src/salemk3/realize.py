@@ -10,20 +10,19 @@ descends to the overlattice.
 """
 
 from dataclasses import dataclass
-from math import lcm
 
 from . import codec, linalg
 from .isometries import (
     Isometry,
     TwistElement,
     _restrict_to_rows,
+    discriminant_order,
     twist,
 )
 from .lattices import (
     GlueMap,
     Lattice,
     LatticeError,
-    discriminant_action,
     discriminant_form,
     find_anti_isometry,
     forms_isomorphic,
@@ -161,7 +160,7 @@ def mod2_trivial(matrix):
     """True iff the integral matrix is congruent to the identity mod 2."""
     if not linalg.is_integral(matrix):
         raise RealizeError("mod-2 reduction needs an integral matrix")
-    return _group_matrix_is_identity(linalg.mat_to_int(matrix), (2,) * len(matrix))
+    return linalg.mat_mod(matrix, 2) == linalg.identity(len(matrix))
 
 
 # --- split primes and norm elements ----------------------------------------------
@@ -406,88 +405,6 @@ def validate_seed(seed: Seed):
 # --- glue-map construction --------------------------------------------------------
 
 
-def _group_matrix_is_identity(A, orders):
-    k = len(orders)
-    return all(
-        (A[i][j] - (1 if i == j else 0)) % orders[i] == 0
-        for i in range(k)
-        for j in range(k)
-    )
-
-
-def _group_matrix_mul(A, B, orders):
-    k = len(orders)
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(k)) % orders[i] for j in range(k))
-        for i in range(k)
-    )
-
-
-def _p_part_action(A, orders, p):
-    """Matrix of the automorphism restricted to the p-Sylow subgroup.
-
-    With h_i = (d_i / p^{e_i}) g_i the coefficient of h_j in phi(h_i) is
-    A[j][i] * cof_i * cof_j^{-1} mod p^{e_j}.
-    """
-    idx = [i for i, d in enumerate(orders) if d % p == 0]
-    exps = [valuation(orders[i], p) for i in idx]
-    cofs = [orders[i] // p ** e for i, e in zip(idx, exps)]
-    mat = []
-    for jj, j in enumerate(idx):
-        pej = p ** exps[jj]
-        row = []
-        for ii, i in enumerate(idx):
-            row.append(A[j][i] * cofs[ii] * pow(cofs[jj], -1, pej) % pej)
-        mat.append(tuple(row))
-    return tuple(mat), tuple(p ** e for e in exps)
-
-
-def _action_order(A, orders, cap=10**7, brute_cap=200000):
-    """Order of an automorphism of a finite abelian group.
-
-    Homogeneous p-parts go through matrix-order computation modulo p^E;
-    mixed-order p-parts (small in every use here) are iterated directly.
-    """
-    if not orders:
-        return 1
-    from .isometries import _matrix_order_mod
-
-    primes = set()
-    for d in orders:
-        primes.update(factorize(d))
-    order = 1
-    for p in sorted(primes):
-        Ap, sub_orders = _p_part_action(A, orders, p)
-        if len(set(sub_orders)) == 1:
-            o = _matrix_order_mod(Ap, sub_orders[0])
-        else:
-            o = 1
-            power = Ap
-            while not _group_matrix_is_identity(power, sub_orders):
-                power = _group_matrix_mul(power, Ap, sub_orders)
-                o += 1
-                if o > brute_cap:
-                    raise SearchCapExceeded("mixed-order action too large to iterate")
-        order = lcm(order, o)
-    if order > cap:
-        raise SearchCapExceeded("discriminant action order exceeds the cap")
-    if not _group_matrix_is_identity(_group_power(A, order, orders), orders):
-        raise AssertionError("action order computation is inconsistent")
-    return order
-
-
-def _group_power(A, n, orders):
-    k = len(orders)
-    result = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-    base = A
-    while n:
-        if n & 1:
-            result = _group_matrix_mul(result, base, orders)
-        base = _group_matrix_mul(base, base, orders)
-        n >>= 1
-    return result
-
-
 def _represent_by_binary(c1, c2, target, p, e):
     """(x, y) with c1 x^2 + c2 y^2 = target mod p^e; units c1, c2, target, p odd."""
     pe = p**e
@@ -719,8 +636,7 @@ def _unit_order(b, p):
     return o
 
 
-def build_k3_certificate(s: IntPolynomial, seed=None, l_max=3, box=30,
-                         prime_cap=100000, congruence_prime=False, stage_trace=None):
+def build_k3_certificate(s: IntPolynomial, seed=None, stage_trace=None):
     """Projective-K3 realization certificate for a power of the Salem number.
 
     Pipeline: split prime, norm element, twist the Salem block by t^2 and the
@@ -754,12 +670,7 @@ def build_k3_certificate(s: IntPolynomial, seed=None, l_max=3, box=30,
     disc_s = discriminant(s)
     det_R = R.determinant()
     try:
-        if congruence_prime:
-            ev = find_split_prime(s, det_R, lower_bound=abs(disc_s), cap=max(prime_cap, 2_000_000))
-        else:
-            ev = pipeline_split_prime(
-                s, exclude=2 * S.determinant() * disc_s * det_R, cap=prime_cap
-            )
+        ev = pipeline_split_prime(s, exclude=2 * S.determinant() * disc_s * det_R)
     except SearchCapExceeded as exc:
         raise RealizeError(f"stage split-prime: {exc}") from exc
     if not check_split_prime(s, ev):
@@ -768,7 +679,7 @@ def build_k3_certificate(s: IntPolynomial, seed=None, l_max=3, box=30,
     trace("split-prime", p=p, trace_root=ev.trace_root)
 
     try:
-        t, l = find_norm_element(s, ev, l_max=l_max, box=box)
+        t, l = find_norm_element(s, ev)
     except SearchCapExceeded as exc:
         raise RealizeError(f"stage norm-element: {exc}") from exc
     trace("norm-element", t=list(t.poly.coeffs), l=l)
@@ -809,15 +720,17 @@ def build_k3_certificate(s: IntPolynomial, seed=None, l_max=3, box=30,
         raise RealizeError("stage positivity: twisted block is not chamber-preserving")
     trace("positivity", method=report.method)
 
-    # stage: power the isometry until it descends to the overlattice
-    action = discriminant_action(S2, qS2, f2.matrix)
-    try:
-        k = _action_order(action, qS2.orders)
-    except SearchCapExceeded as exc:
-        raise RealizeError(f"stage power: {exc}") from exc
+    # stage: power the isometry until it acts trivially on the discriminant
+    # group, so that it descends to the overlattice. Row i of basis^-1 is the
+    # coordinate vector of ambient e_i, and (B^T)^-1 = (B^-1)^T conjugates
+    # the block map into the overlattice basis (column convention).
+    k = discriminant_order(S2, f2)
+    if k > 10**7:
+        raise RealizeError("stage power: discriminant action order exceeds the cap")
     Fk = linalg.mat_pow(f2.matrix, k)
     block = _block_diag(Fk, linalg.identity(R2.rank))
-    h = _conjugate_to_basis(block, basis)
+    embed = linalg.rat_inverse(basis)
+    h = linalg.rat_mat_mul(linalg.transpose(embed), block, linalg.transpose(basis))
     if not linalg.is_integral(h):
         raise RealizeError("stage power: powered isometry does not descend")
     h = linalg.mat_to_int(h)
@@ -828,9 +741,7 @@ def build_k3_certificate(s: IntPolynomial, seed=None, l_max=3, box=30,
     if s_n.degree != d:
         raise RealizeError("stage power: Salem power degenerated in degree")
 
-    # kernel data: row i of basis^-1 is the coordinate vector of ambient e_i,
-    # so the first rank-S2 rows embed the twisted Salem block
-    embed = linalg.rat_inverse(basis)
+    # kernel data: the first rank-S2 rows of basis^-1 embed the twisted Salem block
     kernel_rows = tuple(tuple(int(x) for x in row) for row in embed[: S2.rank])
     kernel_gram = linalg.mat_mul(
         linalg.mat_mul(kernel_rows, L22.gram), linalg.transpose(kernel_rows)
@@ -879,12 +790,6 @@ def _block_diag(A, B):
         for j in range(m):
             out[n + i][n + j] = B[i][j]
     return tuple(tuple(row) for row in out)
-
-
-def _conjugate_to_basis(block, basis):
-    """Matrix of the block map in the overlattice basis (column convention)."""
-    Bt = linalg.transpose(basis)
-    return linalg.rat_mat_mul(linalg.rat_inverse(Bt), block, Bt)
 
 
 def verify_certificate(cert: RealizationCertificate):
@@ -950,6 +855,8 @@ def verify_certificate(cert: RealizationCertificate):
     rows = cert.kernel_basis
     kernel_ok = True
     try:
+        if any(len(row) != L.rank for row in rows):
+            raise ValueError(f"kernel_basis rows must have length lattice.rank = {L.rank}")
         sub_gram = linalg.mat_mul(linalg.mat_mul(rows, L.gram), linalg.transpose(rows))
         kernel_lat = Lattice(sub_gram)
         from .lattices import is_primitive_sublattice

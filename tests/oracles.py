@@ -5,8 +5,9 @@ the code under test: Fraction Gaussian elimination instead of Bareiss,
 Descartes' rule on an interpolated characteristic polynomial instead of
 the law of inertia, numpy box scans instead of Fincke-Pohst, gcd-chasing
 Smith reduction instead of the transform-tracking one, Euler powering
-instead of reciprocity, repeated multiplication instead of prime stripping,
-full orbit sums instead of cyclotomic kernels.
+instead of reciprocity, repeated multiplication instead of prime stripping
+(for matrix orders and discriminant actions), full orbit sums instead of
+cyclotomic kernels.
 """
 
 from fractions import Fraction
@@ -169,6 +170,32 @@ def matrix_order_mod(A, m, cap=100000):
             return j
         power = (power @ A) % m
     raise ValueError("no power of the matrix reached the identity within the cap")
+
+
+def discriminant_order_by_iteration(L, f, cap=100000):
+    """Order of the action of the integral isometry f on L^dual / L.
+
+    Takes the action matrix of lattices.discriminant_action (columns are the
+    images of the Smith generators) and multiplies it by itself, reducing row
+    i modulo the order of generator i, until it is the identity.
+    """
+    from salemk3.lattices import discriminant_action, discriminant_form
+
+    q = discriminant_form(L)
+    orders, k = q.orders, q.ngens
+    A = discriminant_action(L, q, f.matrix)
+    identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    power = tuple(tuple(A[i][j] % orders[i] for j in range(k)) for i in range(k))
+    order = 1
+    while power != identity:
+        if order == cap:
+            raise ValueError("the action has no finite order within the cap")
+        power = tuple(
+            tuple(sum(A[i][t] * power[t][j] for t in range(k)) % orders[i] for j in range(k))
+            for i in range(k)
+        )
+        order += 1
+    return order
 
 
 def count_e8_roots_standard_model():

@@ -222,6 +222,28 @@ def test_verify_empty_kernel_basis_fails_the_kernel_item(tmp_path, capsys):
     assert {item["check"]: item["passed"] for item in report["items"]}["kernel"] is False
 
 
+def test_verify_misshapen_kernel_basis_fails_the_kernel_item(tmp_path, capsys):
+    # an extra column per row used to be dropped by mat_mul and pass as [ok] kernel
+    poly = write(tmp_path, "s4.json", S4_JSON)
+    assert run(["--format", "json", "build-certificate", poly]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["kernel_basis"] = [row + ["5"] for row in doc["kernel_basis"]]
+    assert run(["--format", "json", "verify", write(tmp_path, "cert.json", doc)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    kernel = next(item for item in report["items"] if item["check"] == "kernel")
+    assert kernel["passed"] is False and "kernel_basis" in kernel["detail"]
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--congruence-prime"], ["--box", "30"], ["--prime-cap", "100000"]],
+    ids=["congruence-prime", "box", "prime-cap"],
+)
+def test_build_certificate_has_no_search_options(tmp_path, option):
+    # one route with fixed search limits: the former knobs are unknown arguments
+    assert run(["build-certificate", write(tmp_path, "s4.json", S4_JSON)] + option) == 2
+
+
 def test_malformed_json_diagnostic(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -10,6 +10,7 @@ from salemk3.isometries import (
     IsometryError,
     TwistElement,
     _matrix_order_mod,
+    discriminant_order,
     invariant_symmetric_forms,
     is_isometry,
     kernel_sublattice,
@@ -21,8 +22,9 @@ from salemk3.isometries import (
 from salemk3.lattices import Lattice
 from salemk3.numbertheory import factorize
 from salemk3.polynomials import IntPolynomial, companion_matrix
+from salemk3.realize import seed_for
 
-from oracles import matrix_order_mod
+from oracles import discriminant_order_by_iteration, matrix_order_mod
 
 P = IntPolynomial
 QUAD = P([1, -3, 1])
@@ -194,6 +196,37 @@ def test_matrix_order_mod_rejects_singular_and_cap():
     assert _matrix_order_mod(A, 25) == matrix_order_mod(A, 25)
     with pytest.raises(ArithmeticError):
         _matrix_order_mod(A, 25, cap=matrix_order_mod(A, 25) - 1)
+
+
+def test_discriminant_order_matches_iteration():
+    seed = seed_for(S4)
+    f = Isometry(seed.S, seed.f_S)
+    # the S4 seed and its twists by t^2; (-2 - 3w)^2 is the certificate's twist,
+    # 3 - w gives the group orders (3, 9, 9)
+    cases = [(seed.S, f)] + [
+        twist(seed.S, f, TwistElement(P(t) ** 2))
+        for t in ((-2, -3), (1, 1), (2, 1), (3, -1), (5, 2), (-1, 4))
+    ]
+    # 2-primary groups, mixed generator orders included
+    U4U2 = ((0, 4, 0, 0), (4, 0, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0))
+    for gram, matrix in (
+        (((0, 2), (2, 0)), ((0, 1), (1, 0))),
+        (((-2, 0), (0, -2)), ((0, -1), (1, 0))),
+        (((-4, 0), (0, -2)), ((-1, 0), (0, 1))),
+        (U4U2, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))),
+        (U4U2, ((-2, -1, -1, 1), (-1, -2, -1, 1), (-2, -2, -2, 1), (2, 2, 1, -2))),
+        (U4U2, ((-2, -1, -1, 1), (-1, 0, 0, 0), (-2, 0, -1, 0), (2, 0, 0, -1))),
+        (U4U2, ((-2, 1, -1, -1), (-1, 0, 0, -1), (-2, 0, 0, -1), (2, -2, 1, 2))),
+    ):
+        L = Lattice(gram)
+        cases.append((L, Isometry(L, matrix)))
+    orders = [discriminant_order(L, g) for L, g in cases]
+    assert orders == [discriminant_order_by_iteration(L, g) for L, g in cases]
+    assert orders == [2, 272, 2, 18, 12, 506, 306, 2, 2, 2, 1, 2, 4, 8]
+    L = Lattice([[-4, 0], [0, 5]])
+    rational = Isometry(L, ((Fraction(3, 2), Fraction(5, 4)), (Fraction(1), Fraction(3, 2))))
+    with pytest.raises(IsometryError, match="integral"):
+        discriminant_order(L, rational)
 
 
 def test_twist_examples():

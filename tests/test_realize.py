@@ -8,7 +8,6 @@ from salemk3.isometries import Isometry, TwistElement
 from salemk3.lattices import (
     GlueMap,
     Lattice,
-    discriminant_action,
     discriminant_form,
     find_anti_isometry,
     glue,
@@ -35,6 +34,7 @@ from salemk3.realize import (
     verify_certificate,
 )
 
+from oracles import discriminant_order_by_iteration
 from salem_corpus import LEHMER, all_entries
 
 P = IntPolynomial
@@ -143,7 +143,7 @@ def test_find_norm_element_quadratic_field():
 
 
 def test_find_split_prime_above_discriminant():
-    # the congruence-prime pipeline parameters: p = 1 mod 8 |det R|, p > |disc s|
+    # the paper's congruence conditions: p = 1 mod 8 |det R|, p > |disc s|
     ev = find_split_prime(S4, 3, lower_bound=507)
     assert ev.p % 24 == 1 and ev.p > 507
     assert check_split_prime(S4, ev)
@@ -358,23 +358,7 @@ def _build_torus_certificate(mod2_power=True):
     L6, basis = glue(S, A2pos, phi)
     assert L6.signature() == (3, 3) and L6.is_unimodular() and L6.is_even()
     # power f until it is trivial on the discriminant group
-    action = discriminant_action(S, qS, f.matrix)
-    k1 = 1
-    power = action
-    while not all(
-        (power[i][j] - (1 if i == j else 0)) % qS.orders[i] == 0
-        for i in range(qS.ngens)
-        for j in range(qS.ngens)
-    ):
-        power = tuple(
-            tuple(
-                sum(action[i][t] * power[t][j] for t in range(qS.ngens)) % qS.orders[i]
-                for j in range(qS.ngens)
-            )
-            for i in range(qS.ngens)
-        )
-        k1 += 1
-        assert k1 < 100
+    k1 = discriminant_order_by_iteration(S, f)
     block = [[0] * 6 for _ in range(6)]
     fk1 = linalg.mat_pow(f.matrix, k1)
     for i in range(4):
