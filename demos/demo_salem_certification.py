@@ -4,7 +4,7 @@ A Salem number is a real algebraic integer lambda > 1, Galois conjugate to
 1/lambda, whose remaining conjugates all lie on the unit circle. Its minimal
 polynomial is monic, reciprocal, of even degree, and the certification runs
 entirely through the trace polynomial r with s(x) = x^m r(x + 1/x): the root
-pattern of r is decided by Sturm counts over the rationals.
+pattern of r is decided by exact integer Sturm counts.
 """
 
 from salemk3 import (

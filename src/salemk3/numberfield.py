@@ -10,7 +10,7 @@ m is irreducible.
 
 from fractions import Fraction
 
-from .polynomials import IntPolynomial, _fp_divmod, refine_interval
+from .polynomials import IntPolynomial, refine_interval
 
 # intervals are (lo, hi) Fraction pairs
 
@@ -19,6 +19,20 @@ def _trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
+
+
+def _fp_divmod(a, b):
+    """Quotient and remainder of Fraction coefficient lists (ascending)."""
+    a = a[:]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and a:
+        c = a[-1] / b[-1]
+        k = len(a) - len(b)
+        q[k] = c
+        for i, bc in enumerate(b):
+            a[k + i] -= c * bc
+        _trim(a)
+    return q, a
 
 
 def _polymul(f, g):

@@ -1,9 +1,12 @@
 """Exact univariate integer polynomials.
 
 Coefficients are arbitrary-precision ints in ascending degree order.
-Everything here is exact: resultants and determinants are integer
-computations, root counting and isolation go through Sturm chains over
-the rationals, and no floating point ever enters a decision.
+Everything here is exact and fraction-free in its loops: resultants and
+determinants are integer computations; gcds and Sturm chains come from one
+primitive integer pseudo-remainder kernel, each Sturm member a positive
+multiple of the rational one; and signs at a rational a/b (b > 0) are read
+from the homogeneous integer sum of c_i a^i b^(d-i). Root counts and
+isolating intervals are exact, and no floating point enters a decision.
 """
 
 from dataclasses import dataclass
@@ -189,21 +192,37 @@ def divides(d, p):
     return r.is_zero()
 
 
+def _neg_prem(a, b):
+    """-(a mod b) times a positive factor, made primitive (ascending int lists).
+
+    Each step scales by |lc b| and subtracts sign(lc b) * c * x^k * b, so the
+    result is a positive multiple of minus the remainder over the rationals.
+    """
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    a = list(a)
+    nb = len(b)
+    while len(a) >= nb:
+        c = sign * a[-1]
+        k = len(a) - nb
+        if scale != 1:
+            a = [scale * x for x in a]
+        for i, bc in enumerate(b):
+            a[k + i] -= c * bc
+        while a and a[-1] == 0:
+            a.pop()
+    g = gcd(*a)
+    return [-(x // g) for x in a]
+
+
 def poly_gcd(p, q):
     """Primitive gcd over Z with positive leading coefficient."""
-    a, b = p.primitive_part(), q.primitive_part()
-    if a.is_zero():
-        return b
-    while not b.is_zero():
-        # pseudo-remainder keeps everything integral
-        lead = b.leading
-        shift = a.degree - b.degree
-        if shift < 0:
-            a, b = b, a
-            continue
-        r = IntPolynomial([lead * c for c in a.coeffs]) - b.shift_mul_x(shift) * a.leading
-        a, b = b, r.primitive_part() if not r.is_zero() else IntPolynomial([])
-    return a.primitive_part() if not a.is_zero() else a
+    a, b = list(p.primitive_part().coeffs), list(q.primitive_part().coeffs)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _neg_prem(a, b)
+    return IntPolynomial(a).primitive_part()
 
 
 def squarefree_part(p):
@@ -311,54 +330,52 @@ def expand_trace_polynomial(r):
 # --- Sturm chains, root counting, isolation ---------------------------------
 
 
-def _frac_poly(p):
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _fp_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _fp_divmod(a, b):
-    a = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] -= c * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
-
-
 def sturm_chain(p):
-    """Sturm chain of p as lists of Fraction coefficients."""
-    f0 = _frac_poly(p)
-    f1 = _frac_poly(p.derivative())
-    chain = [f0]
+    """Sturm chain of p as integer coefficient lists.
+
+    Member k is a positive multiple of the k-th member of the chain over the
+    rationals, so sign variations and root counts are the same.
+    """
+    chain = [list(p.coeffs)]
+    f1 = list(p.derivative().coeffs)
     if f1:
         chain.append(f1)
     while len(chain[-1]) > 1:
-        _, r = _fp_divmod(chain[-2], chain[-1])
+        r = _neg_prem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-c for c in r])
+        chain.append(r)
     return chain
 
 
 def _sign_at(coeffs, x):
-    if x == "inf":
+    """Sign of the polynomial at "inf", "-inf" or x = (a, b) with b > 0.
+
+    At a/b it is the sign of the homogeneous sum of c_i a^i b^(d-i), which
+    is b^d times the value there.
+    """
+    if isinstance(x, str):
         v = coeffs[-1]
-    elif x == "-inf":
-        v = coeffs[-1] * (-1) ** (len(coeffs) - 1)
+        if x == "-inf" and len(coeffs) % 2 == 0:
+            v = -v
     else:
-        v = _fp_eval(coeffs, x)
+        a, b = x
+        v, bp = 0, 1
+        for c in reversed(coeffs):
+            v = v * a + c * bp
+            bp *= b
     return (v > 0) - (v < 0)
+
+
+def _point(x):
+    """(numerator, denominator) of a rational, or the string "inf"/"-inf"."""
+    return x if isinstance(x, str) else (x.numerator, x.denominator)
+
+
+def _rational(num, den):
+    """Reduced (numerator, denominator) pair, den > 0."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _variations(chain, x):
@@ -372,7 +389,7 @@ def count_real_roots(p, a="-inf", b="inf", chain=None):
         raise ValueError("root count of the zero polynomial")
     if chain is None:
         chain = sturm_chain(p)
-    return _variations(chain, a) - _variations(chain, b)
+    return _variations(chain, _point(a)) - _variations(chain, _point(b))
 
 
 def root_bound(p):
@@ -395,45 +412,53 @@ class RootIsolation:
 
 
 def isolate_real_roots(p):
-    """Isolate all distinct real roots of p (via its squarefree part)."""
+    """Isolate all distinct real roots of p (via its squarefree part).
+
+    Endpoints are kept as reduced integer pairs while splitting and become
+    Fractions only in the result.
+    """
     q = squarefree_part(p)
     multiplicity_free = q.degree == p.degree
     chain = sturm_chain(q)
+    f = chain[0]
     M = root_bound(q)
-    todo = [(-M, M)]
+    todo = [(_point(-M), _point(M))]
     found = []
 
+    def count(a, b):
+        return _variations(chain, a) - _variations(chain, b)
+
     def split_point(a, b):
+        (an, ad), (bn, bd) = a, b
         for num, den in ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4)):
-            c = a + (b - a) * Fraction(num, den)
-            if _fp_eval(chain[0], c) != 0:
+            c = _rational(an * bd * (den - num) + bn * ad * num, ad * bd * den)
+            if _sign_at(f, c) != 0:
                 return c
         raise ArithmeticError("could not find a root-free split point")
 
     while todo:
         a, b = todo.pop()
-        n = count_real_roots(q, a, b, chain)
+        n = count(a, b)
         if n == 0:
             continue
         if n == 1:
-            if _fp_eval(chain[0], b) == 0:
+            sb = _sign_at(f, b)
+            if sb == 0:
                 found.append((b, b))
             else:
                 # shrink the left end until the sign change is witnessed
                 aa = a
-                while _fp_eval(chain[0], aa) == 0 or (
-                    _sign_at(chain[0], aa) == _sign_at(chain[0], b)
-                ):
+                while _sign_at(f, aa) in (0, sb):
                     aa = split_point(aa, b)
-                    if count_real_roots(q, aa, b, chain) != 1:
+                    if count(aa, b) != 1:
                         raise ArithmeticError("isolation lost its root")
                 found.append((aa, b))
             continue
         c = split_point(a, b)
         todo.append((a, c))
         todo.append((c, b))
-    found.sort(key=lambda iv: iv[0])
-    return RootIsolation(intervals=tuple(found), multiplicity_free=multiplicity_free)
+    intervals = sorted(((Fraction(*a), Fraction(*b)) for a, b in found), key=lambda iv: iv[0])
+    return RootIsolation(intervals=tuple(intervals), multiplicity_free=multiplicity_free)
 
 
 def refine_interval(p, interval, max_width):
@@ -441,21 +466,22 @@ def refine_interval(p, interval, max_width):
     a, b = interval
     if a == b:
         return a, b
-    fa = _fp_eval(_frac_poly(p), a)
-    fb = _fp_eval(_frac_poly(p), b)
-    if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
+    coeffs = p.coeffs
+    (an, ad), (bn, bd) = _point(a), _point(b)
+    wn, wd = _point(max_width)
+    sa, sb = _sign_at(coeffs, (an, ad)), _sign_at(coeffs, (bn, bd))
+    if sa == 0 or sb == 0 or sa == sb:
         raise ValueError("interval endpoints must straddle the root")
-    coeffs = _frac_poly(p)
-    while b - a > max_width:
-        mid = (a + b) / 2
-        fm = _fp_eval(coeffs, mid)
-        if fm == 0:
-            return mid, mid
-        if (fm > 0) == (fb > 0):
-            b, fb = mid, fm
+    while (bn * ad - an * bd) * wd > wn * ad * bd:
+        mn, md = _rational(an * bd + bn * ad, 2 * ad * bd)
+        sm = _sign_at(coeffs, (mn, md))
+        if sm == 0:
+            return Fraction(mn, md), Fraction(mn, md)
+        if sm == sb:
+            bn, bd = mn, md
         else:
-            a, fa = mid, fm
-    return a, b
+            an, ad = mn, md
+    return Fraction(an, ad), Fraction(bn, bd)
 
 
 # --- Salem certification -----------------------------------------------------
@@ -500,8 +526,8 @@ def is_salem(p):
     total_real = count_real_roots(r)
     if total_real != m:
         raise NotSalemError("wrong_root_pattern", "trace polynomial has non-real roots")
-    above_two = count_real_roots(r, Fraction(2), "inf")
-    below_minus_two = count_real_roots(r, "-inf", Fraction(-2))
+    above_two = count_real_roots(r, 2, "inf")
+    below_minus_two = count_real_roots(r, "-inf", -2)
     if above_two != 1 or below_minus_two != 0:
         raise NotSalemError(
             "wrong_root_pattern",
@@ -526,19 +552,45 @@ def is_salem(p):
 def power_min_poly(s, n):
     """Monic minimal polynomial of lambda^n for a Salem polynomial s.
 
-    The characteristic polynomial of the n-th power of the companion matrix
-    is a perfect power of the wanted minimal polynomial; its squarefree part
-    is returned and re-certified.
+    The characteristic polynomial of y = x^n in Z[x]/(s) is a perfect power
+    of the wanted minimal polynomial. It comes from traces: y by square and
+    multiply mod s, the power sums p_0 .. p_(d-1) of the roots of s by
+    Newton's identities, P_j = Tr(y^j) = sum_i (y^j)_i p_i for j <= d, and
+    the coefficients back from P_1 .. P_d by Newton's identities with exact
+    integer division. Its squarefree part is returned and re-certified.
     """
     if n <= 0:
         raise ValueError("power must be a positive integer")
     is_salem(s)
     if n == 1:
         return s
-    C = companion_matrix(s)
-    Cn = linalg.mat_pow(C, n)
-    ch = IntPolynomial(linalg.charpoly(Cn))
-    result = squarefree_part(ch)
+    c, d = s.coeffs, s.degree
+    # power sums of the roots of s: p_k = -(k c_(d-k) + sum_(i<k) c_(d-k+i) p_i)
+    sums = [d]
+    for k in range(1, d):
+        sums.append(-(k * c[d - k] + sum(c[d - k + i] * sums[i] for i in range(1, k))))
+
+    def mulmod(f, g):
+        return poly_divmod_exact(f * g, s)[1]
+
+    y, base = IntPolynomial([1]), X
+    while n:
+        if n & 1:
+            y = mulmod(y, base)
+        n >>= 1
+        if n:
+            base = mulmod(base, base)
+    traces, yj = [], IntPolynomial([1])
+    for _ in range(d):
+        yj = mulmod(yj, y)
+        traces.append(sum(a * b for a, b in zip(yj.coeffs, sums)))
+    # char poly coefficients: k ch_(d-k) = -(P_k + sum_(i<k) ch_(d-k+i) P_i)
+    ch = [0] * d + [1]
+    for k in range(1, d + 1):
+        q, r = divmod(-traces[k - 1] - sum(ch[d - k + i] * traces[i - 1] for i in range(1, k)), k)
+        assert r == 0
+        ch[d - k] = q
+    result = squarefree_part(IntPolynomial(ch))
     if not result.is_monic():
         result = IntPolynomial([-c for c in result.coeffs])
     is_salem(result)  # lambda^n is again a Salem (or quadratic Pisot unit) number

@@ -296,14 +296,16 @@ def find_norm_element(s: IntPolynomial, ev: SplitPrimeEvidence, l_max=3, box=30)
         for coeffs in sorted(product(range(-radius, radius + 1), repeat=m)):
             if max(abs(c) for c in coeffs) != radius:
                 continue
+            # t(a) = 0 mod p first: it rejects all but ~1/p of the box
+            # before the resultant norm is computed
+            if _polyval_mod(coeffs, a, p) != 0:
+                continue
             tp = IntPolynomial(coeffs)
             if tp.is_zero():
                 continue
             t = TwistElement(tp)
             norm = abs(t.norm_against(r))
             if norm not in powers:
-                continue
-            if _polyval_mod(_poly_mod_p(tp, p), a, p) != 0:
                 continue
             g = _poly_gcd_mod_p(_poly_mod_p(tp, p), cofactor, p)
             if len(g) > 1:

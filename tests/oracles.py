@@ -7,7 +7,9 @@ the law of inertia, numpy box scans instead of Fincke-Pohst, gcd-chasing
 Smith reduction instead of the transform-tracking one, Euler powering
 instead of reciprocity, repeated multiplication instead of prime stripping
 (for matrix orders and discriminant actions), full orbit sums instead of
-cyclotomic kernels.
+cyclotomic kernels, a Fraction Sturm chain instead of the integer
+pseudo-remainder one, and a companion-matrix power instead of traces of
+x^n mod s.
 """
 
 from fractions import Fraction
@@ -231,3 +233,79 @@ def numpy_salem_profile(coeffs, tol=1e-8):
     roots = np.roots(list(reversed(coeffs)))
     off = [r for r in roots if abs(abs(r) - 1) > tol]
     return len(off), max(abs(r) for r in roots)
+
+
+def _fp_eval(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _fp_divmod(a, b):
+    a = a[:]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and a:
+        c = a[-1] / b[-1]
+        k = len(a) - len(b)
+        q[k] = c
+        for i, bc in enumerate(b):
+            a[k + i] -= c * bc
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def fraction_sturm_count(coeffs, a="-inf", b="inf"):
+    """Distinct real roots in (a, b] from a Sturm chain over the rationals.
+
+    ``coeffs`` are ascending ints; ``a`` and ``b`` are rationals or the
+    strings "-inf" and "inf". The chain is p, p', then minus each Fraction
+    remainder, and signs come from Fraction Horner evaluation.
+    """
+    chain = [[Fraction(c) for c in coeffs]]
+    f1 = [Fraction(i * c) for i, c in enumerate(coeffs)][1:]
+    if f1:
+        chain.append(f1)
+    while len(chain[-1]) > 1:
+        _, r = _fp_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+
+    def sign_at(f, x):
+        if x == "inf":
+            v = f[-1]
+        elif x == "-inf":
+            v = f[-1] * (-1) ** (len(f) - 1)
+        else:
+            v = _fp_eval(f, x)
+        return (v > 0) - (v < 0)
+
+    def variations(x):
+        signs = [s for s in (sign_at(f, x) for f in chain) if s != 0]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    return variations(a) - variations(b)
+
+
+def power_min_poly_by_companion(s_coeffs, n):
+    """Minimal polynomial of lambda^n (ascending ints) from the n-th power of
+    the companion matrix of s.
+
+    The characteristic polynomial of C^n is a power of the wanted minimal
+    polynomial m; m is that polynomial divided by its gcd with its
+    derivative, taken by a Fraction Euclidean algorithm and made monic.
+    """
+    from salemk3.linalg import charpoly, mat_pow
+    from salemk3.polynomials import IntPolynomial, companion_matrix
+
+    ch = [Fraction(c) for c in charpoly(mat_pow(companion_matrix(IntPolynomial(list(s_coeffs))), n))]
+    g, h = ch, [i * c for i, c in enumerate(ch)][1:]
+    while h:
+        g, h = h, _fp_divmod(g, h)[1]
+    m, rem = _fp_divmod(ch, g)
+    assert not rem
+    m = [c / m[-1] for c in m]
+    assert all(c.denominator == 1 for c in m)
+    return tuple(int(c) for c in m)

@@ -7,6 +7,8 @@ from salemk3 import codec
 from salemk3.cli import run
 from salemk3.realize import seed_for
 
+from salem_corpus import all_entries
+
 LEHMER_JSON = ["1", "1", "0", "-1", "-1", "-1", "-1", "-1", "0", "1", "1"]
 S4_JSON = ["1", "-1", "-1", "-1", "1"]
 PAIR = {
@@ -29,6 +31,34 @@ def test_certify_salem(tmp_path, capsys):
     path = write(tmp_path, "phi5.json", ["1", "1", "1", "1", "1"])
     assert run(["certify-salem", path]) == 1
     assert "wrong_root_pattern" in capsys.readouterr().out
+
+
+# `certify-salem --format json` stdout for every corpus polynomial, in corpus
+# order, as printed before the decision layer went fraction-free
+CORPUS_CERTIFY_JSON = [
+    '{"accepted":true,"degree":4,"lambda_interval":["3/2","7/4"],"quadratic_degenerate":false,"trace_polynomial":["-3","-1","1"]}',
+    '{"accepted":true,"degree":6,"lambda_interval":["3/2","3"],"quadratic_degenerate":false,"trace_polynomial":["5","-3","-2","1"]}',
+    '{"accepted":true,"degree":6,"lambda_interval":["7/4","2"],"quadratic_degenerate":false,"trace_polynomial":["7","-4","-2","1"]}',
+    '{"accepted":true,"degree":8,"lambda_interval":["3/2","3"],"quadratic_degenerate":false,"trace_polynomial":["2","6","-4","-2","1"]}',
+    '{"accepted":true,"degree":10,"lambda_interval":["9/8","19/16"],"quadratic_degenerate":false,"trace_polynomial":["3","4","-5","-5","1","1"]}',
+    '{"accepted":true,"degree":10,"lambda_interval":["3/2","3"],"quadratic_degenerate":false,"trace_polynomial":["-2","3","6","-4","-2","1"]}',
+    '{"accepted":true,"degree":12,"lambda_interval":["3/2","3"],"quadratic_degenerate":false,"trace_polynomial":["-6","-10","10","10","-6","-2","1"]}',
+    '{"accepted":true,"degree":14,"lambda_interval":["3/2","3"],"quadratic_degenerate":false,"trace_polynomial":["2","0","-21","12","13","-7","-2","1"]}',
+    '{"accepted":true,"degree":16,"lambda_interval":["3/2","3"],"quadratic_degenerate":false,"trace_polynomial":["2","14","-16","-28","20","14","-8","-2","1"]}',
+    '{"accepted":true,"degree":18,"lambda_interval":["7/4","2"],"quadratic_degenerate":false,"trace_polynomial":["-13","4","67","-37","-60","33","19","-10","-2","1"]}',
+    '{"accepted":true,"degree":20,"lambda_interval":["3/2","3"],"quadratic_degenerate":false,"trace_polynomial":["-2","-18","25","60","-50","-54","35","18","-10","-2","1"]}',
+    '{"accepted":true,"degree":22,"lambda_interval":["3/2","3"],"quadratic_degenerate":false,"trace_polynomial":["4","-11","-50","55","100","-77","-70","44","20","-11","-2","1"]}',
+    '{"accepted":true,"degree":22,"lambda_interval":["3/2","3"],"quadratic_degenerate":false,"trace_polynomial":["4","-20","-50","85","100","-104","-70","53","20","-12","-2","1"]}',
+]
+
+
+def test_certify_salem_json_pinned_on_the_corpus(tmp_path, capsys):
+    outputs = []
+    for _, coeffs, _ in all_entries():
+        path = write(tmp_path, "s.json", [str(c) for c in coeffs])
+        assert run(["--format", "json", "certify-salem", path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs == [line + "\n" for line in CORPUS_CERTIFY_JSON]
 
 
 def test_realizable(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the library in src/."""
+"""Every script in demos/ runs to completion against the library in src/ and
+prints exactly its recorded stdout in tests/demo_stdout/."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+STDOUT = Path(__file__).resolve().parent / "demo_stdout"  # what each demo prints
 
 
 def test_demos_are_found():
@@ -23,3 +25,5 @@ def test_demo_exits_cleanly(script):
         [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    expected = (STDOUT / f"{script.stem}.txt").read_text(encoding="utf-8")
+    assert proc.stdout == expected

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -26,11 +27,17 @@ from salemk3.polynomials import (
     resultant,
     square_class_test,
     squarefree_part,
+    sturm_chain,
     trace_polynomial,
 )
 from salemk3 import linalg
 
-from oracles import sylvester_resultant, numpy_salem_profile
+from oracles import (
+    fraction_sturm_count,
+    numpy_salem_profile,
+    power_min_poly_by_companion,
+    sylvester_resultant,
+)
 from salem_corpus import LEHMER, all_entries
 
 P = IntPolynomial
@@ -216,6 +223,83 @@ def test_isolation_marks_exact_roots():
     # each isolating interval either has sign change or is a point
     for a, b in iso.intervals:
         assert a <= b
+
+
+def _random_poly_with_rational_roots(rng):
+    """A random integer polynomial of degree <= 8 and its chosen rational
+    roots; about half of those roots are repeated factors."""
+    roots = sorted({Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))})
+    p = P([1])
+    for r in roots:
+        p = p * P([-r.numerator, r.denominator]) ** rng.randint(1, 2)
+    rest = rng.randint(0, max(0, 8 - p.degree))
+    p = p * P([rng.randint(-5, 5) for _ in range(rest)] + [rng.choice((-3, -1, 1, 2))])
+    return p, roots
+
+
+def test_count_real_roots_matches_fraction_sturm_oracle():
+    rng = random.Random(20261018)
+    for _ in range(240):
+        p, roots = _random_poly_with_rational_roots(rng)
+        assert p.degree <= 8
+        # the chosen roots are interval endpoints, exactly
+        others = {Fraction(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(2)}
+        points = sorted(set(roots) | others)
+        pairs = [("-inf", "inf"), ("-inf", points[0]), (points[-1], "inf")]
+        pairs += list(zip(points, points[1:])) + [(r, r + 1) for r in roots] + [(r - 1, r) for r in roots]
+        for a, b in pairs:
+            assert count_real_roots(p, a, b) == fraction_sturm_count(p.coeffs, a, b), (p, a, b)
+
+
+def test_isolation_matches_fraction_sturm_oracle():
+    rng = random.Random(7)
+    for _ in range(80):
+        p, _ = _random_poly_with_rational_roots(rng)
+        iso = isolate_real_roots(p)
+        assert len(iso.intervals) == fraction_sturm_count(p.coeffs)
+        for a, b in iso.intervals:
+            if a == b:
+                assert p(a) == 0
+            else:
+                assert fraction_sturm_count(p.coeffs, a, b) == 1
+        lefts = [a for a, _ in iso.intervals]
+        assert lefts == sorted(lefts)
+
+
+def test_sturm_chain_is_integer_lists():
+    for p in (S4, LEHMER_P, QUAD * QUAD * P([2, -3]), P([5]), trace_polynomial(LEHMER_P)):
+        chain = sturm_chain(p)
+        assert chain[0] == list(p.coeffs)
+        for member in chain:
+            assert type(member) is list
+            assert all(type(c) is int for c in member)
+
+
+def test_poly_gcd_is_primitive_with_positive_leading_coefficient():
+    rng = random.Random(17)
+    cases = [
+        (P([1, 1]), P([-1, 1]), P([3, 0, 3])),  # content 3 is dropped
+        (P([2, -4]), P([6, 3]), P([-1, 2, -5])),  # negative leading coefficient
+        (P([1, 0, 1]), P([-2, 1]), P([-7])),  # constant gcd
+        (P([0, 1]), P([1]), P([4, -4, -8])),
+    ]
+    while len(cases) < 40:
+        a, b, c = (P([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]) for _ in range(3))
+        if not (a.is_zero() or b.is_zero() or c.is_zero()) and resultant(a, b) != 0:
+            cases.append((a, b, c))
+    for a, b, c in cases:
+        expected = c.primitive_part()
+        g = poly_gcd(a * c, b * c)
+        assert g.coeffs == expected.coeffs, (a, b, c)
+        assert g.leading > 0 and g.content() == 1
+
+
+def test_power_min_poly_matches_companion_oracle():
+    for _, coeffs, _ in all_entries():
+        for n in (2, 3, 5, 7):
+            assert power_min_poly(P(list(coeffs)), n).coeffs == power_min_poly_by_companion(coeffs, n)
+    for n in (272, 5000):
+        assert power_min_poly(S4, n).coeffs == power_min_poly_by_companion(S4.coeffs, n)
 
 
 def test_companion_matrix_charpoly():

@@ -142,6 +142,31 @@ def test_find_norm_element_quadratic_field():
     assert value % ev.p == 0
 
 
+# (p, trace_root, unit_circle_sqrt, t coefficients, l) for every corpus
+# polynomial of degree <= 12, in corpus order, as the searches returned them
+# before the norm-element scan tested t(a) = 0 mod p ahead of the norm
+SPLIT_AND_NORM_PINS = [
+    (17, 5, 2, (-2, -3), 1),
+    (73, 13, 47, (-3, 2, -1), 1),
+    (73, 69, 42, (-4, -1), 1),
+    (89, 39, 2, (-1, -3, -2, 1), 1),
+    (89, 68, 80, (-1, -1, 1, 0, -1), 1),
+    (41, 13, 1, (-1, 0, 0, -1, 1), 1),
+    (89, 20, 60, (-1, -2, 1, 2, -1, -1), 1),
+]
+
+
+def test_split_prime_and_norm_element_pinned_on_the_corpus():
+    found = []
+    for degree, coeffs, _ in all_entries():
+        if degree <= 12:
+            s = P(list(coeffs))
+            ev = find_split_prime(s, 1, lower_bound=2)
+            t, l = find_norm_element(s, ev)
+            found.append((ev.p, ev.trace_root, ev.unit_circle_sqrt, t.poly.coeffs, l))
+    assert found == SPLIT_AND_NORM_PINS
+
+
 def test_find_split_prime_above_discriminant():
     # the paper's congruence conditions: p = 1 mod 8 |det R|, p > |disc s|
     ev = find_split_prime(S4, 3, lower_bound=507)
