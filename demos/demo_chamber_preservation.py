@@ -15,7 +15,6 @@ from salemk3 import (
     TwistElement,
     cyclic_roots,
     determinant_bound_test,
-    geodesic_plane,
     is_positive,
     obstructing_root_search,
     twist,
@@ -47,8 +46,6 @@ report = obstructing_root_search(L, f)
 print("  exhaustive search:", report.status)
 for vec, kind in report.witnesses:
     print("    witness", vec, f"({kind}), norm", L.norm(vec))
-plane = geodesic_plane(L, f)
-print("  geodesic plane over", plane.field.min_poly, "- restricted form is hyperbolic")
 print()
 
 twisted, f_tw = twist(L, f, TwistElement(11))

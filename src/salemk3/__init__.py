@@ -49,12 +49,10 @@ from .isometries import (
     twist_split_certificate,
 )
 from .positivity import (
-    GeodesicPlane,
     ObstructionReport,
     PositivityError,
     cyclic_roots,
     determinant_bound_test,
-    geodesic_plane,
     is_positive,
     obstructing_root_search,
 )
@@ -110,12 +108,10 @@ __all__ = [
     "power_to_integral",
     "twist",
     "twist_split_certificate",
-    "GeodesicPlane",
     "ObstructionReport",
     "PositivityError",
     "cyclic_roots",
     "determinant_bound_test",
-    "geodesic_plane",
     "is_positive",
     "obstructing_root_search",
     "RealizationCertificate",

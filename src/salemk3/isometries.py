@@ -181,7 +181,7 @@ def _restrict_to_rows(F, B):
     return linalg.transpose(X)
 
 
-def _matrix_order_mod(A, m, cap=None):
+def _matrix_order_mod(A, m):
     """Multiplicative order of an invertible matrix modulo m (m >= 2).
 
     Modulo a prime p the order divides the exponent N of GL_n(F_p): the
@@ -216,8 +216,6 @@ def _matrix_order_mod(A, m, cap=None):
             if linalg.mat_pow_mod(A, o, pk) != one:
                 o *= p
         order = lcm(order, o)
-        if cap is not None and order > cap:
-            raise ArithmeticError("order search exceeded its cap")
     return order
 
 

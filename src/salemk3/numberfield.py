@@ -166,21 +166,6 @@ class RealAlgebraicField:
         c = r0[0]
         return self.element([x / c for x in s0])
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
     # --- certified real data ---
 
     def refine(self, max_width):
@@ -223,42 +208,3 @@ class RealAlgebraicField:
             self.refine(width)
             iv = self._eval_interval(a)
         return 1 if iv[0] > 0 else -1
-
-    def compare(self, a, b):
-        return self.sign(self.sub(a, b))
-
-
-# --- linear algebra over a field --------------------------------------------
-
-
-def field_kernel(field, M):
-    """Basis (rows) of the right kernel of a matrix with field-element entries."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    rows = [list(row) for row in M]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if not field.is_zero(rows[i][col])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][col])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(rows[i][col]):
-                f = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [field.zero()] * n
-        v[j] = field.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(rows[i][j])
-        basis.append(tuple(v))
-    return tuple(basis)

@@ -552,12 +552,15 @@ def is_salem(p):
 def power_min_poly(s, n):
     """Monic minimal polynomial of lambda^n for a Salem polynomial s.
 
-    The characteristic polynomial of y = x^n in Z[x]/(s) is a perfect power
-    of the wanted minimal polynomial. It comes from traces: y by square and
-    multiply mod s, the power sums p_0 .. p_(d-1) of the roots of s by
-    Newton's identities, P_j = Tr(y^j) = sum_i (y^j)_i p_i for j <= d, and
-    the coefficients back from P_1 .. P_d by Newton's identities with exact
-    integer division. Its squarefree part is returned and re-certified.
+    It is the characteristic polynomial of y = x^n in Z[x]/(s), monic by
+    construction. That polynomial is already the minimal one: lambda^n has
+    degree d = deg s, because z^n = w^n for two distinct conjugates would,
+    after a Galois map sending z to lambda, give a second conjugate of
+    modulus lambda. It comes from traces: y by square and multiply mod s,
+    the power sums p_0 .. p_(d-1) of the roots of s by Newton's identities,
+    P_j = Tr(y^j) = sum_i (y^j)_i p_i for j <= d, and the coefficients back
+    from P_1 .. P_d by Newton's identities with exact integer division. The
+    result is re-certified as a Salem polynomial.
     """
     if n <= 0:
         raise ValueError("power must be a positive integer")
@@ -590,9 +593,7 @@ def power_min_poly(s, n):
         q, r = divmod(-traces[k - 1] - sum(ch[d - k + i] * traces[i - 1] for i in range(1, k)), k)
         assert r == 0
         ch[d - k] = q
-    result = squarefree_part(IntPolynomial(ch))
-    if not result.is_monic():
-        result = IntPolynomial([-c for c in result.coeffs])
+    result = IntPolynomial(ch)
     is_salem(result)  # lambda^n is again a Salem (or quadratic Pisot unit) number
     return result
 

@@ -9,13 +9,17 @@ orbit sum is a multiple of the projection onto ker(f - 1)). For a hyperbolic
 lattice whose isometry has an irreducible Salem characteristic polynomial,
 the obstructions are roots whose orthogonal hyperplane crosses the invariant
 geodesic plane, and those admit a complete search over a compact set of
-eigencoordinates.
+eigencoordinates. The plane is spanned by the lambda and 1/lambda
+eigenvectors u1 and u2. Both are isotropic, so the projection pi(z) of z onto
+the plane has pi(z)^2 = 2 <z, u1> <z, u2> / <u1, u2>, and a root z crosses
+exactly when this is negative: when the signs of <z, u1>, <z, u2> and
+<u1, u2> multiply to -1.
 
-The search box is certified: eigenvector data lives in the field Q[x]/(s(x))
-with interval enclosures refined on demand, the integer enumeration runs on
-a rational positive definite minorant of the exact majorant form, and every
-candidate is confirmed or discarded by exact sign computations. Floating
-point appears nowhere.
+The search box is certified: eigenvector data lives in the one field
+K = Q[x]/(s(x)) with interval enclosures refined on demand, the integer
+enumeration runs on a rational positive definite minorant of the exact
+majorant form, and every candidate is confirmed or discarded by exact sign
+computations over K. Floating point appears nowhere.
 """
 
 from dataclasses import dataclass
@@ -25,15 +29,13 @@ from math import prod
 from . import linalg
 from .isometries import Isometry, kernel_sublattice
 from .lattices import Lattice, enumerate_vectors_of_norm
-from .numberfield import RealAlgebraicField, field_kernel
+from .numberfield import RealAlgebraicField
 from .polynomials import (
     IntPolynomial,
     NotSalemError,
     cyclotomic_factors,
     discriminant,
     is_salem,
-    isolate_real_roots,
-    trace_polynomial,
 )
 
 
@@ -53,27 +55,6 @@ class ObstructionReport:
         return self.status == "positive"
 
 
-@dataclass(frozen=True)
-class GeodesicPlane:
-    """The f-invariant plane spanned by the lambda and 1/lambda eigendirections.
-
-    Stored over k = Q[y]/(r(y)) at the trace-polynomial root omega > 2:
-    ``basis`` rows have entries in k, ``gram`` is the restricted 2x2 form.
-    """
-
-    field: RealAlgebraicField
-    basis: tuple
-    gram: tuple
-
-    def gram_det_sign(self):
-        k = self.field
-        det = k.sub(
-            k.mul(self.gram[0][0], self.gram[1][1]),
-            k.mul(self.gram[0][1], self.gram[1][0]),
-        )
-        return k.sign(det)
-
-
 def _salem_shape(S: Lattice, f: Isometry):
     s = f.char_poly()
     try:
@@ -85,43 +66,6 @@ def _salem_shape(S: Lattice, f: Isometry):
     if s.degree != S.rank:
         raise PositivityError("Salem polynomial degree must equal the rank")
     return s, cert
-
-
-def geodesic_plane(S: Lattice, f: Isometry):
-    """Exact data of ker(f + f^-1 - omega) over k, with the signature check."""
-    s, _ = _salem_shape(S, f)
-    r = trace_polynomial(s)
-    iso = isolate_real_roots(r)
-    omega_iv = iso.intervals[-1]  # omega = lambda + 1/lambda is the largest root
-    k = RealAlgebraicField(r, omega_iv)
-    omega = k.generator()
-    W = f.w_matrix()
-    n = S.rank
-    M = tuple(
-        tuple(
-            k.sub(k.element(Fraction(W[i][j])), omega) if i == j else k.element(Fraction(W[i][j]))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    basis = field_kernel(k, M)
-    if len(basis) != 2:
-        raise PositivityError("geodesic plane is not two-dimensional")
-    gram = []
-    for u in basis:
-        row = []
-        for v in basis:
-            acc = k.zero()
-            for i in range(n):
-                for j in range(n):
-                    if S.gram[i][j]:
-                        acc = k.add(acc, k.scale(S.gram[i][j], k.mul(u[i], v[j])))
-            row.append(acc)
-        gram.append(tuple(row))
-    plane = GeodesicPlane(field=k, basis=basis, gram=tuple(gram))
-    if plane.gram_det_sign() >= 0:
-        raise PositivityError("geodesic plane is not hyperbolic")
-    return plane
 
 
 def cyclic_roots(L: Lattice, f: Isometry):
@@ -162,14 +106,14 @@ def determinant_bound_test(S: Lattice, f: Isometry):
     return "inconclusive"
 
 
-def obstructing_root_search(S: Lattice, f: Isometry, orbit_cap_factor=10):
+def obstructing_root_search(S: Lattice, f: Isometry):
     """Complete search for obstructing roots of a Salem isometry.
 
     Enumerates every root that could, up to the f-action, have bounded
     eigencoordinates (the compact fundamental set), tests the geodesic
-    crossing exactly over the trace field, and reduces the witnesses modulo
-    f. With an irreducible Salem characteristic polynomial there are no
-    cyclic roots, so every witness is a geodesic crossing.
+    crossing exactly over K = Q[x]/(s), and reduces the witnesses modulo f.
+    With an irreducible Salem characteristic polynomial there are no cyclic
+    roots, so every witness is a geodesic crossing.
     """
     if not S.is_hyperbolic():
         raise PositivityError("obstructing-root search needs a hyperbolic lattice")
@@ -184,8 +128,8 @@ def obstructing_root_search(S: Lattice, f: Isometry, orbit_cap_factor=10):
     # columns of adj(lambda I - f) span the lambda eigenline
     u1 = _adjugate_column(K, adj_mats, lam, n)
     u2 = _adjugate_column(K, adj_mats, lam_inv, n)
-    gu1 = _gram_apply(K, S.gram, u1)
-    gu2 = _gram_apply(K, S.gram, u2)
+    gu1 = tuple(_pairing(K, row, u1) for row in S.gram)
+    gu2 = tuple(_pairing(K, row, u2) for row in S.gram)
     sigma = K.zero()
     for i in range(n):
         sigma = K.add(sigma, K.mul(u1[i], gu2[i]))
@@ -205,9 +149,8 @@ def obstructing_root_search(S: Lattice, f: Isometry, orbit_cap_factor=10):
             entry = K.sub(entry, K.element(S.gram[i][j]))
             T[i][j] = entry
             T[j][i] = entry
-    abs_sigma_inv = (
-        sigma_inv if K.sign(sigma) > 0 else K.neg(sigma_inv)
-    )
+    sigma_sign = K.sign(sigma)
+    abs_sigma_inv = sigma_inv if sigma_sign > 0 else K.neg(sigma_inv)
     bound_elem = K.add(K.scale(2, K.mul(lam, abs_sigma_inv)), K.element(2))
     bound_iv = K.enclosure(bound_elem, Fraction(1, 8))
     bound_up = bound_iv[1]
@@ -215,7 +158,6 @@ def obstructing_root_search(S: Lattice, f: Isometry, orbit_cap_factor=10):
     delta = Fraction(1, 16)
     for _ in range(80):
         T_mid = [[Fraction(0)] * n for _ in range(n)]
-        ok = True
         for i in range(n):
             for j in range(i, n):
                 lo, hi = K.enclosure(T[i][j], delta)
@@ -233,14 +175,14 @@ def obstructing_root_search(S: Lattice, f: Isometry, orbit_cap_factor=10):
     else:
         raise PositivityError("interval refinement failed to certify the search form")
     candidates = linalg.qf_enumerate(T_prime, bound_up)
-    plane = geodesic_plane(S, f)
+    # u1, u2 are isotropic, so pi(z)^2 = 2 <z, u1> <z, u2> / sigma
     witnesses = []
     for z in candidates:
         if S.norm(z) != -2:
             continue
-        if _crosses_geodesic(plane, S, z):
+        if K.sign(_pairing(K, z, gu1)) * K.sign(_pairing(K, z, gu2)) * sigma_sign < 0:
             witnesses.append(tuple(z))
-    reps = _orbit_reduce(f, witnesses, orbit_cap_factor * n)
+    reps = _orbit_reduce(f, witnesses)
     classified = tuple((w, "geodesic") for w in reps)
     return ObstructionReport(
         status="not_positive" if classified else "positive",
@@ -270,53 +212,27 @@ def _adjugate_column(K, adj_mats, mu, n):
     raise AssertionError("adjugate of a simple eigenvalue cannot vanish")
 
 
-def _gram_apply(K, gram, vec):
-    n = len(vec)
-    out = []
-    for i in range(n):
-        acc = K.zero()
-        for j in range(n):
-            if gram[i][j]:
-                acc = K.add(acc, K.scale(gram[i][j], vec[j]))
-        out.append(acc)
-    return tuple(out)
+def _pairing(K, z, gu):
+    """Sum of z_i gu_i for an integer vector z: <z, u> when gu = G u."""
+    acc = K.zero()
+    for zi, x in zip(z, gu):
+        if zi:
+            acc = K.add(acc, K.scale(zi, x))
+    return acc
 
 
-def _crosses_geodesic(plane: GeodesicPlane, S: Lattice, z):
-    """Exact test pi(z)^2 < 0 for the form-orthogonal projection onto gamma."""
-    k = plane.field
-    gz = linalg.mat_vec(S.gram, z)
-    v = []
-    for basis_vec in plane.basis:
-        acc = k.zero()
-        for i in range(len(z)):
-            if gz[i]:
-                acc = k.add(acc, k.scale(Fraction(gz[i]), basis_vec[i]))
-        v.append(acc)
-    H = plane.gram
-    det = k.sub(k.mul(H[0][0], H[1][1]), k.mul(H[0][1], H[1][0]))
-    # pi(z)^2 = v^T adj(H) v / det H
-    adj_quad = k.sub(
-        k.add(
-            k.mul(k.mul(v[0], v[0]), H[1][1]),
-            k.mul(k.mul(v[1], v[1]), H[0][0]),
-        ),
-        k.mul(k.scale(2, k.mul(v[0], v[1])), H[0][1]),
-    )
-    return k.sign(adj_quad) * k.sign(det) < 0
-
-
-def _orbit_reduce(f, witnesses, cap):
-    """One representative per f-orbit: the most balanced element in a capped window."""
-    finv = f.inverse_matrix()
+def _orbit_reduce(f, witnesses):
+    """One representative per f-orbit: the most balanced element within 10 * rank steps."""
+    # f^-1 is integral: an integral isometry has determinant +-1
+    finv = linalg.mat_to_int(f.inverse_matrix())
+    window = 10 * len(finv)
     reps = set()
     for w in witnesses:
-        orbit = [tuple(w)]
-        fwd = tuple(w)
-        back = tuple(w)
-        for _ in range(cap):
-            fwd = tuple(f.apply(fwd))
-            back = tuple(int(x) for x in linalg.mat_vec(finv, back))
+        orbit = [w]
+        fwd = back = w
+        for _ in range(window):
+            fwd = f.apply(fwd)
+            back = linalg.mat_vec(finv, back)
             orbit.append(fwd)
             orbit.append(back)
         reps.add(min(orbit, key=lambda v: (max(abs(x) for x in v), v)))

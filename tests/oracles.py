@@ -8,8 +8,9 @@ Smith reduction instead of the transform-tracking one, Euler powering
 instead of reciprocity, repeated multiplication instead of prime stripping
 (for matrix orders and discriminant actions), full orbit sums instead of
 cyclotomic kernels, a Fraction Sturm chain instead of the integer
-pseudo-remainder one, and a companion-matrix power instead of traces of
-x^n mod s.
+pseudo-remainder one, a companion-matrix power instead of traces of
+x^n mod s, and the growth of <f^k z, z> instead of a projection onto the
+geodesic plane.
 """
 
 from fractions import Fraction
@@ -113,6 +114,30 @@ def cyclic_roots_by_orbit_sum(F, roots, cap=10000):
     for _ in range(order):
         total, image = total + image, image @ F.T
     return sorted(tuple(int(x) for x in r) for r, s in zip(R, total) if not s.any())
+
+
+def crosses_by_iteration(gram, F, z, max_doublings=16):
+    """Whether z crosses the geodesic plane of a Salem isometry F, by iteration.
+
+    Write z = a u1 + b u2 + w with u1, u2 the lambda and 1/lambda
+    eigenvectors and w in the negative definite complement. Then
+    <F^k z, z> = (lambda^k + lambda^-k) a b <u1, u2> + <F^k w, w>, and
+    pi(z)^2 = 2 a b <u1, u2>. F is an isometry of the complement, so
+    |<F^k w, w>| <= |<w, w>| = |<z, z> - pi(z)^2|, and whenever the sign of
+    <F^k z, z> differs from that of pi(z)^2 one gets |<F^k z, z>| <= |<z, z>|.
+    So k is doubled until |<F^k z, z>| > |<z, z>|; that sign is the sign of
+    pi(z)^2, and z crosses when it is negative.
+    """
+    G = np.array(gram, dtype=object)
+    v = np.array(z, dtype=object)
+    norm = abs(v @ G @ v)
+    power = np.array(F, dtype=object)
+    for _ in range(max_doublings):
+        pairing = (power @ v) @ G @ v
+        if abs(pairing) > norm:
+            return bool(pairing < 0)
+        power = power @ power
+    raise ValueError("<F^k z, z> stayed within |<z, z>| for every k tried")
 
 
 def smith_diagonal(M):

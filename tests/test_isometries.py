@@ -184,7 +184,7 @@ def test_matrix_order_mod_matches_brute_force():
         assert _matrix_order_mod(jordan, m) == matrix_order_mod(jordan, m)
 
 
-def test_matrix_order_mod_rejects_singular_and_cap():
+def test_matrix_order_mod_rejects_singular():
     with pytest.raises(ArithmeticError):
         _matrix_order_mod(((1, 2), (3, 6)), 5)  # singular over Q
     with pytest.raises(ArithmeticError):
@@ -194,8 +194,6 @@ def test_matrix_order_mod_rejects_singular_and_cap():
     assert _matrix_order_mod(((3,),), 2) == 1
     A = ((0, -1), (1, 3))  # companion matrix of x^2 - 3x + 1
     assert _matrix_order_mod(A, 25) == matrix_order_mod(A, 25)
-    with pytest.raises(ArithmeticError):
-        _matrix_order_mod(A, 25, cap=matrix_order_mod(A, 25) - 1)
 
 
 def test_discriminant_order_matches_iteration():

@@ -1,21 +1,28 @@
+from fractions import Fraction
 from functools import cache
 
 import pytest
 
+import salemk3
 from salemk3 import linalg
-from salemk3.isometries import Isometry, TwistElement, twist
+from salemk3.isometries import Isometry, TwistElement, search_even_invariant_lattice, twist
 from salemk3.lattices import Lattice, lattice_A2, lattice_E8
 from salemk3.polynomials import IntPolynomial, companion_matrix
 from salemk3.positivity import (
+    ObstructionReport,
     PositivityError,
     cyclic_roots,
     determinant_bound_test,
-    geodesic_plane,
     is_positive,
     obstructing_root_search,
 )
 
-from oracles import brute_vectors_of_norm, count_e8_roots_standard_model, cyclic_roots_by_orbit_sum
+from oracles import (
+    brute_vectors_of_norm,
+    count_e8_roots_standard_model,
+    crosses_by_iteration,
+    cyclic_roots_by_orbit_sum,
+)
 
 P = IntPolynomial
 QUAD = P([1, -3, 1])
@@ -250,23 +257,101 @@ def test_witnesses_closed_under_f_up_to_orbit():
         assert L2.norm(image) == -2
 
 
-def test_obstructing_root_search_rank6():
-    from salemk3.isometries import search_even_invariant_lattice
-
-    d6 = P([1, -2, 0, 1, 0, -2, 1])
-    C6 = companion_matrix(d6)
+def rank6_pair():
+    C6 = companion_matrix(P([1, -2, 0, 1, 0, -2, 1]))
     S6 = search_even_invariant_lattice(C6, signature=(1, 5), box=4)
-    f6 = Isometry(S6, C6)
+    return S6, Isometry(S6, C6)
+
+
+def s4_twist(a, b):
+    """The S4 block twisted by t^2 for t = a + b w."""
+    t = P([a, b])
+    return twist(L4, F4, TwistElement(t * t))
+
+
+def test_obstructing_root_search_rank6():
+    S6, f6 = rank6_pair()
     report = obstructing_root_search(S6, f6)
     assert report.status in ("positive", "not_positive")
     for vec, _ in report.witnesses:
         assert S6.norm(vec) == -2
 
 
-def test_geodesic_plane():
-    plane = geodesic_plane(L2, F2)
-    assert plane.gram_det_sign() == -1
-    assert len(plane.basis) == 2
-    plane4 = geodesic_plane(L4, F4)
-    assert plane4.gram_det_sign() == -1
-    assert plane4.field.min_poly.coeffs == (-3, -1, 1)
+# Full reports recorded when the crossing was decided by a projection over a
+# second field Q[y]/(r), r the trace polynomial: (status, witness vectors,
+# search_bound, candidate_count).
+PINNED_REPORTS = [
+    ("L2", lambda: (L2, F2), "not_positive", [(-1, 1), (1, -1)], "31/10", 34),
+    (
+        "S4 block",
+        lambda: (L4, F4),
+        "not_positive",
+        [(-1, -1, -1, 0), (-1, -1, -1, 1), (-1, -1, 0, 0), (-1, 1, 1, 1), (0, 0, 1, 1), (0, 1, 1, 1)],
+        "349/78",
+        206,
+    ),
+    (
+        "rank 6",
+        rank6_pair,
+        "not_positive",
+        [(-1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)],
+        "20735969/8519680",
+        92,
+    ),
+    (
+        "t=1+w",
+        lambda: s4_twist(1, 1),
+        "not_positive",
+        [(-1, -1, -1, 1), (-1, 0, 2, -1), (-1, 1, 1, -1), (-1, 1, 1, 1), (-1, 1, 2, -1), (1, -1, -1, 1)],
+        "349/156",
+        864,
+    ),
+    (
+        "t=-2+w",
+        lambda: s4_twist(-2, 1),
+        "not_positive",
+        [(-3, -4, -3, 0), (-1, -2, -2, -1), (-1, -1, -1, 0), (0, 1, 1, 1), (0, 3, 4, 3), (1, 2, 2, 1)],
+        "2324318563/81788928",
+        678,
+    ),
+    ("t=2+w", lambda: s4_twist(2, 1), "positive", [], "5995/2808", 86),
+    (
+        "t=4+3w",
+        lambda: s4_twist(4, 3),
+        "not_positive",
+        [(-4, 5, -5, 2), (-4, 5, 5, -3), (-3, 4, 4, -3), (-1, 0, 2, -1), (-1, 1, 2, -1), (3, -4, -4, 3)],
+        "82903/39936",
+        2984,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "case, status, witnesses, bound, count",
+    [row[1:] for row in PINNED_REPORTS],
+    ids=[row[0] for row in PINNED_REPORTS],
+)
+def test_obstructing_root_search_pinned_and_crossing(case, status, witnesses, bound, count):
+    L, f = case()
+    report = obstructing_root_search(L, f)
+    assert report == ObstructionReport(
+        status=status,
+        witnesses=tuple((w, "geodesic") for w in witnesses),
+        method="exhaustive_search",
+        search_bound=Fraction(bound),
+        candidate_count=count,
+    )
+    assert all(crosses_by_iteration(L.gram, f.matrix, w) for w in witnesses)
+
+
+@pytest.mark.parametrize("t", [(2, 1), (-1, 1)], ids=str)
+def test_positive_twist_has_no_crossing_root_in_a_box(t):
+    L, f = s4_twist(*t)
+    assert obstructing_root_search(L, f).status == "positive"
+    roots = brute_vectors_of_norm(L.gram, -2, 3)
+    assert roots
+    assert not any(crosses_by_iteration(L.gram, f.matrix, r) for r in roots)
+
+
+def test_public_names_resolve():
+    assert all(hasattr(salemk3, name) for name in salemk3.__all__)
