@@ -1,9 +1,11 @@
 """Exact lattice computations deciding when powers of a Salem number arise
 as dynamical degrees of automorphisms of 2-tori, K3 and Enriques surfaces.
 
-The library is organized around seven pieces: integer polynomials with Salem
-certification (`polynomials`), lattices with discriminant-form calculus and
-gluing (`lattices`), lattice isometries with twists and integral powering
+The modules: integer polynomials with Salem certification (`polynomials`),
+exact linear algebra over Z and Q (`linalg`), real algebraic number fields
+with certified signs (`numberfield`), Legendre, Hilbert and Hasse symbols
+(`numbertheory`), lattices with discriminant-form calculus and gluing
+(`lattices`), lattice isometries with twists and integral powering
 (`isometries`), chamber-preservation analysis (`positivity`), realizability
 decisions and certificates (`realize`), the JSON codec (`codec`), and a
 command-line front end (`cli`).

@@ -103,15 +103,7 @@ class Lattice:
         return linalg.rat_inverse(self.gram)
 
     def direct_sum(self, other):
-        n, m = self.rank, other.rank
-        gram = [[0] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                gram[i][j] = self.gram[i][j]
-        for i in range(m):
-            for j in range(m):
-                gram[n + i][n + j] = other.gram[i][j]
-        return Lattice(gram)
+        return Lattice(linalg.block_diag(self.gram, other.gram))
 
     def rescaled(self, c):
         return Lattice(linalg.mat_scale(c, self.gram))
@@ -193,15 +185,13 @@ class FiniteQuadraticForm:
     the coordinate data needed to express arbitrary dual vectors are kept.
     """
 
-    def __init__(self, orders, q_values, b_matrix, lifts=None, coord_data=None,
-                 _check_chain=True):
+    def __init__(self, orders, q_values, b_matrix, lifts=None, coord_data=None):
         self.orders = tuple(int(d) for d in orders)
         if any(d < 2 for d in self.orders):
             raise LatticeError("generator orders must be >= 2")
-        if _check_chain:
-            for a, b in zip(self.orders, self.orders[1:]):
-                if b % a != 0:
-                    raise LatticeError("orders must form a divisibility chain")
+        for a, b in zip(self.orders, self.orders[1:]):
+            if b % a != 0:
+                raise LatticeError("orders must form a divisibility chain")
         self.q_values = tuple(_frac_mod(v, 2) for v in q_values)
         self.b_matrix = tuple(
             tuple(_frac_mod(v, 1) for v in row) for row in b_matrix
@@ -264,15 +254,6 @@ class FiniteQuadraticForm:
             lifts=self.lifts,
         )
 
-    def direct_sum(self, other):
-        # orders are concatenated, then renormalized through a divisibility chain
-        combined = _regenerate(
-            list(self.orders) + list(other.orders),
-            _block_b(self, other),
-            list(self.q_values) + list(other.q_values),
-        )
-        return combined
-
     def primes(self):
         out = set()
         for d in self.orders:
@@ -306,13 +287,7 @@ class FiniteQuadraticForm:
         ]
         lifts = None
         if self.lifts is not None:
-            lifts = [
-                tuple(
-                    sum(Fraction(c) * Fraction(x) for c, x in zip(g[0], col))
-                    for col in zip(*self.lifts)
-                )
-                for g in gens
-            ]
+            lifts = [linalg.vec_mat(g[0], self.lifts) for g in gens]
         return FiniteQuadraticForm(orders, q_values, b_matrix, lifts=lifts)
 
     def all_elements(self):
@@ -336,43 +311,6 @@ class FiniteQuadraticForm:
         for idx, i in enumerate(kept):
             coords.append(w[i] % self.orders[idx])
         return tuple(coords)
-
-
-def _block_b(f1, f2):
-    k1, k2 = f1.ngens, f2.ngens
-    out = [[Fraction(0)] * (k1 + k2) for _ in range(k1 + k2)]
-    for i in range(k1):
-        for j in range(k1):
-            out[i][j] = f1.b_matrix[i][j]
-    for i in range(k2):
-        for j in range(k2):
-            out[k1 + i][k1 + j] = f2.b_matrix[i][j]
-    return out
-
-
-def _regenerate(orders, b_matrix, q_values):
-    """Renormalize a generating set into invariant-factor form.
-
-    Presents the group with relation matrix diag(orders) and recomputes a
-    divisibility-chain generating set through the Smith normal form.
-    """
-    k = len(orders)
-    if k == 0:
-        return FiniteQuadraticForm((), (), ())
-    rel = tuple(
-        tuple(orders[i] if i == j else 0 for j in range(k)) for i in range(k)
-    )
-    U, S, V = linalg.snf_with_transform(rel)
-    # group = Z^k / rel Z^k with generators e_i; new generators = columns of U^-1
-    Uinv = linalg.mat_to_int(linalg.rat_inverse(U))
-    new_orders = [S[i][i] for i in range(k)]
-    gens = []
-    for i in range(k):
-        if new_orders[i] >= 2:
-            col = tuple(Uinv[r][i] for r in range(k))
-            gens.append((col, new_orders[i]))
-    helper = FiniteQuadraticForm(orders, q_values, b_matrix, _check_chain=False)
-    return helper.subform(gens)
 
 
 def discriminant_form(L: Lattice):
@@ -504,12 +442,22 @@ def glue_map_problems(source, target, matrix):
     return problems
 
 
-def _span_with_extra_rows(rank, extra_rows):
-    """Integer basis (rows) of Z^rank + sum Z * extra (rational rows)."""
-    den, extra = linalg.clear_denominators(extra_rows)
-    rows = tuple(tuple(den if i == j else 0 for j in range(rank)) for i in range(rank))
-    H = linalg.hnf(rows + extra)
-    return tuple(tuple(Fraction(x, den) for x in row) for row in H)
+def _overlattice(ambient, extras):
+    """Even overlattice of ``ambient`` spanned by it and the rational rows ``extras``.
+
+    Returns (L, basis) with the basis rows in ambient coordinates; raises
+    when the span is not integral or not even.
+    """
+    den, extra = linalg.clear_denominators(extras)
+    rows = linalg.mat_scale(den, linalg.identity(ambient.rank))
+    basis = tuple(tuple(Fraction(x, den) for x in row) for row in linalg.hnf(rows + extra))
+    gram = linalg.rat_mat_mul(basis, ambient.gram, linalg.transpose(basis))
+    if not linalg.is_integral(gram):
+        raise LatticeError("the overlattice is not integral")
+    L = Lattice(linalg.mat_to_int(gram))
+    if not L.is_even():
+        raise LatticeError("the overlattice is odd")
+    return L, basis
 
 
 def glue(M: Lattice, N: Lattice, phi: GlueMap):
@@ -523,22 +471,12 @@ def glue(M: Lattice, N: Lattice, phi: GlueMap):
     qN = discriminant_form(N)
     if phi.source.orders != qM.orders or phi.target.orders != qN.orders:
         raise LatticeError("glue map does not match the discriminant forms")
-    ambient = M.direct_sum(N)
-    extras = []
-    for j in range(qM.ngens):
-        lift_m = qM.lifts[j]
-        img = phi.image(tuple(1 if i == j else 0 for i in range(qM.ngens)))
-        lift_n = [Fraction(0)] * N.rank
-        for i, c in enumerate(img):
-            lift_n = [a + c * b for a, b in zip(lift_n, qN.lifts[i])]
-        extras.append(tuple(lift_m) + tuple(lift_n))
-    basis = _span_with_extra_rows(ambient.rank, extras)
-    gram = linalg.rat_mat_mul(basis, ambient.gram, linalg.transpose(basis))
-    if not linalg.is_integral(gram):
-        raise LatticeError("glue produced a non-integral overlattice (invalid glue map)")
-    L = Lattice(linalg.mat_to_int(gram))
-    if not L.is_even():
-        raise LatticeError("glue produced an odd overlattice (invalid glue map)")
+    # the graph of phi: lift of g_j in M, plus the lift of phi(g_j) in N
+    extras = [
+        qM.lifts[j] + linalg.vec_mat(phi.image(e), qN.lifts)
+        for j, e in enumerate(linalg.identity(qM.ngens))
+    ]
+    L, basis = _overlattice(M.direct_sum(N), extras)
     expected = abs(M.determinant() * N.determinant())
     index_sq = expected // abs(L.determinant())
     if index_sq != qM.order() ** 2:
@@ -560,19 +498,8 @@ def overlattice_from_isotropic(M: Lattice, subgroup_gens):
         for j in range(i + 1, len(gens)):
             if qM.b_of(gens[i], gens[j]) != 0:
                 raise LatticeError("subgroup is not isotropic (nonzero pairing)")
-    extras = []
-    for g in gens:
-        lift = [Fraction(0)] * M.rank
-        for i, c in enumerate(g):
-            lift = [a + c * b for a, b in zip(lift, qM.lifts[i])]
-        extras.append(tuple(lift))
-    basis = _span_with_extra_rows(M.rank, extras)
-    gram = linalg.rat_mat_mul(basis, M.gram, linalg.transpose(basis))
-    if not linalg.is_integral(gram):
-        raise AssertionError("isotropic subgroup produced a non-integral overlattice")
-    L = Lattice(linalg.mat_to_int(gram))
-    if not L.is_even():
-        raise AssertionError("isotropic subgroup produced an odd overlattice")
+    # a zero generator adds nothing to the span (and a trivial form has no lifts)
+    L, basis = _overlattice(M, [linalg.vec_mat(g, qM.lifts) for g in gens if any(g)])
     h = _subgroup_order(qM, gens)
     if abs(L.determinant()) * h * h != abs(M.determinant()):
         raise AssertionError("overlattice determinant does not match subgroup order")

@@ -65,6 +65,12 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def block_diag(A, B):
+    """The square block-diagonal matrix with A above B."""
+    n, m = len(A), len(B)
+    return tuple(tuple(row) + (0,) * m for row in A) + tuple((0,) * n + tuple(row) for row in B)
+
+
 def mat_pow(A, n):
     """A ** n by binary powering, n >= 0."""
     result = identity(len(A))
@@ -140,25 +146,6 @@ def bareiss_det(A):
     return sign * M[n - 1][n - 1]
 
 
-def rat_inverse(A):
-    """Inverse of a square matrix, exact over the rationals."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                factor = M[r][col]
-                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
-    return tuple(tuple(row[n:]) for row in M)
-
-
 def rat_row_reduce(A):
     """Reduced row echelon form over the rationals; returns (R, pivot_columns)."""
     M = [[Fraction(x) for x in row] for row in A]
@@ -197,6 +184,16 @@ def rat_kernel(A):
             v[pc] = -R[r][j]
         basis.append(tuple(v))
     return tuple(basis)
+
+
+def rat_inverse(A):
+    """Inverse of a square matrix, exact over the rationals: the right half of
+    the reduced row echelon form of [A | I]."""
+    n = len(A)
+    R, pivots = rat_row_reduce([tuple(row) + e for row, e in zip(A, identity(n))])
+    if pivots != tuple(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(row[n:] for row in R)
 
 
 def rank(A):
@@ -436,14 +433,6 @@ def ldl(G):
     return tuple(d), tuple(tuple(row) for row in mu)
 
 
-def is_positive_definite(G):
-    try:
-        ldl(G)
-        return True
-    except ValueError:
-        return False
-
-
 def _floor_sqrt_frac(F):
     """floor(sqrt(F)) for a nonnegative Fraction F."""
     if F < 0:
@@ -471,8 +460,9 @@ def _ceil_minus_sqrt(S, F):
 def qf_enumerate(G, bound):
     """All integer vectors v != 0 with v^T G v <= bound, G positive definite.
 
-    Exact arithmetic throughout; completeness does not depend on any floating
-    point estimate. Output is sorted, and closed under negation.
+    Raises ValueError (from ``ldl``) when G is not positive definite and
+    bound >= 0. Exact arithmetic throughout; completeness does not depend on
+    any floating point estimate. Output is sorted, and closed under negation.
     """
     n = len(G)
     bound = Fraction(bound)

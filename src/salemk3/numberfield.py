@@ -2,57 +2,20 @@
 
 A field is Q[x]/(m(x)) for an irreducible monic m together with an isolating
 interval pinning down one real root. Elements are Fraction-coefficient
-polynomials of degree < deg m. Signs and enclosures are decided by interval
-evaluation, refining the isolating interval by exact bisection until the
-enclosure excludes zero; this terminates for every nonzero element because
-m is irreducible.
+polynomials of degree < deg m. The inverse of a nonzero element a solves
+the linear system of multiplication by a against 1 by exact Gauss-Jordan
+elimination (``linalg.rat_row_reduce``). Signs and enclosures are decided
+by interval evaluation, refining the isolating interval by exact bisection
+until the enclosure excludes zero; this terminates for every nonzero
+element because m is irreducible.
 """
 
 from fractions import Fraction
 
+from . import linalg
 from .polynomials import IntPolynomial, refine_interval
 
 # intervals are (lo, hi) Fraction pairs
-
-
-def _trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _fp_divmod(a, b):
-    """Quotient and remainder of Fraction coefficient lists (ascending)."""
-    a = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] -= c * bc
-        _trim(a)
-    return q, a
-
-
-def _polymul(f, g):
-    if not f or not g:
-        return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _trim(out)
-
-
-def _polysub(f, g):
-    out = [Fraction(0)] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] += a
-    for i, b in enumerate(g):
-        out[i] -= b
-    return _trim(out)
 
 
 def iv_add(a, b):
@@ -148,23 +111,23 @@ class RealAlgebraicField:
         return all(x == 0 for x in a)
 
     def inv(self, a):
-        """Inverse via the extended Euclidean algorithm on polynomials.
+        """Inverse by solving M c = e_0, where column j of M is a x^j.
 
-        Tracks s with s * a = r (mod min_poly); the loop ends with r a
-        nonzero constant because the modulus is irreducible.
+        M is the matrix of multiplication by a, invertible for a != 0
+        because the modulus is irreducible, so the reduced echelon form of
+        [M | e_0] has pivots 0 .. d-1 and its last column is 1/a.
         """
         if self.is_zero(a):
             raise ZeroDivisionError("inverting zero field element")
-        r0, r1 = self._modulus[:], _trim(list(a))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while r1:
-            q, rem = _fp_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        if len(r0) != 1:
+        d = self.degree
+        cols = [a]
+        for _ in range(d - 1):
+            cols.append(self.element((0,) + cols[-1]))
+        one = self.one()
+        R, pivots = linalg.rat_row_reduce([[col[i] for col in cols] + [one[i]] for i in range(d)])
+        if pivots != tuple(range(d)):
             raise ArithmeticError("element not invertible; modulus not irreducible?")
-        c = r0[0]
-        return self.element([x / c for x in s0])
+        return tuple(row[d] for row in R)
 
     # --- certified real data ---
 

@@ -611,18 +611,6 @@ def square_class_test(s):
     return val > 0 and is_perfect_square(val)
 
 
-def graeffe(p):
-    """Monic polynomial whose roots are the squares of the roots of monic p."""
-    even = p.coeffs[0::2]
-    odd = p.coeffs[1::2]
-    e = IntPolynomial(even)
-    o = IntPolynomial(odd)
-    q = e * e - (o * o).shift_mul_x(1)
-    if q.leading < 0:
-        q = -q
-    return q
-
-
 @lru_cache(maxsize=None)
 def _orders_of_degree_at_most(d):
     """Ascending n <= 2 d^2 + 6 with phi(n) <= d: the orders of the roots of
@@ -640,28 +628,16 @@ def _orders_of_degree_at_most(d):
 def is_cyclotomic_product(c):
     """True iff every irreducible factor of c is cyclotomic.
 
-    Kronecker criterion: iterate the root-squaring (Graeffe) map on the
-    squarefree part; roots of unity cycle among finitely many polynomials,
-    anything off the unit circle blows past the binomial coefficient bound.
+    Reads the cyclotomic factor list (Kronecker): the squarefree part of c
+    is a product of cyclotomic polynomials exactly when the degrees of the
+    distinct cyclotomic factors dividing it add up to its degree.
     """
     if c.is_zero() or not c.is_monic():
         raise ValueError("cyclotomic-product test needs a monic polynomial")
     if c.coeffs[0] == 0:
         raise ValueError("cyclotomic-product test needs a nonzero constant term")
-    cur = squarefree_part(c)
-    if cur.degree == 0:
-        return True
-    cap = _orders_of_degree_at_most(cur.degree)[-1] + 16
-    seen = {cur.coeffs}
-    for _ in range(cap):
-        cur = squarefree_part(graeffe(cur))
-        d = cur.degree
-        if any(abs(cur.coeffs[i]) > comb(d, i) for i in range(d + 1)):
-            return False
-        if cur.coeffs in seen:
-            return True
-        seen.add(cur.coeffs)
-    raise ArithmeticError("cyclotomic-product iteration exceeded its cap")
+    sf = squarefree_part(c)
+    return sum(phi.degree for _, phi in cyclotomic_factors(sf)) == sf.degree
 
 
 @lru_cache(maxsize=None)

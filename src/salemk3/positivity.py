@@ -169,12 +169,13 @@ def obstructing_root_search(S: Lattice, f: Isometry):
             ]
             for i in range(n)
         ]
-        if linalg.is_positive_definite(T_prime):
+        try:
+            candidates = linalg.qf_enumerate(T_prime, bound_up)
             break
-        delta /= 4
+        except ValueError:  # T_prime is not positive definite yet
+            delta /= 4
     else:
         raise PositivityError("interval refinement failed to certify the search form")
-    candidates = linalg.qf_enumerate(T_prime, bound_up)
     # u1, u2 are isotropic, so pi(z)^2 = 2 <z, u1> <z, u2> / sigma
     witnesses = []
     for z in candidates:

@@ -15,8 +15,10 @@ from . import codec, linalg
 from .isometries import (
     Isometry,
     TwistElement,
+    _matrix_order_mod,
     _restrict_to_rows,
     discriminant_order,
+    is_isometry,
     twist,
 )
 from .lattices import (
@@ -27,13 +29,15 @@ from .lattices import (
     find_anti_isometry,
     forms_isomorphic,
     glue,
+    is_primitive_sublattice,
     lattice_E6,
     lattice_E8,
     lattice_U,
     named_lattice,
     odd_diagonalize_tracked,
+    orthogonal_complement,
 )
-from .numbertheory import factorize, is_prime, legendre, sqrt_mod, valuation
+from .numbertheory import is_prime, legendre, sqrt_mod, valuation
 from .polynomials import (
     IntPolynomial,
     NotSalemError,
@@ -496,17 +500,12 @@ def _odd_homogeneous_anti_map(part1, diag1, part2, diag2, p):
 
 
 def _invert_mod(M, m):
-    """Inverse of a square integer matrix modulo m (determinant a unit)."""
-    n = len(M)
+    """Inverse of a square integer matrix modulo m (determinant a unit):
+    the integral adjugate det(M) M^-1, times det(M)^-1 mod m."""
     det = linalg.bareiss_det(M)
     det_inv = pow(det % m, -1, m)
-    _, adj = linalg.charpoly_and_adjugate(M)
-    # adj(xI - M) at x = 0 gives adj(-M) = (-1)^(n-1) adj(M)
-    adj0 = adj[0]
-    sign = 1 if (n - 1) % 2 == 0 else -1
-    return tuple(
-        tuple(sign * adj0[i][j] * det_inv % m for j in range(n)) for i in range(n)
-    )
+    adj = linalg.mat_to_int(linalg.mat_scale(det, linalg.rat_inverse(M)))
+    return tuple(tuple(x * det_inv % m for x in row) for row in adj)
 
 
 def build_glue_map(q1, q2, small_bound=40000):
@@ -618,8 +617,7 @@ def pipeline_split_prime(s: IntPolynomial, exclude, cap=100000, order_cap=400000
             continue
         for a, w in _split_roots(r, p):
             b = (a + w) * pow(2, -1, p) % p
-            o = _unit_order(b, p)
-            o2 = o if pow(b, o, p * p) == 1 else o * p
+            o2 = _matrix_order_mod(((b,),), p * p)
             if best is None or o2 < best[0]:
                 best = (o2, SplitPrimeEvidence(p, a, w, 1))
             found += 1
@@ -628,14 +626,6 @@ def pipeline_split_prime(s: IntPolynomial, exclude, cap=100000, order_cap=400000
     if best is None:
         raise SearchCapExceeded("no pipeline split prime found")
     return best[1]
-
-
-def _unit_order(b, p):
-    o = p - 1
-    for q in factorize(p - 1):
-        while o % q == 0 and pow(b, o // q, p) == 1:
-            o //= q
-    return o
 
 
 def build_k3_certificate(s: IntPolynomial, seed=None, stage_trace=None):
@@ -730,7 +720,7 @@ def build_k3_certificate(s: IntPolynomial, seed=None, stage_trace=None):
     if k > 10**7:
         raise RealizeError("stage power: discriminant action order exceeds the cap")
     Fk = linalg.mat_pow(f2.matrix, k)
-    block = _block_diag(Fk, linalg.identity(R2.rank))
+    block = linalg.block_diag(Fk, linalg.identity(R2.rank))
     embed = linalg.rat_inverse(basis)
     h = linalg.rat_mat_mul(linalg.transpose(embed), block, linalg.transpose(basis))
     if not linalg.is_integral(h):
@@ -780,18 +770,6 @@ def build_k3_certificate(s: IntPolynomial, seed=None, stage_trace=None):
         failing = [name for name, passed, _ in items if not passed]
         raise RealizeError(f"stage self-verify: certificate failed {failing}")
     return cert
-
-
-def _block_diag(A, B):
-    n, m = len(A), len(B)
-    out = [[0] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = A[i][j]
-    for i in range(m):
-        for j in range(m):
-            out[n + i][n + j] = B[i][j]
-    return tuple(tuple(row) for row in out)
 
 
 def verify_certificate(cert: RealizationCertificate):
@@ -845,12 +823,10 @@ def verify_certificate(cert: RealizationCertificate):
         f"rank {L.rank}, signature {L_sig}",
     )
 
-    from .isometries import is_isometry as _is_iso
-
     h = cert.isometry
     iso_ok = item(
         "isometry",
-        linalg.is_integral(h) and _is_iso(L, h),
+        linalg.is_integral(h) and is_isometry(L, h),
         "integral isometry of the ambient lattice",
     )
 
@@ -861,8 +837,6 @@ def verify_certificate(cert: RealizationCertificate):
             raise ValueError(f"kernel_basis rows must have length lattice.rank = {L.rank}")
         sub_gram = linalg.mat_mul(linalg.mat_mul(rows, L.gram), linalg.transpose(rows))
         kernel_lat = Lattice(sub_gram)
-        from .lattices import is_primitive_sublattice
-
         primitive, _ = is_primitive_sublattice(L, rows)
         kernel_ok &= primitive and len(rows) == d
         expected_sig = (1, d - 1) if cert.projective else (3, d - 3)
@@ -889,8 +863,6 @@ def verify_certificate(cert: RealizationCertificate):
             gk = linalg.mat_pow(g, cert.power)
             match_ok = restricted == gk
             # complement of the kernel is fixed pointwise
-            from .lattices import orthogonal_complement
-
             comp_lat, comp_rows = orthogonal_complement(L, rows)
             fixed_ok = linalg.mat_mul(comp_rows, linalg.transpose(h)) == tuple(
                 tuple(x for x in row) for row in comp_rows
@@ -913,8 +885,7 @@ def verify_certificate(cert: RealizationCertificate):
         item("char_poly", False, "skipped: isometry or kernel failed")
 
     if cert.surface == "k3" and cert.projective:
-        if kernel_lat is not None and char_ok:
-            g_iso = Isometry(kernel_lat, cert.kernel_generator)
+        if char_ok:  # the char_poly item built g_iso on the kernel lattice
             rep = is_positive(kernel_lat, g_iso)
             pos_ok = rep.is_positive()
             if cert.positivity is not None:

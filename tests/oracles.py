@@ -9,8 +9,9 @@ instead of reciprocity, repeated multiplication instead of prime stripping
 (for matrix orders and discriminant actions), full orbit sums instead of
 cyclotomic kernels, a Fraction Sturm chain instead of the integer
 pseudo-remainder one, a companion-matrix power instead of traces of
-x^n mod s, and the growth of <f^k z, z> instead of a projection onto the
-geodesic plane.
+x^n mod s, the growth of <f^k z, z> instead of a projection onto the
+geodesic plane, and numpy roots of the squarefree part instead of the
+cyclotomic factor list.
 """
 
 from fractions import Fraction
@@ -281,6 +282,31 @@ def _fp_divmod(a, b):
     return q, a
 
 
+def _fp_squarefree(f):
+    """f / gcd(f, f') for ascending Fraction coefficients, by a Fraction
+    Euclidean algorithm, made monic."""
+    g, h = f, [i * c for i, c in enumerate(f)][1:]
+    while h:
+        g, h = h, _fp_divmod(g, h)[1]
+        h = [c / h[-1] for c in h]  # monic remainders keep the Fractions small
+    m, rem = _fp_divmod(f, g)
+    assert not rem
+    return [c / m[-1] for c in m]
+
+
+def roots_on_unit_circle(coeffs, tol=1e-6):
+    """Whether every complex root of the polynomial (ascending ints) has
+    modulus 1 within tol, from numpy roots of its squarefree part.
+
+    For a monic integer polynomial with nonzero constant term this is
+    Kronecker's condition for a product of cyclotomic polynomials; the
+    squarefree part keeps numpy away from ill-conditioned multiple roots.
+    """
+    sf = _fp_squarefree([Fraction(c) for c in coeffs])
+    roots = np.roots([float(c) for c in reversed(sf)])
+    return all(abs(abs(r) - 1) < tol for r in roots)
+
+
 def fraction_sturm_count(coeffs, a="-inf", b="inf"):
     """Distinct real roots in (a, b] from a Sturm chain over the rationals.
 
@@ -319,18 +345,12 @@ def power_min_poly_by_companion(s_coeffs, n):
     the companion matrix of s.
 
     The characteristic polynomial of C^n is a power of the wanted minimal
-    polynomial m; m is that polynomial divided by its gcd with its
-    derivative, taken by a Fraction Euclidean algorithm and made monic.
+    polynomial m; m is its squarefree part (``_fp_squarefree``).
     """
     from salemk3.linalg import charpoly, mat_pow
     from salemk3.polynomials import IntPolynomial, companion_matrix
 
     ch = [Fraction(c) for c in charpoly(mat_pow(companion_matrix(IntPolynomial(list(s_coeffs))), n))]
-    g, h = ch, [i * c for i, c in enumerate(ch)][1:]
-    while h:
-        g, h = h, _fp_divmod(g, h)[1]
-    m, rem = _fp_divmod(ch, g)
-    assert not rem
-    m = [c / m[-1] for c in m]
+    m = _fp_squarefree(ch)
     assert all(c.denominator == 1 for c in m)
     return tuple(int(c) for c in m)

@@ -125,15 +125,6 @@ def test_p_primary_parts():
     assert p_primary_part(q2, 5).orders == (5,)
 
 
-def test_discriminant_form_of_direct_sum():
-    A = Lattice([[-2]])
-    B = lattice_A2()
-    q_sum = discriminant_form(A.direct_sum(B))
-    q_parts = discriminant_form(A).direct_sum(discriminant_form(B))
-    assert q_sum.orders == q_parts.orders
-    assert sorted(q_sum.q_values) == sorted(q_parts.q_values) or forms_isomorphic(q_sum, q_parts)
-
-
 def test_e6_discriminant():
     q = discriminant_form(lattice_E6())
     assert q.orders == (3,)
@@ -357,3 +348,30 @@ def test_rat_mat_mul_matches_mat_mul():
         assert linalg.rat_mat_mul(A, B) == linalg.mat_mul(A, B)
         assert linalg.rat_mat_mul(A, B, C) == linalg.mat_mul(linalg.mat_mul(A, B), C)
     assert linalg.rat_mat_mul(((Fraction(2, 3),),), ((Fraction(3, 4),),)) == ((Fraction(1, 2),),)
+
+
+def test_rat_inverse_against_fraction_det():
+    rng = random.Random(31)
+    singular = 0
+    for n in (1, 2, 3, 4, 6, 8):
+        for _ in range(8):
+            A = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))
+                      for _ in range(n))
+            if fraction_det(A) == 0:
+                with pytest.raises(ZeroDivisionError):
+                    linalg.rat_inverse(A)
+                continue
+            assert linalg.mat_mul(A, linalg.rat_inverse(A)) == linalg.identity(n)
+            if n == 1:
+                continue
+            # singular with no zero row: the last row a combination of the others
+            coeffs = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(n - 1)]
+            S = A[:-1] + (tuple(sum(c * row[j] for c, row in zip(coeffs, A)) for j in range(n)),)
+            if all(any(row) for row in S):
+                assert fraction_det(S) == 0
+                with pytest.raises(ZeroDivisionError):
+                    linalg.rat_inverse(S)
+                singular += 1
+    assert singular >= 30
+    with pytest.raises(ZeroDivisionError):
+        linalg.rat_inverse(((1, 2), (2, 4)))

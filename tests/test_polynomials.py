@@ -31,11 +31,13 @@ from salemk3.polynomials import (
     trace_polynomial,
 )
 from salemk3 import linalg
+from salemk3.numberfield import RealAlgebraicField
 
 from oracles import (
     fraction_sturm_count,
     numpy_salem_profile,
     power_min_poly_by_companion,
+    roots_on_unit_circle,
     sylvester_resultant,
 )
 from salem_corpus import LEHMER, all_entries
@@ -206,6 +208,41 @@ def test_cyclotomic_product_examples():
     assert is_cyclotomic_product(QUAD) is False
     assert is_cyclotomic_product(cyclotomic(12) * cyclotomic(5)) is True
     assert is_cyclotomic_product(cyclotomic(7) * QUAD) is False
+
+
+def test_cyclotomic_product_matches_unit_circle_oracle():
+    rng = random.Random(2026)
+    answers = []
+    for _ in range(150):
+        f = P([1])
+        for _ in range(rng.randint(1, 3)):
+            f = f * cyclotomic(rng.randint(1, 20)) ** rng.randint(1, 2)
+        if rng.random() < 0.5:
+            # a monic factor with constant term +-1 or +-2: usually not cyclotomic
+            middle = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+            f = f * P([rng.choice([-2, -1, 1, 2])] + middle + [1])
+        expected = roots_on_unit_circle(f.coeffs)
+        assert is_cyclotomic_product(f) is expected, f.coeffs
+        answers.append(expected)
+    assert 20 < sum(answers) < 130
+
+
+def test_field_inverse_on_the_corpus():
+    rng = random.Random(11)
+    for degree, coeffs, _ in all_entries():
+        if degree > 10:
+            continue
+        s = P(list(coeffs))
+        K = RealAlgebraicField(s, is_salem(s).lambda_interval)
+        with pytest.raises(ZeroDivisionError):
+            K.inv(K.zero())
+        assert K.inv(K.one()) == K.one()
+        lam = K.generator()
+        assert K.mul(lam, K.inv(lam)) == K.one()
+        for _ in range(6):
+            a = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)])
+            if not K.is_zero(a):
+                assert K.mul(a, K.inv(a)) == K.one()
 
 
 def test_sturm_root_counts():

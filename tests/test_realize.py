@@ -12,7 +12,7 @@ from salemk3.lattices import (
     find_anti_isometry,
     glue,
 )
-from salemk3.polynomials import IntPolynomial, companion_matrix, power_min_poly
+from salemk3.polynomials import IntPolynomial, companion_matrix, discriminant, power_min_poly
 from salemk3.realize import (
     RealizationCertificate,
     RealizeError,
@@ -25,6 +25,7 @@ from salemk3.realize import (
     find_norm_element,
     find_split_prime,
     mod2_trivial,
+    pipeline_split_prime,
     power_certificate,
     rational_isometry_criterion,
     seed_for,
@@ -165,6 +166,31 @@ def test_split_prime_and_norm_element_pinned_on_the_corpus():
             t, l = find_norm_element(s, ev)
             found.append((ev.p, ev.trace_root, ev.unit_circle_sqrt, t.poly.coeffs, l))
     assert found == SPLIT_AND_NORM_PINS
+
+
+# (p, trace_root, unit_circle_sqrt) of pipeline_split_prime(s, 2 disc s) for
+# every corpus polynomial of degree <= 12, in corpus order, as recorded when
+# the order of the Salem root mod p^2 came from a scalar unit-order helper
+PIPELINE_SPLIT_PINS = [
+    (17, 5, 2),
+    (31, 28, 25),
+    (23, 4, 9),
+    (11, 3, 4),
+    (23, 13, 2),
+    (53, 26, 47),
+    (19, 7, 11),
+]
+
+
+def test_pipeline_split_prime_pinned_on_the_corpus():
+    found = []
+    for degree, coeffs, _ in all_entries():
+        if degree <= 12:
+            s = P(list(coeffs))
+            ev = pipeline_split_prime(s, exclude=2 * discriminant(s))
+            assert check_split_prime(s, ev) and ev.modulus == 1
+            found.append((ev.p, ev.trace_root, ev.unit_circle_sqrt))
+    assert found == PIPELINE_SPLIT_PINS
 
 
 def test_find_split_prime_above_discriminant():
