@@ -16,6 +16,7 @@ from .polynomials import (
     NotSalemError,
     RootIsolation,
     SalemCertificate,
+    companion_matrix,
     discriminant,
     is_cyclotomic_product,
     is_salem,
@@ -33,12 +34,12 @@ from .lattices import (
     discriminant_form,
     enumerate_vectors_of_norm,
     glue,
+    lattice_A2,
     named_lattice,
     orthogonal_complement,
-    overlattice_from_isotropic,
     p_primary_part,
 )
-from .numbertheory import hasse_invariant, hilbert, legendre
+from .numbertheory import hasse_invariant, hilbert, legendre, relevant_places
 from .isometries import (
     Isometry,
     IsometryError,
@@ -47,6 +48,7 @@ from .isometries import (
     is_isometry,
     kernel_sublattice,
     power_to_integral,
+    search_even_invariant_lattice,
     twist,
     twist_split_certificate,
 )
@@ -67,7 +69,6 @@ from .realize import (
     find_norm_element,
     find_split_prime,
     mod2_trivial,
-    power_certificate,
     rational_isometry_criterion,
     seed_for,
     stable_realizable,
@@ -79,6 +80,7 @@ __all__ = [
     "NotSalemError",
     "RootIsolation",
     "SalemCertificate",
+    "companion_matrix",
     "discriminant",
     "is_cyclotomic_product",
     "is_salem",
@@ -94,13 +96,14 @@ __all__ = [
     "discriminant_form",
     "enumerate_vectors_of_norm",
     "glue",
+    "lattice_A2",
     "named_lattice",
     "orthogonal_complement",
-    "overlattice_from_isotropic",
     "p_primary_part",
     "hasse_invariant",
     "hilbert",
     "legendre",
+    "relevant_places",
     "Isometry",
     "IsometryError",
     "TwistElement",
@@ -108,6 +111,7 @@ __all__ = [
     "is_isometry",
     "kernel_sublattice",
     "power_to_integral",
+    "search_even_invariant_lattice",
     "twist",
     "twist_split_certificate",
     "ObstructionReport",
@@ -124,7 +128,6 @@ __all__ = [
     "find_norm_element",
     "find_split_prime",
     "mod2_trivial",
-    "power_certificate",
     "rational_isometry_criterion",
     "seed_for",
     "stable_realizable",

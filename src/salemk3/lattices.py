@@ -1,9 +1,12 @@
-"""Integer lattices, discriminant forms, gluing and overlattices.
+"""Integer lattices, discriminant forms, anti-isometries and gluing.
 
 A lattice is a free Z-module with a nondegenerate symmetric integer Gram
 matrix. Discriminant groups are presented through the Smith normal form of
 the Gram matrix; their Q/2Z-valued quadratic forms are stored exactly with
-values normalized into [0, 2).
+values normalized into [0, 2). Anti-isometries of discriminant forms are
+built prime by prime: an odd p-part is matched through its Jordan
+(diagonal) decomposition, which decides and constructs at once; a 2-part
+goes through backtracking, which bounds its order.
 """
 
 from dataclasses import dataclass
@@ -11,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .numbertheory import factorize, is_prime, legendre, valuation
+from .numbertheory import factorize, is_prime, sqrt_mod, valuation
 
 
 class LatticeError(ValueError):
@@ -147,8 +150,9 @@ def lattice_E6():
     return Lattice(g)
 
 
-def lattice_A2(sign=-1):
-    return Lattice(((2 * sign, -sign), (-sign, 2 * sign)))
+def lattice_A2():
+    """A2, negative definite, determinant 3."""
+    return Lattice(((-2, 1), (1, -2)))
 
 
 NAMED_LATTICES = ("U", "E8", "3U", "U+E8", "3U+2E8")
@@ -181,11 +185,11 @@ class FiniteQuadraticForm:
 
     Generators g_i have orders d_1 | d_2 | ...; values are stored exactly as
     q(g_i) in [0, 2) and b(g_i, g_j) in [0, 1). When the form arose from a
-    lattice, rational lifts of the generators (rows, lattice coordinates) and
-    the coordinate data needed to express arbitrary dual vectors are kept.
+    lattice, rational lifts of the generators (rows, lattice coordinates)
+    are kept.
     """
 
-    def __init__(self, orders, q_values, b_matrix, lifts=None, coord_data=None):
+    def __init__(self, orders, q_values, b_matrix, lifts=None):
         self.orders = tuple(int(d) for d in orders)
         if any(d < 2 for d in self.orders):
             raise LatticeError("generator orders must be >= 2")
@@ -197,7 +201,6 @@ class FiniteQuadraticForm:
             tuple(_frac_mod(v, 1) for v in row) for row in b_matrix
         )
         self.lifts = None if lifts is None else tuple(tuple(Fraction(x) for x in v) for v in lifts)
-        self._coord_data = coord_data  # (gram, U_matrix, kept_indices, snf_diagonal)
         k = len(self.orders)
         if len(self.q_values) != k or len(self.b_matrix) != k:
             raise LatticeError("value tables must match the number of generators")
@@ -298,20 +301,6 @@ class FiniteQuadraticForm:
             if any(coords):
                 yield coords, self.element_order(coords)
 
-    def dual_coords(self, x):
-        """Coordinates (mod orders) of a dual vector x in this form's generators."""
-        if self._coord_data is None:
-            raise LatticeError("no ambient coordinate data on this form")
-        gram, U, kept, all_orders = self._coord_data
-        y = linalg.mat_vec(gram, x)
-        if any(Fraction(c).denominator != 1 for c in y):
-            raise LatticeError("vector is not in the dual lattice")
-        w = linalg.mat_vec(U, [int(c) for c in y])
-        coords = []
-        for idx, i in enumerate(kept):
-            coords.append(w[i] % self.orders[idx])
-        return tuple(coords)
-
 
 def discriminant_form(L: Lattice):
     """Discriminant group D_L = L^dual / L with its Q/2Z-valued form (L even)."""
@@ -320,7 +309,7 @@ def discriminant_form(L: Lattice):
     n = L.rank
     if n == 0:
         return FiniteQuadraticForm((), (), ())
-    U, S, V = linalg.snf_with_transform(L.gram)
+    _, S, V = linalg.snf_with_transform(L.gram)
     diag = [S[i][i] for i in range(n)]
     kept = [i for i in range(n) if diag[i] >= 2]
     lifts = []
@@ -339,13 +328,7 @@ def discriminant_form(L: Lattice):
             row.append(_frac_mod(linalg.dot(Ggi, gj), 1))
         b_matrix.append(row)
         q_values.append(_frac_mod(linalg.dot(Ggi, gi), 2))
-    form = FiniteQuadraticForm(
-        orders,
-        q_values,
-        b_matrix,
-        lifts=lifts,
-        coord_data=(L.gram, U, kept, diag),
-    )
+    form = FiniteQuadraticForm(orders, q_values, b_matrix, lifts=lifts)
     if form.order() != abs(L.determinant()):
         raise AssertionError("discriminant group order must equal |det|")
     return form
@@ -355,18 +338,6 @@ def p_primary_part(form: FiniteQuadraticForm, p):
     if not is_prime(p):
         raise LatticeError("p-primary part needs a prime")
     return form.p_primary_part(p)
-
-
-def discriminant_action(L: Lattice, form: FiniteQuadraticForm, F):
-    """Matrix (columns = images) of the action induced on D_L by an integral isometry."""
-    if form.lifts is None:
-        raise LatticeError("form carries no generator lifts")
-    cols = []
-    for lift in form.lifts:
-        image = linalg.mat_vec(F, lift)
-        cols.append(form.dual_coords(image))
-    k = form.ngens
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
 # --- overlattices and gluing --------------------------------------------------
@@ -484,28 +455,6 @@ def glue(M: Lattice, N: Lattice, phi: GlueMap):
     return L, basis
 
 
-def overlattice_from_isotropic(M: Lattice, subgroup_gens):
-    """Even overlattice attached to an isotropic subgroup of D_M.
-
-    ``subgroup_gens`` are coordinate vectors in the generators of D_M.
-    """
-    qM = discriminant_form(M)
-    gens = [tuple(int(c) for c in g) for g in subgroup_gens]
-    for g in gens:
-        if qM.q_of(g) != 0:
-            raise LatticeError(f"subgroup generator {g} is not isotropic (q = {qM.q_of(g)})")
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if qM.b_of(gens[i], gens[j]) != 0:
-                raise LatticeError("subgroup is not isotropic (nonzero pairing)")
-    # a zero generator adds nothing to the span (and a trivial form has no lifts)
-    L, basis = _overlattice(M, [linalg.vec_mat(g, qM.lifts) for g in gens if any(g)])
-    h = _subgroup_order(qM, gens)
-    if abs(L.determinant()) * h * h != abs(M.determinant()):
-        raise AssertionError("overlattice determinant does not match subgroup order")
-    return L, basis
-
-
 def is_primitive_sublattice(L: Lattice, basis_rows):
     B = tuple(tuple(int(x) for x in row) for row in basis_rows)
     if not B:
@@ -564,10 +513,6 @@ def enumerate_vectors_of_norm(L: Lattice, m):
     G = linalg.mat_scale(sign, L.gram)
     found = linalg.qf_enumerate(G, sign * m)
     return sorted(v for v in found if L.norm(v) == m)
-
-
-def roots(L: Lattice):
-    return enumerate_vectors_of_norm(L, -2)
 
 
 # --- isomorphism of finite quadratic forms -------------------------------------
@@ -636,47 +581,149 @@ def odd_diagonalize_tracked(form, p):
     return part, sorted(out)
 
 
-def _odd_jordan_invariants(form, p):
-    """Multiset of (scale e, rank, determinant square class) for odd p."""
-    _, diag = odd_diagonalize_tracked(form, p)
-    by_scale = {}
-    for e, unit, _ in diag:
-        by_scale.setdefault(e, []).append(unit)
-    out = []
-    for e, units in sorted(by_scale.items()):
-        det = 1
-        for u in units:
-            det = det * u % p
-        out.append((e, len(units), legendre(det, p)))
-    return tuple(out)
+_BACKTRACK_ORDER = 40000  # largest group order find_form_isometry searches
 
 
-def forms_isomorphic(f1, f2, anti=False, small_bound=40000):
+def _lift_square(c, x, rest, p, e):
+    """Hensel-lift a solution x of c x^2 = rest mod p to mod p^e (odd p, p not
+    dividing c x) by Newton steps x <- x - (c x^2 - rest) / (2 c x)."""
+    pk = p
+    for _ in range(e - 1):
+        pk *= p
+        num = (c * x * x - rest) % pk
+        x = (x - num * pow(2 * c * x, -1, pk)) % pk
+    return x
+
+
+def _sqrt_mod_prime_power(a, p, e):
+    """Square root of a unit modulo p^e (odd p), or None."""
+    a %= p**e
+    root = sqrt_mod(a % p, p)
+    if root is None or root == 0:
+        return None
+    return _lift_square(1, root, a, p, e)
+
+
+def _represent_by_binary(c1, c2, target, p, e):
+    """(x, y) with c1 x^2 + c2 y^2 = target mod p^e; units c1, c2, target, p odd."""
+    pe = p**e
+    inv_c2 = pow(c2, -1, p)
+    for x0 in range(p):
+        rest = (target - c1 * x0 * x0) * inv_c2 % p
+        if rest == 0:
+            y0 = 0
+        else:
+            y0 = sqrt_mod(rest, p)
+            if y0 is None:
+                continue
+        if x0 % p == 0 and y0 % p == 0:
+            continue
+        x, y = x0, y0
+        # lift the coordinate that is a unit, the other one fixed
+        if x % p != 0:
+            x = _lift_square(c1, x, target - c2 * y * y, p, e)
+        else:
+            y = _lift_square(c2, y, target - c1 * x * x, p, e)
+        if (c1 * x * x + c2 * y * y - target) % pe == 0:
+            return x % pe, y % pe
+    raise AssertionError("binary odd unimodular form failed to represent a unit")
+
+
+def _odd_anti_map(part1, part2, p):
+    """Anti-isometry between two odd p-parts with equal generator orders, or
+    None when there is none.
+
+    Both parts are diagonalized. Scale by scale, each diagonal generator d_t
+    of part1, of beta-value u / p^e, goes to an element of part2 of
+    beta-value -u / p^e orthogonal to the images so far: a multiple of one
+    remaining diagonal generator when the ratio of values is a square, else
+    a combination of the first two, whose orthogonal complement in their
+    span takes their place. By Witt cancellation the greedy matching fails
+    exactly when some Jordan component differs in determinant class. An
+    original generator g is sum_t c_t d_t with c_t = b(g, d_t) / b(d_t, d_t)
+    mod p^e_t, because the d_t are orthogonal. Returns the matrix over the
+    parts' own generators (columns = images).
+    """
+    orders = part2.orders
+
+    def combine(*terms):
+        return tuple(sum(k * v[i] for k, v in terms) % d for i, d in enumerate(orders))
+
+    _, diag1 = odd_diagonalize_tracked(part1, p)
+    _, diag2 = odd_diagonalize_tracked(part2, p)
+    images = []  # (e, diagonal generator of part1, its image in part2)
+    for E in sorted({e for e, _, _ in diag1}):
+        pe = p**E
+        avail = [(unit, coords) for e, unit, coords in diag2 if e == E]
+        for _, u, d in (entry for entry in diag1 if entry[0] == E):
+            target_val = -u % pe
+            chosen = None
+            for j, (c, g) in enumerate(avail):
+                t = _sqrt_mod_prime_power(target_val * pow(c, -1, pe), p, E)
+                if t is not None:
+                    chosen = combine((t, g))
+                    del avail[j]
+                    break
+            if chosen is None:
+                if len(avail) < 2:
+                    return None
+                (c1, g1), (c2, g2) = avail[0], avail[1]
+                x, y = _represent_by_binary(c1, c2, target_val, p, E)
+                chosen = combine((x, g1), (y, g2))
+                # orthogonal complement of chosen inside span(g1, g2)
+                inv = pow(int(part2.b_of(chosen, chosen) * pe), -1, pe)
+                h = None
+                for g in (g1, g2):
+                    cand = combine((1, g), (-int(part2.b_of(chosen, g) * pe) * inv, chosen))
+                    bh = part2.q_of(cand) / 2 % 1
+                    if part2.element_order(cand) == pe and bh.denominator == pe:
+                        h = (int(bh * pe), cand)
+                        break
+                if h is None:
+                    raise AssertionError("binary block complement degenerated")
+                avail = [h] + avail[2:]
+            images.append((E, d, chosen))
+    cols = []
+    for g in linalg.identity(part1.ngens):
+        col = [0] * part2.ngens
+        for E, d, image in images:
+            pe = p**E
+            c = int(part1.b_of(g, d) * pe) * pow(int(part1.b_of(d, d) * pe), -1, pe)
+            col = [a + c * b for a, b in zip(col, image)]
+        cols.append(combine((1, col)))
+    return tuple(tuple(col[i] for col in cols) for i in range(part2.ngens))
+
+
+def _anti_map_at(part1, part2, p):
+    """Anti-isometry between the p-primary parts part1 and part2, or None."""
+    if p != 2:
+        return _odd_anti_map(part1, part2, p)
+    if part1.order() > _BACKTRACK_ORDER:
+        raise LatticeError(
+            f"2-primary part of order {part1.order()} exceeds the backtracking "
+            f"bound {_BACKTRACK_ORDER}"
+        )
+    return find_anti_isometry(part1, part2)
+
+
+def forms_isomorphic(f1, f2, anti=False):
     """Decide isomorphism (or anti-isometry for anti=True) of finite forms.
 
-    Odd p-primary parts are compared through Jordan invariants; the 2-primary
-    parts go through explicit backtracking, which requires them to be small.
+    Prime by prime, an anti-isometry onto the p-part of f2 (of its negative
+    for an isomorphism) is constructed: through the Jordan decomposition for
+    odd p, by backtracking for p = 2, which raises LatticeError when the
+    2-part is larger than the backtracking bound.
     """
     if f1.orders != f2.orders:
         return False
-    primes = f1.primes()
-    for p in primes:
-        p1 = f1.p_primary_part(p)
-        p2 = f2.p_primary_part(p)
-        if anti:
-            p2 = p2.negated()
-        if p != 2:
-            if _odd_jordan_invariants(p1, p) != _odd_jordan_invariants(p2, p):
-                return False
-        else:
-            if p1.order() > small_bound:
-                raise LatticeError("2-primary part too large for direct comparison")
-            if find_form_isometry(p1, p2) is None:
-                return False
-    return True
+    target = f2 if anti else f2.negated()
+    return all(
+        _anti_map_at(f1.p_primary_part(p), target.p_primary_part(p), p) is not None
+        for p in f1.primes()
+    )
 
 
-def find_form_isometry(f1, f2, max_order=40000):
+def find_form_isometry(f1, f2):
     """Explicit isomorphism matching q (backtracking); None if there is none.
 
     Only for small groups; the returned matrix has the image of the j-th
@@ -684,7 +731,7 @@ def find_form_isometry(f1, f2, max_order=40000):
     """
     if f1.orders != f2.orders:
         return None
-    if f1.order() > max_order:
+    if f1.order() > _BACKTRACK_ORDER:
         raise LatticeError("group too large for backtracking search")
     if f1.ngens == 0:
         return ()
@@ -719,10 +766,9 @@ def find_form_isometry(f1, f2, max_order=40000):
     return tuple(tuple(chosen[j][i] for j in range(k)) for i in range(kt))
 
 
-def find_anti_isometry(f1, f2, max_order=40000):
+def find_anti_isometry(f1, f2):
     """Explicit anti-isometry f1 -> f2 for small groups, or None."""
-    iso = find_form_isometry(f1, f2.negated(), max_order=max_order)
-    return iso
+    return find_form_isometry(f1, f2.negated())
 
 
 def hyperbolic_p_form(p, n):

@@ -57,10 +57,6 @@ def vec_mat(v, A):
     return tuple(sum(x * A[i][j] for i, x in enumerate(v)) for j in range(len(A[0])))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
@@ -349,12 +345,6 @@ def snf_with_transform(A):
         t += 1
     S = tuple(tuple(M[i][j] if i == j else 0 for j in range(n)) for i in range(m))
     return tuple(tuple(r) for r in U), S, tuple(tuple(r) for r in V)
-
-
-def snf_diagonal(A):
-    """Invariant factors of A (nonzero diagonal of the Smith form)."""
-    _, S, _ = snf_with_transform(A)
-    return tuple(S[i][i] for i in range(min(len(S), len(S[0]) if S else 0)) if S[i][i] != 0)
 
 
 def clear_denominators(rows):

@@ -112,9 +112,6 @@ class IntPolynomial:
     def is_reciprocal(self):
         return not self.is_zero() and self.coeffs == tuple(reversed(self.coeffs))
 
-    def shift_mul_x(self, k):
-        return IntPolynomial([0] * k + list(self.coeffs))
-
     def content(self):
         g = 0
         for c in self.coeffs:
@@ -314,19 +311,6 @@ def trace_polynomial(p):
     return IntPolynomial(r)
 
 
-def expand_trace_polynomial(r):
-    """x^m r(x + 1/x) as an IntPolynomial (round-trip check for trace_polynomial)."""
-    m = r.degree
-    out = IntPolynomial([])
-    for i, c in enumerate(r.coeffs):
-        # c * x^(m-i) * (x^2+1)^i
-        term = IntPolynomial([1])
-        for _ in range(i):
-            term = term * IntPolynomial([1, 0, 1])
-        out = out + c * term.shift_mul_x(m - i)
-    return out
-
-
 # --- Sturm chains, root counting, isolation ---------------------------------
 
 
@@ -522,12 +506,11 @@ def is_salem(p):
     if poly_gcd(p, p.derivative()).degree > 0:
         raise NotSalemError("reducible", str(p))
     r = trace_polynomial(p)
-    m = r.degree
-    total_real = count_real_roots(r)
-    if total_real != m:
+    chain = sturm_chain(r)
+    if count_real_roots(r, chain=chain) != r.degree:
         raise NotSalemError("wrong_root_pattern", "trace polynomial has non-real roots")
-    above_two = count_real_roots(r, 2, "inf")
-    below_minus_two = count_real_roots(r, "-inf", -2)
+    above_two = count_real_roots(r, 2, "inf", chain=chain)
+    below_minus_two = count_real_roots(r, "-inf", -2, chain=chain)
     if above_two != 1 or below_minus_two != 0:
         raise NotSalemError(
             "wrong_root_pattern",

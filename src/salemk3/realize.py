@@ -25,8 +25,8 @@ from .lattices import (
     GlueMap,
     Lattice,
     LatticeError,
+    _anti_map_at,
     discriminant_form,
-    find_anti_isometry,
     forms_isomorphic,
     glue,
     is_primitive_sublattice,
@@ -34,7 +34,6 @@ from .lattices import (
     lattice_E8,
     lattice_U,
     named_lattice,
-    odd_diagonalize_tracked,
     orthogonal_complement,
 )
 from .numbertheory import is_prime, legendre, sqrt_mod, valuation
@@ -318,26 +317,6 @@ def find_norm_element(s: IntPolynomial, ev: SplitPrimeEvidence, l_max=3, box=30)
     raise SearchCapExceeded("norm-element box exhausted")
 
 
-def _lift_square(c, x, rest, p, e):
-    """Hensel-lift a solution x of c x^2 = rest mod p to mod p^e (odd p, p not
-    dividing c x) by Newton steps x <- x - (c x^2 - rest) / (2 c x)."""
-    pk = p
-    for _ in range(e - 1):
-        pk *= p
-        num = (c * x * x - rest) % pk
-        x = (x - num * pow(2 * c * x, -1, pk)) % pk
-    return x
-
-
-def _sqrt_mod_prime_power(a, p, e):
-    """Square root of a unit modulo p^e (odd p), or None."""
-    a %= p**e
-    root = sqrt_mod(a % p, p)
-    if root is None or root == 0:
-        return None
-    return _lift_square(1, root, a, p, e)
-
-
 # --- seeds ----------------------------------------------------------------------
 
 
@@ -411,109 +390,14 @@ def validate_seed(seed: Seed):
 # --- glue-map construction --------------------------------------------------------
 
 
-def _represent_by_binary(c1, c2, target, p, e):
-    """(x, y) with c1 x^2 + c2 y^2 = target mod p^e; units c1, c2, target, p odd."""
-    pe = p**e
-    inv_c2 = pow(c2, -1, p)
-    for x0 in range(p):
-        rest = (target - c1 * x0 * x0) * inv_c2 % p
-        if rest == 0:
-            y0 = 0
-        else:
-            y0 = sqrt_mod(rest, p)
-            if y0 is None:
-                continue
-        if x0 % p == 0 and y0 % p == 0:
-            continue
-        x, y = x0, y0
-        # lift the coordinate that is a unit, the other one fixed
-        if x % p != 0:
-            x = _lift_square(c1, x, target - c2 * y * y, p, e)
-        else:
-            y = _lift_square(c2, y, target - c1 * x * x, p, e)
-        if (c1 * x * x + c2 * y * y - target) % pe == 0:
-            return x % pe, y % pe
-    raise AssertionError("binary odd unimodular form failed to represent a unit")
-
-
-def _odd_homogeneous_anti_map(part1, diag1, part2, diag2, p):
-    """Anti-isometry between homogeneous odd p-parts from diagonal data.
-
-    Both parts must have all generator orders equal to p^E. Returns the map
-    matrix over the parts' own generators (columns = images).
-    """
-    E = valuation(part1.orders[0], p)
-    pe = p**E
-    if any(o != pe for o in part1.orders) or any(o != pe for o in part2.orders):
-        raise LatticeError("constructive p-part matching needs homogeneous parts")
-    src = sorted(diag1)
-    avail = [(unit, coords) for (_, unit, coords) in sorted(diag2)]
-    images = []  # images of the source diagonal generators, over part2 gens
-    for (_, u, _) in src:
-        target_val = (-u) % pe
-        chosen = None
-        for j, (c, gcoords) in enumerate(avail):
-            ratio = target_val * pow(c, -1, pe) % pe
-            t = _sqrt_mod_prime_power(ratio, p, E)
-            if t is not None:
-                chosen = tuple(t * x % pe for x in gcoords)
-                del avail[j]
-                break
-        if chosen is None:
-            if len(avail) < 2:
-                raise LatticeError("p-part values cannot be matched")
-            (c1, g1), (c2, g2) = avail[0], avail[1]
-            x, y = _represent_by_binary(c1, c2, target_val, p, E)
-            chosen = tuple((x * a + y * b) % pe for a, b in zip(g1, g2))
-            # orthogonal complement of chosen inside span(g1, g2)
-            bcc = int(part2.b_of(chosen, chosen) * pe) % pe
-            inv = pow(bcc, -1, pe)
-            h = None
-            for g in (g1, g2):
-                c = int(part2.b_of(chosen, g) * pe) % pe
-                cand = tuple((a - c * inv * b) % pe for a, b in zip(g, chosen))
-                if part2.element_order(cand) == pe:
-                    bh = (part2.q_of(cand) / 2) % 1
-                    if bh.denominator == pe:
-                        h = (int(bh * pe) % pe, cand)
-                        break
-            if h is None:
-                raise AssertionError("binary block complement degenerated")
-            avail = [h] + avail[2:]
-        images.append(chosen)
-    if avail:
-        raise AssertionError("block matching left unused generators")
-    # express the part1 original generators through its diagonal generators
-    W = tuple(tuple(coords[i] for (_, _, coords) in src) for i in range(part1.ngens))
-    Winv = _invert_mod(W, pe)
-    k1 = part1.ngens
-    k2 = part2.ngens
-    out = []
-    for i in range(k2):
-        row = []
-        for j in range(k1):
-            row.append(
-                sum(Winv[t][j] * images[t][i] for t in range(len(src))) % pe
-            )
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _invert_mod(M, m):
-    """Inverse of a square integer matrix modulo m (determinant a unit):
-    the integral adjugate det(M) M^-1, times det(M)^-1 mod m."""
-    det = linalg.bareiss_det(M)
-    det_inv = pow(det % m, -1, m)
-    adj = linalg.mat_to_int(linalg.mat_scale(det, linalg.rat_inverse(M)))
-    return tuple(tuple(x * det_inv % m for x in row) for row in adj)
-
-
-def build_glue_map(q1, q2, small_bound=40000):
+def build_glue_map(q1, q2):
     """Anti-isometry q1 -> q2 assembled prime by prime.
 
-    Small p-parts go through backtracking; large odd homogeneous parts use
-    the constructive diagonal matching. The assembled map is validated by the
-    GlueMap constructor, so any failure surfaces loudly.
+    Odd p-parts are matched through their Jordan decomposition, the 2-part
+    by backtracking; either way the per-prime step also decides, so a pair
+    of forms that is not anti-isometric raises LatticeError. The assembled
+    map is validated by the GlueMap constructor, so any failure surfaces
+    loudly.
     """
     if q1.orders != q2.orders:
         raise LatticeError("discriminant groups are not isomorphic")
@@ -522,19 +406,9 @@ def build_glue_map(q1, q2, small_bound=40000):
     primes = q1.primes()
     per_prime = {}
     for p in primes:
-        part1 = q1.p_primary_part(p)
-        part2 = q2.p_primary_part(p)
-        if part1.order() <= small_bound:
-            mat = find_anti_isometry(part1, part2, max_order=small_bound)
-            if mat is None:
-                raise LatticeError(f"no anti-isometry at p = {p}")
-        elif p != 2:
-            _, diag1 = odd_diagonalize_tracked(q1, p)
-            _, diag2 = odd_diagonalize_tracked(q2, p)
-            mat = _odd_homogeneous_anti_map(part1, diag1, part2, diag2, p)
-        else:
-            raise LatticeError("2-primary part too large for glue construction")
-        per_prime[p] = mat
+        per_prime[p] = _anti_map_at(q1.p_primary_part(p), q2.p_primary_part(p), p)
+        if per_prime[p] is None:
+            raise LatticeError(f"no anti-isometry at p = {p}")
     # assemble on the original generators from their CRT components:
     # the p-component of g_j is u * h_j with h_j = (d_j / p^e) g_j and
     # u the inverse of that cofactor mod p^e
@@ -691,12 +565,8 @@ def build_k3_certificate(s: IntPolynomial, seed=None, stage_trace=None):
         raise RealizeError("stage retwist: complement determinant is off")
 
     # stage: glue along a constructed anti-isometry
-    qS2 = discriminant_form(S2)
-    qR2 = discriminant_form(R2)
-    if not forms_isomorphic(qS2, qR2, anti=True):
-        raise RealizeError("stage glue: twisted discriminant forms are not anti-isometric")
     try:
-        phi = build_glue_map(qS2, qR2)
+        phi = build_glue_map(discriminant_form(S2), discriminant_form(R2))
         L22, basis = glue(S2, R2, phi)
     except LatticeError as exc:
         raise RealizeError(f"stage glue: {exc}") from exc
@@ -903,27 +773,6 @@ def verify_certificate(cert: RealizationCertificate):
 
     ok = all(passed for _, passed, _ in items)
     return ok, tuple(items)
-
-
-def power_certificate(cert: RealizationCertificate, m: int):
-    """Certificate for the m-th power of the certified isometry."""
-    if m < 1:
-        raise RealizeError("power must be >= 1")
-    h = linalg.mat_pow(cert.isometry, m)
-    return RealizationCertificate(
-        surface=cert.surface,
-        projective=cert.projective,
-        salem=cert.salem,
-        power=cert.power * m,
-        salem_power_poly=power_min_poly(cert.salem, cert.power * m),
-        lattice=cert.lattice,
-        isometry=tuple(tuple(row) for row in h),
-        kernel_basis=cert.kernel_basis,
-        kernel_generator=cert.kernel_generator,
-        positivity=cert.positivity,
-        mod2_identity=cert.mod2_identity,
-        glue_evidence=cert.glue_evidence,
-    )
 
 
 # --- certificate serialization -----------------------------------------------------

@@ -10,11 +10,15 @@ instead of reciprocity, repeated multiplication instead of prime stripping
 cyclotomic kernels, a Fraction Sturm chain instead of the integer
 pseudo-remainder one, a companion-matrix power instead of traces of
 x^n mod s, the growth of <f^k z, z> instead of a projection onto the
-geodesic plane, and numpy roots of the squarefree part instead of the
-cyclotomic factor list.
+geodesic plane, numpy roots of the squarefree part instead of the
+cyclotomic factor list, a scan over every element of a discriminant group
+instead of Smith coordinates, and convolution powers of x^2 + 1 instead of
+the binomial peeling in trace_polynomial.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import numpy as np
 
@@ -200,14 +204,47 @@ def matrix_order_mod(A, m, cap=100000):
     raise ValueError("no power of the matrix reached the identity within the cap")
 
 
+def discriminant_action(L, form, F):
+    """Matrix (columns = images) of the action of the integral isometry F on
+    the generators of the discriminant form of L.
+
+    The image F g_j of a generator lift is a dual vector; its coordinates
+    are those of the one element sum_i c_i g_i of the group whose lift
+    differs from it by a vector of L. Every element is tried: c_1 is looked
+    up in a table of the multiples of g_1 for each choice of the others.
+    """
+    n, k = L.rank, form.ngens
+    den = lcm(*(x.denominator for v in form.lifts for x in v))
+    lifts = [[int(x * den) for x in v] for v in form.lifts]
+
+    def residues(coords, start):
+        """sum_i coords[i] g_(start + i), as den times its lift mod den."""
+        return tuple(
+            sum(c * lifts[start + i][r] for i, c in enumerate(coords)) % den for r in range(n)
+        )
+
+    first = {residues((c,), 0): c for c in range(form.orders[0])}
+    rest = [(coords, residues(coords, 1)) for coords in product(*map(range, form.orders[1:]))]
+    cols = []
+    for v in form.lifts:
+        image = [int(sum(F[r][c] * v[c] for c in range(n)) * den) for r in range(n)]
+        (col,) = [
+            (first[key],) + coords
+            for coords, b in rest
+            if (key := tuple((x - y) % den for x, y in zip(image, b))) in first
+        ]
+        cols.append(col)
+    return tuple(tuple(col[i] for col in cols) for i in range(k))
+
+
 def discriminant_order_by_iteration(L, f, cap=100000):
     """Order of the action of the integral isometry f on L^dual / L.
 
-    Takes the action matrix of lattices.discriminant_action (columns are the
+    Takes the action matrix of discriminant_action above (columns are the
     images of the Smith generators) and multiplies it by itself, reducing row
     i modulo the order of generator i, until it is the identity.
     """
-    from salemk3.lattices import discriminant_action, discriminant_form
+    from salemk3.lattices import discriminant_form
 
     q = discriminant_form(L)
     orders, k = q.orders, q.ngens
@@ -338,6 +375,19 @@ def fraction_sturm_count(coeffs, a="-inf", b="inf"):
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
     return variations(a) - variations(b)
+
+
+def expand_trace_polynomial(r):
+    """Coefficients (constant first) of x^m r(x + 1/x) for the coefficient
+    list r of degree m, with (x^2 + 1)^i built by repeated convolution."""
+    m = len(r) - 1
+    out = [0] * (2 * m + 1)
+    power = [1]  # (x^2 + 1)^i
+    for i, c in enumerate(r):
+        for j, a in enumerate(power):
+            out[m - i + j] += c * a
+        power = [a + b for a, b in zip(power + [0, 0], [0, 0] + power)]
+    return out
 
 
 def power_min_poly_by_companion(s_coeffs, n):

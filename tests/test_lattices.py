@@ -9,7 +9,6 @@ from salemk3.lattices import (
     GlueMap,
     Lattice,
     LatticeError,
-    discriminant_action,
     discriminant_form,
     enumerate_vectors_of_norm,
     find_anti_isometry,
@@ -24,12 +23,16 @@ from salemk3.lattices import (
     lattice_U,
     named_lattice,
     orthogonal_complement,
-    overlattice_from_isotropic,
     p_primary_part,
-    roots,
 )
 
-from oracles import brute_vectors_of_norm, descartes_signature, fraction_det, smith_diagonal
+from oracles import (
+    brute_vectors_of_norm,
+    descartes_signature,
+    discriminant_action,
+    fraction_det,
+    smith_diagonal,
+)
 
 U = lattice_U()
 E8 = lattice_E8()
@@ -158,26 +161,6 @@ def test_glue_rejects_bad_map():
         GlueMap(qM, qN, ((1,),))  # q values add, not negate
 
 
-def test_overlattice_from_isotropic():
-    M = Lattice([[-2, 0], [0, 2]])
-    qM = discriminant_form(M)
-    coords = qM.dual_coords((Fraction(1, 2), Fraction(1, 2)))
-    L, _ = overlattice_from_isotropic(M, [coords])
-    assert abs(L.determinant()) == 1 and L.is_even()
-    # trivial subgroup: the lattice itself
-    L0, _ = overlattice_from_isotropic(M, [])
-    assert L0.gram == M.gram
-
-
-def test_overlattice_rejects_non_isotropic():
-    M = Lattice([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
-    qM = discriminant_form(M)
-    coords = qM.dual_coords((Fraction(1, 2), Fraction(1, 2), 0, 0))
-    assert qM.q_of(coords) == 1
-    with pytest.raises(LatticeError):
-        overlattice_from_isotropic(M, [coords])
-
-
 def test_orthogonal_complement_examples():
     L = Lattice([[-2, 0], [0, 2]])
     comp, rows = orthogonal_complement(L, [(1, 0)])
@@ -225,14 +208,14 @@ def test_primitivity_check():
 
 
 def test_enumerate_norm_examples():
-    assert len(roots(E8)) == 240
-    assert roots(Lattice([[-2]])) == [(-1,), (1,)]
+    assert len(enumerate_vectors_of_norm(E8, -2)) == 240
+    assert enumerate_vectors_of_norm(Lattice([[-2]]), -2) == [(-1,), (1,)]
     assert enumerate_vectors_of_norm(Lattice([[22, 33], [33, 22]]), -2) == []
 
 
 def test_enumerate_matches_brute_oracle():
     A2neg = lattice_A2()
-    assert roots(A2neg) == brute_vectors_of_norm(A2neg.gram, -2, 2)
+    assert enumerate_vectors_of_norm(A2neg, -2) == brute_vectors_of_norm(A2neg.gram, -2, 2)
     D = Lattice([[2, 0, 1], [0, 4, 1], [1, 1, 6]])
     for m in (2, 4, 6):
         mine = enumerate_vectors_of_norm(D, m)
@@ -242,7 +225,7 @@ def test_enumerate_matches_brute_oracle():
 def test_e8_roots_match_standard_model_count():
     from oracles import count_e8_roots_standard_model
 
-    mine = roots(E8)
+    mine = enumerate_vectors_of_norm(E8, -2)
     assert len(mine) == count_e8_roots_standard_model() == 240
     assert all(E8.norm(v) == -2 for v in mine)
     assert all(tuple(-x for x in v) in set(mine) for v in mine)

@@ -17,7 +17,6 @@ from salemk3.polynomials import (
     cyclotomic,
     discriminant,
     divides,
-    expand_trace_polynomial,
     is_cyclotomic_product,
     is_salem,
     isolate_real_roots,
@@ -34,6 +33,7 @@ from salemk3 import linalg
 from salemk3.numberfield import RealAlgebraicField
 
 from oracles import (
+    expand_trace_polynomial,
     fraction_sturm_count,
     numpy_salem_profile,
     power_min_poly_by_companion,
@@ -99,7 +99,7 @@ def test_trace_polynomial_examples():
     assert trace_polynomial(QUAD).coeffs == (-3, 1)
     r10 = trace_polynomial(LEHMER_P)
     assert r10.degree == 5
-    assert expand_trace_polynomial(r10).coeffs == LEHMER_P.coeffs
+    assert expand_trace_polynomial(r10.coeffs) == list(LEHMER_P.coeffs)
 
 
 def test_trace_polynomial_roundtrip_random():
@@ -107,7 +107,7 @@ def test_trace_polynomial_roundtrip_random():
     for _ in range(20):
         m = rng.randint(1, 5)
         r = P([rng.randint(-4, 4) for _ in range(m)] + [1])
-        p = expand_trace_polynomial(r)
+        p = P(expand_trace_polynomial(r.coeffs))
         assert trace_polynomial(p).coeffs == r.coeffs
 
 

@@ -46,8 +46,8 @@ def test_cyclic_roots_a2_rotation():
     assert all(A2.norm(r) == -2 for r in found)
     # orbit sums vanish: 1 + f + f^2 = 0
     for r in found:
-        total = linalg.vec_add(linalg.vec_add(r, rot.apply(r)), rot.apply(rot.apply(r)))
-        assert all(x == 0 for x in total)
+        r1 = rot.apply(r)
+        assert all(a + b + c == 0 for a, b, c in zip(r, r1, rot.apply(r1)))
 
 
 def test_cyclic_roots_identity_empty():

@@ -1,8 +1,10 @@
-"""Every module-level private helper in ``src/salemk3`` has a caller in ``src/``.
+"""Every module-level helper in ``src/salemk3`` that is not exported has a
+caller in ``src/``.
 
 A ``_name`` function or class defined at module level is private to the
-package, so a helper that nothing in ``src/`` refers to (outside its own
-body) is dead code, whatever the tests do with it.
+package, and so is a public one that ``salemk3.__all__`` does not export.
+Either kind that nothing in ``src/`` refers to (outside its own body) is
+dead code, whatever the tests do with it.
 """
 
 import ast
@@ -23,16 +25,29 @@ def _references(tree):
                 yield alias.name, node.lineno
 
 
-def unreferenced_private_helpers(src=SRC):
+def _exported(modules):
+    """The names listed in ``__all__`` of the package's ``__init__.py``."""
+    for node in modules.get("__init__.py", ast.Module(body=[])).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _unreferenced(src, wanted):
+    """Module-level functions and classes whose name passes ``wanted(name,
+    exported)`` and that nothing in ``src`` refers to outside their own body."""
     modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
     refs = {name: list(_references(tree)) for name, tree in modules.items()}
+    exported = _exported(modules)
     unused = []
     for module, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if not name.startswith("_") or name.startswith("__"):
+            if name.startswith("__") or not wanted(name, exported):
                 continue
             used = any(
                 ref == name and (other != module or not node.lineno <= line <= node.end_lineno)
@@ -44,8 +59,22 @@ def unreferenced_private_helpers(src=SRC):
     return unused
 
 
+def unreferenced_private_helpers(src=SRC):
+    return _unreferenced(src, lambda name, exported: name.startswith("_"))
+
+
+def unreferenced_unexported_names(src=SRC):
+    return _unreferenced(
+        src, lambda name, exported: not name.startswith("_") and name not in exported
+    )
+
+
 def test_every_private_helper_is_referenced_in_src():
     assert unreferenced_private_helpers() == []
+
+
+def test_every_unexported_public_name_is_referenced_in_src():
+    assert unreferenced_unexported_names() == []
 
 
 def test_an_unreferenced_helper_is_reported(tmp_path):
@@ -57,3 +86,17 @@ def test_an_unreferenced_helper_is_reported(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import public\n", encoding="utf-8")
     assert unreferenced_private_helpers(tmp_path) == ["a.py:5 _dead"]
+
+
+def test_an_unreferenced_unexported_name_is_reported(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .a import exported\n\n__all__ = [\"exported\"]\n", encoding="utf-8"
+    )
+    (tmp_path / "a.py").write_text(
+        "def exported():\n    return helper()\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def dead(n):\n    return dead(n - 1) if n else 0\n\n\n"
+        "class Unused:\n    pass\n",
+        encoding="utf-8",
+    )
+    assert unreferenced_unexported_names(tmp_path) == ["a.py:9 dead", "a.py:13 Unused"]

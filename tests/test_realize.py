@@ -1,16 +1,26 @@
+import dataclasses
 import json
+import random
 import re
+from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 
 from salemk3 import linalg
 from salemk3.isometries import Isometry, TwistElement
 from salemk3.lattices import (
+    FiniteQuadraticForm,
     GlueMap,
     Lattice,
+    LatticeError,
     discriminant_form,
     find_anti_isometry,
+    find_form_isometry,
+    forms_isomorphic,
     glue,
+    glue_map_problems,
+    hyperbolic_p_form,
 )
 from salemk3.polynomials import IntPolynomial, companion_matrix, discriminant, power_min_poly
 from salemk3.realize import (
@@ -26,7 +36,6 @@ from salemk3.realize import (
     find_split_prime,
     mod2_trivial,
     pipeline_split_prime,
-    power_certificate,
     rational_isometry_criterion,
     seed_for,
     stable_realizable,
@@ -255,13 +264,17 @@ def test_certificate_glue_identities(k3_certificate):
         linalg.mat_mul(cert.lattice.gram, linalg.transpose(cert.kernel_basis))
     )
     comp = cert.lattice.sublattice(comp_rows)
-    from salemk3.lattices import forms_isomorphic
-
     assert forms_isomorphic(q_k, discriminant_form(comp), anti=True)
 
 
 def test_certificate_powering_invariant(k3_certificate):
-    cert2 = power_certificate(k3_certificate, 2)
+    cert = k3_certificate
+    cert2 = dataclasses.replace(
+        cert,
+        power=2 * cert.power,
+        salem_power_poly=power_min_poly(cert.salem, 2 * cert.power),
+        isometry=linalg.mat_pow(cert.isometry, 2),
+    )
     ok, items = verify_certificate(cert2)
     assert ok, items
 
@@ -485,10 +498,6 @@ def test_build_glue_map_binary_branch():
     # target values force the two-generator representation step: with
     # beta_1 = <1/5, 1/5> and beta_2 = <2/5, 2/5>, the ratio -1/2 = 2 mod 5
     # is a non-residue, so no single generator can be scaled into place
-    from fractions import Fraction
-
-    from salemk3.lattices import FiniteQuadraticForm
-
     q1 = FiniteQuadraticForm(
         (5, 5),
         (Fraction(2, 5), Fraction(2, 5)),
@@ -499,11 +508,91 @@ def test_build_glue_map_binary_branch():
         (Fraction(4, 5), Fraction(4, 5)),
         ((Fraction(4, 5), 0), (0, Fraction(4, 5))),
     )
-    from salemk3.lattices import forms_isomorphic
-
     assert forms_isomorphic(q1, q2, anti=True)
-    phi = build_glue_map(q1, q2, small_bound=10)  # force the constructive path
+    phi = build_glue_map(q1, q2)
     assert phi.source.orders == (5, 5)
+
+
+def _random_odd_parts(rng, count):
+    """Odd p-parts of order at most 2000 of the discriminant forms of random
+    even lattices (direct sums of two blocks of rank 1 or 2, which gives
+    mixed scales), grouped by (p, generator orders)."""
+    classes = defaultdict(list)
+    while sum(len(parts) for parts in classes.values()) < count:
+        blocks = []
+        for n in (rng.choice((1, 2)), rng.choice((1, 2))):
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                g[i][i] = 2 * rng.randint(-9, 9)
+                for j in range(i + 1, n):
+                    g[i][j] = g[j][i] = rng.randint(-9, 9)
+            blocks.append(g)
+        try:
+            L = Lattice(blocks[0]).direct_sum(Lattice(blocks[1]))
+        except LatticeError:
+            continue
+        q = discriminant_form(L)
+        for p in q.primes():
+            part = q.p_primary_part(p)
+            if p != 2 and part.order() <= 2000:
+                classes[(p, part.orders)].append(part)
+    return classes
+
+
+def test_odd_part_decisions_match_backtracking():
+    classes = _random_odd_parts(random.Random(11), 200)
+    mixed = {key for key in classes if len(set(key[1])) > 1}
+    assert {(3, (3, 9)), (5, (5, 25))} <= mixed
+    decided = glued = 0
+    for parts in classes.values():
+        for a in parts[:4]:
+            for b in parts[:4]:
+                assert forms_isomorphic(a, b) == (find_form_isometry(a, b) is not None)
+                anti = forms_isomorphic(a, b, anti=True)
+                assert anti == (find_anti_isometry(a, b) is not None)
+                decided += 2
+                if anti:
+                    phi = build_glue_map(a, b)
+                    assert glue_map_problems(a, b, phi.matrix) == []
+                    glued += 1
+                else:
+                    with pytest.raises(LatticeError):
+                        build_glue_map(a, b)
+    assert decided > 500 and glued > 100
+
+
+def _mixed_17_part(units, mix):
+    """Order-83,521 form on (Z/17)^2 + Z/289 with beta-values units[i] / order
+    on a diagonal basis d_1, d_2, d_3; with mix the generators are d_1, d_2
+    and d_3 + d_1, so the presentation is not diagonal."""
+    orders = (17, 17, 289)
+    q = [Fraction(2 * u, d) for u, d in zip(units, orders)]
+    diag = FiniteQuadraticForm(orders, q, [[q[i] if i == j else 0 for j in range(3)] for i in range(3)])
+    last = (1, 0, 1) if mix else (0, 0, 1)
+    return diag.subform([((1, 0, 0), 17), ((0, 1, 0), 17), (last, 289)])
+
+
+def test_build_glue_map_mixed_scales_beyond_backtracking():
+    # 3 is a non-residue mod 17, so the scale-17 block needs the binary step
+    q1 = _mixed_17_part((1, 1, 1), mix=True)
+    q2 = _mixed_17_part((-3, -3, -1), mix=False)
+    assert q1.order() == 83521 > 40000
+    assert forms_isomorphic(q1, q2, anti=True)
+    phi = build_glue_map(q1, q2)
+    assert glue_map_problems(q1, q2, phi.matrix) == []
+    # the twin differs in the determinant class of the scale-289 block
+    twin = _mixed_17_part((-3, -3, -3), mix=False)
+    assert not forms_isomorphic(q1, twin, anti=True)
+    with pytest.raises(LatticeError, match="no anti-isometry at p = 17"):
+        build_glue_map(q1, twin)
+
+
+def test_large_two_part_is_refused_by_name():
+    h = hyperbolic_p_form(2, 8)
+    with pytest.raises(LatticeError, match="2-primary part of order 65536"):
+        forms_isomorphic(h, h)
+    with pytest.raises(LatticeError, match="2-primary part of order 65536"):
+        build_glue_map(h, h)
 
 
 def test_build_glue_map_large_p_part(k3_certificate):
