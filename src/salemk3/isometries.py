@@ -342,20 +342,15 @@ def search_even_invariant_lattice(F, signature=None, determinant=None, box=10):
     """Even nondegenerate invariant lattice from small combinations of the basis.
 
     Deterministically scans integer coefficient vectors of sup-norm up to
-    ``box`` and returns the first match; raises IsometryError when the box
-    is exhausted.
+    ``box``, shell by shell, and returns the first match; raises
+    IsometryError naming the radius when the box is exhausted.
     """
     basis = invariant_symmetric_forms(F)
     if not basis:
         raise IsometryError("no invariant symmetric forms")
     n = len(F)
-    from itertools import product
-
-    dim = len(basis)
     for radius in range(1, box + 1):
-        for coeffs in sorted(product(range(-radius, radius + 1), repeat=dim)):
-            if max((abs(c) for c in coeffs), default=0) != radius:
-                continue
+        for coeffs in linalg.box_shell(len(basis), radius):
             G = linalg.zeros(n, n)
             for c, B in zip(coeffs, basis):
                 if c:
@@ -370,7 +365,7 @@ def search_even_invariant_lattice(F, signature=None, determinant=None, box=10):
             if determinant is not None and cand.determinant() != determinant:
                 continue
             return cand
-    raise IsometryError("no even invariant lattice found within the search box")
+    raise IsometryError(f"no even invariant lattice found up to radius {box}")
 
 
 # --- twist by a split prime ----------------------------------------------------

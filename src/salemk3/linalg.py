@@ -6,6 +6,7 @@ Basis matrices for sublattices keep the basis vectors as rows.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import isqrt, lcm
 
 
@@ -445,6 +446,21 @@ def _floor_plus_sqrt(S, F):
 def _ceil_minus_sqrt(S, F):
     """Smallest integer h with h >= S - sqrt(F)."""
     return -_floor_plus_sqrt(-S, F)
+
+
+def box_shell(dim, radius):
+    """The integer vectors of length ``dim`` and sup-norm exactly ``radius``,
+    as tuples in lexicographic order, generated lazily."""
+    if dim == 0:
+        if radius == 0:
+            yield ()
+        return
+    full = range(-radius, radius + 1)
+    for c in full:
+        # a coordinate at +-radius frees the rest; otherwise the rest carries it
+        rest = product(full, repeat=dim - 1) if abs(c) == radius else box_shell(dim - 1, radius)
+        for tail in rest:
+            yield (c,) + tail
 
 
 def qf_enumerate(G, bound):

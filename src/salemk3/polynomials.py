@@ -643,3 +643,36 @@ def cyclotomic_factors(p, exclude_x_minus_one=False):
         if divides(cyc, p):
             out.append((n, cyc))
     return out
+
+
+# --- polynomials mod p ---------------------------------------------------------
+# Coefficient lists, constant term first, over the integers mod a prime p.
+
+
+def polyval_mod(coeffs, x, p):
+    """The polynomial with the given coefficients evaluated at x, mod p."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def poly_gcd_mod(f, g, p):
+    """A gcd of f and g mod the prime p, as a list without leading zeros: its
+    length is the degree plus one, and it is empty when f = g = 0 mod p."""
+
+    def reduced(h):
+        h = [c % p for c in h]
+        while h and h[-1] == 0:
+            h.pop()
+        return h
+
+    f, g = reduced(f), reduced(g)
+    while g:
+        inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            factor = f[-1] * inv % p
+            shift = len(f) - len(g)
+            f = reduced(f[:shift] + [a - factor * c for a, c in zip(f[shift:], g)])
+        f, g = g, f
+    return f

@@ -42,6 +42,8 @@ from .polynomials import (
     NotSalemError,
     discriminant,
     is_salem,
+    poly_gcd_mod,
+    polyval_mod,
     power_min_poly,
     square_class_test,
     trace_polynomial,
@@ -65,19 +67,14 @@ class SurfaceClass:
     kind: str
     b2: int
     h11: int
-    lattice_name: str
-
-    def lattice(self):
-        return named_lattice(self.lattice_name)
 
 
 # b2 is the second Betti number of the class, h11 the standard middle Hodge
-# number (4 / 20 / 10 for torus / K3 / Enriques); the lattice is the second
-# cohomology modulo torsion
+# number (4 / 20 / 10 for torus / K3 / Enriques)
 SURFACE_CLASSES = {
-    "torus": SurfaceClass("torus", 6, 4, "3U"),
-    "k3": SurfaceClass("k3", 22, 20, "3U+2E8"),
-    "enriques": SurfaceClass("enriques", 10, 10, "U+E8"),
+    "torus": SurfaceClass("torus", 6, 4),
+    "k3": SurfaceClass("k3", 22, 20),
+    "enriques": SurfaceClass("enriques", 10, 10),
 }
 
 
@@ -100,7 +97,7 @@ def stable_realizable(s: IntPolynomial, kind, projective=False):
     Yes iff d < b2, or d = b2 and -s(1)s(-1) is a rational square; the
     projective refinement additionally needs d <= h^{1,1}.
     """
-    K = surface_class(kind) if isinstance(kind, str) else kind
+    K = surface_class(kind)
     is_salem(s)
     d = s.degree
     if d > K.b2:
@@ -177,95 +174,49 @@ class SplitPrimeEvidence:
     modulus: int  # the congruence 8 |det R| that p satisfies (1 when relaxed)
 
 
-def _poly_mod_p(poly: IntPolynomial, p):
-    return [c % p for c in poly.coeffs]
+SPLIT_PRIME_CAP = 2_000_000  # the last prime find_split_prime tries
+PIPELINE_PRIME_CAP = 100_000  # the last prime pipeline_split_prime tries
+PIPELINE_ORDER_CAP = 400_000  # the largest best order mod p^2 that ends it after 6 hits
 
 
-def _polyval_mod(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _poly_gcd_mod_p(f, g, p):
-    f = [c % p for c in f]
-    g = [c % p for c in g]
-
-    def trim(h):
-        while h and h[-1] == 0:
-            h.pop()
-        return h
-
-    f, g = trim(f), trim(g)
-    while g:
-        inv = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            factor = f[-1] * inv % p
-            shift = len(f) - len(g)
-            for i, c in enumerate(g):
-                f[shift + i] = (f[shift + i] - factor * c) % p
-            trim(f)
-            if not f:
-                break
-        f, g = g, f
-    return f
-
-
-def _synthetic_quotient_mod(coeffs, root, p):
-    """(f / (y - root)) mod p for a root of f mod p."""
-    out = []
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * root + c) % p
-        out.append(acc)
-    remainder = out.pop()
-    if remainder % p:
-        raise ArithmeticError("not a root")
-    return list(reversed(out))
-
-
-def _split_roots(r: IntPolynomial, p):
-    """(a, w) for each simple root a of r mod p, in ascending order, such that
-    a^2 - 4 is a nonzero square mod p; w is a square root of a^2 - 4 mod p."""
-    rm = _poly_mod_p(r, p)
-    rderiv = _poly_mod_p(r.derivative(), p)
-    for a in range(p):
-        if _polyval_mod(rm, a, p) != 0 or _polyval_mod(rderiv, a, p) == 0:
+def _split_primes(r: IntPolynomial, first, step, exclude, cap):
+    """(p, roots) for each prime p = first, first + step, ... up to ``cap``
+    that divides neither ``exclude`` nor disc r, where roots, ascending and
+    not empty, lists (a, w) for each root a of r mod p (simple, as p does not
+    divide disc r) with a^2 - 4 a nonzero square mod p, and w its square root."""
+    disc_r = discriminant(r) if r.degree >= 1 else 1
+    for p in range(first, cap + 1, step):
+        if not is_prime(p) or exclude % p == 0 or disc_r % p == 0:
             continue
-        d = (a * a - 4) % p
-        if d == 0 or legendre(d, p) != 1:
-            continue
-        yield a, sqrt_mod(d, p)
+        roots = [
+            (a, sqrt_mod(a * a - 4, p))
+            for a in range(p)
+            if polyval_mod(r.coeffs, a, p) == 0 and legendre(a * a - 4, p) == 1
+        ]
+        if roots:
+            yield p, roots
 
 
-def find_split_prime(s: IntPolynomial, det_R, lower_bound=None, cap=2_000_000):
+def find_split_prime(s: IntPolynomial, det_R, lower_bound=None):
     """Smallest prime p = 1 mod 8|det_R| above the bound that is split for s.
 
     Split means: the trace polynomial has a simple root a mod p and
     x^2 - a x + 1 splits mod p (Legendre symbol of a^2 - 4 equals +1);
     primes dividing 2 disc(s) or disc(r) are skipped. Evidence carries the
-    root and the square root of a^2 - 4.
+    root and the square root of a^2 - 4. Primes up to SPLIT_PRIME_CAP are
+    tried.
     """
     if det_R == 0:
         raise RealizeError("det_R must be nonzero")
     is_salem(s)
     r = trace_polynomial(s)
-    disc_s = discriminant(s)
-    disc_r = discriminant(r) if r.degree >= 1 else 1
     modulus = 8 * abs(det_R)
-    start = max(2, (lower_bound if lower_bound is not None else 2))
-    p = 1 + modulus * ((start - 1) // modulus)
-    while True:
-        p += modulus
-        if p > cap:
-            raise SearchCapExceeded(f"no split prime found below {cap}")
-        if p <= start or not is_prime(p):
-            continue
-        if (2 * disc_s) % p == 0 or disc_r % p == 0:
-            continue
-        for a, w in _split_roots(r, p):
-            return SplitPrimeEvidence(p, a, w, modulus)
+    start = max(2, lower_bound or 2)
+    first = 1 + modulus * ((start - 1) // modulus + 1)  # least p = 1 mod modulus above start
+    for p, roots in _split_primes(r, first, modulus, 2 * discriminant(s), SPLIT_PRIME_CAP):
+        a, w = roots[0]
+        return SplitPrimeEvidence(p, a, w, modulus)
+    raise SearchCapExceeded(f"no split prime p = 1 mod {modulus} in ({start}, {SPLIT_PRIME_CAP:,}]")
 
 
 def check_split_prime(s: IntPolynomial, ev: SplitPrimeEvidence):
@@ -274,47 +225,45 @@ def check_split_prime(s: IntPolynomial, ev: SplitPrimeEvidence):
     if (w * w - (a * a - 4)) % p != 0:
         return False
     b = (a + w) * pow(2, -1, p) % p
-    return _polyval_mod(_poly_mod_p(s, p), b, p) == 0
+    return polyval_mod(s.coeffs, b, p) == 0
 
 
 def find_norm_element(s: IntPolynomial, ev: SplitPrimeEvidence, l_max=3, box=30):
     """Generator t of a power of the chosen degree-one split prime.
 
     Scans integer polynomials t(w) of degree < deg r with coefficients up to
-    ``box`` for |Norm(t)| = p^l, t(a) = 0 mod p, and no vanishing at the
-    other primes above p. Deterministic order; raises when the box is
-    exhausted (a class-group obstruction would need a larger box or l_max).
+    ``box``, shell by shell, for |Norm(t)| = p^l, t(a) = 0 mod p, and no
+    vanishing at the other primes above p. Deterministic order; raises
+    RealizeError when a is not a simple root of r mod p, and
+    SearchCapExceeded when the box is exhausted (a class-group obstruction
+    would need a larger box or l_max).
     """
     r = trace_polynomial(s)
     m = r.degree
     p, a = ev.p, ev.trace_root
+    if polyval_mod(r.coeffs, a, p) != 0 or polyval_mod(r.derivative().coeffs, a, p) == 0:
+        raise RealizeError(f"trace_root {a} is not a simple root of the trace polynomial mod {p}")
     if m == 1:
         return TwistElement(IntPolynomial([p])), 1
-    rm = _poly_mod_p(r, p)
-    cofactor = _synthetic_quotient_mod(rm, a, p)
-    from itertools import product
-
     powers = {p**l: l for l in range(1, l_max + 1)}
     for radius in range(1, box + 1):
-        for coeffs in sorted(product(range(-radius, radius + 1), repeat=m)):
-            if max(abs(c) for c in coeffs) != radius:
-                continue
+        for coeffs in linalg.box_shell(m, radius):
             # t(a) = 0 mod p first: it rejects all but ~1/p of the box
             # before the resultant norm is computed
-            if _polyval_mod(coeffs, a, p) != 0:
+            if polyval_mod(coeffs, a, p) != 0:
                 continue
-            tp = IntPolynomial(coeffs)
-            if tp.is_zero():
-                continue
-            t = TwistElement(tp)
+            t = TwistElement(IntPolynomial(coeffs))
             norm = abs(t.norm_against(r))
             if norm not in powers:
                 continue
-            g = _poly_gcd_mod_p(_poly_mod_p(tp, p), cofactor, p)
-            if len(g) > 1:
+            # a is a simple root of r mod p and t(a) = 0, so t lies in no
+            # other prime above p exactly when gcd(t, r) mod p is y - a
+            if len(poly_gcd_mod(coeffs, r.coeffs, p)) != 2:
                 continue
             return t, powers[norm]
-    raise SearchCapExceeded("norm-element box exhausted")
+    raise SearchCapExceeded(
+        f"no norm element with |N(t)| = p^l, p = {p}, l <= {l_max} up to radius {box}"
+    )
 
 
 # --- seeds ----------------------------------------------------------------------
@@ -473,32 +422,27 @@ class RealizationCertificate:
     glue_evidence: object = None  # dict from the construction pipeline
 
 
-def pipeline_split_prime(s: IntPolynomial, exclude, cap=100000, order_cap=400000):
+def pipeline_split_prime(s: IntPolynomial, exclude):
     """Split prime for the certificate pipeline, keeping the powering small.
 
-    Scans split primes coprime to ``exclude``, estimating the order of the
-    induced discriminant action (the order of the Salem root mod p^2), and
-    returns the evidence minimizing that order among the first few hits.
+    Scans split primes up to PIPELINE_PRIME_CAP coprime to ``exclude``,
+    estimating the order of the induced discriminant action (the order of
+    the Salem root mod p^2), and returns the evidence minimizing that order
+    among the first few hits.
     """
-    r = trace_polynomial(s)
-    disc_r = discriminant(r) if r.degree >= 1 else 1
     best = None
     found = 0
-    p = 2
-    while p < cap:
-        p += 1
-        if not is_prime(p) or exclude % p == 0 or disc_r % p == 0:
-            continue
-        for a, w in _split_roots(r, p):
+    for p, roots in _split_primes(trace_polynomial(s), 3, 1, exclude, PIPELINE_PRIME_CAP):
+        for a, w in roots:
             b = (a + w) * pow(2, -1, p) % p
             o2 = _matrix_order_mod(((b,),), p * p)
             if best is None or o2 < best[0]:
                 best = (o2, SplitPrimeEvidence(p, a, w, 1))
-            found += 1
-        if found >= 6 and best is not None and best[0] <= order_cap:
+        found += len(roots)
+        if found >= 6 and best[0] <= PIPELINE_ORDER_CAP:
             return best[1]
     if best is None:
-        raise SearchCapExceeded("no pipeline split prime found")
+        raise SearchCapExceeded(f"no pipeline split prime up to {PIPELINE_PRIME_CAP:,}")
     return best[1]
 
 

@@ -12,13 +12,16 @@ pseudo-remainder one, a companion-matrix power instead of traces of
 x^n mod s, the growth of <f^k z, z> instead of a projection onto the
 geodesic plane, numpy roots of the squarefree part instead of the
 cyclotomic factor list, a scan over every element of a discriminant group
-instead of Smith coordinates, and convolution powers of x^2 + 1 instead of
-the binomial peeling in trace_polynomial.
+instead of Smith coordinates, convolution powers of x^2 + 1 instead of
+the binomial peeling in trace_polynomial, the roots of s mod p instead of
+the roots of its trace polynomial (for split primes), and a Sylvester
+resultant against the cofactor r / (y - a) instead of a gcd with r (for the
+other primes above p).
 """
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -289,6 +292,43 @@ def euler_legendre(a, p):
         return 0
     v = pow(a, (p - 1) // 2, p)
     return 1 if v == 1 else -1
+
+
+def first_split_prime(s_coeffs, modulus, lower):
+    """(p, a) for the least prime p = 1 mod ``modulus`` above ``lower``, prime
+    to 2 disc(s), at which s has a root b mod p; a is the least b + 1/b mod p.
+
+    Such a p is split in the sense of ``find_split_prime``: disc(s) =
+    +-r(2) r(-2) disc(r)^2 for the trace polynomial r, so r has only simple
+    roots mod p, none of them +-2, and a = b + 1/b is a root of r with
+    a^2 - 4 = (b - 1/b)^2 a nonzero square. Primality by trial division.
+    """
+    s = list(s_coeffs)
+    deriv = [i * c for i, c in enumerate(s)][1:]
+    disc = 2 * sylvester_resultant(s, deriv)  # +-disc(s), s monic
+    p = lower + 1
+    while True:
+        if p % modulus == 1 and p > 1 and all(p % q for q in range(2, isqrt(p) + 1)) and disc % p:
+            roots = [b for b in range(1, p) if sum(c * b**i for i, c in enumerate(s)) % p == 0]
+            if roots:
+                return p, min((b + pow(b, -1, p)) % p for b in roots)
+        p += 1
+
+
+def outside_other_primes_by_cofactor(t_coeffs, r_coeffs, a, p):
+    """True iff t(w) lies in no prime above p other than (p, w - a), for a
+    simple root a of the monic trace polynomial r mod p: the cofactor
+    r / (y - a) mod p, by synthetic division, and t share no root mod p,
+    that is their Sylvester resultant is prime to p (the cofactor is monic).
+    """
+    quotient, acc = [], 0
+    for c in reversed(r_coeffs):
+        acc = (acc * a + c) % p
+        quotient.append(acc)
+    if quotient.pop():
+        raise ValueError("a is not a root of r mod p")
+    cofactor = quotient[::-1]
+    return sylvester_resultant([c % p for c in t_coeffs], cofactor) % p != 0
 
 
 def numpy_salem_profile(coeffs, tol=1e-8):

@@ -298,7 +298,7 @@ def test_search_even_invariant_lattice():
     found = search_even_invariant_lattice(companion_matrix(S4), signature=(1, 3), determinant=-3)
     assert found.is_even() and found.signature() == (1, 3) and found.determinant() == -3
     assert is_isometry(found, companion_matrix(S4))
-    with pytest.raises(IsometryError):
+    with pytest.raises(IsometryError, match="up to radius 2$"):
         search_even_invariant_lattice(companion_matrix(S4), signature=(4, 0), box=2)
 
 

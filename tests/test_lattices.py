@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -229,6 +230,15 @@ def test_e8_roots_match_standard_model_count():
     assert len(mine) == count_e8_roots_standard_model() == 240
     assert all(E8.norm(v) == -2 for v in mine)
     assert all(tuple(-x for x in v) in set(mine) for v in mine)
+
+
+def test_box_shell_is_the_sorted_filtered_box():
+    for dim in range(1, 5):
+        for radius in range(1, 4):
+            shell = list(linalg.box_shell(dim, radius))
+            box = sorted(product(range(-radius, radius + 1), repeat=dim))
+            assert shell == [v for v in box if max(map(abs, v)) == radius]
+            assert len(shell) == (2 * radius + 1) ** dim - (2 * radius - 1) ** dim
 
 
 def test_enumerate_rejects_indefinite_without_divisibility():

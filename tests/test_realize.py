@@ -22,11 +22,21 @@ from salemk3.lattices import (
     glue_map_problems,
     hyperbolic_p_form,
 )
-from salemk3.polynomials import IntPolynomial, companion_matrix, discriminant, power_min_poly
+from salemk3.linalg import box_shell
+from salemk3.polynomials import (
+    IntPolynomial,
+    companion_matrix,
+    discriminant,
+    poly_gcd_mod,
+    polyval_mod,
+    power_min_poly,
+    trace_polynomial,
+)
 from salemk3.realize import (
     RealizationCertificate,
     RealizeError,
     SearchCapExceeded,
+    SplitPrimeEvidence,
     build_k3_certificate,
     build_glue_map,
     certificate_from_json,
@@ -44,7 +54,11 @@ from salemk3.realize import (
     verify_certificate,
 )
 
-from oracles import discriminant_order_by_iteration
+from oracles import (
+    discriminant_order_by_iteration,
+    first_split_prime,
+    outside_other_primes_by_cofactor,
+)
 from salem_corpus import LEHMER, all_entries
 
 P = IntPolynomial
@@ -115,18 +129,18 @@ def test_find_split_prime_spec_example():
 
 
 def test_find_split_prime_mod_24():
-    ev = find_split_prime(QUAD, 3, lower_bound=5)
-    assert ev.p % 24 == 1
-    assert check_split_prime(QUAD, ev)
-    # brute reference: first prime = 1 mod 24 with legendre(5, p) = 1
-    from salemk3.numbertheory import is_prime, legendre
-
-    p = 25
-    while True:
-        if is_prime(p) and p > 5 and legendre(5, p) == 1:
-            break
-        p += 24
-    assert ev.p == p
+    cases = [(QUAD, 3, 5)] + [
+        (P(list(coeffs)), det_R, lower)
+        for degree, coeffs, _ in all_entries()
+        if degree <= 12
+        for det_R in (1, 3)
+        for lower in (2, 100)
+    ]
+    for s, det_R, lower in cases:
+        ev = find_split_prime(s, det_R, lower_bound=lower)
+        assert ev.modulus == 8 * det_R and ev.p % ev.modulus == 1
+        assert (ev.p, ev.trace_root) == first_split_prime(s.coeffs, 8 * det_R, lower)
+        assert check_split_prime(s, ev)
 
 
 def test_find_split_prime_quadratic_trace_field():
@@ -223,8 +237,43 @@ def test_find_norm_element_cubic_trace_field():
 
 def test_find_norm_element_box_exhaustion():
     ev = find_split_prime(S4, 1, lower_bound=2)
-    with pytest.raises(SearchCapExceeded):
+    with pytest.raises(SearchCapExceeded, match=r"p = 17, l <= 1 up to radius 1$"):
         find_norm_element(S4, ev, l_max=1, box=1)
+
+
+@pytest.mark.parametrize(
+    "ev",
+    [
+        SplitPrimeEvidence(17, 6, 2, 8),  # r = y^2 - y - 3 has the roots 5 and 13 mod 17
+        SplitPrimeEvidence(13, 7, 6, 1),  # r = (y - 7)^2 mod 13, since disc r = 13
+    ],
+    ids=["not-a-root", "double-root"],
+)
+def test_find_norm_element_rejects_evidence_without_a_simple_root(ev):
+    with pytest.raises(RealizeError, match=f"^trace_root {ev.trace_root} is not a simple root"):
+        find_norm_element(S4, ev)
+
+
+def test_other_primes_criterion_matches_the_cofactor_oracle():
+    # t(a) = 0 mod p, a simple: t lies in no other prime above p exactly
+    # when gcd(t, r) mod p has degree 1. Almost every small t is outside the
+    # other primes, so (y - a)(y - b), which lies in the prime above each
+    # other root b of r, is checked too.
+    outcomes = set()
+    for degree, coeffs, _ in all_entries():
+        if degree <= 12:
+            r = trace_polynomial(P(list(coeffs))).coeffs
+            ev = find_split_prime(P(list(coeffs)), 1, lower_bound=2)
+            p, a = ev.p, ev.trace_root
+            small = [t for radius in range(3) for t in box_shell(len(r) - 1, radius)]
+            others = [b for b in range(p) if b != a and polyval_mod(r, b, p) == 0]
+            products = [(a * b % p, (-a - b) % p, 1) for b in others]
+            for t in small + products:
+                if polyval_mod(t, a, p) == 0:
+                    expected = outside_other_primes_by_cofactor(t, r, a, p)
+                    assert (len(poly_gcd_mod(t, r, p)) == 2) == expected, (coeffs, t)
+                    outcomes.add(expected)
+    assert outcomes == {False, True}
 
 
 # --- certificates -----------------------------------------------------------
