@@ -424,30 +424,6 @@ def ldl(G):
     return tuple(d), tuple(tuple(row) for row in mu)
 
 
-def _floor_sqrt_frac(F):
-    """floor(sqrt(F)) for a nonnegative Fraction F."""
-    if F < 0:
-        raise ValueError("negative radicand")
-    p, q = F.numerator, F.denominator
-    return isqrt(p * q) // q
-
-
-def _floor_plus_sqrt(S, F):
-    """Largest integer h with h <= S + sqrt(F); S Fraction, F >= 0 Fraction."""
-    S = Fraction(S)
-    h = S.numerator // S.denominator + _floor_sqrt_frac(F) + 2
-    while True:
-        diff = h - S
-        if diff <= 0 or diff * diff <= F:
-            return h
-        h -= 1
-
-
-def _ceil_minus_sqrt(S, F):
-    """Smallest integer h with h >= S - sqrt(F)."""
-    return -_floor_plus_sqrt(-S, F)
-
-
 def box_shell(dim, radius):
     """The integer vectors of length ``dim`` and sup-norm exactly ``radius``,
     as tuples in lexicographic order, generated lazily."""
@@ -467,14 +443,26 @@ def qf_enumerate(G, bound):
     """All integer vectors v != 0 with v^T G v <= bound, G positive definite.
 
     Raises ValueError (from ``ldl``) when G is not positive definite and
-    bound >= 0. Exact arithmetic throughout; completeness does not depend on
-    any floating point estimate. Output is sorted, and closed under negation.
+    bound >= 0. Output is sorted, and closed under negation.
+
+    Fincke-Pohst on integers after one rational LDL. With D_i the lcm of the
+    denominators of row i of mu and M_ij = mu_ij D_i, the form is
+    sum_i W_i c_i^2 / E with c_i = x_i D_i + sum_{j>i} M_ij x_j, integer
+    weights W_i = E d_i / D_i^2 and E one common denominator, so that the
+    bound becomes the integer R = E * bound. A node with remaining budget r
+    keeps exactly the x_i with |c_i| <= isqrt(r // W_i), because
+    W c^2 <= r if and only if c^2 <= floor(r / W).
     """
     n = len(G)
     bound = Fraction(bound)
     if bound < 0:
         return []
     d, mu = ldl(G)
+    D = [lcm(*(mu[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    M = [[int(mu[i][j] * D[i]) for j in range(n)] for i in range(n)]
+    w = [d[i] / (D[i] * D[i]) for i in range(n)]
+    E = lcm(bound.denominator, *(x.denominator for x in w))
+    W = [int(x * E) for x in w]
     results = []
     x = [0] * n
 
@@ -483,16 +471,14 @@ def qf_enumerate(G, bound):
             if any(x):
                 results.append(tuple(x))
             return
-        S = Fraction(sum(mu[i][j] * x[j] for j in range(i + 1, n)))
-        F = remaining / d[i]
-        lo = _ceil_minus_sqrt(-S, F)
-        hi = _floor_plus_sqrt(-S, F)
-        for xi in range(lo, hi + 1):
+        t = sum(M[i][j] * x[j] for j in range(i + 1, n))
+        h = isqrt(remaining // W[i])
+        Di, Wi = D[i], W[i]
+        for xi in range(-((h + t) // Di), (h - t) // Di + 1):
             x[i] = xi
-            term = d[i] * (xi + S) ** 2
-            if term <= remaining:
-                recurse(i - 1, remaining - term)
+            c = xi * Di + t
+            recurse(i - 1, remaining - Wi * c * c)
         x[i] = 0
 
-    recurse(n - 1, bound)
+    recurse(n - 1, int(bound * E))
     return sorted(results)

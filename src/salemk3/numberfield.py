@@ -1,42 +1,36 @@
 """Real algebraic number fields with certified sign determination.
 
-A field is Q[x]/(m(x)) for an irreducible monic m together with an isolating
-interval pinning down one real root. Elements are Fraction-coefficient
-polynomials of degree < deg m. The inverse of a nonzero element a solves
-the linear system of multiplication by a against 1 by exact Gauss-Jordan
-elimination (``linalg.rat_row_reduce``). Signs and enclosures are decided
-by interval evaluation, refining the isolating interval by exact bisection
-until the enclosure excludes zero; this terminates for every nonzero
-element because m is irreducible.
+A field is Q[x]/(m(x)) for an irreducible monic integer m together with an
+isolating interval pinning down one real root. An element is a pair
+``(nums, den)``: integer coefficients of a polynomial of degree < deg m,
+constant first, over one positive denominator, with gcd(den, nums) = 1, so
+equal elements are equal pairs. Products reduce modulo m on the integer
+numerators, which stay integral because m is monic. The inverse of a
+nonzero element a solves the linear system of multiplication by a against 1
+by exact Gauss-Jordan elimination (``linalg.rat_row_reduce``). Signs and
+enclosures are decided by interval Horner evaluation on the integer
+numerators over the interval's common denominator, refining the isolating
+interval by exact bisection until the enclosure excludes zero; this
+terminates for every nonzero element because m is irreducible.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .polynomials import IntPolynomial, refine_interval
 
-# intervals are (lo, hi) Fraction pairs
 
-
-def iv_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def iv_mul(a, b):
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(products), max(products))
-
-
-def iv_contains_zero(a):
-    return a[0] <= 0 <= a[1]
-
-
-def iv_width(a):
-    return a[1] - a[0]
+def _canonical(nums, den):
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
 
 
 class RealAlgebraicField:
-    """Q[x]/(min_poly) embedded in R at the root isolated by ``interval``."""
+    """Q[x]/(min_poly) embedded in R at the root isolated by ``interval``.
+
+    Elements are ``(nums, den)`` pairs; see the module docstring.
+    """
 
     def __init__(self, min_poly: IntPolynomial, interval):
         if not min_poly.is_monic() or min_poly.degree < 1:
@@ -44,20 +38,18 @@ class RealAlgebraicField:
         self.min_poly = min_poly
         self.degree = min_poly.degree
         self._interval = (Fraction(interval[0]), Fraction(interval[1]))
-        self._modulus = [Fraction(c) for c in min_poly.coeffs]
+        self._modulus = min_poly.coeffs[:-1]
 
     # --- element constructors ---
 
     def element(self, coeffs):
-        """Element from a scalar or coefficient sequence (reduced mod min_poly)."""
+        """Element from a rational scalar or coefficient sequence (reduced mod min_poly)."""
         if isinstance(coeffs, (int, Fraction)):
-            vec = [Fraction(coeffs)] + [Fraction(0)] * (self.degree - 1)
-            return tuple(vec)
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
-            vec = self._reduce(vec)
-        vec += [Fraction(0)] * (self.degree - len(vec))
-        return tuple(vec[: self.degree])
+            coeffs = [coeffs]
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = self._reduce([c.numerator * (den // c.denominator) for c in coeffs])
+        return _canonical(nums, den)
 
     def zero(self):
         return self.element(0)
@@ -74,60 +66,63 @@ class RealAlgebraicField:
     # --- arithmetic ---
 
     def _reduce(self, vec):
-        vec = vec[:]
+        """Integer coefficient list reduced mod the monic modulus, padded to the degree."""
         d = self.degree
         for k in range(len(vec) - 1, d - 1, -1):
             c = vec[k]
             if c:
-                for i in range(d + 1):
-                    vec[k - d + i] -= c * self._modulus[i]
+                for i, m in enumerate(self._modulus):
+                    vec[k - d + i] -= c * m
         del vec[d:]
-        return vec
+        return vec + [0] * (d - len(vec))
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        (an, ad), (bn, bd) = a, b
+        g = gcd(ad, bd)
+        sa, sb = bd // g, ad // g
+        return _canonical([x * sa + y * sb for x, y in zip(an, bn)], ad * sa)
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(-x for x in a[0]), a[1]
 
     def mul(self, a, b):
-        out = [Fraction(0)] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
+        (an, ad), (bn, bd) = a, b
+        out = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b):
+                for j, y in enumerate(bn):
                     out[i + j] += x * y
-        vec = self._reduce(out)
-        vec += [Fraction(0)] * (self.degree - len(vec))
-        return tuple(vec)
+        return _canonical(self._reduce(out), ad * bd)
 
     def scale(self, c, a):
         c = Fraction(c)
-        return tuple(c * x for x in a)
+        return _canonical([c.numerator * x for x in a[0]], c.denominator * a[1])
 
     def is_zero(self, a):
-        return all(x == 0 for x in a)
+        return not any(a[0])
 
     def inv(self, a):
-        """Inverse by solving M c = e_0, where column j of M is a x^j.
+        """Inverse by solving M c = e_0, where column j of M is N x^j for a = N / den.
 
-        M is the matrix of multiplication by a, invertible for a != 0
+        M is the matrix of multiplication by N, invertible for a != 0
         because the modulus is irreducible, so the reduced echelon form of
-        [M | e_0] has pivots 0 .. d-1 and its last column is 1/a.
+        [M | e_0] has pivots 0 .. d-1 and its last column is 1/N; then
+        1/a = den / N.
         """
         if self.is_zero(a):
             raise ZeroDivisionError("inverting zero field element")
+        nums, den = a
         d = self.degree
-        cols = [a]
+        cols = [list(nums)]
         for _ in range(d - 1):
-            cols.append(self.element((0,) + cols[-1]))
-        one = self.one()
-        R, pivots = linalg.rat_row_reduce([[col[i] for col in cols] + [one[i]] for i in range(d)])
+            cols.append(self._reduce([0] + cols[-1]))
+        R, pivots = linalg.rat_row_reduce([[col[i] for col in cols] + [int(i == 0)] for i in range(d)])
         if pivots != tuple(range(d)):
             raise ArithmeticError("element not invertible; modulus not irreducible?")
-        return tuple(row[d] for row in R)
+        return self.element([den * row[d] for row in R])
 
     # --- certified real data ---
 
@@ -142,7 +137,7 @@ class RealAlgebraicField:
         if max_width is None:
             return iv
         width = self._interval[1] - self._interval[0]
-        while iv_width(iv) > max_width:
+        while iv[1] - iv[0] > max_width:
             if width == 0:
                 return iv  # exact rational value
             width /= 2
@@ -151,11 +146,24 @@ class RealAlgebraicField:
         return iv
 
     def _eval_interval(self, a):
-        x = self._interval
-        acc = (Fraction(0), Fraction(0))
-        for c in reversed(a):
-            acc = iv_add(iv_mul(acc, x), (c, c))
-        return acc
+        """Interval Horner evaluation of a on the isolating interval.
+
+        With the interval as (L, H) / q over one denominator q, the
+        accumulator after k steps is an integer pair over den * q^k, so the
+        endpoints are the exact values of the Fraction interval Horner
+        scheme, and each is divided out once at the end.
+        """
+        nums, den = a
+        lo, hi = self._interval
+        q = lcm(lo.denominator, hi.denominator)
+        L, H = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+        acc_lo = acc_hi = nums[-1]
+        scale = 1
+        for c in reversed(nums[:-1]):
+            scale *= q
+            products = (acc_lo * L, acc_lo * H, acc_hi * L, acc_hi * H)
+            acc_lo, acc_hi = min(products) + c * scale, max(products) + c * scale
+        return Fraction(acc_lo, den * scale), Fraction(acc_hi, den * scale)
 
     def sign(self, a):
         """Exact sign of the real value of a: -1, 0 or +1."""
@@ -163,7 +171,7 @@ class RealAlgebraicField:
             return 0
         iv = self._eval_interval(a)
         width = self._interval[1] - self._interval[0]
-        while iv_contains_zero(iv):
+        while iv[0] <= 0 <= iv[1]:
             if width == 0:
                 v = iv[0]
                 return (v > 0) - (v < 0)

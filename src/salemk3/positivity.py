@@ -136,27 +136,27 @@ def obstructing_root_search(S: Lattice, f: Isometry):
     if K.is_zero(sigma):
         raise AssertionError("eigenvector pairing degenerated")
     sigma_inv = K.inv(sigma)
-    sigma_inv2 = K.mul(sigma_inv, sigma_inv)
-    # majorant form T and its fundamental-domain bound 2 lambda / |sigma| + 2
+    # majorant form T = (Gu1 Gu1^T + Gu2 Gu2^T) / sigma^2 + (Gu1 Gu2^T + Gu2 Gu1^T) / sigma - G,
+    # computed as a a^T + (1 - sigma^2) h h^T - G with h = Gu2 / sigma and
+    # a = Gu1 / sigma + Gu2; its fundamental-domain bound is 2 lambda / |sigma| + 2
+    h = [K.mul(x, sigma_inv) for x in gu2]
+    a = [K.add(K.mul(x, sigma_inv), y) for x, y in zip(gu1, gu2)]
+    c = K.sub(K.one(), K.mul(sigma, sigma))
+    ch = [K.mul(c, x) for x in h]
     T = [[K.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            square_part = K.add(K.mul(gu1[i], gu1[j]), K.mul(gu2[i], gu2[j]))
-            cross_part = K.add(K.mul(gu1[i], gu2[j]), K.mul(gu2[i], gu1[j]))
-            entry = K.add(
-                K.mul(square_part, sigma_inv2), K.mul(cross_part, sigma_inv)
-            )
-            entry = K.sub(entry, K.element(S.gram[i][j]))
-            T[i][j] = entry
-            T[j][i] = entry
+            entry = K.add(K.mul(a[i], a[j]), K.mul(ch[i], h[j]))
+            T[i][j] = T[j][i] = K.sub(entry, K.element(S.gram[i][j]))
     sigma_sign = K.sign(sigma)
     abs_sigma_inv = sigma_inv if sigma_sign > 0 else K.neg(sigma_inv)
     bound_elem = K.add(K.scale(2, K.mul(lam, abs_sigma_inv)), K.element(2))
     bound_iv = K.enclosure(bound_elem, Fraction(1, 8))
     bound_up = bound_iv[1]
     # rational positive definite minorant of T
-    delta = Fraction(1, 16)
+    delta = Fraction(1, 4)
     for _ in range(80):
+        delta /= 4
         T_mid = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -173,9 +173,11 @@ def obstructing_root_search(S: Lattice, f: Isometry):
             candidates = linalg.qf_enumerate(T_prime, bound_up)
             break
         except ValueError:  # T_prime is not positive definite yet
-            delta /= 4
+            pass
     else:
-        raise PositivityError("interval refinement failed to certify the search form")
+        raise PositivityError(
+            f"interval refinement failed to certify the search form in 80 rounds (last delta = {delta})"
+        )
     # u1, u2 are isotropic, so pi(z)^2 = 2 <z, u1> <z, u2> / sigma
     witnesses = []
     for z in candidates:
@@ -206,7 +208,7 @@ def _adjugate_column(K, adj_mats, mu, n):
             for k_idx, M in enumerate(adj_mats):
                 c = M[i][col]
                 if c:
-                    acc = K.add(acc, K.scale(Fraction(c), powers[k_idx]))
+                    acc = K.add(acc, K.scale(c, powers[k_idx]))
             vec.append(acc)
         if any(not K.is_zero(x) for x in vec):
             return tuple(vec)

@@ -16,7 +16,10 @@ instead of Smith coordinates, convolution powers of x^2 + 1 instead of
 the binomial peeling in trace_polynomial, the roots of s mod p instead of
 the roots of its trace polynomial (for split primes), and a Sylvester
 resultant against the cofactor r / (y - a) instead of a gcd with r (for the
-other primes above p).
+other primes above p), Fraction square-root bounds at every node instead of
+the integer Fincke-Pohst walk, and Fraction coefficient vectors with Fraction
+interval Horner evaluation instead of integer numerators over one
+denominator (for number field elements).
 """
 
 from fractions import Fraction
@@ -444,3 +447,133 @@ def power_min_poly_by_companion(s_coeffs, n):
     m = _fp_squarefree(ch)
     assert all(c.denominator == 1 for c in m)
     return tuple(int(c) for c in m)
+
+
+def _fraction_ldl(G):
+    """G = L^T D L over the rationals: (d, mu) with mu[i][j] for j > i."""
+    n = len(G)
+    g = [[Fraction(x) for x in row] for row in G]
+    d = [Fraction(0)] * n
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = g[i][i]
+        if d[i] <= 0:
+            raise ValueError("form is not positive definite")
+        for j in range(i + 1, n):
+            mu[i][j] = g[i][j] / d[i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                g[k][l] -= d[i] * mu[i][k] * mu[i][l]
+                g[l][k] = g[k][l]
+    return d, mu
+
+
+def _floor_plus_sqrt(S, F):
+    """Largest integer h with h <= S + sqrt(F); S Fraction, F >= 0 Fraction."""
+    S = Fraction(S)
+    h = S.numerator // S.denominator + isqrt(F.numerator * F.denominator) // F.denominator + 2
+    while True:
+        diff = h - S
+        if diff <= 0 or diff * diff <= F:
+            return h
+        h -= 1
+
+
+def fraction_qf_enumerate(G, bound):
+    """All integer v != 0 with v^T G v <= bound, sorted, for G positive
+    definite: Fincke-Pohst with a Fraction LDL and Fraction square-root
+    bounds at every node. Raises ValueError when G is not positive definite
+    and bound >= 0."""
+    n = len(G)
+    bound = Fraction(bound)
+    if bound < 0:
+        return []
+    d, mu = _fraction_ldl(G)
+    results = []
+    x = [0] * n
+
+    def recurse(i, remaining):
+        if i < 0:
+            if any(x):
+                results.append(tuple(x))
+            return
+        S = Fraction(sum(mu[i][j] * x[j] for j in range(i + 1, n)))
+        F = remaining / d[i]
+        for xi in range(-_floor_plus_sqrt(S, F), _floor_plus_sqrt(-S, F) + 1):
+            x[i] = xi
+            term = d[i] * (xi + S) ** 2
+            if term <= remaining:
+                recurse(i - 1, remaining - term)
+        x[i] = 0
+
+    recurse(n - 1, bound)
+    return sorted(results)
+
+
+class FractionField:
+    """Q[x]/(m) at the real root isolated by ``interval``, with elements as
+    tuples of Fraction coefficients (constant first) and enclosures by
+    Fraction interval Horner evaluation."""
+
+    def __init__(self, min_poly, interval):
+        self.min_poly = min_poly
+        self.degree = min_poly.degree
+        self.interval = (Fraction(interval[0]), Fraction(interval[1]))
+        self._modulus = [Fraction(c) for c in min_poly.coeffs]
+
+    def _reduce(self, vec):
+        vec = list(vec)
+        d = self.degree
+        for k in range(len(vec) - 1, d - 1, -1):
+            c = vec[k]
+            if c:
+                for i in range(d + 1):
+                    vec[k - d + i] -= c * self._modulus[i]
+        del vec[d:]
+        return vec + [Fraction(0)] * (d - len(vec))
+
+    def mul(self, a, b):
+        out = [Fraction(0)] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return tuple(self._reduce(out))
+
+    def _eval_interval(self, a):
+        lo, hi = self.interval
+        acc = (Fraction(0), Fraction(0))
+        for c in reversed(a):
+            products = (acc[0] * lo, acc[0] * hi, acc[1] * lo, acc[1] * hi)
+            acc = (min(products) + c, max(products) + c)
+        return acc
+
+    def _halve(self, width):
+        from salemk3.polynomials import refine_interval
+
+        if self.interval[0] != self.interval[1]:
+            self.interval = refine_interval(self.min_poly, self.interval, width / 2)
+        return width / 2
+
+    def enclosure(self, a, max_width=None):
+        iv = self._eval_interval(a)
+        if max_width is None:
+            return iv
+        width = self.interval[1] - self.interval[0]
+        while iv[1] - iv[0] > max_width:
+            if width == 0:
+                return iv
+            width = self._halve(width)
+            iv = self._eval_interval(a)
+        return iv
+
+    def sign(self, a):
+        if not any(a):
+            return 0
+        iv = self._eval_interval(a)
+        width = self.interval[1] - self.interval[0]
+        while iv[0] <= 0 <= iv[1]:
+            if width == 0:
+                return (iv[0] > 0) - (iv[0] < 0)
+            width = self._halve(width)
+            iv = self._eval_interval(a)
+        return 1 if iv[0] > 0 else -1

@@ -32,6 +32,7 @@ from oracles import (
     descartes_signature,
     discriminant_action,
     fraction_det,
+    fraction_qf_enumerate,
     smith_diagonal,
 )
 
@@ -239,6 +240,58 @@ def test_box_shell_is_the_sorted_filtered_box():
             box = sorted(product(range(-radius, radius + 1), repeat=dim))
             assert shell == [v for v in box if max(map(abs, v)) == radius]
             assert len(shell) == (2 * radius + 1) ** dim - (2 * radius - 1) ** dim
+
+
+def random_rational_form(rng, n):
+    """A random symmetric rational n x n form B^T B / q + diag(e), e >= 0."""
+    B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    q = rng.randint(1, 6)
+    G = [[Fraction(sum(B[k][i] * B[k][j] for k in range(n)), q) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        G[i][i] += Fraction(rng.randint(0, 3), rng.randint(1, 5))
+    return G
+
+
+def is_positive_definite(G):
+    # Sylvester's criterion on the leading principal minors
+    return all(fraction_det([row[:k] for row in G[:k]]) > 0 for k in range(1, len(G) + 1))
+
+
+def test_qf_enumerate_matches_the_fraction_oracle():
+    rng = random.Random(20260808)
+    forms = bounds_hit = 0
+    while forms < 240:
+        G = random_rational_form(rng, rng.randint(1, 5))
+        if not is_positive_definite(G):
+            continue
+        forms += 1
+        for bound in (Fraction(rng.randint(-3, -1), rng.randint(1, 4)), 0, Fraction(rng.randint(1, 40), rng.randint(1, 4))):
+            mine = linalg.qf_enumerate(G, bound)
+            assert mine == fraction_qf_enumerate(G, bound), (G, bound)
+            bounds_hit += bool(mine)
+    assert bounds_hit > 150
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        [[1, 2], [2, 1]],
+        [[-1]],
+        [[0]],
+        [[1, 1], [1, 1]],
+        [[2, 0, 0], [0, 0, 0], [0, 0, 3]],
+        [[Fraction(1, 2), 1], [1, 2]],
+        [[4, 2, 0], [2, 1, 0], [0, 0, 1]],
+    ],
+)
+def test_qf_enumerate_rejects_forms_that_are_not_positive_definite(G):
+    # the search-form refinement loop in positivity relies on this error
+    assert not is_positive_definite(G)
+    for bound in (0, 1, Fraction(7, 2)):
+        with pytest.raises(ValueError, match="not positive definite"):
+            linalg.qf_enumerate(G, bound)
+        with pytest.raises(ValueError, match="not positive definite"):
+            fraction_qf_enumerate(G, bound)
 
 
 def test_enumerate_rejects_indefinite_without_divisibility():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from salemk3 import linalg
 from salemk3.numberfield import RealAlgebraicField
 
 from oracles import (
+    FractionField,
     expand_trace_polynomial,
     fraction_sturm_count,
     numpy_salem_profile,
@@ -243,6 +245,75 @@ def test_field_inverse_on_the_corpus():
             a = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)])
             if not K.is_zero(a):
                 assert K.mul(a, K.inv(a)) == K.one()
+
+
+def fractions_of(a):
+    """Fraction coefficients of a field element, checking its canonical form."""
+    nums, den = a
+    assert den > 0 and gcd(den, *nums) == 1
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def random_coeffs(rng, length):
+    return [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(length)]
+
+
+def test_field_arithmetic_and_enclosures_match_the_fraction_field():
+    rng = random.Random(13)
+    refined = 0
+    for degree, coeffs, _ in all_entries():
+        if degree > 12:
+            continue
+        s = P(list(coeffs))
+        interval = is_salem(s).lambda_interval
+        K, O = RealAlgebraicField(s, interval), FractionField(s, interval)
+        assert fractions_of(K.generator()) == (0, 1) + (0,) * (degree - 2)
+        for _ in range(8):
+            a, b = random_coeffs(rng, degree), random_coeffs(rng, degree)
+            ea, eb = K.element(a), K.element(b)
+            assert fractions_of(ea) == tuple(a)
+            assert fractions_of(K.add(ea, eb)) == tuple(x + y for x, y in zip(a, b))
+            assert fractions_of(K.sub(ea, eb)) == tuple(x - y for x, y in zip(a, b))
+            assert fractions_of(K.neg(ea)) == tuple(-x for x in a)
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            assert fractions_of(K.scale(c, ea)) == tuple(c * x for x in a)
+            assert fractions_of(K.mul(ea, eb)) == O.mul(a, b)
+            long = random_coeffs(rng, 2 * degree + 1)
+            assert fractions_of(K.element(long)) == tuple(O._reduce(long))
+            assert O.mul(a, fractions_of(K.inv(ea))) == fractions_of(K.one())
+            # both fields refine their intervals in lockstep
+            assert K.enclosure(ea) == O.enclosure(a)
+            w = Fraction(1, 2 ** rng.randint(2, 12))
+            lo, hi = K.enclosure(ea, w)
+            assert (lo, hi) == O.enclosure(a, w)
+            # a minus a rational close to its value: a small element whose
+            # sign needs the isolating interval refined
+            near = a[:]
+            near[0] -= (lo + hi) / 2
+            for x in (a, near):
+                w = Fraction(1, rng.choice((3, 64, 10**6)))
+                assert K.enclosure(K.element(x), w) == O.enclosure(x, w)
+                before = O.interval
+                assert K.sign(K.element(x)) == O.sign(x)
+                refined += O.interval != before
+            assert K.sign(K.zero()) == O.sign((0,) * degree) == 0
+    assert refined > 10
+
+
+def test_degree_one_field():
+    # Q[x]/(x - 3): x is the rational 3, so every enclosure is a point
+    for interval in ((3, 3), (2, 4)):
+        K = RealAlgebraicField(P([-3, 1]), interval)
+        assert K.generator() == K.element(3) == K.element([0, 1])
+        assert K.element([5, 7]) == K.element(26)
+        assert K.mul(K.generator(), K.element(Fraction(1, 3))) == K.one()
+        assert K.inv(K.element(Fraction(-2, 5))) == K.element(Fraction(-5, 2))
+        assert K.enclosure(K.generator()) == (3, 3)
+        assert K.enclosure(K.element(Fraction(-2, 5)), Fraction(1, 8)) == (Fraction(-2, 5), Fraction(-2, 5))
+        assert K.sign(K.element(Fraction(-2, 5))) == -1
+        assert K.sign(K.sub(K.generator(), K.element(2))) == 1
+        assert K.sign(K.sub(K.generator(), K.element(3))) == 0
+    assert K.refine(Fraction(1, 1024)) == (3, 3)  # bisection lands on the root
 
 
 def test_sturm_root_counts():

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
 import salemk3
-from salemk3 import linalg
+from salemk3 import cli, linalg
 from salemk3.isometries import Isometry, TwistElement, search_even_invariant_lattice, twist
 from salemk3.lattices import Lattice, lattice_A2, lattice_E8
 from salemk3.polynomials import IntPolynomial, companion_matrix
@@ -277,9 +278,16 @@ def test_obstructing_root_search_rank6():
         assert S6.norm(vec) == -2
 
 
-# Full reports recorded when the crossing was decided by a projection over a
-# second field Q[y]/(r), r the trace polynomial: (status, witness vectors,
-# search_bound, candidate_count).
+def corpus_pair(coeffs):
+    """The even invariant lattice of signature (1, d - 1) that the
+    benchmark's positivity workload builds for a corpus polynomial."""
+    C = companion_matrix(P(coeffs))
+    S = search_even_invariant_lattice(C, signature=(1, len(coeffs) - 2))
+    return S, Isometry(S, C)
+
+
+# Full reports: (status, witness vectors, search_bound, candidate_count).
+# The corpus rows are the largest searches of the positivity workload.
 PINNED_REPORTS = [
     ("L2", lambda: (L2, F2), "not_positive", [(-1, 1), (1, -1)], "31/10", 34),
     (
@@ -323,6 +331,47 @@ PINNED_REPORTS = [
         "82903/39936",
         2984,
     ),
+    (
+        "corpus degree 4",
+        lambda: corpus_pair((1, -1, -1, -1, 1)),
+        "not_positive",
+        [(-1, -1, -1, 1), (-1, 1, 1, 1)],
+        "121/52",
+        172,
+    ),
+    (
+        "corpus degree 6 square",
+        lambda: corpus_pair((1, -2, -1, 3, -1, -2, 1)),
+        "not_positive",
+        [
+            (-1, 0, 0, 0, 0, 0),
+            (-1, 0, 1, -1, 0, 0),
+            (-1, 1, 0, -1, 0, 0),
+            (-1, 1, 1, -1, 0, 0),
+            (0, 0, 0, 0, 0, 1),
+            (0, 0, 1, -1, -1, 1),
+            (0, 0, 1, -1, 0, 1),
+            (0, 0, 1, 0, -1, 1),
+        ],
+        "10357288215/3841982464",
+        546,
+    ),
+    (
+        "corpus degree 8",
+        lambda: corpus_pair((1, -2, 0, 0, 0, 0, 0, -2, 1)),
+        "not_positive",
+        [(-1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1)],
+        "102224407047335230233/49492308104988065792",
+        92,
+    ),
+    (
+        "corpus degree 10",
+        lambda: corpus_pair((1, -2, 1, -2, 1, -2, 1, -2, 1, -2, 1)),
+        "not_positive",
+        [(-1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 0, 1)],
+        "72344863433382179682986456424199/35625438450554673551046996918272",
+        356,
+    ),
 ]
 
 
@@ -351,6 +400,22 @@ def test_positive_twist_has_no_crossing_root_in_a_box(t):
     roots = brute_vectors_of_norm(L.gram, -2, 3)
     assert roots
     assert not any(crosses_by_iteration(L.gram, f.matrix, r) for r in roots)
+
+
+def test_refinement_cap_names_its_rounds_and_last_delta(monkeypatch, tmp_path, capsys):
+    def never_positive_definite(G, bound):
+        raise ValueError("form is not positive definite")
+
+    monkeypatch.setattr(linalg, "qf_enumerate", never_positive_definite)
+    last_delta = Fraction(1, 16) / 4**79
+    with pytest.raises(PositivityError, match=rf"in 80 rounds \(last delta = {last_delta}\)$"):
+        obstructing_root_search(L2, F2)
+    pair = tmp_path / "pair.json"
+    pair.write_text(
+        json.dumps({"lattice": {"rank": 2, "gram": [["2", "3"], ["3", "2"]]}, "isometry": [["0", "-1"], ["1", "3"]]})
+    )
+    assert cli.run(["positivity", str(pair)]) == 2
+    assert f"in 80 rounds (last delta = {last_delta})" in capsys.readouterr().out
 
 
 def test_public_names_resolve():
