@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .lattices import Lattice, discriminant_form, forms_isomorphic, hyperbolic_p_form
+from .lattices import Lattice, LatticeError, discriminant_form, forms_isomorphic, hyperbolic_p_form
 from .numbertheory import factorize, valuation
 from .polynomials import (
     IntPolynomial,
@@ -74,11 +74,6 @@ class Isometry:
         """f + f^-1, the self-adjoint generator used for twists."""
         return linalg.mat_add(self.matrix, self.inverse_matrix())
 
-    def power_matrix(self, n):
-        if n >= 0:
-            return linalg.mat_pow(self.matrix, n)
-        return linalg.mat_pow(self.inverse_matrix(), -n)
-
     def apply(self, v):
         return linalg.mat_vec(self.matrix, v)
 
@@ -97,13 +92,7 @@ class TwistElement:
         object.__setattr__(self, "poly", poly)
 
     def matrix_for(self, f: Isometry):
-        W = f.w_matrix()
-        acc = linalg.zeros(f.rank, f.rank)
-        for c in reversed(self.poly.coeffs):
-            acc = linalg.mat_add(
-                linalg.mat_mul(acc, W), linalg.mat_scale(c, linalg.identity(f.rank))
-            )
-        return acc
+        return linalg.poly_at_matrix(self.poly.coeffs, f.w_matrix())
 
     def norm_against(self, trace_poly: IntPolynomial):
         """Field norm from Z[w]: resultant of the trace polynomial with a(w)."""
@@ -125,9 +114,10 @@ def twist(L: Lattice, f: Isometry, a: TwistElement):
     gram2 = linalg.mat_mul(linalg.transpose(A), L.gram)
     if not linalg.is_symmetric(gram2):
         raise AssertionError("twisted form is not symmetric; a is not self-adjoint")
-    if linalg.bareiss_det(gram2) == 0:
-        raise IsometryError("twist is degenerate")
-    L2 = Lattice(gram2)
+    try:
+        L2 = Lattice(gram2)
+    except LatticeError:
+        raise IsometryError("twist is degenerate") from None
     if L.is_even() and not L2.is_even():
         raise AssertionError("twist of an even lattice must stay even")
     return L2, Isometry(L2, f.matrix)
@@ -147,20 +137,15 @@ def kernel_sublattice(f: Isometry, p: IntPolynomial):
 
     if not divides(p, char):
         raise IsometryError("polynomial does not divide the characteristic polynomial")
-    n = f.rank
-    P = linalg.zeros(n, n)
-    for c in reversed(p.coeffs):
-        P = linalg.mat_add(
-            linalg.mat_mul(P, f.matrix), linalg.mat_scale(c, linalg.identity(n))
-        )
-    ker = linalg.rat_kernel(P)
+    ker = linalg.rat_kernel(linalg.poly_at_matrix(p.coeffs, f.matrix))
     if not ker:
         raise IsometryError("kernel is trivial")
     B = linalg.saturation(linalg.clear_denominators(ker)[1])
     sub_gram = linalg.mat_mul(linalg.mat_mul(B, f.lattice.gram), linalg.transpose(B))
-    if linalg.bareiss_det(sub_gram) == 0:
-        raise IsometryError("kernel sublattice is degenerate")
-    sub = Lattice(sub_gram)
+    try:
+        sub = Lattice(sub_gram)
+    except LatticeError:
+        raise IsometryError("kernel sublattice is degenerate") from None
     restricted = _restrict_to_rows(f.matrix, B)
     return KernelSublattice(lattice=sub, basis=B, isometry=Isometry(sub, restricted))
 
@@ -357,9 +342,10 @@ def search_even_invariant_lattice(F, signature=None, determinant=None, box=10):
                     G = linalg.mat_add(G, linalg.mat_scale(c, B))
             if any(G[i][i] % 2 for i in range(n)):
                 continue
-            if linalg.bareiss_det(G) == 0:
+            try:
+                cand = Lattice(G)
+            except LatticeError:
                 continue
-            cand = Lattice(G)
             if signature is not None and cand.signature() != tuple(signature):
                 continue
             if determinant is not None and cand.determinant() != determinant:

@@ -34,16 +34,20 @@ class Lattice:
             raise LatticeError("gram matrix must be square")
         if not linalg.is_symmetric(gram):
             raise LatticeError("gram matrix must be symmetric")
-        if n and linalg.bareiss_det(gram) == 0:
+        det, s_plus, _ = linalg.symmetric_bareiss(gram)
+        if det == 0:
             raise LatticeError("bilinear form must be non-degenerate")
         object.__setattr__(self, "gram", gram)
+        # not dataclass fields: equality, hash and repr read the Gram matrix only
+        object.__setattr__(self, "_determinant", det)
+        object.__setattr__(self, "_signature", (s_plus, n - s_plus))
 
     @property
     def rank(self):
         return len(self.gram)
 
     def determinant(self):
-        return linalg.bareiss_det(self.gram)
+        return self._determinant
 
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -52,44 +56,9 @@ class Lattice:
         return abs(self.determinant()) == 1
 
     def signature(self):
-        """(s_plus, s_minus), by Sylvester's law of inertia.
-
-        Symmetric fraction-free (Bareiss) elimination changes the form only
-        by congruences and leaves the leading minors d_1, ..., d_n of the
-        transformed Gram matrix on the diagonal; by Jacobi, each
-        d_k / d_{k-1} > 0 is one positive eigenvalue. A zero pivot is swapped,
-        rows and columns together, with a later nonzero diagonal entry; when
-        the whole trailing diagonal is zero, the congruence e_i <- e_i + e_j
-        on a nonzero entry (i, j) puts 2 a_ij on the diagonal.
-        """
-        n = self.rank
-        M = [list(row) for row in self.gram]
-        prev, pos = 1, 0
-        for k in range(n):
-            p = next((i for i in range(k, n) if M[i][i]), None)
-            if p is None:
-                # the trailing block is nonzero because the form is nondegenerate
-                i, j = next((i, j) for i in range(k, n) for j in range(i + 1, n) if M[i][j])
-                for c in range(k, n):
-                    M[i][c] += M[j][c]
-                for r in range(k, n):
-                    M[r][i] += M[r][j]
-                p = i
-            if p != k:
-                M[k], M[p] = M[p], M[k]
-                for row in M:
-                    row[k], row[p] = row[p], row[k]
-            pivot = M[k][k]
-            pos += (pivot > 0) == (prev > 0)
-            for i in range(k + 1, n):
-                Mi, mik = M[i], M[i][k]
-                for j in range(i, n):
-                    q, r = divmod(Mi[j] * pivot - mik * M[k][j], prev)
-                    if r:
-                        raise ArithmeticError("non-exact division in Bareiss elimination")
-                    Mi[j] = M[j][i] = q
-            prev = pivot
-        return (pos, n - pos)
+        """(s_plus, s_minus), by Sylvester's law of inertia, from the
+        constructor's ``linalg.symmetric_bareiss`` pass."""
+        return self._signature
 
     def is_hyperbolic(self):
         s_plus, s_minus = self.signature()
@@ -309,7 +278,7 @@ def discriminant_form(L: Lattice):
     n = L.rank
     if n == 0:
         return FiniteQuadraticForm((), (), ())
-    _, S, V = linalg.snf_with_transform(L.gram)
+    S, V = linalg.snf_with_transform(L.gram)
     diag = [S[i][i] for i in range(n)]
     kept = [i for i in range(n) if diag[i] >= 2]
     lifts = []
@@ -460,7 +429,8 @@ def is_primitive_sublattice(L: Lattice, basis_rows):
     if not B:
         return True, B  # the zero sublattice is its own saturation
     sat = linalg.saturation(B)
-    return len(linalg.hnf(B)) == len(B) and linalg.hnf(B) == linalg.hnf(sat), sat
+    H = linalg.hnf(B)
+    return len(H) == len(B) and H == linalg.hnf(sat), sat
 
 
 def orthogonal_complement(L: Lattice, basis_rows):
@@ -472,7 +442,7 @@ def orthogonal_complement(L: Lattice, basis_rows):
     if linalg.rank(B) != len(B):
         raise LatticeError("sublattice basis rows are dependent")
     sub_gram = linalg.mat_mul(linalg.mat_mul(B, L.gram), linalg.transpose(B))
-    if linalg.bareiss_det(sub_gram) == 0:
+    if linalg.symmetric_bareiss(sub_gram)[0] == 0:
         raise LatticeError("sublattice is degenerate; complement not supported")
     primitive, sat = is_primitive_sublattice(L, B)
     if not primitive:

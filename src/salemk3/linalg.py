@@ -7,7 +7,7 @@ Basis matrices for sublattices keep the basis vectors as rows.
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 
 def identity(n):
@@ -80,6 +80,17 @@ def mat_pow(A, n):
     return result
 
 
+def poly_at_matrix(coeffs, A):
+    """p(A) for the ascending coefficients of p, by Horner's rule."""
+    acc = zeros(len(A), len(A))
+    for c in reversed(coeffs):
+        acc = tuple(
+            tuple(x + c if i == j else x for j, x in enumerate(row))
+            for i, row in enumerate(mat_mul(acc, A))
+        )
+    return acc
+
+
 def mat_mod(A, m):
     return tuple(tuple(a % m for a in row) for row in A)
 
@@ -111,9 +122,10 @@ def mat_to_int(A):
 def bareiss_det(A):
     """Exact determinant of an integer matrix by fraction-free Gaussian elimination.
 
-    Integer input only: every caller passes an integer matrix (Gram matrices,
-    Sylvester matrices, integer transforms), and each Bareiss division is
-    exact on integers.
+    Integer input only, and for matrices that need not be symmetric
+    (Sylvester matrices, integer transforms); each Bareiss division is exact
+    on integers. A symmetric Gram matrix goes through ``symmetric_bareiss``,
+    which gives its signature in the same pass.
     """
     n = len(A)
     if n == 0:
@@ -141,6 +153,54 @@ def bareiss_det(A):
             Mi[k] = 0
         prev = pivot
     return sign * M[n - 1][n - 1]
+
+
+def symmetric_bareiss(G):
+    """Symmetric fraction-free (Bareiss) elimination of an integer symmetric G.
+
+    Returns (det, s_plus, rows). Only congruences act on the form, and the
+    leading minors d_1, ..., d_n of the transformed matrix land on the
+    diagonal; by Jacobi each d_k / d_{k-1} > 0 is one positive eigenvalue
+    (Sylvester's law of inertia), and d_n = det G. A zero pivot is swapped,
+    rows and columns together, with a later nonzero diagonal entry; when the
+    trailing diagonal is zero, the congruence e_i <- e_i + e_j on a nonzero
+    entry (i, j) puts 2 a_ij on the diagonal. Both moves are unimodular. An
+    all-zero trailing block means det G = 0, and then s_plus is partial.
+
+    A positive definite G never pivots, and row i (from 0) of ``rows`` holds
+    from the diagonal on d_i times row i of the Schur complement of the
+    leading i x i block, with d_{i+1} on the diagonal (d_0 = 1).
+    """
+    n = len(G)
+    M = [list(row) for row in G]
+    prev, pos = 1, 0
+    for k in range(n):
+        p = next((i for i in range(k, n) if M[i][i]), None)
+        if p is None:
+            ij = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if M[i][j]), None)
+            if ij is None:
+                return 0, pos, M
+            i, j = ij
+            for c in range(k, n):
+                M[i][c] += M[j][c]
+            for r in range(k, n):
+                M[r][i] += M[r][j]
+            p = i
+        if p != k:
+            M[k], M[p] = M[p], M[k]
+            for row in M:
+                row[k], row[p] = row[p], row[k]
+        pivot = M[k][k]
+        pos += (pivot > 0) == (prev > 0)
+        for i in range(k + 1, n):
+            Mi, mik = M[i], M[i][k]
+            for j in range(i, n):
+                q, r = divmod(Mi[j] * pivot - mik * M[k][j], prev)
+                if r:
+                    raise ArithmeticError("non-exact division in Bareiss elimination")
+                Mi[j] = M[j][i] = q
+        prev = pivot
+    return prev, pos, M
 
 
 def rat_row_reduce(A):
@@ -267,20 +327,16 @@ def int_row_kernel(A):
 
 
 def snf_with_transform(A):
-    """Smith normal form with transforms: returns (U, S, V), U A V = S.
+    """Smith normal form with its column transform: returns (S, V) with
+    U A V = S for some unimodular U that is not tracked.
 
     S is diagonal (rectangular allowed) with d_1 | d_2 | ... >= 0;
-    U and V are unimodular.
+    V is unimodular.
     """
     M = [list(row) for row in A]
     m = len(M)
     n = len(M[0]) if m else 0
-    U = [list(row) for row in identity(m)]
     V = [list(row) for row in identity(n)]
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in M:
@@ -288,19 +344,11 @@ def snf_with_transform(A):
         for row in V:
             row[i], row[j] = row[j], row[i]
 
-    def add_row(src, dst, c):
-        M[dst] = [a + c * b for a, b in zip(M[dst], M[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
     def add_col(src, dst, c):
         for row in M:
             row[dst] += c * row[src]
         for row in V:
             row[dst] += c * row[src]
-
-    def negate_row(i):
-        M[i] = [-a for a in M[i]]
-        U[i] = [-a for a in U[i]]
 
     t = 0
     while t < min(m, n):
@@ -311,12 +359,13 @@ def snf_with_transform(A):
         )
         if piv is None:
             break
-        swap_rows(t, piv[0])
+        M[t], M[piv[0]] = M[piv[0]], M[t]
         swap_cols(t, piv[1])
         while True:
             for i in range(t + 1, m):
                 if M[i][t]:
-                    add_row(t, i, -(M[i][t] // M[t][t]))
+                    c = M[i][t] // M[t][t]
+                    M[i] = [a - c * b for a, b in zip(M[i], M[t])]
             for j in range(t + 1, n):
                 if M[t][j]:
                     add_col(t, j, -(M[t][j] // M[t][t]))
@@ -329,7 +378,7 @@ def snf_with_transform(A):
                 break
             i, j = off
             if i != t:
-                swap_rows(t, i)
+                M[t], M[i] = M[i], M[t]
             else:
                 swap_cols(t, j)
         # divisibility: pivot must divide the remaining block
@@ -339,13 +388,13 @@ def snf_with_transform(A):
             None,
         )
         if bad is not None:
-            add_row(bad[0], t, 1)
+            M[t] = [a + b for a, b in zip(M[t], M[bad[0]])]
             continue
         if M[t][t] < 0:
-            negate_row(t)
+            M[t] = [-a for a in M[t]]
         t += 1
     S = tuple(tuple(M[i][j] if i == j else 0 for j in range(n)) for i in range(m))
-    return tuple(tuple(r) for r in U), S, tuple(tuple(r) for r in V)
+    return S, tuple(tuple(r) for r in V)
 
 
 def clear_denominators(rows):
@@ -402,28 +451,6 @@ def charpoly_and_adjugate(A):
 # --- positive definite forms and short vector enumeration -------------------
 
 
-def ldl(G):
-    """G = L^T D L with unit upper-triangular mu (mu[i][j], j > i) and positive D.
-
-    Raises ValueError if G is not positive definite.
-    """
-    n = len(G)
-    g = [[Fraction(x) for x in row] for row in G]
-    d = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = g[i][i]
-        if d[i] <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            mu[i][j] = g[i][j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                g[k][l] -= d[i] * mu[i][k] * mu[i][l]
-                g[l][k] = g[k][l]
-    return tuple(d), tuple(tuple(row) for row in mu)
-
-
 def box_shell(dim, radius):
     """The integer vectors of length ``dim`` and sup-norm exactly ``radius``,
     as tuples in lexicographic order, generated lazily."""
@@ -442,25 +469,37 @@ def box_shell(dim, radius):
 def qf_enumerate(G, bound):
     """All integer vectors v != 0 with v^T G v <= bound, G positive definite.
 
-    Raises ValueError (from ``ldl``) when G is not positive definite and
-    bound >= 0. Output is sorted, and closed under negation.
+    Raises ValueError when G is not positive definite and bound >= 0.
+    Output is sorted, and closed under negation.
 
-    Fincke-Pohst on integers after one rational LDL. With D_i the lcm of the
-    denominators of row i of mu and M_ij = mu_ij D_i, the form is
-    sum_i W_i c_i^2 / E with c_i = x_i D_i + sum_{j>i} M_ij x_j, integer
-    weights W_i = E d_i / D_i^2 and E one common denominator, so that the
-    bound becomes the integer R = E * bound. A node with remaining budget r
-    keeps exactly the x_i with |c_i| <= isqrt(r // W_i), because
-    W c^2 <= r if and only if c^2 <= floor(r / W).
+    Fincke-Pohst on integers after one symmetric elimination. With den the
+    common denominator of G, ``symmetric_bareiss(den G)`` leaves in row i
+    the leading minor d_{i+1} on the diagonal and, right of it, B_ij = d_i
+    times the Schur complement entry, so the form is
+    sum_i h_i (x_i + sum_{j>i} mu_ij x_j)^2 with h_i = d_{i+1} / (den d_i)
+    and mu_ij = B_ij / d_{i+1}. With g_i the gcd of row i from the diagonal
+    on, D_i = d_{i+1} / g_i is the least common denominator of row i of mu
+    and M_ij = B_ij / g_i = mu_ij D_i. The form is then sum_i W_i c_i^2 / E
+    with c_i = x_i D_i + sum_{j>i} M_ij x_j, integer weights W_i = E w_i for
+    w_i = h_i / D_i^2 = g_i^2 / (den d_i d_{i+1}), and E one common
+    denominator, so that the bound becomes the integer R = E * bound. A node
+    with remaining budget r keeps exactly the x_i with
+    |c_i| <= isqrt(r // W_i), because W c^2 <= r if and only if
+    c^2 <= floor(r / W).
     """
     n = len(G)
     bound = Fraction(bound)
     if bound < 0:
         return []
-    d, mu = ldl(G)
-    D = [lcm(*(mu[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    M = [[int(mu[i][j] * D[i]) for j in range(n)] for i in range(n)]
-    w = [d[i] / (D[i] * D[i]) for i in range(n)]
+    den, IG = clear_denominators(G)
+    det, s_plus, B = symmetric_bareiss(IG)
+    if det == 0 or s_plus < n:
+        raise ValueError("form is not positive definite")
+    g = [gcd(*B[i][i:]) for i in range(n)]
+    D = [B[i][i] // g[i] for i in range(n)]
+    M = [[0] * (i + 1) + [b // g[i] for b in B[i][i + 1:]] for i in range(n)]
+    d = [1] + [B[i][i] for i in range(n)]  # the leading minors d_0, ..., d_n
+    w = [Fraction(g[i] * g[i], den * d[i] * d[i + 1]) for i in range(n)]
     E = lcm(bound.denominator, *(x.denominator for x in w))
     W = [int(x * E) for x in w]
     results = []

@@ -11,7 +11,9 @@ by exact Gauss-Jordan elimination (``linalg.rat_row_reduce``). Signs and
 enclosures are decided by interval Horner evaluation on the integer
 numerators over the interval's common denominator, refining the isolating
 interval by exact bisection until the enclosure excludes zero; this
-terminates for every nonzero element because m is irreducible.
+terminates for every nonzero element because m is irreducible. When a
+bisection lands on a rational root, the interval becomes that point and
+the enclosure the exact value.
 """
 
 from fractions import Fraction
@@ -138,8 +140,6 @@ class RealAlgebraicField:
             return iv
         width = self._interval[1] - self._interval[0]
         while iv[1] - iv[0] > max_width:
-            if width == 0:
-                return iv  # exact rational value
             width /= 2
             self.refine(width)
             iv = self._eval_interval(a)
@@ -172,9 +172,8 @@ class RealAlgebraicField:
         iv = self._eval_interval(a)
         width = self._interval[1] - self._interval[0]
         while iv[0] <= 0 <= iv[1]:
-            if width == 0:
-                v = iv[0]
-                return (v > 0) - (v < 0)
+            if self._interval[0] == self._interval[1]:
+                return 0  # a point interval gives the exact value, here 0
             width /= 2
             self.refine(width)
             iv = self._eval_interval(a)

@@ -110,7 +110,7 @@ def test_power_to_integral_known_case():
     f = Isometry(L, F)
     n, fn = power_to_integral(L, f)
     assert linalg.is_integral(fn.matrix)
-    assert fn.matrix == linalg.mat_to_int(f.power_matrix(n))
+    assert fn.matrix == linalg.mat_to_int(linalg.mat_pow(f.matrix, n))
     finv = Isometry(L, f.inverse_matrix())
     n_inv, _ = power_to_integral(L, finv)
     assert n == n_inv
@@ -160,11 +160,11 @@ def test_power_to_integral_randomized():
         L, F = built
         f = Isometry(L, F)
         n, fn = power_to_integral(L, f)
-        assert fn.matrix == linalg.mat_to_int(f.power_matrix(n))
-        assert linalg.is_integral(f.power_matrix(2 * n))
-        assert linalg.is_integral(f.power_matrix(3 * n))
+        assert fn.matrix == linalg.mat_to_int(linalg.mat_pow(f.matrix, n))
+        assert linalg.is_integral(linalg.mat_pow(f.matrix, 2 * n))
+        assert linalg.is_integral(linalg.mat_pow(f.matrix, 3 * n))
         for q in factorize(n):  # minimal: no proper divisor n/q works
-            assert not linalg.is_integral(f.power_matrix(n // q))
+            assert not linalg.is_integral(linalg.mat_pow(f.matrix, n // q))
         done += 1
 
 

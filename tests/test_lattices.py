@@ -354,7 +354,7 @@ def test_hnf_with_transform_invariant():
 def test_signature_matches_descartes_oracle():
     # an all-zero diagonal sends the elimination through its congruence branch
     rng = random.Random(20260808)
-    checked = hollow_checked = 0
+    checked = hollow_checked = singular_checked = 0
     while checked < 300:
         n = rng.randint(1, 9)
         hollow = rng.random() < 0.4
@@ -362,12 +362,41 @@ def test_signature_matches_descartes_oracle():
         for i in range(n):
             for j in range(i, n):
                 G[i][j] = G[j][i] = 0 if hollow and i == j else rng.randint(-4, 4)
-        if fraction_det(G) == 0:
+        det = fraction_det(G)
+        if det == 0:
+            with pytest.raises(LatticeError, match="^bilinear form must be non-degenerate$"):
+                Lattice(G)
+            singular_checked += 1
             continue
-        assert Lattice(G).signature() == descartes_signature(G), G
+        L = Lattice(G)
+        assert L.signature() == descartes_signature(G), G
+        assert L.determinant() == det, G
         checked += 1
         hollow_checked += hollow
     assert hollow_checked >= 80
+    assert singular_checked >= 5
+
+
+def test_one_elimination_per_lattice(monkeypatch):
+    # determinant, signature and the predicates on them read what the
+    # constructor's single symmetric elimination found
+    calls = []
+    kernel = linalg.symmetric_bareiss
+
+    def counted(G):
+        calls.append(G)
+        return kernel(G)
+
+    gram = linalg.block_diag(linalg.block_diag(U.gram, E8.gram), ((2, 1), (1, -4)))
+    monkeypatch.setattr(linalg, "symmetric_bareiss", counted)
+    L = Lattice(gram)
+    assert calls == [L.gram]
+    for _ in range(3):
+        assert L.determinant() == 9
+        assert L.signature() == (2, 10)
+        assert not L.is_hyperbolic()
+        assert not L.is_unimodular()
+    assert calls == [L.gram]
 
 
 def test_signature_of_the_glued_s4_lattice():

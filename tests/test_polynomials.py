@@ -316,6 +316,18 @@ def test_degree_one_field():
     assert K.refine(Fraction(1, 1024)) == (3, 3)  # bisection lands on the root
 
 
+def test_sign_stops_when_bisection_lands_on_a_rational_root():
+    # x^2 - 2x - 3 = (x - 3)(x + 1) is reducible: the first bisection of
+    # (2, 4) lands on the root 3, where x - 3 vanishes though it is nonzero
+    # in Q[x]/(m); sign must read the point interval, not bisect it forever
+    m = P([-3, -2, 1])
+    K = RealAlgebraicField(m, (2, 4))
+    assert K.sign(K.element([-3, 1])) == 0
+    assert K.refine(Fraction(1, 8)) == (3, 3)
+    K = RealAlgebraicField(m, (2, 4))
+    assert K.sign(K.element([1, 1])) == 1
+
+
 def test_sturm_root_counts():
     assert count_real_roots(QUAD) == 2
     assert count_real_roots(QUAD, Fraction(2), "inf") == 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from salemk3 import linalg
+from salemk3 import linalg, realize
 from salemk3.isometries import Isometry, TwistElement
 from salemk3.lattices import (
     FiniteQuadraticForm,
@@ -239,6 +239,34 @@ def test_find_norm_element_box_exhaustion():
     ev = find_split_prime(S4, 1, lower_bound=2)
     with pytest.raises(SearchCapExceeded, match=r"p = 17, l <= 1 up to radius 1$"):
         find_norm_element(S4, ev, l_max=1, box=1)
+
+
+# s = x^4 - 16x^3 - 13x^2 - 16x + 1 has the trace polynomial y^2 - 16y - 15,
+# and Z[w] = Z[sqrt 79] has class number 3: a prime P above p is not
+# principal, nor is P^2, so in a small box the only elements of norm p^2
+# are p times units, which lie in both primes above p; P^3 is principal
+CLASS_NUMBER_3 = P([1, -16, -13, -16, 1])
+
+
+@pytest.mark.parametrize(
+    "ev, box, p_cubed",
+    [
+        (SplitPrimeEvidence(5, 0, 1, 1), 5, ((-5, -2), 3)),
+        (SplitPrimeEvidence(13, 9, 5, 1), 13, ((-119, 6), 3)),
+    ],
+    ids=["p=5", "p=13"],
+)
+def test_find_norm_element_skips_elements_in_the_other_prime(ev, box, p_cubed, monkeypatch):
+    assert trace_polynomial(CLASS_NUMBER_3).coeffs == (-15, -16, 1)
+    assert check_split_prime(CLASS_NUMBER_3, ev)
+    with pytest.raises(SearchCapExceeded, match=f"p = {ev.p}, l <= 2 up to radius {box}$"):
+        find_norm_element(CLASS_NUMBER_3, ev, l_max=2, box=box)
+    t, l = find_norm_element(CLASS_NUMBER_3, ev, l_max=3, box=abs(p_cubed[0][0]))
+    assert (t.poly.coeffs, l) == p_cubed
+    # without the other-primes test the search takes t = -p, of norm p^2
+    monkeypatch.setattr(realize, "poly_gcd_mod", lambda *args: (0, 1))
+    t, l = find_norm_element(CLASS_NUMBER_3, ev, l_max=2, box=box)
+    assert (t.poly.coeffs, l) == ((-ev.p,), 2)
 
 
 @pytest.mark.parametrize(
