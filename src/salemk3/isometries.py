@@ -137,13 +137,12 @@ def kernel_sublattice(f: Isometry, p: IntPolynomial):
 
     if not divides(p, char):
         raise IsometryError("polynomial does not divide the characteristic polynomial")
-    ker = linalg.rat_kernel(linalg.poly_at_matrix(p.coeffs, f.matrix))
-    if not ker:
+    _, P = linalg.clear_denominators(linalg.poly_at_matrix(p.coeffs, f.matrix))
+    B = linalg.int_row_kernel(linalg.transpose(P))  # saturated: rows of a unimodular U
+    if not B:
         raise IsometryError("kernel is trivial")
-    B = linalg.saturation(linalg.clear_denominators(ker)[1])
-    sub_gram = linalg.mat_mul(linalg.mat_mul(B, f.lattice.gram), linalg.transpose(B))
     try:
-        sub = Lattice(sub_gram)
+        sub = f.lattice.sublattice(B)
     except LatticeError:
         raise IsometryError("kernel sublattice is degenerate") from None
     restricted = _restrict_to_rows(f.matrix, B)
@@ -166,55 +165,36 @@ def _restrict_to_rows(F, B):
     return linalg.transpose(X)
 
 
-def _matrix_order_mod(A, m):
-    """Multiplicative order of an invertible matrix modulo m (m >= 2).
-
-    Modulo a prime p the order divides the exponent N of GL_n(F_p): the
-    semisimple part of A has order dividing lcm(p^i - 1 : i <= n) and the
-    unipotent part the least p^t >= n. For each prime power q^a exactly
-    dividing N, the q-part of the order is the least q^j with
-    (A^(N / q^a))^(q^j) = I; the order modulo p^e is then lifted one factor
-    of p at a time.
-    """
-    n = len(A)
-    one = linalg.identity(n)
-    order = 1
-    for p, e in factorize(m).items():
-        Ap = linalg.mat_mod(A, p)
-        if linalg.bareiss_det(Ap) % p == 0:
-            raise ArithmeticError("matrix is not invertible modulo p")
-        bound = 1
-        while bound < n:
-            bound *= p
-        for i in range(1, n + 1):
-            bound = lcm(bound, p**i - 1)
-        o = 1
-        for q, a in factorize(bound).items():
-            B = linalg.mat_pow_mod(Ap, bound // q**a, p)
-            while B != one:
-                B = linalg.mat_pow_mod(B, q, p)
-                o *= q
-        # lift to p^e: order grows by factors of p only
-        pk = p
-        for _ in range(e - 1):
-            pk *= p
-            if linalg.mat_pow_mod(A, o, pk) != one:
-                o *= p
-        order = lcm(order, o)
-    return order
-
-
 def _least_power(A, m, test):
-    """Least d >= 1 with test(A^d mod m), by prime stripping.
+    """Least d >= 1 with test(A^d mod m), by one climb per prime.
 
     The exponents that pass must form a subgroup dZ of Z that contains the
-    order of A modulo m. Starting from that order, a prime q is divided out
-    while the quotient still passes; the loop ends exactly at d.
+    order of A modulo m, so d divides the exponent E of GL_n(Z/m): the lcm
+    over p^e exactly dividing m of p^(e-1) p^t lcm(p^i - 1 : i <= n), with
+    p^t the least power of p that is >= n. For each q^a exactly dividing E
+    in turn, the running exponent drops its q-part and climbs back one
+    factor q at a time until the test passes (Cohen, GTM 138, Algorithm
+    1.4.3). The primes already climbed hold their valuations in d and the
+    rest hold at least theirs, so each climb stops exactly at v_q(d).
     """
-    d = _matrix_order_mod(A, m)
-    for q in factorize(d):
-        while d % q == 0 and test(linalg.mat_pow_mod(A, d // q, m)):
-            d //= q
+    n = len(A)
+    E = 1
+    for p, e in factorize(m).items():
+        if linalg.bareiss_det(linalg.mat_mod(A, p)) % p == 0:
+            raise ArithmeticError("matrix is not invertible modulo p")
+        pt = 1
+        while pt < n:
+            pt *= p
+        E = lcm(E, p ** (e - 1) * pt, *(p**i - 1 for i in range(1, n + 1)))
+    d = E
+    for q, a in factorize(E).items():
+        d //= q**a
+        B = linalg.mat_pow_mod(A, d, m)
+        for _ in range(a):
+            if test(B):
+                break
+            B = linalg.mat_pow_mod(B, q, m)
+            d *= q
     return d
 
 
@@ -223,8 +203,8 @@ def discriminant_order(L: Lattice, f: Isometry):
 
     With e the exponent of L^dual / L and D = e G^-1 (an integer matrix),
     f^d acts trivially exactly when (F^d - I) D = 0 mod e. The exponents
-    that pass form a subgroup containing the order of F modulo e, so
-    prime stripping finds the least one.
+    that pass form a subgroup containing the order of F modulo e, so the
+    climb of ``_least_power`` finds the least one.
     """
     if not f.is_integral():
         raise IsometryError("discriminant action needs an integral isometry")
@@ -241,7 +221,7 @@ def power_to_integral(L: Lattice, f: Isometry):
     F = X^-1 Psi X for the integer matrix X of L inside M, det X = +-k.
     The exponents d with f^d(L) in L form a subgroup nZ (an inclusion of
     equal covolume is an equality), and n divides the order n0 of Psi
-    modulo k, so prime stripping (``_least_power``) finds n. Each test runs in
+    modulo k, so the climb of ``_least_power`` finds n. Each test runs in
     integers mod k: f^d is integral iff adj(X) (Psi^d mod k) X = 0 mod k.
     The exact f^n is formed once, at the end. Psi is integral exactly when
     the characteristic polynomial of f is (Cayley-Hamilton one way, F
@@ -281,7 +261,7 @@ def power_to_integral(L: Lattice, f: Isometry):
     m = _least_power(Psi, k, integral)
     P = linalg.mat_mul(linalg.mat_mul(adj, linalg.mat_pow(Psi, m)), X)
     if any(x % k for row in P for x in row):
-        raise AssertionError("the stripped exponent does not give an integral power")
+        raise AssertionError("the least exponent does not give an integral power")
     return m, Isometry(L, tuple(tuple(x // det for x in row) for row in P))
 
 

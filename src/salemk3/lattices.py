@@ -424,13 +424,18 @@ def glue(M: Lattice, N: Lattice, phi: GlueMap):
     return L, basis
 
 
-def is_primitive_sublattice(L: Lattice, basis_rows):
+def is_primitive_sublattice(basis_rows):
+    """(primitive, saturation) for integer rows B.
+
+    The k rows are independent and span a saturated sublattice exactly when
+    every elementary divisor of B is 1, that is when the Hermite form of
+    B^T is the k x k identity. The saturation is computed only when B is
+    not primitive; otherwise B is returned as its own saturation.
+    """
     B = tuple(tuple(int(x) for x in row) for row in basis_rows)
-    if not B:
-        return True, B  # the zero sublattice is its own saturation
-    sat = linalg.saturation(B)
-    H = linalg.hnf(B)
-    return len(H) == len(B) and H == linalg.hnf(sat), sat
+    if not B or linalg.hnf(linalg.transpose(B)) == linalg.identity(len(B)):
+        return True, B
+    return False, linalg.saturation(B)
 
 
 def orthogonal_complement(L: Lattice, basis_rows):
@@ -439,12 +444,13 @@ def orthogonal_complement(L: Lattice, basis_rows):
     Returns (complement_lattice, complement_basis_rows).
     """
     B = tuple(tuple(int(x) for x in row) for row in basis_rows)
-    if linalg.rank(B) != len(B):
+    if len(linalg.hnf(B)) != len(B):
         raise LatticeError("sublattice basis rows are dependent")
-    sub_gram = linalg.mat_mul(linalg.mat_mul(B, L.gram), linalg.transpose(B))
-    if linalg.symmetric_bareiss(sub_gram)[0] == 0:
-        raise LatticeError("sublattice is degenerate; complement not supported")
-    primitive, sat = is_primitive_sublattice(L, B)
+    try:
+        L.sublattice(B)
+    except LatticeError:
+        raise LatticeError("sublattice is degenerate; complement not supported") from None
+    primitive, sat = is_primitive_sublattice(B)
     if not primitive:
         raise LatticeError(
             "sublattice is not primitive; its saturation has basis "
@@ -453,8 +459,7 @@ def orthogonal_complement(L: Lattice, basis_rows):
     # rows x with x G B^T = 0 pair to zero with every basis row
     GBt = linalg.mat_mul(L.gram, linalg.transpose(B))
     comp = linalg.int_row_kernel(GBt)
-    comp_gram = linalg.mat_mul(linalg.mat_mul(comp, L.gram), linalg.transpose(comp))
-    return Lattice(comp_gram), comp
+    return L.sublattice(comp), comp
 
 
 def enumerate_vectors_of_norm(L: Lattice, m):
@@ -488,18 +493,17 @@ def enumerate_vectors_of_norm(L: Lattice, m):
 # --- isomorphism of finite quadratic forms -------------------------------------
 
 
-def odd_diagonalize_tracked(form, p):
-    """Diagonalize the p-primary part (p odd) of a finite quadratic form.
+def odd_diagonalize_tracked(part, p):
+    """Diagonalize a p-primary finite quadratic form (p odd).
 
-    Returns (part, entries) with entries a list of (e, unit, coords): an
-    orthogonal generator of order p^e with beta-value unit / p^e (beta = q/2,
-    polar form b), given by its coordinates over the part's generators.
-    Exact Gram-Schmidt over the p-group; valid for odd p only.
+    Returns a sorted list of (e, unit, coords): an orthogonal generator of
+    order p^e with beta-value unit / p^e (beta = q/2, polar form b), given by
+    its coordinates over the part's generators. Exact Gram-Schmidt over the
+    p-group; valid for odd p only.
     """
-    part = form.p_primary_part(p)
     k = part.ngens
     if k == 0:
-        return part, []
+        return []
     max_steps = valuation(part.order(), p)
     # work with beta = q/2 (odd order makes division by 2 harmless)
     gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
@@ -548,7 +552,7 @@ def odd_diagonalize_tracked(form, p):
         gens = sorted(set(g for g in new_gens if order_of(g) > 1))
         if len(out) > max_steps:
             raise AssertionError("odd diagonalization failed to terminate")
-    return part, sorted(out)
+    return sorted(out)
 
 
 _BACKTRACK_ORDER = 40000  # largest group order find_form_isometry searches
@@ -619,8 +623,8 @@ def _odd_anti_map(part1, part2, p):
     def combine(*terms):
         return tuple(sum(k * v[i] for k, v in terms) % d for i, d in enumerate(orders))
 
-    _, diag1 = odd_diagonalize_tracked(part1, p)
-    _, diag2 = odd_diagonalize_tracked(part2, p)
+    diag1 = odd_diagonalize_tracked(part1, p)
+    diag2 = odd_diagonalize_tracked(part2, p)
     images = []  # (e, diagonal generator of part1, its image in part2)
     for E in sorted({e for e, _, _ in diag1}):
         pe = p**E
@@ -702,7 +706,9 @@ def find_form_isometry(f1, f2):
     if f1.orders != f2.orders:
         return None
     if f1.order() > _BACKTRACK_ORDER:
-        raise LatticeError("group too large for backtracking search")
+        raise LatticeError(
+            f"group of order {f1.order()} exceeds the backtracking bound {_BACKTRACK_ORDER}"
+        )
     if f1.ngens == 0:
         return ()
     elements = {}

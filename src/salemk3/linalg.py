@@ -253,10 +253,6 @@ def rat_inverse(A):
     return tuple(row[n:] for row in R)
 
 
-def rank(A):
-    return len(rat_row_reduce(A)[1])
-
-
 # --- integer normal forms ---------------------------------------------------
 
 
@@ -408,11 +404,10 @@ def saturation(B):
 
     Returns an integer row basis of {x in Z^n : k x in rowspan_Q(B) for some k > 0}.
     """
-    ker = rat_kernel(B)  # rows t with B t^T ... kernel of v -> B v
-    if not ker:
+    K = int_row_kernel(transpose(B))  # rows t with B t = 0
+    if not K:
         return hnf(identity(len(B[0])))
-    _, K = clear_denominators(ker)
-    # saturated lattice = integer vectors orthogonal (as coordinates) to ker
+    # saturated lattice = integer vectors orthogonal (as coordinates) to K
     return int_row_kernel(transpose(K))
 
 

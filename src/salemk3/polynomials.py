@@ -633,12 +633,10 @@ def cyclotomic(n):
     return p
 
 
-def cyclotomic_factors(p, exclude_x_minus_one=False):
+def cyclotomic_factors(p):
     """(n, cyclotomic(n)) for every cyclotomic polynomial dividing p."""
     out = []
     for n in _orders_of_degree_at_most(p.degree):
-        if n == 1 and exclude_x_minus_one:
-            continue
         cyc = cyclotomic(n)
         if divides(cyc, p):
             out.append((n, cyc))

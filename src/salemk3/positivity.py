@@ -80,7 +80,7 @@ def cyclic_roots(L: Lattice, f: Isometry):
     """
     if not f.is_integral():
         raise PositivityError("cyclic-root search needs an integral isometry")
-    factors = [phi for _, phi in cyclotomic_factors(f.char_poly(), exclude_x_minus_one=True)]
+    factors = [phi for n, phi in cyclotomic_factors(f.char_poly()) if n > 1]
     if not factors:
         return []
     ker = kernel_sublattice(f, prod(factors, start=IntPolynomial([1])))

@@ -15,7 +15,7 @@ from . import codec, linalg
 from .isometries import (
     Isometry,
     TwistElement,
-    _matrix_order_mod,
+    _least_power,
     _restrict_to_rows,
     discriminant_order,
     is_isometry,
@@ -177,6 +177,7 @@ class SplitPrimeEvidence:
 SPLIT_PRIME_CAP = 2_000_000  # the last prime find_split_prime tries
 PIPELINE_PRIME_CAP = 100_000  # the last prime pipeline_split_prime tries
 PIPELINE_ORDER_CAP = 400_000  # the largest best order mod p^2 that ends it after 6 hits
+DESCENT_ORDER_CAP = 10**7  # the largest descent power build_k3_certificate raises to
 
 
 def _split_primes(r: IntPolynomial, first, step, exclude, cap):
@@ -435,7 +436,7 @@ def pipeline_split_prime(s: IntPolynomial, exclude):
     for p, roots in _split_primes(trace_polynomial(s), 3, 1, exclude, PIPELINE_PRIME_CAP):
         for a, w in roots:
             b = (a + w) * pow(2, -1, p) % p
-            o2 = _matrix_order_mod(((b,),), p * p)
+            o2 = _least_power(((b,),), p * p, lambda P: P == ((1,),))
             if best is None or o2 < best[0]:
                 best = (o2, SplitPrimeEvidence(p, a, w, 1))
         found += len(roots)
@@ -531,8 +532,10 @@ def build_k3_certificate(s: IntPolynomial, seed=None, stage_trace=None):
     # coordinate vector of ambient e_i, and (B^T)^-1 = (B^-1)^T conjugates
     # the block map into the overlattice basis (column convention).
     k = discriminant_order(S2, f2)
-    if k > 10**7:
-        raise RealizeError("stage power: discriminant action order exceeds the cap")
+    if k > DESCENT_ORDER_CAP:
+        raise RealizeError(
+            f"stage power: discriminant action order {k} exceeds the cap {DESCENT_ORDER_CAP}"
+        )
     Fk = linalg.mat_pow(f2.matrix, k)
     block = linalg.block_diag(Fk, linalg.identity(R2.rank))
     embed = linalg.rat_inverse(basis)
@@ -649,9 +652,8 @@ def verify_certificate(cert: RealizationCertificate):
     try:
         if any(len(row) != L.rank for row in rows):
             raise ValueError(f"kernel_basis rows must have length lattice.rank = {L.rank}")
-        sub_gram = linalg.mat_mul(linalg.mat_mul(rows, L.gram), linalg.transpose(rows))
-        kernel_lat = Lattice(sub_gram)
-        primitive, _ = is_primitive_sublattice(L, rows)
+        kernel_lat = L.sublattice(rows)
+        primitive, _ = is_primitive_sublattice(rows)
         kernel_ok &= primitive and len(rows) == d
         expected_sig = (1, d - 1) if cert.projective else (3, d - 3)
         kernel_sig = kernel_lat.signature()

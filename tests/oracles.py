@@ -210,6 +210,18 @@ def matrix_order_mod(A, m, cap=100000):
     raise ValueError("no power of the matrix reached the identity within the cap")
 
 
+def least_power_by_iteration(A, D, m, cap=100000):
+    """Least d >= 1 with A^d D = D modulo m, by repeated numpy multiplication."""
+    A = np.array(A, dtype=np.int64) % m
+    D = np.array(D, dtype=np.int64) % m
+    image = (A @ D) % m
+    for d in range(1, cap + 1):
+        if np.array_equal(image, D):
+            return d
+        image = (A @ image) % m
+    raise ValueError("no power of the matrix fixed D within the cap")
+
+
 def discriminant_action(L, form, F):
     """Matrix (columns = images) of the action of the integral isometry F on
     the generators of the discriminant form of L.

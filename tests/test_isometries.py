@@ -9,7 +9,7 @@ from salemk3.isometries import (
     Isometry,
     IsometryError,
     TwistElement,
-    _matrix_order_mod,
+    _least_power,
     discriminant_order,
     invariant_symmetric_forms,
     is_isometry,
@@ -24,7 +24,12 @@ from salemk3.numbertheory import factorize
 from salemk3.polynomials import IntPolynomial, companion_matrix
 from salemk3.realize import seed_for
 
-from oracles import discriminant_order_by_iteration, matrix_order_mod, smith_diagonal
+from oracles import (
+    discriminant_order_by_iteration,
+    least_power_by_iteration,
+    matrix_order_mod,
+    smith_diagonal,
+)
 
 P = IntPolynomial
 QUAD = P([1, -3, 1])
@@ -168,32 +173,71 @@ def test_power_to_integral_randomized():
         done += 1
 
 
+# (modulus, rank) pairs for the order search; every order stays under the
+# oracles' iteration cap
+ORDER_CASES = [(m, rank) for m in (2, 3, 4, 8, 9, 12, 25) for rank in (2, 3, 4)]
+ORDER_CASES += [(72, 2), (72, 3), (867, 2)]
+
+
+def _is_identity(P):
+    return P == linalg.identity(len(P))
+
+
 def test_matrix_order_mod_matches_brute_force():
     rng = random.Random(20)
-    for m in (2, 3, 4, 8, 9, 12, 25):
-        for rank in (2, 3, 4):
-            checked = 0
-            while checked < 4:
-                A = tuple(tuple(rng.randint(-6, 6) for _ in range(rank)) for _ in range(rank))
-                if gcd(linalg.bareiss_det(A), m) != 1:
-                    continue
-                assert _matrix_order_mod(A, m) == matrix_order_mod(A, m)
-                checked += 1
+    for m, rank in ORDER_CASES:
+        checked = 0
+        while checked < 4:
+            A = tuple(tuple(rng.randint(-6, 6) for _ in range(rank)) for _ in range(rank))
+            if gcd(linalg.bareiss_det(A), m) != 1:
+                continue
+            assert _least_power(A, m, _is_identity) == matrix_order_mod(A, m)
+            checked += 1
     jordan = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))  # unipotent
     for m in (2, 3, 4, 8, 9):
-        assert _matrix_order_mod(jordan, m) == matrix_order_mod(jordan, m)
+        assert _least_power(jordan, m, _is_identity) == matrix_order_mod(jordan, m)
 
 
 def test_matrix_order_mod_rejects_singular():
-    with pytest.raises(ArithmeticError):
-        _matrix_order_mod(((1, 2), (3, 6)), 5)  # singular over Q
-    with pytest.raises(ArithmeticError):
-        _matrix_order_mod(((2, 1), (0, 3)), 12)  # det 6: singular mod 2 and mod 3
-    with pytest.raises(ArithmeticError):
-        _matrix_order_mod(((2,),), 2)  # rank 1 mod 2, where |GL_1(F_2)| = 1
-    assert _matrix_order_mod(((3,),), 2) == 1
+    with pytest.raises(ArithmeticError, match="matrix is not invertible modulo p"):
+        _least_power(((1, 2), (3, 6)), 5, _is_identity)  # singular over Q
+    with pytest.raises(ArithmeticError, match="matrix is not invertible modulo p"):
+        _least_power(((2, 1), (0, 3)), 12, _is_identity)  # det 6: singular mod 2 and mod 3
+    with pytest.raises(ArithmeticError, match="matrix is not invertible modulo p"):
+        _least_power(((2,),), 2, _is_identity)  # rank 1 mod 2, where |GL_1(F_2)| = 1
+    assert _least_power(((3,),), 2, _is_identity) == 1
     A = ((0, -1), (1, 3))  # companion matrix of x^2 - 3x + 1
-    assert _matrix_order_mod(A, 25) == matrix_order_mod(A, 25)
+    assert _least_power(A, 25, _is_identity) == matrix_order_mod(A, 25)
+
+
+def test_least_power_subgroup_test_matches_iteration():
+    # the least d with A^d D = D mod m: a subgroup test other than the identity
+    rng = random.Random(15)
+    for m, rank in ORDER_CASES:
+        checked = 0
+        while checked < 4:
+            A = tuple(tuple(rng.randint(-6, 6) for _ in range(rank)) for _ in range(rank))
+            if gcd(linalg.bareiss_det(A), m) != 1:
+                continue
+            cols = rng.randint(1, rank)
+            D = tuple(tuple(rng.randrange(m) for _ in range(cols)) for _ in range(rank))
+
+            def fixes_D(P):
+                return linalg.mat_mod(linalg.mat_mul(P, D), m) == D
+
+            assert _least_power(A, m, fixes_D) == least_power_by_iteration(A, D, m)
+            checked += 1
+
+
+def test_least_power_orders_mod_p_squared():
+    # the 1 x 1 search that pipeline_split_prime runs, for every unit b mod p
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        for b in range(1, p):
+            order, x = 1, b
+            while x != 1:
+                x = x * b % (p * p)
+                order += 1
+            assert _least_power(((b,),), p * p, lambda P: P == ((1,),)) == order
 
 
 def test_discriminant_order_matches_iteration():

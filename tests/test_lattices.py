@@ -201,12 +201,31 @@ def test_complement_discriminant_antiisometric():
 
 
 def test_primitivity_check():
-    L = named_lattice("3U")
-    ok, _ = is_primitive_sublattice(L, [(1, 1, 0, 0, 0, 0)])
+    ok, _ = is_primitive_sublattice([(1, 1, 0, 0, 0, 0)])
     assert ok
-    ok, sat = is_primitive_sublattice(L, [(2, 2, 0, 0, 0, 0)])
+    ok, sat = is_primitive_sublattice([(2, 2, 0, 0, 0, 0)])
     assert not ok
     assert linalg.hnf(sat) == linalg.hnf(((1, 1, 0, 0, 0, 0),))
+
+
+def test_primitivity_matches_smith_invariants():
+    # primitive rows: full rank with every invariant factor 1
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, n)
+        B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        if rng.random() < 0.3:
+            B[0] = [2 * x for x in B[0]]
+        invariants = smith_diagonal(B)
+        ok, sat = is_primitive_sublattice(B)
+        assert ok == (len(invariants) == k and all(d == 1 for d in invariants))
+        if ok:
+            continue
+        # the saturation contains B with the same rank and is itself primitive
+        assert len(sat) == len(invariants)
+        assert is_primitive_sublattice(sat)[0]
+        assert len(linalg.hnf(list(sat) + B)) == len(sat)
 
 
 def test_enumerate_norm_examples():

@@ -479,6 +479,13 @@ def test_no_seed_failure():
     assert "seed" in str(exc.value)
 
 
+def test_descent_cap_names_the_order(monkeypatch):
+    monkeypatch.setattr(realize, "DESCENT_ORDER_CAP", 271)
+    with pytest.raises(RealizeError) as exc:
+        build_k3_certificate(S4)
+    assert str(exc.value) == "stage power: discriminant action order 272 exceeds the cap 271"
+
+
 def test_seed_validation():
     seed = seed_for(S4)
     f = validate_seed(seed)
@@ -670,6 +677,10 @@ def test_large_two_part_is_refused_by_name():
         forms_isomorphic(h, h)
     with pytest.raises(LatticeError, match="2-primary part of order 65536"):
         build_glue_map(h, h)
+    with pytest.raises(
+        LatticeError, match="^group of order 65536 exceeds the backtracking bound 40000$"
+    ):
+        find_form_isometry(h, h)
 
 
 def test_build_glue_map_large_p_part(k3_certificate):
