@@ -7,7 +7,7 @@ property and several operations (twisting, discriminant actions) insist on it.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm, prod
 
 from . import linalg
 from .lattices import Lattice, LatticeError, discriminant_form, forms_isomorphic, hyperbolic_p_form
@@ -28,47 +28,51 @@ class IsometryError(ValueError):
 
 def is_isometry(L: Lattice, M) -> bool:
     """Exact check M^T G M = G."""
-    if len(M) != L.rank or any(len(row) != L.rank for row in M):
+    return _preserves_form(L, *linalg.clear_denominators(M))
+
+
+def _preserves_form(L, den, N):
+    """N^T G N = den^2 G in integers: the rational N / den is an isometry of L."""
+    if len(N) != L.rank or any(len(row) != L.rank for row in N):
         return False
-    return linalg.mat_mul(linalg.mat_mul(linalg.transpose(M), L.gram), M) == L.gram
+    NtGN = linalg.mat_mul(linalg.mat_mul(linalg.transpose(N), L.gram), N)
+    return NtGN == linalg.mat_scale(den * den, L.gram)
 
 
 @dataclass(frozen=True)
 class Isometry:
     lattice: Lattice
-    matrix: tuple
+    matrix: tuple  # ints and Fractions; the arithmetic runs on N = den * matrix
 
     def __init__(self, lattice, matrix):
-        matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-        matrix = tuple(
-            tuple(int(x) if x.denominator == 1 else x for x in row) for row in matrix
-        )
-        if not is_isometry(lattice, matrix):
+        den, num = linalg.clear_denominators(matrix)
+        if not _preserves_form(lattice, den, num):
             raise IsometryError("matrix does not preserve the bilinear form")
+        matrix = tuple(tuple(Fraction(x, den) if x % den else x // den for x in row) for row in num)
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "matrix", matrix)
+        # not dataclass fields: equality, hash and repr read the matrix only
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     @property
     def rank(self):
         return self.lattice.rank
 
     def is_integral(self):
-        return linalg.is_integral(self.matrix)
+        return self._den == 1
 
     def char_poly(self):
-        """Characteristic polynomial; raises if it is not integral."""
-        coeffs = linalg.charpoly(self.matrix)
-        fracs = [Fraction(c) for c in coeffs]
-        if any(c.denominator != 1 for c in fracs):
+        """Characteristic polynomial; raises if it is not integral. For F = N / den its
+        x^k coefficient is that of det(x I - N) divided by den^(n - k)."""
+        n = self.rank
+        coeffs = [divmod(c, self._den ** (n - k)) for k, c in enumerate(linalg.charpoly(self._num))]
+        if any(r for _, r in coeffs):
             raise IsometryError("characteristic polynomial is not integral")
-        return IntPolynomial([int(c) for c in fracs])
+        return IntPolynomial([q for q, _ in coeffs])
 
     def inverse_matrix(self):
-        # F^-1 = G^-1 F^T G, exact and division-free in F
-        Ginv = self.lattice.dual_basis()
-        return linalg.mat_mul(
-            linalg.mat_mul(Ginv, linalg.transpose(self.matrix)), self.lattice.gram
-        )
+        return linalg.rat_inverse(self.matrix)
 
     def w_matrix(self):
         """f + f^-1, the self-adjoint generator used for twists."""
@@ -152,17 +156,17 @@ def kernel_sublattice(f: Isometry, p: IntPolynomial):
 def _restrict_to_rows(F, B):
     """Matrix of the action on row-span coordinates: rows b -> b F^T.
 
-    Column convention; raises IsometryError when the row span is not invariant.
+    Column convention: the Y with B^T Y = F B^T, held as den Y by the echelon
+    form of [B^T | N B^T] for F = N / den. Raises IsometryError when the row
+    span is not invariant, that is when a pivot lands in the right half.
     """
-    image = linalg.mat_mul(B, linalg.transpose(F))
-    # solve X B = image; pick an invertible column set of B
-    _, pivots = linalg.rat_row_reduce(B)
-    Bp = tuple(tuple(row[j] for j in pivots) for row in B)
-    Ip = tuple(tuple(row[j] for j in pivots) for row in image)
-    X = linalg.mat_mul(Ip, linalg.rat_inverse(Bp))
-    if linalg.mat_mul(X, B) != image:
+    k = len(B)
+    Bt = linalg.transpose(B)
+    den, N = linalg.clear_denominators(F)
+    R, d, pivots = linalg.gauss_jordan([b + fb for b, fb in zip(Bt, linalg.mat_mul(N, Bt))])
+    if pivots != tuple(range(k)):
         raise IsometryError("row span is not invariant under the isometry")
-    return linalg.transpose(X)
+    return tuple(tuple(Fraction(x, d * den) for x in row[k:]) for row in R[:k])
 
 
 def _least_power(A, m, test):
@@ -201,14 +205,14 @@ def _least_power(A, m, test):
 def discriminant_order(L: Lattice, f: Isometry):
     """Order of the action of an integral isometry f on L^dual / L.
 
-    With e the exponent of L^dual / L and D = e G^-1 (an integer matrix),
-    f^d acts trivially exactly when (F^d - I) D = 0 mod e. The exponents
-    that pass form a subgroup containing the order of F modulo e, so the
-    climb of ``_least_power`` finds the least one.
+    With G^-1 = D / e in lowest terms (``L.dual_basis()``), e is the exponent
+    of L^dual / L and f^d acts trivially exactly when (F^d - I) D = 0 mod e.
+    The exponents that pass form a subgroup containing the order of F
+    modulo e, so the climb of ``_least_power`` finds the least one.
     """
     if not f.is_integral():
         raise IsometryError("discriminant action needs an integral isometry")
-    e, D = linalg.clear_denominators(L.dual_basis())
+    D, e = L.dual_basis()
     D = linalg.mat_mod(D, e)
     return _least_power(f.matrix, e, lambda P: linalg.mat_mod(linalg.mat_mul(P, D), e) == D)
 
@@ -218,7 +222,7 @@ def power_to_integral(L: Lattice, f: Isometry):
 
     Computes the module M = Z[f] L by Hermite reduction, the index
     k = [M : L] and the integral action Psi of f on M, so that
-    F = X^-1 Psi X for the integer matrix X of L inside M, det X = +-k.
+    F = X^-1 Psi X for the integer matrix X of L inside M, det X = k.
     The exponents d with f^d(L) in L form a subgroup nZ (an inclusion of
     equal covolume is an equality), and n divides the order n0 of Psi
     modulo k, so the climb of ``_least_power`` finds n. Each test runs in
@@ -227,32 +231,32 @@ def power_to_integral(L: Lattice, f: Isometry):
     the characteristic polynomial of f is (Cayley-Hamilton one way, F
     conjugate to Psi over Q the other), so that is the integrality test.
     """
-    F = f.matrix
     n = L.rank
-    if linalg.is_integral(F):
-        return 1, Isometry(L, linalg.mat_to_int(F))
+    if f.is_integral():
+        return 1, Isometry(L, f.matrix)
+    N, d = f._num, f._den
+    # the columns of F^j = N^j / d^j for j < n, as rows over one denominator
     rows = []
     power = linalg.identity(n)
-    for _ in range(n):
-        rows.extend(linalg.transpose(power))
-        power = linalg.mat_mul(F, power)
-    den, int_rows = linalg.clear_denominators(rows)
-    H = linalg.hnf(int_rows)
-    BM = tuple(tuple(Fraction(x, den) for x in row) for row in H)  # rows: basis of M
-    C = linalg.rat_inverse(BM)  # rows: coordinates of Z^n inside M
-    if not linalg.is_integral(C):
+    for j in range(n):
+        rows.extend(linalg.mat_scale(d ** (n - 1 - j), linalg.transpose(power)))
+        power = linalg.mat_mul(N, power)
+    den = d ** (n - 1)
+    H = linalg.hnf(rows)  # rows of H / den: basis of M
+    # X = (H / den)^-T; the rows of (H / den)^-1 are the coordinates of Z^n inside M
+    HN, e = linalg.inverse_pair(H)
+    if den % e:
         raise AssertionError("L is not contained in Z[f]L")
-    X = linalg.mat_to_int(linalg.transpose(C))
-    det = linalg.bareiss_det(X)
-    k = abs(det)
+    X = linalg.mat_scale(den // e, linalg.transpose(HN))
+    k = den**n // prod(H[i][i] for i in range(n))  # det X, as H is triangular
     if k == 1:
         raise AssertionError("index 1 but f not integral")
-    adj = linalg.mat_to_int(linalg.mat_scale(det, linalg.transpose(BM)))  # det * X^-1
-    # action of f in M-coordinates (column convention)
-    Psi = linalg.mat_mul(linalg.mat_mul(X, F), linalg.transpose(BM))
-    if not linalg.is_integral(Psi):
+    adj = tuple(tuple(k * x // den for x in row) for row in linalg.transpose(H))  # k X^-1
+    # action of f in M-coordinates (column convention): X F (H / den)^T
+    Psi = linalg.mat_mul(linalg.mat_mul(X, N), linalg.transpose(H))
+    if any(x % (d * den) for row in Psi for x in row):
         raise IsometryError("characteristic polynomial is not integral")
-    Psi = linalg.mat_to_int(Psi)
+    Psi = tuple(tuple(x // (d * den) for x in row) for row in Psi)
 
     def integral(Pd):
         P = linalg.mat_mul(linalg.mat_mul(adj, Pd), X)
@@ -262,7 +266,7 @@ def power_to_integral(L: Lattice, f: Isometry):
     P = linalg.mat_mul(linalg.mat_mul(adj, linalg.mat_pow(Psi, m)), X)
     if any(x % k for row in P for x in row):
         raise AssertionError("the least exponent does not give an integral power")
-    return m, Isometry(L, tuple(tuple(x // det for x in row) for row in P))
+    return m, Isometry(L, tuple(tuple(x // k for x in row) for row in P))
 
 
 # --- invariant forms ----------------------------------------------------------
@@ -288,13 +292,9 @@ def invariant_symmetric_forms(F):
                     row[pos[key]] += F[i][a] * F[j][b]
             row[pos[(a, b)]] -= 1
             rows.append(tuple(row))
-    kernel = linalg.rat_kernel(tuple(rows))
+    _, rows = linalg.clear_denominators(rows)
     out = []
-    for vec in kernel:
-        _, (ints,) = linalg.clear_denominators((vec,))
-        g = gcd(*ints)
-        if g:
-            ints = [x // g for x in ints]
+    for ints in linalg.primitive_kernel(rows):
         G = [[0] * n for _ in range(n)]
         for (i, j), k in pos.items():
             G[i][j] = ints[k]

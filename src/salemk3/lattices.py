@@ -37,10 +37,21 @@ class Lattice:
         det, s_plus, _ = linalg.symmetric_bareiss(gram)
         if det == 0:
             raise LatticeError("bilinear form must be non-degenerate")
+        self._set(gram, det, (s_plus, n - s_plus))
+
+    def _set(self, gram, det, signature):
         object.__setattr__(self, "gram", gram)
         # not dataclass fields: equality, hash and repr read the Gram matrix only
         object.__setattr__(self, "_determinant", det)
-        object.__setattr__(self, "_signature", (s_plus, n - s_plus))
+        object.__setattr__(self, "_signature", signature)
+
+    @classmethod
+    def _known(cls, gram, det, signature):
+        """The lattice on an integer Gram matrix whose determinant and
+        signature are already known, with no elimination."""
+        L = object.__new__(cls)
+        L._set(gram, det, signature)
+        return L
 
     @property
     def rank(self):
@@ -71,14 +82,29 @@ class Lattice:
         return self.inner(v, v)
 
     def dual_basis(self):
-        """Rows generate the dual lattice in lattice coordinates (= gram inverse)."""
-        return linalg.rat_inverse(self.gram)
+        """Rows of N / d = G^-1 generate the dual lattice in lattice coordinates; returns (N, d)."""
+        return linalg.inverse_pair(self.gram)
 
     def direct_sum(self, other):
-        return Lattice(linalg.block_diag(self.gram, other.gram))
+        """Orthogonal sum: determinants multiply and signatures add."""
+        (p1, m1), (p2, m2) = self.signature(), other.signature()
+        return Lattice._known(
+            linalg.block_diag(self.gram, other.gram),
+            self.determinant() * other.determinant(),
+            (p1 + p2, m1 + m2),
+        )
 
     def rescaled(self, c):
-        return Lattice(linalg.mat_scale(c, self.gram))
+        """The form times a nonzero integer c: the determinant becomes
+        c^n det, and the signature swaps when c < 0."""
+        if c == 0:
+            raise LatticeError("bilinear form must be non-degenerate")
+        s_plus, s_minus = self.signature()
+        return Lattice._known(
+            linalg.mat_scale(c, self.gram),
+            c**self.rank * self.determinant(),
+            (s_plus, s_minus) if c > 0 else (s_minus, s_plus),
+        )
 
     def sublattice(self, basis_rows):
         """Lattice on the given (independent) rows with the restricted form."""
@@ -389,12 +415,12 @@ def _overlattice(ambient, extras):
     when the span is not integral or not even.
     """
     den, extra = linalg.clear_denominators(extras)
-    rows = linalg.mat_scale(den, linalg.identity(ambient.rank))
-    basis = tuple(tuple(Fraction(x, den) for x in row) for row in linalg.hnf(rows + extra))
-    gram = linalg.rat_mat_mul(basis, ambient.gram, linalg.transpose(basis))
-    if not linalg.is_integral(gram):
+    H = linalg.hnf(linalg.mat_scale(den, linalg.identity(ambient.rank)) + extra)  # basis H / den
+    gram = linalg.mat_mul(linalg.mat_mul(H, ambient.gram), linalg.transpose(H))
+    if any(x % (den * den) for row in gram for x in row):
         raise LatticeError("the overlattice is not integral")
-    L = Lattice(linalg.mat_to_int(gram))
+    basis = tuple(tuple(Fraction(x, den) for x in row) for row in H)
+    L = Lattice(tuple(tuple(x // (den * den) for x in row) for row in gram))
     if not L.is_even():
         raise LatticeError("the overlattice is odd")
     return L, basis
@@ -454,7 +480,7 @@ def orthogonal_complement(L: Lattice, basis_rows):
     if not primitive:
         raise LatticeError(
             "sublattice is not primitive; its saturation has basis "
-            + str([list(r) for r in sat])
+            + str([list(r) for r in linalg.hnf(sat)])
         )
     # rows x with x G B^T = 0 pair to zero with every basis row
     GBt = linalg.mat_mul(L.gram, linalg.transpose(B))

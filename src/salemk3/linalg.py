@@ -1,8 +1,10 @@
 """Exact linear algebra over the integers and rationals.
 
-Matrices are tuples of row tuples; entries are ints or Fractions. Vectors
-are tuples treated as columns, so ``mat_vec(A, v)`` computes ``A @ v``.
-Basis matrices for sublattices keep the basis vectors as rows.
+Matrices are tuples of row tuples. A rational matrix is an integer matrix
+over one positive denominator (``clear_denominators``), and every elimination
+runs on integers: Gauss-Jordan through the fraction-free ``gauss_jordan``.
+Vectors are tuples treated as columns, so ``mat_vec(A, v)`` computes
+``A @ v``. Basis matrices for sublattices keep the basis vectors as rows.
 """
 
 from fractions import Fraction
@@ -33,21 +35,6 @@ def mat_scale(c, A):
 def mat_mul(A, B):
     Bt = transpose(B)
     return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
-
-
-def rat_mat_mul(*factors):
-    """Product of rational matrices, computed over one common denominator.
-
-    Each factor's denominators are cleared, the integer matrices are
-    multiplied, and the product is divided once at the end. Equal to chaining
-    ``mat_mul``; much faster when the factors are large Fraction matrices.
-    """
-    den, P = clear_denominators(factors[0])
-    for A in factors[1:]:
-        d, IA = clear_denominators(A)
-        den *= d
-        P = mat_mul(P, IA)
-    return tuple(tuple(Fraction(x, den) for x in row) for row in P)
 
 
 def mat_vec(A, v):
@@ -203,54 +190,69 @@ def symmetric_bareiss(G):
     return prev, pos, M
 
 
-def rat_row_reduce(A):
-    """Reduced row echelon form over the rationals; returns (R, pivot_columns)."""
-    M = [[Fraction(x) for x in row] for row in A]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if M[i][col] != 0), None)
-        if pivot is None:
+def gauss_jordan(A):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (R, d, pivots), the integer R and d > 0 with R / d the reduced
+    row echelon form of A over Q. Each pivot p, in row r and column c,
+    replaces every other row x by (p x - x_c r) / p', with p' the previous
+    pivot (1 at first): an exact division, as every entry stays a minor of
+    A, and every pivot entry becomes p (Bareiss, Math. Comp. 22 (1968);
+    Cohen, GTM 138, Section 2.2).
+    """
+    M = [list(row) for row in A]
+    pivots, prev = [], 1
+    for col in range(len(M[0]) if M else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(M)) if M[i][col]), None)
+        if p is None:
             continue
-        M[r], M[pivot] = M[pivot], M[r]
-        inv = 1 / M[r][col]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][col]:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        M[r], M[p] = M[p], M[r]
+        pivot = M[r][col]
+        for i, row in enumerate(M):
+            if i != r:
+                M[i] = [(pivot * x - row[col] * y) // prev for x, y in zip(row, M[r])]
+        prev = pivot
         pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return tuple(tuple(row) for row in M), tuple(pivots)
+    sign = -1 if prev < 0 else 1
+    return tuple(tuple(sign * x for x in row) for row in M), sign * prev, tuple(pivots)
 
 
-def rat_kernel(A):
-    """Basis (rows) of the right kernel {x : A x = 0} over the rationals."""
-    R, pivots = rat_row_reduce(A)
+def primitive_kernel(A):
+    """Basis (rows) of the right kernel {x : A x = 0} of an integer matrix:
+    for each free column j of ``gauss_jordan(A)`` in turn, the primitive
+    integer row with d at j and -R[r][j] at the pivot column of row r."""
+    R, d, pivots = gauss_jordan(A)
     n = len(A[0]) if A else 0
-    free = [j for j in range(n) if j not in pivots]
     basis = []
-    for j in free:
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][j]
-        basis.append(tuple(v))
+    for j in (j for j in range(n) if j not in pivots):
+        v = [0] * n
+        v[j] = d
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[j]
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
     return tuple(basis)
 
 
-def rat_inverse(A):
-    """Inverse of a square matrix, exact over the rationals: the right half of
-    the reduced row echelon form of [A | I]."""
+def inverse_pair(A):
+    """(N, d) with A^-1 = N / d for a square integer A, d > 0 and
+    gcd(d, N) = 1, so that equal inverses are equal pairs: the right half of
+    ``gauss_jordan([A | I])``. Raises ZeroDivisionError when A is singular."""
     n = len(A)
-    R, pivots = rat_row_reduce([tuple(row) + e for row, e in zip(A, identity(n))])
+    R, d, pivots = gauss_jordan([tuple(row) + e for row, e in zip(A, identity(n))])
     if pivots != tuple(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return tuple(row[n:] for row in R)
+    g = gcd(d, *(x for row in R for x in row[n:]))
+    return tuple(tuple(x // g for x in row[n:]) for row in R), d // g
+
+
+def rat_inverse(A):
+    """Inverse of a square rational matrix as Fractions: with A = N / c over
+    one denominator, A^-1 = c N^-1 from ``inverse_pair(N)``."""
+    c, N = clear_denominators(A)
+    Ninv, d = inverse_pair(N)
+    return tuple(tuple(Fraction(c * x, d) for x in row) for row in Ninv)
 
 
 # --- integer normal forms ---------------------------------------------------
@@ -420,24 +422,20 @@ def charpoly_and_adjugate(A):
     """Char poly of A and the matrix coefficients of adj(x I - A).
 
     Returns (coeffs, mats) with adj(x I - A) = sum_k mats[k] * x^k,
-    k = 0 .. n-1, and coeffs ascending. Integer input gives int coefficients.
+    k = 0 .. n-1, and coeffs ascending. Integer input only.
     """
     n = len(A)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     mats = [None] * n
     M = identity(n)
-    exact_int = all(isinstance(x, int) for row in A for x in row)
     for k in range(1, n + 1):
         mats[n - k] = M
         AM = mat_mul(A, M)
         tr = sum(AM[i][i] for i in range(n))
-        if exact_int:
-            c, r = divmod(tr, k)
-            assert r == 0
-            c = -c
-        else:
-            c = -Fraction(tr, k)
+        c, r = divmod(tr, k)
+        assert r == 0
+        c = -c
         coeffs[n - k] = c
         M = mat_add(AM, mat_scale(c, identity(n)))
     return tuple(coeffs), tuple(mats)

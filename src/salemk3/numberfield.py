@@ -7,20 +7,21 @@ constant first, over one positive denominator, with gcd(den, nums) = 1, so
 equal elements are equal pairs. Products reduce modulo m on the integer
 numerators, which stay integral because m is monic. The inverse of a
 nonzero element a solves the linear system of multiplication by a against 1
-by exact Gauss-Jordan elimination (``linalg.rat_row_reduce``). Signs and
-enclosures are decided by interval Horner evaluation on the integer
+by fraction-free Gauss-Jordan elimination (``linalg.gauss_jordan``). Signs
+and enclosures are decided by interval Horner evaluation on the integer
 numerators over the interval's common denominator, refining the isolating
-interval by exact bisection until the enclosure excludes zero; this
-terminates for every nonzero element because m is irreducible. When a
-bisection lands on a rational root, the interval becomes that point and
-the enclosure the exact value.
+interval by exact bisection until the enclosure excludes zero. An element
+whose first enclosure contains zero is first tested for vanishing at the
+root through gcd(a, m), so the bisection only runs on nonzero values and
+ends, even when m is reducible. When a bisection lands on a rational root,
+the interval becomes that point and the enclosure the exact value.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .polynomials import IntPolynomial, refine_interval
+from .polynomials import IntPolynomial, count_real_roots, poly_gcd, refine_interval
 
 
 def _canonical(nums, den):
@@ -110,9 +111,9 @@ class RealAlgebraicField:
         """Inverse by solving M c = e_0, where column j of M is N x^j for a = N / den.
 
         M is the matrix of multiplication by N, invertible for a != 0
-        because the modulus is irreducible, so the reduced echelon form of
-        [M | e_0] has pivots 0 .. d-1 and its last column is 1/N; then
-        1/a = den / N.
+        because the modulus is irreducible, so the reduced echelon form R / e
+        of [M | e_0] has pivots 0 .. d-1 and its last column is 1/N; then
+        1/a = den R[:, d] / e.
         """
         if self.is_zero(a):
             raise ZeroDivisionError("inverting zero field element")
@@ -121,10 +122,10 @@ class RealAlgebraicField:
         cols = [list(nums)]
         for _ in range(d - 1):
             cols.append(self._reduce([0] + cols[-1]))
-        R, pivots = linalg.rat_row_reduce([[col[i] for col in cols] + [int(i == 0)] for i in range(d)])
+        R, e, pivots = linalg.gauss_jordan([[col[i] for col in cols] + [int(i == 0)] for i in range(d)])
         if pivots != tuple(range(d)):
             raise ArithmeticError("element not invertible; modulus not irreducible?")
-        return self.element([den * row[d] for row in R])
+        return _canonical([den * row[d] for row in R], e)
 
     # --- certified real data ---
 
@@ -166,15 +167,24 @@ class RealAlgebraicField:
         return Fraction(acc_lo, den * scale), Fraction(acc_hi, den * scale)
 
     def sign(self, a):
-        """Exact sign of the real value of a: -1, 0 or +1."""
+        """Exact sign of the real value of a: -1, 0 or +1.
+
+        When the first enclosure contains 0, a(theta) = 0 exactly when
+        gcd(a, m) has a root in (lo, hi], whose only root of m is theta.
+        """
         if self.is_zero(a):
             return 0
         iv = self._eval_interval(a)
-        width = self._interval[1] - self._interval[0]
-        while iv[0] <= 0 <= iv[1]:
-            if self._interval[0] == self._interval[1]:
-                return 0  # a point interval gives the exact value, here 0
-            width /= 2
-            self.refine(width)
-            iv = self._eval_interval(a)
+        if iv[0] <= 0 <= iv[1]:
+            lo, hi = self._interval
+            if lo == hi:
+                return 0
+            g = poly_gcd(IntPolynomial(a[0]), self.min_poly)
+            if g.degree and count_real_roots(g, lo, hi):
+                return 0
+            width = hi - lo
+            while iv[0] <= 0 <= iv[1]:
+                width /= 2
+                self.refine(width)
+                iv = self._eval_interval(a)
         return 1 if iv[0] > 0 else -1

@@ -528,9 +528,9 @@ def build_k3_certificate(s: IntPolynomial, seed=None, stage_trace=None):
     trace("positivity", method=report.method)
 
     # stage: power the isometry until it acts trivially on the discriminant
-    # group, so that it descends to the overlattice. Row i of basis^-1 is the
-    # coordinate vector of ambient e_i, and (B^T)^-1 = (B^-1)^T conjugates
-    # the block map into the overlattice basis (column convention).
+    # group, so that it descends to the overlattice. For B = basis = H / den and
+    # H^-1 = N / e, row i of B^-1 = den N / e is the coordinate vector of ambient e_i,
+    # and h = (B^-1)^T block B^T = N^T block H^T / e (column convention).
     k = discriminant_order(S2, f2)
     if k > DESCENT_ORDER_CAP:
         raise RealizeError(
@@ -538,11 +538,12 @@ def build_k3_certificate(s: IntPolynomial, seed=None, stage_trace=None):
         )
     Fk = linalg.mat_pow(f2.matrix, k)
     block = linalg.block_diag(Fk, linalg.identity(R2.rank))
-    embed = linalg.rat_inverse(basis)
-    h = linalg.rat_mat_mul(linalg.transpose(embed), block, linalg.transpose(basis))
-    if not linalg.is_integral(h):
+    den, H = linalg.clear_denominators(basis)
+    N, e = linalg.inverse_pair(H)
+    h = linalg.mat_mul(linalg.mat_mul(linalg.transpose(N), block), linalg.transpose(H))
+    if any(x % e for row in h for x in row):
         raise RealizeError("stage power: powered isometry does not descend")
-    h = linalg.mat_to_int(h)
+    h = tuple(tuple(x // e for x in row) for row in h)
     Isometry(L22, h)  # validates the descended map preserves the glued form
     trace("power", k=k)
 
@@ -551,7 +552,7 @@ def build_k3_certificate(s: IntPolynomial, seed=None, stage_trace=None):
         raise RealizeError("stage power: Salem power degenerated in degree")
 
     # kernel data: the first rank-S2 rows of basis^-1 embed the twisted Salem block
-    kernel_rows = tuple(tuple(int(x) for x in row) for row in embed[: S2.rank])
+    kernel_rows = tuple(tuple(den * x // e for x in row) for row in N[: S2.rank])
     kernel_gram = linalg.mat_mul(
         linalg.mat_mul(kernel_rows, L22.gram), linalg.transpose(kernel_rows)
     )

@@ -2,6 +2,9 @@
 
 Everything here is deliberately written against different primitives than
 the code under test: Fraction Gaussian elimination instead of Bareiss,
+Fraction Gauss-Jordan instead of the fraction-free kernel (for echelon
+forms, kernels, inverses and products of rational matrices), a search over
+residues instead of integer kernels (for saturations),
 Descartes' rule on an interpolated characteristic polynomial instead of
 the law of inertia, numpy box scans instead of Fincke-Pohst, gcd-chasing
 Smith reduction instead of the transform-tracking one, Euler powering
@@ -48,6 +51,88 @@ def fraction_det(M):
                 f = A[r][col] * inv
                 A[r] = [a - f * b for a, b in zip(A[r], A[col])]
     return det
+
+
+def rat_row_reduce(A):
+    """Reduced row echelon form over the rationals by Fraction Gauss-Jordan;
+    returns (R, pivot_columns)."""
+    M = [[Fraction(x) for x in row] for row in A]
+    m = len(M)
+    n = len(M[0]) if m else 0
+    pivots = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, m) if M[i][col] != 0), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        inv = 1 / M[r][col]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(m):
+            if i != r and M[i][col]:
+                f = M[i][col]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    return tuple(tuple(row) for row in M), tuple(pivots)
+
+
+def rat_kernel(A):
+    """Basis (rows) of the right kernel {x : A x = 0} over the rationals,
+    one row per free column of ``rat_row_reduce``."""
+    R, pivots = rat_row_reduce(A)
+    n = len(A[0]) if A else 0
+    basis = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[j] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][j]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def fraction_inverse(A):
+    """Inverse of a square rational matrix: the right half of the Fraction
+    reduced echelon form of [A | I]; None when A is singular."""
+    n = len(A)
+    R, pivots = rat_row_reduce([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)])
+    if pivots != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in R)
+
+
+def rat_mat_mul(*factors):
+    """Product of rational matrices by plain Fraction sums, left to right."""
+    P = [[Fraction(x) for x in row] for row in factors[0]]
+    for A in factors[1:]:
+        P = [
+            [sum((a * A[k][j] for k, a in enumerate(row)), Fraction(0)) for j in range(len(A[0]))]
+            for row in P
+        ]
+    return tuple(tuple(row) for row in P)
+
+
+def saturation_by_search(B):
+    """Generators (rows) of the saturation of the row span of integer B.
+
+    With R the Fraction reduced echelon form of B and D the common
+    denominator of R, the saturation is {y R : y in Z^k, y R integral}, so
+    it is spanned by the D R_i and the integral y R with y in [0, D)^k.
+    """
+    R, pivots = rat_row_reduce(B)
+    R = R[: len(pivots)]
+    D = lcm(*(x.denominator for row in R for x in row))
+    gens = [tuple(int(D * x) for x in row) for row in R]
+    for y in product(range(D), repeat=len(R)):
+        v = [sum(c * row[j] for c, row in zip(y, R)) for j in range(len(B[0]))]
+        if any(v) and all(x.denominator == 1 for x in v):
+            gens.append(tuple(int(x) for x in v))
+    return gens
 
 
 def descartes_signature(G):

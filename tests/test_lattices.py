@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 
@@ -32,7 +34,12 @@ from oracles import (
     descartes_signature,
     discriminant_action,
     fraction_det,
+    fraction_inverse,
     fraction_qf_enumerate,
+    rat_kernel,
+    rat_mat_mul,
+    rat_row_reduce,
+    saturation_by_search,
     smith_diagonal,
 )
 
@@ -81,9 +88,14 @@ def test_signature_additive_det_multiplicative():
 
 
 def test_dual_basis_examples():
-    assert U.dual_basis() == ((0, 1), (1, 0))
-    assert Lattice([[-2]]).dual_basis() == ((Fraction(-1, 2),),)
-    assert linalg.is_integral(E8.dual_basis())
+    assert U.dual_basis() == (((0, 1), (1, 0)), 1)
+    assert Lattice([[-2]]).dual_basis() == (((-1,),), 2)
+    assert E8.dual_basis()[1] == 1
+    # the denominator is the exponent of the discriminant group
+    for L in (lattice_A2(), lattice_E6(), Lattice([[2, 1, 0], [1, 4, 0], [0, 0, 6]])):
+        N, d = L.dual_basis()
+        assert d == discriminant_form(L).orders[-1]
+        assert linalg.mat_mul(L.gram, N) == linalg.mat_scale(d, linalg.identity(L.rank))
 
 
 def test_discriminant_form_examples():
@@ -142,6 +154,7 @@ def test_glue_to_unimodular():
     phi = GlueMap(qM, qN, find_anti_isometry(qM, qN))
     L, basis = glue(M, N, phi)
     assert L.rank == 2 and L.is_even() and L.determinant() == -1
+    assert L.gram == rat_mat_mul(basis, M.direct_sum(N).gram, linalg.transpose(basis))
     # complement of the first block recovers the second
     embed = linalg.rat_inverse(basis)
     m_row = tuple(int(x) for x in embed[0])
@@ -198,6 +211,26 @@ def test_complement_discriminant_antiisometric():
             vals_s = sorted(part_s.q_of(c) for c, _ in part_s.all_elements())
             vals_c = sorted(part_c.q_of(c) for c, _ in part_c.all_elements())
             assert vals_s == vals_c
+
+
+def test_non_primitive_message_prints_the_hermite_form_of_the_saturation():
+    rng = random.Random(15)
+    L = named_lattice("3U")
+    reached = 0
+    for _ in range(150):
+        k = rng.randint(1, 2)
+        B = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(k)]
+        B[0] = [rng.choice((2, 3)) * x for x in B[0]]
+        try:
+            orthogonal_complement(L, B)
+        except LatticeError as exc:
+            text = str(exc)
+            if "saturation has basis" not in text:
+                continue
+            printed = ast.literal_eval(text.split("saturation has basis ", 1)[1])
+            assert printed == [list(r) for r in linalg.hnf(saturation_by_search(B))]
+            reached += 1
+    assert reached >= 40
 
 
 def test_primitivity_check():
@@ -416,6 +449,16 @@ def test_one_elimination_per_lattice(monkeypatch):
         assert not L.is_hyperbolic()
         assert not L.is_unimodular()
     assert calls == [L.gram]
+    # direct sums and rescalings carry both over, and match a fresh elimination
+    derived = [L.direct_sum(U), U.direct_sum(L), L.rescaled(3), L.rescaled(-2), U.rescaled(-5).direct_sum(E8)]
+    assert calls == [L.gram]
+    monkeypatch.setattr(linalg, "symmetric_bareiss", kernel)
+    for M in derived:
+        fresh = Lattice(M.gram)
+        assert (M.determinant(), M.signature()) == (fresh.determinant(), fresh.signature())
+        assert M == fresh and hash(M) == hash(fresh)
+    with pytest.raises(LatticeError):
+        U.rescaled(0)
 
 
 def test_signature_of_the_glued_s4_lattice():
@@ -427,21 +470,63 @@ def test_signature_of_the_glued_s4_lattice():
     assert descartes_signature(glued.gram) == (3, 19)
 
 
-def test_rat_mat_mul_matches_mat_mul():
+def test_gauss_jordan_matches_fraction_row_reduce():
+    # seeded rectangular integer matrices: dependent rows, zero rows, zero
+    # columns and rank 0 among them
     rng = random.Random(29)
+    shapes = dict.fromkeys(("dependent", "zero row", "zero column", "rank 0", "plain"), 0)
+    for trial in range(1200):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        shape = ("dependent", "zero row", "zero column", "plain")[trial % 4] if trial % 25 else "rank 0"
+        if shape == "dependent" and m > 1:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            A[rng.randrange(m)] = [a * x + b * y for x, y in zip(A[0], A[-1])]
+        elif shape == "zero row":
+            A[rng.randrange(m)] = [0] * n
+        elif shape == "zero column":
+            j = rng.randrange(n)
+            for row in A:
+                row[j] = 0
+        elif shape == "rank 0":
+            A = [[0] * n for _ in range(m)]
+        shapes[shape] += 1
+        R, d, pivots = linalg.gauss_jordan(A)
+        R0, pivots0 = rat_row_reduce(A)
+        assert d > 0 and pivots == pivots0
+        assert tuple(tuple(Fraction(x, d) for x in row) for row in R) == R0
+        # kernel rows: the oracle kernel rows, denominators cleared and made primitive
+        K = linalg.primitive_kernel(A)
+        K0 = rat_kernel(A)
+        assert len(K) == len(K0) == n - len(pivots)
+        for v, w in zip(K, K0):
+            den = lcm(*(x.denominator for x in w))
+            ints = [int(x * den) for x in w]
+            g = gcd(*ints)
+            assert v == tuple(x // g for x in ints)
+            assert linalg.mat_vec(A, v) == (0,) * m
+    assert min(shapes.values()) >= 40
 
-    def entry(rational):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rational else rng.randint(-9, 9)
 
-    for _ in range(60):
-        m, k, l, n = (rng.randint(1, 5) for _ in range(4))
-        rational = rng.random() < 0.7
-        A = tuple(tuple(entry(rational) for _ in range(k)) for _ in range(m))
-        B = tuple(tuple(entry(rational) for _ in range(l)) for _ in range(k))
-        C = tuple(tuple(entry(rng.random() < 0.5) for _ in range(n)) for _ in range(l))
-        assert linalg.rat_mat_mul(A, B) == linalg.mat_mul(A, B)
-        assert linalg.rat_mat_mul(A, B, C) == linalg.mat_mul(linalg.mat_mul(A, B), C)
-    assert linalg.rat_mat_mul(((Fraction(2, 3),),), ((Fraction(3, 4),),)) == ((Fraction(1, 2),),)
+def test_inverse_pair_matches_fraction_inverse():
+    rng = random.Random(30)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            A[-1] = [x - 2 * y for x, y in zip(A[0], A[1])]
+        expected = fraction_inverse(A)
+        if expected is None:
+            singular += 1
+            with pytest.raises(ZeroDivisionError):
+                linalg.inverse_pair(A)
+            continue
+        N, d = linalg.inverse_pair(A)
+        assert d > 0 and gcd(d, *(x for row in N for x in row)) == 1
+        assert tuple(tuple(Fraction(x, d) for x in row) for row in N) == expected
+        assert linalg.rat_inverse(A) == expected
+    assert singular >= 40
 
 
 def test_rat_inverse_against_fraction_det():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -326,6 +327,19 @@ def test_sign_stops_when_bisection_lands_on_a_rational_root():
     assert K.refine(Fraction(1, 8)) == (3, 3)
     K = RealAlgebraicField(m, (2, 4))
     assert K.sign(K.element([1, 1])) == 1
+
+
+def test_sign_decides_zero_on_a_reducible_modulus():
+    # m = (x^2 - 2)(x - 5) is reducible and (1, 2) isolates sqrt 2, where
+    # x^2 - 2 vanishes though it is nonzero in Q[x]/(m): no bisection ever
+    # excludes 0, so zero must be decided from gcd(a, m) instead
+    start = time.perf_counter()
+    K = RealAlgebraicField(P([-2, 0, 1]) * P([-5, 1]), (1, 2))
+    assert K.sign(K.element([-2, 0, 1])) == 0
+    assert K.sign(K.element([-5, 1])) == -1
+    assert K.sign(K.element([-3, 0, 1])) == -1
+    assert K.sign(K.element([-1, 0, 1])) == 1
+    assert time.perf_counter() - start < 1
 
 
 def test_sturm_root_counts():

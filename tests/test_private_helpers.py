@@ -1,10 +1,11 @@
-"""Every module-level helper in ``src/salemk3`` that is not exported has a
-caller in ``src/``.
+"""Every module-level helper in ``src/salemk3`` that is not exported, and
+every method other than a dunder, has a caller in ``src/``.
 
 A ``_name`` function or class defined at module level is private to the
 package, and so is a public one that ``salemk3.__all__`` does not export.
 Either kind that nothing in ``src/`` refers to (outside its own body) is
-dead code, whatever the tests do with it.
+dead code, whatever the tests do with it. So is a method whose name no
+attribute or name in ``src/`` mentions outside the method itself.
 """
 
 import ast
@@ -35,17 +36,25 @@ def _exported(modules):
     return set()
 
 
-def _unreferenced(src, wanted):
-    """Module-level functions and classes whose name passes ``wanted(name,
+def _definitions(tree, methods):
+    """Module-level functions and classes, or else the methods of the
+    module-level classes."""
+    for node in tree.body:
+        if not methods and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        elif methods and isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def _unreferenced(src, wanted, methods=False):
+    """Definitions other than dunders whose name passes ``wanted(name,
     exported)`` and that nothing in ``src`` refers to outside their own body."""
     modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
     refs = {name: list(_references(tree)) for name, tree in modules.items()}
     exported = _exported(modules)
     unused = []
     for module, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for node in _definitions(tree, methods):
             name = node.name
             if name.startswith("__") or not wanted(name, exported):
                 continue
@@ -69,12 +78,20 @@ def unreferenced_unexported_names(src=SRC):
     )
 
 
+def unreferenced_methods(src=SRC):
+    return _unreferenced(src, lambda name, exported: True, methods=True)
+
+
 def test_every_private_helper_is_referenced_in_src():
     assert unreferenced_private_helpers() == []
 
 
 def test_every_unexported_public_name_is_referenced_in_src():
     assert unreferenced_unexported_names() == []
+
+
+def test_every_method_is_referenced_in_src():
+    assert unreferenced_methods() == []
 
 
 def test_an_unreferenced_helper_is_reported(tmp_path):
@@ -100,3 +117,16 @@ def test_an_unreferenced_unexported_name_is_reported(tmp_path):
         encoding="utf-8",
     )
     assert unreferenced_unexported_names(tmp_path) == ["a.py:9 dead", "a.py:13 Unused"]
+
+
+def test_an_unreferenced_method_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Form:\n"
+        "    def __init__(self):\n        self.n = self._size()\n\n"
+        "    def _size(self):\n        return 1\n\n"
+        "    @property\n    def rank(self):\n        return self.n\n\n"
+        "    def dual(self, k):\n        return self.dual(k - 1) if k else self\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text("from .a import Form\n\n\ndef rank():\n    return Form().rank\n", encoding="utf-8")
+    assert unreferenced_methods(tmp_path) == ["a.py:12 dual"]
