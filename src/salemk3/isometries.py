@@ -48,9 +48,8 @@ class Isometry:
         den, num = linalg.clear_denominators(matrix)
         if not _preserves_form(lattice, den, num):
             raise IsometryError("matrix does not preserve the bilinear form")
-        matrix = tuple(tuple(Fraction(x, den) if x % den else x // den for x in row) for row in num)
         object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", linalg.divided(num, den))
         # not dataclass fields: equality, hash and repr read the matrix only
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
@@ -72,14 +71,14 @@ class Isometry:
         return IntPolynomial([q for q, _ in coeffs])
 
     def inverse_matrix(self):
-        return linalg.rat_inverse(self.matrix)
+        """f^-1 = d N^-1 for F = N / d, with ints where it is integral, like ``matrix``."""
+        return linalg.rat_inverse(self._num, self._den)
 
     def w_matrix(self):
-        """f + f^-1, the self-adjoint generator used for twists."""
-        return linalg.mat_add(self.matrix, self.inverse_matrix())
-
-    def apply(self, v):
-        return linalg.mat_vec(self.matrix, v)
+        """f + f^-1, the self-adjoint generator used for twists, as (W, D):
+        the integer matrix W over the denominator D."""
+        D, W = linalg.clear_denominators(linalg.mat_add(self.matrix, self.inverse_matrix()))
+        return W, D
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,9 @@ class TwistElement:
         object.__setattr__(self, "poly", poly)
 
     def matrix_for(self, f: Isometry):
-        return linalg.poly_at_matrix(self.poly.coeffs, f.w_matrix())
+        """a(f + f^-1) as (A, D): the integer matrix A over the denominator D."""
+        W, e = f.w_matrix()
+        return linalg.poly_at_matrix(self.poly.coeffs, W, e)
 
     def norm_against(self, trace_poly: IntPolynomial):
         """Field norm from Z[w]: resultant of the trace polynomial with a(w)."""
@@ -111,10 +112,10 @@ def twist(L: Lattice, f: Isometry, a: TwistElement):
     Requires a(f + f^-1) integral; the twist of an even lattice stays even
     and f remains an isometry of the twist verbatim.
     """
-    A = a.matrix_for(f)
-    if not linalg.is_integral(A):
+    A, den = a.matrix_for(f)
+    if any(x % den for row in A for x in row):
         raise IsometryError("twist element does not act integrally on the lattice")
-    A = linalg.mat_to_int(A)
+    A = tuple(tuple(x // den for x in row) for row in A)
     gram2 = linalg.mat_mul(linalg.transpose(A), L.gram)
     if not linalg.is_symmetric(gram2):
         raise AssertionError("twisted form is not symmetric; a is not self-adjoint")
@@ -141,7 +142,7 @@ def kernel_sublattice(f: Isometry, p: IntPolynomial):
 
     if not divides(p, char):
         raise IsometryError("polynomial does not divide the characteristic polynomial")
-    _, P = linalg.clear_denominators(linalg.poly_at_matrix(p.coeffs, f.matrix))
+    P, _ = linalg.poly_at_matrix(p.coeffs, f._num, f._den)
     B = linalg.int_row_kernel(linalg.transpose(P))  # saturated: rows of a unimodular U
     if not B:
         raise IsometryError("kernel is trivial")

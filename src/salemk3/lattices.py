@@ -28,7 +28,7 @@ class Lattice:
     gram: tuple
 
     def __init__(self, gram):
-        gram = tuple(tuple(int(x) for x in row) for row in gram)
+        gram = linalg.mat_to_int(gram)
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise LatticeError("gram matrix must be square")
@@ -108,7 +108,7 @@ class Lattice:
 
     def sublattice(self, basis_rows):
         """Lattice on the given (independent) rows with the restricted form."""
-        B = tuple(tuple(int(x) for x in row) for row in basis_rows)
+        B = linalg.mat_to_int(basis_rows)
         G = linalg.mat_mul(linalg.mat_mul(B, self.gram), linalg.transpose(B))
         return Lattice(G)
 
@@ -351,7 +351,7 @@ class GlueMap:
     matrix: tuple
 
     def __init__(self, source, target, matrix):
-        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        matrix = linalg.mat_to_int(matrix)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
@@ -458,7 +458,7 @@ def is_primitive_sublattice(basis_rows):
     B^T is the k x k identity. The saturation is computed only when B is
     not primitive; otherwise B is returned as its own saturation.
     """
-    B = tuple(tuple(int(x) for x in row) for row in basis_rows)
+    B = linalg.mat_to_int(basis_rows)
     if not B or linalg.hnf(linalg.transpose(B)) == linalg.identity(len(B)):
         return True, B
     return False, linalg.saturation(B)
@@ -469,7 +469,7 @@ def orthogonal_complement(L: Lattice, basis_rows):
 
     Returns (complement_lattice, complement_basis_rows).
     """
-    B = tuple(tuple(int(x) for x in row) for row in basis_rows)
+    B = linalg.mat_to_int(basis_rows)
     if len(linalg.hnf(B)) != len(B):
         raise LatticeError("sublattice basis rows are dependent")
     try:

@@ -67,15 +67,20 @@ def mat_pow(A, n):
     return result
 
 
-def poly_at_matrix(coeffs, A):
-    """p(A) for the ascending coefficients of p, by Horner's rule."""
+def poly_at_matrix(coeffs, A, den):
+    """p(A / den) as (P, den^m) for the ascending coefficients of p, of
+    degree m, and an integer matrix A: P = den^m p(A / den) by Horner's rule
+    on integers, the accumulator after j steps being den^(j-1) times the
+    partial sum, so the one division is left to the caller."""
     acc = zeros(len(A), len(A))
+    scale = 1
     for c in reversed(coeffs):
         acc = tuple(
-            tuple(x + c if i == j else x for j, x in enumerate(row))
+            tuple(x + c * scale if i == j else x for j, x in enumerate(row))
             for i, row in enumerate(mat_mul(acc, A))
         )
-    return acc
+        scale *= den
+    return acc, den ** max(len(coeffs) - 1, 0)
 
 
 def mat_mod(A, m):
@@ -100,6 +105,11 @@ def is_symmetric(A):
 
 def is_integral(A):
     return all(Fraction(a).denominator == 1 for row in A for a in row)
+
+
+def divided(N, d):
+    """The rational matrix N / d for an integer N, with ints where an entry is integral."""
+    return tuple(tuple(Fraction(x, d) if x % d else x // d for x in row) for row in N)
 
 
 def mat_to_int(A):
@@ -247,12 +257,13 @@ def inverse_pair(A):
     return tuple(tuple(x // g for x in row[n:]) for row in R), d // g
 
 
-def rat_inverse(A):
-    """Inverse of a square rational matrix as Fractions: with A = N / c over
-    one denominator, A^-1 = c N^-1 from ``inverse_pair(N)``."""
+def rat_inverse(A, scale=1):
+    """scale * A^-1 for a square rational matrix A, with ints where an entry
+    is integral: with A = N / c over one denominator, A^-1 = c N^-1 from
+    ``inverse_pair(N)``. Raises ZeroDivisionError when A is singular."""
     c, N = clear_denominators(A)
     Ninv, d = inverse_pair(N)
-    return tuple(tuple(Fraction(c * x, d) for x in row) for row in Ninv)
+    return divided(mat_scale(c * scale, Ninv), d)
 
 
 # --- integer normal forms ---------------------------------------------------

@@ -111,30 +111,20 @@ def obstructing_root_search(S: Lattice, f: Isometry):
 
     Enumerates every root that could, up to the f-action, have bounded
     eigencoordinates (the compact fundamental set), tests the geodesic
-    crossing exactly over K = Q[x]/(s), and reduces the witnesses modulo f.
-    With an irreducible Salem characteristic polynomial there are no cyclic
-    roots, so every witness is a geodesic crossing.
+    crossing exactly over K = Q[x]/(s), and lists one witness per f-orbit:
+    the orbit's least element by (max |x_i|, then lex), over the whole orbit
+    (``_orbit_reduce``). The enumeration is closed under negation, and z
+    crosses exactly when -z does, so only the z whose first nonzero
+    coordinate is positive are tested. With an irreducible Salem
+    characteristic polynomial there are no cyclic roots, so every witness is
+    a geodesic crossing.
     """
     if not S.is_hyperbolic():
         raise PositivityError("obstructing-root search needs a hyperbolic lattice")
     if not f.is_integral():
         raise PositivityError("obstructing-root search needs an integral isometry")
-    s, cert = _salem_shape(S, f)
+    K, gu1, gu2, sigma = _geodesic_plane(S, f)
     n = S.rank
-    K = RealAlgebraicField(s, cert.lambda_interval)
-    lam = K.generator()
-    lam_inv = K.inv(lam)
-    _, adj_mats = linalg.charpoly_and_adjugate(f.matrix)
-    # columns of adj(lambda I - f) span the lambda eigenline
-    u1 = _adjugate_column(K, adj_mats, lam, n)
-    u2 = _adjugate_column(K, adj_mats, lam_inv, n)
-    gu1 = tuple(_pairing(K, row, u1) for row in S.gram)
-    gu2 = tuple(_pairing(K, row, u2) for row in S.gram)
-    sigma = K.zero()
-    for i in range(n):
-        sigma = K.add(sigma, K.mul(u1[i], gu2[i]))
-    if K.is_zero(sigma):
-        raise AssertionError("eigenvector pairing degenerated")
     sigma_inv = K.inv(sigma)
     # majorant form T = (Gu1 Gu1^T + Gu2 Gu2^T) / sigma^2 + (Gu1 Gu2^T + Gu2 Gu1^T) / sigma - G,
     # computed as a a^T + (1 - sigma^2) h h^T - G with h = Gu2 / sigma and
@@ -150,7 +140,7 @@ def obstructing_root_search(S: Lattice, f: Isometry):
             T[i][j] = T[j][i] = K.sub(entry, K.element(S.gram[i][j]))
     sigma_sign = K.sign(sigma)
     abs_sigma_inv = sigma_inv if sigma_sign > 0 else K.neg(sigma_inv)
-    bound_elem = K.add(K.scale(2, K.mul(lam, abs_sigma_inv)), K.element(2))
+    bound_elem = K.add(K.scale(2, K.mul(K.generator(), abs_sigma_inv)), K.element(2))
     bound_iv = K.enclosure(bound_elem, Fraction(1, 8))
     bound_up = bound_iv[1]
     # rational positive definite minorant of T
@@ -181,12 +171,12 @@ def obstructing_root_search(S: Lattice, f: Isometry):
     # u1, u2 are isotropic, so pi(z)^2 = 2 <z, u1> <z, u2> / sigma
     witnesses = []
     for z in candidates:
-        if S.norm(z) != -2:
+        if next(x for x in z if x) < 0 or S.norm(z) != -2:
             continue
-        if K.sign(_pairing(K, z, gu1)) * K.sign(_pairing(K, z, gu2)) * sigma_sign < 0:
-            witnesses.append(tuple(z))
-    reps = _orbit_reduce(f, witnesses)
-    classified = tuple((w, "geodesic") for w in reps)
+        a, b = _pairing(K, z, gu1), _pairing(K, z, gu2)
+        if K.sign(a) * K.sign(b) * sigma_sign < 0:
+            witnesses += [(z, a, b), (tuple(-x for x in z), K.neg(a), K.neg(b))]
+    classified = tuple((w, "geodesic") for w in _orbit_reduce(K, f, gu1, gu2, witnesses))
     return ObstructionReport(
         status="not_positive" if classified else "positive",
         witnesses=classified,
@@ -194,6 +184,27 @@ def obstructing_root_search(S: Lattice, f: Isometry):
         search_bound=bound_up,
         candidate_count=len(candidates),
     )
+
+
+def _geodesic_plane(S, f):
+    """(K, Gu1, Gu2, sigma) for a Salem isometry f of S: the field
+    K = Q[x]/(s) at lambda, G u1 and G u2 for the lambda and 1/lambda
+    eigenvectors u1 and u2 (columns of adj(mu I - f)), and sigma = <u1, u2>."""
+    s, cert = _salem_shape(S, f)
+    n = S.rank
+    K = RealAlgebraicField(s, cert.lambda_interval)
+    lam = K.generator()
+    _, adj_mats = linalg.charpoly_and_adjugate(f.matrix)
+    u1 = _adjugate_column(K, adj_mats, lam, n)
+    u2 = _adjugate_column(K, adj_mats, K.inv(lam), n)
+    gu1 = tuple(_pairing(K, row, u1) for row in S.gram)
+    gu2 = tuple(_pairing(K, row, u2) for row in S.gram)
+    sigma = K.zero()
+    for x, y in zip(u1, gu2):
+        sigma = K.add(sigma, K.mul(x, y))
+    if K.is_zero(sigma):
+        raise AssertionError("eigenvector pairing degenerated")
+    return K, gu1, gu2, sigma
 
 
 def _adjugate_column(K, adj_mats, mu, n):
@@ -224,21 +235,46 @@ def _pairing(K, z, gu):
     return acc
 
 
-def _orbit_reduce(f, witnesses):
-    """One representative per f-orbit: the most balanced element within 10 * rank steps."""
-    # f^-1 is integral: an integral isometry has determinant +-1
-    finv = linalg.mat_to_int(f.inverse_matrix())
-    window = 10 * len(finv)
-    reps = set()
-    for w in witnesses:
-        orbit = [w]
-        fwd = back = w
-        for _ in range(window):
-            fwd = f.apply(fwd)
-            back = linalg.mat_vec(finv, back)
-            orbit.append(fwd)
-            orbit.append(back)
-        reps.add(min(orbit, key=lambda v: (max(abs(x) for x in v), v)))
+def _orbit_reduce(K, f, gu1, gu2, witnesses):
+    """One representative per f-orbit of the witnesses, sorted: the orbit's
+    least element by (max |x_i|, then lex), taken over the whole orbit.
+
+    Each witness is (z, <z, u1>, <z, u2>). Both pairings of a nonzero integer
+    z are nonzero: z orthogonal to u1 would be orthogonal to its Galois
+    conjugates, which span the space as s is irreducible. As f is
+    an isometry with f u2 = u2 / lambda, <f^k z, u2> = lambda^k <z, u2>, and
+    |<x, u>| <= |x|_inf |G u|_1, so |f^k z|_inf >= lambda^k |<z, u2>| / |G u2|_1;
+    likewise |f^-k z|_inf >= lambda^k |<z, u1>| / |G u1|_1. Each walk stops at
+    the first k where this bound, read from rational enclosure endpoints with
+    lambda_lo > 1, exceeds the least sup-norm met so far: it grows with k, so
+    nothing further on can tie or beat that element. Every vector met is
+    recorded, and a witness met on an earlier walk is skipped.
+    """
+    lam = K.generator()
+    lam_lo, lam_hi = K.enclosure(lam)
+    while lam_lo <= 1:
+        lam_lo, lam_hi = K.enclosure(lam, (lam_hi - lam_lo) / 2)
+    norm1 = [sum(max(-lo, hi) for lo, hi in map(K.enclosure, gu)) for gu in (gu1, gu2)]
+    finv = f.inverse_matrix()  # integral: an integral isometry has determinant +-1
+    seen, reps = set(), set()
+    for z, a, b in witnesses:
+        if z in seen:
+            continue
+        orbit = [z]
+        best = max(map(abs, z))
+        for F, pairing, norm in ((f.matrix, b, norm1[1]), (finv, a, norm1[0])):
+            sign = K.sign(pairing)  # refines until the enclosure excludes 0
+            lo, hi = K.enclosure(pairing)
+            bound, v = (lo if sign > 0 else -hi) / norm, z
+            while True:
+                bound *= lam_lo
+                if bound > best:
+                    break
+                v = linalg.mat_vec(F, v)
+                orbit.append(v)
+                best = min(best, max(map(abs, v)))
+        seen.update(orbit)
+        reps.add(min(orbit, key=lambda v: (max(map(abs, v)), v)))
     return sorted(reps)
 
 

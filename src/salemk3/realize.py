@@ -706,7 +706,7 @@ def verify_certificate(cert: RealizationCertificate):
             rep = is_positive(kernel_lat, g_iso)
             pos_ok = rep.is_positive()
             if cert.positivity is not None:
-                pos_ok &= cert.positivity.status == rep.status
+                pos_ok &= cert.positivity == rep
             item("positivity", pos_ok, f"method = {rep.method}")
         else:
             item("positivity", False, "skipped: kernel unavailable")

@@ -22,7 +22,10 @@ resultant against the cofactor r / (y - a) instead of a gcd with r (for the
 other primes above p), Fraction square-root bounds at every node instead of
 the integer Fincke-Pohst walk, and Fraction coefficient vectors with Fraction
 interval Horner evaluation instead of integer numerators over one
-denominator (for number field elements).
+denominator (for number field elements), Fraction Horner evaluation instead
+of integer Horner over one denominator (for twist matrices), and a walk of
+a fixed number of steps instead of the walk with an exact stop (for orbit
+representatives).
 """
 
 from fractions import Fraction
@@ -115,6 +118,32 @@ def rat_mat_mul(*factors):
             for row in P
         ]
     return tuple(tuple(row) for row in P)
+
+
+def fraction_poly_at_matrix(coeffs, A):
+    """p(A) for the ascending coefficients of p, by Horner's rule on Fractions."""
+    n = len(A)
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        acc = [list(row) for row in rat_mat_mul(acc, A)]
+        for i in range(n):
+            acc[i][i] += c
+    return tuple(tuple(row) for row in acc)
+
+
+def orbit_min_by_window(F, v, steps):
+    """The least of F^k v for |k| <= steps by (max |x_i|, then lex), walking
+    F and its Fraction inverse one step at a time (integral entries as ints)."""
+    Finv = tuple(
+        tuple(x.numerator if x.denominator == 1 else x for x in row) for row in fraction_inverse(F)
+    )
+    orbit = [tuple(v)]
+    for M in (F, Finv):
+        w = tuple(v)
+        for _ in range(steps):
+            w = tuple(sum(m * x for m, x in zip(row, w)) for row in M)
+            orbit.append(w)
+    return min(orbit, key=lambda w: (max(abs(x) for x in w), w))
 
 
 def saturation_by_search(B):

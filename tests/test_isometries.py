@@ -26,6 +26,8 @@ from salemk3.realize import seed_for
 
 from oracles import (
     discriminant_order_by_iteration,
+    fraction_inverse,
+    fraction_poly_at_matrix,
     least_power_by_iteration,
     matrix_order_mod,
     smith_diagonal,
@@ -52,10 +54,50 @@ def test_isometry_validation():
     assert f.is_integral()
 
 
+# a rational isometry of <-4> + <5> whose square is not integral
+RATIONAL_F = ((Fraction(3, 2), Fraction(5, 4)), (Fraction(1), Fraction(3, 2)))
+RATIONAL_L = Lattice([[-4, 0], [0, 5]])
+
+
 def test_inverse_matrix():
     f = Isometry(L2, C2)
     inv = f.inverse_matrix()
     assert linalg.mat_mul(f.matrix, inv) == linalg.identity(2)
+    # ints for an integral isometry, with no Fraction round trip for callers
+    assert inv == fraction_inverse(C2)
+    assert all(type(x) is int for row in inv for x in row)
+    g = Isometry(RATIONAL_L, RATIONAL_F)
+    inv = g.inverse_matrix()
+    assert inv == fraction_inverse(RATIONAL_F)
+    assert all(type(x) is int or x.denominator > 1 for row in inv for x in row)
+    assert is_isometry(RATIONAL_L, inv)
+
+
+def test_twist_matrices_match_the_fraction_evaluation():
+    """a(f + f^-1) in integers over one denominator equals Fraction Horner on
+    the Fraction f + f^-1: for the 40 square twists t^2, t = a + b w, that the
+    positivity benchmark builds on the S4 block, and on a rational isometry."""
+    seed = seed_for(S4)
+    f = Isometry(seed.S, seed.f_S)
+    W = linalg.mat_add(f.matrix, fraction_inverse(f.matrix))
+    elements = [P([a, b]) * P([a, b]) for a in range(-4, 5) for b in range(5) if b or a > 0]
+    assert len(elements) == 40
+    for t2 in elements:
+        A, D = TwistElement(t2).matrix_for(f)
+        assert D == 1
+        assert A == fraction_poly_at_matrix(t2.coeffs, W)
+    # the S4 block in the basis 2 e_1, e_2, e_3, e_4: f + f^-1 has denominator 2 there
+    B = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    Binv = fraction_inverse(B)
+    g = Isometry(
+        Lattice(linalg.mat_mul(linalg.mat_mul(B, seed.S.gram), B)),
+        linalg.mat_mul(linalg.mat_mul(Binv, f.matrix), B),
+    )
+    assert g.w_matrix()[1] == 2
+    Wg = linalg.mat_add(g.matrix, fraction_inverse(g.matrix))
+    for coeffs in ([], [3], [0, 1], [1, -2, 5], [-1, 0, 0, 4]):
+        A, D = TwistElement(coeffs).matrix_for(g)
+        assert linalg.divided(A, D) == fraction_poly_at_matrix(coeffs, Wg)
 
 
 def test_kernel_sublattice_identity():
@@ -281,7 +323,8 @@ def test_twist_examples():
     assert f11.matrix == C2
     by_w, _ = twist(L2, f, TwistElement(P([0, 1])))
     assert linalg.is_symmetric(by_w.gram)
-    W = linalg.mat_to_int(f.w_matrix())
+    W, D = f.w_matrix()
+    assert D == 1
     assert by_w.gram == linalg.mat_mul(linalg.transpose(W), L2.gram)
 
 

@@ -5,7 +5,7 @@ from functools import cache
 import pytest
 
 import salemk3
-from salemk3 import cli, linalg
+from salemk3 import cli, linalg, positivity
 from salemk3.isometries import Isometry, TwistElement, search_even_invariant_lattice, twist
 from salemk3.lattices import Lattice, lattice_A2, lattice_E8
 from salemk3.polynomials import IntPolynomial, companion_matrix
@@ -23,6 +23,7 @@ from oracles import (
     count_e8_roots_standard_model,
     crosses_by_iteration,
     cyclic_roots_by_orbit_sum,
+    orbit_min_by_window,
 )
 
 P = IntPolynomial
@@ -47,8 +48,8 @@ def test_cyclic_roots_a2_rotation():
     assert all(A2.norm(r) == -2 for r in found)
     # orbit sums vanish: 1 + f + f^2 = 0
     for r in found:
-        r1 = rot.apply(r)
-        assert all(a + b + c == 0 for a, b, c in zip(r, r1, rot.apply(r1)))
+        r1 = linalg.mat_vec(rot.matrix, r)
+        assert all(a + b + c == 0 for a, b, c in zip(r, r1, linalg.mat_vec(rot.matrix, r1)))
 
 
 def test_cyclic_roots_identity_empty():
@@ -253,7 +254,7 @@ def test_witnesses_closed_under_f_up_to_orbit():
     report = obstructing_root_search(L2, F2)
     vectors = [v for v, _ in report.witnesses]
     for v in vectors:
-        image = F2.apply(v)
+        image = linalg.mat_vec(F2.matrix, v)
         # image is an obstructing root too; its orbit representative is listed
         assert L2.norm(image) == -2
 
@@ -391,6 +392,63 @@ def test_obstructing_root_search_pinned_and_crossing(case, status, witnesses, bo
         candidate_count=count,
     )
     assert all(crosses_by_iteration(L.gram, f.matrix, w) for w in witnesses)
+
+
+def representatives(L, f, vectors):
+    """What the orbit reducer of the search lists for the given crossing roots."""
+    K, gu1, gu2, _ = positivity._geodesic_plane(L, f)
+    pairs = [(v, positivity._pairing(K, v, gu1), positivity._pairing(K, v, gu2)) for v in vectors]
+    return positivity._orbit_reduce(K, f, gu1, gu2, pairs)
+
+
+# the pinned inputs whose orbit representatives are checked against the window oracle
+ORBIT_CASES = [row for row in PINNED_REPORTS if row[0] in (
+    "L2", "S4 block", "t=1+w", "t=-2+w", "t=4+3w", "corpus degree 6 square"
+)]
+
+
+@pytest.mark.parametrize("case", [row[1] for row in ORBIT_CASES], ids=[row[0] for row in ORBIT_CASES])
+def test_orbit_representatives_match_a_long_window(case):
+    """Each listed witness, and the orbit elements two steps away, reduce to
+    the least element of a window of +-40 rank steps around them."""
+    L, f = case()
+    steps = 40 * L.rank
+    finv = f.inverse_matrix()
+    for w, _ in obstructing_root_search(L, f).witnesses:
+        two_steps = [linalg.mat_vec(F, linalg.mat_vec(F, w)) for F in (f.matrix, finv)]
+        for v in [w] + two_steps:
+            assert representatives(L, f, [v]) == [orbit_min_by_window(f.matrix, v, steps)]
+        assert orbit_min_by_window(f.matrix, w, steps) == w
+
+
+@pytest.mark.parametrize("case", [row[1] for row in ORBIT_CASES], ids=[row[0] for row in ORBIT_CASES])
+def test_orbit_representatives_are_canonical(case):
+    """f^k(w) has the representative w for every listed witness w and |k| <= 3,
+    and all the images together reduce to the listed witnesses."""
+    L, f = case()
+    finv = f.inverse_matrix()
+    witnesses = [w for w, _ in obstructing_root_search(L, f).witnesses]
+    images = []
+    for w in witnesses:
+        for F in (f.matrix, finv):
+            v = w
+            for _ in range(3):
+                v = linalg.mat_vec(F, v)
+                assert representatives(L, f, [v]) == [w]
+                images.append(v)
+    assert representatives(L, f, images) == witnesses
+
+
+def test_orbit_minimum_several_steps_from_the_witness():
+    # (1, -1) is the least element of its orbit under the rank 2 companion
+    # matrix; seven steps away in either direction the entries are in the hundreds
+    w = (1, -1)
+    for F in (F2.matrix, F2.inverse_matrix()):
+        v = w
+        for _ in range(7):
+            v = linalg.mat_vec(F, v)
+        assert max(map(abs, v)) > 100
+        assert representatives(L2, F2, [v]) == [w]
 
 
 @pytest.mark.parametrize("t", [(2, 1), (-1, 1)], ids=str)

@@ -391,6 +391,23 @@ def test_tampered_certificate_fails(k3_certificate):
     assert "isometry" in failed
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"method": "exhaustive_search"},
+        {"candidate_count": 206},
+        {"witnesses": (((1, -1, 0, 0), "geodesic"),)},
+    ],
+    ids=["method", "candidate_count", "witness"],
+)
+def test_positivity_item_compares_the_whole_report(k3_certificate, change):
+    # the status stays "positive": only the rest of the report is wrong
+    claimed = dataclasses.replace(k3_certificate.positivity, **change)
+    ok, items = verify_certificate(dataclasses.replace(k3_certificate, positivity=claimed))
+    assert not ok
+    assert [name for name, passed, _ in items if not passed] == ["positivity"]
+
+
 @pytest.mark.parametrize("claim", [True, False])
 def test_k3_certificate_with_mod2_claim_fails_surface(k3_certificate, claim):
     # mod2_identity means something for torus and Enriques only; on K3 it must be null
