@@ -71,8 +71,8 @@ class Isometry:
         return IntPolynomial([q for q, _ in coeffs])
 
     def inverse_matrix(self):
-        """f^-1 = d N^-1 for F = N / d, with ints where it is integral, like ``matrix``."""
-        return linalg.rat_inverse(self._num, self._den)
+        """f^-1, with ints where it is integral, like ``matrix``."""
+        return linalg.rat_inverse(self.matrix)
 
     def w_matrix(self):
         """f + f^-1, the self-adjoint generator used for twists, as (W, D):

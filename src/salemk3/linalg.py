@@ -257,13 +257,13 @@ def inverse_pair(A):
     return tuple(tuple(x // g for x in row[n:]) for row in R), d // g
 
 
-def rat_inverse(A, scale=1):
-    """scale * A^-1 for a square rational matrix A, with ints where an entry
-    is integral: with A = N / c over one denominator, A^-1 = c N^-1 from
+def rat_inverse(A):
+    """Inverse of a square rational matrix, with ints where an entry is
+    integral: with A = N / c over one denominator, A^-1 = c N^-1 from
     ``inverse_pair(N)``. Raises ZeroDivisionError when A is singular."""
     c, N = clear_denominators(A)
     Ninv, d = inverse_pair(N)
-    return divided(mat_scale(c * scale, Ninv), d)
+    return divided(mat_scale(c, Ninv), d)
 
 
 # --- integer normal forms ---------------------------------------------------

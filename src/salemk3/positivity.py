@@ -115,7 +115,8 @@ def obstructing_root_search(S: Lattice, f: Isometry):
     the orbit's least element by (max |x_i|, then lex), over the whole orbit
     (``_orbit_reduce``). The enumeration is closed under negation, and z
     crosses exactly when -z does, so only the z whose first nonzero
-    coordinate is positive are tested. With an irreducible Salem
+    coordinate is positive are tested, and the reducer lists the orbits of
+    both z and -z. With an irreducible Salem
     characteristic polynomial there are no cyclic roots, so every witness is
     a geodesic crossing.
     """
@@ -173,9 +174,9 @@ def obstructing_root_search(S: Lattice, f: Isometry):
     for z in candidates:
         if next(x for x in z if x) < 0 or S.norm(z) != -2:
             continue
-        a, b = _pairing(K, z, gu1), _pairing(K, z, gu2)
-        if K.sign(a) * K.sign(b) * sigma_sign < 0:
-            witnesses += [(z, a, b), (tuple(-x for x in z), K.neg(a), K.neg(b))]
+        p1, p2 = _pairing(K, z, gu1), _pairing(K, z, gu2)
+        if K.sign(p1) * K.sign(p2) * sigma_sign < 0:
+            witnesses.append((z, p1, p2))
     classified = tuple((w, "geodesic") for w in _orbit_reduce(K, f, gu1, gu2, witnesses))
     return ObstructionReport(
         status="not_positive" if classified else "positive",
@@ -236,10 +237,13 @@ def _pairing(K, z, gu):
 
 
 def _orbit_reduce(K, f, gu1, gu2, witnesses):
-    """One representative per f-orbit of the witnesses, sorted: the orbit's
-    least element by (max |x_i|, then lex), taken over the whole orbit.
+    """One representative per f-orbit of the witnesses and of their
+    negatives, sorted: the orbit's least element by (max |x_i|, then lex),
+    taken over the whole orbit.
 
-    Each witness is (z, <z, u1>, <z, u2>). Both pairings of a nonzero integer
+    Each witness is (z, <z, u1>, <z, u2>). The orbit of -z is the negation
+    of the orbit of z, with the same sup-norms and stops, so one walk serves
+    both. Both pairings of a nonzero integer
     z are nonzero: z orthogonal to u1 would be orthogonal to its Galois
     conjugates, which span the space as s is irreducible. As f is
     an isometry with f u2 = u2 / lambda, <f^k z, u2> = lambda^k <z, u2>, and
@@ -257,12 +261,12 @@ def _orbit_reduce(K, f, gu1, gu2, witnesses):
     norm1 = [sum(max(-lo, hi) for lo, hi in map(K.enclosure, gu)) for gu in (gu1, gu2)]
     finv = f.inverse_matrix()  # integral: an integral isometry has determinant +-1
     seen, reps = set(), set()
-    for z, a, b in witnesses:
+    for z, p1, p2 in witnesses:
         if z in seen:
             continue
         orbit = [z]
         best = max(map(abs, z))
-        for F, pairing, norm in ((f.matrix, b, norm1[1]), (finv, a, norm1[0])):
+        for F, pairing, norm in ((f.matrix, p2, norm1[1]), (finv, p1, norm1[0])):
             sign = K.sign(pairing)  # refines until the enclosure excludes 0
             lo, hi = K.enclosure(pairing)
             bound, v = (lo if sign > 0 else -hi) / norm, z
@@ -273,8 +277,9 @@ def _orbit_reduce(K, f, gu1, gu2, witnesses):
                 v = linalg.mat_vec(F, v)
                 orbit.append(v)
                 best = min(best, max(map(abs, v)))
-        seen.update(orbit)
-        reps.add(min(orbit, key=lambda v: (max(map(abs, v)), v)))
+        for vs in (orbit, [tuple(-x for x in v) for v in orbit]):
+            seen.update(vs)
+            reps.add(min(vs, key=lambda v: (max(map(abs, v)), v)))
     return sorted(reps)
 
 

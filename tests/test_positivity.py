@@ -395,7 +395,8 @@ def test_obstructing_root_search_pinned_and_crossing(case, status, witnesses, bo
 
 
 def representatives(L, f, vectors):
-    """What the orbit reducer of the search lists for the given crossing roots."""
+    """What the orbit reducer of the search lists for the given crossing roots:
+    the representatives of their orbits and of their negatives' orbits."""
     K, gu1, gu2, _ = positivity._geodesic_plane(L, f)
     pairs = [(v, positivity._pairing(K, v, gu1), positivity._pairing(K, v, gu2)) for v in vectors]
     return positivity._orbit_reduce(K, f, gu1, gu2, pairs)
@@ -410,31 +411,36 @@ ORBIT_CASES = [row for row in PINNED_REPORTS if row[0] in (
 @pytest.mark.parametrize("case", [row[1] for row in ORBIT_CASES], ids=[row[0] for row in ORBIT_CASES])
 def test_orbit_representatives_match_a_long_window(case):
     """Each listed witness, and the orbit elements two steps away, reduce to
-    the least element of a window of +-40 rank steps around them."""
+    the least element of a window of +-40 rank steps around them, together
+    with that of their negatives."""
     L, f = case()
     steps = 40 * L.rank
     finv = f.inverse_matrix()
     for w, _ in obstructing_root_search(L, f).witnesses:
         two_steps = [linalg.mat_vec(F, linalg.mat_vec(F, w)) for F in (f.matrix, finv)]
         for v in [w] + two_steps:
-            assert representatives(L, f, [v]) == [orbit_min_by_window(f.matrix, v, steps)]
+            minus_v = tuple(-x for x in v)
+            expected = {orbit_min_by_window(f.matrix, u, steps) for u in (v, minus_v)}
+            assert representatives(L, f, [v]) == sorted(expected)
         assert orbit_min_by_window(f.matrix, w, steps) == w
 
 
 @pytest.mark.parametrize("case", [row[1] for row in ORBIT_CASES], ids=[row[0] for row in ORBIT_CASES])
 def test_orbit_representatives_are_canonical(case):
-    """f^k(w) has the representative w for every listed witness w and |k| <= 3,
-    and all the images together reduce to the listed witnesses."""
+    """f^k(w) has the representatives of w for every listed witness w and
+    |k| <= 3, and all the images together reduce to the listed witnesses."""
     L, f = case()
     finv = f.inverse_matrix()
     witnesses = [w for w, _ in obstructing_root_search(L, f).witnesses]
     images = []
     for w in witnesses:
+        reps = representatives(L, f, [w])
+        assert w in reps
         for F in (f.matrix, finv):
             v = w
             for _ in range(3):
                 v = linalg.mat_vec(F, v)
-                assert representatives(L, f, [v]) == [w]
+                assert representatives(L, f, [v]) == reps
                 images.append(v)
     assert representatives(L, f, images) == witnesses
 
@@ -448,7 +454,7 @@ def test_orbit_minimum_several_steps_from_the_witness():
         for _ in range(7):
             v = linalg.mat_vec(F, v)
         assert max(map(abs, v)) > 100
-        assert representatives(L2, F2, [v]) == [w]
+        assert representatives(L2, F2, [v]) == [(-1, 1), w]
 
 
 @pytest.mark.parametrize("t", [(2, 1), (-1, 1)], ids=str)
