@@ -3,15 +3,17 @@
 A lattice is a free Z-module with a nondegenerate symmetric integer Gram
 matrix. Discriminant groups are presented through the Smith normal form of
 the Gram matrix; their Q/2Z-valued quadratic forms are stored exactly with
-values normalized into [0, 2). Anti-isometries of discriminant forms are
-built prime by prime: an odd p-part is matched through its Jordan
-(diagonal) decomposition, which decides and constructs at once; a 2-part
-goes through backtracking, which bounds its order.
+values normalized into [0, 2). ``build_glue_map`` is the one builder of
+anti-isometries of discriminant forms, and ``forms_isomorphic`` decides
+through it. It works prime by prime: an odd p-part is matched through its
+Jordan (diagonal) decomposition, which decides and constructs at once; a
+2-part goes through backtracking, which bounds its order. The p-maps are
+then assembled on the original generators.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import linalg
 from .numbertheory import factorize, is_prime, sqrt_mod, valuation
@@ -120,29 +122,24 @@ def lattice_U():
     return Lattice(((0, 1), (1, 0)))
 
 
+def _dynkin_lattice(n, edges):
+    """Negative definite root lattice of the Dynkin diagram on nodes 1..n:
+    -2 on the diagonal and 1 for each edge (a, b)."""
+    g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        g[a - 1][b - 1] = g[b - 1][a - 1] = 1
+    return Lattice(g)
+
+
 def lattice_E8():
     """E8, realized negative definite (signature (0, 8))."""
     # Dynkin diagram chain 1-2-3-4-5-6-7 with node 8 attached to node 5
-    adj = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
-    g = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        g[i][i] = -2
-    for a, b in adj:
-        g[a - 1][b - 1] = 1
-        g[b - 1][a - 1] = 1
-    return Lattice(g)
+    return _dynkin_lattice(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)])
 
 
 def lattice_E6():
     """E6, negative definite, determinant 3."""
-    adj = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
-    g = [[0] * 6 for _ in range(6)]
-    for i in range(6):
-        g[i][i] = -2
-    for a, b in adj:
-        g[a - 1][b - 1] = 1
-        g[b - 1][a - 1] = 1
-    return Lattice(g)
+    return _dynkin_lattice(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
 
 
 def lattice_A2():
@@ -208,13 +205,7 @@ class FiniteQuadraticForm:
         return len(self.orders)
 
     def order(self):
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
-
-    def is_trivial(self):
-        return self.ngens == 0
+        return prod(self.orders)
 
     def q_of(self, coords):
         """q(sum coords_i g_i) in [0, 2)."""
@@ -307,22 +298,17 @@ def discriminant_form(L: Lattice):
     S, V = linalg.snf_with_transform(L.gram)
     diag = [S[i][i] for i in range(n)]
     kept = [i for i in range(n) if diag[i] >= 2]
-    lifts = []
-    orders = []
-    for i in kept:
-        d = diag[i]
-        col = tuple(Fraction(V[r][i], d) for r in range(n))
-        lifts.append(col)
-        orders.append(d)
-    q_values = []
-    b_matrix = []
-    for i, gi in enumerate(lifts):
-        row = []
-        Ggi = linalg.mat_vec(L.gram, gi)
-        for j, gj in enumerate(lifts):
-            row.append(_frac_mod(linalg.dot(Ggi, gj), 1))
-        b_matrix.append(row)
-        q_values.append(_frac_mod(linalg.dot(Ggi, gi), 2))
+    # generator i lifts to c_i / d_i for the integer SNF column c_i, so
+    # b(g_i, g_j) = c_i^T G c_j / (d_i d_j); the constructor reduces mod 1 and 2
+    orders = [diag[i] for i in kept]
+    cols = [tuple(V[r][i] for r in range(n)) for i in kept]
+    Gc = [linalg.mat_vec(L.gram, c) for c in cols]
+    b_matrix = [
+        [Fraction(linalg.dot(Gci, cj), di * dj) for cj, dj in zip(cols, orders)]
+        for Gci, di in zip(Gc, orders)
+    ]
+    q_values = [b_matrix[i][i] for i in range(len(kept))]
+    lifts = [tuple(Fraction(x, d) for x in c) for c, d in zip(cols, orders)]
     form = FiniteQuadraticForm(orders, q_values, b_matrix, lifts=lifts)
     if form.order() != abs(L.determinant()):
         raise AssertionError("discriminant group order must equal |det|")
@@ -538,15 +524,12 @@ def odd_diagonalize_tracked(part, p):
     def beta(x):
         return _frac_mod(part.q_of(x) / 2, 1)
 
-    def order_of(x):
-        return part.element_order(x)
-
     while gens:
         # candidate with beta-denominator equal to the largest generator order
-        max_order = max(order_of(g) for g in gens)
+        max_order = max(part.element_order(g) for g in gens)
         cand = None
         for g in gens:
-            if order_of(g) == max_order and beta(g).denominator == max_order:
+            if part.element_order(g) == max_order and beta(g).denominator == max_order:
                 cand = g
                 break
         if cand is None:
@@ -555,7 +538,7 @@ def odd_diagonalize_tracked(part, p):
                     if gi is gj:
                         continue
                     s = tuple((a + b) % d for a, b, d in zip(gi, gj, part.orders))
-                    if order_of(s) == max_order and beta(s).denominator == max_order:
+                    if part.element_order(s) == max_order and beta(s).denominator == max_order:
                         cand = s
                         break
                 if cand:
@@ -575,7 +558,7 @@ def odd_diagonalize_tracked(part, p):
             if any(g2):
                 new_gens.append(g2)
         # keep a generating set of the orthogonal complement
-        gens = sorted(set(g for g in new_gens if order_of(g) > 1))
+        gens = sorted(set(g for g in new_gens if part.element_order(g) > 1))
         if len(out) > max_steps:
             raise AssertionError("odd diagonalization failed to terminate")
     return sorted(out)
@@ -706,21 +689,38 @@ def _anti_map_at(part1, part2, p):
     return find_anti_isometry(part1, part2)
 
 
-def forms_isomorphic(f1, f2, anti=False):
-    """Decide isomorphism (or anti-isometry for anti=True) of finite forms.
+def build_glue_map(q1, q2):
+    """Anti-isometry q1 -> q2 as a ``GlueMap``, or None when there is none.
 
-    Prime by prime, an anti-isometry onto the p-part of f2 (of its negative
-    for an isomorphism) is constructed: through the Jordan decomposition for
-    odd p, by backtracking for p = 2, which raises LatticeError when the
-    2-part is larger than the backtracking bound.
+    Prime by prime, ``_anti_map_at`` matches the p-parts (which raises
+    LatticeError when a 2-part exceeds the backtracking bound), and each
+    p-map is added into the columns of the original generators: the
+    p-component of g_j is u h_j with h_j = (d_j / p^e) g_j and u the inverse
+    of d_j / p^e mod p^e, and p-part generator i stands for (d_i / p^e') g_i.
+    The GlueMap constructor validates the assembled map.
     """
-    if f1.orders != f2.orders:
-        return False
-    target = f2 if anti else f2.negated()
-    return all(
-        _anti_map_at(f1.p_primary_part(p), target.p_primary_part(p), p) is not None
-        for p in f1.primes()
-    )
+    if q1.orders != q2.orders:
+        return None
+    orders = q1.orders
+    columns = [[0] * len(orders) for _ in orders]
+    for p in q1.primes():
+        mat = _anti_map_at(q1.p_primary_part(p), q2.p_primary_part(p), p)
+        if mat is None:
+            return None
+        index = [i for i, d in enumerate(orders) if d % p == 0]
+        pe = [p ** valuation(orders[i], p) for i in index]
+        for jj, j in enumerate(index):
+            u = pow(orders[j] // pe[jj], -1, pe[jj])
+            for ii, i in enumerate(index):
+                coeff = u * mat[ii][jj] % pe[ii]
+                columns[j][i] = (columns[j][i] + coeff * (orders[i] // pe[ii])) % orders[i]
+    return GlueMap(q1, q2, tuple(zip(*columns)))
+
+
+def forms_isomorphic(f1, f2, anti=False):
+    """Decide isomorphism (or anti-isometry for anti=True) of finite forms:
+    an isomorphism f1 -> f2 is an anti-isometry onto -f2."""
+    return build_glue_map(f1, f2 if anti else f2.negated()) is not None
 
 
 def find_form_isometry(f1, f2):

@@ -55,8 +55,8 @@ class ObstructionReport:
         return self.status == "positive"
 
 
-def _salem_shape(S: Lattice, f: Isometry):
-    s = f.char_poly()
+def _salem_shape(S: Lattice, s: IntPolynomial):
+    """Salem certificate of the characteristic polynomial s of an isometry of S."""
     try:
         cert = is_salem(s)
     except NotSalemError as exc:
@@ -65,7 +65,7 @@ def _salem_shape(S: Lattice, f: Isometry):
         )
     if s.degree != S.rank:
         raise PositivityError("Salem polynomial degree must equal the rank")
-    return s, cert
+    return cert
 
 
 def cyclic_roots(L: Lattice, f: Isometry):
@@ -100,7 +100,8 @@ def determinant_bound_test(S: Lattice, f: Isometry):
     """
     if not S.is_hyperbolic():
         raise PositivityError("determinant bound applies to hyperbolic lattices")
-    s, _ = _salem_shape(S, f)
+    s = f.char_poly()
+    _salem_shape(S, s)
     if abs(S.determinant()) > 4 * abs(discriminant(s)):
         return "positive"
     return "inconclusive"
@@ -190,12 +191,13 @@ def obstructing_root_search(S: Lattice, f: Isometry):
 def _geodesic_plane(S, f):
     """(K, Gu1, Gu2, sigma) for a Salem isometry f of S: the field
     K = Q[x]/(s) at lambda, G u1 and G u2 for the lambda and 1/lambda
-    eigenvectors u1 and u2 (columns of adj(mu I - f)), and sigma = <u1, u2>."""
-    s, cert = _salem_shape(S, f)
+    eigenvectors u1 and u2 (columns of adj(mu I - f)), and sigma = <u1, u2>.
+    One Faddeev-LeVerrier pass gives both s = char f and the adjugate."""
+    coeffs, adj_mats = linalg.charpoly_and_adjugate(f.matrix)
+    s = IntPolynomial(coeffs)
     n = S.rank
-    K = RealAlgebraicField(s, cert.lambda_interval)
+    K = RealAlgebraicField(s, _salem_shape(S, s).lambda_interval)
     lam = K.generator()
-    _, adj_mats = linalg.charpoly_and_adjugate(f.matrix)
     u1 = _adjugate_column(K, adj_mats, lam, n)
     u2 = _adjugate_column(K, adj_mats, K.inv(lam), n)
     gu1 = tuple(_pairing(K, row, u1) for row in S.gram)

@@ -5,8 +5,9 @@ and the square class of -s(1)s(-1). The witness side builds, for a curated
 seed, an even unimodular lattice of K3 signature together with an integral
 isometry whose dynamical degree is a power of the given Salem number: twist
 the Salem block by a split-prime square, retwist a hyperbolic plane of the
-fixed block to match discriminants, glue, and power the isometry until it
-descends to the overlattice.
+fixed block to match discriminants, glue along the anti-isometry that
+``lattices.build_glue_map`` builds, and power the isometry until it descends
+to the overlattice.
 """
 
 from dataclasses import dataclass
@@ -22,10 +23,9 @@ from .isometries import (
     twist,
 )
 from .lattices import (
-    GlueMap,
     Lattice,
     LatticeError,
-    _anti_map_at,
+    build_glue_map,
     discriminant_form,
     forms_isomorphic,
     glue,
@@ -36,7 +36,7 @@ from .lattices import (
     named_lattice,
     orthogonal_complement,
 )
-from .numbertheory import is_prime, legendre, sqrt_mod, valuation
+from .numbertheory import is_prime, legendre, sqrt_mod
 from .polynomials import (
     IntPolynomial,
     NotSalemError,
@@ -337,61 +337,6 @@ def validate_seed(seed: Seed):
     return f
 
 
-# --- glue-map construction --------------------------------------------------------
-
-
-def build_glue_map(q1, q2):
-    """Anti-isometry q1 -> q2 assembled prime by prime.
-
-    Odd p-parts are matched through their Jordan decomposition, the 2-part
-    by backtracking; either way the per-prime step also decides, so a pair
-    of forms that is not anti-isometric raises LatticeError. The assembled
-    map is validated by the GlueMap constructor, so any failure surfaces
-    loudly.
-    """
-    if q1.orders != q2.orders:
-        raise LatticeError("discriminant groups are not isomorphic")
-    if q1.is_trivial():
-        return GlueMap(q1, q2, ())
-    primes = q1.primes()
-    per_prime = {}
-    for p in primes:
-        per_prime[p] = _anti_map_at(q1.p_primary_part(p), q2.p_primary_part(p), p)
-        if per_prime[p] is None:
-            raise LatticeError(f"no anti-isometry at p = {p}")
-    # assemble on the original generators from their CRT components:
-    # the p-component of g_j is u * h_j with h_j = (d_j / p^e) g_j and
-    # u the inverse of that cofactor mod p^e
-    k = q1.ngens
-    kt = q2.ngens
-    columns = []
-    for j in range(k):
-        d = q1.orders[j]
-        total = [0] * kt
-        for p in primes:
-            if d % p != 0:
-                continue
-            e = valuation(d, p)
-            pe = p**e
-            u = pow(d // pe, -1, pe)
-            src_gens = _p_part_generator_indices(q1, p)
-            tgt_gens = _p_part_generator_indices(q2, p)
-            jj = src_gens.index(j)
-            mat = per_prime[p]
-            for ii, gi in enumerate(tgt_gens):
-                e_t = valuation(q2.orders[gi], p)
-                cof_t = q2.orders[gi] // p**e_t
-                coeff = u * mat[ii][jj] % (p**e_t)
-                total[gi] = (total[gi] + coeff * cof_t) % q2.orders[gi]
-        columns.append(total)
-    matrix = tuple(tuple(columns[j][i] for j in range(k)) for i in range(kt))
-    return GlueMap(q1, q2, matrix)
-
-
-def _p_part_generator_indices(form, p):
-    return [i for i, d in enumerate(form.orders) if d % p == 0]
-
-
 # --- certificates ---------------------------------------------------------------
 
 
@@ -477,7 +422,6 @@ def build_k3_certificate(s: IntPolynomial, seed=None, stage_trace=None):
 
     S, R_rest = seed.S, seed.R_rest
     R = seed.R()
-    d = s.degree
     disc_s = discriminant(s)
     det_R = R.determinant()
     try:
@@ -512,6 +456,8 @@ def build_k3_certificate(s: IntPolynomial, seed=None, stage_trace=None):
     # stage: glue along a constructed anti-isometry
     try:
         phi = build_glue_map(discriminant_form(S2), discriminant_form(R2))
+        if phi is None:
+            raise RealizeError("stage glue: discriminant forms are not anti-isometric")
         L22, basis = glue(S2, R2, phi)
     except LatticeError as exc:
         raise RealizeError(f"stage glue: {exc}") from exc
@@ -544,12 +490,9 @@ def build_k3_certificate(s: IntPolynomial, seed=None, stage_trace=None):
     if any(x % e for row in h for x in row):
         raise RealizeError("stage power: powered isometry does not descend")
     h = tuple(tuple(x // e for x in row) for row in h)
-    Isometry(L22, h)  # validates the descended map preserves the glued form
     trace("power", k=k)
 
     s_n = power_min_poly(s, k)
-    if s_n.degree != d:
-        raise RealizeError("stage power: Salem power degenerated in degree")
 
     # kernel data: the first rank-S2 rows of basis^-1 embed the twisted Salem block
     kernel_rows = tuple(tuple(den * x // e for x in row) for row in N[: S2.rank])

@@ -102,7 +102,7 @@ def test_discriminant_form_examples():
     q = discriminant_form(Lattice([[-2]]))
     assert q.orders == (2,)
     assert q.q_values == (Fraction(3, 2),)
-    assert discriminant_form(E8).is_trivial()
+    assert discriminant_form(E8).ngens == 0
     q2 = discriminant_form(Lattice([[22, 33], [33, 22]]))
     assert q2.orders == (11, 55)
     assert q2.orders == tuple(smith_diagonal([[22, 33], [33, 22]]))

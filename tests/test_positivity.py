@@ -250,6 +250,22 @@ def test_determinism():
     assert a == b
 
 
+def test_one_faddeev_leverrier_pass_per_search(monkeypatch):
+    """The search reads char f and adj(x I - f) from one pass."""
+    calls = []
+    original = linalg.charpoly_and_adjugate
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(linalg, "charpoly_and_adjugate", counted)
+    for L, f in ((L2, F2), (L4, F4)):
+        calls.clear()
+        obstructing_root_search(L, f)
+        assert len(calls) == 1
+
+
 def test_witnesses_closed_under_f_up_to_orbit():
     report = obstructing_root_search(L2, F2)
     vectors = [v for v, _ in report.witnesses]
