@@ -36,8 +36,16 @@ print("  ", rational_isometry_criterion(d22, "3U+2E8").reason)
 print()
 
 print("building the projective K3 certificate for the quartic Salem number:")
-stages = []
-cert = build_k3_certificate(s4, stage_trace=stages)
+cert = build_k3_certificate(s4)
+ev = cert.glue_evidence  # each stage's result is in the certificate
+stages = (
+    ("split-prime", {"p": ev["p"], "trace_root": ev["trace_root"]}),
+    ("norm-element", {"t": [int(c) for c in ev["t"]], "l": ev["l"]}),
+    ("twist", {"det": int(ev["det_kernel"])}),
+    ("glue", {"det": cert.lattice.determinant()}),
+    ("positivity", {"method": cert.positivity.method}),
+    ("power", {"k": cert.power}),
+)
 for stage, info in stages:
     print(f"  stage {stage}: {info}")
 print()

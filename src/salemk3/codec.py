@@ -149,6 +149,16 @@ int_matrix = array(array(integer))
 rat_matrix = array(array(rational))
 
 
+def shape(M, rows, cols, path):
+    """Raise unless the matrix M has ``rows`` rows (any number when None),
+    each of ``cols`` entries."""
+    if rows is not None and len(M) != rows:
+        raise ValueError(f"{path}: expected {rows} rows, got {len(M)}")
+    for i, row in enumerate(M):
+        if len(row) != cols:
+            raise ValueError(f"{path}[{i}]: expected {cols} entries, got {len(row)}")
+
+
 def poly(data, path):
     return IntPolynomial(array(integer)(data, path))
 

@@ -57,6 +57,8 @@ def block_diag(A, B):
 
 def mat_pow(A, n):
     """A ** n by binary powering, n >= 0."""
+    if n < 0:
+        raise ValueError(f"matrix power needs an exponent n >= 0, got {n}")
     result = identity(len(A))
     base = A
     while n:
@@ -416,12 +418,15 @@ def saturation(B):
     """Saturation of the row span of integer matrix B inside Z^n.
 
     Returns an integer row basis of {x in Z^n : k x in rowspan_Q(B) for some k > 0}.
+    For U B^T = [H; 0] with U unimodular, B = H^T W where the rows of W, the
+    first rows of U^-T, are primitive and span B over Q; so the saturation is
+    W = (H H^T)^-1 H B, found without U, whose entries can grow without bound.
     """
-    K = int_row_kernel(transpose(B))  # rows t with B t = 0
-    if not K:
-        return hnf(identity(len(B[0])))
-    # saturated lattice = integer vectors orthogonal (as coordinates) to K
-    return int_row_kernel(transpose(K))
+    H = hnf(transpose(B))
+    if not H:
+        return ()
+    N, d = inverse_pair(mat_mul(H, transpose(H)))
+    return tuple(tuple(x // d for x in row) for row in mat_mul(mat_mul(N, H), B))
 
 
 def charpoly(A):

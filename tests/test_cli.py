@@ -253,15 +253,15 @@ def test_verify_empty_kernel_basis_fails_the_kernel_item(tmp_path, capsys):
 
 
 def test_verify_misshapen_kernel_basis_fails_the_kernel_item(tmp_path, capsys):
-    # an extra column per row used to be dropped by mat_mul and pass as [ok] kernel
+    # an extra column per row used to be dropped by mat_mul and pass as [ok] kernel;
+    # the reader now refuses the shape before any check runs
     poly = write(tmp_path, "s4.json", S4_JSON)
     assert run(["--format", "json", "build-certificate", poly]) == 0
     doc = json.loads(capsys.readouterr().out)
     doc["kernel_basis"] = [row + ["5"] for row in doc["kernel_basis"]]
-    assert run(["--format", "json", "verify", write(tmp_path, "cert.json", doc)]) == 1
-    report = json.loads(capsys.readouterr().out)
-    kernel = next(item for item in report["items"] if item["check"] == "kernel")
-    assert kernel["passed"] is False and "kernel_basis" in kernel["detail"]
+    assert run(["--format", "json", "verify", write(tmp_path, "cert.json", doc)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == "certificate.kernel_basis[0]: expected 22 entries, got 23"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ A ``_name`` function or class defined at module level is private to the
 package, and so is a public one that ``salemk3.__all__`` does not export.
 Either kind that nothing in ``src/`` refers to (outside its own body) is
 dead code, whatever the tests do with it. So is a method whose name no
-attribute or name in ``src/`` mentions outside the method itself.
+attribute or name in ``src/`` mentions outside the method itself, and so
+is a name that a module other than ``__init__`` imports and never uses.
 """
 
 import ast
@@ -82,6 +83,31 @@ def unreferenced_methods(src=SRC):
     return _unreferenced(src, lambda name, exported: True, methods=True)
 
 
+def _imported_names(tree):
+    """(name, line) for every name an import statement binds in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def unused_imports(src=SRC):
+    """Imported names that their module, other than ``__init__``, never reads."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}" for name, line in _imported_names(tree) if name not in used
+        ]
+    return unused
+
+
 def test_every_private_helper_is_referenced_in_src():
     assert unreferenced_private_helpers() == []
 
@@ -130,3 +156,17 @@ def test_an_unreferenced_method_is_reported(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import Form\n\n\ndef rank():\n    return Form().rank\n", encoding="utf-8")
     assert unreferenced_methods(tmp_path) == ["a.py:12 dual"]
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
+
+
+def test_an_unused_import_is_reported(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import f\n", encoding="utf-8")
+    (tmp_path / "a.py").write_text(
+        "import os.path\nimport re as regex\nfrom math import gcd, lcm\n\n\n"
+        "def f(a, b):\n    from fractions import Fraction\n    return os.path.sep, gcd(a, b)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(tmp_path) == ["a.py:2 regex", "a.py:3 lcm", "a.py:7 Fraction"]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import re
+import signal
 from collections import defaultdict
 from fractions import Fraction
 
@@ -420,6 +421,76 @@ def test_k3_certificate_with_mod2_claim_fails_surface(k3_certificate, claim):
     assert "mod2_identity" in failed["surface"]
 
 
+def _failed(items):
+    return [name for name, passed, _ in items if not passed]
+
+
+def _within_one_second(call):
+    """call(), failing the test if it has not returned after 1 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_verify_derives_each_object_once(k3_certificate, monkeypatch):
+    # the kernel lattice is the one elimination and the primitivity test the
+    # one Hermite form; the complement rows come from an integer kernel
+    calls = defaultdict(int)
+    for name in ("symmetric_bareiss", "hnf"):
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    ok, _ = verify_certificate(k3_certificate)
+    assert ok
+    assert dict(calls) == {"symmetric_bareiss": 1, "hnf": 1}
+
+
+def test_wrong_power_polynomial_fails_the_salem_item_only(k3_certificate):
+    wrong = power_min_poly(S4, 2 * k3_certificate.power)
+    ok, items = verify_certificate(dataclasses.replace(k3_certificate, salem_power_poly=wrong))
+    assert not ok
+    assert _failed(items) == ["salem"]
+
+
+def test_non_primitive_kernel_basis_fails_the_kernel_item_only(k3_certificate):
+    # the saturation of the doubled rows used to go through integer kernels
+    # whose entries grew past any bound
+    doubled = dataclasses.replace(
+        k3_certificate, kernel_basis=linalg.mat_scale(2, k3_certificate.kernel_basis)
+    )
+    ok, items = _within_one_second(lambda: verify_certificate(doubled))
+    assert not ok
+    assert _failed(items) == ["kernel"]
+
+
+def test_negative_power_is_refused_at_once(k3_certificate):
+    # the binary powering used to shift -1 right forever
+    negative = dataclasses.replace(k3_certificate, power=-1)
+    ok, items = _within_one_second(lambda: verify_certificate(negative))
+    assert not ok
+    assert {"salem", "char_poly"} <= set(_failed(items))
+    with pytest.raises(ValueError, match="n >= 0"):
+        linalg.mat_pow(((1,),), -1)
+
+
+def test_build_k3_certificate_has_no_stage_trace():
+    # every stage's result is in the certificate; the builder takes no recorder
+    with pytest.raises(TypeError):
+        build_k3_certificate(S4, stage_trace=[])
+
+
 def _tamper_entry(doc, field):
     """Replace the first "0" entry of a certificate matrix by "1/2"."""
     for row in doc[field]:
@@ -456,7 +527,7 @@ def _set_isometry(doc, edit):
         ),
         pytest.param("projective", lambda doc: dict(doc, projective="false"), id="projective"),
         pytest.param("power", lambda doc: dict(doc, power=doc["power"] + 0.9), id="power-float"),
-        # a negative power would never return from the matrix powering in verify
+        # power is a positive JSON integer (test_negative_power_is_refused_at_once builds one in code)
         pytest.param("power", lambda doc: dict(doc, power=-1), id="power-negative"),
         pytest.param("lattice.gram[0][0]", lambda doc: _set_gram(doc, 8.5), id="gram-float"),
         pytest.param("lattice.gram[0][0]", lambda doc: _set_gram(doc, "+8"), id="gram-plus"),
@@ -476,6 +547,30 @@ def _set_isometry(doc, edit):
             "positivity.method", lambda doc: _set(doc, "positivity", "method", "vibes"), id="method"
         ),
         pytest.param("mod2_identity", lambda doc: dict(doc, mod2_identity="yes"), id="mod2-string"),
+        # shapes: isometry n x n, kernel_basis rows of n entries, kernel_generator d x d
+        pytest.param(
+            "isometry", lambda doc: dict(doc, isometry=doc["isometry"][1:]), id="isometry-rows"
+        ),
+        pytest.param(
+            "isometry[21]",
+            lambda doc: dict(doc, isometry=doc["isometry"][:-1] + [doc["isometry"][-1][1:]]),
+            id="isometry-short-row",
+        ),
+        pytest.param(
+            "kernel_basis[0]",
+            lambda doc: dict(doc, kernel_basis=[row[1:] for row in doc["kernel_basis"]]),
+            id="kernel-basis-short-rows",
+        ),
+        pytest.param(
+            "kernel_generator",
+            lambda doc: dict(doc, kernel_generator=doc["kernel_generator"] * 2),
+            id="kernel-generator-rows",
+        ),
+        pytest.param(
+            "kernel_generator[0]",
+            lambda doc: dict(doc, kernel_generator=[r + ["0"] for r in doc["kernel_generator"]]),
+            id="kernel-generator-long-rows",
+        ),
     ],
 )
 def test_certificate_parsing_rejects_non_canonical(k3_certificate, tmp_path, capsys, field, tamper):
