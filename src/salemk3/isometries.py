@@ -16,7 +16,9 @@ from .polynomials import (
     IntPolynomial,
     NotSalemError,
     discriminant,
+    distinct_degrees_mod,
     is_salem,
+    poly_powmod,
     resultant,
     trace_polynomial,
 )
@@ -174,31 +176,52 @@ def _least_power(A, m, test):
     """Least d >= 1 with test(A^d mod m), by one climb per prime.
 
     The exponents that pass must form a subgroup dZ of Z that contains the
-    order of A modulo m, so d divides the exponent E of GL_n(Z/m): the lcm
-    over p^e exactly dividing m of p^(e-1) p^t lcm(p^i - 1 : i <= n), with
-    p^t the least power of p that is >= n. For each q^a exactly dividing E
-    in turn, the running exponent drops its q-part and climbs back one
+    order of A modulo m. With chi the characteristic polynomial of A, that
+    order divides the order of x in (Z/m)[x]/(chi), hence the lcm E over
+    p^e exactly dividing m of p^(e-1) p^t lcm(p^k - 1 : k in K), where K
+    holds the degrees of the irreducible factors of chi mod p, t = 0 when
+    chi is squarefree mod p and p^t is otherwise the least power of p that
+    is >= n (the unit group of F_p[x]/(f^a) has exponent (p^k - 1) p^t for
+    f irreducible of degree k and p^t >= a). For each q^a exactly dividing
+    E in turn, the running exponent drops its q-part and climbs back one
     factor q at a time until the test passes (Cohen, GTM 138, Algorithm
     1.4.3). The primes already climbed hold their valuations in d and the
     rest hold at least theirs, so each climb stops exactly at v_q(d).
+
+    The powers are polynomials: chi is monic, so Cayley-Hamilton gives
+    A^d = sum r_i A^i mod m for r = x^d mod (chi, m), and the climb raises
+    r, not A. The test receives sum r_i A^i mod m.
     """
     n = len(A)
+    chi = linalg.charpoly(A)
     E = 1
     for p, e in factorize(m).items():
-        if linalg.bareiss_det(linalg.mat_mod(A, p)) % p == 0:
+        if chi[0] % p == 0:  # chi(0) = det(-A)
             raise ArithmeticError("matrix is not invertible modulo p")
+        degrees, squarefree = distinct_degrees_mod(chi, p)
         pt = 1
-        while pt < n:
-            pt *= p
-        E = lcm(E, p ** (e - 1) * pt, *(p**i - 1 for i in range(1, n + 1)))
+        if not squarefree:
+            while pt < n:
+                pt *= p
+        E = lcm(E, p ** (e - 1) * pt, *(p**k - 1 for k in degrees))
+    powers = [linalg.identity(n), linalg.mat_mod(A, m)]
+    while len(powers) < n:
+        powers.append(linalg.mat_mod(linalg.mat_mul(powers[-1], powers[1]), m))
+
+    def at(r):
+        return tuple(
+            tuple(sum(c * P[i][j] for c, P in zip(r, powers)) % m for j in range(n))
+            for i in range(n)
+        )
+
     d = E
     for q, a in factorize(E).items():
         d //= q**a
-        B = linalg.mat_pow_mod(A, d, m)
+        r = poly_powmod([0, 1], d, chi, m)
         for _ in range(a):
-            if test(B):
+            if test(at(r)):
                 break
-            B = linalg.mat_pow_mod(B, q, m)
+            r = poly_powmod(r, q, chi, m)
             d *= q
     return d
 

@@ -89,17 +89,6 @@ def mat_mod(A, m):
     return tuple(tuple(a % m for a in row) for row in A)
 
 
-def mat_pow_mod(A, n, m):
-    result = identity(len(A))
-    base = mat_mod(A, m)
-    while n:
-        if n & 1:
-            result = mat_mod(mat_mul(result, base), m)
-        base = mat_mod(mat_mul(base, base), m)
-        n >>= 1
-    return result
-
-
 def is_symmetric(A):
     n = len(A)
     return all(A[i][j] == A[j][i] for i in range(n) for j in range(i))

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 from . import linalg
-from .numbertheory import factorize, is_perfect_square
+from .numbertheory import factorize, is_perfect_square, is_prime
 
 
 class NotSalemError(ValueError):
@@ -633,18 +633,38 @@ def cyclotomic(n):
     return p
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_root(n):
+    """(l, w): the least prime l = 1 mod n and a root w of cyclotomic(n) mod
+    l, that is an element of order exactly n in (Z/l)^*."""
+    l = n + 1
+    while not is_prime(l):
+        l += n
+    for a in range(1, l):
+        w = pow(a, (l - 1) // n, l)
+        if all(pow(w, n // q, l) != 1 for q in factorize(n)):
+            return l, w
+
+
 def cyclotomic_factors(p):
-    """(n, cyclotomic(n)) for every cyclotomic polynomial dividing p."""
+    """(n, cyclotomic(n)) for every cyclotomic polynomial dividing p.
+
+    Each candidate is tested mod a prime first: with (l, w) from
+    ``_cyclotomic_root(n)``, cyclotomic(n) | p forces p(w) = 0 mod l, so
+    p(w) != 0 mod l rules it out. Only the n that pass go through exact
+    division.
+    """
     out = []
     for n in _orders_of_degree_at_most(p.degree):
-        cyc = cyclotomic(n)
-        if divides(cyc, p):
-            out.append((n, cyc))
+        l, w = _cyclotomic_root(n)
+        if polyval_mod(p.coeffs, w, l) == 0 and divides(cyclotomic(n), p):
+            out.append((n, cyclotomic(n)))
     return out
 
 
 # --- polynomials mod p ---------------------------------------------------------
-# Coefficient lists, constant term first, over the integers mod a prime p.
+# Coefficient lists, constant term first, over the integers mod a prime p, or
+# mod any m > 1 where the divisor is monic.
 
 
 def polyval_mod(coeffs, x, p):
@@ -674,3 +694,71 @@ def poly_gcd_mod(f, g, p):
             f = reduced(f[:shift] + [a - factor * c for a, c in zip(f[shift:], g)])
         f, g = g, f
     return f
+
+
+def poly_powmod(base, e, modulus, m):
+    """base^e mod (modulus, m) for e >= 0 and a monic modulus of degree
+    n >= 1, by square and multiply: a list of exactly n coefficients in
+    [0, m)."""
+    n = len(modulus) - 1
+
+    def mulmod(f, g):
+        prod = [0] * max(len(f) + len(g) - 1, n)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    prod[i + j] += a * b
+        for k in range(len(prod) - 1, n - 1, -1):
+            c = prod[k] % m
+            if c:  # x^k = x^(k-n) (x^n - modulus)
+                for i in range(n):
+                    prod[k - n + i] -= c * modulus[i]
+        return [c % m for c in prod[:n]]
+
+    result, base = mulmod([1], [1]), mulmod(base, [1])
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        e >>= 1
+        if e:
+            base = mulmod(base, base)
+    return result
+
+
+def distinct_degrees_mod(f, p):
+    """(degrees, squarefree) for a monic f mod the prime p: the set of the
+    degrees of the irreducible factors of f mod p, and whether f is
+    squarefree mod p.
+
+    Distinct-degree factorization (Lidl-Niederreiter, ch. 3): with
+    g = x^(p^k) mod f, gcd(f, g - x) is the product of the distinct
+    irreducible factors of f of degree dividing k, of which those of degree
+    below k are already divided out. Dividing it out again until it is 1
+    removes every copy, and a second division at some k is a repeated
+    factor. The loop stops once f has degree below 2(k + 1): what is left
+    is 1 or one irreducible factor.
+    """
+    f = [c % p for c in f]
+    degrees, squarefree = set(), True
+    g, k = [0, 1], 0
+    while len(f) - 1 >= 2 * (k + 1):
+        k += 1
+        g = poly_powmod(g, p, f, p)
+        g_minus_x = [g[0], g[1] - 1] + g[2:]
+        divisions = 0
+        while len(h := poly_gcd_mod(f, g_minus_x, p)) > 1:
+            inv = pow(h[-1], -1, p)
+            h = [c * inv % p for c in h]
+            quotient = [0] * (len(f) - len(h) + 1)
+            for i in reversed(range(len(quotient))):
+                quotient[i] = c = f[i + len(h) - 1]
+                for j, b in enumerate(h):
+                    f[i + j] = (f[i + j] - c * b) % p
+            f = quotient
+            divisions += 1
+        if divisions:
+            degrees.add(k)
+            squarefree = squarefree and divisions == 1
+    if len(f) > 1:
+        degrees.add(len(f) - 1)
+    return degrees, squarefree

@@ -25,7 +25,10 @@ interval Horner evaluation instead of integer numerators over one
 denominator (for number field elements), Fraction Horner evaluation instead
 of integer Horner over one denominator (for twist matrices), and a walk of
 a fixed number of steps instead of the walk with an exact stop (for orbit
-representatives).
+representatives), exact division by every candidate instead of a root test
+mod a prime first (for cyclotomic factors), and trial division by every
+monic polynomial of degree at most 3 instead of gcds with x^(p^k) - x (for
+the factor degrees of a polynomial mod p).
 """
 
 from fractions import Fraction
@@ -310,6 +313,66 @@ def smith_diagonal(M):
         diag.append(abs(A[t][t]))
         t += 1
     return [d for d in diag if d]
+
+
+def _divmod_mod_p(f, g, p):
+    """Quotient and remainder of f by g mod the prime p, for ascending
+    coefficient lists and a leading coefficient of g prime to p."""
+    f = [c % p for c in f]
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    for i in reversed(range(len(q))):
+        q[i] = c = f[i + len(g) - 1] * inv % p
+        for j, b in enumerate(g):
+            f[i + j] = (f[i + j] - c * b) % p
+    return q, f[: len(g) - 1]
+
+
+def factor_degrees_by_trial_division(coeffs, p):
+    """(degrees, squarefree) for a monic polynomial of degree at most 7 mod
+    the prime p: the degrees of its irreducible factors mod p and whether
+    none of them is repeated.
+
+    The irreducible monic polynomials of degree 1 to 3 are those that no
+    monic polynomial of lower positive degree divides. Dividing f by each of
+    them as often as it goes leaves a cofactor whose irreducible factors all
+    have degree at least 4, so a cofactor of degree at most 7 is 1 or
+    irreducible.
+    """
+    f = [c % p for c in coeffs]
+    if f[-1] != 1 or len(f) > 8:
+        raise ValueError("needs a monic polynomial of degree at most 7 mod p")
+
+    def divides(g, h):
+        return not any(_divmod_mod_p(h, g, p)[1])
+
+    monics = [list(c) + [1] for k in (1, 2, 3) for c in product(range(p), repeat=k)]
+    irreducible = [g for g in monics if not any(divides(h, g) for h in monics if len(h) < len(g))]
+    degrees, squarefree = set(), True
+    for g in irreducible:
+        copies = 0
+        while len(f) >= len(g) and divides(g, f):
+            f = _divmod_mod_p(f, g, p)[0]
+            copies += 1
+        if copies:
+            degrees.add(len(g) - 1)
+            squarefree = squarefree and copies == 1
+    if len(f) > 1:
+        degrees.add(len(f) - 1)
+    return degrees, squarefree
+
+
+def cyclotomic_factors_by_division(p):
+    """(n, cyclotomic(n)) for every cyclotomic polynomial dividing p, by
+    exact division by every cyclotomic(n) with phi(n) <= deg p."""
+    from salemk3.polynomials import _orders_of_degree_at_most, cyclotomic, divides
+
+    out = []
+    for n in _orders_of_degree_at_most(p.degree):
+        cyc = cyclotomic(n)
+        if divides(cyc, p):
+            out.append((n, cyc))
+    return out
 
 
 def matrix_order_mod(A, m, cap=100000):

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: one test per criterion, each printing a PASS line, and a
+work count of the order search behind criterion 3.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines. Time budgets exclude interpreter and first-call warm-up (a module
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from salemk3 import linalg
+from salemk3 import isometries, linalg
 from salemk3.isometries import (
     Isometry,
     TwistElement,
@@ -123,8 +124,9 @@ def test_criterion_2_twist_split_reproduction():
     _report(2, time.perf_counter() - t0, 10.0, f"{len(instances)} split-prime twists, SNF cross-checked")
 
 
-def test_criterion_3_integral_powering():
-    t0 = time.perf_counter()
+def criterion_3_instances():
+    """The 20 (L, F) of criterion 3: a conjugate F of the companion matrix of a
+    Salem polynomial of degree 2, 4 or 6 and a lattice L that F preserves."""
     rng = random.Random(20260808)
     polys = {
         2: QUAD,
@@ -151,10 +153,13 @@ def test_criterion_3_integral_powering():
                 continue
             return Lattice(G2), F
 
+    return [instance(rng.choice([2, 2, 4, 4, 6])) for _ in range(20)]
+
+
+def test_criterion_3_integral_powering():
+    t0 = time.perf_counter()
     checked = 0
-    while checked < 20:
-        rank = rng.choice([2, 2, 4, 4, 6])
-        L, F = instance(rank)
+    for L, F in criterion_3_instances():
         f = Isometry(L, F)
         n, fn = power_to_integral(L, f)
         # independent exact powering: plain repeated multiplication
@@ -167,6 +172,31 @@ def test_criterion_3_integral_powering():
         assert linalg.is_integral(linalg.mat_pow(f.matrix, 3 * n))
         checked += 1
     _report(3, time.perf_counter() - t0, 30.0, f"{checked} rational isometries, powers verified independently")
+
+
+def test_criterion_3_order_search_work(monkeypatch):
+    # a work count, not a timing: the matrix products made inside the order
+    # search over the criterion-3 instances (290 with the powers kept as
+    # polynomials mod (chi, m); 2,670 when the matrices were squared)
+    calls, inside = [0], [False]
+    mat_mul, least_power = linalg.mat_mul, isometries._least_power
+
+    def counting_mat_mul(A, B):
+        calls[0] += inside[0]
+        return mat_mul(A, B)
+
+    def counting_least_power(*args):
+        inside[0] = True
+        try:
+            return least_power(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(linalg, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(isometries, "_least_power", counting_least_power)
+    for L, F in criterion_3_instances():
+        power_to_integral(L, Isometry(L, F))
+    assert 0 < calls[0] <= 800, calls[0]
 
 
 def test_criterion_4_chamber_preservation_consistency():

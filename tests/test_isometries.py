@@ -271,6 +271,72 @@ def test_least_power_subgroup_test_matches_iteration():
             checked += 1
 
 
+# monic blocks by degree: the quadratics and cubics are irreducible over Q and
+# factor in different ways mod small primes; x - 2 is singular mod 2, where
+# its cases are skipped
+ORDER_BLOCKS = {
+    1: ((1, 1), (-1, 1), (-2, 1)),
+    2: ((1, 0, 1), (1, 1, 1), (-1, -1, 1), (1, -3, 1), (-1, 1, 1)),
+    3: ((-1, -1, 0, 1), (1, -1, 0, 1), (-1, 0, 1, 1), (1, 2, -1, 1)),
+}
+ORDER_MODULI = (2, 4, 8, 3, 9, 27, 5, 25, 7, 12, 49, 72)
+
+
+def _prescribed_factorization_matrix(rng):
+    """A random unimodular conjugate of a block-diagonal companion matrix of
+    rank 2 to 6 with a quadratic or cubic block, often a repeated block, and
+    one entry 1 coupling the first block to the second."""
+    blocks = [rng.choice(ORDER_BLOCKS[rng.choice((2, 3))])]
+    if rng.random() < 0.5:
+        blocks.append(blocks[0])
+    target = rng.randint(2, 6)
+    while sum(len(b) - 1 for b in blocks) < target:
+        blocks.append(rng.choice(ORDER_BLOCKS[rng.choice((1, 2, 3))]))
+    rank = sum(len(b) - 1 for b in blocks)
+    if rank > 6:
+        return _prescribed_factorization_matrix(rng)
+    M = [[0] * rank for _ in range(rank)]
+    starts = []
+    at = 0
+    for b in blocks:
+        C = companion_matrix(P(list(b)))
+        for i, row in enumerate(C):
+            M[at + i][at : at + len(row)] = row
+        starts.append(at)
+        at += len(C)
+    if len(blocks) > 1:
+        M[rng.randrange(starts[1])][rng.randrange(starts[1], rank)] = 1
+    U = linalg.identity(rank)
+    for _ in range(2 * rank):
+        i, j = rng.sample(range(rank), 2)
+        E = [list(row) for row in linalg.identity(rank)]
+        E[i][j] = rng.choice((-2, -1, 1, 2))
+        U = linalg.mat_mul(U, tuple(map(tuple, E)))
+    return linalg.mat_mul(linalg.mat_mul(U, tuple(map(tuple, M))), linalg.mat_to_int(linalg.rat_inverse(U)))
+
+
+def test_least_power_with_prescribed_factorizations():
+    # repeated and coupled blocks give char polys with repeated factors mod p,
+    # where the order carries a power of p; irreducible blocks give factors
+    # of degree 2 and 3 mod p
+    rng = random.Random(304)
+    for _ in range(24):
+        A = _prescribed_factorization_matrix(rng)
+        rank = len(A)
+        det = linalg.bareiss_det(A)
+        for m in ORDER_MODULI:
+            if gcd(det, m) != 1:
+                continue
+            assert _least_power(A, m, _is_identity) == matrix_order_mod(A, m)
+            cols = rng.randint(1, rank)
+            D = tuple(tuple(rng.randrange(m) for _ in range(cols)) for _ in range(rank))
+
+            def fixes_D(P):
+                return linalg.mat_mod(linalg.mat_mul(P, D), m) == D
+
+            assert _least_power(A, m, fixes_D) == least_power_by_iteration(A, D, m)
+
+
 def test_least_power_orders_mod_p_squared():
     # the 1 x 1 search that pipeline_split_prime runs, for every unit b mod p
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):

@@ -13,17 +13,22 @@ import pytest
 
 from salemk3.polynomials import (
     IntPolynomial,
+    _cyclotomic_root,
+    _orders_of_degree_at_most,
     NotSalemError,
     companion_matrix,
     count_real_roots,
     cyclotomic,
+    cyclotomic_factors,
     discriminant,
+    distinct_degrees_mod,
     divides,
     is_cyclotomic_product,
     is_salem,
     isolate_real_roots,
     poly_divmod_exact,
     poly_gcd,
+    polyval_mod,
     power_min_poly,
     resultant,
     square_class_test,
@@ -36,7 +41,9 @@ from salemk3.numberfield import RealAlgebraicField
 
 from oracles import (
     FractionField,
+    cyclotomic_factors_by_division,
     expand_trace_polynomial,
+    factor_degrees_by_trial_division,
     fraction_sturm_count,
     numpy_salem_profile,
     power_min_poly_by_companion,
@@ -228,6 +235,54 @@ def test_cyclotomic_product_matches_unit_circle_oracle():
         assert is_cyclotomic_product(f) is expected, f.coeffs
         answers.append(expected)
     assert 20 < sum(answers) < 130
+
+
+def test_cyclotomic_factors_match_exact_division():
+    rng = random.Random(12)
+    small = _orders_of_degree_at_most(8)
+    for s in CORPUS_POLYS:
+        assert cyclotomic_factors(s) == cyclotomic_factors_by_division(s) == []
+        for _ in range(3):
+            n, k = rng.choice(small), rng.choice(small)
+            p = s * cyclotomic(n) * cyclotomic(k)
+            found = cyclotomic_factors(p)
+            assert found == cyclotomic_factors_by_division(p), p.coeffs
+            assert {n, k} <= {i for i, _ in found}
+
+
+def test_cyclotomic_root_test_false_positives_go_to_exact_division():
+    # Phi_n + l x^j vanishes at w mod l without being divisible by Phi_n
+    for n in _orders_of_degree_at_most(12):
+        l, w = _cyclotomic_root(n)
+        cyc = cyclotomic(n)
+        assert [pow(w, k, l) for k in range(1, n + 1)].index(1) == n - 1
+        for j in range(cyc.degree):
+            p = cyc + P([0] * j + [l])
+            assert polyval_mod(p.coeffs, w, l) == 0
+            assert (n, cyc) not in cyclotomic_factors(p)
+            assert cyclotomic_factors(p) == cyclotomic_factors_by_division(p), (n, j)
+
+
+def test_distinct_degrees_mod_matches_trial_division():
+    # products of random monic factors of degree 1 to 3, repeats included,
+    # lifted to integers with coefficients off by multiples of p
+    rng = random.Random(7)
+    seen = set()
+    for p in (2, 3, 5):
+        for _ in range(120):
+            f, target = P([1]), rng.randint(1, 7)
+            while f.degree < target:
+                g = P([rng.randrange(p) for _ in range(rng.randint(1, min(3, target - f.degree)))] + [1])
+                f = f * (g * g if rng.random() < 0.4 and f.degree + 2 * g.degree <= target else g)
+            coeffs = [c + p * rng.randint(-2, 2) for c in f.coeffs[:-1]] + [1]
+            expected = factor_degrees_by_trial_division(coeffs, p)
+            assert distinct_degrees_mod(coeffs, p) == expected, (coeffs, p)
+            seen.add((p, max(expected[0]), expected[1]))
+    # every prime saw repeated factors and factors of degree 3 or more
+    for p in (2, 3, 5):
+        assert (p, True) in {(q, sf) for q, _, sf in seen}
+        assert (p, False) in {(q, sf) for q, _, sf in seen}
+        assert any(q == p and top >= 3 for q, top, _ in seen)
 
 
 def test_field_inverse_on_the_corpus():
