@@ -145,7 +145,7 @@ def kernel_sublattice(f: Isometry, p: IntPolynomial):
     if not divides(p, char):
         raise IsometryError("polynomial does not divide the characteristic polynomial")
     P, _ = linalg.poly_at_matrix(p.coeffs, f._num, f._den)
-    B = linalg.int_row_kernel(linalg.transpose(P))  # saturated: rows of a unimodular U
+    B = linalg.saturation(linalg.primitive_kernel(P))  # a Z-basis of ker P
     if not B:
         raise IsometryError("kernel is trivial")
     try:

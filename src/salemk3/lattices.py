@@ -440,14 +440,12 @@ def is_primitive_sublattice(basis_rows):
     """(primitive, saturation) for integer rows B.
 
     The k rows are independent and span a saturated sublattice exactly when
-    every elementary divisor of B is 1, that is when the Hermite form of
-    B^T is the k x k identity. The saturation is computed only when B is
-    not primitive; otherwise B is returned as its own saturation.
+    every elementary divisor of B is 1. Then the Hermite form of B^T is the
+    k x k identity and ``saturation`` returns B itself, row for row.
     """
     B = linalg.mat_to_int(basis_rows)
-    if not B or linalg.hnf(linalg.transpose(B)) == linalg.identity(len(B)):
-        return True, B
-    return False, linalg.saturation(B)
+    sat = linalg.saturation(B)
+    return sat == B, sat
 
 
 def orthogonal_complement(L: Lattice, basis_rows):
@@ -456,21 +454,21 @@ def orthogonal_complement(L: Lattice, basis_rows):
     Returns (complement_lattice, complement_basis_rows).
     """
     B = linalg.mat_to_int(basis_rows)
-    if len(linalg.hnf(B)) != len(B):
+    primitive, sat = is_primitive_sublattice(B)
+    if len(sat) != len(B):
         raise LatticeError("sublattice basis rows are dependent")
     try:
         L.sublattice(B)
     except LatticeError:
         raise LatticeError("sublattice is degenerate; complement not supported") from None
-    primitive, sat = is_primitive_sublattice(B)
     if not primitive:
         raise LatticeError(
             "sublattice is not primitive; its saturation has basis "
             + str([list(r) for r in linalg.hnf(sat)])
         )
-    # rows x with x G B^T = 0 pair to zero with every basis row
-    GBt = linalg.mat_mul(L.gram, linalg.transpose(B))
-    comp = linalg.int_row_kernel(GBt)
+    # the rows x with B G x = 0; a zero row stands in for an empty B
+    BG = linalg.mat_mul(B, L.gram) or linalg.zeros(1, L.rank)
+    comp = linalg.saturation(linalg.primitive_kernel(BG))
     return L.sublattice(comp), comp
 
 

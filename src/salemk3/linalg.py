@@ -260,15 +260,16 @@ def rat_inverse(A):
 # --- integer normal forms ---------------------------------------------------
 
 
-def _hnf_in_place(M, n):
-    """Row-reduce the list of rows M to Hermite form on its first n columns.
+def hnf(A):
+    """Row Hermite normal form of an integer matrix (rows span preserved).
 
-    Pivots end up positive with the entries above them reduced into
-    [0, pivot); columns past n ride along. Returns the number of nonzero rows.
+    Returns the nonzero rows: pivots positive, entries above a pivot reduced
+    into [0, pivot). Row-span over Z is unchanged.
     """
+    M = [list(row) for row in A]
     m = len(M)
     row = 0
-    for col in range(n):
+    for col in range(len(M[0]) if M else 0):
         piv = None
         for i in range(row, m):
             if M[i][col] != 0 and (piv is None or abs(M[i][col]) < abs(M[piv][col])):
@@ -296,34 +297,7 @@ def _hnf_in_place(M, n):
         row += 1
         if row == m:
             break
-    return row
-
-
-def hnf(A):
-    """Row Hermite normal form of an integer matrix (rows span preserved).
-
-    Returns the nonzero rows: pivots positive, entries above a pivot reduced
-    into [0, pivot). Row-span over Z is unchanged.
-    """
-    M = [list(row) for row in A]
-    r = _hnf_in_place(M, len(M[0]) if M else 0)
-    return tuple(tuple(row) for row in M[:r])
-
-
-def hnf_with_transform(A):
-    """(H, U) with U unimodular, U A = [H; 0] and H the nonzero HNF rows."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [list(A[i]) + [int(i == j) for j in range(m)] for i in range(m)]
-    r = _hnf_in_place(M, n)
-    return tuple(tuple(row[:n]) for row in M[:r]), tuple(tuple(row[n:]) for row in M)
-
-
-def int_row_kernel(A):
-    """Integer basis (rows) of {x in Z^m : x A = 0} for integer A (m x n)."""
-    H, U = hnf_with_transform(A)
-    r = len(H)
-    return tuple(U[r:])
+    return tuple(tuple(r) for r in M[:row])
 
 
 def snf_with_transform(A):
@@ -407,13 +381,12 @@ def saturation(B):
     """Saturation of the row span of integer matrix B inside Z^n.
 
     Returns an integer row basis of {x in Z^n : k x in rowspan_Q(B) for some k > 0}.
-    For U B^T = [H; 0] with U unimodular, B = H^T W where the rows of W, the
-    first rows of U^-T, are primitive and span B over Q; so the saturation is
-    W = (H H^T)^-1 H B, found without U, whose entries can grow without bound.
+    With H the nonzero rows of the Hermite form of B^T, B = H^T W for rows W
+    that extend to a unimodular basis, so W is primitive, spans B over Q and
+    is W = (H H^T)^-1 H B: one Hermite form and one exact inverse, with no
+    row transform carried along.
     """
     H = hnf(transpose(B))
-    if not H:
-        return ()
     N, d = inverse_pair(mat_mul(H, transpose(H)))
     return tuple(tuple(x // d for x in row) for row in mat_mul(mat_mul(N, H), B))
 

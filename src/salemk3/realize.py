@@ -510,6 +510,20 @@ def build_k3_certificate(s: IntPolynomial, seed=None):
     return cert
 
 
+def _power_exceeds(lam, k, bound):
+    """lam^k > bound for a rational lam > 1 and k >= 1, by a square and
+    multiply that stops once the running product or the square lam^(2^i),
+    both at most lam^k, passes the bound: the numbers stay near its size."""
+    a, b, pn, pd = lam.numerator, lam.denominator, 1, 1
+    while k > 0:
+        if k & 1:
+            pn, pd = pn * a, pd * b
+        if pn > bound * pd or a > bound * b:
+            return True
+        a, b, k = a * a, b * b, k >> 1
+    return False
+
+
 def verify_certificate(cert: RealizationCertificate):
     """Re-run every check the certificate claims; returns (ok, itemized list).
 
@@ -536,18 +550,24 @@ def verify_certificate(cert: RealizationCertificate):
     else:
         item("surface", True, K.kind)
 
+    d = cert.salem_power_poly.degree
+    lam_lo = None  # a rational lower bound > 1 for the Salem number lambda
     try:
-        is_salem(cert.salem)
+        lam_lo = is_salem(cert.salem).lambda_interval[0]
     except NotSalemError as exc:
         item("salem", False, exc.reason)
     else:
-        # power < 1 is possible only for certificates built in code
+        # power < 1 is possible only for certificates built in code. The claim
+        # s_k has -c_(d-1) = Tr(lambda^k) > lambda^k - d, so a claim too small
+        # for its power fails before any work that grows with k
+        c = cert.salem_power_poly.coeffs
         power_ok = (
             cert.power >= 1
-            and cert.salem_power_poly.coeffs == power_min_poly(cert.salem, cert.power).coeffs
+            and d == cert.salem.degree
+            and not _power_exceeds(lam_lo, cert.power, abs(c[d - 1]) + d)
+            and c == power_min_poly(cert.salem, cert.power).coeffs
         )
         item("salem", power_ok, f"power = {cert.power}")
-    d = cert.salem_power_poly.degree
 
     L = cert.lattice
     L_sig = L.signature()
@@ -596,11 +616,20 @@ def verify_certificate(cert: RealizationCertificate):
             g = cert.kernel_generator
             g_iso = Isometry(kernel_lat, g)
             g_char_ok = g_iso.char_poly().coeffs == cert.salem.coeffs
-            gk = linalg.mat_pow(g, cert.power)
-            match_ok = restricted == gk
+            if g_char_ok and lam_lo is None:
+                raise ValueError("skipped g^power: the salem item failed")
+            # with char(g) = s, the Frobenius norm of g^k is at least lambda^k,
+            # so a block too small for the power fails before g^k is formed
+            frobenius_sq = sum(x * x for row in restricted for x in row)
+            match_ok = (
+                g_char_ok
+                and not _power_exceeds(lam_lo, 2 * cert.power, frobenius_sq)
+                and restricted == linalg.mat_pow(g, cert.power)
+            )
             # the complement of the kernel, the rows x with x G B^T = 0, is
-            # fixed pointwise; the kernel item judges the kernel rows themselves
-            comp_rows = linalg.int_row_kernel(linalg.mat_mul(L.gram, linalg.transpose(rows)))
+            # fixed pointwise: a linear condition, so a Q-basis is enough; the
+            # kernel item judges the kernel rows themselves
+            comp_rows = linalg.primitive_kernel(linalg.mat_mul(rows, L.gram))
             fixed_ok = linalg.mat_mul(comp_rows, linalg.transpose(h)) == comp_rows
             char_ok = g_char_ok and match_ok and fixed_ok
             item(

@@ -30,6 +30,8 @@ from oracles import (
     fraction_poly_at_matrix,
     least_power_by_iteration,
     matrix_order_mod,
+    rat_kernel,
+    saturation_by_search,
     smith_diagonal,
 )
 
@@ -137,6 +139,33 @@ def test_kernel_sublattice_saturated():
     ks = kernel_sublattice(f, QUAD)
     diag = smith_diagonal(ks.basis)
     assert all(d == 1 for d in diag)
+
+
+def test_kernel_sublattice_is_the_saturated_kernel():
+    # p(f) on a conjugated block of C2 and the identity: the primitive kernel
+    # rows need not span ker p(f) over Z, and the basis must be their
+    # saturation, here against the search oracle
+    G0 = linalg.block_diag(L2.gram, ((-2, 0), (0, 4)))
+    F0 = linalg.block_diag(C2, linalg.identity(2))
+    rng = random.Random(21)
+    cases = non_primitive = 0
+    while cases < 80:
+        A = tuple(tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(4))
+        d = linalg.bareiss_det(A)
+        if not 1 < abs(d) < 30:
+            continue
+        Ainv = linalg.rat_inverse(A)
+        F = linalg.mat_mul(linalg.mat_mul(A, F0), Ainv)
+        adj = linalg.mat_to_int(linalg.mat_scale(d, Ainv))
+        f = Isometry(Lattice(linalg.mat_mul(linalg.mat_mul(linalg.transpose(adj), G0), adj)), F)
+        for p in (QUAD, P([-1, 1])):
+            pF = fraction_poly_at_matrix(p.coeffs, F)
+            expected = linalg.hnf(saturation_by_search(rat_kernel(pF)))
+            assert linalg.hnf(kernel_sublattice(f, p).basis) == expected
+            rows = linalg.primitive_kernel(linalg.clear_denominators(pF)[1])
+            non_primitive += linalg.hnf(rows) != expected
+            cases += 1
+    assert non_primitive >= 10
 
 
 def test_kernel_rejects_non_divisor():

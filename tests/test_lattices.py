@@ -180,11 +180,40 @@ def test_orthogonal_complement_examples():
     L = Lattice([[-2, 0], [0, 2]])
     comp, rows = orthogonal_complement(L, [(1, 0)])
     assert comp.gram == ((2,),)
+    assert orthogonal_complement(L, []) == (L, linalg.identity(2))
     with pytest.raises(LatticeError):
         orthogonal_complement(U, [(1, 0)])  # isotropic span
     with pytest.raises(LatticeError) as exc:
         orthogonal_complement(L, [(2, 0)])
     assert "saturation" in str(exc.value)
+
+
+def test_orthogonal_complement_is_the_saturated_kernel():
+    # the primitive kernel rows of B G need not span the complement over Z,
+    # and the basis must be their saturation, here against the search oracle;
+    # it walks D^2 points for D the denominator of the echelon form, so
+    # forms with D > 40 are passed over
+    rng = random.Random(22)
+    cases = non_primitive = 0
+    while cases < 80:
+        n = rng.randint(3, 5)
+        G = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                G[i][j] = G[j][i] = rng.randint(-3, 3)
+        B = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n - 2)]
+        try:
+            _, rows = orthogonal_complement(Lattice(G), B)
+        except LatticeError:
+            continue  # degenerate, dependent or not primitive
+        K = rat_kernel(linalg.mat_mul(B, G))
+        if lcm(*(x.denominator for row in rat_row_reduce(K)[0] for x in row)) > 40:
+            continue
+        expected = linalg.hnf(saturation_by_search(K))
+        assert linalg.hnf(rows) == expected
+        non_primitive += linalg.hnf(linalg.primitive_kernel(linalg.mat_mul(B, G))) != expected
+        cases += 1
+    assert non_primitive >= 20
 
 
 def test_complement_discriminant_antiisometric():
@@ -391,16 +420,28 @@ def test_lattice_validation():
         Lattice([[1, 1], [1, 1]])
 
 
-def test_hnf_with_transform_invariant():
+def test_hnf_is_the_hermite_form_of_the_row_span():
     rng = random.Random(17)
-    for _ in range(30):
+    for _ in range(60):
         m, n = rng.randint(1, 6), rng.randint(1, 5)
         A = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(m))
-        H, U = linalg.hnf_with_transform(A)
-        assert H == linalg.hnf(A)
-        zero_rows = tuple((0,) * n for _ in range(m - len(H)))
-        assert linalg.mat_mul(U, A) == H + zero_rows
-        assert abs(fraction_det(U)) == 1
+        H = linalg.hnf(A)
+        # echelon rows with positive pivots, the entries above each reduced into [0, pivot)
+        pivots = [next(j for j, x in enumerate(row) if x) for row in H]
+        assert pivots == sorted(set(pivots))
+        for i, c in enumerate(pivots):
+            assert H[i][c] > 0
+            assert all(0 <= H[r][c] < H[i][c] for r in range(i))
+        # every row of A is an integer combination of H, and the two spans
+        # have the same rank and invariant factors, so they are equal
+        for a in A:
+            rest = list(a)
+            for row, c in zip(H, pivots):
+                q, r = divmod(rest[c], row[c])
+                assert r == 0
+                rest = [x - q * y for x, y in zip(rest, row)]
+            assert not any(rest)
+        assert smith_diagonal(H) == smith_diagonal(A)
 
 
 def test_signature_matches_descartes_oracle():

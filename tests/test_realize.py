@@ -59,6 +59,7 @@ from oracles import (
     discriminant_order_by_iteration,
     first_split_prime,
     outside_other_primes_by_cofactor,
+    smith_diagonal,
 )
 from salem_corpus import LEHMER, all_entries
 
@@ -338,8 +339,8 @@ def test_certificate_glue_identities(k3_certificate):
         )
     )
     q_k = discriminant_form(kernel)
-    comp_rows = linalg.int_row_kernel(
-        linalg.mat_mul(cert.lattice.gram, linalg.transpose(cert.kernel_basis))
+    comp_rows = linalg.saturation(
+        linalg.primitive_kernel(linalg.mat_mul(cert.kernel_basis, cert.lattice.gram))
     )
     comp = cert.lattice.sublattice(comp_rows)
     assert forms_isomorphic(q_k, discriminant_form(comp), anti=True)
@@ -427,12 +428,17 @@ def _failed(items):
 
 def _within_one_second(call):
     """call(), failing the test if it has not returned after 1 s."""
+    return _within(1.0, call)
+
+
+def _within(seconds, call):
+    """call(), failing the test if it has not returned after the given seconds."""
 
     def expire(signum, frame):
-        raise TimeoutError("did not return within 1 s")
+        raise TimeoutError(f"did not return within {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         return call()
     finally:
@@ -441,8 +447,9 @@ def _within_one_second(call):
 
 
 def test_verify_derives_each_object_once(k3_certificate, monkeypatch):
-    # the kernel lattice is the one elimination and the primitivity test the
-    # one Hermite form; the complement rows come from an integer kernel
+    # the kernel lattice is the one elimination and the primitivity test (a
+    # saturation) the one Hermite form; the complement rows are a Q-basis
+    # from one fraction-free elimination, with no Hermite form
     calls = defaultdict(int)
     for name in ("symmetric_bareiss", "hnf"):
         original = getattr(linalg, name)
@@ -485,10 +492,135 @@ def test_negative_power_is_refused_at_once(k3_certificate):
         linalg.mat_pow(((1,),), -1)
 
 
+@pytest.mark.parametrize("power", [10**6, 10**30], ids=["1e6", "1e30"])
+def test_huge_power_fails_the_salem_and_char_poly_items_at_once(k3_certificate, power):
+    # power_min_poly and mat_pow do work that grows with the power; a power
+    # that the claimed s_k and the restricted isometry are too small for is
+    # refused before either runs (power 10^6 used to run for minutes)
+    doc = certificate_to_json(k3_certificate)
+    doc["power"] = power
+    ok, items = _within_one_second(lambda: verify_certificate(certificate_from_json(doc)))
+    assert not ok
+    assert _failed(items) == ["salem", "char_poly", "positivity"]
+
+
+def test_huge_power_with_an_uncertified_polynomial_skips_the_power(k3_certificate):
+    # g = 1 has char(g) = (x - 1)^4 = s, which is not Salem: with no lower
+    # bound for lambda the char_poly item does not form g^power
+    doc = certificate_to_json(k3_certificate)
+    doc.update(
+        salem_polynomial=["1", "-4", "6", "-4", "1"],
+        kernel_generator=[list(map(str, row)) for row in linalg.identity(4)],
+        power=10**30,
+    )
+    ok, items = _within_one_second(lambda: verify_certificate(certificate_from_json(doc)))
+    assert not ok
+    failed = {name: detail for name, passed, detail in items if not passed}
+    assert failed["char_poly"] == "skipped g^power: the salem item failed"
+
+
+def test_doubled_kernel_rows_have_a_small_saturated_kernel(k3_certificate):
+    # read off the transform of a Hermite form, this kernel had entries of
+    # 8,314 bits; the primitive kernel rows and their saturation stay small
+    B = k3_certificate.kernel_basis
+    K = _within_one_second(
+        lambda: linalg.saturation(linalg.primitive_kernel(linalg.mat_scale(2, B)))
+    )
+    assert len(K) == 18
+    assert max(abs(x) for row in K for x in row).bit_length() <= 16
+    assert linalg.mat_mul(K, linalg.transpose(B)) == linalg.zeros(18, 4)
+    # 18 rows in the rank-18 kernel with every invariant factor 1: a Z-basis of it
+    assert smith_diagonal(K) == [1] * 18
+
+
 def test_build_k3_certificate_has_no_stage_trace():
     # every stage's result is in the certificate; the builder takes no recorder
     with pytest.raises(TypeError):
         build_k3_certificate(S4, stage_trace=[])
+
+
+# one-field edits of the S4 certificate document: each is run on a seeded
+# sample of the integer leaves of every field path, and on both leaves of the
+# allow-list below
+MUTATIONS = {
+    "+1": lambda x: x + 1,
+    "-1": lambda x: x - 1,
+    "negated": lambda x: -x,
+    "doubled": lambda x: 2 * x,
+    "+10^30": lambda x: x + 10**30,
+}
+LEAVES_PER_FIELD = 5
+
+# the edited documents that verify, each with its reason
+VERIFYING_EDITS = {
+    "glue": "glue is evidence, not an input to verification (FORMATS.md)",
+    "lattice.gram[6][6] +10^30": "the cofactor of the zero entry is 0 and h fixes e_6, "
+    "so the form is still even unimodular of signature (3, 19) with h an isometry",
+    "lattice.gram[7][7] +10^30": "the cofactor of the zero entry is 0 and h fixes e_7, "
+    "so the form is still even unimodular of signature (3, 19) with h an isometry",
+}
+
+
+def _integer_leaves(doc, path=()):
+    """The key paths of the integer leaves of a JSON document: JSON integers
+    (not booleans) and decimal integer strings."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _integer_leaves(value, path + (key,))
+        elif isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+            yield path + (key,)
+        elif isinstance(value, int) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+def _field_path(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+def _field(keys):
+    """The field path of a leaf with its indices dropped, such as lattice.gram[][]."""
+    return re.sub(r"\[[0-9]+\]", "[]", _field_path(keys))
+
+
+def test_one_field_edits_are_refused_by_name_or_fail_an_item(k3_certificate):
+    text = json.dumps(certificate_to_json(k3_certificate))
+    leaves = defaultdict(list)
+    for keys in _integer_leaves(json.loads(text)):
+        leaves[_field(keys)].append(keys)
+    rng = random.Random(2021)
+    chosen = [("lattice", "gram", 6, 6), ("lattice", "gram", 7, 7)]
+    for field in sorted(leaves):
+        chosen += rng.sample(leaves[field], min(LEAVES_PER_FIELD, len(leaves[field])))
+    verified, covered = set(), set()
+    for keys in chosen:
+        for name, edit in MUTATIONS.items():
+            doc = json.loads(text)
+            *parents, last = keys
+            parent = doc
+            for k in parents:
+                parent = parent[k]
+            old = parent[last]
+            new = edit(int(old))
+            if new == int(old):
+                continue
+            parent[last] = str(new) if isinstance(old, str) else new
+            case = f"{_field_path(keys)} {name}"
+
+            def judge():
+                try:
+                    cert = certificate_from_json(doc)
+                except ValueError as exc:
+                    assert str(exc).startswith("certificate."), (case, str(exc))
+                    return None
+                return verify_certificate(cert)[0]
+
+            covered.add(_field(keys))
+            if _within(5.0, judge):
+                assert keys[0] == "glue" or case in VERIFYING_EDITS, case
+                verified.add("glue" if keys[0] == "glue" else case)
+    assert verified == set(VERIFYING_EDITS)
+    assert covered == set(leaves)
 
 
 def _tamper_entry(doc, field):
