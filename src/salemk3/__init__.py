@@ -14,13 +14,11 @@ command-line front end (`cli`).
 from .polynomials import (
     IntPolynomial,
     NotSalemError,
-    RootIsolation,
     SalemCertificate,
     companion_matrix,
     discriminant,
     is_cyclotomic_product,
     is_salem,
-    isolate_real_roots,
     power_min_poly,
     resultant,
     square_class_test,
@@ -78,13 +76,11 @@ from .realize import (
 __all__ = [
     "IntPolynomial",
     "NotSalemError",
-    "RootIsolation",
     "SalemCertificate",
     "companion_matrix",
     "discriminant",
     "is_cyclotomic_product",
     "is_salem",
-    "isolate_real_roots",
     "power_min_poly",
     "resultant",
     "square_class_test",

@@ -62,19 +62,30 @@ def dumps(doc):
 # --- readers ---------------------------------------------------------------------
 
 
+def _int(digits, path):
+    """int(digits), naming the field when the string exceeds the
+    interpreter's int_max_str_digits."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def integer(data, path):
     if not isinstance(data, str) or not _INTEGER.fullmatch(data):
         raise ValueError(f"{path}: expected a decimal integer string, got {data!r}")
-    return int(data)
+    return _int(data, path)
 
 
 def rational(data, path):
     if isinstance(data, str):
         if _INTEGER.fullmatch(data):
-            return Fraction(int(data))
+            return Fraction(_int(data, path))
         m = _FRACTION.fullmatch(data)
-        if m and int(m[2]) >= 2 and gcd(int(m[1]), int(m[2])) == 1:
-            return Fraction(int(m[1]), int(m[2]))
+        if m:
+            num, den = _int(m[1], path), _int(m[2], path)
+            if den >= 2 and gcd(num, den) == 1:
+                return Fraction(num, den)
     raise ValueError(f"{path}: expected an integer or a reduced num/den string, got {data!r}")
 
 

@@ -18,7 +18,7 @@ from .polynomials import (
     discriminant,
     distinct_degrees_mod,
     is_salem,
-    poly_powmod,
+    powmod,
     resultant,
     trace_polynomial,
 )
@@ -145,7 +145,7 @@ def kernel_sublattice(f: Isometry, p: IntPolynomial):
     if not divides(p, char):
         raise IsometryError("polynomial does not divide the characteristic polynomial")
     P, _ = linalg.poly_at_matrix(p.coeffs, f._num, f._den)
-    B = linalg.saturation(linalg.primitive_kernel(P))  # a Z-basis of ker P
+    B = linalg.saturation(linalg.primitive_kernel(P, f.rank))  # a Z-basis of ker P
     if not B:
         raise IsometryError("kernel is trivial")
     try:
@@ -217,11 +217,11 @@ def _least_power(A, m, test):
     d = E
     for q, a in factorize(E).items():
         d //= q**a
-        r = poly_powmod([0, 1], d, chi, m)
+        r = powmod([0, 1], d, chi, m)
         for _ in range(a):
             if test(at(r)):
                 break
-            r = poly_powmod(r, q, chi, m)
+            r = powmod(r, q, chi, m)
             d *= q
     return d
 
@@ -318,7 +318,7 @@ def invariant_symmetric_forms(F):
             rows.append(tuple(row))
     _, rows = linalg.clear_denominators(rows)
     out = []
-    for ints in linalg.primitive_kernel(rows):
+    for ints in linalg.primitive_kernel(rows, len(idx)):
         G = [[0] * n for _ in range(n)]
         for (i, j), k in pos.items():
             G[i][j] = ints[k]

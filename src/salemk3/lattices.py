@@ -466,9 +466,8 @@ def orthogonal_complement(L: Lattice, basis_rows):
             "sublattice is not primitive; its saturation has basis "
             + str([list(r) for r in linalg.hnf(sat)])
         )
-    # the rows x with B G x = 0; a zero row stands in for an empty B
-    BG = linalg.mat_mul(B, L.gram) or linalg.zeros(1, L.rank)
-    comp = linalg.saturation(linalg.primitive_kernel(BG))
+    # the rows x with B G x = 0
+    comp = linalg.saturation(linalg.primitive_kernel(linalg.mat_mul(B, L.gram), L.rank))
     return L.sublattice(comp), comp
 
 
@@ -567,12 +566,13 @@ _BACKTRACK_ORDER = 40000  # largest group order find_form_isometry searches
 
 def _lift_square(c, x, rest, p, e):
     """Hensel-lift a solution x of c x^2 = rest mod p to mod p^e (odd p, p not
-    dividing c x) by Newton steps x <- x - (c x^2 - rest) / (2 c x)."""
-    pk = p
-    for _ in range(e - 1):
-        pk *= p
-        num = (c * x * x - rest) % pk
-        x = (x - num * pow(2 * c * x, -1, pk)) % pk
+    dividing c x) by Newton steps x <- x - (c x^2 - rest) / (2 c x), each
+    doubling the precision p^k (k <- min(2k, e)), so O(log e) steps."""
+    k = 1
+    while k < e:
+        k = min(2 * k, e)
+        pk = p**k
+        x = (x - (c * x * x - rest) * pow(2 * c * x, -1, pk)) % pk
     return x
 
 

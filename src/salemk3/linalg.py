@@ -219,12 +219,12 @@ def gauss_jordan(A):
     return tuple(tuple(sign * x for x in row) for row in M), sign * prev, tuple(pivots)
 
 
-def primitive_kernel(A):
-    """Basis (rows) of the right kernel {x : A x = 0} of an integer matrix:
-    for each free column j of ``gauss_jordan(A)`` in turn, the primitive
-    integer row with d at j and -R[r][j] at the pivot column of row r."""
+def primitive_kernel(A, n):
+    """Basis (rows) of the right kernel {x : A x = 0} of an integer matrix
+    with n columns: for each free column j of ``gauss_jordan(A)`` in turn,
+    the primitive integer row with d at j and -R[r][j] at the pivot column
+    of row r. A matrix with no rows has the n x n identity."""
     R, d, pivots = gauss_jordan(A)
-    n = len(A[0]) if A else 0
     basis = []
     for j in (j for j in range(n) if j not in pivots):
         v = [0] * n

@@ -4,24 +4,26 @@ A field is Q[x]/(m(x)) for an irreducible monic integer m together with an
 isolating interval pinning down one real root. An element is a pair
 ``(nums, den)``: integer coefficients of a polynomial of degree < deg m,
 constant first, over one positive denominator, with gcd(den, nums) = 1, so
-equal elements are equal pairs. Products reduce modulo m on the integer
-numerators, which stay integral because m is monic. The inverse of a
-nonzero element a solves the linear system of multiplication by a against 1
-by fraction-free Gauss-Jordan elimination (``linalg.gauss_jordan``). Signs
-and enclosures are decided by interval Horner evaluation on the integer
-numerators over the interval's common denominator, refining the isolating
-interval by exact bisection until the enclosure excludes zero. An element
-whose first enclosure contains zero is first tested for vanishing at the
-root through gcd(a, m), so the bisection only runs on nonzero values and
-ends, even when m is reducible. When a bisection lands on a rational root,
-the interval becomes that point and the enclosure the exact value.
+equal elements are equal pairs. Every reduction modulo m, in products, in
+element construction and in the matrix of multiplication by a, is the one
+integer product ``polynomials.mulmod``; numerators stay integral because m
+is monic. The inverse of a nonzero element a solves the linear system of
+multiplication by a against 1 by fraction-free Gauss-Jordan elimination
+(``linalg.gauss_jordan``). Signs and enclosures are decided by interval
+Horner evaluation on the integer numerators over the interval's common
+denominator, refining the isolating interval by exact bisection until the
+enclosure excludes zero. An element whose first enclosure contains zero is
+first tested for vanishing at the root through gcd(a, m), so the bisection
+only runs on nonzero values and ends, even when m is reducible. When a
+bisection lands on a rational root, the interval becomes that point and
+the enclosure the exact value.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .polynomials import IntPolynomial, count_real_roots, poly_gcd, refine_interval
+from .polynomials import IntPolynomial, count_real_roots, mulmod, poly_gcd, refine_interval
 
 
 def _canonical(nums, den):
@@ -41,7 +43,6 @@ class RealAlgebraicField:
         self.min_poly = min_poly
         self.degree = min_poly.degree
         self._interval = (Fraction(interval[0]), Fraction(interval[1]))
-        self._modulus = min_poly.coeffs[:-1]
 
     # --- element constructors ---
 
@@ -51,8 +52,8 @@ class RealAlgebraicField:
             coeffs = [coeffs]
         coeffs = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in coeffs))
-        nums = self._reduce([c.numerator * (den // c.denominator) for c in coeffs])
-        return _canonical(nums, den)
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        return _canonical(mulmod(nums, [1], self.min_poly.coeffs), den)
 
     def zero(self):
         return self.element(0)
@@ -63,21 +64,10 @@ class RealAlgebraicField:
     def generator(self):
         if self.degree == 1:
             # x is congruent to the rational root
-            return self.element(-self._modulus[0])
+            return self.element(-self.min_poly.coeffs[0])
         return self.element([0, 1])
 
     # --- arithmetic ---
-
-    def _reduce(self, vec):
-        """Integer coefficient list reduced mod the monic modulus, padded to the degree."""
-        d = self.degree
-        for k in range(len(vec) - 1, d - 1, -1):
-            c = vec[k]
-            if c:
-                for i, m in enumerate(self._modulus):
-                    vec[k - d + i] -= c * m
-        del vec[d:]
-        return vec + [0] * (d - len(vec))
 
     def add(self, a, b):
         (an, ad), (bn, bd) = a, b
@@ -93,12 +83,7 @@ class RealAlgebraicField:
 
     def mul(self, a, b):
         (an, ad), (bn, bd) = a, b
-        out = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(an):
-            if x:
-                for j, y in enumerate(bn):
-                    out[i + j] += x * y
-        return _canonical(self._reduce(out), ad * bd)
+        return _canonical(mulmod(an, bn, self.min_poly.coeffs), ad * bd)
 
     def scale(self, c, a):
         c = Fraction(c)
@@ -121,7 +106,7 @@ class RealAlgebraicField:
         d = self.degree
         cols = [list(nums)]
         for _ in range(d - 1):
-            cols.append(self._reduce([0] + cols[-1]))
+            cols.append(mulmod(cols[-1], [0, 1], self.min_poly.coeffs))
         R, e, pivots = linalg.gauss_jordan([[col[i] for col in cols] + [int(i == 0)] for i in range(d)])
         if pivots != tuple(range(d)):
             raise ArithmeticError("element not invertible; modulus not irreducible?")

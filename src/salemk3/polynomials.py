@@ -5,8 +5,11 @@ Everything here is exact and fraction-free in its loops: resultants and
 determinants are integer computations; gcds and Sturm chains come from one
 primitive integer pseudo-remainder kernel, each Sturm member a positive
 multiple of the rational one; and signs at a rational a/b (b > 0) are read
-from the homogeneous integer sum of c_i a^i b^(d-i). Root counts and
-isolating intervals are exact, and no floating point enters a decision.
+from the homogeneous integer sum of c_i a^i b^(d-i). Root counts are exact,
+and the isolating interval of a Salem number comes from one bisection walk
+over one Sturm chain. One product modulo a monic polynomial (``mulmod``,
+with ``powmod`` on top) serves the exact residue rings Z[x]/(m) and the
+rings (Z/m)[x]/(f) alike. No floating point enters a decision.
 """
 
 from dataclasses import dataclass
@@ -152,9 +155,6 @@ def _coerce(x):
 
 def _at(t, i):
     return t[i] if i < len(t) else 0
-
-
-X = IntPolynomial([0, 1])
 
 
 def poly_divmod_exact(p, d):
@@ -311,7 +311,7 @@ def trace_polynomial(p):
     return IntPolynomial(r)
 
 
-# --- Sturm chains, root counting, isolation ---------------------------------
+# --- Sturm chains, root counting, refinement --------------------------------
 
 
 def sturm_chain(p):
@@ -381,68 +381,6 @@ def root_bound(p):
     lead = abs(p.leading)
     m = max(abs(c) for c in p.coeffs[:-1]) if p.degree > 0 else 0
     return Fraction(m, lead) + 1
-
-
-@dataclass(frozen=True)
-class RootIsolation:
-    """Disjoint rational intervals, each containing exactly one real root.
-
-    A degenerate pair (a, a) marks an exact rational root. For proper
-    intervals the polynomial changes sign between the endpoints.
-    """
-
-    intervals: tuple
-    multiplicity_free: bool
-
-
-def isolate_real_roots(p):
-    """Isolate all distinct real roots of p (via its squarefree part).
-
-    Endpoints are kept as reduced integer pairs while splitting and become
-    Fractions only in the result.
-    """
-    q = squarefree_part(p)
-    multiplicity_free = q.degree == p.degree
-    chain = sturm_chain(q)
-    f = chain[0]
-    M = root_bound(q)
-    todo = [(_point(-M), _point(M))]
-    found = []
-
-    def count(a, b):
-        return _variations(chain, a) - _variations(chain, b)
-
-    def split_point(a, b):
-        (an, ad), (bn, bd) = a, b
-        for num, den in ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4)):
-            c = _rational(an * bd * (den - num) + bn * ad * num, ad * bd * den)
-            if _sign_at(f, c) != 0:
-                return c
-        raise ArithmeticError("could not find a root-free split point")
-
-    while todo:
-        a, b = todo.pop()
-        n = count(a, b)
-        if n == 0:
-            continue
-        if n == 1:
-            sb = _sign_at(f, b)
-            if sb == 0:
-                found.append((b, b))
-            else:
-                # shrink the left end until the sign change is witnessed
-                aa = a
-                while _sign_at(f, aa) in (0, sb):
-                    aa = split_point(aa, b)
-                    if count(aa, b) != 1:
-                        raise ArithmeticError("isolation lost its root")
-                found.append((aa, b))
-            continue
-        c = split_point(a, b)
-        todo.append((a, c))
-        todo.append((c, b))
-    intervals = sorted(((Fraction(*a), Fraction(*b)) for a, b in found), key=lambda iv: iv[0])
-    return RootIsolation(intervals=tuple(intervals), multiplicity_free=multiplicity_free)
 
 
 def refine_interval(p, interval, max_width):
@@ -518,9 +456,20 @@ def is_salem(p):
         )
     if cyclotomic_factors(p):
         raise NotSalemError("reducible", str(p))
-    # lambda is the largest real root of p; isolate it and push the interval above 1
-    iso = isolate_real_roots(p)
-    a, b = iso.intervals[-1]
+    # lambda is the largest real root of p. p is irreducible of degree >= 2,
+    # so no rational point is a root: bisect (-M, M], keeping the right half
+    # whenever it holds a root, until one root is left; then push it above 1
+    chain = sturm_chain(p)
+    b = root_bound(p)
+    a = -b
+    n = count_real_roots(p, a, b, chain)
+    while n > 1:
+        c = (a + b) / 2
+        right = count_real_roots(p, c, b, chain)
+        if right:
+            a, n = c, right
+        else:
+            b = c
     while not a > 1:
         a, b = refine_interval(p, (a, b), (b - a) / 4)
     return SalemCertificate(
@@ -556,20 +505,11 @@ def power_min_poly(s, n):
     for k in range(1, d):
         sums.append(-(k * c[d - k] + sum(c[d - k + i] * sums[i] for i in range(1, k))))
 
-    def mulmod(f, g):
-        return poly_divmod_exact(f * g, s)[1]
-
-    y, base = IntPolynomial([1]), X
-    while n:
-        if n & 1:
-            y = mulmod(y, base)
-        n >>= 1
-        if n:
-            base = mulmod(base, base)
-    traces, yj = [], IntPolynomial([1])
+    y = powmod([0, 1], n, c)
+    traces, yj = [], [1]
     for _ in range(d):
-        yj = mulmod(yj, y)
-        traces.append(sum(a * b for a, b in zip(yj.coeffs, sums)))
+        yj = mulmod(yj, y, c)
+        traces.append(sum(a * b for a, b in zip(yj, sums)))
     # char poly coefficients: k ch_(d-k) = -(P_k + sum_(i<k) ch_(d-k+i) P_i)
     ch = [0] * d + [1]
     for k in range(1, d + 1):
@@ -662,9 +602,9 @@ def cyclotomic_factors(p):
     return out
 
 
-# --- polynomials mod p ---------------------------------------------------------
-# Coefficient lists, constant term first, over the integers mod a prime p, or
-# mod any m > 1 where the divisor is monic.
+# --- polynomials mod p, and products modulo a monic polynomial ---------------
+# Coefficient lists, constant term first, over the integers mod a prime p;
+# products modulo a monic polynomial are exact over Z (m = 0) or mod any m > 1.
 
 
 def polyval_mod(coeffs, x, p):
@@ -696,32 +636,34 @@ def poly_gcd_mod(f, g, p):
     return f
 
 
-def poly_powmod(base, e, modulus, m):
-    """base^e mod (modulus, m) for e >= 0 and a monic modulus of degree
-    n >= 1, by square and multiply: a list of exactly n coefficients in
-    [0, m)."""
+def mulmod(f, g, modulus, m=0):
+    """f g mod a monic modulus of degree n >= 1 (coefficient lists), as a
+    list of exactly n coefficients: exact integers for m = 0, otherwise
+    reduced into [0, m)."""
     n = len(modulus) - 1
+    prod = [0] * max(len(f) + len(g) - 1, n)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                prod[i + j] += a * b
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k] % m if m else prod[k]
+        if c:  # x^k = x^(k-n) (x^n - modulus)
+            for i in range(n):
+                prod[k - n + i] -= c * modulus[i]
+    return [c % m for c in prod[:n]] if m else prod[:n]
 
-    def mulmod(f, g):
-        prod = [0] * max(len(f) + len(g) - 1, n)
-        for i, a in enumerate(f):
-            if a:
-                for j, b in enumerate(g):
-                    prod[i + j] += a * b
-        for k in range(len(prod) - 1, n - 1, -1):
-            c = prod[k] % m
-            if c:  # x^k = x^(k-n) (x^n - modulus)
-                for i in range(n):
-                    prod[k - n + i] -= c * modulus[i]
-        return [c % m for c in prod[:n]]
 
-    result, base = mulmod([1], [1]), mulmod(base, [1])
+def powmod(base, e, modulus, m=0):
+    """base^e mod a monic modulus for e >= 0, by square and multiply; the
+    result is as for ``mulmod``."""
+    result, base = mulmod([1], [1], modulus, m), mulmod(base, [1], modulus, m)
     while e:
         if e & 1:
-            result = mulmod(result, base)
+            result = mulmod(result, base, modulus, m)
         e >>= 1
         if e:
-            base = mulmod(base, base)
+            base = mulmod(base, base, modulus, m)
     return result
 
 
@@ -743,7 +685,7 @@ def distinct_degrees_mod(f, p):
     g, k = [0, 1], 0
     while len(f) - 1 >= 2 * (k + 1):
         k += 1
-        g = poly_powmod(g, p, f, p)
+        g = powmod(g, p, f, p)
         g_minus_x = [g[0], g[1] - 1] + g[2:]
         divisions = 0
         while len(h := poly_gcd_mod(f, g_minus_x, p)) > 1:

@@ -251,15 +251,16 @@ def _orbit_reduce(K, f, gu1, gu2, witnesses):
     an isometry with f u2 = u2 / lambda, <f^k z, u2> = lambda^k <z, u2>, and
     |<x, u>| <= |x|_inf |G u|_1, so |f^k z|_inf >= lambda^k |<z, u2>| / |G u2|_1;
     likewise |f^-k z|_inf >= lambda^k |<z, u1>| / |G u1|_1. Each walk stops at
-    the first k where this bound, read from rational enclosure endpoints with
-    lambda_lo > 1, exceeds the least sup-norm met so far: it grows with k, so
-    nothing further on can tie or beat that element. Every vector met is
-    recorded, and a witness met on an earlier walk is skipped.
+    the first k where this bound, read from rational enclosure endpoints,
+    exceeds the least sup-norm met so far: it grows with k, so nothing
+    further on can tie or beat that element. Every vector met is recorded,
+    and a witness met on an earlier walk is skipped.
+
+    lambda_lo > 1 holds from the start: K is built on the lambda_interval
+    of ``is_salem``, whose left end is > 1; the enclosure of the generator
+    x is that interval exactly; and refinement only narrows it.
     """
-    lam = K.generator()
-    lam_lo, lam_hi = K.enclosure(lam)
-    while lam_lo <= 1:
-        lam_lo, lam_hi = K.enclosure(lam, (lam_hi - lam_lo) / 2)
+    lam_lo = K.enclosure(K.generator())[0]
     norm1 = [sum(max(-lo, hi) for lo, hi in map(K.enclosure, gu)) for gu in (gu1, gu2)]
     finv = f.inverse_matrix()  # integral: an integral isometry has determinant +-1
     seen, reps = set(), set()

@@ -629,7 +629,7 @@ def verify_certificate(cert: RealizationCertificate):
             # the complement of the kernel, the rows x with x G B^T = 0, is
             # fixed pointwise: a linear condition, so a Q-basis is enough; the
             # kernel item judges the kernel rows themselves
-            comp_rows = linalg.primitive_kernel(linalg.mat_mul(rows, L.gram))
+            comp_rows = linalg.primitive_kernel(linalg.mat_mul(rows, L.gram), L.rank)
             fixed_ok = linalg.mat_mul(comp_rows, linalg.transpose(h)) == comp_rows
             char_ok = g_char_ok and match_ok and fixed_ok
             item(

@@ -28,7 +28,9 @@ a fixed number of steps instead of the walk with an exact stop (for orbit
 representatives), exact division by every candidate instead of a root test
 mod a prime first (for cyclotomic factors), and trial division by every
 monic polynomial of degree at most 3 instead of gcds with x^(p^k) - x (for
-the factor degrees of a polynomial mod p).
+the factor degrees of a polynomial mod p), and one Newton step per power of
+p instead of steps that double the precision (for Hensel-lifted square
+roots).
 """
 
 from fractions import Fraction
@@ -484,6 +486,17 @@ def euler_legendre(a, p):
         return 0
     v = pow(a, (p - 1) // 2, p)
     return 1 if v == 1 else -1
+
+
+def lift_square_stepwise(c, x, rest, p, e):
+    """Hensel lift of a solution x of c x^2 = rest mod p to mod p^e (odd p,
+    p not dividing c x): e - 1 Newton steps of one power of p each."""
+    pk = p
+    for _ in range(e - 1):
+        pk *= p
+        num = (c * x * x - rest) % pk
+        x = (x - num * pow(2 * c * x, -1, pk)) % pk
+    return x
 
 
 def first_split_prime(s_coeffs, modulus, lower):

@@ -45,6 +45,22 @@ def test_rational_grammar_rejects(data):
 
 
 @pytest.mark.parametrize(
+    "reader, text",
+    [
+        (codec.integer, "1" + "0" * 5000),
+        (codec.rational, "1" + "0" * 5000),
+        (codec.rational, "-7/1" + "0" * 5000),
+    ],
+    ids=["integer", "rational", "denominator"],
+)
+def test_oversized_integer_strings_name_their_field(reader, text):
+    # past the interpreter's int_max_str_digits (4,300 by default)
+    path = "certificate.lattice.gram[0][0]"
+    with pytest.raises(ValueError, match=r"^certificate\.lattice\.gram\[0\]\[0\]: .*digits"):
+        reader(text, path)
+
+
+@pytest.mark.parametrize(
     "reader, good, bad",
     [
         (codec.json_int, 22, [22.0, "22", True, None]),

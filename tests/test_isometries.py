@@ -162,7 +162,7 @@ def test_kernel_sublattice_is_the_saturated_kernel():
             pF = fraction_poly_at_matrix(p.coeffs, F)
             expected = linalg.hnf(saturation_by_search(rat_kernel(pF)))
             assert linalg.hnf(kernel_sublattice(f, p).basis) == expected
-            rows = linalg.primitive_kernel(linalg.clear_denominators(pF)[1])
+            rows = linalg.primitive_kernel(linalg.clear_denominators(pF)[1], len(F))
             non_primitive += linalg.hnf(rows) != expected
             cases += 1
     assert non_primitive >= 10

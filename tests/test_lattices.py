@@ -188,6 +188,13 @@ def test_orthogonal_complement_examples():
     assert "saturation" in str(exc.value)
 
 
+def test_kernel_of_a_matrix_without_rows_is_the_identity():
+    # an empty matrix carries no column count; the count passed in gives it
+    for n in (1, 3):
+        assert linalg.primitive_kernel((), n) == linalg.identity(n)
+    assert linalg.primitive_kernel(((0, 0, 0),), 3) == linalg.identity(3)
+
+
 def test_orthogonal_complement_is_the_saturated_kernel():
     # the primitive kernel rows of B G need not span the complement over Z,
     # and the basis must be their saturation, here against the search oracle;
@@ -211,7 +218,7 @@ def test_orthogonal_complement_is_the_saturated_kernel():
             continue
         expected = linalg.hnf(saturation_by_search(K))
         assert linalg.hnf(rows) == expected
-        non_primitive += linalg.hnf(linalg.primitive_kernel(linalg.mat_mul(B, G))) != expected
+        non_primitive += linalg.hnf(linalg.primitive_kernel(linalg.mat_mul(B, G), n)) != expected
         cases += 1
     assert non_primitive >= 20
 
@@ -537,7 +544,7 @@ def test_gauss_jordan_matches_fraction_row_reduce():
         assert d > 0 and pivots == pivots0
         assert tuple(tuple(Fraction(x, d) for x in row) for row in R) == R0
         # kernel rows: the oracle kernel rows, denominators cleared and made primitive
-        K = linalg.primitive_kernel(A)
+        K = linalg.primitive_kernel(A, n)
         K0 = rat_kernel(A)
         assert len(K) == len(K0) == n - len(pivots)
         for v, w in zip(K, K0):

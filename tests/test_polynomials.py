@@ -25,18 +25,19 @@ from salemk3.polynomials import (
     divides,
     is_cyclotomic_product,
     is_salem,
-    isolate_real_roots,
+    mulmod,
     poly_divmod_exact,
     poly_gcd,
     polyval_mod,
     power_min_poly,
+    powmod,
     resultant,
     square_class_test,
     squarefree_part,
     sturm_chain,
     trace_polynomial,
 )
-from salemk3 import linalg
+from salemk3 import linalg, polynomials
 from salemk3.numberfield import RealAlgebraicField
 
 from oracles import (
@@ -401,17 +402,6 @@ def test_sturm_root_counts():
     assert count_real_roots(QUAD) == 2
     assert count_real_roots(QUAD, Fraction(2), "inf") == 1
     assert count_real_roots(P([1, 0, 1])) == 0
-    iso = isolate_real_roots(QUAD)
-    assert len(iso.intervals) == 2
-    assert iso.multiplicity_free
-
-
-def test_isolation_marks_exact_roots():
-    iso = isolate_real_roots(P([-3, 1]) * P([-1, 1]))
-    assert len(iso.intervals) == 2
-    # each isolating interval either has sign change or is a point
-    for a, b in iso.intervals:
-        assert a <= b
 
 
 def _random_poly_with_rational_roots(rng):
@@ -440,19 +430,86 @@ def test_count_real_roots_matches_fraction_sturm_oracle():
             assert count_real_roots(p, a, b) == fraction_sturm_count(p.coeffs, a, b), (p, a, b)
 
 
-def test_isolation_matches_fraction_sturm_oracle():
-    rng = random.Random(7)
-    for _ in range(80):
-        p, _ = _random_poly_with_rational_roots(rng)
-        iso = isolate_real_roots(p)
-        assert len(iso.intervals) == fraction_sturm_count(p.coeffs)
-        for a, b in iso.intervals:
-            if a == b:
-                assert p(a) == 0
-            else:
-                assert fraction_sturm_count(p.coeffs, a, b) == 1
-        lefts = [a for a, _ in iso.intervals]
-        assert lefts == sorted(lefts)
+# monic integer polynomials whose roots are all real and inside (-2, 2)
+_SMALL_TRACE_FACTORS = tuple(P(c) for c in (
+    [0, 1], [1, 1], [-1, 1], [-2, 0, 1], [-3, 0, 1], [-1, -1, 1], [-1, 1, 1], [1, -3, 0, 1], [-1, -3, 0, 1]
+))
+
+
+def random_salem_polynomials(rng, count):
+    """count distinct Salem polynomials x^m r(x + 1/x) of degree 2 to 24 or
+    so: r = (y - c) q(y) - k for q a product of small factors whose roots lie
+    in (-2, 2), c >= 2 and |k| <= 3, kept when ``is_salem`` certifies them."""
+    seen = set()
+    while len(seen) < count:
+        q = P([1])
+        for _ in range(rng.randint(0, 5)):
+            q = q * rng.choice(_SMALL_TRACE_FACTORS)
+        r = P([-rng.randint(2, 9), 1]) * q - rng.randint(-3, 3)
+        p = P(expand_trace_polynomial(list(r.coeffs)))
+        if p.coeffs in seen:
+            continue
+        try:
+            is_salem(p)
+        except NotSalemError:
+            continue
+        seen.add(p.coeffs)
+    return [P(list(c)) for c in sorted(seen)]
+
+
+def test_lambda_interval_isolates_the_largest_root():
+    # the bisection walk of is_salem against Fraction Sturm counts: exactly
+    # one root of p in (a, b], none above b, and a > 1
+    corpus = [P(list(coeffs)) for _, coeffs, _ in all_entries()]
+    polys = corpus + random_salem_polynomials(random.Random(22), 220)
+    assert max(p.degree for p in polys) >= 16
+    for p in polys:
+        a, b = is_salem(p).lambda_interval
+        assert 1 < a < b, p
+        assert fraction_sturm_count(p.coeffs, a, b) == 1, p
+        assert fraction_sturm_count(p.coeffs, b, "inf") == 0, p
+
+
+def test_is_salem_takes_one_gcd(monkeypatch):
+    # a work count: the squarefree test is the only gcd of a certification
+    # (two per call when lambda came from isolating every root of the
+    # squarefree part)
+    calls = [0]
+
+    def counting_gcd(p, q):
+        calls[0] += 1
+        return poly_gcd(p, q)
+
+    monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
+    entries = list(all_entries())
+    for _, coeffs, _ in entries:
+        is_salem(P(list(coeffs)))
+    assert calls[0] == len(entries)
+
+
+def test_mulmod_and_powmod_match_exact_division():
+    # against the IntPolynomial product and the poly_divmod_exact remainder,
+    # padded to the degree n of the modulus, and that result reduced mod m
+    rng = random.Random(2022)
+
+    def remainder(f, modulus):
+        r = list(poly_divmod_exact(f, P(modulus))[1].coeffs)
+        return r + [0] * (len(modulus) - 1 - len(r))
+
+    shapes = set()
+    for _ in range(240):
+        n = rng.randint(1, 6)
+        modulus = [rng.randint(-9, 9) for _ in range(n)] + [1]
+        f, g = ([rng.randint(-20, 20) for _ in range(rng.randint(0, 2 * n + 2))] for _ in range(2))
+        m, e = rng.randint(2, 60), rng.choice((0, 1, rng.randint(2, 12)))
+        shapes.add((n == 1, len(f) < n, len(f) > n, e == 0))
+        expected = remainder(P(f) * P(g), modulus)
+        assert mulmod(f, g, modulus) == expected
+        assert mulmod(f, g, modulus, m) == [c % m for c in expected]
+        expected = remainder(P(f) ** e, modulus)
+        assert powmod(f, e, modulus) == expected
+        assert powmod(f, e, modulus, m) == [c % m for c in expected]
+    assert {(True, False, True, True), (False, True, False, False), (False, False, True, True)} <= shapes
 
 
 def test_sturm_chain_is_integer_lists():

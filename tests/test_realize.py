@@ -22,6 +22,8 @@ from salemk3.lattices import (
     glue,
     glue_map_problems,
     hyperbolic_p_form,
+    _lift_square,
+    _sqrt_mod_prime_power,
 )
 from salemk3.linalg import box_shell
 from salemk3.polynomials import (
@@ -58,6 +60,7 @@ from salemk3.realize import (
 from oracles import (
     discriminant_order_by_iteration,
     first_split_prime,
+    lift_square_stepwise,
     outside_other_primes_by_cofactor,
     smith_diagonal,
 )
@@ -340,7 +343,7 @@ def test_certificate_glue_identities(k3_certificate):
     )
     q_k = discriminant_form(kernel)
     comp_rows = linalg.saturation(
-        linalg.primitive_kernel(linalg.mat_mul(cert.kernel_basis, cert.lattice.gram))
+        linalg.primitive_kernel(linalg.mat_mul(cert.kernel_basis, cert.lattice.gram), cert.lattice.rank)
     )
     comp = cert.lattice.sublattice(comp_rows)
     assert forms_isomorphic(q_k, discriminant_form(comp), anti=True)
@@ -524,7 +527,7 @@ def test_doubled_kernel_rows_have_a_small_saturated_kernel(k3_certificate):
     # 8,314 bits; the primitive kernel rows and their saturation stay small
     B = k3_certificate.kernel_basis
     K = _within_one_second(
-        lambda: linalg.saturation(linalg.primitive_kernel(linalg.mat_scale(2, B)))
+        lambda: linalg.saturation(linalg.primitive_kernel(linalg.mat_scale(2, B), len(B[0])))
     )
     assert len(K) == 18
     assert max(abs(x) for row in K for x in row).bit_length() <= 16
@@ -872,6 +875,28 @@ def _random_odd_parts(rng, count):
             if p != 2 and part.order() <= 2000:
                 classes[(p, part.orders)].append(part)
     return classes
+
+
+def test_square_lifts_match_the_stepwise_oracle():
+    # c x^2 = rest mod p for odd p and p not dividing c x, lifted to p^e
+    rng = random.Random(22)
+    checked = 0
+    while checked < 400:
+        p = rng.choice((3, 5, 7, 11, 13, 17))
+        c, x = rng.randrange(1, p), rng.randrange(1, p)
+        rest = c * x * x + p * rng.randint(-10**6, 10**6)
+        e = rng.randint(1, 12)
+        y = _lift_square(c, x, rest, p, e)
+        assert y == lift_square_stepwise(c, x, rest, p, e)
+        assert (c * y * y - rest) % p**e == 0
+        checked += 1
+
+
+def test_square_root_mod_a_high_prime_power_is_fast():
+    # one Newton step per power of p took about 15 s at this exponent
+    a = 3  # a square mod 11
+    root = _within_one_second(lambda: _sqrt_mod_prime_power(a, 11, 3000))
+    assert (root * root - a) % 11**3000 == 0
 
 
 def test_odd_part_decisions_match_backtracking():
