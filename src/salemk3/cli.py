@@ -26,6 +26,7 @@ from .polynomials import NotSalemError, is_salem
 from .positivity import is_positive
 from .realize import (
     Seed,
+    _power_exceeds,
     build_k3_certificate,
     certificate_from_json,
     certificate_to_json,
@@ -185,6 +186,9 @@ def cmd_power_integral(args):
 
 def cmd_twist_split_check(args):
     doc, L, f = _read_pair(args.input, TWIST_SPLIT, "twist_split")
+    limit = sys.get_int_max_str_digits()  # refuse, before t^n is formed, what str() cannot print
+    if limit and _power_exceeds(abs(doc["prime"]), 2 * doc["exponent"], (10**limit - 1) // abs(L.determinant())):
+        raise ValueError(f"twist_split.exponent: |det L| * prime^(2 exponent) has more than {limit} digits")
     report = twist_split_certificate(L, f, TwistElement(doc["element"]), doc["exponent"], doc["prime"])
     payload = {
         "passed": report.passed,

@@ -443,20 +443,21 @@ def qf_enumerate(G, bound):
     Raises ValueError when G is not positive definite and bound >= 0.
     Output is sorted, and closed under negation.
 
-    Fincke-Pohst on integers after one symmetric elimination. With den the
-    common denominator of G, ``symmetric_bareiss(den G)`` leaves in row i
-    the leading minor d_{i+1} on the diagonal and, right of it, B_ij = d_i
-    times the Schur complement entry, so the form is
-    sum_i h_i (x_i + sum_{j>i} mu_ij x_j)^2 with h_i = d_{i+1} / (den d_i)
-    and mu_ij = B_ij / d_{i+1}. With g_i the gcd of row i from the diagonal
-    on, D_i = d_{i+1} / g_i is the least common denominator of row i of mu
-    and M_ij = B_ij / g_i = mu_ij D_i. The form is then sum_i W_i c_i^2 / E
-    with c_i = x_i D_i + sum_{j>i} M_ij x_j, integer weights W_i = E w_i for
-    w_i = h_i / D_i^2 = g_i^2 / (den d_i d_{i+1}), and E one common
-    denominator, so that the bound becomes the integer R = E * bound. A node
-    with remaining budget r keeps exactly the x_i with
-    |c_i| <= isqrt(r // W_i), because W c^2 <= r if and only if
-    c^2 <= floor(r / W).
+    Fincke-Pohst on integer budgets. With den the common denominator of G,
+    ``symmetric_bareiss(den G)`` leaves in row i the leading minor d_{i+1} on
+    the diagonal and, right of it, B_ij = d_i times the Schur complement S_i
+    of the leading i x i block (d_0 = 1). With c_i = d_{i+1} x_i +
+    sum_{j>i} B_ij x_j, v^T (den G) v is sum_i c_i^2 / (d_i d_{i+1}), and the
+    walk, from x_{n-1} down, carries the integer P_i = d_i S_i(x_i, ...) =
+    (c_i^2 + d_i P_{i+1}) / d_{i+1}: the division is exact because d_i S_i is
+    an integer matrix (Sylvester's identity behind Bareiss). At a leaf P_0 is
+    the integer v^T (den G) v, so the bound floors to R = floor(den bound),
+    and as no tail exceeds P_0 a node keeps exactly the x_i with
+    c_i^2 <= d_i (d_{i+1} R - P_{i+1}): budgets of about (2i + 2) bits(den).
+
+    Only the v whose last nonzero coordinate is positive are walked: S_{i+1}
+    is positive definite, so P_{i+1} = 0 exactly when x_{i+1}, ... are all 0,
+    and then x_i >= 0. The negations complete the list.
     """
     n = len(G)
     bound = Fraction(bound)
@@ -466,29 +467,23 @@ def qf_enumerate(G, bound):
     det, s_plus, B = symmetric_bareiss(IG)
     if det == 0 or s_plus < n:
         raise ValueError("form is not positive definite")
-    g = [gcd(*B[i][i:]) for i in range(n)]
-    D = [B[i][i] // g[i] for i in range(n)]
-    M = [[0] * (i + 1) + [b // g[i] for b in B[i][i + 1:]] for i in range(n)]
     d = [1] + [B[i][i] for i in range(n)]  # the leading minors d_0, ..., d_n
-    w = [Fraction(g[i] * g[i], den * d[i] * d[i + 1]) for i in range(n)]
-    E = lcm(bound.denominator, *(x.denominator for x in w))
-    W = [int(x * E) for x in w]
-    results = []
-    x = [0] * n
+    R = den * bound.numerator // bound.denominator
+    half, x = [], [0] * n
 
-    def recurse(i, remaining):
+    def recurse(i, P):
         if i < 0:
-            if any(x):
-                results.append(tuple(x))
+            if P:
+                half.append(tuple(x))
             return
-        t = sum(M[i][j] * x[j] for j in range(i + 1, n))
-        h = isqrt(remaining // W[i])
-        Di, Wi = D[i], W[i]
-        for xi in range(-((h + t) // Di), (h - t) // Di + 1):
+        di, dn, Bi = d[i], d[i + 1], B[i]
+        t = sum(Bi[j] * x[j] for j in range(i + 1, n))
+        h = isqrt(di * (dn * R - P))
+        for xi in range(-((h + t) // dn) if P else 0, (h - t) // dn + 1):
             x[i] = xi
-            c = xi * Di + t
-            recurse(i - 1, remaining - Wi * c * c)
+            c = dn * xi + t
+            recurse(i - 1, (c * c + di * P) // dn)
         x[i] = 0
 
-    recurse(n - 1, int(bound * E))
-    return sorted(results)
+    recurse(n - 1, 0)
+    return sorted(half + [tuple(-a for a in v) for v in half])

@@ -511,9 +511,9 @@ def build_k3_certificate(s: IntPolynomial, seed=None):
 
 
 def _power_exceeds(lam, k, bound):
-    """lam^k > bound for a rational lam > 1 and k >= 1, by a square and
-    multiply that stops once the running product or the square lam^(2^i),
-    both at most lam^k, passes the bound: the numbers stay near its size."""
+    """lam^k > bound for k >= 1 and a rational lam > 1 or integer lam >= 0, by
+    a square and multiply that stops once the running product or the square
+    lam^(2^i), both at most lam^k, passes the bound: numbers stay near its size."""
     a, b, pn, pd = lam.numerator, lam.denominator, 1, 1
     while k > 0:
         if k & 1:

@@ -5,6 +5,9 @@ keeping the factors that pass exact Salem certification; the square-class
 booleans were frozen from direct evaluation of -s(1) s(-1).
 """
 
+from salemk3.isometries import Isometry, search_even_invariant_lattice
+from salemk3.polynomials import IntPolynomial, companion_matrix
+
 LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 
 # degree -> list of (coefficients ascending, -s(1)s(-1) is a square)
@@ -35,3 +38,12 @@ def all_entries():
     for degree in sorted(CORPUS):
         for coeffs, square in CORPUS[degree]:
             yield degree, coeffs, square
+
+
+def corpus_pair(coeffs):
+    """The even invariant lattice of signature (1, d - 1) that the
+    benchmark's positivity workload builds for a corpus polynomial, with the
+    companion matrix as its isometry."""
+    C = companion_matrix(IntPolynomial(coeffs))
+    S = search_even_invariant_lattice(C, signature=(1, len(coeffs) - 2))
+    return S, Isometry(S, C)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -7,6 +8,7 @@ from salemk3 import codec
 from salemk3.cli import run
 from salemk3.realize import seed_for
 
+from edits import within
 from salem_corpus import all_entries
 
 LEHMER_JSON = ["1", "1", "0", "-1", "-1", "-1", "-1", "-1", "0", "1", "1"]
@@ -116,6 +118,34 @@ def test_twist_and_split_check(tmp_path, capsys):
     doc["element"] = ["5"]
     path = write(tmp_path, "tsc5.json", doc)
     assert run(["twist-split-check", path]) == 1
+
+
+def _first_exponent_past_the_digit_limit():
+    # the twist of PAIR by 11^n has |det| = 5 * 11^(2n)
+    limit, n = sys.get_int_max_str_digits(), 1
+    assert limit
+    while 5 * 11 ** (2 * n) < 10**limit:
+        n += 1
+    return n
+
+
+def test_twist_split_check_at_large_exponents(tmp_path, capsys):
+    for exponent in (1000, _first_exponent_past_the_digit_limit() - 1):
+        doc = dict(PAIR, element=["11"], exponent=exponent, prime=11)
+        assert run(["--format", "json", "twist-split-check", write(tmp_path, "tsc.json", doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["p_valuation"] == 2 * exponent
+
+
+@pytest.mark.parametrize("exponent", ["first", 3000, 10**30], ids=["first", "3000", "1e30"])
+def test_twist_split_exponent_past_the_digit_limit_names_the_field(tmp_path, capsys, exponent):
+    # |det L| * 11^(2 exponent) has more digits than the report may print
+    if exponent == "first":
+        exponent = _first_exponent_past_the_digit_limit()
+    doc = dict(PAIR, element=["11"], exponent=exponent, prime=11)
+    path = write(tmp_path, "tsc.json", doc)
+    for fmt in ("json", "text"):
+        assert within(1.0, lambda: run(["--format", fmt, "twist-split-check", path])) == 2
+        assert "twist_split.exponent: " in capsys.readouterr().out
 
 
 def test_power_integral(tmp_path, capsys):

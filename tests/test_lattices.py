@@ -28,6 +28,7 @@ from salemk3.lattices import (
     orthogonal_complement,
     p_primary_part,
 )
+from salemk3.positivity import obstructing_root_search
 
 from oracles import (
     brute_vectors_of_norm,
@@ -42,6 +43,7 @@ from oracles import (
     saturation_by_search,
     smith_diagonal,
 )
+from salem_corpus import corpus_pair
 
 U = lattice_U()
 E8 = lattice_E8()
@@ -358,6 +360,72 @@ def test_qf_enumerate_matches_the_fraction_oracle():
             assert mine == fraction_qf_enumerate(G, bound), (G, bound)
             bounds_hit += bool(mine)
     assert bounds_hit > 150
+
+
+def _search_minorants(coeffs):
+    """Every (form, bound) that obstructing_root_search passes to qf_enumerate
+    on a corpus pair, the refinement rounds that are not yet positive
+    definite included."""
+    calls = []
+    walk = linalg.qf_enumerate
+
+    def capture(G, bound):
+        calls.append((G, bound))
+        return walk(G, bound)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "qf_enumerate", capture)
+        obstructing_root_search(*corpus_pair(coeffs))
+    return calls
+
+
+def _checked_enumeration(G, bound):
+    """qf_enumerate(G, bound), checked against the oracle, or None when both
+    refuse G as not positive definite."""
+    try:
+        expected = fraction_qf_enumerate(G, bound)
+    except ValueError:
+        with pytest.raises(ValueError, match="not positive definite"):
+            linalg.qf_enumerate(G, bound)
+        return None
+    mine = linalg.qf_enumerate(G, bound)
+    assert mine == expected, (G, bound)
+    assert mine == sorted(mine)
+    assert {tuple(-x for x in v) for v in mine} == set(mine)
+    return mine
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1, -2, -1, 3, -1, -2, 1), (1, -2, 0, 0, 0, 0, 0, -2, 1), (1, -2, 1, -2, 1, -2, 1, -2, 1, -2, 1)],
+    ids=["rank 6", "rank 8", "rank 10"],
+)
+def test_qf_enumerate_matches_the_oracle_on_search_minorants(coeffs):
+    calls = _search_minorants(coeffs)
+    # the search stops at the first positive definite minorant, which has candidates
+    assert [_checked_enumeration(G, bound) for G, bound in calls][-1]
+    G = calls[-1][0]
+    assert lcm(*(Fraction(x).denominator for row in G for x in row)) > 2**64
+
+
+def test_qf_enumerate_matches_the_oracle_on_large_denominators():
+    """Positive definite forms of rank 6 to 8 whose entries all have
+    denominators of at least 2^64."""
+    rng = random.Random(23)
+    forms = 0
+    while forms < 20:
+        n = rng.randint(6, 8)
+        A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        G = [[Fraction(sum(A[k][i] * A[k][j] for k in range(n)) + 3 * (i == j)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                G[i][j] += Fraction(2 * rng.randint(-(2**60), 2**60) + 1, 2**64 * rng.randint(1, 2**8))
+                G[j][i] = G[i][j]
+        if not is_positive_definite(G):
+            continue
+        forms += 1
+        bound = min(G[i][i] for i in range(n)) * Fraction(rng.randint(10, 30), 10)
+        assert _checked_enumeration(G, bound)
 
 
 @pytest.mark.parametrize(

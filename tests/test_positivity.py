@@ -1,11 +1,13 @@
 import json
+import random
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
 import salemk3
-from salemk3 import cli, linalg, positivity
+from salemk3 import cli, codec, linalg, positivity
 from salemk3.isometries import Isometry, TwistElement, search_even_invariant_lattice, twist
 from salemk3.lattices import Lattice, lattice_A2, lattice_E8
 from salemk3.polynomials import IntPolynomial, companion_matrix
@@ -18,6 +20,7 @@ from salemk3.positivity import (
     obstructing_root_search,
 )
 
+from edits import MUTATIONS, edited, field_path, integer_leaves, leaf_field, within
 from oracles import (
     brute_vectors_of_norm,
     count_e8_roots_standard_model,
@@ -25,6 +28,7 @@ from oracles import (
     cyclic_roots_by_orbit_sum,
     orbit_min_by_window,
 )
+from salem_corpus import LEHMER, corpus_pair
 
 P = IntPolynomial
 QUAD = P([1, -3, 1])
@@ -295,16 +299,9 @@ def test_obstructing_root_search_rank6():
         assert S6.norm(vec) == -2
 
 
-def corpus_pair(coeffs):
-    """The even invariant lattice of signature (1, d - 1) that the
-    benchmark's positivity workload builds for a corpus polynomial."""
-    C = companion_matrix(P(coeffs))
-    S = search_even_invariant_lattice(C, signature=(1, len(coeffs) - 2))
-    return S, Isometry(S, C)
-
-
 # Full reports: (status, witness vectors, search_bound, candidate_count).
-# The corpus rows are the largest searches of the positivity workload.
+# The corpus rows are the largest searches of the positivity workload, and
+# Lehmer's lattice, which the workload leaves out, is the largest walk of all.
 PINNED_REPORTS = [
     ("L2", lambda: (L2, F2), "not_positive", [(-1, 1), (1, -1)], "31/10", 34),
     (
@@ -388,6 +385,35 @@ PINNED_REPORTS = [
         [(-1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 0, 1)],
         "72344863433382179682986456424199/35625438450554673551046996918272",
         356,
+    ),
+    (
+        "Lehmer",
+        lambda: corpus_pair(LEHMER),
+        "not_positive",
+        [
+            (-1, -1, -1, -1, -1, 0, 0, 1, 1, 0),
+            (-1, -1, -1, -1, -1, 0, 1, 0, 0, 1),
+            (-1, -1, -1, -1, 0, 0, 1, 1, 1, -1),
+            (-1, -1, -1, 0, -1, 1, 0, 1, 0, 0),
+            (-1, -1, -1, 0, 0, -1, 1, 1, 0, 0),
+            (-1, -1, -1, 0, 1, 0, 1, 1, 0, -1),
+            (-1, -1, -1, 1, 0, 0, 1, 1, 0, -1),
+            (-1, -1, 0, 0, 1, 1, 1, 1, 1, 0),
+            (-1, -1, 0, 1, -1, 0, 1, 1, -1, 0),
+            (-1, -1, 0, 1, 1, 0, 1, 1, 1, -1),
+            (-1, -1, 1, 0, -1, 0, 1, 0, 0, 0),
+            (-1, -1, 1, 0, 0, 1, 1, 1, 0, 0),
+            (-1, -1, 1, 1, 0, 1, 1, 0, -1, 0),
+            (-1, 0, -1, -1, -1, 1, 0, 0, 1, 0),
+            (-1, 0, -1, 1, 0, 1, 1, 1, 0, 0),
+            (-1, 0, 0, -1, 0, 1, 1, 1, 1, 1),
+            (-1, 0, 0, -1, 1, 1, 1, 0, 1, 0),
+            (-1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
+            (-1, 0, 0, 0, 0, 1, 1, 0, 1, 0),
+            (-1, 0, 1, 0, 0, 1, 1, -1, 0, 0),
+        ],
+        "43294228431982050105395/21039088076818047041536",
+        49032,
     ),
 ]
 
@@ -480,6 +506,51 @@ def test_positive_twist_has_no_crossing_root_in_a_box(t):
     roots = brute_vectors_of_norm(L.gram, -2, 3)
     assert roots
     assert not any(crosses_by_iteration(L.gram, f.matrix, r) for r in roots)
+
+
+# the positivity pair documents of the sweep below: the workload's CLI pair,
+# a second S4 twist and the largest corpus search of the workload
+SWEPT_PAIRS = {
+    "t=1": lambda: s4_twist(1, 0),
+    "t=-2+w": lambda: s4_twist(-2, 1),
+    "corpus degree 10": lambda: corpus_pair((1, -2, 1, -2, 1, -2, 1, -2, 1, -2, 1)),
+}
+SWEPT_LEAVES_PER_FIELD = 16
+
+# the edited pair documents that still give a report, each with its reason
+REPORTING_EDITS = {}
+
+
+def test_one_field_edits_of_a_pair_are_refused_by_name(tmp_path, capsys):
+    """Each edit of a seeded sample of the integer leaves of every field of
+    three positivity pairs exits 2 with an error that names a pair field."""
+    rng = random.Random(23)
+    path = tmp_path / "pair.json"
+    reported, covered = set(), set()
+    for name, build in SWEPT_PAIRS.items():
+        L, f = build()
+        text = json.dumps({"lattice": codec.lattice_to_json(L), "isometry": codec.matrix_to_json(f.matrix)})
+        leaves = defaultdict(list)
+        for keys in integer_leaves(json.loads(text)):
+            leaves[leaf_field(keys)].append(keys)
+        for field in sorted(leaves):
+            covered.add(field)
+            for keys in rng.sample(leaves[field], min(SWEPT_LEAVES_PER_FIELD, len(leaves[field]))):
+                for edit_name, edit in MUTATIONS.items():
+                    doc = edited(text, keys, edit)
+                    if doc is None:
+                        continue
+                    case = f"{name}: {field_path(keys)} {edit_name}"
+                    path.write_text(json.dumps(doc), encoding="utf-8")
+                    code = within(5.0, lambda: cli.run(["--format", "json", "positivity", str(path)]))
+                    out = json.loads(capsys.readouterr().out)
+                    if "error" in out:
+                        assert code == 2 and out["error"].startswith("pair."), (case, out["error"])
+                    else:
+                        assert case in REPORTING_EDITS, (case, out)
+                        reported.add(case)
+    assert reported == set(REPORTING_EDITS)
+    assert covered == {"lattice.rank", "lattice.gram[][]", "isometry[][]"}
 
 
 def test_refinement_cap_names_its_rounds_and_last_delta(monkeypatch, tmp_path, capsys):

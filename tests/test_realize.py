@@ -2,7 +2,6 @@ import dataclasses
 import json
 import random
 import re
-import signal
 from collections import defaultdict
 from fractions import Fraction
 
@@ -64,6 +63,7 @@ from oracles import (
     outside_other_primes_by_cofactor,
     smith_diagonal,
 )
+from edits import MUTATIONS, edited, field_path, integer_leaves, leaf_field, within
 from salem_corpus import LEHMER, all_entries
 
 P = IntPolynomial
@@ -431,22 +431,7 @@ def _failed(items):
 
 def _within_one_second(call):
     """call(), failing the test if it has not returned after 1 s."""
-    return _within(1.0, call)
-
-
-def _within(seconds, call):
-    """call(), failing the test if it has not returned after the given seconds."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"did not return within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return call()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    return within(1.0, call)
 
 
 def test_verify_derives_each_object_once(k3_certificate, monkeypatch):
@@ -545,13 +530,6 @@ def test_build_k3_certificate_has_no_stage_trace():
 # one-field edits of the S4 certificate document: each is run on a seeded
 # sample of the integer leaves of every field path, and on both leaves of the
 # allow-list below
-MUTATIONS = {
-    "+1": lambda x: x + 1,
-    "-1": lambda x: x - 1,
-    "negated": lambda x: -x,
-    "doubled": lambda x: 2 * x,
-    "+10^30": lambda x: x + 10**30,
-}
 LEAVES_PER_FIELD = 5
 
 # the edited documents that verify, each with its reason
@@ -564,33 +542,11 @@ VERIFYING_EDITS = {
 }
 
 
-def _integer_leaves(doc, path=()):
-    """The key paths of the integer leaves of a JSON document: JSON integers
-    (not booleans) and decimal integer strings."""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
-    for key, value in items:
-        if isinstance(value, (dict, list)):
-            yield from _integer_leaves(value, path + (key,))
-        elif isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
-            yield path + (key,)
-        elif isinstance(value, int) and not isinstance(value, bool):
-            yield path + (key,)
-
-
-def _field_path(keys):
-    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
-
-
-def _field(keys):
-    """The field path of a leaf with its indices dropped, such as lattice.gram[][]."""
-    return re.sub(r"\[[0-9]+\]", "[]", _field_path(keys))
-
-
 def test_one_field_edits_are_refused_by_name_or_fail_an_item(k3_certificate):
     text = json.dumps(certificate_to_json(k3_certificate))
     leaves = defaultdict(list)
-    for keys in _integer_leaves(json.loads(text)):
-        leaves[_field(keys)].append(keys)
+    for keys in integer_leaves(json.loads(text)):
+        leaves[leaf_field(keys)].append(keys)
     rng = random.Random(2021)
     chosen = [("lattice", "gram", 6, 6), ("lattice", "gram", 7, 7)]
     for field in sorted(leaves):
@@ -598,17 +554,10 @@ def test_one_field_edits_are_refused_by_name_or_fail_an_item(k3_certificate):
     verified, covered = set(), set()
     for keys in chosen:
         for name, edit in MUTATIONS.items():
-            doc = json.loads(text)
-            *parents, last = keys
-            parent = doc
-            for k in parents:
-                parent = parent[k]
-            old = parent[last]
-            new = edit(int(old))
-            if new == int(old):
+            doc = edited(text, keys, edit)
+            if doc is None:
                 continue
-            parent[last] = str(new) if isinstance(old, str) else new
-            case = f"{_field_path(keys)} {name}"
+            case = f"{field_path(keys)} {name}"
 
             def judge():
                 try:
@@ -618,8 +567,8 @@ def test_one_field_edits_are_refused_by_name_or_fail_an_item(k3_certificate):
                     return None
                 return verify_certificate(cert)[0]
 
-            covered.add(_field(keys))
-            if _within(5.0, judge):
+            covered.add(leaf_field(keys))
+            if within(5.0, judge):
                 assert keys[0] == "glue" or case in VERIFYING_EDITS, case
                 verified.add("glue" if keys[0] == "glue" else case)
     assert verified == set(VERIFYING_EDITS)
