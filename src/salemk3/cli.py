@@ -37,7 +37,7 @@ from .realize import (
 
 PAIR = {"lattice": codec.lattice, "isometry": codec.rat_matrix}
 TWIST = dict(PAIR, element=codec.poly)
-TWIST_SPLIT = dict(TWIST, exponent=codec.json_int, prime=codec.json_int)
+TWIST_SPLIT = dict(TWIST, exponent=codec.positive_int, prime=codec.prime)
 SEED = {"salem": codec.poly, "S": codec.lattice, "f_S": codec.int_matrix, "R_rest": codec.lattice}
 
 
@@ -187,7 +187,7 @@ def cmd_power_integral(args):
 def cmd_twist_split_check(args):
     doc, L, f = _read_pair(args.input, TWIST_SPLIT, "twist_split")
     limit = sys.get_int_max_str_digits()  # refuse, before t^n is formed, what str() cannot print
-    if limit and _power_exceeds(abs(doc["prime"]), 2 * doc["exponent"], (10**limit - 1) // abs(L.determinant())):
+    if limit and _power_exceeds(doc["prime"], 2 * doc["exponent"], (10**limit - 1) // abs(L.determinant())):
         raise ValueError(f"twist_split.exponent: |det L| * prime^(2 exponent) has more than {limit} digits")
     report = twist_split_certificate(L, f, TwistElement(doc["element"]), doc["exponent"], doc["prime"])
     payload = {

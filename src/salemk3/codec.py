@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .lattices import Lattice, LatticeError
+from .numbertheory import is_prime
 from .polynomials import IntPolynomial
 from .positivity import ObstructionReport
 
@@ -98,6 +99,12 @@ def json_int(data, path):
 def positive_int(data, path):
     if json_int(data, path) < 1:
         raise ValueError(f"{path}: expected a positive JSON integer, got {data!r}")
+    return data
+
+
+def prime(data, path):
+    if not is_prime(json_int(data, path)):
+        raise ValueError(f"{path}: expected a prime JSON integer, got {data!r}")
     return data
 
 

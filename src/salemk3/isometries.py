@@ -11,7 +11,7 @@ from math import lcm, prod
 
 from . import linalg
 from .lattices import Lattice, LatticeError, discriminant_form, forms_isomorphic, hyperbolic_p_form
-from .numbertheory import factorize, valuation
+from .numbertheory import factorize, is_prime, valuation
 from .polynomials import (
     IntPolynomial,
     NotSalemError,
@@ -376,12 +376,15 @@ def twist_split_certificate(L: Lattice, f: Isometry, t: TwistElement, n: int, p:
     """Check the split-prime twist: twisting by t^n multiplies |det| by p^(2n)
     and the p-primary discriminant form becomes hyperbolic of scale 1/p^n.
 
-    Hypotheses are verified first: the characteristic polynomial is an
-    irreducible Salem polynomial, t has norm +-p, and p divides neither 2,
-    det L, nor disc s. Each violation is reported individually.
+    Raises IsometryError unless n >= 1 and p is a prime. Hypotheses are
+    verified first: the characteristic polynomial is an irreducible Salem
+    polynomial, t has norm +-p, and p divides neither 2, det L, nor disc s.
+    Each violation is reported individually.
     """
     if n < 1:
         raise IsometryError("twist exponent must be >= 1")
+    if not is_prime(p):
+        raise IsometryError(f"twist prime {p} is not a prime")
     problems = []
     s = f.char_poly()
     try:

@@ -5,9 +5,10 @@ Everything here is exact and fraction-free in its loops: resultants and
 determinants are integer computations; gcds and Sturm chains come from one
 primitive integer pseudo-remainder kernel, each Sturm member a positive
 multiple of the rational one; and signs at a rational a/b (b > 0) are read
-from the homogeneous integer sum of c_i a^i b^(d-i). Root counts are exact,
-and the isolating interval of a Salem number comes from one bisection walk
-over one Sturm chain. One product modulo a monic polynomial (``mulmod``,
+from the homogeneous integer sum of c_i a^i b^(d-i). Root counts are exact.
+Salem certification builds one Sturm chain, that of the trace polynomial of
+half the degree, and isolates lambda by one bisection walk on the sign of
+the polynomial itself. One product modulo a monic polynomial (``mulmod``,
 with ``powmod`` on top) serves the exact residue rings Z[x]/(m) and the
 rings (Z/m)[x]/(f) alike. No floating point enters a decision.
 """
@@ -422,9 +423,14 @@ def is_salem(p):
     """Certify p as a Salem polynomial or raise NotSalemError with a reason.
 
     Accepts monic irreducible reciprocal polynomials whose trace polynomial
-    has exactly one real root of absolute value > 2, that root positive, and
-    all remaining roots real inside (-2, 2). Degree-2 polynomials (no
-    conjugates on the unit circle) are flagged quadratic_degenerate.
+    r (p(x) = x^m r(x + 1/x)) has exactly one real root of absolute value
+    > 2, that root positive, and all remaining roots real inside (-2, 2).
+    Degree-2 polynomials (no conjugates on the unit circle) are flagged
+    quadratic_degenerate.
+
+    The tests read the one Sturm chain of r, of half the degree. A root y of
+    r gives the two roots of x^2 - yx + 1, which coincide only at y = +-2, so
+    p is squarefree iff the chain ends in a constant and r(2) r(-2) != 0.
 
     Irreducibility needs no factoring. Once p is squarefree and has this
     root pattern, every irreducible factor other than the minimal polynomial
@@ -441,10 +447,10 @@ def is_salem(p):
         raise NotSalemError("odd_degree", str(p))
     if not p.is_reciprocal():
         raise NotSalemError("not_reciprocal", str(p))
-    if poly_gcd(p, p.derivative()).degree > 0:
-        raise NotSalemError("reducible", str(p))
     r = trace_polynomial(p)
     chain = sturm_chain(r)
+    if len(chain[-1]) > 1 or r(2) * r(-2) == 0:
+        raise NotSalemError("reducible", str(p))
     if count_real_roots(r, chain=chain) != r.degree:
         raise NotSalemError("wrong_root_pattern", "trace polynomial has non-real roots")
     above_two = count_real_roots(r, 2, "inf", chain=chain)
@@ -456,20 +462,18 @@ def is_salem(p):
         )
     if cyclotomic_factors(p):
         raise NotSalemError("reducible", str(p))
-    # lambda is the largest real root of p. p is irreducible of degree >= 2,
-    # so no rational point is a root: bisect (-M, M], keeping the right half
-    # whenever it holds a root, until one root is left; then push it above 1
-    chain = sturm_chain(p)
+    # p's only real roots are 1/lambda < 1 < lambda, both irrational, so p < 0
+    # exactly between them. Bisect (-M, M] until (a, b] holds lambda alone:
+    # p(c) < 0 leaves only lambda in (c, b]; otherwise c lies below both roots
+    # (c < 1) or above both. Then push the interval above 1
     b = root_bound(p)
     a = -b
-    n = count_real_roots(p, a, b, chain)
-    while n > 1:
-        c = (a + b) / 2
-        right = count_real_roots(p, c, b, chain)
-        if right:
-            a, n = c, right
+    while _sign_at(p.coeffs, _point(c := (a + b) / 2)) > 0:
+        if c < 1:
+            a = c
         else:
             b = c
+    a = c
     while not a > 1:
         a, b = refine_interval(p, (a, b), (b - a) / 4)
     return SalemCertificate(

@@ -11,7 +11,9 @@ Smith reduction instead of the transform-tracking one, Euler powering
 instead of reciprocity, repeated multiplication instead of prime stripping
 (for matrix orders and discriminant actions), full orbit sums instead of
 cyclotomic kernels, a Fraction Sturm chain instead of the integer
-pseudo-remainder one, a companion-matrix power instead of traces of
+pseudo-remainder one, gcd(p, p') and root counts on the Sturm chain of p
+instead of the one chain of the trace polynomial and the sign of p (for
+Salem certificates), a companion-matrix power instead of traces of
 x^n mod s, the growth of <f^k z, z> instead of a projection onto the
 geodesic plane, numpy roots of the squarefree part instead of the
 cyclotomic factor list, a scan over every element of a discriminant group
@@ -620,6 +622,71 @@ def fraction_sturm_count(coeffs, a="-inf", b="inf"):
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
     return variations(a) - variations(b)
+
+
+def salem_certificate_by_full_sturm(p):
+    """``is_salem`` by the degree-d route: the squarefree test is gcd(p, p'),
+    and lambda's interval comes from bisecting (-M, M] with root counts on
+    the Sturm chain of p, keeping the right half whenever it holds a root.
+
+    Returns the same ``SalemCertificate`` or raises the same
+    ``NotSalemError``, reason and message, with the checks in the same order.
+    """
+    from salemk3.polynomials import (
+        NotSalemError,
+        SalemCertificate,
+        count_real_roots,
+        cyclotomic_factors,
+        poly_gcd,
+        refine_interval,
+        root_bound,
+        sturm_chain,
+        trace_polynomial,
+    )
+
+    if p.is_zero() or p.degree < 2:
+        raise NotSalemError("wrong_degree", str(p))
+    if not p.is_monic():
+        raise NotSalemError("not_monic", str(p))
+    if p.degree % 2 != 0:
+        raise NotSalemError("odd_degree", str(p))
+    if not p.is_reciprocal():
+        raise NotSalemError("not_reciprocal", str(p))
+    if poly_gcd(p, p.derivative()).degree > 0:
+        raise NotSalemError("reducible", str(p))
+    r = trace_polynomial(p)
+    chain = sturm_chain(r)
+    if count_real_roots(r, chain=chain) != r.degree:
+        raise NotSalemError("wrong_root_pattern", "trace polynomial has non-real roots")
+    above_two = count_real_roots(r, 2, "inf", chain=chain)
+    below_minus_two = count_real_roots(r, "-inf", -2, chain=chain)
+    if above_two != 1 or below_minus_two != 0:
+        raise NotSalemError(
+            "wrong_root_pattern",
+            f"{above_two} trace roots above 2, {below_minus_two} at or below -2",
+        )
+    if cyclotomic_factors(p):
+        raise NotSalemError("reducible", str(p))
+    chain = sturm_chain(p)
+    b = root_bound(p)
+    a = -b
+    n = count_real_roots(p, a, b, chain)
+    while n > 1:
+        c = (a + b) / 2
+        right = count_real_roots(p, c, b, chain)
+        if right:
+            a, n = c, right
+        else:
+            b = c
+    while not a > 1:
+        a, b = refine_interval(p, (a, b), (b - a) / 4)
+    return SalemCertificate(
+        polynomial=p,
+        degree=p.degree,
+        trace_polynomial=r,
+        lambda_interval=(a, b),
+        quadratic_degenerate=p.degree == 2,
+    )
 
 
 def expand_trace_polynomial(r):

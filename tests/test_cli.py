@@ -8,7 +8,7 @@ from salemk3 import codec
 from salemk3.cli import run
 from salemk3.realize import seed_for
 
-from edits import within
+from edits import MUTATIONS, edited, field_path, integer_leaves, within
 from salem_corpus import all_entries
 
 LEHMER_JSON = ["1", "1", "0", "-1", "-1", "-1", "-1", "-1", "0", "1", "1"]
@@ -120,6 +120,17 @@ def test_twist_and_split_check(tmp_path, capsys):
     assert run(["twist-split-check", path]) == 1
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [({"prime": p}, "prime") for p in (0, 1, -11, 9, 15, 121)] + [({"exponent": n}, "exponent") for n in (0, -1)],
+    ids=str,
+)
+def test_twist_split_check_refuses_a_non_prime_or_a_non_positive_exponent(tmp_path, capsys, edit, field):
+    doc = dict(PAIR, element=[str(edit.get("prime", 11))], exponent=1, prime=11) | edit
+    assert run(["--format", "json", "twist-split-check", write(tmp_path, "tsc.json", doc)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith(f"twist_split.{field}: ")
+
+
 def _first_exponent_past_the_digit_limit():
     # the twist of PAIR by 11^n has |det| = 5 * 11^(2n)
     limit, n = sys.get_int_max_str_digits(), 1
@@ -146,6 +157,53 @@ def test_twist_split_exponent_past_the_digit_limit_names_the_field(tmp_path, cap
     for fmt in ("json", "text"):
         assert within(1.0, lambda: run(["--format", fmt, "twist-split-check", path])) == 2
         assert "twist_split.exponent: " in capsys.readouterr().out
+
+
+# the documents of the sweep below: each command, its field prefix and its
+# document on PAIR. They have few leaves, so every leaf takes every edit
+SWEPT_DOCUMENTS = {
+    "twist": ("twist", dict(PAIR, element=["11"])),
+    "power-integral": ("pair", PAIR),
+    "twist-split-check": ("twist_split", dict(PAIR, element=["11"], exponent=1, prime=11)),
+}
+
+# the edited documents that are still valid, each with its reason
+VALID_EDITS = {
+    **{
+        f"twist: element[0] {name}": "any nonzero integer polynomial is a twist element"
+        for name in MUTATIONS
+    },
+    "twist-split-check: element[0] negated": "-11 has norm -11, and the check asks for norm +-11",
+    "twist-split-check: exponent +1": "exponent 2 is a valid exponent, and the twist by 11^2 passes",
+    "twist-split-check: exponent doubled": "exponent 2 is a valid exponent, and the twist by 11^2 passes",
+}
+
+
+def test_one_field_edits_of_a_cli_document_are_refused_by_name(tmp_path, capsys):
+    """Each edit of every integer leaf of the twist, power-integral and
+    twist-split-check documents exits 2 with an error that names a field of
+    its document, or, for twist-split-check only, exits 1 with problems."""
+    path = tmp_path / "input.json"
+    valid = set()
+    for command, (prefix, doc) in SWEPT_DOCUMENTS.items():
+        text = json.dumps(doc)
+        for keys in integer_leaves(doc):
+            for name, edit in MUTATIONS.items():
+                edited_doc = edited(text, keys, edit)
+                if edited_doc is None:
+                    continue
+                case = f"{command}: {field_path(keys)} {name}"
+                path.write_text(json.dumps(edited_doc), encoding="utf-8")
+                code = within(5.0, lambda: run(["--format", "json", command, str(path)]))
+                out = json.loads(capsys.readouterr().out)
+                if "error" in out:
+                    assert code == 2 and out["error"].startswith(f"{prefix}."), (case, out["error"])
+                elif code == 1:
+                    assert command == "twist-split-check" and out["problems"], (case, out)
+                else:
+                    assert code == 0 and case in VALID_EDITS, (case, out)
+                    valid.add(case)
+    assert valid == set(VALID_EDITS)
 
 
 def test_power_integral(tmp_path, capsys):

@@ -455,6 +455,18 @@ def test_twist_split_certificate_examples():
     assert any("divides" in prob for prob in rep5.problems)
 
 
+@pytest.mark.parametrize("n, p", [(1, 0), (1, 1), (1, -11), (1, 9), (1, 121), (0, 11), (-1, 11)], ids=str)
+def test_twist_split_certificate_refuses_a_non_prime_or_a_non_positive_exponent(n, p):
+    with pytest.raises(IsometryError, match="is not a prime$" if n == 1 else "exponent must be >= 1$"):
+        twist_split_certificate(L2, Isometry(L2, C2), TwistElement(11), n, p)
+
+
+def test_twist_split_at_two_is_a_reported_hypothesis_failure():
+    rep = twist_split_certificate(L2, Isometry(L2, C2), TwistElement(2), 1, 2)
+    assert not rep.passed
+    assert any("p = 2 divides" in prob for prob in rep.problems)
+
+
 def test_twist_split_wrong_norm_reported():
     f = Isometry(L2, C2)
     rep = twist_split_certificate(L2, f, TwistElement(7), 1, 11)

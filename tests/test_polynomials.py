@@ -49,8 +49,10 @@ from oracles import (
     numpy_salem_profile,
     power_min_poly_by_companion,
     roots_on_unit_circle,
+    salem_certificate_by_full_sturm,
     sylvester_resultant,
 )
+from edits import within
 from salem_corpus import LEHMER, all_entries
 
 P = IntPolynomial
@@ -470,21 +472,98 @@ def test_lambda_interval_isolates_the_largest_root():
         assert fraction_sturm_count(p.coeffs, b, "inf") == 0, p
 
 
-def test_is_salem_takes_one_gcd(monkeypatch):
-    # a work count: the squarefree test is the only gcd of a certification
-    # (two per call when lambda came from isolating every root of the
-    # squarefree part)
-    calls = [0]
+def test_is_salem_takes_no_gcd_and_one_trace_chain(monkeypatch):
+    # a work count: a certification builds one Sturm chain, that of the trace
+    # polynomial (degree d/2), and runs no gcd; the squarefree test reads the
+    # chain's last member, and lambda's walk reads only signs of p
+    gcds, chains = [0], []
 
     def counting_gcd(p, q):
-        calls[0] += 1
+        gcds[0] += 1
         return poly_gcd(p, q)
 
+    def recording_chain(p):
+        chains.append(p.degree)
+        return sturm_chain(p)
+
     monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
-    entries = list(all_entries())
-    for _, coeffs, _ in entries:
+    monkeypatch.setattr(polynomials, "sturm_chain", recording_chain)
+    for degree, coeffs, _ in all_entries():
+        chains.clear()
         is_salem(P(list(coeffs)))
-    assert calls[0] == len(entries)
+        assert chains == [degree // 2]
+    assert gcds[0] == 0
+
+
+def _outcome(certify, p):
+    """The certificate, or the reason and message of the NotSalemError."""
+    try:
+        return certify(p)
+    except NotSalemError as exc:
+        return exc.reason, str(exc)
+
+
+def _salem_family(rng):
+    """Seeded polynomials of every kind that reaches the squarefree test:
+    x^m r(x + 1/x) for random monic r, for Salem-shaped r = (y - c) q(y) - k
+    alone, times a square or times y -+ 2, with m = deg r <= 11; corpus
+    polynomials times a cyclotomic polynomial, its square or themselves; the
+    quadratics x^2 - tx + 1; and a few that stop before it."""
+    corpus = [P(list(coeffs)) for _, coeffs, _ in all_entries()]
+    polys = list(corpus) + [P([1, -t, 1]) for t in range(-6, 7)]
+    # lambda = 1.31..., so the walk's midpoint 3/2 lies between lambda and 2
+    polys.append(P([1, -1, 1, -2, 1, -2, 1, -1, 1]))
+    polys += [P([1]), P([1, 1]), P([1, 0, 2]), P([1, -3, 0, 1]), P([-2, 0, 1])]
+    for _ in range(500):
+        kind = rng.randrange(4)
+        if kind == 0:
+            r = P([rng.randint(-4, 4) for _ in range(rng.randint(1, 11))] + [1])
+        else:
+            q = P([1])
+            for _ in range(rng.randint(0, 4)):
+                q = q * rng.choice(_SMALL_TRACE_FACTORS)
+            r = P([-rng.randint(2, 9), 1]) * q - rng.randint(-3, 3)
+            if kind == 2:
+                r = r * rng.choice(_SMALL_TRACE_FACTORS) ** 2
+            elif kind == 3:
+                r = r * P([rng.choice((-2, 2)), 1])
+        if r.degree <= 11:
+            polys.append(P(expand_trace_polynomial(list(r.coeffs))))
+    cyclotomics = [cyclotomic(n) for n in (1, 2, 3, 4, 5, 6, 8, 10, 12)]
+    for s in corpus:
+        polys += [s * s] + [s * phi for phi in cyclotomics] + [s * phi * phi for phi in cyclotomics[:4]]
+    return polys
+
+
+def test_is_salem_matches_the_full_sturm_oracle():
+    # the trace-polynomial route against gcd(p, p') and the counting walk over
+    # the Sturm chain of p: the same reason and message, or the same
+    # certificate with a byte-identical lambda_interval
+    branches = set()
+    for p in _salem_family(random.Random(24)):
+        got = within(1.0, lambda: _outcome(is_salem, p))
+        assert got == _outcome(salem_certificate_by_full_sturm, p), p
+        if isinstance(got, tuple) and got[0] == "reducible":
+            r = trace_polynomial(p)
+            if poly_gcd(r, r.derivative()).degree > 0:
+                branches.add("reducible: r not squarefree")
+            elif r(2) * r(-2) == 0:
+                branches.add("reducible: r(+-2) = 0")
+            else:
+                branches.add("reducible: cyclotomic factor")
+        elif isinstance(got, tuple) and got[0] == "wrong_root_pattern":
+            branches.add("non-real" if "non-real" in got[1] else "roots above 2")
+        elif not isinstance(got, tuple):
+            branches.add("salem, degree 2" if got.quadratic_degenerate else "salem, degree >= 4")
+    assert branches == {
+        "reducible: r not squarefree",
+        "reducible: r(+-2) = 0",
+        "reducible: cyclotomic factor",
+        "non-real",
+        "roots above 2",
+        "salem, degree 2",
+        "salem, degree >= 4",
+    }
 
 
 def test_mulmod_and_powmod_match_exact_division():
