@@ -2,8 +2,8 @@
 as dynamical degrees of automorphisms of 2-tori, K3 and Enriques surfaces.
 
 The modules: integer polynomials with Salem certification (`polynomials`),
-exact linear algebra over Z and Q (`linalg`), real algebraic number fields
-with certified signs (`numberfield`), Legendre, Hilbert and Hasse symbols
+exact linear algebra over Z and Q (`linalg`), the number field of a
+certified Salem number with exact signs (`numberfield`), Legendre, Hilbert and Hasse symbols
 (`numbertheory`), lattices with discriminant-form calculus and gluing
 (`lattices`), lattice isometries with twists and integral powering
 (`isometries`), chamber-preservation analysis (`positivity`), realizability

@@ -1,29 +1,29 @@
-"""Real algebraic number fields with certified sign determination.
+"""The real number field of a certified Salem number, with exact signs.
 
-A field is Q[x]/(m(x)) for an irreducible monic integer m together with an
-isolating interval pinning down one real root. An element is a pair
-``(nums, den)``: integer coefficients of a polynomial of degree < deg m,
-constant first, over one positive denominator, with gcd(den, nums) = 1, so
-equal elements are equal pairs. Every reduction modulo m, in products, in
-element construction and in the matrix of multiplication by a, is the one
-integer product ``polynomials.mulmod``; numerators stay integral because m
-is monic. The inverse of a nonzero element a solves the linear system of
-multiplication by a against 1 by fraction-free Gauss-Jordan elimination
+The field is Q(lambda) = Q[x]/(m(x)) for the Salem polynomial m of a
+``SalemCertificate``, embedded in R by the certificate's interval, which
+isolates lambda > 1. m is monic and irreducible of degree >= 2, so lambda
+is irrational. An element is a pair ``(nums, den)``: integer coefficients
+of a polynomial of degree < deg m, constant first, over one positive
+denominator, with gcd(den, nums) = 1, so equal elements are equal pairs.
+Every reduction modulo m, in products, in element construction and in the
+matrix of multiplication by a, is the one integer product
+``polynomials.mulmod``; numerators stay integral because m is monic. The
+inverse of a nonzero element a solves the linear system of multiplication
+by a against 1 by fraction-free Gauss-Jordan elimination
 (``linalg.gauss_jordan``). Signs and enclosures are decided by interval
 Horner evaluation on the integer numerators over the interval's common
 denominator, refining the isolating interval by exact bisection until the
-enclosure excludes zero. An element whose first enclosure contains zero is
-first tested for vanishing at the root through gcd(a, m), so the bisection
-only runs on nonzero values and ends, even when m is reducible. When a
-bisection lands on a rational root, the interval becomes that point and
-the enclosure the exact value.
+enclosure excludes zero. That bisection ends: a nonzero element is a
+polynomial of degree < deg m, which does not vanish at lambda because m is
+irreducible.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .polynomials import IntPolynomial, count_real_roots, mulmod, poly_gcd, refine_interval
+from .polynomials import SalemCertificate, mulmod, refine_interval
 
 
 def _canonical(nums, den):
@@ -32,28 +32,24 @@ def _canonical(nums, den):
 
 
 class RealAlgebraicField:
-    """Q[x]/(min_poly) embedded in R at the root isolated by ``interval``.
+    """Q(lambda) for the Salem number lambda of ``cert``: Q[x]/(cert.polynomial)
+    embedded in R at the root isolated by ``cert.lambda_interval``.
 
     Elements are ``(nums, den)`` pairs; see the module docstring.
     """
 
-    def __init__(self, min_poly: IntPolynomial, interval):
-        if not min_poly.is_monic() or min_poly.degree < 1:
-            raise ValueError("field modulus must be monic of degree >= 1")
-        self.min_poly = min_poly
-        self.degree = min_poly.degree
-        self._interval = (Fraction(interval[0]), Fraction(interval[1]))
+    def __init__(self, cert: SalemCertificate):
+        self.min_poly = cert.polynomial
+        self.degree = cert.degree
+        self._interval = cert.lambda_interval
 
     # --- element constructors ---
 
     def element(self, coeffs):
-        """Element from a rational scalar or coefficient sequence (reduced mod min_poly)."""
-        if isinstance(coeffs, (int, Fraction)):
+        """Element from an integer or integer coefficient sequence (reduced mod min_poly)."""
+        if isinstance(coeffs, int):
             coeffs = [coeffs]
-        coeffs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in coeffs]
-        return _canonical(mulmod(nums, [1], self.min_poly.coeffs), den)
+        return tuple(mulmod(coeffs, [1], self.min_poly.coeffs)), 1
 
     def zero(self):
         return self.element(0)
@@ -62,9 +58,6 @@ class RealAlgebraicField:
         return self.element(1)
 
     def generator(self):
-        if self.degree == 1:
-            # x is congruent to the rational root
-            return self.element(-self.min_poly.coeffs[0])
         return self.element([0, 1])
 
     # --- arithmetic ---
@@ -86,8 +79,7 @@ class RealAlgebraicField:
         return _canonical(mulmod(an, bn, self.min_poly.coeffs), ad * bd)
 
     def scale(self, c, a):
-        c = Fraction(c)
-        return _canonical([c.numerator * x for x in a[0]], c.denominator * a[1])
+        return _canonical([c * x for x in a[0]], a[1])
 
     def is_zero(self, a):
         return not any(a[0])
@@ -115,8 +107,7 @@ class RealAlgebraicField:
     # --- certified real data ---
 
     def refine(self, max_width):
-        if self._interval[0] != self._interval[1]:
-            self._interval = refine_interval(self.min_poly, self._interval, max_width)
+        self._interval = refine_interval(self.min_poly, self._interval, max_width)
         return self._interval
 
     def enclosure(self, a, max_width=None):
@@ -152,24 +143,13 @@ class RealAlgebraicField:
         return Fraction(acc_lo, den * scale), Fraction(acc_hi, den * scale)
 
     def sign(self, a):
-        """Exact sign of the real value of a: -1, 0 or +1.
-
-        When the first enclosure contains 0, a(theta) = 0 exactly when
-        gcd(a, m) has a root in (lo, hi], whose only root of m is theta.
-        """
+        """Exact sign of the real value of a: -1, 0 or +1."""
         if self.is_zero(a):
             return 0
         iv = self._eval_interval(a)
-        if iv[0] <= 0 <= iv[1]:
-            lo, hi = self._interval
-            if lo == hi:
-                return 0
-            g = poly_gcd(IntPolynomial(a[0]), self.min_poly)
-            if g.degree and count_real_roots(g, lo, hi):
-                return 0
-            width = hi - lo
-            while iv[0] <= 0 <= iv[1]:
-                width /= 2
-                self.refine(width)
-                iv = self._eval_interval(a)
+        width = self._interval[1] - self._interval[0]
+        while iv[0] <= 0 <= iv[1]:
+            width /= 2
+            self.refine(width)
+            iv = self._eval_interval(a)
         return 1 if iv[0] > 0 else -1

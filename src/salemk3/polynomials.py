@@ -385,10 +385,9 @@ def root_bound(p):
 
 
 def refine_interval(p, interval, max_width):
-    """Bisect an isolating interval of squarefree p down to the given width."""
+    """Bisect an isolating interval of an irreducible p of degree >= 2 down
+    to the given width. p has no rational root, so no midpoint is a root."""
     a, b = interval
-    if a == b:
-        return a, b
     coeffs = p.coeffs
     (an, ad), (bn, bd) = _point(a), _point(b)
     wn, wd = _point(max_width)
@@ -397,10 +396,7 @@ def refine_interval(p, interval, max_width):
         raise ValueError("interval endpoints must straddle the root")
     while (bn * ad - an * bd) * wd > wn * ad * bd:
         mn, md = _rational(an * bd + bn * ad, 2 * ad * bd)
-        sm = _sign_at(coeffs, (mn, md))
-        if sm == 0:
-            return Fraction(mn, md), Fraction(mn, md)
-        if sm == sb:
+        if _sign_at(coeffs, (mn, md)) == sb:
             bn, bd = mn, md
         else:
             an, ad = mn, md

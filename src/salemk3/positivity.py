@@ -196,7 +196,7 @@ def _geodesic_plane(S, f):
     coeffs, adj_mats = linalg.charpoly_and_adjugate(f.matrix)
     s = IntPolynomial(coeffs)
     n = S.rank
-    K = RealAlgebraicField(s, _salem_shape(S, s).lambda_interval)
+    K = RealAlgebraicField(_salem_shape(S, s))
     lam = K.generator()
     u1 = _adjugate_column(K, adj_mats, lam, n)
     u2 = _adjugate_column(K, adj_mats, K.inv(lam), n)
@@ -256,9 +256,10 @@ def _orbit_reduce(K, f, gu1, gu2, witnesses):
     further on can tie or beat that element. Every vector met is recorded,
     and a witness met on an earlier walk is skipped.
 
-    lambda_lo > 1 holds from the start: K is built on the lambda_interval
-    of ``is_salem``, whose left end is > 1; the enclosure of the generator
-    x is that interval exactly; and refinement only narrows it.
+    lambda_lo > 1 holds from the start: K is built from the Salem
+    certificate of s, whose lambda_interval has its left end > 1; the
+    enclosure of the generator x is that interval exactly; and refinement
+    only narrows it.
     """
     lam_lo = K.enclosure(K.generator())[0]
     norm1 = [sum(max(-lo, hi) for lo, hi in map(K.enclosure, gu)) for gu in (gu1, gu2)]

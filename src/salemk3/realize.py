@@ -208,8 +208,7 @@ def find_split_prime(s: IntPolynomial, det_R, lower_bound=None):
     """
     if det_R == 0:
         raise RealizeError("det_R must be nonzero")
-    is_salem(s)
-    r = trace_polynomial(s)
+    r = is_salem(s).trace_polynomial
     modulus = 8 * abs(det_R)
     start = max(2, lower_bound or 2)
     first = 1 + modulus * ((start - 1) // modulus + 1)  # least p = 1 mod modulus above start

@@ -4,6 +4,7 @@ document is refused by name or judged, and a timer that bounds each case."""
 import json
 import re
 import signal
+from collections import defaultdict
 
 MUTATIONS = {
     "+1": lambda x: x + 1,
@@ -50,6 +51,31 @@ def edited(text, keys, edit):
         return None
     parent[last] = str(new) if isinstance(old, str) else new
     return doc
+
+
+def one_field_edits(doc, rng=None, per_field=None, extra=()):
+    """(case, keys, edited document) for every edit in MUTATIONS that changes
+    a chosen integer leaf of doc, where case is "<field path> <edit name>".
+
+    The chosen leaves are the ``extra`` key paths, then every integer leaf,
+    or, given ``per_field``, ``rng.sample`` of up to that many leaves of each
+    ``leaf_field`` in sorted order.
+    """
+    text = json.dumps(doc)
+    chosen = list(extra)
+    if per_field is None:
+        chosen += integer_leaves(doc)
+    else:
+        leaves = defaultdict(list)
+        for keys in integer_leaves(doc):
+            leaves[leaf_field(keys)].append(keys)
+        for field in sorted(leaves):
+            chosen += rng.sample(leaves[field], min(per_field, len(leaves[field])))
+    for keys in chosen:
+        for name, edit in MUTATIONS.items():
+            new = edited(text, keys, edit)
+            if new is not None:
+                yield f"{field_path(keys)} {name}", keys, new
 
 
 def within(seconds, call):

@@ -8,7 +8,7 @@ from salemk3 import codec
 from salemk3.cli import run
 from salemk3.realize import seed_for
 
-from edits import MUTATIONS, edited, field_path, integer_leaves, within
+from edits import MUTATIONS, one_field_edits, within
 from salem_corpus import all_entries
 
 LEHMER_JSON = ["1", "1", "0", "-1", "-1", "-1", "-1", "-1", "0", "1", "1"]
@@ -186,23 +186,18 @@ def test_one_field_edits_of_a_cli_document_are_refused_by_name(tmp_path, capsys)
     path = tmp_path / "input.json"
     valid = set()
     for command, (prefix, doc) in SWEPT_DOCUMENTS.items():
-        text = json.dumps(doc)
-        for keys in integer_leaves(doc):
-            for name, edit in MUTATIONS.items():
-                edited_doc = edited(text, keys, edit)
-                if edited_doc is None:
-                    continue
-                case = f"{command}: {field_path(keys)} {name}"
-                path.write_text(json.dumps(edited_doc), encoding="utf-8")
-                code = within(5.0, lambda: run(["--format", "json", command, str(path)]))
-                out = json.loads(capsys.readouterr().out)
-                if "error" in out:
-                    assert code == 2 and out["error"].startswith(f"{prefix}."), (case, out["error"])
-                elif code == 1:
-                    assert command == "twist-split-check" and out["problems"], (case, out)
-                else:
-                    assert code == 0 and case in VALID_EDITS, (case, out)
-                    valid.add(case)
+        for case, _, edited_doc in one_field_edits(doc):
+            case = f"{command}: {case}"
+            path.write_text(json.dumps(edited_doc), encoding="utf-8")
+            code = within(5.0, lambda: run(["--format", "json", command, str(path)]))
+            out = json.loads(capsys.readouterr().out)
+            if "error" in out:
+                assert code == 2 and out["error"].startswith(f"{prefix}."), (case, out["error"])
+            elif code == 1:
+                assert command == "twist-split-check" and out["problems"], (case, out)
+            else:
+                assert code == 0 and case in VALID_EDITS, (case, out)
+                valid.add(case)
     assert valid == set(VALID_EDITS)
 
 
@@ -267,14 +262,19 @@ def test_build_and_verify_certificate(tmp_path, capsys):
     assert "duplicate key 'power'" in json.loads(capsys.readouterr().out)["error"]
 
 
-def test_seed_rejects_non_integer_isometry(tmp_path, capsys):
+def s4_seed_doc():
+    """The curated S4 seed as a ``build-certificate --seed`` document."""
     seed = seed_for(codec.poly(S4_JSON, "salem"))
-    doc = {
+    return {
         "salem": S4_JSON,
         "S": codec.lattice_to_json(seed.S),
         "f_S": codec.matrix_to_json(seed.f_S),
         "R_rest": codec.lattice_to_json(seed.R_rest),
     }
+
+
+def test_seed_rejects_non_integer_isometry(tmp_path, capsys):
+    doc = s4_seed_doc()
     poly = write(tmp_path, "s4.json", S4_JSON)
     assert run(["build-certificate", poly, "--seed", write(tmp_path, "seed.json", doc)]) == 0
     from_seed = capsys.readouterr().out
@@ -287,21 +287,41 @@ def test_seed_rejects_non_integer_isometry(tmp_path, capsys):
 
 def test_seed_isometry_not_preserving_the_form_exits_2(tmp_path, capsys):
     # used to escape as a traceback with exit 1, which reads as "no"
-    seed = seed_for(codec.poly(S4_JSON, "salem"))
-    S = codec.lattice_to_json(seed.S)
+    doc = s4_seed_doc()
+    gram = doc["S"]["gram"]
     for i, j in ((0, 1), (1, 0)):
-        S["gram"][i][j] = str(int(S["gram"][i][j]) + 2)
-    doc = {
-        "salem": S4_JSON,
-        "S": S,
-        "f_S": codec.matrix_to_json(seed.f_S),
-        "R_rest": codec.lattice_to_json(seed.R_rest),
-    }
+        gram[i][j] = str(int(gram[i][j]) + 2)
     poly = write(tmp_path, "s4.json", S4_JSON)
     seed_path = write(tmp_path, "seed.json", doc)
     assert run(["--format", "json", "build-certificate", poly, "--seed", seed_path]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error == "seed.f_S: matrix does not preserve the bilinear form"
+
+
+# the edited seed documents that still build, each with its reason
+BUILDING_SEED_EDITS = {
+    f"R_rest.gram[{i}][{i}] +10^30": "the edit is on the zero diagonal of the U plane of R_rest, "
+    "and [[10^30, 1], [1, 0]] is still even with determinant -1"
+    for i in (0, 1)
+}
+
+
+def test_one_field_edits_of_the_seed_document_are_refused_by_name(tmp_path, capsys):
+    """Each edit of every integer leaf of the curated S4 seed document exits 2
+    with an error that names a seed field or the seed-validation stage."""
+    poly = write(tmp_path, "s4.json", S4_JSON)
+    path = tmp_path / "seed.json"
+    built = set()
+    for case, _, edited_doc in one_field_edits(s4_seed_doc()):
+        path.write_text(json.dumps(edited_doc), encoding="utf-8")
+        code = within(5.0, lambda: run(["--format", "json", "build-certificate", poly, "--seed", str(path)]))
+        out = json.loads(capsys.readouterr().out)
+        if "error" in out:
+            assert code == 2 and out["error"].startswith(("seed.", "stage seed-validation: ")), (case, out["error"])
+        else:
+            assert code == 0 and case in BUILDING_SEED_EDITS, case
+            built.add(case)
+    assert built == set(BUILDING_SEED_EDITS)
 
 
 @pytest.mark.parametrize(

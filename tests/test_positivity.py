@@ -1,6 +1,5 @@
 import json
 import random
-from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 
@@ -20,7 +19,7 @@ from salemk3.positivity import (
     obstructing_root_search,
 )
 
-from edits import MUTATIONS, edited, field_path, integer_leaves, leaf_field, within
+from edits import leaf_field, one_field_edits, within
 from oracles import (
     brute_vectors_of_norm,
     count_e8_roots_standard_model,
@@ -529,26 +528,18 @@ def test_one_field_edits_of_a_pair_are_refused_by_name(tmp_path, capsys):
     reported, covered = set(), set()
     for name, build in SWEPT_PAIRS.items():
         L, f = build()
-        text = json.dumps({"lattice": codec.lattice_to_json(L), "isometry": codec.matrix_to_json(f.matrix)})
-        leaves = defaultdict(list)
-        for keys in integer_leaves(json.loads(text)):
-            leaves[leaf_field(keys)].append(keys)
-        for field in sorted(leaves):
-            covered.add(field)
-            for keys in rng.sample(leaves[field], min(SWEPT_LEAVES_PER_FIELD, len(leaves[field]))):
-                for edit_name, edit in MUTATIONS.items():
-                    doc = edited(text, keys, edit)
-                    if doc is None:
-                        continue
-                    case = f"{name}: {field_path(keys)} {edit_name}"
-                    path.write_text(json.dumps(doc), encoding="utf-8")
-                    code = within(5.0, lambda: cli.run(["--format", "json", "positivity", str(path)]))
-                    out = json.loads(capsys.readouterr().out)
-                    if "error" in out:
-                        assert code == 2 and out["error"].startswith("pair."), (case, out["error"])
-                    else:
-                        assert case in REPORTING_EDITS, (case, out)
-                        reported.add(case)
+        doc = {"lattice": codec.lattice_to_json(L), "isometry": codec.matrix_to_json(f.matrix)}
+        for case, keys, edited_doc in one_field_edits(doc, rng, SWEPT_LEAVES_PER_FIELD):
+            case = f"{name}: {case}"
+            covered.add(leaf_field(keys))
+            path.write_text(json.dumps(edited_doc), encoding="utf-8")
+            code = within(5.0, lambda: cli.run(["--format", "json", "positivity", str(path)]))
+            out = json.loads(capsys.readouterr().out)
+            if "error" in out:
+                assert code == 2 and out["error"].startswith("pair."), (case, out["error"])
+            else:
+                assert case in REPORTING_EDITS, (case, out)
+                reported.add(case)
     assert reported == set(REPORTING_EDITS)
     assert covered == {"lattice.rank", "lattice.gram[][]", "isometry[][]"}
 

@@ -63,7 +63,7 @@ from oracles import (
     outside_other_primes_by_cofactor,
     smith_diagonal,
 )
-from edits import MUTATIONS, edited, field_path, integer_leaves, leaf_field, within
+from edits import integer_leaves, leaf_field, one_field_edits, within
 from salem_corpus import LEHMER, all_entries
 
 P = IntPolynomial
@@ -543,36 +543,25 @@ VERIFYING_EDITS = {
 
 
 def test_one_field_edits_are_refused_by_name_or_fail_an_item(k3_certificate):
-    text = json.dumps(certificate_to_json(k3_certificate))
-    leaves = defaultdict(list)
-    for keys in integer_leaves(json.loads(text)):
-        leaves[leaf_field(keys)].append(keys)
-    rng = random.Random(2021)
-    chosen = [("lattice", "gram", 6, 6), ("lattice", "gram", 7, 7)]
-    for field in sorted(leaves):
-        chosen += rng.sample(leaves[field], min(LEAVES_PER_FIELD, len(leaves[field])))
+    doc = certificate_to_json(k3_certificate)
+    extra = [("lattice", "gram", 6, 6), ("lattice", "gram", 7, 7)]
     verified, covered = set(), set()
-    for keys in chosen:
-        for name, edit in MUTATIONS.items():
-            doc = edited(text, keys, edit)
-            if doc is None:
-                continue
-            case = f"{field_path(keys)} {name}"
+    for case, keys, edited_doc in one_field_edits(doc, random.Random(2021), LEAVES_PER_FIELD, extra):
 
-            def judge():
-                try:
-                    cert = certificate_from_json(doc)
-                except ValueError as exc:
-                    assert str(exc).startswith("certificate."), (case, str(exc))
-                    return None
-                return verify_certificate(cert)[0]
+        def judge():
+            try:
+                cert = certificate_from_json(edited_doc)
+            except ValueError as exc:
+                assert str(exc).startswith("certificate."), (case, str(exc))
+                return None
+            return verify_certificate(cert)[0]
 
-            covered.add(leaf_field(keys))
-            if within(5.0, judge):
-                assert keys[0] == "glue" or case in VERIFYING_EDITS, case
-                verified.add("glue" if keys[0] == "glue" else case)
+        covered.add(leaf_field(keys))
+        if within(5.0, judge):
+            assert keys[0] == "glue" or case in VERIFYING_EDITS, case
+            verified.add("glue" if keys[0] == "glue" else case)
     assert verified == set(VERIFYING_EDITS)
-    assert covered == set(leaves)
+    assert covered == {leaf_field(keys) for keys in integer_leaves(doc)}
 
 
 def _tamper_entry(doc, field):
