@@ -7,10 +7,11 @@ primitive integer pseudo-remainder kernel, each Sturm member a positive
 multiple of the rational one; and signs at a rational a/b (b > 0) are read
 from the homogeneous integer sum of c_i a^i b^(d-i). Root counts are exact.
 Salem certification builds one Sturm chain, that of the trace polynomial of
-half the degree, and isolates lambda by one bisection walk on the sign of
-the polynomial itself. One product modulo a monic polynomial (``mulmod``,
-with ``powmod`` on top) serves the exact residue rings Z[x]/(m) and the
-rings (Z/m)[x]/(f) alike. No floating point enters a decision.
+half the degree, screens that polynomial for cyclotomic factors, and
+isolates lambda by one bisection walk on the sign of the polynomial itself.
+One product modulo a monic polynomial (``mulmod``, with ``powmod`` on top)
+serves the exact residue rings Z[x]/(m) and the rings (Z/m)[x]/(f) alike.
+No floating point enters a decision.
 """
 
 from dataclasses import dataclass
@@ -434,6 +435,12 @@ def is_salem(p):
     Kronecker's theorem: p is irreducible iff it has no cyclotomic factor.
     Hence a squarefree reducible p with the wrong pattern reports
     wrong_root_pattern, not reducible.
+
+    The cyclotomic screen runs on r too, at half the degree, and stops at
+    the first factor. r(2) r(-2) != 0 already rules out cyclotomic(1) and
+    cyclotomic(2). For n >= 3, with (l, w) from ``_cyclotomic_root(n)``,
+    p(w) = w^m r(w + 1/w) and w is a unit mod l, so cyclotomic(n) | p forces
+    r(w + 1/w) = 0 mod l; only the n that pass go through exact division.
     """
     if p.is_zero() or p.degree < 2:
         raise NotSalemError("wrong_degree", str(p))
@@ -456,8 +463,10 @@ def is_salem(p):
             "wrong_root_pattern",
             f"{above_two} trace roots above 2, {below_minus_two} at or below -2",
         )
-    if cyclotomic_factors(p):
-        raise NotSalemError("reducible", str(p))
+    for n in _orders_of_degree_at_most(p.degree)[2:]:  # n >= 3
+        l, w = _cyclotomic_root(n)
+        if polyval_mod(r.coeffs, (w + pow(w, -1, l)) % l, l) == 0 and divides(cyclotomic(n), p):
+            raise NotSalemError("reducible", str(p))
     # p's only real roots are 1/lambda < 1 < lambda, both irrational, so p < 0
     # exactly between them. Bisect (-M, M] until (a, b] holds lambda alone:
     # p(c) < 0 leaves only lambda in (c, b]; otherwise c lies below both roots
@@ -491,8 +500,9 @@ def power_min_poly(s, n):
     modulus lambda. It comes from traces: y by square and multiply mod s,
     the power sums p_0 .. p_(d-1) of the roots of s by Newton's identities,
     P_j = Tr(y^j) = sum_i (y^j)_i p_i for j <= d, and the coefficients back
-    from P_1 .. P_d by Newton's identities with exact integer division. The
-    result is re-certified as a Salem polynomial.
+    from P_1 .. P_d by Newton's identities with exact integer division.
+    s is certified once, on entry; lambda^n is again a Salem number (or a
+    quadratic Pisot unit), so the result is not certified again.
     """
     if n <= 0:
         raise ValueError("power must be a positive integer")
@@ -516,9 +526,7 @@ def power_min_poly(s, n):
         q, r = divmod(-traces[k - 1] - sum(ch[d - k + i] * traces[i - 1] for i in range(1, k)), k)
         assert r == 0
         ch[d - k] = q
-    result = IntPolynomial(ch)
-    is_salem(result)  # lambda^n is again a Salem (or quadratic Pisot unit) number
-    return result
+    return IntPolynomial(ch)
 
 
 def square_class_test(s):
@@ -592,7 +600,8 @@ def cyclotomic_factors(p):
     Each candidate is tested mod a prime first: with (l, w) from
     ``_cyclotomic_root(n)``, cyclotomic(n) | p forces p(w) = 0 mod l, so
     p(w) != 0 mod l rules it out. Only the n that pass go through exact
-    division.
+    division. ``is_salem`` runs its own screen on the trace polynomial,
+    which only asks whether a factor exists.
     """
     out = []
     for n in _orders_of_degree_at_most(p.degree):

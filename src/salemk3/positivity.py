@@ -98,13 +98,18 @@ def determinant_bound_test(S: Lattice, f: Isometry):
 
     Returns "positive" or "inconclusive"; it never asserts non-positivity.
     """
+    return _bound_and_certificate(S, f)[0]
+
+
+def _bound_and_certificate(S, f):
+    """(verdict, cert, adj): the determinant bound's verdict, with the Salem
+    certificate of char f and the adjugate coefficients it was read from
+    (see ``_salem_char_and_adjugate``)."""
     if not S.is_hyperbolic():
         raise PositivityError("determinant bound applies to hyperbolic lattices")
-    s = f.char_poly()
-    _salem_shape(S, s)
-    if abs(S.determinant()) > 4 * abs(discriminant(s)):
-        return "positive"
-    return "inconclusive"
+    cert, adj_mats = _salem_char_and_adjugate(S, f)
+    positive = abs(S.determinant()) > 4 * abs(discriminant(cert.polynomial))
+    return ("positive" if positive else "inconclusive"), cert, adj_mats
 
 
 def obstructing_root_search(S: Lattice, f: Isometry):
@@ -125,7 +130,22 @@ def obstructing_root_search(S: Lattice, f: Isometry):
         raise PositivityError("obstructing-root search needs a hyperbolic lattice")
     if not f.is_integral():
         raise PositivityError("obstructing-root search needs an integral isometry")
-    K, gu1, gu2, sigma = _geodesic_plane(S, f)
+    return _search(S, f, *_salem_char_and_adjugate(S, f))
+
+
+def _salem_char_and_adjugate(S, f):
+    """(cert, adj) for an isometry f of S: the Salem certificate of
+    s = char f and, for an integral f, the matrix coefficients of
+    adj(x I - f) from the same Faddeev-LeVerrier pass (None otherwise)."""
+    if not f.is_integral():
+        return _salem_shape(S, f.char_poly()), None
+    coeffs, adj_mats = linalg.charpoly_and_adjugate(f.matrix)
+    return _salem_shape(S, IntPolynomial(coeffs)), adj_mats
+
+
+def _search(S, f, cert, adj_mats):
+    """``obstructing_root_search`` on the certificate and adjugate of f."""
+    K, gu1, gu2, sigma = _geodesic_plane(S, cert, adj_mats)
     n = S.rank
     sigma_inv = K.inv(sigma)
     # majorant form T = (Gu1 Gu1^T + Gu2 Gu2^T) / sigma^2 + (Gu1 Gu2^T + Gu2 Gu1^T) / sigma - G,
@@ -188,15 +208,14 @@ def obstructing_root_search(S: Lattice, f: Isometry):
     )
 
 
-def _geodesic_plane(S, f):
-    """(K, Gu1, Gu2, sigma) for a Salem isometry f of S: the field
-    K = Q[x]/(s) at lambda, G u1 and G u2 for the lambda and 1/lambda
-    eigenvectors u1 and u2 (columns of adj(mu I - f)), and sigma = <u1, u2>.
-    One Faddeev-LeVerrier pass gives both s = char f and the adjugate."""
-    coeffs, adj_mats = linalg.charpoly_and_adjugate(f.matrix)
-    s = IntPolynomial(coeffs)
+def _geodesic_plane(S, cert, adj_mats):
+    """(K, Gu1, Gu2, sigma) for a Salem isometry f of S, from the Salem
+    certificate of s = char f and the matrix coefficients of adj(x I - f):
+    the field K = Q[x]/(s) at lambda, G u1 and G u2 for the lambda and
+    1/lambda eigenvectors u1 and u2 (columns of adj(mu I - f)), and
+    sigma = <u1, u2>."""
     n = S.rank
-    K = RealAlgebraicField(_salem_shape(S, s))
+    K = RealAlgebraicField(cert)
     lam = K.generator()
     u1 = _adjugate_column(K, adj_mats, lam, n)
     u2 = _adjugate_column(K, adj_mats, K.inv(lam), n)
@@ -293,6 +312,8 @@ def is_positive(S: Lattice, f: Isometry):
     Negative definite lattices: positive iff there is no cyclic root.
     Hyperbolic lattices with an irreducible Salem characteristic polynomial:
     the determinant bound first, then the exhaustive obstructing-root search.
+    Both read one certificate of char f, which for an integral f comes from
+    the same Faddeev-LeVerrier pass as the search's adjugate.
     """
     s_plus, s_minus = S.signature()
     if s_plus == 0:
@@ -303,9 +324,12 @@ def is_positive(S: Lattice, f: Isometry):
             method="cyclic_only",
         )
     if s_plus == 1:
-        if determinant_bound_test(S, f) == "positive":
+        verdict, cert, adj_mats = _bound_and_certificate(S, f)
+        if verdict == "positive":
             return ObstructionReport(
                 status="positive", witnesses=(), method="determinant_bound"
             )
-        return obstructing_root_search(S, f)
+        if adj_mats is None:
+            raise PositivityError("obstructing-root search needs an integral isometry")
+        return _search(S, f, cert, adj_mats)
     raise PositivityError("lattice is neither hyperbolic nor negative definite")

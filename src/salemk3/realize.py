@@ -202,9 +202,11 @@ def find_split_prime(s: IntPolynomial, det_R, lower_bound=None):
 
     Split means: the trace polynomial has a simple root a mod p and
     x^2 - a x + 1 splits mod p (Legendre symbol of a^2 - 4 equals +1);
-    primes dividing 2 disc(s) or disc(r) are skipped. Evidence carries the
-    root and the square root of a^2 - 4. Primes up to SPLIT_PRIME_CAP are
-    tried.
+    primes dividing 2 disc(s) are skipped. For reciprocal s,
+    |disc s| = |r(2) r(-2)| disc(r)^2, and ``_split_primes`` skips the primes
+    dividing disc(r), so excluding 2 r(2) r(-2) skips the same primes with
+    no determinant of size 2d - 1. Evidence carries the root and the square
+    root of a^2 - 4. Primes up to SPLIT_PRIME_CAP are tried.
     """
     if det_R == 0:
         raise RealizeError("det_R must be nonzero")
@@ -212,7 +214,7 @@ def find_split_prime(s: IntPolynomial, det_R, lower_bound=None):
     modulus = 8 * abs(det_R)
     start = max(2, lower_bound or 2)
     first = 1 + modulus * ((start - 1) // modulus + 1)  # least p = 1 mod modulus above start
-    for p, roots in _split_primes(r, first, modulus, 2 * discriminant(s), SPLIT_PRIME_CAP):
+    for p, roots in _split_primes(r, first, modulus, 2 * r(2) * r(-2), SPLIT_PRIME_CAP):
         a, w = roots[0]
         return SplitPrimeEvidence(p, a, w, modulus)
     raise SearchCapExceeded(f"no split prime p = 1 mod {modulus} in ({start}, {SPLIT_PRIME_CAP:,}]")

@@ -40,3 +40,26 @@ def test_workload_builds_runs_and_checks(name, tmp_path, monkeypatch):
         result, _ = workload.run(item)
         assert workload.check(item, result) == []
     assert len(items) == (45 if name == "positivity" else 1)
+
+
+def test_decisions_round_certifies_each_salem_number_at_most_124_times(tmp_path, monkeypatch):
+    # a work count over one round of the decisions workload: 9 or 10
+    # certifications per item, none of them on a power_min_poly result
+    run = _load("run", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    lib = run.load_library()
+    workload = workloads.WORKLOADS["decisions"](lib, run.CRITERION3_SEED, ROOT, tmp_path)
+    calls = [0]
+    original = lib.polynomials.is_salem
+
+    def counted(p):
+        calls[0] += 1
+        return original(p)
+
+    for module in (lib.polynomials, lib.realize):
+        monkeypatch.setattr(module, "is_salem", counted)
+    for item in workload.items:
+        result, _ = workload.run(item)
+        assert workload.check(item, result) == []
+    assert len(workload.items) == 13
+    assert 0 < calls[0] <= 124

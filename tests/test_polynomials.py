@@ -533,6 +533,54 @@ def test_is_salem_matches_the_full_sturm_oracle():
     }
 
 
+def test_cyclotomic_screen_on_r_finds_every_order():
+    # the screen on r at w + 1/w mod l, order by order: every cyclotomic
+    # factor of degree <= 22 that can reach it is found, with the full-degree
+    # screen of the oracle giving the same reason and message
+    orders = [n for n in _orders_of_degree_at_most(22) if n >= 3]
+    seen = set()
+    for s in (QUAD, S4):
+        for n in orders:
+            p = s * cyclotomic(n)
+            if p.degree > 24:
+                continue
+            got = _outcome(is_salem, p)
+            assert got == _outcome(salem_certificate_by_full_sturm, p) == ("reducible", f"reducible: {p}"), n
+            seen.add(n)
+    assert seen == set(orders)
+
+
+def test_lambda_power_is_salem_of_the_same_degree():
+    # power_min_poly certifies s only: that lambda^n is again Salem (or a
+    # quadratic Pisot unit) of degree d is checked here, with d n capped
+    rs = random_salem_polynomials(random.Random(26), 60)
+    cases = 0
+    for s in CORPUS_POLYS + rs:
+        for n in range(1, 31):
+            if s.degree * n > 160:
+                break
+            assert is_salem(power_min_poly(s, n)).degree == s.degree, (s, n)
+            cases += 1
+    assert cases > 1400
+
+
+def test_discriminant_from_the_trace_polynomial():
+    # |disc s| = |r(2) r(-2)| disc(r)^2 for s = x^m r(x + 1/x), which lets
+    # find_split_prime skip the primes of 2 disc(s) without disc(s)
+    rng = random.Random(26)
+    polys = list(CORPUS_POLYS)
+    while len(polys) < len(CORPUS_POLYS) + 80:
+        r = P([rng.randint(-4, 4) for _ in range(rng.randint(1, 11))] + [1])
+        polys.append(P(expand_trace_polynomial(list(r.coeffs))))
+    zero = 0
+    for s in polys:
+        r = trace_polynomial(s)
+        assert abs(discriminant(s)) == abs(r(2) * r(-2)) * discriminant(r) ** 2, s
+        zero += discriminant(s) == 0
+    assert 0 < zero < 40
+    assert {s.degree for s in polys} == set(range(2, 23, 2))
+
+
 def test_mulmod_and_powmod_match_exact_division():
     # against the IntPolynomial product and the poly_divmod_exact remainder,
     # padded to the degree n of the modulus, and that result reduced mod m

@@ -269,6 +269,29 @@ def test_one_faddeev_leverrier_pass_per_search(monkeypatch):
         assert len(calls) == 1
 
 
+def test_is_positive_forms_char_f_and_certifies_it_once(monkeypatch):
+    """On the S4 seed pair, which the determinant bound leaves inconclusive,
+    the bound and the search share one Faddeev-LeVerrier pass and one Salem
+    certificate."""
+    assert determinant_bound_test(L4, F4) == "inconclusive"
+    expected = obstructing_root_search(L4, F4)
+    calls = {"pass": 0, "certify": 0}
+    original_pass, original_certify = linalg.charpoly_and_adjugate, positivity.is_salem
+
+    def counted_pass(A):
+        calls["pass"] += 1
+        return original_pass(A)
+
+    def counted_certify(s):
+        calls["certify"] += 1
+        return original_certify(s)
+
+    monkeypatch.setattr(linalg, "charpoly_and_adjugate", counted_pass)
+    monkeypatch.setattr(positivity, "is_salem", counted_certify)
+    assert is_positive(L4, F4) == expected
+    assert calls == {"pass": 1, "certify": 1}
+
+
 def test_witnesses_closed_under_f_up_to_orbit():
     report = obstructing_root_search(L2, F2)
     vectors = [v for v, _ in report.witnesses]
@@ -438,7 +461,7 @@ def test_obstructing_root_search_pinned_and_crossing(case, status, witnesses, bo
 def representatives(L, f, vectors):
     """What the orbit reducer of the search lists for the given crossing roots:
     the representatives of their orbits and of their negatives' orbits."""
-    K, gu1, gu2, _ = positivity._geodesic_plane(L, f)
+    K, gu1, gu2, _ = positivity._geodesic_plane(L, *positivity._salem_char_and_adjugate(L, f))
     pairs = [(v, positivity._pairing(K, v, gu1), positivity._pairing(K, v, gu2)) for v in vectors]
     return positivity._orbit_reduce(K, f, gu1, gu2, pairs)
 

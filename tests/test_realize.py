@@ -148,6 +148,22 @@ def test_find_split_prime_mod_24():
         assert check_split_prime(s, ev)
 
 
+def test_find_split_prime_takes_no_discriminant_of_degree_d(monkeypatch):
+    # a work count: the primes of 2 disc(s) are skipped through 2 r(2) r(-2)
+    # and disc(r), so the only discriminant taken is that of r, of degree d/2
+    degrees = []
+
+    def recording(p):
+        degrees.append(p.degree)
+        return discriminant(p)
+
+    monkeypatch.setattr(realize, "discriminant", recording)
+    for degree, coeffs, _ in all_entries():
+        degrees.clear()
+        find_split_prime(P(list(coeffs)), 1, lower_bound=2)
+        assert degrees == [degree // 2], coeffs
+
+
 def test_find_split_prime_quadratic_trace_field():
     ev = find_split_prime(S4, 1, lower_bound=2)
     assert check_split_prime(S4, ev)
