@@ -441,7 +441,17 @@ def qf_enumerate(G, bound):
     """All integer vectors v != 0 with v^T G v <= bound, G positive definite.
 
     Raises ValueError when G is not positive definite and bound >= 0.
-    Output is sorted, and closed under negation.
+    Output is sorted, and closed under negation: the half walk
+    ``qf_half_walk`` and its negations.
+    """
+    half = qf_half_walk(G, bound)
+    return sorted(half + [tuple(-a for a in v) for v in half])
+
+
+def qf_half_walk(G, bound):
+    """One vector of each +- pair of ``qf_enumerate(G, bound)``: the integer
+    v != 0 with v^T G v <= bound whose last nonzero coordinate is positive,
+    in walk order. Raises ValueError as ``qf_enumerate`` does.
 
     Fincke-Pohst on integer budgets. With den the common denominator of G,
     ``symmetric_bareiss(den G)`` leaves in row i the leading minor d_{i+1} on
@@ -457,7 +467,7 @@ def qf_enumerate(G, bound):
 
     Only the v whose last nonzero coordinate is positive are walked: S_{i+1}
     is positive definite, so P_{i+1} = 0 exactly when x_{i+1}, ... are all 0,
-    and then x_i >= 0. The negations complete the list.
+    and then x_i >= 0.
     """
     n = len(G)
     bound = Fraction(bound)
@@ -486,4 +496,4 @@ def qf_enumerate(G, bound):
         x[i] = 0
 
     recurse(n - 1, 0)
-    return sorted(half + [tuple(-a for a in v) for v in half])
+    return half

@@ -26,7 +26,8 @@ from . import linalg
 from .polynomials import SalemCertificate, mulmod, refine_interval
 
 
-def _canonical(nums, den):
+def canonical(nums, den):
+    """The canonical pair of the element nums / den, for den > 0."""
     g = gcd(den, *nums)
     return tuple(x // g for x in nums), den // g
 
@@ -66,7 +67,7 @@ class RealAlgebraicField:
         (an, ad), (bn, bd) = a, b
         g = gcd(ad, bd)
         sa, sb = bd // g, ad // g
-        return _canonical([x * sa + y * sb for x, y in zip(an, bn)], ad * sa)
+        return canonical([x * sa + y * sb for x, y in zip(an, bn)], ad * sa)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -76,10 +77,10 @@ class RealAlgebraicField:
 
     def mul(self, a, b):
         (an, ad), (bn, bd) = a, b
-        return _canonical(mulmod(an, bn, self.min_poly.coeffs), ad * bd)
+        return canonical(mulmod(an, bn, self.min_poly.coeffs), ad * bd)
 
     def scale(self, c, a):
-        return _canonical([c * x for x in a[0]], a[1])
+        return canonical([c * x for x in a[0]], a[1])
 
     def is_zero(self, a):
         return not any(a[0])
@@ -102,7 +103,7 @@ class RealAlgebraicField:
         R, e, pivots = linalg.gauss_jordan([[col[i] for col in cols] + [int(i == 0)] for i in range(d)])
         if pivots != tuple(range(d)):
             raise ArithmeticError("element not invertible; modulus not irreducible?")
-        return _canonical([den * row[d] for row in R], e)
+        return canonical([den * row[d] for row in R], e)
 
     # --- certified real data ---
 

@@ -499,8 +499,11 @@ def power_min_poly(s, n):
     after a Galois map sending z to lambda, give a second conjugate of
     modulus lambda. It comes from traces: y by square and multiply mod s,
     the power sums p_0 .. p_(d-1) of the roots of s by Newton's identities,
-    P_j = Tr(y^j) = sum_i (y^j)_i p_i for j <= d, and the coefficients back
-    from P_1 .. P_d by Newton's identities with exact integer division.
+    P_j = Tr(y^j) = sum_i (y^j)_i p_i for j <= d/2, and the top coefficients
+    ch_(d-1) .. ch_(d/2) back from P_1 .. P_(d/2) by Newton's identities with
+    exact integer division (ch_(d-k) needs P_1 .. P_k alone). The roots of
+    lambda^n come in pairs z, 1/z, as those of s do, so the result is
+    palindromic and ch_k = ch_(d-k) fills in the rest.
     s is certified once, on entry; lambda^n is again a Salem number (or a
     quadratic Pisot unit), so the result is not certified again.
     """
@@ -517,15 +520,17 @@ def power_min_poly(s, n):
 
     y = powmod([0, 1], n, c)
     traces, yj = [], [1]
-    for _ in range(d):
+    for _ in range(d // 2):
         yj = mulmod(yj, y, c)
         traces.append(sum(a * b for a, b in zip(yj, sums)))
     # char poly coefficients: k ch_(d-k) = -(P_k + sum_(i<k) ch_(d-k+i) P_i)
     ch = [0] * d + [1]
-    for k in range(1, d + 1):
+    for k in range(1, d // 2 + 1):
         q, r = divmod(-traces[k - 1] - sum(ch[d - k + i] * traces[i - 1] for i in range(1, k)), k)
         assert r == 0
         ch[d - k] = q
+    for k in range(d // 2):
+        ch[k] = ch[d - k]
     return IntPolynomial(ch)
 
 

@@ -20,22 +20,35 @@ K = Q[x]/(s(x)) with interval enclosures refined on demand, the integer
 enumeration runs on a rational positive definite minorant of the exact
 majorant form, and every candidate is confirmed or discarded by exact sign
 computations over K. Floating point appears nowhere.
+
+The data is carried in exact integers. u1 is a column of adj(lambda I - f),
+so G u1 is one integer n x d matrix over the denominator 1, and a
+candidate's <z, u1> is one integer vector-matrix product. The 1/lambda side
+is its Galois conjugate under tau: x -> 1/x, an integral automorphism of
+Z[x]/(s) (s is monic and reciprocal, so s(0) = 1): u2, G u2 and <z, u2> are
+tau of u1, G u1 and <z, u1>, one d x d unimodular integer matrix apart. The
+majorant form's entries share the one denominator of 1 / <u1, u2> squared.
+The search reads the Fincke-Pohst half walk (``linalg.qf_half_walk``), one
+vector of each +- pair, and tests its norm in integers. f^-1 is -adj_0, the
+constant coefficient of adj(x I - f).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from . import linalg
 from .isometries import Isometry, kernel_sublattice
 from .lattices import Lattice, enumerate_vectors_of_norm
-from .numberfield import RealAlgebraicField
+from .numberfield import RealAlgebraicField, canonical
 from .polynomials import (
     IntPolynomial,
     NotSalemError,
     cyclotomic_factors,
     discriminant,
     is_salem,
+    mulmod,
 )
 
 
@@ -120,9 +133,9 @@ def obstructing_root_search(S: Lattice, f: Isometry):
     crossing exactly over K = Q[x]/(s), and lists one witness per f-orbit:
     the orbit's least element by (max |x_i|, then lex), over the whole orbit
     (``_orbit_reduce``). The enumeration is closed under negation, and z
-    crosses exactly when -z does, so only the z whose first nonzero
-    coordinate is positive are tested, and the reducer lists the orbits of
-    both z and -z. With an irreducible Salem
+    crosses exactly when -z does, so only its half walk, one vector of each
+    +- pair, is tested (``candidate_count`` counts both), and the reducer
+    lists the orbits of both z and -z. With an irreducible Salem
     characteristic polynomial there are no cyclic roots, so every witness is
     a geodesic crossing.
     """
@@ -145,21 +158,24 @@ def _salem_char_and_adjugate(S, f):
 
 def _search(S, f, cert, adj_mats):
     """``obstructing_root_search`` on the certificate and adjugate of f."""
-    K, gu1, gu2, sigma = _geodesic_plane(S, cert, adj_mats)
-    n = S.rank
-    sigma_inv = K.inv(sigma)
+    K, tau, gu1, gu2, sigma = _geodesic_plane(S, cert, adj_mats)
+    n, s = S.rank, cert.polynomial.coeffs
     # majorant form T = (Gu1 Gu1^T + Gu2 Gu2^T) / sigma^2 + (Gu1 Gu2^T + Gu2 Gu1^T) / sigma - G,
     # computed as a a^T + (1 - sigma^2) h h^T - G with h = Gu2 / sigma and
-    # a = Gu1 / sigma + Gu2; its fundamental-domain bound is 2 lambda / |sigma| + 2
-    h = [K.mul(x, sigma_inv) for x in gu2]
-    a = [K.add(K.mul(x, sigma_inv), y) for x, y in zip(gu1, gu2)]
-    c = K.sub(K.one(), K.mul(sigma, sigma))
-    ch = [K.mul(c, x) for x in h]
-    T = [[K.zero()] * n for _ in range(n)]
+    # a = Gu1 / sigma + Gu2, all over the one denominator e^2 of 1 / sigma = N / e;
+    # its fundamental-domain bound is 2 lambda / |sigma| + 2
+    sigma_inv = K.inv(sigma)
+    N, e = sigma_inv
+    h = [mulmod(x, N, s) for x in gu2]
+    a = [[x + e * y for x, y in zip(mulmod(x1, N, s), x2)] for x1, x2 in zip(gu1, gu2)]
+    c = K.sub(K.one(), K.mul(sigma, sigma))[0]  # integral, as sigma is
+    ch = [mulmod(c, x, s) for x in h]
+    T = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            entry = K.add(K.mul(a[i], a[j]), K.mul(ch[i], h[j]))
-            T[i][j] = T[j][i] = K.sub(entry, K.element(S.gram[i][j]))
+            entry = [x + y for x, y in zip(mulmod(a[i], a[j], s), mulmod(ch[i], h[j], s))]
+            entry[0] -= e * e * S.gram[i][j]
+            T[i][j] = T[j][i] = canonical(entry, e * e)
     sigma_sign = K.sign(sigma)
     abs_sigma_inv = sigma_inv if sigma_sign > 0 else K.neg(sigma_inv)
     bound_elem = K.add(K.scale(2, K.mul(K.generator(), abs_sigma_inv)), K.element(2))
@@ -182,7 +198,7 @@ def _search(S, f, cert, adj_mats):
             for i in range(n)
         ]
         try:
-            candidates = linalg.qf_enumerate(T_prime, bound_up)
+            half = linalg.qf_half_walk(T_prime, bound_up)
             break
         except ValueError:  # T_prime is not positive definite yet
             pass
@@ -192,41 +208,70 @@ def _search(S, f, cert, adj_mats):
         )
     # u1, u2 are isotropic, so pi(z)^2 = 2 <z, u1> <z, u2> / sigma
     witnesses = []
-    for z in candidates:
-        if next(x for x in z if x) < 0 or S.norm(z) != -2:
+    for z in half:
+        if sum(x * sum(map(mul, row, z)) for x, row in zip(z, S.gram) if x) != -2:  # z^T G z
             continue
-        p1, p2 = _pairing(K, z, gu1), _pairing(K, z, gu2)
+        p1, p2 = _pairings(tau, gu1, z)
         if K.sign(p1) * K.sign(p2) * sigma_sign < 0:
             witnesses.append((z, p1, p2))
-    classified = tuple((w, "geodesic") for w in _orbit_reduce(K, f, gu1, gu2, witnesses))
+    finv = linalg.mat_scale(-1, adj_mats[0])
+    classified = tuple((w, "geodesic") for w in _orbit_reduce(K, f.matrix, finv, gu1, gu2, witnesses))
     return ObstructionReport(
         status="not_positive" if classified else "positive",
         witnesses=classified,
         method="exhaustive_search",
         search_bound=bound_up,
-        candidate_count=len(candidates),
+        candidate_count=2 * len(half),
     )
 
 
 def _geodesic_plane(S, cert, adj_mats):
-    """(K, Gu1, Gu2, sigma) for a Salem isometry f of S, from the Salem
+    """(K, tau, Gu1, Gu2, sigma) for a Salem isometry f of S, from the Salem
     certificate of s = char f and the matrix coefficients of adj(x I - f):
-    the field K = Q[x]/(s) at lambda, G u1 and G u2 for the lambda and
-    1/lambda eigenvectors u1 and u2 (columns of adj(mu I - f)), and
-    sigma = <u1, u2>."""
-    n = S.rank
+    the field K = Q[x]/(s) at lambda, the matrix tau of x -> 1/x
+    (``_inversion_matrix``), G u1 and G u2 for the lambda and 1/lambda
+    eigenvectors u1 and u2, and sigma = <u1, u2>.
+
+    u1 is the first nonzero column of adj(lambda I - f), whose entries are
+    integer polynomials in lambda of degree < d, so G u1 is one integer
+    n x d matrix (row i the numerators of (G u1)_i, over the denominator 1).
+    tau fixes Z and f and sends lambda to 1/lambda, so u2 = tau(u1) is the
+    same column of adj(lambda^-1 I - f), nonzero because tau is bijective,
+    and G u2 = tau(G u1) row by row.
+    """
+    n, s = S.rank, cert.polynomial.coeffs
     K = RealAlgebraicField(cert)
-    lam = K.generator()
-    u1 = _adjugate_column(K, adj_mats, lam, n)
-    u2 = _adjugate_column(K, adj_mats, K.inv(lam), n)
-    gu1 = tuple(_pairing(K, row, u1) for row in S.gram)
-    gu2 = tuple(_pairing(K, row, u2) for row in S.gram)
-    sigma = K.zero()
-    for x, y in zip(u1, gu2):
-        sigma = K.add(sigma, K.mul(x, y))
+    tau = _inversion_matrix(s)
+    u1 = [nums for nums, _ in _adjugate_column(K, adj_mats, K.generator(), n)]
+    gu1 = linalg.mat_mul(S.gram, u1)
+    gu2 = tuple(linalg.mat_vec(tau, row) for row in gu1)
+    sigma = tuple(map(sum, zip(*(mulmod(x, y, s) for x, y in zip(u1, gu2))))), 1
     if K.is_zero(sigma):
         raise AssertionError("eigenvector pairing degenerated")
-    return K, gu1, gu2, sigma
+    return K, tau, gu1, gu2, sigma
+
+
+def _inversion_matrix(s):
+    """The integer d x d matrix of tau: x -> 1/x on Z[x]/(s), column j the
+    coefficients of x^-j.
+
+    s is monic and reciprocal, so s(0) = 1 and
+    x^-1 = -(c_1 + c_2 x + ... + c_(d-1) x^(d-2) + x^(d-1)): tau is a ring
+    automorphism of Z[x]/(s) with tau^2 = id, so its matrix is unimodular and
+    tau(nums, den) = (tau nums, den) is again canonical.
+    """
+    x_inv = [-c for c in s[1:]]
+    cols = [mulmod([1], [1], s)]
+    for _ in range(len(s) - 2):
+        cols.append(mulmod(cols[-1], x_inv, s))
+    return linalg.transpose(cols)
+
+
+def _pairings(tau, gu1, z):
+    """(<z, u1>, <z, u2>) for an integer vector z: z^T (G u1), one integer
+    vector-matrix product over the denominator 1, and its image under tau."""
+    p1 = linalg.vec_mat(z, gu1)
+    return (p1, 1), (linalg.mat_vec(tau, p1), 1)
 
 
 def _adjugate_column(K, adj_mats, mu, n):
@@ -248,19 +293,15 @@ def _adjugate_column(K, adj_mats, mu, n):
     raise AssertionError("adjugate of a simple eigenvalue cannot vanish")
 
 
-def _pairing(K, z, gu):
-    """Sum of z_i gu_i for an integer vector z: <z, u> when gu = G u."""
-    acc = K.zero()
-    for zi, x in zip(z, gu):
-        if zi:
-            acc = K.add(acc, K.scale(zi, x))
-    return acc
-
-
-def _orbit_reduce(K, f, gu1, gu2, witnesses):
+def _orbit_reduce(K, f, finv, gu1, gu2, witnesses):
     """One representative per f-orbit of the witnesses and of their
     negatives, sorted: the orbit's least element by (max |x_i|, then lex),
     taken over the whole orbit.
+
+    f and finv are the integer matrices of f and f^-1, and gu1, gu2 the
+    integer matrices of G u1 and G u2 (``_geodesic_plane``). f^-1 = -adj_0,
+    the constant coefficient of adj(x I - f): at x = 0,
+    (x I - f) adj(x I - f) = s(x) I reads -f adj_0 = s(0) I = I.
 
     Each witness is (z, <z, u1>, <z, u2>). The orbit of -z is the negation
     of the orbit of z, with the same sup-norms and stops, so one walk serves
@@ -273,7 +314,9 @@ def _orbit_reduce(K, f, gu1, gu2, witnesses):
     the first k where this bound, read from rational enclosure endpoints,
     exceeds the least sup-norm met so far: it grows with k, so nothing
     further on can tie or beat that element. Every vector met is recorded,
-    and a witness met on an earlier walk is skipped.
+    and a witness met on an earlier walk is skipped. So every representative
+    is the exact orbit minimum, whatever state of K's interval the
+    enclosures are read at.
 
     lambda_lo > 1 holds from the start: K is built from the Salem
     certificate of s, whose lambda_interval has its left end > 1; the
@@ -281,15 +324,14 @@ def _orbit_reduce(K, f, gu1, gu2, witnesses):
     only narrows it.
     """
     lam_lo = K.enclosure(K.generator())[0]
-    norm1 = [sum(max(-lo, hi) for lo, hi in map(K.enclosure, gu)) for gu in (gu1, gu2)]
-    finv = f.inverse_matrix()  # integral: an integral isometry has determinant +-1
+    norm1 = [sum(max(-lo, hi) for lo, hi in (K.enclosure((row, 1)) for row in gu)) for gu in (gu1, gu2)]
     seen, reps = set(), set()
     for z, p1, p2 in witnesses:
         if z in seen:
             continue
         orbit = [z]
         best = max(map(abs, z))
-        for F, pairing, norm in ((f.matrix, p2, norm1[1]), (finv, p1, norm1[0])):
+        for F, pairing, norm in ((f, p2, norm1[1]), (finv, p1, norm1[0])):
             sign = K.sign(pairing)  # refines until the enclosure excludes 0
             lo, hi = K.enclosure(pairing)
             bound, v = (lo if sign > 0 else -hi) / norm, z

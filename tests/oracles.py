@@ -819,8 +819,7 @@ class FractionField:
     def _halve(self, width):
         from salemk3.polynomials import refine_interval
 
-        if self.interval[0] != self.interval[1]:
-            self.interval = refine_interval(self.min_poly, self.interval, width / 2)
+        self.interval = refine_interval(self.min_poly, self.interval, width / 2)
         return width / 2
 
     def enclosure(self, a, max_width=None):
@@ -829,8 +828,6 @@ class FractionField:
             return iv
         width = self.interval[1] - self.interval[0]
         while iv[1] - iv[0] > max_width:
-            if width == 0:
-                return iv
             width = self._halve(width)
             iv = self._eval_interval(a)
         return iv
@@ -841,8 +838,6 @@ class FractionField:
         iv = self._eval_interval(a)
         width = self.interval[1] - self.interval[0]
         while iv[0] <= 0 <= iv[1]:
-            if width == 0:
-                return (iv[0] > 0) - (iv[0] < 0)
             width = self._halve(width)
             iv = self._eval_interval(a)
         return 1 if iv[0] > 0 else -1

@@ -363,18 +363,18 @@ def test_qf_enumerate_matches_the_fraction_oracle():
 
 
 def _search_minorants(coeffs):
-    """Every (form, bound) that obstructing_root_search passes to qf_enumerate
-    on a corpus pair, the refinement rounds that are not yet positive
+    """Every (form, bound) that obstructing_root_search passes to the half
+    walk on a corpus pair, the refinement rounds that are not yet positive
     definite included."""
     calls = []
-    walk = linalg.qf_enumerate
+    walk = linalg.qf_half_walk
 
     def capture(G, bound):
         calls.append((G, bound))
         return walk(G, bound)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "qf_enumerate", capture)
+        mp.setattr(linalg, "qf_half_walk", capture)
         obstructing_root_search(*corpus_pair(coeffs))
     return calls
 
@@ -426,6 +426,27 @@ def test_qf_enumerate_matches_the_oracle_on_large_denominators():
         forms += 1
         bound = min(G[i][i] for i in range(n)) * Fraction(rng.randint(10, 30), 10)
         assert _checked_enumeration(G, bound)
+
+
+def test_qf_half_walk_holds_one_vector_of_each_pair():
+    """The half walk lists each +- pair once, by its member whose last
+    nonzero coordinate is positive, and qf_enumerate, the half walk with its
+    negations sorted, is the oracle's list: on random forms and on the form
+    the rank 6 corpus search walks."""
+    rng = random.Random(27)
+    cases = [_search_minorants((1, -2, -1, 3, -1, -2, 1))[-1]]
+    while len(cases) < 61:
+        G = random_rational_form(rng, rng.randint(1, 5))
+        if is_positive_definite(G):
+            cases.append((G, Fraction(rng.randint(1, 40), rng.randint(1, 4))))
+    for G, bound in cases:
+        half = linalg.qf_half_walk(G, bound)
+        assert len(set(half)) == len(half)
+        assert all(next(x for x in reversed(v) if x) > 0 for v in half)
+        expected = fraction_qf_enumerate(G, bound)
+        assert sorted(half + [tuple(-x for x in v) for v in half]) == expected
+        assert linalg.qf_enumerate(G, bound) == expected
+    assert linalg.qf_half_walk(*cases[0])  # the search form has candidates
 
 
 @pytest.mark.parametrize(

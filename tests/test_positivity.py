@@ -9,6 +9,7 @@ import salemk3
 from salemk3 import cli, codec, linalg, positivity
 from salemk3.isometries import Isometry, TwistElement, search_even_invariant_lattice, twist
 from salemk3.lattices import Lattice, lattice_A2, lattice_E8
+from salemk3.numberfield import RealAlgebraicField
 from salemk3.polynomials import IntPolynomial, companion_matrix
 from salemk3.positivity import (
     ObstructionReport,
@@ -461,9 +462,11 @@ def test_obstructing_root_search_pinned_and_crossing(case, status, witnesses, bo
 def representatives(L, f, vectors):
     """What the orbit reducer of the search lists for the given crossing roots:
     the representatives of their orbits and of their negatives' orbits."""
-    K, gu1, gu2, _ = positivity._geodesic_plane(L, *positivity._salem_char_and_adjugate(L, f))
-    pairs = [(v, positivity._pairing(K, v, gu1), positivity._pairing(K, v, gu2)) for v in vectors]
-    return positivity._orbit_reduce(K, f, gu1, gu2, pairs)
+    cert, adj_mats = positivity._salem_char_and_adjugate(L, f)
+    K, tau, gu1, gu2, _ = positivity._geodesic_plane(L, cert, adj_mats)
+    pairs = [(v, *positivity._pairings(tau, gu1, v)) for v in vectors]
+    finv = linalg.mat_scale(-1, adj_mats[0])
+    return positivity._orbit_reduce(K, f.matrix, finv, gu1, gu2, pairs)
 
 
 # the pinned inputs whose orbit representatives are checked against the window oracle
@@ -521,6 +524,79 @@ def test_orbit_minimum_several_steps_from_the_witness():
         assert representatives(L2, F2, [v]) == [(-1, 1), w]
 
 
+def field_pairing(K, z, gu):
+    """Sum of z_i gu_i over K by one K.scale and one K.add per nonzero z_i:
+    <z, u> when gu = G u, read in the field."""
+    acc = K.zero()
+    for zi, x in zip(z, gu):
+        if zi:
+            acc = K.add(acc, K.scale(zi, x))
+    return acc
+
+
+# every pinned search and the even invariant lattices of corpus degrees 4 to
+# 10: the pinned rows hold all of those but the first of degree 6
+CONJUGATE_CASES = {row[0]: row[1] for row in PINNED_REPORTS} | {
+    "corpus degree 6": lambda: corpus_pair((1, -2, 0, 1, 0, -2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", CONJUGATE_CASES.values(), ids=CONJUGATE_CASES)
+def test_one_over_lambda_side_is_tau_of_the_lambda_side(case, monkeypatch):
+    """The search's integer data for the 1/lambda side agrees with the field
+    route: u2 and G u2 from adj(lambda^-1 I - f) evaluated in K are tau of
+    u1 and G u1, f (-adj_0) = I, and the integer pairings of every norm -2
+    candidate of the walk are the field pairings."""
+    L, f = case()
+    n = L.rank
+    cert, adj_mats = positivity._salem_char_and_adjugate(L, f)
+    K, tau, gu1, gu2, sigma = positivity._geodesic_plane(L, cert, adj_mats)
+    assert linalg.mat_mul(tau, tau) == linalg.identity(n)
+    u1 = positivity._adjugate_column(K, adj_mats, K.generator(), n)
+    u2 = positivity._adjugate_column(K, adj_mats, K.inv(K.generator()), n)
+    assert u2 == tuple((linalg.mat_vec(tau, nums), den) for nums, den in u1)
+    field_gu1 = tuple(field_pairing(K, row, u1) for row in L.gram)
+    field_gu2 = tuple(field_pairing(K, row, u2) for row in L.gram)
+    assert field_gu1 == tuple((row, 1) for row in gu1)
+    assert field_gu2 == tuple((row, 1) for row in gu2)
+    assert gu2 == tuple(linalg.mat_vec(tau, row) for row in gu1)
+    field_sigma = K.zero()
+    for x, y in zip(u1, field_gu2):
+        field_sigma = K.add(field_sigma, K.mul(x, y))
+    assert sigma == field_sigma
+    assert linalg.mat_mul(f.matrix, linalg.mat_scale(-1, adj_mats[0])) == linalg.identity(n)
+
+    halves = []
+    walk = linalg.qf_half_walk
+    monkeypatch.setattr(linalg, "qf_half_walk", lambda G, bound: halves.append(walk(G, bound)) or halves[-1])
+    obstructing_root_search(L, f)
+    for z in (z for z in halves[-1] if L.norm(z) == -2):
+        expected = field_pairing(K, z, field_gu1), field_pairing(K, z, field_gu2)
+        assert positivity._pairings(tau, gu1, z) == expected
+
+
+def test_search_reads_the_one_over_lambda_side_through_tau(monkeypatch):
+    """On the S4 seed pair the search evaluates one adjugate column (at
+    lambda), inverts one field element (sigma) and no rational matrix
+    (f^-1 = -adj_0)."""
+    calls = {"_adjugate_column": 0, "inv": 0, "rat_inverse": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(positivity, "_adjugate_column")
+    counted(RealAlgebraicField, "inv")
+    counted(linalg, "rat_inverse")
+    obstructing_root_search(L4, F4)
+    assert calls == {"_adjugate_column": 1, "inv": 1, "rat_inverse": 0}
+
+
 @pytest.mark.parametrize("t", [(2, 1), (-1, 1)], ids=str)
 def test_positive_twist_has_no_crossing_root_in_a_box(t):
     L, f = s4_twist(*t)
@@ -571,7 +647,7 @@ def test_refinement_cap_names_its_rounds_and_last_delta(monkeypatch, tmp_path, c
     def never_positive_definite(G, bound):
         raise ValueError("form is not positive definite")
 
-    monkeypatch.setattr(linalg, "qf_enumerate", never_positive_definite)
+    monkeypatch.setattr(linalg, "qf_half_walk", never_positive_definite)
     last_delta = Fraction(1, 16) / 4**79
     with pytest.raises(PositivityError, match=rf"in 80 rounds \(last delta = {last_delta}\)$"):
         obstructing_root_search(L2, F2)
