@@ -13,6 +13,7 @@ then assembled on the original generators.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 
 from . import linalg
@@ -194,11 +195,16 @@ class FiniteQuadraticForm:
         )
         self.lifts = None if lifts is None else tuple(tuple(Fraction(x) for x in v) for v in lifts)
         k = len(self.orders)
-        if len(self.q_values) != k or len(self.b_matrix) != k:
+        if len(self.q_values) != k or [len(row) for row in self.b_matrix] != [k] * k:
             raise LatticeError("value tables must match the number of generators")
-        for i in range(k):
+        for i, d in enumerate(self.orders):
             if _frac_mod(self.q_values[i], 1) != self.b_matrix[i][i]:
                 raise LatticeError("diagonal of b must be q reduced modulo Z")
+            # q(x + d g_i) = q(x) and b(x, d g_i) = 0: the values fit the order d
+            if (d * d * self.q_values[i]) % 2 or any((d * v).denominator > 1 for v in self.b_matrix[i]):
+                raise LatticeError(f"values on generator {i} do not fit its order {d}")
+            if any(self.b_matrix[i][j] != self.b_matrix[j][i] for j in range(i)):
+                raise LatticeError("b must be symmetric")
 
     @property
     def ngens(self):
@@ -289,7 +295,8 @@ class FiniteQuadraticForm:
 
 
 def discriminant_form(L: Lattice):
-    """Discriminant group D_L = L^dual / L with its Q/2Z-valued form (L even)."""
+    """Discriminant group D_L = L^dual / L with its Q/2Z-valued form (L even),
+    on the Smith divisors >= 2 of G, so of order |det L|."""
     if not L.is_even():
         raise LatticeError("discriminant form is defined for even lattices only")
     n = L.rank
@@ -309,10 +316,7 @@ def discriminant_form(L: Lattice):
     ]
     q_values = [b_matrix[i][i] for i in range(len(kept))]
     lifts = [tuple(Fraction(x, d) for x in c) for c, d in zip(cols, orders)]
-    form = FiniteQuadraticForm(orders, q_values, b_matrix, lifts=lifts)
-    if form.order() != abs(L.determinant()):
-        raise AssertionError("discriminant group order must equal |det|")
-    return form
+    return FiniteQuadraticForm(orders, q_values, b_matrix, lifts=lifts)
 
 
 def p_primary_part(form: FiniteQuadraticForm, p):
@@ -417,7 +421,8 @@ def glue(M: Lattice, N: Lattice, phi: GlueMap):
 
     Returns (L, basis) where basis rows give the new lattice in (M + N)
     coordinates. The result must come out integral and even; with
-    |det M| = |det N| it is unimodular.
+    |det M| = |det N| it is unimodular. The graph of phi has order |q_M|,
+    the index of M + N in L.
     """
     qM = discriminant_form(M)
     qN = discriminant_form(N)
@@ -428,12 +433,7 @@ def glue(M: Lattice, N: Lattice, phi: GlueMap):
         qM.lifts[j] + linalg.vec_mat(phi.image(e), qN.lifts)
         for j, e in enumerate(linalg.identity(qM.ngens))
     ]
-    L, basis = _overlattice(M.direct_sum(N), extras)
-    expected = abs(M.determinant() * N.determinant())
-    index_sq = expected // abs(L.determinant())
-    if index_sq != qM.order() ** 2:
-        raise AssertionError("index of the glued overlattice is off")
-    return L, basis
+    return _overlattice(M.direct_sum(N), extras)
 
 
 def is_primitive_sublattice(basis_rows):
@@ -502,18 +502,17 @@ def enumerate_vectors_of_norm(L: Lattice, m):
 # --- isomorphism of finite quadratic forms -------------------------------------
 
 
-def odd_diagonalize_tracked(part, p):
-    """Diagonalize a p-primary finite quadratic form (p odd).
+def _odd_diagonalize(part, p):
+    """Diagonalize a nondegenerate p-primary finite quadratic form (p odd).
 
     Returns a sorted list of (e, unit, coords): an orthogonal generator of
     order p^e with beta-value unit / p^e (beta = q/2, polar form b), given by
     its coordinates over the part's generators. Exact Gram-Schmidt over the
-    p-group; valid for odd p only.
+    p-group; valid for odd p only. As the form is nondegenerate, each round
+    finds among the generators and their pairwise sums an element of the
+    largest order p^e whose beta-value has denominator p^e, and splits it off.
     """
     k = part.ngens
-    if k == 0:
-        return []
-    max_steps = valuation(part.order(), p)
     # work with beta = q/2 (odd order makes division by 2 harmless)
     gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
     out = []
@@ -522,26 +521,15 @@ def odd_diagonalize_tracked(part, p):
         return _frac_mod(part.q_of(x) / 2, 1)
 
     while gens:
-        # candidate with beta-denominator equal to the largest generator order
         max_order = max(part.element_order(g) for g in gens)
-        cand = None
-        for g in gens:
-            if part.element_order(g) == max_order and beta(g).denominator == max_order:
-                cand = g
-                break
-        if cand is None:
-            for gi in gens:
-                for gj in gens:
-                    if gi is gj:
-                        continue
-                    s = tuple((a + b) % d for a, b, d in zip(gi, gj, part.orders))
-                    if part.element_order(s) == max_order and beta(s).denominator == max_order:
-                        cand = s
-                        break
-                if cand:
-                    break
-        if cand is None:
-            raise AssertionError("odd p-form without a norm generator; form degenerate?")
+        sums = (
+            tuple((a + b) % d for a, b, d in zip(gi, gj, part.orders))
+            for gi in gens for gj in gens if gi is not gj
+        )
+        cand = next(
+            g for g in chain(gens, sums)
+            if part.element_order(g) == max_order and beta(g).denominator == max_order
+        )
         e = valuation(max_order, p)
         unit = int(beta(cand) * max_order) % max_order
         out.append((e, unit % p**e, cand))
@@ -556,8 +544,6 @@ def odd_diagonalize_tracked(part, p):
                 new_gens.append(g2)
         # keep a generating set of the orthogonal complement
         gens = sorted(set(g for g in new_gens if part.element_order(g) > 1))
-        if len(out) > max_steps:
-            raise AssertionError("odd diagonalization failed to terminate")
     return sorted(out)
 
 
@@ -586,28 +572,21 @@ def _sqrt_mod_prime_power(a, p, e):
 
 
 def _represent_by_binary(c1, c2, target, p, e):
-    """(x, y) with c1 x^2 + c2 y^2 = target mod p^e; units c1, c2, target, p odd."""
+    """(x, y) with c1 x^2 + c2 y^2 = target mod p^e; units c1, c2, target, p odd.
+    Mod p there are p - (-c1 c2 / p) > 0 solutions, none (0, 0), and Hensel
+    lifts the unit coordinate."""
     pe = p**e
     inv_c2 = pow(c2, -1, p)
     for x0 in range(p):
-        rest = (target - c1 * x0 * x0) * inv_c2 % p
-        if rest == 0:
-            y0 = 0
-        else:
-            y0 = sqrt_mod(rest, p)
-            if y0 is None:
-                continue
-        if x0 % p == 0 and y0 % p == 0:
+        y0 = sqrt_mod((target - c1 * x0 * x0) * inv_c2, p)
+        if y0 is None:
             continue
         x, y = x0, y0
-        # lift the coordinate that is a unit, the other one fixed
         if x % p != 0:
             x = _lift_square(c1, x, target - c2 * y * y, p, e)
         else:
             y = _lift_square(c2, y, target - c1 * x * x, p, e)
-        if (c1 * x * x + c2 * y * y - target) % pe == 0:
-            return x % pe, y % pe
-    raise AssertionError("binary odd unimodular form failed to represent a unit")
+        return x % pe, y % pe
 
 
 def _odd_anti_map(part1, part2, p):
@@ -619,19 +598,20 @@ def _odd_anti_map(part1, part2, p):
     beta-value -u / p^e orthogonal to the images so far: a multiple of one
     remaining diagonal generator when the ratio of values is a square, else
     a combination of the first two, whose orthogonal complement in their
-    span takes their place. By Witt cancellation the greedy matching fails
-    exactly when some Jordan component differs in determinant class. An
-    original generator g is sum_t c_t d_t with c_t = b(g, d_t) / b(d_t, d_t)
-    mod p^e_t, because the d_t are orthogonal. Returns the matrix over the
-    parts' own generators (columns = images).
+    span, generated by one of their two projections, takes their place. By
+    Witt cancellation the greedy matching fails exactly when some Jordan
+    component differs in determinant class. An original generator g is
+    sum_t c_t d_t with c_t = b(g, d_t) / b(d_t, d_t) mod p^e_t, because the
+    d_t are orthogonal. Returns the matrix over the parts' own generators
+    (columns = images).
     """
     orders = part2.orders
 
     def combine(*terms):
         return tuple(sum(k * v[i] for k, v in terms) % d for i, d in enumerate(orders))
 
-    diag1 = odd_diagonalize_tracked(part1, p)
-    diag2 = odd_diagonalize_tracked(part2, p)
+    diag1 = _odd_diagonalize(part1, p)
+    diag2 = _odd_diagonalize(part2, p)
     images = []  # (e, diagonal generator of part1, its image in part2)
     for E in sorted({e for e, _, _ in diag1}):
         pe = p**E
@@ -653,16 +633,12 @@ def _odd_anti_map(part1, part2, p):
                 chosen = combine((x, g1), (y, g2))
                 # orthogonal complement of chosen inside span(g1, g2)
                 inv = pow(int(part2.b_of(chosen, chosen) * pe), -1, pe)
-                h = None
                 for g in (g1, g2):
                     cand = combine((1, g), (-int(part2.b_of(chosen, g) * pe) * inv, chosen))
                     bh = part2.q_of(cand) / 2 % 1
                     if part2.element_order(cand) == pe and bh.denominator == pe:
-                        h = (int(bh * pe), cand)
                         break
-                if h is None:
-                    raise AssertionError("binary block complement degenerated")
-                avail = [h] + avail[2:]
+                avail = [(int(bh * pe), cand)] + avail[2:]
             images.append((E, d, chosen))
     cols = []
     for g in linalg.identity(part1.ngens):
@@ -695,8 +671,12 @@ def build_glue_map(q1, q2):
     p-map is added into the columns of the original generators: the
     p-component of g_j is u h_j with h_j = (d_j / p^e) g_j and u the inverse
     of d_j / p^e mod p^e, and p-part generator i stands for (d_i / p^e') g_i.
-    The GlueMap constructor validates the assembled map.
+    The GlueMap constructor validates the assembled map. A degenerate form,
+    whose b(g_i, -) = (b(g_i, g_j) d_j)_j do not generate the dual, is refused.
     """
+    for q in (q1, q2):
+        if _subgroup_order(q, [[b * d for b, d in zip(row, q.orders)] for row in q.b_matrix]) != q.order():
+            raise LatticeError("finite quadratic form is degenerate")
     if q1.orders != q2.orders:
         return None
     orders = q1.orders

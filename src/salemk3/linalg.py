@@ -112,8 +112,8 @@ def bareiss_det(A):
 
     Integer input only, and for matrices that need not be symmetric
     (Sylvester matrices, integer transforms); each Bareiss division is exact
-    on integers. A symmetric Gram matrix goes through ``symmetric_bareiss``,
-    which gives its signature in the same pass.
+    on integers (Sylvester's identity). A symmetric Gram matrix goes through
+    ``symmetric_bareiss``, which gives its signature in the same pass.
     """
     n = len(A)
     if n == 0:
@@ -134,10 +134,7 @@ def bareiss_det(A):
             Mi = M[i]
             mik = Mi[k]
             for j in range(k + 1, n):
-                q, r = divmod(Mi[j] * pivot - mik * Mk[j], prev)
-                if r:
-                    raise ArithmeticError("non-exact division in Bareiss elimination")
-                Mi[j] = q
+                Mi[j] = (Mi[j] * pivot - mik * Mk[j]) // prev
             Mi[k] = 0
         prev = pivot
     return sign * M[n - 1][n - 1]
@@ -154,6 +151,7 @@ def symmetric_bareiss(G):
     trailing diagonal is zero, the congruence e_i <- e_i + e_j on a nonzero
     entry (i, j) puts 2 a_ij on the diagonal. Both moves are unimodular. An
     all-zero trailing block means det G = 0, and then s_plus is partial.
+    Each division is exact, by Sylvester's identity on the moved input.
 
     A positive definite G never pivots, and row i (from 0) of ``rows`` holds
     from the diagonal on d_i times row i of the Schur complement of the
@@ -183,10 +181,7 @@ def symmetric_bareiss(G):
         for i in range(k + 1, n):
             Mi, mik = M[i], M[i][k]
             for j in range(i, n):
-                q, r = divmod(Mi[j] * pivot - mik * M[k][j], prev)
-                if r:
-                    raise ArithmeticError("non-exact division in Bareiss elimination")
-                Mi[j] = M[j][i] = q
+                Mi[j] = M[j][i] = (Mi[j] * pivot - mik * M[k][j]) // prev
         prev = pivot
     return prev, pos, M
 

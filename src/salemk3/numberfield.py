@@ -89,9 +89,9 @@ class RealAlgebraicField:
         """Inverse by solving M c = e_0, where column j of M is N x^j for a = N / den.
 
         M is the matrix of multiplication by N, invertible for a != 0
-        because the modulus is irreducible, so the reduced echelon form R / e
-        of [M | e_0] has pivots 0 .. d-1 and its last column is 1/N; then
-        1/a = den R[:, d] / e.
+        because the modulus is irreducible (certified Salem), so the reduced
+        echelon form R / e of [M | e_0] has pivots 0 .. d-1 and its last
+        column is 1/N; then 1/a = den R[:, d] / e.
         """
         if self.is_zero(a):
             raise ZeroDivisionError("inverting zero field element")
@@ -100,9 +100,7 @@ class RealAlgebraicField:
         cols = [list(nums)]
         for _ in range(d - 1):
             cols.append(mulmod(cols[-1], [0, 1], self.min_poly.coeffs))
-        R, e, pivots = linalg.gauss_jordan([[col[i] for col in cols] + [int(i == 0)] for i in range(d)])
-        if pivots != tuple(range(d)):
-            raise ArithmeticError("element not invertible; modulus not irreducible?")
+        R, e, _ = linalg.gauss_jordan([[col[i] for col in cols] + [int(i == 0)] for i in range(d)])
         return canonical([den * row[d] for row in R], e)
 
     # --- certified real data ---

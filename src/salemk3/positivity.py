@@ -68,17 +68,9 @@ class ObstructionReport:
         return self.status == "positive"
 
 
-def _salem_shape(S: Lattice, s: IntPolynomial):
-    """Salem certificate of the characteristic polynomial s of an isometry of S."""
-    try:
-        cert = is_salem(s)
-    except NotSalemError as exc:
-        raise PositivityError(
-            f"characteristic polynomial is not an irreducible Salem polynomial ({exc.reason})"
-        )
-    if s.degree != S.rank:
-        raise PositivityError("Salem polynomial degree must equal the rank")
-    return cert
+def _check_pair(S, f):
+    if f.lattice != S:
+        raise PositivityError("the isometry is of another lattice than the one given")
 
 
 def cyclic_roots(L: Lattice, f: Isometry):
@@ -91,6 +83,7 @@ def cyclic_roots(L: Lattice, f: Isometry):
     in ker c(f), and the answer is every root of that kernel. When char f has
     no such factor the answer is empty with no enumeration at all.
     """
+    _check_pair(L, f)
     if not f.is_integral():
         raise PositivityError("cyclic-root search needs an integral isometry")
     factors = [phi for n, phi in cyclotomic_factors(f.char_poly()) if n > 1]
@@ -118,9 +111,10 @@ def _bound_and_certificate(S, f):
     """(verdict, cert, adj): the determinant bound's verdict, with the Salem
     certificate of char f and the adjugate coefficients it was read from
     (see ``_salem_char_and_adjugate``)."""
+    _check_pair(S, f)
     if not S.is_hyperbolic():
         raise PositivityError("determinant bound applies to hyperbolic lattices")
-    cert, adj_mats = _salem_char_and_adjugate(S, f)
+    cert, adj_mats = _salem_char_and_adjugate(f)
     positive = abs(S.determinant()) > 4 * abs(discriminant(cert.polynomial))
     return ("positive" if positive else "inconclusive"), cert, adj_mats
 
@@ -139,21 +133,30 @@ def obstructing_root_search(S: Lattice, f: Isometry):
     characteristic polynomial there are no cyclic roots, so every witness is
     a geodesic crossing.
     """
+    _check_pair(S, f)
     if not S.is_hyperbolic():
         raise PositivityError("obstructing-root search needs a hyperbolic lattice")
     if not f.is_integral():
         raise PositivityError("obstructing-root search needs an integral isometry")
-    return _search(S, f, *_salem_char_and_adjugate(S, f))
+    return _search(S, f, *_salem_char_and_adjugate(f))
 
 
-def _salem_char_and_adjugate(S, f):
+def _salem_char_and_adjugate(f):
     """(cert, adj) for an isometry f of S: the Salem certificate of
     s = char f and, for an integral f, the matrix coefficients of
     adj(x I - f) from the same Faddeev-LeVerrier pass (None otherwise)."""
-    if not f.is_integral():
-        return _salem_shape(S, f.char_poly()), None
-    coeffs, adj_mats = linalg.charpoly_and_adjugate(f.matrix)
-    return _salem_shape(S, IntPolynomial(coeffs)), adj_mats
+    adj_mats = None
+    if f.is_integral():
+        coeffs, adj_mats = linalg.charpoly_and_adjugate(f.matrix)
+        s = IntPolynomial(coeffs)
+    else:
+        s = f.char_poly()
+    try:
+        return is_salem(s), adj_mats
+    except NotSalemError as exc:
+        raise PositivityError(
+            f"characteristic polynomial is not an irreducible Salem polynomial ({exc.reason})"
+        )
 
 
 def _search(S, f, cert, adj_mats):
@@ -237,7 +240,8 @@ def _geodesic_plane(S, cert, adj_mats):
     n x d matrix (row i the numerators of (G u1)_i, over the denominator 1).
     tau fixes Z and f and sends lambda to 1/lambda, so u2 = tau(u1) is the
     same column of adj(lambda^-1 I - f), nonzero because tau is bijective,
-    and G u2 = tau(G u1) row by row.
+    and G u2 = tau(G u1) row by row. sigma is nonzero: u1 is orthogonal to
+    every eigenvector of f but u2, and the form is nondegenerate.
     """
     n, s = S.rank, cert.polynomial.coeffs
     K = RealAlgebraicField(cert)
@@ -246,8 +250,6 @@ def _geodesic_plane(S, cert, adj_mats):
     gu1 = linalg.mat_mul(S.gram, u1)
     gu2 = tuple(linalg.mat_vec(tau, row) for row in gu1)
     sigma = tuple(map(sum, zip(*(mulmod(x, y, s) for x, y in zip(u1, gu2))))), 1
-    if K.is_zero(sigma):
-        raise AssertionError("eigenvector pairing degenerated")
     return K, tau, gu1, gu2, sigma
 
 
@@ -275,7 +277,8 @@ def _pairings(tau, gu1, z):
 
 
 def _adjugate_column(K, adj_mats, mu, n):
-    """Nonzero column of adj(mu I - f) as a vector of field elements."""
+    """First nonzero column of adj(mu I - f), of rank 1 at a simple
+    eigenvalue mu, as a vector of field elements."""
     powers = [K.one()]
     for _ in range(len(adj_mats) - 1):
         powers.append(K.mul(powers[-1], mu))
@@ -290,7 +293,6 @@ def _adjugate_column(K, adj_mats, mu, n):
             vec.append(acc)
         if any(not K.is_zero(x) for x in vec):
             return tuple(vec)
-    raise AssertionError("adjugate of a simple eigenvalue cannot vanish")
 
 
 def _orbit_reduce(K, f, finv, gu1, gu2, witnesses):

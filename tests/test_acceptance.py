@@ -113,9 +113,10 @@ def test_criterion_2_twist_split_reproduction():
     for L, f, t, n, p in instances:
         rep = twist_split_certificate(L, f, t, n, p)
         assert rep.passed, rep.problems
-        # p-part of the determinant is exactly p^(2n)
+        # p-part of the determinant is exactly p^(2n), and |det| = |det L| p^(2n)
         det = rep.twisted.determinant()
         assert det % p ** (2 * n) == 0 and det % p ** (2 * n + 1) != 0
+        assert abs(det) == abs(L.determinant()) * p ** (2 * n) and rep.p_valuation == 2 * n
         # independent SNF oracle agrees on the discriminant group
         diag = [d for d in smith_diagonal(rep.twisted.gram) if d > 1]
         assert tuple(diag) == discriminant_form(rep.twisted).orders

@@ -5,6 +5,7 @@ import pytest
 from salemk3 import codec
 from salemk3.lattices import lattice_E8
 from salemk3.polynomials import IntPolynomial
+from salemk3.positivity import ObstructionReport
 
 QUAD = IntPolynomial([1, -3, 1])
 
@@ -67,6 +68,7 @@ def test_oversized_integer_strings_name_their_field(reader, text):
         (codec.positive_int, 1, [0, -1, 1.5, False]),
         (codec.boolean, False, ["false", 0, None]),
         (codec.choice("a", "b"), "b", ["c", 1, None, ["a"]]),
+        (codec.string, "k3", [3, None, ["k3"]]),
     ],
 )
 def test_typed_readers(reader, good, bad):
@@ -96,6 +98,21 @@ def test_loads_rejects_duplicate_keys_and_non_finite_numbers():
     for text in ("NaN", "[Infinity]", '{"a":-Infinity}'):
         with pytest.raises(ValueError, match="non-finite"):
             codec.loads(text)
+
+
+def test_load_names_a_missing_file(tmp_path):
+    path = tmp_path / "absent.json"
+    with pytest.raises(ValueError, match=f"^input file not found: {path}$"):
+        codec.load(str(path))
+
+
+def test_report_with_witnesses_round_trips():
+    rep = ObstructionReport("not_positive", (((1, -2, 0), "geodesic"), ((0, 1, 1), "cyclic")), "cyclic_only")
+    assert codec.report(codec.report_to_json(rep), "r") == rep
+    doc = codec.report_to_json(rep)
+    doc["witnesses"][1]["kind"] = "other"
+    with pytest.raises(ValueError, match=r"^r\.witnesses\[1\]\.kind: "):
+        codec.report(doc, "r")
 
 
 def test_dumps_is_canonical():

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from salemk3 import linalg
+from salemk3 import linalg, positivity
 from salemk3.isometries import (
     Isometry,
     IsometryError,
@@ -496,3 +496,82 @@ def test_search_even_invariant_lattice():
         search_even_invariant_lattice(companion_matrix(S4), signature=(4, 0), box=2)
 
 
+# --- refusals -------------------------------------------------------------------
+
+# f is the S4 seed isometry; DIAG is a form it does not preserve
+DIAG = Lattice([[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]])
+
+
+def _seed_isometry():
+    seed = seed_for(S4)
+    return seed.S, Isometry(seed.S, seed.f_S)
+
+
+@pytest.mark.parametrize(
+    "entry, error",
+    [
+        (lambda L, f: twist(L, f, TwistElement([0, 1])), IsometryError),
+        (lambda L, f: twist_split_certificate(L, f, TwistElement([-5, 1]), 1, 17), IsometryError),
+        (discriminant_order, IsometryError),
+        (power_to_integral, IsometryError),
+        (positivity.is_positive, positivity.PositivityError),
+        (positivity.obstructing_root_search, positivity.PositivityError),
+        (positivity.determinant_bound_test, positivity.PositivityError),
+        (positivity.cyclic_roots, positivity.PositivityError),
+    ],
+    ids=[
+        "twist", "twist_split_certificate", "discriminant_order", "power_to_integral",
+        "is_positive", "obstructing_root_search", "determinant_bound_test", "cyclic_roots",
+    ],
+)
+def test_an_isometry_of_another_lattice_is_refused(entry, error):
+    _, f = _seed_isometry()
+    with pytest.raises(error, match="^the isometry is of another lattice than the one given$"):
+        entry(DIAG, f)
+
+
+# U + <-2> with the Eichler transvection x -> x + <x, e> v - <x, v> e + <x, e> e
+# (e the first basis vector, v the third); it fixes only the isotropic line of e
+U_PLUS_A1 = Lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
+EICHLER = ((1, 1, 2), (0, 1, 0), (0, 1, 1))
+ROTATION = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
+# the reflection of U in v = (1, 2), <v, v> = 4: rational, with 2f integral
+U = Lattice([[0, 1], [1, 0]])
+REFLECTION = ((0, Fraction(-1, 2)), (-2, 0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Isometry(Lattice([[1, 0], [0, 1]]), ROTATION).char_poly(), "characteristic polynomial is not integral"),
+        (lambda: twist(Lattice([[2, 0], [0, 2]]), Isometry(Lattice([[2, 0], [0, 2]]), ROTATION), TwistElement([0, 1])),
+         "twist element does not act integrally on the lattice"),
+        (lambda: twist(L2, Isometry(L2, C2), TwistElement([0])), "twist is degenerate"),
+        (lambda: twist(U, Isometry(U, REFLECTION), TwistElement([0, 1])), "the twist of an even lattice is odd"),
+        (lambda: kernel_sublattice(Isometry(L2, C2), P([1])), "kernel is trivial"),
+        (lambda: kernel_sublattice(Isometry(U_PLUS_A1, EICHLER), P([-1, 1])), "kernel sublattice is degenerate"),
+        (lambda: search_even_invariant_lattice(((2,),)), "no invariant symmetric forms"),
+    ],
+    ids=["char-poly", "twist-integral", "twist-degenerate", "twist-odd", "kernel-trivial",
+         "kernel-degenerate", "no-invariant-form"],
+)
+def test_isometry_refusals_name_the_failed_condition(call, message):
+    with pytest.raises(IsometryError, match=f"^{message}$"):
+        call()
+
+
+def test_twist_split_reports_a_char_poly_without_trace_polynomial():
+    # the identity of a rank 3 lattice: char poly (x - 1)^3, of odd degree
+    L = Lattice([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+    rep = twist_split_certificate(L, Isometry(L, linalg.identity(3)), TwistElement([0, 1]), 1, 17)
+    assert not rep.passed
+    assert {"characteristic polynomial is not Salem: odd_degree", "no trace polynomial available"} <= set(rep.problems)
+
+
+def test_twist_split_reports_a_prime_that_does_not_split():
+    # (t) = (w + 4) is a prime above 17 that stays prime in Q(lambda), so the
+    # twisted 17-part is anisotropic
+    S, f = _seed_isometry()
+    rep = twist_split_certificate(S, f, TwistElement([4, 1]), 1, 17)
+    assert rep.problems == ("p-primary discriminant form is not hyperbolic of scale 1/p^n",)
+    assert rep.p_part_orders == (17, 17) and abs(rep.determinant) == 3 * 17**2

@@ -16,8 +16,10 @@ from salemk3.lattices import (
     enumerate_vectors_of_norm,
     find_anti_isometry,
     find_form_isometry,
+    build_glue_map,
     forms_isomorphic,
     glue,
+    glue_map_problems,
     hyperbolic_p_form,
     is_primitive_sublattice,
     lattice_A2,
@@ -176,6 +178,80 @@ def test_glue_rejects_bad_map():
     qM, qN = discriminant_form(M), discriminant_form(N)
     with pytest.raises(LatticeError):
         GlueMap(qM, qN, ((1,),))  # q values add, not negate
+
+
+# Z/3 with q = 0 and b = 0: b(g, -) is the zero functional
+DEGENERATE = FiniteQuadraticForm((3,), (0,), ((0,),))
+Fr = Fraction
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: named_lattice("2U"), "unknown lattice name '2U'"),
+        (lambda: FiniteQuadraticForm((1,), (0,), ((0,),)), "generator orders must be >= 2"),
+        (lambda: FiniteQuadraticForm((4, 2), (0, 0), ((0, 0), (0, 0))), "orders must form a divisibility chain"),
+        (lambda: FiniteQuadraticForm((2,), (), ()), "value tables must match the number of generators"),
+        (lambda: FiniteQuadraticForm((2, 2), (0, 0), ((0, 0), (0,))), "value tables must match the number of generators"),
+        (lambda: FiniteQuadraticForm((2,), (Fr(1, 2),), ((0,),)), "diagonal of b must be q reduced modulo Z"),
+        (lambda: FiniteQuadraticForm((3,), (Fr(1, 3),), ((Fr(1, 3),),)), "values on generator 0 do not fit its order 3"),
+        (lambda: FiniteQuadraticForm((2,), (Fr(1, 4),), ((Fr(1, 4),),)), "values on generator 0 do not fit its order 2"),
+        (lambda: FiniteQuadraticForm((2, 2), (0, 0), ((0, Fr(1, 2)), (0, 0))), "b must be symmetric"),
+        (lambda: p_primary_part(hyperbolic_p_form(2, 2), 4), "p-primary part needs a prime"),
+        (lambda: forms_isomorphic(DEGENERATE, DEGENERATE), "finite quadratic form is degenerate"),
+        (lambda: build_glue_map(hyperbolic_p_form(3, 1), DEGENERATE), "finite quadratic form is degenerate"),
+        (lambda: glue(Lattice([[4]]), Lattice([[4]]), GlueMap(discriminant_form(Lattice([[2]])),
+                                                             discriminant_form(Lattice([[-2]])), ((1,),))),
+         "glue map does not match the discriminant forms"),
+    ],
+    ids=["name", "order", "chain", "tables", "rows", "diagonal", "q-order", "b-order", "symmetric",
+         "prime", "degenerate", "degenerate-glue", "glue-orders"],
+)
+def test_lattice_and_form_refusals_name_the_failed_condition(call, message):
+    with pytest.raises(LatticeError, match=f"^{message}"):
+        call()
+
+
+# a form on (Z/2)^2 with q = 1 on both generators and b = 0
+Q1_ZERO_B = FiniteQuadraticForm((2, 2), (1, 1), ((0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "source, target, matrix, problem",
+    [
+        ([[-2]], [[2]], ((1, 0),), "matrix shape does not match generator counts"),
+        ([[2, 0], [0, -2]], [[2, 0], [0, 6]], ((0, 1), (3, 0)), "group orders differ"),
+        ([[-2]], [[4]], ((1,),), "image of generator 0 has too large an order"),
+        ([[2, 0], [0, 2]], [[-2, 0], [0, -2]], ((0, 0), (1, 0)), "q not negated on generator 1"),
+        ([[2, 0], [0, 2]], [[-2, 0], [0, -2]], ((0, 0), (1, 1)), "b not negated on generator pair (0,1)"),
+        (Q1_ZERO_B, [[-2, 1, 0, 0], [1, -2, 1, 1], [0, 1, -2, 0], [0, 1, 0, -2]], ((1, 1), (0, 0)),
+         "map is not bijective"),
+    ],
+    ids=["shape", "orders", "image-order", "q", "b", "bijective"],
+)
+def test_glue_map_problems_name_each_defect(source, target, matrix, problem):
+    forms = [q if isinstance(q, FiniteQuadraticForm) else discriminant_form(Lattice(q)) for q in (source, target)]
+    assert problem in glue_map_problems(*forms, matrix)
+    with pytest.raises(LatticeError, match="^invalid glue map: "):
+        GlueMap(*forms, matrix)
+
+
+@pytest.mark.parametrize(
+    "gram, source_q, message",
+    [
+        # <4> + <4> glued along a map from a form with q = 7/4 = -q_M: the
+        # graph (1/4, 1/4) has norm 1/2
+        ([[4]], Fr(7, 4), "the overlattice is not integral"),
+        # <2> + <2> glued from q = 3/2: the graph (1/2, 1/2) has norm 1
+        ([[2]], Fr(3, 2), "the overlattice is odd"),
+    ],
+)
+def test_glue_along_a_map_of_other_forms_of_the_same_orders_is_refused(gram, source_q, message):
+    M = Lattice(gram)
+    qM = discriminant_form(M)
+    source = FiniteQuadraticForm(qM.orders, (source_q,), ((source_q % 1,),))
+    with pytest.raises(LatticeError, match=f"^{message}$"):
+        glue(M, M, GlueMap(source, qM, ((1,),)))
 
 
 def test_orthogonal_complement_examples():

@@ -12,6 +12,7 @@ from salemk3.numbertheory import (
     legendre,
     relevant_places,
     sqrt_mod,
+    valuation,
 )
 
 from oracles import euler_legendre
@@ -100,3 +101,18 @@ def test_is_prime_and_factorize():
 def test_perfect_square():
     assert is_perfect_square(0) and is_perfect_square(144)
     assert not is_perfect_square(-4) and not is_perfect_square(63)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: factorize(0), "factorize expects a positive integer"),
+        (lambda: valuation(0, 3), "valuation of zero"),
+        (lambda: hilbert(0, 1), "hilbert symbol needs nonzero arguments"),
+        (lambda: hilbert(2, 3, 4), "hilbert symbol place must be prime or None"),
+    ],
+    ids=["factorize", "valuation", "hilbert-zero", "hilbert-place"],
+)
+def test_number_theory_refusals_name_the_failed_condition(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

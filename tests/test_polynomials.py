@@ -30,6 +30,7 @@ from salemk3.polynomials import (
     polyval_mod,
     power_min_poly,
     powmod,
+    refine_interval,
     resultant,
     square_class_test,
     squarefree_part,
@@ -703,3 +704,35 @@ def test_certify_salem_without_sympy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["accepted"] is True and payload["degree"] == 10
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: P([1, Fraction(1, 2)]), TypeError, "IntPolynomial coefficients must be ints"),
+        (lambda: P([]).leading, ValueError, "zero polynomial has no leading coefficient"),
+        (lambda: P([1, 1]) ** -1, ValueError, "negative polynomial power"),
+        (lambda: P([1, 1]) + "x", TypeError, "cannot coerce 'x' to IntPolynomial"),
+        (lambda: poly_divmod_exact(P([1, 1]), P([])), ZeroDivisionError, "division by zero polynomial"),
+        (lambda: poly_divmod_exact(P([1, 0, 1]), P([1, 2])), ArithmeticError, "polynomial division is not integral"),
+        (lambda: squarefree_part(P([])), ValueError, "zero polynomial has no squarefree part"),
+        (lambda: resultant(P([]), P([1, 1])), ValueError, "resultant of the zero polynomial is undefined"),
+        (lambda: discriminant(P([3])), ValueError, "discriminant needs degree >= 1"),
+        (lambda: companion_matrix(P([1, 2])), ValueError, "companion matrix needs a monic polynomial of degree >= 1"),
+        (lambda: trace_polynomial(P([1, 2])), NotSalemError, "not_monic"),
+        (lambda: trace_polynomial(P([1, 1, 1, 1])), NotSalemError, "odd_degree"),
+        (lambda: count_real_roots(P([])), ValueError, "root count of the zero polynomial"),
+        (lambda: refine_interval(P([-2, 0, 1]), (0, 1), Fraction(1, 8)), ValueError,
+         "interval endpoints must straddle the root"),
+        (lambda: is_cyclotomic_product(P([1, 2])), ValueError, "cyclotomic-product test needs a monic polynomial"),
+        (lambda: is_cyclotomic_product(P([0, 1])), ValueError,
+         "cyclotomic-product test needs a nonzero constant term"),
+    ],
+    ids=["int-coeffs", "leading", "power", "coerce", "divide-zero", "divide-inexact", "squarefree",
+         "resultant", "discriminant", "companion", "trace-monic", "trace-degree", "root-count",
+         "refine", "cyclotomic-monic", "cyclotomic-constant"],
+)
+def test_polynomial_refusals_name_the_failed_condition(call, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+

@@ -462,7 +462,7 @@ def test_obstructing_root_search_pinned_and_crossing(case, status, witnesses, bo
 def representatives(L, f, vectors):
     """What the orbit reducer of the search lists for the given crossing roots:
     the representatives of their orbits and of their negatives' orbits."""
-    cert, adj_mats = positivity._salem_char_and_adjugate(L, f)
+    cert, adj_mats = positivity._salem_char_and_adjugate(f)
     K, tau, gu1, gu2, _ = positivity._geodesic_plane(L, cert, adj_mats)
     pairs = [(v, *positivity._pairings(tau, gu1, v)) for v in vectors]
     finv = linalg.mat_scale(-1, adj_mats[0])
@@ -549,7 +549,7 @@ def test_one_over_lambda_side_is_tau_of_the_lambda_side(case, monkeypatch):
     candidate of the walk are the field pairings."""
     L, f = case()
     n = L.rank
-    cert, adj_mats = positivity._salem_char_and_adjugate(L, f)
+    cert, adj_mats = positivity._salem_char_and_adjugate(f)
     K, tau, gu1, gu2, sigma = positivity._geodesic_plane(L, cert, adj_mats)
     assert linalg.mat_mul(tau, tau) == linalg.identity(n)
     u1 = positivity._adjugate_column(K, adj_mats, K.generator(), n)
@@ -661,3 +661,35 @@ def test_refinement_cap_names_its_rounds_and_last_delta(monkeypatch, tmp_path, c
 
 def test_public_names_resolve():
     assert all(hasattr(salemk3, name) for name in salemk3.__all__)
+
+
+# the S4 block conjugated by diag(1, 1, 1, 2): a rational isometry with the
+# Salem characteristic polynomial, on a lattice too small for the bound
+HALF_L4 = Lattice(((-2, 1, 0, -4), (1, -2, 1, 0), (0, 1, -2, 2), (-4, 0, 2, -8)))
+HALF_F4 = Isometry(HALF_L4, ((0, 0, 0, -2), (1, 0, 0, 2), (0, 1, 0, 2), (0, 0, Fraction(1, 2), 1)))
+U = Lattice([[0, 1], [1, 0]])
+ROTATION = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cyclic_roots(Lattice([[-1, 0], [0, -1]]), Isometry(Lattice([[-1, 0], [0, -1]]), ROTATION)),
+         "cyclic-root search needs an integral isometry"),
+        (lambda: cyclic_roots(U, Isometry(U, ((-1, 0), (0, -1)))),
+         "indefinite cyclotomic kernel; cyclic-root enumeration unsupported"),
+        (lambda: determinant_bound_test(L4.rescaled(-1), Isometry(L4.rescaled(-1), F4.matrix)),
+         "determinant bound applies to hyperbolic lattices"),
+        (lambda: obstructing_root_search(HALF_L4, HALF_F4), "obstructing-root search needs an integral isometry"),
+        (lambda: is_positive(HALF_L4, HALF_F4), "obstructing-root search needs an integral isometry"),
+    ],
+    ids=["cyclic-rational", "cyclic-indefinite", "bound-not-hyperbolic", "search-rational", "decide-rational"],
+)
+def test_positivity_refusals_name_the_failed_condition(call, message):
+    with pytest.raises(PositivityError, match=f"^{message}$"):
+        call()
+
+
+def test_rational_isometry_reads_the_bound_from_its_char_poly():
+    assert not HALF_F4.is_integral()
+    assert determinant_bound_test(HALF_L4, HALF_F4) == "inconclusive"

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from salemk3 import linalg, realize
-from salemk3.isometries import Isometry, TwistElement
+from salemk3.isometries import Isometry, TwistElement, twist
 from salemk3.lattices import (
     FiniteQuadraticForm,
     GlueMap,
@@ -21,6 +21,9 @@ from salemk3.lattices import (
     glue,
     glue_map_problems,
     hyperbolic_p_form,
+    lattice_E6,
+    lattice_E8,
+    lattice_U,
     _lift_square,
     _sqrt_mod_prime_power,
 )
@@ -691,6 +694,92 @@ def test_seed_validation():
     seed = seed_for(S4)
     f = validate_seed(seed)
     assert f.char_poly().coeffs == S4.coeffs
+
+
+def _seed(**changes):
+    return dataclasses.replace(seed_for(S4), **changes)
+
+
+def _inert_seed():
+    # the S4 block twisted by w + 4, whose prime above 17 stays prime in the
+    # field of s, against a complement with the same |det| 3 * 17^2: its
+    # 17-part is hyperbolic, the block's is anisotropic
+    seed = seed_for(S4)
+    S, _ = twist(seed.S, Isometry(seed.S, seed.f_S), TwistElement([4, 1]))
+    return _seed(S=S, R_rest=lattice_U().rescaled(17).direct_sum(lattice_E8()).direct_sum(lattice_E6()))
+
+
+def _stub(name, value):
+    return lambda monkeypatch: monkeypatch.setattr(realize, name, value)
+
+
+@pytest.mark.parametrize(
+    "s, seed, patch, message",
+    [
+        (QUAD, lambda: _seed(salem=QUAD), None,
+         "seed-validation: quadratic Salem seeds are not supported for K3 witnesses"),
+        (S4, lambda: _seed(S=seed_for(S4).S.rescaled(-1)), None,
+         "seed-validation: seed Salem block must be even and hyperbolic"),
+        (S4, lambda: _seed(R_rest=lattice_E8().direct_sum(lattice_E6())), None,
+         "seed-validation: seed blocks must fill rank 22"),
+        (S4, _inert_seed, None, "seed-validation: seed discriminant forms are not anti-isometric"),
+        (LEHMER_P, lambda: seed_for(S4), None, "seed-validation: seed is for a different polynomial"),
+        (S4, None, _stub("PIPELINE_PRIME_CAP", 2), "split-prime: no pipeline split prime up to 2"),
+        # 1 is not a square root of 5^2 - 4 mod 17
+        (S4, None, _stub("pipeline_split_prime", lambda s, exclude: SplitPrimeEvidence(17, 5, 1, 1)),
+         "split-prime: evidence failed the independent re-check"),
+        (S4, None, _stub("find_norm_element", lambda s, ev: find_norm_element(s, ev, box=1)),
+         "norm-element: no norm element with |N(t)| = p^l, p = 17, l <= 3 up to radius 1"),
+        # S4 gives no 2-part, so the glue stage meets one too large to match
+        (S4, None, _stub("build_glue_map", lambda q1, q2: build_glue_map(*[hyperbolic_p_form(2, 8)] * 2)),
+         "glue: 2-primary part of order 65536 exceeds the backtracking bound 40000"),
+        # a discriminant 10^9 times larger leaves p = 17 and fails the bound
+        (S4, None, _stub("discriminant", lambda p: 10**9 * discriminant(p)),
+         "positivity: determinant bound unavailable"),
+        (S4, None, _stub("verify_certificate", lambda cert: (False, (("positivity", False, ""),))),
+         "self-verify: certificate failed ['positivity']"),
+    ],
+    ids=["quadratic", "not-hyperbolic", "rank", "not-anti-isometric", "other-polynomial", "split-prime-cap",
+         "split-prime-recheck", "norm-element-cap", "glue", "bound", "self-verify"],
+)
+def test_certificate_builder_names_the_failing_stage(s, seed, patch, message, monkeypatch):
+    if patch:
+        patch(monkeypatch)
+    with pytest.raises(RealizeError) as exc:
+        build_k3_certificate(s, seed=seed() if seed else None)
+    assert str(exc.value) == f"stage {message}"
+
+
+def test_split_prime_searches_end_at_their_caps(monkeypatch):
+    monkeypatch.setattr(realize, "SPLIT_PRIME_CAP", 16)
+    with pytest.raises(SearchCapExceeded, match=r"^no split prime p = 1 mod 8 in \(2, 16\]$"):
+        find_split_prime(S4, 1)
+    # one split prime below the cap: the best of fewer than six hits
+    monkeypatch.setattr(realize, "PIPELINE_PRIME_CAP", 20)
+    assert pipeline_split_prime(S4, 6) == SplitPrimeEvidence(17, 5, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rational_isometry_criterion(S4, "U"), "criterion applies to 3U, U+E8 and 3U+2E8 only"),
+        (lambda: mod2_trivial(((Fraction(1, 2),),)), "mod-2 reduction needs an integral matrix"),
+        (lambda: find_split_prime(S4, 0), "det_R must be nonzero"),
+    ],
+    ids=["criterion-lattice", "mod2-integral", "split-prime-det"],
+)
+def test_realize_refusals_name_the_failed_condition(call, message):
+    with pytest.raises(RealizeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_verify_names_an_unknown_surface_and_short_kernel_rows(k3_certificate):
+    ok, items = verify_certificate(dataclasses.replace(k3_certificate, surface="plane"))
+    assert not ok and items == (("surface", False, "unknown surface class 'plane'"),)
+    rows = k3_certificate.kernel_basis
+    ok, items = verify_certificate(dataclasses.replace(k3_certificate, kernel_basis=rows[:-1] + (rows[-1][:-1],)))
+    assert not ok
+    assert ("kernel", False, "kernel_basis rows must have length lattice.rank = 22") in items
 
 
 # --- torus certificates (built from public pieces) ---------------------------
