@@ -8,8 +8,9 @@ Vectors are tuples treated as columns, so ``mat_vec(A, v)`` computes
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 from math import gcd, isqrt, lcm
+from operator import add, mul, sub
 
 
 def identity(n):
@@ -33,20 +34,34 @@ def mat_scale(c, A):
 
 
 def mat_mul(A, B):
+    """A @ B. Entry (i, j) is the sum of row i of A times column j of B,
+    except for integer factors where at least half of A is zero: there row i
+    of A @ B sums the multiples of B's rows at the nonzero entries of A's
+    row i. Only integer factors skip zeros, because an int 0 times a Fraction
+    is the Fraction 0, so both ways give the same entries of the same types."""
     Bt = transpose(B)
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
+    if 2 * sum(row.count(0) for row in A) < len(A) * len(B) or {int} != set(map(type, chain(*A, *B))):
+        return tuple(tuple(sum(map(mul, row, col)) for col in Bt) for row in A)
+    rows = []
+    for row in A:
+        acc = (0,) * len(Bt)
+        for a, b in zip(row, B):
+            if a:
+                acc = tuple(map(add, acc, map(mul, repeat(a), b)))
+        rows.append(acc)
+    return tuple(rows)
 
 
 def mat_vec(A, v):
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
+    return tuple(sum(map(mul, row, v)) for row in A)
 
 
 def vec_mat(v, A):
-    return tuple(sum(x * A[i][j] for i, x in enumerate(v)) for j in range(len(A[0])))
+    return tuple(sum(map(mul, v, col)) for col in zip(*A))
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def block_diag(A, B):
@@ -95,7 +110,7 @@ def is_symmetric(A):
 
 
 def is_integral(A):
-    return all(Fraction(a).denominator == 1 for row in A for a in row)
+    return all(a.denominator == 1 for row in A for a in row)
 
 
 def divided(N, d):
@@ -260,35 +275,39 @@ def hnf(A):
 
     Returns the nonzero rows: pivots positive, entries above a pivot reduced
     into [0, pivot). Row-span over Z is unchanged.
+
+    Each column is cleared below its pivot row in passes (Cohen, GTM 138,
+    Section 2.4): a pass moves the row with the least nonzero entry of the
+    column to the pivot row and reduces every row below it modulo that
+    entry, and the next pass starts from the least remainder left. Every
+    row is reduced against the least entry of the whole column, so the
+    multipliers, and with them the entries of the other columns, stay small.
     """
     M = [list(row) for row in A]
     m = len(M)
     row = 0
     for col in range(len(M[0]) if M else 0):
-        piv = None
-        for i in range(row, m):
-            if M[i][col] != 0 and (piv is None or abs(M[i][col]) < abs(M[piv][col])):
-                piv = i
-        if piv is None:
+        live = [i for i in range(row, m) if M[i][col]]
+        if not live:
             continue
-        M[row], M[piv] = M[piv], M[row]
-        while True:
-            done = True
+        while live:
+            piv = min(live, key=lambda i: abs(M[i][col]))
+            M[row], M[piv] = M[piv], M[row]
+            p, c = M[row], M[row][col]
+            live = []
             for i in range(row + 1, m):
+                q = M[i][col] // c
+                if q:
+                    M[i] = list(map(sub, M[i], map(mul, repeat(q), p)))
                 if M[i][col]:
-                    q = M[i][col] // M[row][col]
-                    M[i] = [a - q * b for a, b in zip(M[i], M[row])]
-                    if M[i][col]:
-                        M[row], M[i] = M[i], M[row]
-                        done = False
-            if done:
-                break
+                    live.append(i)
         if M[row][col] < 0:
             M[row] = [-a for a in M[row]]
+        p, c = M[row], M[row][col]
         for i in range(row):
-            q = M[i][col] // M[row][col]
+            q = M[i][col] // c
             if q:
-                M[i] = [a - q * b for a, b in zip(M[i], M[row])]
+                M[i] = list(map(sub, M[i], map(mul, repeat(q), p)))
         row += 1
         if row == m:
             break

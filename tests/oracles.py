@@ -273,7 +273,13 @@ def crosses_by_iteration(gram, F, z, max_doublings=16):
 
 
 def smith_diagonal(M):
-    """Invariant factors by gcd-chasing reduction (no transforms)."""
+    """Invariant factors by gcd-chasing reduction (no transforms).
+
+    Each pass moves the least nonzero entry (of the remaining block, then of
+    row t and column t) to (t, t) before reducing the rest of row t and
+    column t modulo it, so the multipliers stay small; reducing against
+    whichever remainder came up first made the entries grow without bound
+    on matrices with entries of a few hundred."""
     A = [list(map(int, row)) for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
@@ -283,29 +289,22 @@ def smith_diagonal(M):
         nz = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
         if not nz:
             break
-        _, pi, pj = min(nz)
-        A[t], A[pi] = A[pi], A[t]
-        for row in A:
-            row[t], row[pj] = row[pj], row[t]
-        changed = True
-        while changed:
-            changed = False
+        while nz:
+            _, pi, pj = min(nz)
+            A[t], A[pi] = A[pi], A[t]
+            for row in A:
+                row[t], row[pj] = row[pj], row[t]
             for i in range(t + 1, m):
-                if A[i][t]:
-                    qd = A[i][t] // A[t][t]
+                qd = A[i][t] // A[t][t]
+                if qd:
                     A[i] = [a - qd * b for a, b in zip(A[i], A[t])]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        changed = True
             for j in range(t + 1, n):
-                if A[t][j]:
-                    qd = A[t][j] // A[t][t]
+                qd = A[t][j] // A[t][t]
+                if qd:
                     for row in A:
                         row[j] -= qd * row[t]
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        changed = True
+            nz = [(abs(A[i][t]), i, t) for i in range(t + 1, m) if A[i][t]]
+            nz += [(abs(A[t][j]), t, j) for j in range(t + 1, n) if A[t][j]]
         bad = next(
             ((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
              if A[i][j] % A[t][t]),

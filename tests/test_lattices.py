@@ -592,11 +592,40 @@ def test_lattice_validation():
         Lattice([[1, 1], [1, 1]])
 
 
-def test_hnf_is_the_hermite_form_of_the_row_span():
+@pytest.fixture(scope="module")
+def s4_certificate():
+    from salemk3.polynomials import IntPolynomial
+    from salemk3.realize import build_k3_certificate
+
+    return build_k3_certificate(IntPolynomial([1, -1, -1, -1, 1]))
+
+
+def _sparse_matrix(rng, m, n, nonzero_share, entry):
+    """An m x n matrix with entry() at a random int(nonzero_share m n) of its
+    cells and 0 elsewhere (entry() may give 0 too)."""
+    cells = set(rng.sample(range(m * n), int(nonzero_share * m * n)))
+    return tuple(tuple(entry() if i * n + j in cells else 0 for j in range(n)) for i in range(m))
+
+
+def test_hnf_is_the_hermite_form_of_the_row_span(s4_certificate):
     rng = random.Random(17)
+    cases = [
+        tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(m))
+        for m, n in ((rng.randint(1, 6), rng.randint(1, 5)) for _ in range(60))
+    ]
+    # tall sparse matrices up to 22 x 4, at least 70% zeros, entries up to 10^3
     for _ in range(60):
-        m, n = rng.randint(1, 6), rng.randint(1, 5)
-        A = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(m))
+        m, n = rng.randint(5, 22), rng.randint(1, 4)
+        cases.append(_sparse_matrix(rng, m, n, 0.3, lambda: rng.randint(-1000, 1000)))
+    # all-zero rows and rows that are combinations of other rows
+    for _ in range(60):
+        m, n = rng.randint(3, 10), rng.randint(1, 6)
+        A = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(m)]
+        i, j, k = rng.sample(range(m), 3)
+        A[i] = [0] * n
+        A[j] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(A[k], A[rng.randrange(m)])]
+        cases.append(tuple(map(tuple, A)))
+    for A in cases:
         H = linalg.hnf(A)
         # echelon rows with positive pivots, the entries above each reduced into [0, pivot)
         pivots = [next(j for j, x in enumerate(row) if x) for row in H]
@@ -614,6 +643,49 @@ def test_hnf_is_the_hermite_form_of_the_row_span():
                 rest = [x - q * y for x, y in zip(rest, row)]
             assert not any(rest)
         assert smith_diagonal(H) == smith_diagonal(A)
+    # the S4 kernel rows are primitive: the columns of their 22 x 4 transpose span Z^4
+    kernel = s4_certificate.kernel_basis
+    assert len(kernel) == 4
+    assert linalg.hnf(linalg.transpose(kernel)) == linalg.identity(4)
+
+
+def test_products_match_the_fraction_oracle_and_plain_sums(s4_certificate):
+    # dense, at least 85% zeros, Fraction entries (with Fraction zeros),
+    # rectangular shapes, all-zero rows, and the glued S4 Gram matrix with h
+    rng = random.Random(29)
+
+    def entry(fractions):
+        x = rng.randint(-9, 9)
+        return Fraction(x, rng.randint(1, 4)) if fractions and rng.random() < 0.5 else x
+
+    pairs = []
+    for trial in range(240):
+        m, k, n = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 8)
+        fractions = trial % 4 == 3
+        share = (1, 0.15, 0.5)[trial % 3]
+        A = [list(row) for row in _sparse_matrix(rng, m, k, share, lambda: entry(fractions))]
+        B = _sparse_matrix(rng, k, n, rng.choice((1, 0.15)), lambda: entry(trial % 8 == 7))
+        if trial % 5 == 0:
+            A[rng.randrange(m)] = [0] * k
+        if trial % 7 == 0:
+            A[rng.randrange(m)][rng.randrange(k)] = Fraction(0)
+        pairs.append((tuple(map(tuple, A)), B))
+    G, h = s4_certificate.lattice.gram, s4_certificate.isometry
+    pairs += [(G, h), (h, G), (linalg.transpose(h), G)]
+    for A, B in pairs:
+        m, k, n = len(A), len(B), len(B[0])
+        plain = tuple(tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)) for i in range(m))
+        P = linalg.mat_mul(A, B)
+        assert P == plain == rat_mat_mul(A, B)
+        assert type(P) is tuple and all(type(row) is tuple for row in P)
+        assert [list(map(type, row)) for row in P] == [list(map(type, row)) for row in plain]
+        u, w = tuple(row[0] for row in B), tuple(row[0] for row in A)  # lengths k and m
+        Au, wA = linalg.mat_vec(A, u), linalg.vec_mat(w, A)
+        assert type(Au) is tuple and type(wA) is tuple
+        assert Au == tuple(sum(a * x for a, x in zip(row, u)) for row in A) == linalg.transpose(rat_mat_mul(A, [[x] for x in u]))[0]
+        assert wA == tuple(sum(w[i] * A[i][j] for i in range(m)) for j in range(k)) == rat_mat_mul((w,), A)[0]
+        assert linalg.dot(A[0], u) == sum(a * x for a, x in zip(A[0], u))
+    assert linalg.mat_mul(linalg.mat_mul(linalg.transpose(h), G), h) == G
 
 
 def test_signature_matches_descartes_oracle():
@@ -674,11 +746,8 @@ def test_one_elimination_per_lattice(monkeypatch):
         U.rescaled(0)
 
 
-def test_signature_of_the_glued_s4_lattice():
-    from salemk3.polynomials import IntPolynomial
-    from salemk3.realize import build_k3_certificate
-
-    glued = build_k3_certificate(IntPolynomial([1, -1, -1, -1, 1])).lattice
+def test_signature_of_the_glued_s4_lattice(s4_certificate):
+    glued = s4_certificate.lattice
     assert glued.signature() == (3, 19)
     assert descartes_signature(glued.gram) == (3, 19)
 
