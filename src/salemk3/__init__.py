@@ -2,7 +2,7 @@
 as dynamical degrees of automorphisms of 2-tori, K3 and Enriques surfaces.
 
 The modules: integer polynomials with Salem certification (`polynomials`),
-exact linear algebra over Z and Q (`linalg`), the number field of a
+exact linear algebra over Z and Q (`linalg`), the real embedding of a
 certified Salem number with exact signs (`numberfield`), Legendre, Hilbert and Hasse symbols
 (`numbertheory`), lattices with discriminant-form calculus and gluing
 (`lattices`), lattice isometries with twists and integral powering

@@ -573,20 +573,18 @@ def _sqrt_mod_prime_power(a, p, e):
 
 def _represent_by_binary(c1, c2, target, p, e):
     """(x, y) with c1 x^2 + c2 y^2 = target mod p^e; units c1, c2, target, p odd.
-    Mod p there are p - (-c1 c2 / p) > 0 solutions, none (0, 0), and Hensel
-    lifts the unit coordinate."""
+    Mod p there are p - (-c1 c2 / p) > 0 solutions, none (0, 0).
+
+    Precondition: target / c2 is a non-square mod p, as in ``_odd_anti_map``,
+    which calls this only after ``_sqrt_mod_prime_power`` found no root of
+    it. So x0 = 0 has no y0, the first solution mod p has x0 a unit, and
+    Hensel lifts x."""
     pe = p**e
     inv_c2 = pow(c2, -1, p)
     for x0 in range(p):
         y0 = sqrt_mod((target - c1 * x0 * x0) * inv_c2, p)
-        if y0 is None:
-            continue
-        x, y = x0, y0
-        if x % p != 0:
-            x = _lift_square(c1, x, target - c2 * y * y, p, e)
-        else:
-            y = _lift_square(c2, y, target - c1 * x * x, p, e)
-        return x % pe, y % pe
+        if y0 is not None:
+            return _lift_square(c1, x0, target - c2 * y0 * y0, p, e) % pe, y0 % pe
 
 
 def _odd_anti_map(part1, part2, p):

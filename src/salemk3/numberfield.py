@@ -1,22 +1,23 @@
-"""The real number field of a certified Salem number, with exact signs.
+"""The real embedding of a certified Salem number lambda, with exact signs.
 
 The field is Q(lambda) = Q[x]/(m(x)) for the Salem polynomial m of a
 ``SalemCertificate``, embedded in R by the certificate's interval, which
 isolates lambda > 1. m is monic and irreducible of degree >= 2, so lambda
 is irrational. An element is a pair ``(nums, den)``: integer coefficients
 of a polynomial of degree < deg m, constant first, over one positive
-denominator, with gcd(den, nums) = 1, so equal elements are equal pairs.
-Every reduction modulo m, in products, in element construction and in the
-matrix of multiplication by a, is the one integer product
-``polynomials.mulmod``; numerators stay integral because m is monic. The
-inverse of a nonzero element a solves the linear system of multiplication
-by a against 1 by fraction-free Gauss-Jordan elimination
+denominator, with gcd(den, nums) = 1 (``canonical``), so equal elements are
+equal pairs. Callers do their ring arithmetic on the integer numerators with
+``polynomials.mulmod``, which keeps them integral because m is monic; the
+field holds only what needs lambda's embedding, and the one inverse.
+
+The inverse of a nonzero element a solves the linear system of
+multiplication by a against 1 by fraction-free Gauss-Jordan elimination
 (``linalg.gauss_jordan``). Signs and enclosures are decided by interval
 Horner evaluation on the integer numerators over the interval's common
 denominator, refining the isolating interval by exact bisection until the
-enclosure excludes zero. That bisection ends: a nonzero element is a
-polynomial of degree < deg m, which does not vanish at lambda because m is
-irreducible.
+enclosure is narrow enough or excludes zero. That bisection ends: a nonzero
+element is a polynomial of degree < deg m, which does not vanish at lambda
+because m is irreducible.
 """
 
 from fractions import Fraction
@@ -34,7 +35,8 @@ def canonical(nums, den):
 
 class RealAlgebraicField:
     """Q(lambda) for the Salem number lambda of ``cert``: Q[x]/(cert.polynomial)
-    embedded in R at the root isolated by ``cert.lambda_interval``.
+    embedded in R at the root isolated by ``interval``, which starts as
+    ``cert.lambda_interval`` and only narrows.
 
     Elements are ``(nums, den)`` pairs; see the module docstring.
     """
@@ -42,45 +44,7 @@ class RealAlgebraicField:
     def __init__(self, cert: SalemCertificate):
         self.min_poly = cert.polynomial
         self.degree = cert.degree
-        self._interval = cert.lambda_interval
-
-    # --- element constructors ---
-
-    def element(self, coeffs):
-        """Element from an integer or integer coefficient sequence (reduced mod min_poly)."""
-        if isinstance(coeffs, int):
-            coeffs = [coeffs]
-        return tuple(mulmod(coeffs, [1], self.min_poly.coeffs)), 1
-
-    def zero(self):
-        return self.element(0)
-
-    def one(self):
-        return self.element(1)
-
-    def generator(self):
-        return self.element([0, 1])
-
-    # --- arithmetic ---
-
-    def add(self, a, b):
-        (an, ad), (bn, bd) = a, b
-        g = gcd(ad, bd)
-        sa, sb = bd // g, ad // g
-        return canonical([x * sa + y * sb for x, y in zip(an, bn)], ad * sa)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        return tuple(-x for x in a[0]), a[1]
-
-    def mul(self, a, b):
-        (an, ad), (bn, bd) = a, b
-        return canonical(mulmod(an, bn, self.min_poly.coeffs), ad * bd)
-
-    def scale(self, c, a):
-        return canonical([c * x for x in a[0]], a[1])
+        self.interval = cert.lambda_interval
 
     def is_zero(self, a):
         return not any(a[0])
@@ -106,16 +70,27 @@ class RealAlgebraicField:
     # --- certified real data ---
 
     def refine(self, max_width):
-        self._interval = refine_interval(self.min_poly, self._interval, max_width)
-        return self._interval
+        self.interval = refine_interval(self.min_poly, self.interval, max_width)
 
     def enclosure(self, a, max_width=None):
         """Rational interval certified to contain the real value of a."""
-        iv = self._eval_interval(a)
         if max_width is None:
-            return iv
-        width = self._interval[1] - self._interval[0]
-        while iv[1] - iv[0] > max_width:
+            return self._eval_interval(a)
+        return self._refine_until(a, lambda iv: iv[1] - iv[0] <= max_width)
+
+    def sign(self, a):
+        """Exact sign of the real value of a: -1, 0 or +1."""
+        if self.is_zero(a):
+            return 0
+        iv = self._refine_until(a, lambda iv: not iv[0] <= 0 <= iv[1])
+        return 1 if iv[0] > 0 else -1
+
+    def _refine_until(self, a, done):
+        """The enclosure of a once ``done`` accepts it, halving the width
+        of the isolating interval, from its current width, until then."""
+        iv = self._eval_interval(a)
+        width = self.interval[1] - self.interval[0]
+        while not done(iv):
             width /= 2
             self.refine(width)
             iv = self._eval_interval(a)
@@ -130,7 +105,7 @@ class RealAlgebraicField:
         scheme, and each is divided out once at the end.
         """
         nums, den = a
-        lo, hi = self._interval
+        lo, hi = self.interval
         q = lcm(lo.denominator, hi.denominator)
         L, H = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
         acc_lo = acc_hi = nums[-1]
@@ -140,15 +115,3 @@ class RealAlgebraicField:
             products = (acc_lo * L, acc_lo * H, acc_hi * L, acc_hi * H)
             acc_lo, acc_hi = min(products) + c * scale, max(products) + c * scale
         return Fraction(acc_lo, den * scale), Fraction(acc_hi, den * scale)
-
-    def sign(self, a):
-        """Exact sign of the real value of a: -1, 0 or +1."""
-        if self.is_zero(a):
-            return 0
-        iv = self._eval_interval(a)
-        width = self._interval[1] - self._interval[0]
-        while iv[0] <= 0 <= iv[1]:
-            width /= 2
-            self.refine(width)
-            iv = self._eval_interval(a)
-        return 1 if iv[0] > 0 else -1

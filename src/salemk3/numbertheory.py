@@ -37,8 +37,7 @@ def is_prime(n):
 
 
 def _pollard_rho(n):
-    if n % 2 == 0:
-        return 2
+    """A divisor 1 < d < n of an odd composite n."""
     x, c = 2, 1
     while True:
         y, d = x, 1
@@ -63,9 +62,7 @@ def factorize(n):
             n //= p
     stack = [n] if n > 1 else []
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m = stack.pop()  # odd and > 1: 2 is stripped above, and rho splits m into 1 < d < m
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue

@@ -441,13 +441,7 @@ def is_salem(p):
     """
     if p.is_zero() or p.degree < 2:
         raise NotSalemError("wrong_degree", str(p))
-    if not p.is_monic():
-        raise NotSalemError("not_monic", str(p))
-    if p.degree % 2 != 0:
-        raise NotSalemError("odd_degree", str(p))
-    if not p.is_reciprocal():
-        raise NotSalemError("not_reciprocal", str(p))
-    r = trace_polynomial(p)
+    r = trace_polynomial(p)  # refuses p unless it is monic, of even degree and reciprocal
     chain = sturm_chain(r)
     if len(chain[-1]) > 1 or r(2) * r(-2) == 0:
         raise NotSalemError("reducible", str(p))

@@ -15,22 +15,27 @@ the plane has pi(z)^2 = 2 <z, u1> <z, u2> / <u1, u2>, and a root z crosses
 exactly when this is negative: when the signs of <z, u1>, <z, u2> and
 <u1, u2> multiply to -1.
 
-The search box is certified: eigenvector data lives in the one field
-K = Q[x]/(s(x)) with interval enclosures refined on demand, the integer
-enumeration runs on a rational positive definite minorant of the exact
-majorant form, and every candidate is confirmed or discarded by exact sign
-computations over K. Floating point appears nowhere.
+The search box is certified: eigenvector data is carried in Q[x]/(s(x)),
+the integer enumeration runs on a rational positive definite minorant of
+the exact majorant form, and every candidate is confirmed or discarded by
+exact signs. Floating point appears nowhere.
 
-The data is carried in exact integers. u1 is a column of adj(lambda I - f),
-so G u1 is one integer n x d matrix over the denominator 1, and a
-candidate's <z, u1> is one integer vector-matrix product. The 1/lambda side
-is its Galois conjugate under tau: x -> 1/x, an integral automorphism of
-Z[x]/(s) (s is monic and reciprocal, so s(0) = 1): u2, G u2 and <z, u2> are
-tau of u1, G u1 and <z, u1>, one d x d unimodular integer matrix apart. The
-majorant form's entries share the one denominator of 1 / <u1, u2> squared.
-The search reads the Fincke-Pohst half walk (``linalg.qf_half_walk``), one
-vector of each +- pair, and tests its norm in integers. f^-1 is -adj_0, the
-constant coefficient of adj(x I - f).
+The search does its arithmetic in Q[x]/(s) on integer numerators, every
+product reduced by ``polynomials.mulmod``, with canonical pairs
+(``numberfield.canonical``) where a denominator appears. The field K
+(``numberfield.RealAlgebraicField``) holds only lambda's embedding, for
+enclosures and signs refined on demand, and the one inverse 1 / <u1, u2>.
+
+u1 is a column of adj(lambda I - f), read off the integer coefficients of
+adj(x I - f), so G u1 is one integer n x d matrix over the denominator 1,
+and a candidate's <z, u1> is one integer vector-matrix product. The
+1/lambda side is its Galois conjugate under tau: x -> 1/x, an integral
+automorphism of Z[x]/(s) (s is monic and reciprocal, so s(0) = 1): u2, G u2
+and <z, u2> are tau of u1, G u1 and <z, u1>, one d x d unimodular integer
+matrix apart. The majorant form's entries share the one denominator of
+1 / <u1, u2> squared. The search reads the Fincke-Pohst half walk
+(``linalg.qf_half_walk``), one vector of each +- pair, and tests its norm
+in integers. f^-1 is -adj_0, the constant coefficient of adj(x I - f).
 """
 
 from dataclasses import dataclass
@@ -166,12 +171,12 @@ def _search(S, f, cert, adj_mats):
     # majorant form T = (Gu1 Gu1^T + Gu2 Gu2^T) / sigma^2 + (Gu1 Gu2^T + Gu2 Gu1^T) / sigma - G,
     # computed as a a^T + (1 - sigma^2) h h^T - G with h = Gu2 / sigma and
     # a = Gu1 / sigma + Gu2, all over the one denominator e^2 of 1 / sigma = N / e;
-    # its fundamental-domain bound is 2 lambda / |sigma| + 2
-    sigma_inv = K.inv(sigma)
-    N, e = sigma_inv
+    # its fundamental-domain bound is 2 lambda / |sigma| + 2 = (2 sign(sigma) x N + 2 e) / e
+    N, e = K.inv(sigma)
     h = [mulmod(x, N, s) for x in gu2]
     a = [[x + e * y for x, y in zip(mulmod(x1, N, s), x2)] for x1, x2 in zip(gu1, gu2)]
-    c = K.sub(K.one(), K.mul(sigma, sigma))[0]  # integral, as sigma is
+    c = [-x for x in mulmod(sigma[0], sigma[0], s)]  # 1 - sigma^2, integral as sigma is
+    c[0] += 1
     ch = [mulmod(c, x, s) for x in h]
     T = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -180,9 +185,9 @@ def _search(S, f, cert, adj_mats):
             entry[0] -= e * e * S.gram[i][j]
             T[i][j] = T[j][i] = canonical(entry, e * e)
     sigma_sign = K.sign(sigma)
-    abs_sigma_inv = sigma_inv if sigma_sign > 0 else K.neg(sigma_inv)
-    bound_elem = K.add(K.scale(2, K.mul(K.generator(), abs_sigma_inv)), K.element(2))
-    bound_iv = K.enclosure(bound_elem, Fraction(1, 8))
+    bound_nums = [2 * sigma_sign * x for x in mulmod(N, [0, 1], s)]
+    bound_nums[0] += 2 * e
+    bound_iv = K.enclosure(canonical(bound_nums, e), Fraction(1, 8))
     bound_up = bound_iv[1]
     # rational positive definite minorant of T
     delta = Fraction(1, 4)
@@ -235,9 +240,11 @@ def _geodesic_plane(S, cert, adj_mats):
     (``_inversion_matrix``), G u1 and G u2 for the lambda and 1/lambda
     eigenvectors u1 and u2, and sigma = <u1, u2>.
 
-    u1 is the first nonzero column of adj(lambda I - f), whose entries are
-    integer polynomials in lambda of degree < d, so G u1 is one integer
-    n x d matrix (row i the numerators of (G u1)_i, over the denominator 1).
+    u1 is the first nonzero column of adj(lambda I - f), the sum of
+    adj_k lambda^k over the coefficients adj_k of adj(x I - f). These have
+    degree k < n = d, so the numerators of u1_i are the integers adj_k[i][col]
+    over the denominator 1, and G u1 is one integer n x d matrix (row i the
+    numerators of (G u1)_i).
     tau fixes Z and f and sends lambda to 1/lambda, so u2 = tau(u1) is the
     same column of adj(lambda^-1 I - f), nonzero because tau is bijective,
     and G u2 = tau(G u1) row by row. sigma is nonzero: u1 is orthogonal to
@@ -246,7 +253,8 @@ def _geodesic_plane(S, cert, adj_mats):
     n, s = S.rank, cert.polynomial.coeffs
     K = RealAlgebraicField(cert)
     tau = _inversion_matrix(s)
-    u1 = [nums for nums, _ in _adjugate_column(K, adj_mats, K.generator(), n)]
+    col = next(j for j in range(n) if any(M[i][j] for M in adj_mats for i in range(n)))
+    u1 = [tuple(M[i][col] for M in adj_mats) for i in range(n)]
     gu1 = linalg.mat_mul(S.gram, u1)
     gu2 = tuple(linalg.mat_vec(tau, row) for row in gu1)
     sigma = tuple(map(sum, zip(*(mulmod(x, y, s) for x, y in zip(u1, gu2))))), 1
@@ -276,25 +284,6 @@ def _pairings(tau, gu1, z):
     return (p1, 1), (linalg.mat_vec(tau, p1), 1)
 
 
-def _adjugate_column(K, adj_mats, mu, n):
-    """First nonzero column of adj(mu I - f), of rank 1 at a simple
-    eigenvalue mu, as a vector of field elements."""
-    powers = [K.one()]
-    for _ in range(len(adj_mats) - 1):
-        powers.append(K.mul(powers[-1], mu))
-    for col in range(n):
-        vec = []
-        for i in range(n):
-            acc = K.zero()
-            for k_idx, M in enumerate(adj_mats):
-                c = M[i][col]
-                if c:
-                    acc = K.add(acc, K.scale(c, powers[k_idx]))
-            vec.append(acc)
-        if any(not K.is_zero(x) for x in vec):
-            return tuple(vec)
-
-
 def _orbit_reduce(K, f, finv, gu1, gu2, witnesses):
     """One representative per f-orbit of the witnesses and of their
     negatives, sorted: the orbit's least element by (max |x_i|, then lex),
@@ -320,12 +309,11 @@ def _orbit_reduce(K, f, finv, gu1, gu2, witnesses):
     is the exact orbit minimum, whatever state of K's interval the
     enclosures are read at.
 
-    lambda_lo > 1 holds from the start: K is built from the Salem
-    certificate of s, whose lambda_interval has its left end > 1; the
-    enclosure of the generator x is that interval exactly; and refinement
-    only narrows it.
+    lambda_lo is the left end of K's current interval, > 1 from the start:
+    K is built from the Salem certificate of s, whose lambda_interval has
+    its left end > 1, and refinement only narrows it.
     """
-    lam_lo = K.enclosure(K.generator())[0]
+    lam_lo = K.interval[0]
     norm1 = [sum(max(-lo, hi) for lo, hi in (K.enclosure((row, 1)) for row in gu)) for gu in (gu1, gu2)]
     seen, reps = set(), set()
     for z, p1, p2 in witnesses:

@@ -807,6 +807,12 @@ class FractionField:
                 out[i + j] += x * y
         return tuple(self._reduce(out))
 
+    def x_inverse(self):
+        """1/x: x (c_1 + c_2 x + ... + c_d x^(d-1)) = m(x) - c_0, so
+        x^-1 = -(c_1 + ... + c_d x^(d-1)) / c_0."""
+        c = self._modulus
+        return tuple(-x / c[0] for x in c[1:])
+
     def _eval_interval(self, a):
         lo, hi = self.interval
         acc = (Fraction(0), Fraction(0))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import runpy
 import sys
 
 import pytest
@@ -118,6 +119,12 @@ def test_twist_and_split_check(tmp_path, capsys):
     doc["element"] = ["5"]
     path = write(tmp_path, "tsc5.json", doc)
     assert run(["twist-split-check", path]) == 1
+
+
+def test_twist_split_check_reports_a_zero_element(tmp_path, capsys):
+    doc = dict(PAIR, element=[], exponent=1, prime=11)
+    assert run(["--format", "json", "twist-split-check", write(tmp_path, "tsc.json", doc)]) == 1
+    assert json.loads(capsys.readouterr().out)["problems"] == ["twist element has norm 0, expected +-11"]
 
 
 @pytest.mark.parametrize(
@@ -432,3 +439,19 @@ def test_format_after_subcommand(tmp_path, capsys):
         assert results[0] == results[1]
         assert results[0][0] == 0
         json.loads(results[0][1])
+
+
+@pytest.mark.parametrize(
+    "polynomial, code, verdict",
+    [(LEHMER_JSON, 0, "Salem polynomial of degree 10\n"), (["1", "1", "1", "1", "1"], 1, "rejected: wrong_root_pattern")],
+    ids=["Lehmer", "cyclotomic(5)"],
+)
+def test_module_entry_point_exits_with_the_run_status(tmp_path, capsys, monkeypatch, polynomial, code, verdict):
+    """``python -m salemk3.cli`` runs ``main``, which exits with the status of ``run``."""
+    path = write(tmp_path, "poly.json", polynomial)
+    monkeypatch.setattr(sys, "argv", ["salemk3", "certify-salem", path])
+    monkeypatch.delitem(sys.modules, "salemk3.cli")  # run_module executes a fresh copy as __main__
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("salemk3.cli", run_name="__main__")
+    assert exc.value.code == code
+    assert capsys.readouterr().out.startswith(verdict)

@@ -38,7 +38,7 @@ from salemk3.polynomials import (
     trace_polynomial,
 )
 from salemk3 import linalg, polynomials
-from salemk3.numberfield import RealAlgebraicField
+from salemk3.numberfield import RealAlgebraicField, canonical
 
 from oracles import (
     FractionField,
@@ -288,29 +288,11 @@ def test_distinct_degrees_mod_matches_trial_division():
         assert any(q == p and top >= 3 for q, top, _ in seen)
 
 
-def rational_element(K, coeffs):
-    """The field element with the given Fraction coefficients, built from
-    integers and one inverse, as the field takes integer input only."""
+def rational_element(coeffs):
+    """The canonical pair of the element with the given Fraction
+    coefficients, one per power of x below the degree."""
     den = lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
-    return K.mul(K.element(nums), K.inv(K.element(den)))
-
-
-def test_field_inverse_on_the_corpus():
-    rng = random.Random(11)
-    for degree, coeffs, _ in all_entries():
-        if degree > 10:
-            continue
-        K = RealAlgebraicField(is_salem(P(list(coeffs))))
-        with pytest.raises(ZeroDivisionError):
-            K.inv(K.zero())
-        assert K.inv(K.one()) == K.one()
-        lam = K.generator()
-        assert K.mul(lam, K.inv(lam)) == K.one()
-        for _ in range(6):
-            a = rational_element(K, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)])
-            if not K.is_zero(a):
-                assert K.mul(a, K.inv(a)) == K.one()
+    return canonical([c.numerator * (den // c.denominator) for c in coeffs], den)
 
 
 def fractions_of(a):
@@ -320,11 +302,32 @@ def fractions_of(a):
     return tuple(Fraction(x, den) for x in nums)
 
 
+def test_field_inverse_on_the_corpus():
+    rng = random.Random(11)
+    for degree, coeffs, _ in all_entries():
+        if degree > 10:
+            continue
+        s = P(list(coeffs))
+        cert = is_salem(s)
+        K, O = RealAlgebraicField(cert), FractionField(s, cert.lambda_interval)
+        one = ((1,) + (0,) * (degree - 1), 1)
+        with pytest.raises(ZeroDivisionError):
+            K.inv(((0,) * degree, 1))
+        assert K.inv(one) == one
+        assert fractions_of(K.inv(((0, 1) + (0,) * (degree - 2), 1))) == O.x_inverse()
+        for _ in range(6):
+            a = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)]
+            if any(a):
+                assert O.mul(a, fractions_of(K.inv(rational_element(a)))) == fractions_of(one)
+
+
 def random_coeffs(rng, length):
     return [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(length)]
 
 
 def test_field_arithmetic_and_enclosures_match_the_fraction_field():
+    """The integer route (products by ``mulmod`` over canonical pairs) and the
+    field's inverse, enclosures and signs agree with the Fraction field."""
     rng = random.Random(13)
     refined = 0
     for degree, coeffs, _ in all_entries():
@@ -333,22 +336,18 @@ def test_field_arithmetic_and_enclosures_match_the_fraction_field():
         s = P(list(coeffs))
         cert = is_salem(s)
         K, O = RealAlgebraicField(cert), FractionField(s, cert.lambda_interval)
-        assert fractions_of(K.generator()) == (0, 1) + (0,) * (degree - 2)
-        assert K.element(7) == ((7,) + (0,) * (degree - 1), 1)
         for _ in range(8):
             a, b = random_coeffs(rng, degree), random_coeffs(rng, degree)
-            ea, eb = rational_element(K, a), rational_element(K, b)
+            ea, eb = rational_element(a), rational_element(b)
             assert fractions_of(ea) == tuple(a)
-            assert fractions_of(K.add(ea, eb)) == tuple(x + y for x, y in zip(a, b))
-            assert fractions_of(K.sub(ea, eb)) == tuple(x - y for x, y in zip(a, b))
-            assert fractions_of(K.neg(ea)) == tuple(-x for x in a)
-            c, d = rng.randint(-9, 9), rng.randint(1, 9)
-            scaled = K.scale(c, K.mul(ea, K.inv(K.element(d))))
-            assert fractions_of(scaled) == tuple(Fraction(c, d) * x for x in a)
-            assert fractions_of(K.mul(ea, eb)) == O.mul(a, b)
+            product = canonical(mulmod(ea[0], eb[0], s.coeffs), ea[1] * eb[1])
+            assert fractions_of(product) == O.mul(a, b)
             long = random_coeffs(rng, 2 * degree + 1)
-            assert fractions_of(rational_element(K, long)) == tuple(O._reduce(long))
-            assert O.mul(a, fractions_of(K.inv(ea))) == fractions_of(K.one())
+            den = lcm(*(c.denominator for c in long))
+            nums = [c.numerator * (den // c.denominator) for c in long]
+            reduced = canonical(mulmod(nums, [1], s.coeffs), den)
+            assert fractions_of(reduced) == tuple(O._reduce(long))
+            assert O.mul(a, fractions_of(K.inv(ea))) == (1,) + (0,) * (degree - 1)
             # both fields refine their intervals in lockstep
             assert K.enclosure(ea) == O.enclosure(a)
             w = Fraction(1, 2 ** rng.randint(2, 12))
@@ -360,11 +359,12 @@ def test_field_arithmetic_and_enclosures_match_the_fraction_field():
             near[0] -= (lo + hi) / 2
             for x in (a, near):
                 w = Fraction(1, rng.choice((3, 64, 10**6)))
-                assert K.enclosure(rational_element(K, x), w) == O.enclosure(x, w)
+                assert K.enclosure(rational_element(x), w) == O.enclosure(x, w)
                 before = O.interval
-                assert K.sign(rational_element(K, x)) == O.sign(x)
+                assert K.sign(rational_element(x)) == O.sign(x)
                 refined += O.interval != before
-            assert K.sign(K.zero()) == O.sign((0,) * degree) == 0
+            assert K.interval == O.interval
+            assert K.sign(((0,) * degree, 1)) == O.sign((0,) * degree) == 0
     assert refined > 10
 
 

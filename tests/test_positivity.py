@@ -22,6 +22,7 @@ from salemk3.positivity import (
 
 from edits import leaf_field, one_field_edits, within
 from oracles import (
+    FractionField,
     brute_vectors_of_norm,
     count_e8_roots_standard_model,
     crosses_by_iteration,
@@ -524,14 +525,23 @@ def test_orbit_minimum_several_steps_from_the_witness():
         assert representatives(L2, F2, [v]) == [(-1, 1), w]
 
 
-def field_pairing(K, z, gu):
-    """Sum of z_i gu_i over K by one K.scale and one K.add per nonzero z_i:
-    <z, u> when gu = G u, read in the field."""
-    acc = K.zero()
-    for zi, x in zip(z, gu):
-        if zi:
-            acc = K.add(acc, K.scale(zi, x))
-    return acc
+def fraction_pairing(z, u):
+    """Sum of z_i u_i for elements u_i of the Fraction field: <z, u> when
+    u = G u', read coefficient by coefficient."""
+    return tuple(sum(zi * x[k] for zi, x in zip(z, u)) for k in range(len(u[0])))
+
+
+def fraction_adjugate_column(O, adj_mats, mu):
+    """First nonzero column of adj(mu I - f) = sum of adj_k mu^k, with the
+    powers of mu taken in the Fraction field O."""
+    powers = [(Fraction(1),) + (Fraction(0),) * (O.degree - 1)]
+    for _ in range(len(adj_mats) - 1):
+        powers.append(O.mul(powers[-1], mu))
+    n = len(adj_mats[0])
+    for col in range(n):
+        vec = tuple(fraction_pairing([M[i][col] for M in adj_mats], powers) for i in range(n))
+        if any(map(any, vec)):
+            return vec
 
 
 # every pinned search and the even invariant lattices of corpus degrees 4 to
@@ -543,27 +553,28 @@ CONJUGATE_CASES = {row[0]: row[1] for row in PINNED_REPORTS} | {
 
 @pytest.mark.parametrize("case", CONJUGATE_CASES.values(), ids=CONJUGATE_CASES)
 def test_one_over_lambda_side_is_tau_of_the_lambda_side(case, monkeypatch):
-    """The search's integer data for the 1/lambda side agrees with the field
-    route: u2 and G u2 from adj(lambda^-1 I - f) evaluated in K are tau of
-    u1 and G u1, f (-adj_0) = I, and the integer pairings of every norm -2
-    candidate of the walk are the field pairings."""
+    """The search's integer data for the 1/lambda side agrees with an
+    independent Fraction route: u2 and G u2 from adj(lambda^-1 I - f) evaluated
+    in the Fraction field are tau of u1 and G u1, sigma is <u1, u2> there,
+    f (-adj_0) = I, and the integer pairings of every norm -2 candidate of
+    the walk are the Fraction pairings."""
     L, f = case()
     n = L.rank
     cert, adj_mats = positivity._salem_char_and_adjugate(f)
     K, tau, gu1, gu2, sigma = positivity._geodesic_plane(L, cert, adj_mats)
     assert linalg.mat_mul(tau, tau) == linalg.identity(n)
-    u1 = positivity._adjugate_column(K, adj_mats, K.generator(), n)
-    u2 = positivity._adjugate_column(K, adj_mats, K.inv(K.generator()), n)
-    assert u2 == tuple((linalg.mat_vec(tau, nums), den) for nums, den in u1)
-    field_gu1 = tuple(field_pairing(K, row, u1) for row in L.gram)
-    field_gu2 = tuple(field_pairing(K, row, u2) for row in L.gram)
-    assert field_gu1 == tuple((row, 1) for row in gu1)
-    assert field_gu2 == tuple((row, 1) for row in gu2)
+    O = FractionField(cert.polynomial, cert.lambda_interval)
+    lam = (Fraction(0), Fraction(1)) + (Fraction(0),) * (n - 2)
+    u1 = fraction_adjugate_column(O, adj_mats, lam)
+    u2 = fraction_adjugate_column(O, adj_mats, O.x_inverse())
+    assert u2 == tuple(tuple(linalg.mat_vec(tau, x)) for x in u1)
+    fraction_gu1 = tuple(fraction_pairing(row, u1) for row in L.gram)
+    fraction_gu2 = tuple(fraction_pairing(row, u2) for row in L.gram)
+    assert fraction_gu1 == tuple(map(tuple, gu1))
+    assert fraction_gu2 == tuple(map(tuple, gu2))
     assert gu2 == tuple(linalg.mat_vec(tau, row) for row in gu1)
-    field_sigma = K.zero()
-    for x, y in zip(u1, field_gu2):
-        field_sigma = K.add(field_sigma, K.mul(x, y))
-    assert sigma == field_sigma
+    fraction_sigma = fraction_pairing([1] * n, [O.mul(x, y) for x, y in zip(u1, fraction_gu2)])
+    assert sigma == (fraction_sigma, 1)
     assert linalg.mat_mul(f.matrix, linalg.mat_scale(-1, adj_mats[0])) == linalg.identity(n)
 
     halves = []
@@ -571,15 +582,15 @@ def test_one_over_lambda_side_is_tau_of_the_lambda_side(case, monkeypatch):
     monkeypatch.setattr(linalg, "qf_half_walk", lambda G, bound: halves.append(walk(G, bound)) or halves[-1])
     obstructing_root_search(L, f)
     for z in (z for z in halves[-1] if L.norm(z) == -2):
-        expected = field_pairing(K, z, field_gu1), field_pairing(K, z, field_gu2)
-        assert positivity._pairings(tau, gu1, z) == expected
+        p1, p2 = positivity._pairings(tau, gu1, z)
+        assert (p1[0], p2[0]) == (fraction_pairing(z, fraction_gu1), fraction_pairing(z, fraction_gu2))
+        assert p1[1] == p2[1] == 1
 
 
 def test_search_reads_the_one_over_lambda_side_through_tau(monkeypatch):
-    """On the S4 seed pair the search evaluates one adjugate column (at
-    lambda), inverts one field element (sigma) and no rational matrix
-    (f^-1 = -adj_0)."""
-    calls = {"_adjugate_column": 0, "inv": 0, "rat_inverse": 0}
+    """On the S4 seed pair the search inverts one field element (sigma) and
+    no rational matrix (f^-1 = -adj_0)."""
+    calls = {"inv": 0, "rat_inverse": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -590,11 +601,10 @@ def test_search_reads_the_one_over_lambda_side_through_tau(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(positivity, "_adjugate_column")
     counted(RealAlgebraicField, "inv")
     counted(linalg, "rat_inverse")
     obstructing_root_search(L4, F4)
-    assert calls == {"_adjugate_column": 1, "inv": 1, "rat_inverse": 0}
+    assert calls == {"inv": 1, "rat_inverse": 0}
 
 
 @pytest.mark.parametrize("t", [(2, 1), (-1, 1)], ids=str)

@@ -843,6 +843,24 @@ def test_torus_certificate_verifies():
     assert cert.mod2_identity is True
 
 
+def test_torus_certificate_with_a_rational_isometry_fails_mod2():
+    # the mod-2 reduction refuses a rational matrix, so the item fails where
+    # the integral h, congruent to the identity mod 2, passes it
+    cert = _build_torus_certificate(mod2_power=True)
+    half = tuple(tuple(Fraction(x, 2) for x in row) for row in cert.isometry)
+    ok, items = verify_certificate(dataclasses.replace(cert, isometry=half))
+    assert not ok
+    assert [(name, passed) for name, passed, _ in items] == [
+        ("surface", True),
+        ("salem", True),
+        ("ambient_lattice", True),
+        ("isometry", False),
+        ("kernel", True),
+        ("char_poly", False),
+        ("mod2", False),
+    ]
+
+
 def test_torus_certificate_mod2_failure_flagged():
     cert = _build_torus_certificate(mod2_power=False)
     if mod2_trivial(cert.isometry):

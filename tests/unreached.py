@@ -3,7 +3,8 @@
 Run from the repository root: ``python tests/unreached.py [pytest args]``.
 It runs pytest in this process under a ``sys.settrace`` line tracer limited
 to src/salemk3 (standard library only; subprocesses are not followed) and
-prints each unreached statement as ``file:line: text``, then a count.
+prints each unreached statement as ``file:line: text``, then a count. It
+exits 1 when it lists any statement, and otherwise with pytest's status.
 """
 
 import ast
@@ -60,3 +61,4 @@ if __name__ == "__main__":
                 missed += 1
                 print(f"{path.relative_to(ROOT)}:{lineno}: {lines[lineno - 1].strip()}")
     print(f"{missed} of {total} statements unreached (pytest exit {status})")
+    sys.exit(1 if missed else status)
