@@ -262,19 +262,24 @@ def power_to_integral(L: Lattice, f: Isometry):
     conjugate to Psi over Q the other), so that is the integrality test.
     M contains L (the rows include f^0), k > 1 for a non-integral f, and
     the climb's exponent passes the test, so adj(X) Psi^n X is 0 mod k.
+    Over the denominator den of the rows, den Z^n lies in M (the f^0
+    block), so every other row is reduced modulo den before the Hermite
+    form, which is unique and so does not change (the HNF modulo D of
+    Cohen, GTM 138, Section 2.4). Its inverse is a back-substitution.
     """
     _check_pair(L, f)
     n = L.rank
     if f.is_integral():
         return 1, Isometry(L, f.matrix)
     N, d = f._num, f._den
+    den = d ** (n - 1)
     # the columns of F^j = N^j / d^j for j < n, as rows over one denominator
     rows = []
     power = linalg.identity(n)
     for j in range(n):
-        rows.extend(linalg.mat_scale(d ** (n - 1 - j), linalg.transpose(power)))
+        block = linalg.mat_scale(d ** (n - 1 - j), linalg.transpose(power))
+        rows.extend(linalg.mat_mod(block, den) if j else block)
         power = linalg.mat_mul(N, power)
-    den = d ** (n - 1)
     H = linalg.hnf(rows)  # rows of H / den: basis of M
     # X = (H / den)^-T; the rows of (H / den)^-1 are the coordinates of Z^n inside M
     HN, e = linalg.inverse_pair(H)

@@ -296,7 +296,22 @@ class FiniteQuadraticForm:
 
 def discriminant_form(L: Lattice):
     """Discriminant group D_L = L^dual / L with its Q/2Z-valued form (L even),
-    on the Smith divisors >= 2 of G, so of order |det L|."""
+    on the Smith divisors >= 2 of G, so of order |det L|.
+
+    The first call stores the form on L, as the constructor stores the
+    determinant, and later calls return that same object: a
+    ``FiniteQuadraticForm`` is never changed once built. It is not a
+    dataclass field, so equality, hash and repr still read the Gram matrix
+    only.
+    """
+    form = getattr(L, "_discriminant_form", None)
+    if form is None:
+        form = _discriminant_form(L)
+        object.__setattr__(L, "_discriminant_form", form)
+    return form
+
+
+def _discriminant_form(L):
     if not L.is_even():
         raise LatticeError("discriminant form is defined for even lattices only")
     n = L.rank
@@ -422,7 +437,8 @@ def glue(M: Lattice, N: Lattice, phi: GlueMap):
     Returns (L, basis) where basis rows give the new lattice in (M + N)
     coordinates. The result must come out integral and even; with
     |det M| = |det N| it is unimodular. The graph of phi has order |q_M|,
-    the index of M + N in L.
+    the index of M + N in L. The discriminant forms of M and N are the ones
+    stored on them, so a caller that built phi from them forms none again.
     """
     qM = discriminant_form(M)
     qN = discriminant_form(N)

@@ -2,7 +2,9 @@
 
 Matrices are tuples of row tuples. A rational matrix is an integer matrix
 over one positive denominator (``clear_denominators``), and every elimination
-runs on integers: Gauss-Jordan through the fraction-free ``gauss_jordan``.
+runs on integers: Gauss-Jordan through the fraction-free ``gauss_jordan``,
+except that ``inverse_pair`` back-substitutes on an upper triangular matrix,
+such as a Hermite form.
 Vectors are tuples treated as columns, so ``mat_vec(A, v)`` computes
 ``A @ v``. Basis matrices for sublattices keep the basis vectors as rows.
 """
@@ -251,14 +253,46 @@ def primitive_kernel(A, n):
 
 def inverse_pair(A):
     """(N, d) with A^-1 = N / d for a square integer A, d > 0 and
-    gcd(d, N) = 1, so that equal inverses are equal pairs: the right half of
-    ``gauss_jordan([A | I])``. Raises ZeroDivisionError when A is singular."""
+    gcd(d, N) = 1, so that equal inverses are equal pairs. An upper
+    triangular A with a nonzero diagonal, such as a Hermite form, is solved
+    by back-substitution (``_triangular_inverse_pair``); any other A takes
+    the right half of ``gauss_jordan([A | I])``. The pair is unique, so both
+    routes give the same one. Raises ZeroDivisionError when A is singular."""
     n = len(A)
+    if all(A[i][i] and not any(A[i][:i]) for i in range(n)):
+        return _triangular_inverse_pair(A)
     R, d, pivots = gauss_jordan([tuple(row) + e for row, e in zip(A, identity(n))])
     if pivots != tuple(range(n)):
         raise ZeroDivisionError("matrix is singular")
     g = gcd(d, *(x for row in R for x in row[n:]))
     return tuple(tuple(x // g for x in row[n:]) for row in R), d // g
+
+
+def _triangular_inverse_pair(H):
+    """``inverse_pair`` of an upper triangular integer H with a nonzero
+    diagonal: the integer X with H X = c I is solved from the bottom row up,
+    row i of X being (c e_i - sum_{j>i} h_ij X_j) / h_ii over the nonzero
+    h_ij only. When h_ii does not divide that row r, c and the rows already
+    solved are scaled by |h_ii| / g, with g = gcd(h_ii, r), and row i is
+    then the exact quotient. Dividing out gcd(c, X) at the end gives the
+    unique pair."""
+    n = len(H)
+    c, X = 1, [None] * n
+    for i in range(n - 1, -1, -1):
+        row, p = H[i], H[i][i]
+        r = (0,) * i + (c,) + (0,) * (n - 1 - i)
+        for j in range(i + 1, n):
+            if row[j]:
+                r = tuple(map(sub, r, map(mul, repeat(row[j]), X[j])))
+        g = gcd(p, *r)
+        if g != abs(p):
+            s = abs(p) // g
+            c *= s
+            X[i + 1:] = [tuple(s * x for x in Xj) for Xj in X[i + 1:]]
+            r = tuple(s * x for x in r)
+        X[i] = tuple(x // p for x in r)
+    g = gcd(c, *chain(*X))
+    return tuple(tuple(x // g for x in row) for row in X), c // g
 
 
 def rat_inverse(A):

@@ -811,6 +811,88 @@ def test_inverse_pair_matches_fraction_inverse():
     assert singular >= 40
 
 
+def _gauss_jordan_pair(A):
+    """The right half of ``gauss_jordan([A | I])`` in lowest terms: the
+    route ``inverse_pair`` takes for a matrix that is not upper triangular."""
+    n = len(A)
+    R, d, pivots = linalg.gauss_jordan([tuple(row) + e for row, e in zip(A, linalg.identity(n))])
+    assert pivots == tuple(range(n))
+    g = gcd(d, *(x for row in R for x in row[n:]))
+    return tuple(tuple(x // g for x in row[n:]) for row in R), d // g
+
+
+def _s4_overlattice_basis(cert):
+    """The rational basis that ``glue`` returns for the S4 certificate's
+    twisted blocks, rebuilt from its glue evidence."""
+    from salemk3.isometries import Isometry, TwistElement, twist
+    from salemk3.realize import seed_for
+
+    seed = seed_for(cert.salem)
+    p, l, t = (cert.glue_evidence[k] for k in ("p", "l", "t"))
+    t = TwistElement([int(c) for c in t])
+    S2, _ = twist(seed.S, Isometry(seed.S, seed.f_S), TwistElement(t.poly * t.poly))
+    R2 = lattice_U().rescaled(p ** (2 * l)).direct_sum(seed.R_rest)
+    L22, basis = glue(S2, R2, build_glue_map(discriminant_form(S2), discriminant_form(R2)))
+    assert L22 == cert.lattice
+    return basis
+
+
+def test_triangular_inverse_matches_gauss_jordan_and_fractions(s4_certificate, monkeypatch):
+    # an upper triangular A with a nonzero diagonal is back-substituted, with
+    # no elimination, and gives the pair of the Gauss-Jordan route, called
+    # directly and on the transpose (lower triangular, so eliminated)
+    rng = random.Random(31)
+    cases = {"hermite": [], "sparse": [], "negative": []}
+    while len(cases["hermite"]) < 150:
+        n = rng.randint(2, 7)
+        H = linalg.hnf([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n + rng.randint(0, 3))])
+        if len(H) == n:
+            cases["hermite"].append(H)
+    for _ in range(100):
+        # sparse, with a mostly constant diagonal, as the S4 overlattice basis
+        n, c = rng.randint(3, 12), rng.choice((3, 9, 867, 1889568))
+        H = [[0] * n for _ in range(n)]
+        for i in range(n):
+            H[i][i] = c if rng.random() < 0.8 else rng.randint(1, c)
+        for _ in range(rng.randint(1, n)):
+            i, j = sorted(rng.sample(range(n), 2))
+            H[i][j] = rng.randint(-c, c)
+        cases["sparse"].append(H)
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        H = [[rng.randint(-6, 6) if j > i else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            H[i][i] = rng.choice((-1, 1)) * rng.randint(1, 8)
+        cases["negative"].append(H)
+    cases["1x1"] = [[[k]] for k in range(-12, 13) if k]
+    # the 22 x 22 Hermite basis of the glued S4 lattice: diagonal (1, 3, 867, ...)
+    den, H = linalg.clear_denominators(_s4_overlattice_basis(s4_certificate))
+    assert den == 867 and [H[i][i] for i in range(3)] == [1, 3, 867]
+    assert sum(x != 0 for row in H for x in row) == 35
+    cases["S4 basis"] = [H]
+
+    eliminations = []
+    gauss_jordan = linalg.gauss_jordan
+    for shape, inputs in cases.items():
+        for H in inputs:
+            H = tuple(map(tuple, H))
+            monkeypatch.setattr(linalg, "gauss_jordan", lambda A: eliminations.append(A) or gauss_jordan(A))
+            N, d = linalg.inverse_pair(H)
+            monkeypatch.setattr(linalg, "gauss_jordan", gauss_jordan)
+            assert not eliminations, shape
+            assert (N, d) == _gauss_jordan_pair(H), (shape, H)
+            Nt, dt = linalg.inverse_pair(linalg.transpose(H))
+            assert (linalg.transpose(Nt), dt) == (N, d), (shape, H)
+            assert tuple(tuple(Fraction(x, d) for x in row) for row in N) == fraction_inverse(H), (shape, H)
+    # a pivot that does not divide its row rescales the rows already solved
+    assert linalg.inverse_pair(((2, 1), (0, 3))) == (((3, -1), (0, 2)), 6)
+    assert linalg.inverse_pair(((-4, 2), (0, 6))) == (((-3, 1), (0, 2)), 12)
+    # a zero on the diagonal leaves the triangular route and is singular
+    for H in (((0,),), ((2, 1, 0), (0, 0, 5), (0, 0, 3)), ((1, 2), (0, 0))):
+        with pytest.raises(ZeroDivisionError, match="^matrix is singular$"):
+            linalg.inverse_pair(H)
+
+
 def test_rat_inverse_against_fraction_det():
     rng = random.Random(31)
     singular = 0

@@ -471,6 +471,28 @@ def test_verify_derives_each_object_once(k3_certificate, monkeypatch):
     assert dict(calls) == {"symmetric_bareiss": 1, "hnf": 1}
 
 
+def test_a_build_forms_each_discriminant_form_once(k3_certificate, monkeypatch):
+    # validate_seed forms those of S and R, the glue stage those of S2 and R2,
+    # and glue reads the ones stored on S2 and R2; the seed's lattices are
+    # rebuilt, so nothing is stored on them yet
+    grams = []
+    snf = linalg.snf_with_transform
+    monkeypatch.setattr(linalg, "snf_with_transform", lambda A: grams.append(A) or snf(A))
+    seed = realize._quartic_seed()
+    cert = build_k3_certificate(S4, seed=seed)
+    assert certificate_to_json(cert) == certificate_to_json(k3_certificate)
+    assert len(grams) == len(set(grams)) == 4
+    assert grams[:2] == [seed.S.gram, seed.R().gram]
+    # the stored form is the same object, and no part of the lattice's identity
+    L = seed.S
+    assert discriminant_form(L) is discriminant_form(L)
+    assert len(grams) == 4
+    fresh = Lattice(L.gram)
+    assert "_discriminant_form" in vars(L) and "_discriminant_form" not in vars(fresh)
+    assert L == fresh and hash(L) == hash(fresh) and repr(L) == repr(fresh)
+    assert [field.name for field in dataclasses.fields(Lattice)] == ["gram"]
+
+
 def test_wrong_power_polynomial_fails_the_salem_item_only(k3_certificate):
     wrong = power_min_poly(S4, 2 * k3_certificate.power)
     ok, items = verify_certificate(dataclasses.replace(k3_certificate, salem_power_poly=wrong))
