@@ -871,19 +871,18 @@ def test_triangular_inverse_matches_gauss_jordan_and_fractions(s4_certificate, m
     assert sum(x != 0 for row in H for x in row) == 35
     cases["S4 basis"] = [H]
 
+    inputs = [(shape, tuple(map(tuple, H))) for shape, Hs in cases.items() for H in Hs]
     eliminations = []
     gauss_jordan = linalg.gauss_jordan
-    for shape, inputs in cases.items():
-        for H in inputs:
-            H = tuple(map(tuple, H))
-            monkeypatch.setattr(linalg, "gauss_jordan", lambda A: eliminations.append(A) or gauss_jordan(A))
-            N, d = linalg.inverse_pair(H)
-            monkeypatch.setattr(linalg, "gauss_jordan", gauss_jordan)
-            assert not eliminations, shape
-            assert (N, d) == _gauss_jordan_pair(H), (shape, H)
-            Nt, dt = linalg.inverse_pair(linalg.transpose(H))
-            assert (linalg.transpose(Nt), dt) == (N, d), (shape, H)
-            assert tuple(tuple(Fraction(x, d) for x in row) for row in N) == fraction_inverse(H), (shape, H)
+    monkeypatch.setattr(linalg, "gauss_jordan", lambda A: eliminations.append(A) or gauss_jordan(A))
+    pairs = [linalg.inverse_pair(H) for _, H in inputs]
+    monkeypatch.undo()
+    assert not eliminations
+    for (shape, H), (N, d) in zip(inputs, pairs):
+        assert (N, d) == _gauss_jordan_pair(H), (shape, H)
+        Nt, dt = linalg.inverse_pair(linalg.transpose(H))
+        assert (linalg.transpose(Nt), dt) == (N, d), (shape, H)
+        assert tuple(tuple(Fraction(x, d) for x in row) for row in N) == fraction_inverse(H), (shape, H)
     # a pivot that does not divide its row rescales the rows already solved
     assert linalg.inverse_pair(((2, 1), (0, 3))) == (((3, -1), (0, 2)), 6)
     assert linalg.inverse_pair(((-4, 2), (0, 6))) == (((-3, 1), (0, 2)), 12)
