@@ -511,7 +511,7 @@ def enumerate_vectors_of_norm(L: Lattice, m):
     if sign * m < 0:
         return []
     G = linalg.mat_scale(sign, L.gram)
-    found = linalg.qf_enumerate(G, sign * m)
+    found = linalg.qf_enumerate(1, G, sign * m)
     return sorted(v for v in found if L.norm(v) == m)
 
 

@@ -4,7 +4,8 @@ Matrices are tuples of row tuples. A rational matrix is an integer matrix
 over one positive denominator (``clear_denominators``), and every elimination
 runs on integers: Gauss-Jordan through the fraction-free ``gauss_jordan``,
 except that ``inverse_pair`` back-substitutes on an upper triangular matrix,
-such as a Hermite form.
+such as a Hermite form. The short-vector walk (``qf_half_walk``,
+``qf_enumerate``) takes its form in that convention, as (den, int_rows).
 Vectors are tuples treated as columns, so ``mat_vec(A, v)`` computes
 ``A @ v``. Basis matrices for sublattices keep the basis vectors as rows.
 """
@@ -488,44 +489,49 @@ def box_shell(dim, radius):
             yield (c,) + tail
 
 
-def qf_enumerate(G, bound):
-    """All integer vectors v != 0 with v^T G v <= bound, G positive definite.
+def qf_enumerate(den, G, bound):
+    """All integer vectors v != 0 with v^T (G / den) v <= bound, for an
+    integer symmetric G and den > 0 with G / den positive definite.
 
     Raises ValueError when G is not positive definite and bound >= 0.
     Output is sorted, and closed under negation: the half walk
     ``qf_half_walk`` and its negations.
     """
-    half = qf_half_walk(G, bound)
+    half = qf_half_walk(den, G, bound)
     return sorted(half + [tuple(-a for a in v) for v in half])
 
 
-def qf_half_walk(G, bound):
-    """One vector of each +- pair of ``qf_enumerate(G, bound)``: the integer
-    v != 0 with v^T G v <= bound whose last nonzero coordinate is positive,
-    in walk order. Raises ValueError as ``qf_enumerate`` does.
+def qf_half_walk(den, G, bound):
+    """One vector of each +- pair of ``qf_enumerate(den, G, bound)``: the
+    integer v != 0 with v^T (G / den) v <= bound whose last nonzero
+    coordinate is positive, in walk order. Raises ValueError as
+    ``qf_enumerate`` does.
 
-    Fincke-Pohst on integer budgets. With den the common denominator of G,
-    ``symmetric_bareiss(den G)`` leaves in row i the leading minor d_{i+1} on
-    the diagonal and, right of it, B_ij = d_i times the Schur complement S_i
-    of the leading i x i block (d_0 = 1). With c_i = d_{i+1} x_i +
-    sum_{j>i} B_ij x_j, v^T (den G) v is sum_i c_i^2 / (d_i d_{i+1}), and the
-    walk, from x_{n-1} down, carries the integer P_i = d_i S_i(x_i, ...) =
-    (c_i^2 + d_i P_{i+1}) / d_{i+1}: the division is exact because d_i S_i is
-    an integer matrix (Sylvester's identity behind Bareiss). At a leaf P_0 is
-    the integer v^T (den G) v, so the bound floors to R = floor(den bound),
-    and as no tail exceeds P_0 a node keeps exactly the x_i with
-    c_i^2 <= d_i (d_{i+1} R - P_{i+1}): budgets of about (2i + 2) bits(den).
+    Fincke-Pohst on integer budgets. ``symmetric_bareiss(G)`` leaves in
+    row i the leading minor d_{i+1} on the diagonal and, right of it,
+    B_ij = d_i times the Schur complement S_i of the leading i x i block
+    (d_0 = 1). With c_i = d_{i+1} x_i + sum_{j>i} B_ij x_j, v^T G v is
+    sum_i c_i^2 / (d_i d_{i+1}), and the walk, from x_{n-1} down, carries the
+    integer P_i = d_i S_i(x_i, ...) = (c_i^2 + d_i P_{i+1}) / d_{i+1}: the
+    division is exact because d_i S_i is an integer matrix (Sylvester's
+    identity behind Bareiss). At a leaf P_0 is the integer v^T G v, so the
+    bound floors to R = floor(den bound), and as no tail exceeds P_0 a node
+    keeps exactly the x_i with c_i^2 <= d_i (d_{i+1} R - P_{i+1}): budgets
+    of about (2i + 2) bits(den).
+
+    The output depends only on the rational form G / den: for k > 0,
+    (k den, k G) keeps the same leaves, as k P_0 <= floor(k den bound)
+    exactly when P_0 <= den bound, and the walk order is fixed, so den need
+    not be the least denominator.
 
     Only the v whose last nonzero coordinate is positive are walked: S_{i+1}
     is positive definite, so P_{i+1} = 0 exactly when x_{i+1}, ... are all 0,
     and then x_i >= 0.
     """
     n = len(G)
-    bound = Fraction(bound)
     if bound < 0:
         return []
-    den, IG = clear_denominators(G)
-    det, s_plus, B = symmetric_bareiss(IG)
+    det, s_plus, B = symmetric_bareiss(G)
     if det == 0 or s_plus < n:
         raise ValueError("form is not positive definite")
     d = [1] + [B[i][i] for i in range(n)]  # the leading minors d_0, ..., d_n

@@ -14,10 +14,13 @@ The inverse of a nonzero element a solves the linear system of
 multiplication by a against 1 by fraction-free Gauss-Jordan elimination
 (``linalg.gauss_jordan``). Signs and enclosures are decided by interval
 Horner evaluation on the integer numerators over the interval's common
-denominator, refining the isolating interval by exact bisection until the
-enclosure is narrow enough or excludes zero. That bisection ends: a nonzero
-element is a polynomial of degree < deg m, which does not vanish at lambda
-because m is irreducible.
+denominator, read once per interval, refining the isolating interval by
+exact bisection until the enclosure is narrow enough or excludes zero (one
+loop, ``_refine_until``). The endpoints come out as integers over one
+denominator, the width and sign tests are made on those integers, and only
+``enclosure`` turns them into Fractions; ``endpoints`` hands them on as
+they are. That bisection ends: a nonzero element is a polynomial of
+degree < deg m, which does not vanish at lambda because m is irreducible.
 """
 
 from fractions import Fraction
@@ -44,7 +47,7 @@ class RealAlgebraicField:
     def __init__(self, cert: SalemCertificate):
         self.min_poly = cert.polynomial
         self.degree = cert.degree
-        self.interval = cert.lambda_interval
+        self._set_interval(cert.lambda_interval)
 
     def is_zero(self, a):
         return not any(a[0])
@@ -70,48 +73,63 @@ class RealAlgebraicField:
     # --- certified real data ---
 
     def refine(self, max_width):
-        self.interval = refine_interval(self.min_poly, self.interval, max_width)
+        self._set_interval(refine_interval(self.min_poly, self.interval, max_width))
+
+    def _set_interval(self, interval):
+        """Make ``interval`` the isolating interval, and read it once as
+        (q, L, H): the endpoints L / q and H / q over one denominator q."""
+        self.interval = lo, hi = interval
+        q = lcm(lo.denominator, hi.denominator)
+        self._grid = q, lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
 
     def enclosure(self, a, max_width=None):
-        """Rational interval certified to contain the real value of a."""
-        if max_width is None:
-            return self._eval_interval(a)
-        return self._refine_until(a, lambda iv: iv[1] - iv[0] <= max_width)
+        """Rational interval (Fractions) certified to contain the real value
+        of a, of width at most max_width when one is given: the endpoints
+        of ``endpoints``, or of one evaluation on the current interval."""
+        lo, hi, D = self._eval_interval(a) if max_width is None else self.endpoints(a, max_width)
+        return Fraction(lo, D), Fraction(hi, D)
+
+    def endpoints(self, a, max_width):
+        """(lo, hi, D): integers with D > 0 such that [lo / D, hi / D] is the
+        enclosure of a of width at most max_width, a positive rational, that
+        ``enclosure(a, max_width)`` gives, with the same refinement."""
+        w, v = max_width.numerator, max_width.denominator
+        return self._refine_until(a, lambda lo, hi, D: (hi - lo) * v <= w * D)
 
     def sign(self, a):
         """Exact sign of the real value of a: -1, 0 or +1."""
         if self.is_zero(a):
             return 0
-        iv = self._refine_until(a, lambda iv: not iv[0] <= 0 <= iv[1])
-        return 1 if iv[0] > 0 else -1
+        lo, _, _ = self._refine_until(a, lambda lo, hi, D: not lo <= 0 <= hi)
+        return 1 if lo > 0 else -1
 
     def _refine_until(self, a, done):
-        """The enclosure of a once ``done`` accepts it, halving the width
-        of the isolating interval, from its current width, until then."""
-        iv = self._eval_interval(a)
+        """The endpoints of a (``_eval_interval``) once ``done`` accepts
+        them, halving the width of the isolating interval, from its current
+        width, until then."""
+        ends = self._eval_interval(a)
         width = self.interval[1] - self.interval[0]
-        while not done(iv):
+        while not done(*ends):
             width /= 2
             self.refine(width)
-            iv = self._eval_interval(a)
-        return iv
+            ends = self._eval_interval(a)
+        return ends
 
     def _eval_interval(self, a):
-        """Interval Horner evaluation of a on the isolating interval.
+        """Interval Horner evaluation of a on the isolating interval, as
+        integer endpoints (lo, hi) over a denominator D > 0.
 
-        With the interval as (L, H) / q over one denominator q, the
-        accumulator after k steps is an integer pair over den * q^k, so the
-        endpoints are the exact values of the Fraction interval Horner
-        scheme, and each is divided out once at the end.
+        With the interval as (L, H) / q, the accumulator after k steps is an
+        integer pair over den * q^k, so lo / D and hi / D with D = den * q^k
+        at the end are the exact values of the Fraction interval Horner
+        scheme.
         """
         nums, den = a
-        lo, hi = self.interval
-        q = lcm(lo.denominator, hi.denominator)
-        L, H = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+        q, L, H = self._grid
         acc_lo = acc_hi = nums[-1]
         scale = 1
         for c in reversed(nums[:-1]):
             scale *= q
             products = (acc_lo * L, acc_lo * H, acc_hi * L, acc_hi * H)
             acc_lo, acc_hi = min(products) + c * scale, max(products) + c * scale
-        return Fraction(acc_lo, den * scale), Fraction(acc_hi, den * scale)
+        return acc_lo, acc_hi, den * scale

@@ -89,12 +89,7 @@ class IntPolynomial:
         other = _coerce(other)
         if self.is_zero() or other.is_zero():
             return IntPolynomial([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(poly_mul(self.coeffs, other.coeffs))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -641,22 +636,34 @@ def poly_gcd_mod(f, g, p):
     return f
 
 
-def mulmod(f, g, modulus, m=0):
-    """f g mod a monic modulus of degree n >= 1 (coefficient lists), as a
-    list of exactly n coefficients: exact integers for m = 0, otherwise
-    reduced into [0, m)."""
-    n = len(modulus) - 1
-    prod = [0] * max(len(f) + len(g) - 1, n)
+def poly_mul(f, g):
+    """The coefficient list of f g, for coefficient lists f and g."""
+    prod = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
                 prod[i + j] += a * b
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k] % m if m else prod[k]
+    return prod
+
+
+def reduce_mod(p, modulus, m=0):
+    """p mod a monic modulus of degree n >= 1, for a coefficient list p that
+    it may overwrite, as a list of exactly n coefficients: exact integers for
+    m = 0, otherwise reduced into [0, m)."""
+    n = len(modulus) - 1
+    if len(p) < n:
+        p = p + [0] * (n - len(p))
+    for k in range(len(p) - 1, n - 1, -1):
+        c = p[k] % m if m else p[k]
         if c:  # x^k = x^(k-n) (x^n - modulus)
             for i in range(n):
-                prod[k - n + i] -= c * modulus[i]
-    return [c % m for c in prod[:n]] if m else prod[:n]
+                p[k - n + i] -= c * modulus[i]
+    return [c % m for c in p[:n]] if m else p[:n]
+
+
+def mulmod(f, g, modulus, m=0):
+    """f g mod a monic modulus (coefficient lists), as for ``reduce_mod``."""
+    return reduce_mod(poly_mul(f, g), modulus, m)
 
 
 def powmod(base, e, modulus, m=0):

@@ -21,10 +21,14 @@ the exact majorant form, and every candidate is confirmed or discarded by
 exact signs. Floating point appears nowhere.
 
 The search does its arithmetic in Q[x]/(s) on integer numerators, every
-product reduced by ``polynomials.mulmod``, with canonical pairs
-(``numberfield.canonical``) where a denominator appears. The field K
-(``numberfield.RealAlgebraicField``) holds only lambda's embedding, for
-enclosures and signs refined on demand, and the one inverse 1 / <u1, u2>.
+product reduced by ``polynomials.mulmod`` (an entry of the majorant form,
+a sum of two products, is reduced once, by ``polynomials.reduce_mod``),
+with canonical pairs (``numberfield.canonical``) where a denominator
+appears. The field K (``numberfield.RealAlgebraicField``) holds only
+lambda's embedding, for enclosures and signs refined on demand, and the one
+inverse 1 / <u1, u2>. The minorant is formed on integers from K's integer
+enclosure endpoints (``RealAlgebraicField.endpoints``), one integer matrix
+over one denominator, which is the form the walk takes.
 
 u1 is a column of adj(lambda I - f), read off the integer coefficients of
 adj(x I - f), so G u1 is one integer n x d matrix over the denominator 1,
@@ -40,8 +44,8 @@ in integers. f^-1 is -adj_0, the constant coefficient of adj(x I - f).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from operator import mul
+from math import lcm, prod
+from operator import add, mul
 
 from . import linalg
 from .isometries import Isometry, kernel_sublattice
@@ -54,6 +58,8 @@ from .polynomials import (
     discriminant,
     is_salem,
     mulmod,
+    poly_mul,
+    reduce_mod,
 )
 
 
@@ -165,7 +171,20 @@ def _salem_char_and_adjugate(f):
 
 
 def _search(S, f, cert, adj_mats):
-    """``obstructing_root_search`` on the certificate and adjugate of f."""
+    """``obstructing_root_search`` on the certificate and adjugate of f.
+
+    The majorant form T is exact in Q[x]/(s). Its rational positive definite
+    minorant is T' = T_mid - (n delta / 2) I, with T_mid the midpoints of
+    enclosures of the entries of T of width at most delta = 1/16, 1/64, ...:
+    each entry of T - T_mid is at most delta / 2 in absolute value, so by
+    Gershgorin no eigenvalue of T - T_mid is below -n delta / 2, and
+    T - T' is positive semidefinite. The walk refuses T' until it is
+    positive definite. The entries are enclosed in a fixed order, each
+    refining K's interval only as far as its own width needs. An enclosure
+    is [lo / D, hi / D] with integers lo, hi, D, so 2 T' is one integer
+    matrix over den, a common multiple of the D and of 1 / delta, and the
+    walk takes (2 den, 2 den T'): no Fraction is formed per entry.
+    """
     K, tau, gu1, gu2, sigma = _geodesic_plane(S, cert, adj_mats)
     n, s = S.rank, cert.polynomial.coeffs
     # majorant form T = (Gu1 Gu1^T + Gu2 Gu2^T) / sigma^2 + (Gu1 Gu2^T + Gu2 Gu1^T) / sigma - G,
@@ -178,35 +197,31 @@ def _search(S, f, cert, adj_mats):
     c = [-x for x in mulmod(sigma[0], sigma[0], s)]  # 1 - sigma^2, integral as sigma is
     c[0] += 1
     ch = [mulmod(c, x, s) for x in h]
-    T = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            entry = [x + y for x, y in zip(mulmod(a[i], a[j], s), mulmod(ch[i], h[j], s))]
-            entry[0] -= e * e * S.gram[i][j]
-            T[i][j] = T[j][i] = canonical(entry, e * e)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    T = []  # the entries T_ij, i <= j, in the order of pairs
+    for i, j in pairs:
+        entry = reduce_mod(list(map(add, poly_mul(a[i], a[j]), poly_mul(ch[i], h[j]))), s)
+        entry[0] -= e * e * S.gram[i][j]
+        T.append(canonical(entry, e * e))
     sigma_sign = K.sign(sigma)
     bound_nums = [2 * sigma_sign * x for x in mulmod(N, [0, 1], s)]
     bound_nums[0] += 2 * e
     bound_iv = K.enclosure(canonical(bound_nums, e), Fraction(1, 8))
     bound_up = bound_iv[1]
-    # rational positive definite minorant of T
+    # the minorant T' over 2 den: entry (i, j) is (lo + hi) den / D, less
+    # n den delta on the diagonal, an integer as 1 / delta = 4^r divides den
     delta = Fraction(1, 4)
     for _ in range(80):
         delta /= 4
-        T_mid = [[Fraction(0)] * n for _ in range(n)]
+        ends = [K.endpoints(t, delta) for t in T]
+        den = lcm(delta.denominator, *(D for _, _, D in ends))
+        T_prime = [[0] * n for _ in range(n)]
+        for (i, j), (lo, hi, D) in zip(pairs, ends):
+            T_prime[i][j] = T_prime[j][i] = (lo + hi) * (den // D)
         for i in range(n):
-            for j in range(i, n):
-                lo, hi = K.enclosure(T[i][j], delta)
-                T_mid[i][j] = T_mid[j][i] = (lo + hi) / 2
-        T_prime = [
-            [
-                T_mid[i][j] - (Fraction(n) * delta / 2 if i == j else 0)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+            T_prime[i][i] -= n * den // delta.denominator
         try:
-            half = linalg.qf_half_walk(T_prime, bound_up)
+            half = linalg.qf_half_walk(2 * den, T_prime, bound_up)
             break
         except ValueError:  # T_prime is not positive definite yet
             pass

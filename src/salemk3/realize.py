@@ -312,6 +312,8 @@ def seed_for(s: IntPolynomial):
 
 
 def validate_seed(seed: Seed):
+    """(f_S, R): the seed's isometry and its complement lattice R = U + R_rest,
+    formed once here for the caller, after the seed passes every check."""
     cert = is_salem(seed.salem)
     if cert.quadratic_degenerate:
         raise RealizeError("quadratic Salem seeds are not supported for K3 witnesses")
@@ -334,7 +336,7 @@ def validate_seed(seed: Seed):
         raise RealizeError("seed determinants do not match")
     if not forms_isomorphic(discriminant_form(seed.S), discriminant_form(R), anti=True):
         raise RealizeError("seed discriminant forms are not anti-isometric")
-    return f
+    return f, R
 
 
 # --- certificates ---------------------------------------------------------------
@@ -413,14 +415,13 @@ def build_k3_certificate(s: IntPolynomial, seed=None):
                 "available through stable_realizable"
             )
     try:
-        f_seed = validate_seed(seed)
+        f_seed, R = validate_seed(seed)
     except (RealizeError, NotSalemError, LatticeError) as exc:
         raise RealizeError(f"stage seed-validation: {exc}") from exc
     if tuple(seed.salem.coeffs) != tuple(s.coeffs):
         raise RealizeError("stage seed-validation: seed is for a different polynomial")
 
     S, R_rest = seed.S, seed.R_rest
-    R = seed.R()
     disc_s = discriminant(s)
     det_R = R.determinant()
     try:

@@ -1,7 +1,7 @@
 import ast
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
 
 import pytest
@@ -423,31 +423,77 @@ def is_positive_definite(G):
     return all(fraction_det([row[:k] for row in G[:k]]) > 0 for k in range(1, len(G) + 1))
 
 
-def test_qf_enumerate_matches_the_fraction_oracle():
+def seeded_forms():
+    """The seeded random forms of the Fraction oracle test, in order, as
+    (G, bounds): 240 positive definite forms with three bounds each, and
+    between them the forms that are not positive definite, with no bounds."""
     rng = random.Random(20260808)
-    forms = bounds_hit = 0
+    forms = 0
     while forms < 240:
         G = random_rational_form(rng, rng.randint(1, 5))
         if not is_positive_definite(G):
+            yield G, ()
             continue
         forms += 1
-        for bound in (Fraction(rng.randint(-3, -1), rng.randint(1, 4)), 0, Fraction(rng.randint(1, 40), rng.randint(1, 4))):
-            mine = linalg.qf_enumerate(G, bound)
+        yield G, (Fraction(rng.randint(-3, -1), rng.randint(1, 4)), 0, Fraction(rng.randint(1, 40), rng.randint(1, 4)))
+
+
+def test_qf_enumerate_matches_the_fraction_oracle():
+    bounds_hit = 0
+    for G, bounds in seeded_forms():
+        for bound in bounds:
+            mine = linalg.qf_enumerate(*linalg.clear_denominators(G), bound)
             assert mine == fraction_qf_enumerate(G, bound), (G, bound)
             bounds_hit += bool(mine)
     assert bounds_hit > 150
 
 
+NOT_POSITIVE_DEFINITE = [
+    [[1, 2], [2, 1]],
+    [[-1]],
+    [[0]],
+    [[1, 1], [1, 1]],
+    [[2, 0, 0], [0, 0, 0], [0, 0, 3]],
+    [[Fraction(1, 2), 1], [1, 2]],
+    [[4, 2, 0], [2, 1, 0], [0, 0, 1]],
+]
+
+
+def test_qf_half_walk_depends_only_on_the_rational_form():
+    """(k den, k G) walks as (den, G) for k > 1, and enumerates the oracle's
+    list of G / den, on the seeded forms; a form that is not positive
+    definite, among them or among the refused forms below, is refused at
+    every scale, as the oracle refuses it."""
+    refused = 0
+    for G, bounds in chain(seeded_forms(), ((G, ()) for G in NOT_POSITIVE_DEFINITE)):
+        den, IG = linalg.clear_denominators(G)
+        for bound in bounds or (0, 1, Fraction(7, 2)):
+            try:
+                expected = fraction_qf_enumerate(G, bound)
+            except ValueError:
+                expected = None
+            for k in (2, 3, 12, 2**64 + 1):
+                scaled = k * den, linalg.mat_scale(k, IG), bound
+                if expected is None:
+                    with pytest.raises(ValueError, match="not positive definite"):
+                        linalg.qf_half_walk(*scaled)
+                else:
+                    assert linalg.qf_half_walk(*scaled) == linalg.qf_half_walk(den, IG, bound), (G, bound, k)
+                    assert linalg.qf_enumerate(*scaled) == expected, (G, bound, k)
+            refused += expected is None
+    assert refused == 3 * (4 + len(NOT_POSITIVE_DEFINITE))  # 4 seeded forms are refused
+
+
 def _search_minorants(coeffs):
-    """Every (form, bound) that obstructing_root_search passes to the half
+    """Every (den, G, bound) that obstructing_root_search passes to the half
     walk on a corpus pair, the refinement rounds that are not yet positive
     definite included."""
     calls = []
     walk = linalg.qf_half_walk
 
-    def capture(G, bound):
-        calls.append((G, bound))
-        return walk(G, bound)
+    def capture(den, G, bound):
+        calls.append((den, G, bound))
+        return walk(den, G, bound)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "qf_half_walk", capture)
@@ -455,17 +501,18 @@ def _search_minorants(coeffs):
     return calls
 
 
-def _checked_enumeration(G, bound):
-    """qf_enumerate(G, bound), checked against the oracle, or None when both
-    refuse G as not positive definite."""
+def _checked_enumeration(den, G, bound):
+    """qf_enumerate(den, G, bound), checked against the oracle on G / den, or
+    None when both refuse the form as not positive definite."""
+    F = linalg.divided(G, den)
     try:
-        expected = fraction_qf_enumerate(G, bound)
+        expected = fraction_qf_enumerate(F, bound)
     except ValueError:
         with pytest.raises(ValueError, match="not positive definite"):
-            linalg.qf_enumerate(G, bound)
+            linalg.qf_enumerate(den, G, bound)
         return None
-    mine = linalg.qf_enumerate(G, bound)
-    assert mine == expected, (G, bound)
+    mine = linalg.qf_enumerate(den, G, bound)
+    assert mine == expected, (F, bound)
     assert mine == sorted(mine)
     assert {tuple(-x for x in v) for v in mine} == set(mine)
     return mine
@@ -479,9 +526,9 @@ def _checked_enumeration(G, bound):
 def test_qf_enumerate_matches_the_oracle_on_search_minorants(coeffs):
     calls = _search_minorants(coeffs)
     # the search stops at the first positive definite minorant, which has candidates
-    assert [_checked_enumeration(G, bound) for G, bound in calls][-1]
-    G = calls[-1][0]
-    assert lcm(*(Fraction(x).denominator for row in G for x in row)) > 2**64
+    assert [_checked_enumeration(*call) for call in calls][-1]
+    den, G, _ = calls[-1]
+    assert lcm(*(Fraction(x, den).denominator for row in G for x in row)) > 2**64
 
 
 def test_qf_enumerate_matches_the_oracle_on_large_denominators():
@@ -501,7 +548,7 @@ def test_qf_enumerate_matches_the_oracle_on_large_denominators():
             continue
         forms += 1
         bound = min(G[i][i] for i in range(n)) * Fraction(rng.randint(10, 30), 10)
-        assert _checked_enumeration(G, bound)
+        assert _checked_enumeration(*linalg.clear_denominators(G), bound)
 
 
 def test_qf_half_walk_holds_one_vector_of_each_pair():
@@ -514,35 +561,24 @@ def test_qf_half_walk_holds_one_vector_of_each_pair():
     while len(cases) < 61:
         G = random_rational_form(rng, rng.randint(1, 5))
         if is_positive_definite(G):
-            cases.append((G, Fraction(rng.randint(1, 40), rng.randint(1, 4))))
-    for G, bound in cases:
-        half = linalg.qf_half_walk(G, bound)
+            cases.append((*linalg.clear_denominators(G), Fraction(rng.randint(1, 40), rng.randint(1, 4))))
+    for den, G, bound in cases:
+        half = linalg.qf_half_walk(den, G, bound)
         assert len(set(half)) == len(half)
         assert all(next(x for x in reversed(v) if x) > 0 for v in half)
-        expected = fraction_qf_enumerate(G, bound)
+        expected = fraction_qf_enumerate(linalg.divided(G, den), bound)
         assert sorted(half + [tuple(-x for x in v) for v in half]) == expected
-        assert linalg.qf_enumerate(G, bound) == expected
+        assert linalg.qf_enumerate(den, G, bound) == expected
     assert linalg.qf_half_walk(*cases[0])  # the search form has candidates
 
 
-@pytest.mark.parametrize(
-    "G",
-    [
-        [[1, 2], [2, 1]],
-        [[-1]],
-        [[0]],
-        [[1, 1], [1, 1]],
-        [[2, 0, 0], [0, 0, 0], [0, 0, 3]],
-        [[Fraction(1, 2), 1], [1, 2]],
-        [[4, 2, 0], [2, 1, 0], [0, 0, 1]],
-    ],
-)
+@pytest.mark.parametrize("G", NOT_POSITIVE_DEFINITE)
 def test_qf_enumerate_rejects_forms_that_are_not_positive_definite(G):
     # the search-form refinement loop in positivity relies on this error
     assert not is_positive_definite(G)
     for bound in (0, 1, Fraction(7, 2)):
         with pytest.raises(ValueError, match="not positive definite"):
-            linalg.qf_enumerate(G, bound)
+            linalg.qf_enumerate(*linalg.clear_denominators(G), bound)
         with pytest.raises(ValueError, match="not positive definite"):
             fraction_qf_enumerate(G, bound)
 

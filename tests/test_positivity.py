@@ -460,6 +460,74 @@ def test_obstructing_root_search_pinned_and_crossing(case, status, witnesses, bo
     assert all(crosses_by_iteration(L.gram, f.matrix, w) for w in witnesses)
 
 
+# the widths the search refines the isolating interval to, in order, as
+# (first width, count): each later width is half the one before
+REFINE_WIDTHS = {
+    "L2": ("1", 4),
+    "S4 block": ("1/8", 4),
+    "rank 6": ("3/4", 13),
+    "t=1+w": ("1/8", 8),
+    "t=-2+w": ("1/8", 9),
+    "t=2+w": ("1/8", 6),
+    "t=4+3w": ("1/8", 13),
+    "corpus degree 4": ("1/8", 4),
+    "corpus degree 6 square": ("1/8", 10),
+    "corpus degree 8": ("3/4", 18),
+    "corpus degree 10": ("3/4", 23),
+    "Lehmer": ("1/32", 11),
+}
+
+
+@pytest.mark.parametrize("name, case", [row[:2] for row in PINNED_REPORTS], ids=[row[0] for row in PINNED_REPORTS])
+def test_integer_minorant_is_the_fraction_minorant(name, case, monkeypatch):
+    """At every delta round the search hands the walk (den, T'), one integer
+    matrix over one denominator, equal to the Fraction minorant of the
+    former route: the midpoints of the Fraction enclosures of the entries of
+    T, read by the oracle field on the interval each enclosure was read at,
+    minus n delta / 2 on the diagonal. The refinement widths are pinned."""
+    L, f = case()
+    n = L.rank
+    events, widths = [], []
+    endpoints, refine, walk = RealAlgebraicField.endpoints, RealAlgebraicField.refine, linalg.qf_half_walk
+
+    def recorded_endpoints(K, a, max_width):
+        ends = endpoints(K, a, max_width)
+        events.append((K.min_poly, a, max_width, K.interval, ends))
+        return ends
+
+    def recorded_walk(den, G, bound):
+        events.append((den, G))
+        return walk(den, G, bound)
+
+    monkeypatch.setattr(RealAlgebraicField, "endpoints", recorded_endpoints)
+    monkeypatch.setattr(RealAlgebraicField, "refine", lambda K, width: widths.append(width) or refine(K, width))
+    monkeypatch.setattr(linalg, "qf_half_walk", recorded_walk)
+    obstructing_root_search(L, f)
+
+    first, count = REFINE_WIDTHS[name]
+    assert widths == [Fraction(first) / 2**k for k in range(count)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    walks = [k for k, event in enumerate(events) if len(event) == 2]
+    # the search bound's enclosure, then one enclosure per entry of T and round
+    assert walks == [1 + len(pairs) * (r + 1) + r for r in range(len(walks))]
+    for r, k in enumerate(walks):
+        delta = Fraction(1, 4 ** (r + 2))
+        mids = []
+        for min_poly, (nums, d), width, interval, (lo, hi, D) in events[k - len(pairs):k]:
+            assert width == delta
+            O = FractionField(min_poly, interval)
+            enclosure = O.enclosure(tuple(Fraction(x, d) for x in nums), delta)
+            assert O.interval == interval  # no refinement: the width was already met
+            assert enclosure == (Fraction(lo, D), Fraction(hi, D))
+            mids.append((enclosure[0] + enclosure[1]) / 2)
+        T_prime = [[None] * n for _ in range(n)]
+        for (i, j), mid in zip(pairs, mids):
+            T_prime[i][j] = T_prime[j][i] = mid - (n * delta / 2 if i == j else 0)
+        den, G = events[k]
+        assert type(den) is int and den > 0 and {type(x) for row in G for x in row} == {int}
+        assert [[Fraction(x, den) for x in row] for row in G] == T_prime, (name, r)
+
+
 def representatives(L, f, vectors):
     """What the orbit reducer of the search lists for the given crossing roots:
     the representatives of their orbits and of their negatives' orbits."""
@@ -579,7 +647,7 @@ def test_one_over_lambda_side_is_tau_of_the_lambda_side(case, monkeypatch):
 
     halves = []
     walk = linalg.qf_half_walk
-    monkeypatch.setattr(linalg, "qf_half_walk", lambda G, bound: halves.append(walk(G, bound)) or halves[-1])
+    monkeypatch.setattr(linalg, "qf_half_walk", lambda *form: halves.append(walk(*form)) or halves[-1])
     obstructing_root_search(L, f)
     for z in (z for z in halves[-1] if L.norm(z) == -2):
         p1, p2 = positivity._pairings(tau, gu1, z)
@@ -654,7 +722,7 @@ def test_one_field_edits_of_a_pair_are_refused_by_name(tmp_path, capsys):
 
 
 def test_refinement_cap_names_its_rounds_and_last_delta(monkeypatch, tmp_path, capsys):
-    def never_positive_definite(G, bound):
+    def never_positive_definite(den, G, bound):
         raise ValueError("form is not positive definite")
 
     monkeypatch.setattr(linalg, "qf_half_walk", never_positive_definite)

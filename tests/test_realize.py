@@ -475,12 +475,16 @@ def test_a_build_forms_each_discriminant_form_once(k3_certificate, monkeypatch):
     # validate_seed forms those of S and R, the glue stage those of S2 and R2,
     # and glue reads the ones stored on S2 and R2; the seed's lattices are
     # rebuilt, so nothing is stored on them yet
-    grams = []
+    grams, complements = [], []
     snf = linalg.snf_with_transform
     monkeypatch.setattr(linalg, "snf_with_transform", lambda A: grams.append(A) or snf(A))
     seed = realize._quartic_seed()
-    cert = build_k3_certificate(S4, seed=seed)
+    form_R = realize.Seed.R
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realize.Seed, "R", lambda self: complements.append(form_R(self)) or complements[-1])
+        cert = build_k3_certificate(S4, seed=seed)
     assert certificate_to_json(cert) == certificate_to_json(k3_certificate)
+    assert len(complements) == 1  # the seed's complement is formed once per build
     assert len(grams) == len(set(grams)) == 4
     assert grams[:2] == [seed.S.gram, seed.R().gram]
     # the stored form is the same object, and no part of the lattice's identity
@@ -714,8 +718,9 @@ def test_descent_cap_names_the_order(monkeypatch):
 
 def test_seed_validation():
     seed = seed_for(S4)
-    f = validate_seed(seed)
+    f, R = validate_seed(seed)
     assert f.char_poly().coeffs == S4.coeffs
+    assert R == seed.R()
 
 
 def _seed(**changes):
