@@ -6,7 +6,6 @@ property and several operations (twisting, discriminant actions) insist on it.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm, prod
 
 from . import linalg
@@ -157,24 +156,23 @@ def kernel_sublattice(f: Isometry, p: IntPolynomial):
         sub = f.lattice.sublattice(B)
     except LatticeError:
         raise IsometryError("kernel sublattice is degenerate") from None
-    restricted = _restrict_to_rows(f.matrix, B)
+    restricted = _restrict_to_rows(f._den, f._num, B)
     return KernelSublattice(lattice=sub, basis=B, isometry=Isometry(sub, restricted))
 
 
-def _restrict_to_rows(F, B):
-    """Matrix of the action on row-span coordinates: rows b -> b F^T.
+def _restrict_to_rows(den, N, B):
+    """Matrix of the action of F = N / den on row-span coordinates: rows b -> b F^T.
 
     Column convention: the Y with B^T Y = F B^T, held as den Y by the echelon
-    form of [B^T | N B^T] for F = N / den. Raises IsometryError when the row
-    span is not invariant, that is when a pivot lands in the right half.
+    form of [B^T | N B^T]. Raises IsometryError when the row span is not
+    invariant, that is when a pivot lands in the right half.
     """
     k = len(B)
     Bt = linalg.transpose(B)
-    den, N = linalg.clear_denominators(F)
     R, d, pivots = linalg.gauss_jordan([b + fb for b, fb in zip(Bt, linalg.mat_mul(N, Bt))])
     if pivots != tuple(range(k)):
         raise IsometryError("row span is not invariant under the isometry")
-    return tuple(tuple(Fraction(x, d * den) for x in row[k:]) for row in R[:k])
+    return linalg.divided(tuple(row[k:] for row in R[:k]), d * den)
 
 
 def _least_power(A, m, test):

@@ -178,8 +178,9 @@ class FiniteQuadraticForm:
 
     Generators g_i have orders d_1 | d_2 | ...; values are stored exactly as
     q(g_i) in [0, 2) and b(g_i, g_j) in [0, 1). When the form arose from a
-    lattice, rational lifts of the generators (rows, lattice coordinates)
-    are kept.
+    lattice, ``lifts`` keeps lifts of the generators to the dual lattice as
+    the ``linalg`` pair (den, rows): row i over den, in lattice coordinates,
+    lifts g_i. Forms built from values alone have ``lifts`` None.
     """
 
     def __init__(self, orders, q_values, b_matrix, lifts=None):
@@ -193,7 +194,7 @@ class FiniteQuadraticForm:
         self.b_matrix = tuple(
             tuple(_frac_mod(v, 1) for v in row) for row in b_matrix
         )
-        self.lifts = None if lifts is None else tuple(tuple(Fraction(x) for x in v) for v in lifts)
+        self.lifts = lifts
         k = len(self.orders)
         if len(self.q_values) != k or [len(row) for row in self.b_matrix] != [k] * k:
             raise LatticeError("value tables must match the number of generators")
@@ -282,7 +283,8 @@ class FiniteQuadraticForm:
         ]
         lifts = None
         if self.lifts is not None:
-            lifts = [linalg.vec_mat(g[0], self.lifts) for g in gens]
+            den, rows = self.lifts
+            lifts = den, tuple(linalg.vec_mat(g[0], rows) for g in gens)
         return FiniteQuadraticForm(orders, q_values, b_matrix, lifts=lifts)
 
     def all_elements(self):
@@ -315,13 +317,11 @@ def _discriminant_form(L):
     if not L.is_even():
         raise LatticeError("discriminant form is defined for even lattices only")
     n = L.rank
-    if n == 0:
-        return FiniteQuadraticForm((), (), ())
     S, V = linalg.snf_with_transform(L.gram)
     diag = [S[i][i] for i in range(n)]
     kept = [i for i in range(n) if diag[i] >= 2]
-    # generator i lifts to c_i / d_i for the integer SNF column c_i, so
-    # b(g_i, g_j) = c_i^T G c_j / (d_i d_j); the constructor reduces mod 1 and 2
+    # generator i lifts to c_i / d_i = (den / d_i) c_i / den for the integer SNF column
+    # c_i and den = d_k, so b(g_i, g_j) = c_i^T G c_j / (d_i d_j), reduced by the constructor
     orders = [diag[i] for i in kept]
     cols = [tuple(V[r][i] for r in range(n)) for i in kept]
     Gc = [linalg.mat_vec(L.gram, c) for c in cols]
@@ -330,8 +330,9 @@ def _discriminant_form(L):
         for Gci, di in zip(Gc, orders)
     ]
     q_values = [b_matrix[i][i] for i in range(len(kept))]
-    lifts = [tuple(Fraction(x, d) for x in c) for c, d in zip(cols, orders)]
-    return FiniteQuadraticForm(orders, q_values, b_matrix, lifts=lifts)
+    den = max(orders, default=1)
+    lifts = tuple(tuple(den // d * x for x in c) for c, d in zip(cols, orders))
+    return FiniteQuadraticForm(orders, q_values, b_matrix, lifts=(den, lifts))
 
 
 def p_primary_part(form: FiniteQuadraticForm, p):
@@ -413,43 +414,42 @@ def glue_map_problems(source, target, matrix):
     return problems
 
 
-def _overlattice(ambient, extras):
-    """Even overlattice of ``ambient`` spanned by it and the rational rows ``extras``.
+def _overlattice(ambient, den, extra):
+    """Even overlattice of ``ambient`` spanned by it and the integer rows ``extra`` / den.
 
-    Returns (L, basis) with the basis rows in ambient coordinates; raises
-    when the span is not integral or not even.
+    Returns (L, (den, H)), the basis rows H / den in ambient coordinates for H the
+    Hermite form of [den I; extra]; raises when the span is not integral or not even.
     """
-    den, extra = linalg.clear_denominators(extras)
-    H = linalg.hnf(linalg.mat_scale(den, linalg.identity(ambient.rank)) + extra)  # basis H / den
+    H = linalg.hnf(linalg.mat_scale(den, linalg.identity(ambient.rank)) + extra)
     gram = linalg.mat_mul(linalg.mat_mul(H, ambient.gram), linalg.transpose(H))
     if any(x % (den * den) for row in gram for x in row):
         raise LatticeError("the overlattice is not integral")
-    basis = tuple(tuple(Fraction(x, den) for x in row) for row in H)
     L = Lattice(tuple(tuple(x // (den * den) for x in row) for row in gram))
     if not L.is_even():
         raise LatticeError("the overlattice is odd")
-    return L, basis
+    return L, (den, H)
 
 
 def glue(M: Lattice, N: Lattice, phi: GlueMap):
     """Overlattice of M + N generated by the graph of the glue map phi.
 
-    Returns (L, basis) where basis rows give the new lattice in (M + N)
-    coordinates. The result must come out integral and even; with
-    |det M| = |det N| it is unimodular. The graph of phi has order |q_M|,
-    the index of M + N in L. The discriminant forms of M and N are the ones
-    stored on them, so a caller that built phi from them forms none again.
+    Returns (L, (den, H)) where the rows of the Hermite form H over den give the
+    new lattice in (M + N) coordinates. The result must come out integral and
+    even; with |det M| = |det N| it is unimodular. The graph of phi has order
+    |q_M|, the index of M + N in L. The discriminant forms of M and N are the
+    ones stored on them, so a caller that built phi from them forms none again.
     """
     qM = discriminant_form(M)
     qN = discriminant_form(N)
     if phi.source.orders != qM.orders or phi.target.orders != qN.orders:
         raise LatticeError("glue map does not match the discriminant forms")
-    # the graph of phi: lift of g_j in M, plus the lift of phi(g_j) in N
-    extras = [
-        qM.lifts[j] + linalg.vec_mat(phi.image(e), qN.lifts)
+    # the graph of phi: lift of g_j in M, plus the lift of phi(g_j) in N, over one den
+    (den, lifts_M), (_, lifts_N) = qM.lifts, qN.lifts
+    extra = tuple(
+        lifts_M[j] + linalg.vec_mat(phi.image(e), lifts_N)
         for j, e in enumerate(linalg.identity(qM.ngens))
-    ]
-    return _overlattice(M.direct_sum(N), extras)
+    )
+    return _overlattice(M.direct_sum(N), den, extra)
 
 
 def is_primitive_sublattice(basis_rows):
@@ -488,14 +488,12 @@ def orthogonal_complement(L: Lattice, basis_rows):
 
 
 def enumerate_vectors_of_norm(L: Lattice, m):
-    """All v with <v, v> = m in a definite lattice, canonically sorted.
+    """All nonzero v with <v, v> = m in a definite lattice, canonically sorted.
 
     A divisibility prefilter answers first when m misses the gcd of all
     attainable norms (this settles some indefinite twists without any
     enumeration); otherwise the lattice must be definite.
     """
-    if m == 0:
-        return []
     div = 0
     n = L.rank
     for i in range(n):

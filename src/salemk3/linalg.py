@@ -1,11 +1,14 @@
 """Exact linear algebra over the integers and rationals.
 
 Matrices are tuples of row tuples. A rational matrix is an integer matrix
-over one positive denominator (``clear_denominators``), and every elimination
+over one positive denominator, the pair (den, int_rows), and every elimination
 runs on integers: Gauss-Jordan through the fraction-free ``gauss_jordan``,
 except that ``inverse_pair`` back-substitutes on an upper triangular matrix,
 such as a Hermite form. The short-vector walk (``qf_half_walk``,
-``qf_enumerate``) takes its form in that convention, as (den, int_rows).
+``qf_enumerate``) takes its form as such a pair, and the discriminant-form
+lifts and glued bases of ``salemk3.lattices`` are such pairs. Fractions enter
+through ``clear_denominators`` at the public boundary and leave through
+``divided`` (``Isometry.matrix``, ``rat_inverse``).
 Vectors are tuples treated as columns, so ``mat_vec(A, v)`` computes
 ``A @ v``. Basis matrices for sublattices keep the basis vectors as rows.
 """

@@ -445,7 +445,7 @@ def build_k3_certificate(s: IntPolynomial, seed=None):
     # stage: glue along a constructed anti-isometry
     try:
         phi = build_glue_map(discriminant_form(S2), discriminant_form(R2))
-        L22, basis = glue(S2, R2, phi)
+        L22, (den, H) = glue(S2, R2, phi)
     except LatticeError as exc:
         raise RealizeError(f"stage glue: {exc}") from exc
 
@@ -455,9 +455,9 @@ def build_k3_certificate(s: IntPolynomial, seed=None):
     report = is_positive(S2, f2)
 
     # stage: power the isometry until it acts trivially on the discriminant
-    # group, so that it descends to the overlattice. For B = basis = H / den and
-    # H^-1 = N / e, row i of B^-1 = den N / e is the coordinate vector of ambient e_i,
-    # and h = (B^-1)^T block B^T = N^T block H^T / e (column convention).
+    # group, so that it descends to the overlattice. For the glued basis B = H / den
+    # and H^-1 = N / e, row i of B^-1 = den N / e is the coordinate vector of ambient
+    # e_i, and h = (B^-1)^T block B^T = N^T block H^T / e (column convention).
     k = discriminant_order(S2, f2)
     if k > DESCENT_ORDER_CAP:
         raise RealizeError(
@@ -465,7 +465,6 @@ def build_k3_certificate(s: IntPolynomial, seed=None):
         )
     Fk = linalg.mat_pow(f2.matrix, k)
     block = linalg.block_diag(Fk, linalg.identity(R2.rank))
-    den, H = linalg.clear_denominators(basis)
     N, e = linalg.inverse_pair(H)
     h = linalg.mat_mul(linalg.mat_mul(linalg.transpose(N), block), linalg.transpose(H))
     h = tuple(tuple(x // e for x in row) for row in h)
@@ -608,7 +607,7 @@ def verify_certificate(cert: RealizationCertificate):
     char_ok = False
     if iso_ok and kernel_lat is not None:
         try:
-            restricted = _restrict_to_rows(h, rows)
+            restricted = _restrict_to_rows(1, linalg.mat_to_int(h), rows)
             g = cert.kernel_generator
             g_iso = Isometry(kernel_lat, g)
             g_char_ok = g_iso.char_poly().coeffs == cert.salem.coeffs

@@ -32,7 +32,8 @@ mod a prime first (for cyclotomic factors), and trial division by every
 monic polynomial of degree at most 3 instead of gcds with x^(p^k) - x (for
 the factor degrees of a polynomial mod p), and one Newton step per power of
 p instead of steps that double the precision (for Hensel-lifted square
-roots).
+roots), and Fraction graph rows cleared over their least common denominator
+instead of integer lifts over the exponent of the group (for glued bases).
 """
 
 from fractions import Fraction
@@ -412,8 +413,7 @@ def discriminant_action(L, form, F):
     up in a table of the multiples of g_1 for each choice of the others.
     """
     n, k = L.rank, form.ngens
-    den = lcm(*(x.denominator for v in form.lifts for x in v))
-    lifts = [[int(x * den) for x in v] for v in form.lifts]
+    den, lifts = form.lifts
 
     def residues(coords, start):
         """sum_i coords[i] g_(start + i), as den times its lift mod den."""
@@ -424,8 +424,8 @@ def discriminant_action(L, form, F):
     first = {residues((c,), 0): c for c in range(form.orders[0])}
     rest = [(coords, residues(coords, 1)) for coords in product(*map(range, form.orders[1:]))]
     cols = []
-    for v in form.lifts:
-        image = [int(sum(F[r][c] * v[c] for c in range(n)) * den) for r in range(n)]
+    for v in lifts:
+        image = [int(sum(F[r][c] * v[c] for c in range(n))) for r in range(n)]
         (col,) = [
             (first[key],) + coords
             for coords, b in rest
@@ -459,6 +459,30 @@ def discriminant_order_by_iteration(L, f, cap=100000):
         )
         order += 1
     return order
+
+
+def fraction_glue_basis(M, N, phi):
+    """(den, H) for the overlattice of M + N on the graph of the glue map phi,
+    by the Fraction route: each graph row is the Fraction lift of g_j in M
+    followed by the Fraction combination of the lifts in N at phi(g_j); the
+    rows are cleared over their least common denominator den, and H is the
+    Hermite form of den I stacked on them."""
+    from salemk3.linalg import hnf
+    from salemk3.lattices import discriminant_form
+
+    def fraction_lifts(L):
+        den, rows = discriminant_form(L).lifts
+        return [[Fraction(x, den) for x in row] for row in rows]
+
+    lifts_M, lifts_N = fraction_lifts(M), fraction_lifts(N)
+    graph = []
+    for j, lift in enumerate(lifts_M):
+        image = phi.image(tuple(int(i == j) for i in range(len(lifts_M))))
+        graph.append(lift + [sum((c * v[r] for c, v in zip(image, lifts_N)), Fraction(0)) for r in range(N.rank)])
+    den = lcm(1, *(x.denominator for row in graph for x in row))
+    n = M.rank + N.rank
+    scaled = [[den * int(i == j) for j in range(n)] for i in range(n)]
+    return den, hnf(tuple(map(tuple, scaled + [[int(x * den) for x in row] for row in graph])))
 
 
 def count_e8_roots_standard_model():

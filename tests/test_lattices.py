@@ -37,6 +37,7 @@ from oracles import (
     descartes_signature,
     discriminant_action,
     fraction_det,
+    fraction_glue_basis,
     fraction_inverse,
     fraction_qf_enumerate,
     rat_kernel,
@@ -156,7 +157,8 @@ def test_glue_to_unimodular():
     M, N = Lattice([[-2]]), Lattice([[2]])
     qM, qN = discriminant_form(M), discriminant_form(N)
     phi = GlueMap(qM, qN, find_anti_isometry(qM, qN))
-    L, basis = glue(M, N, phi)
+    L, (den, H) = glue(M, N, phi)
+    basis = tuple(tuple(Fraction(x, den) for x in row) for row in H)
     assert L.rank == 2 and L.is_even() and L.determinant() == -1
     assert L.gram == rat_mat_mul(basis, M.direct_sum(N).gram, linalg.transpose(basis))
     # complement of the first block recovers the second
@@ -584,8 +586,10 @@ def test_qf_enumerate_rejects_forms_that_are_not_positive_definite(G):
 
 
 def test_enumerate_rejects_indefinite_without_divisibility():
-    with pytest.raises(LatticeError):
-        enumerate_vectors_of_norm(U, -2)
+    # U and U(2) hold the isotropic vector (1, 0), so norm 0 is refused too
+    for L, m in ((U, -2), (U, 0), (U.rescaled(2), 0)):
+        with pytest.raises(LatticeError, match="^enumeration requires a definite lattice$"):
+            enumerate_vectors_of_norm(L, m)
 
 
 def test_hyperbolic_form_and_isomorphism_search():
@@ -857,9 +861,9 @@ def _gauss_jordan_pair(A):
     return tuple(tuple(x // g for x in row[n:]) for row in R), d // g
 
 
-def _s4_overlattice_basis(cert):
-    """The rational basis that ``glue`` returns for the S4 certificate's
-    twisted blocks, rebuilt from its glue evidence."""
+def _s4_glue_inputs(cert):
+    """The S4 certificate's twisted blocks S2 and R2 and the glue map between
+    them, rebuilt from its glue evidence."""
     from salemk3.isometries import Isometry, TwistElement, twist
     from salemk3.realize import seed_for
 
@@ -868,9 +872,57 @@ def _s4_overlattice_basis(cert):
     t = TwistElement([int(c) for c in t])
     S2, _ = twist(seed.S, Isometry(seed.S, seed.f_S), TwistElement(t.poly * t.poly))
     R2 = lattice_U().rescaled(p ** (2 * l)).direct_sum(seed.R_rest)
-    L22, basis = glue(S2, R2, build_glue_map(discriminant_form(S2), discriminant_form(R2)))
+    return S2, R2, build_glue_map(discriminant_form(S2), discriminant_form(R2))
+
+
+def _s4_overlattice_basis(cert):
+    """The basis (den, H) that ``glue`` returns for the S4 certificate."""
+    L22, basis = glue(*_s4_glue_inputs(cert))
     assert L22 == cert.lattice
     return basis
+
+
+def test_lifts_and_glued_bases_match_the_fraction_route(s4_certificate):
+    from salemk3.realize import seed_for
+
+    rng = random.Random(33)
+    forms = [(L, discriminant_form(L)) for L in (Lattice(()), E8, U.rescaled(6), lattice_E6())]
+    while len(forms) < 60:
+        n = rng.randint(1, 5)
+        G = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                v = rng.randint(-4, 4)
+                G[i][j] = G[j][i] = 2 * v if i == j else v
+        try:
+            L = Lattice(G)
+        except LatticeError:
+            continue
+        q = discriminant_form(L)
+        parts = [q.p_primary_part(p) for p in q.primes()]
+        assert all(part.lifts[0] == q.lifts[0] for part in parts)
+        assert q.negated().lifts == q.lifts
+        forms += [(L, q)] + [(L, part) for part in parts]
+    assert forms[0][1].lifts == forms[1][1].lifts == (1, ())
+    for L, q in forms:
+        den, rows = q.lifts
+        assert type(den) is int and len(rows) == q.ngens
+        assert all(len(row) == L.rank and all(type(x) is int for x in row) for row in rows)
+        for i, (li, d) in enumerate(zip(rows, q.orders)):
+            Gli = linalg.mat_vec(L.gram, li)
+            # l_i / den is in the dual lattice, and d_i l_i / den in L
+            assert all(x % den == 0 for x in Gli) and all(d * x % den == 0 for x in li)
+            assert (Fraction(linalg.dot(li, Gli), den * den) - q.q_values[i]) % 2 == 0
+            for j, lj in enumerate(rows):
+                assert (Fraction(linalg.dot(lj, Gli), den * den) - q.b_matrix[i][j]) % 1 == 0
+
+    seed = seed_for(s4_certificate.salem)
+    pairs = [(Lattice([[-2]]), Lattice([[2]])), (E8, U), (seed.S, Lattice([[2, -1], [-1, 2]]))]
+    pairs = [(M, N, build_glue_map(discriminant_form(M), discriminant_form(N))) for M, N in pairs]
+    for M, N, phi in pairs + [_s4_glue_inputs(s4_certificate)]:
+        _, (den, H) = glue(M, N, phi)
+        assert (den, H) == fraction_glue_basis(M, N, phi)
+        assert all(type(x) is int for row in H for x in row)
 
 
 def test_triangular_inverse_matches_gauss_jordan_and_fractions(s4_certificate, monkeypatch):
@@ -902,7 +954,7 @@ def test_triangular_inverse_matches_gauss_jordan_and_fractions(s4_certificate, m
         cases["negative"].append(H)
     cases["1x1"] = [[[k]] for k in range(-12, 13) if k]
     # the 22 x 22 Hermite basis of the glued S4 lattice: diagonal (1, 3, 867, ...)
-    den, H = linalg.clear_denominators(_s4_overlattice_basis(s4_certificate))
+    den, H = _s4_overlattice_basis(s4_certificate)
     assert den == 867 and [H[i][i] for i in range(3)] == [1, 3, 867]
     assert sum(x != 0 for row in H for x in row) == 35
     cases["S4 basis"] = [H]

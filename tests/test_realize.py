@@ -820,7 +820,8 @@ def _build_torus_certificate(mod2_power=True):
     qS = discriminant_form(S)
     qA = discriminant_form(A2pos)
     phi = GlueMap(qS, qA, find_anti_isometry(qS, qA))
-    L6, basis = glue(S, A2pos, phi)
+    L6, (den, H) = glue(S, A2pos, phi)
+    basis = tuple(tuple(Fraction(x, den) for x in row) for row in H)
     assert L6.signature() == (3, 3) and L6.is_unimodular() and L6.is_even()
     # power f until it is trivial on the discriminant group
     k1 = discriminant_order_by_iteration(S, f)
