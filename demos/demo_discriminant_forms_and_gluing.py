@@ -7,6 +7,8 @@ orthogonal complement of a primitive sublattice of a unimodular lattice has
 the negated discriminant form.
 """
 
+from fractions import Fraction
+
 from salemk3 import (
     GlueMap,
     Lattice,
@@ -20,7 +22,8 @@ from salemk3.lattices import find_anti_isometry, forms_isomorphic
 
 minus2 = Lattice([[-2]])
 q = discriminant_form(minus2)
-print("D([[-2]]):", q.orders, "q(g) =", q.q_values[0], "(that is -1/2 mod 2Z)")
+# q(g) is held as the integer numerator Q over the group's exponent N
+print("D([[-2]]):", q.orders, "q(g) =", Fraction(q.q_of((1,)), q.exponent), "(that is -1/2 mod 2Z)")
 
 twisted = Lattice([[22, 33], [33, 22]])
 q2 = discriminant_form(twisted)

@@ -2,13 +2,14 @@
 
 A lattice is a free Z-module with a nondegenerate symmetric integer Gram
 matrix. Discriminant groups are presented through the Smith normal form of
-the Gram matrix; their Q/2Z-valued quadratic forms are stored exactly with
-values normalized into [0, 2). ``build_glue_map`` is the one builder of
-anti-isometries of discriminant forms, and ``forms_isomorphic`` decides
-through it. It works prime by prime: an odd p-part is matched through its
-Jordan (diagonal) decomposition, which decides and constructs at once; a
-2-part goes through backtracking, which bounds its order. The p-maps are
-then assembled on the original generators.
+the Gram matrix; their Q/2Z-valued quadratic forms are stored exactly, as
+integer numerators over the group's exponent N: q mod 2N and b mod N.
+``build_glue_map`` is the one builder of anti-isometries of discriminant
+forms, and ``forms_isomorphic`` decides through it. It works prime by
+prime: an odd p-part is matched through its Jordan (diagonal)
+decomposition, which decides and constructs at once; a 2-part goes through
+backtracking, which bounds its order. The p-maps are then assembled on the
+original generators.
 """
 
 from dataclasses import dataclass
@@ -168,44 +169,69 @@ def named_lattice(name):
 # --- discriminant forms -------------------------------------------------------
 
 
-def _frac_mod(x, m):
-    x = Fraction(x)
-    return x - m * (x / m).__floor__()
-
-
 class FiniteQuadraticForm:
     """Finite abelian group with a Q/2Z-valued quadratic form.
 
-    Generators g_i have orders d_1 | d_2 | ...; values are stored exactly as
-    q(g_i) in [0, 2) and b(g_i, g_j) in [0, 1). When the form arose from a
-    lattice, ``lifts`` keeps lifts of the generators to the dual lattice as
-    the ``linalg`` pair (den, rows): row i over den, in lattice coordinates,
-    lifts g_i. Forms built from values alone have ``lifts`` None.
+    Generators g_i have orders d_1 | d_2 | ... | d_k, and the values are held
+    as integers over the group's exponent N = d_k (``exponent``; N = 1 for
+    the trivial group): q(g_i) = Q_i / N with Q_i in [0, 2N) (``q_nums``)
+    and b(g_i, g_j) = B_ij / N with B_ij in [0, N) (``b_nums``). The
+    constructor takes rational values and converts them once; forms built in
+    this module start from numerators, and both pass the same checks. When
+    the form arose from a lattice, ``lifts`` keeps lifts of the generators to
+    the dual lattice as the ``linalg`` pair (den, rows): row i over den, in
+    lattice coordinates, lifts g_i. Forms built from values alone have
+    ``lifts`` None.
     """
 
     def __init__(self, orders, q_values, b_matrix, lifts=None):
-        self.orders = tuple(int(d) for d in orders)
-        if any(d < 2 for d in self.orders):
+        q_values = [Fraction(v) for v in q_values]
+        b_matrix = [[Fraction(v) for v in row] for row in b_matrix]
+        orders = tuple(int(d) for d in orders)
+        # one denominator for every value, and a multiple of each order
+        den = lcm(*orders, *(v.denominator for v in chain(q_values, *b_matrix)))
+        self._set(
+            orders,
+            den,
+            [v.numerator * (den // v.denominator) for v in q_values],
+            [[v.numerator * (den // v.denominator) for v in row] for row in b_matrix],
+            lifts,
+        )
+
+    @classmethod
+    def _on_numerators(cls, orders, den, q_nums, b_nums, lifts=None):
+        """The form with q(g_i) = q_nums[i] / den and b(g_i, g_j) =
+        b_nums[i][j] / den, for den a multiple of every order."""
+        form = object.__new__(cls)
+        form._set(tuple(orders), den, q_nums, b_nums, lifts)
+        return form
+
+    def _set(self, orders, den, q_nums, b_nums, lifts):
+        if any(d < 2 for d in orders):
             raise LatticeError("generator orders must be >= 2")
-        for a, b in zip(self.orders, self.orders[1:]):
+        for a, b in zip(orders, orders[1:]):
             if b % a != 0:
                 raise LatticeError("orders must form a divisibility chain")
-        self.q_values = tuple(_frac_mod(v, 2) for v in q_values)
-        self.b_matrix = tuple(
-            tuple(_frac_mod(v, 1) for v in row) for row in b_matrix
-        )
-        self.lifts = lifts
-        k = len(self.orders)
-        if len(self.q_values) != k or [len(row) for row in self.b_matrix] != [k] * k:
+        k = len(orders)
+        if len(q_nums) != k or [len(row) for row in b_nums] != [k] * k:
             raise LatticeError("value tables must match the number of generators")
-        for i, d in enumerate(self.orders):
-            if _frac_mod(self.q_values[i], 1) != self.b_matrix[i][i]:
+        for i, d in enumerate(orders):
+            row = b_nums[i]
+            if (q_nums[i] - row[i]) % den:
                 raise LatticeError("diagonal of b must be q reduced modulo Z")
             # q(x + d g_i) = q(x) and b(x, d g_i) = 0: the values fit the order d
-            if (d * d * self.q_values[i]) % 2 or any((d * v).denominator > 1 for v in self.b_matrix[i]):
+            if d * d * q_nums[i] % (2 * den) or any(d * v % den for v in row):
                 raise LatticeError(f"values on generator {i} do not fit its order {d}")
-            if any(self.b_matrix[i][j] != self.b_matrix[j][i] for j in range(i)):
+            if any((row[j] - b_nums[j][i]) % den for j in range(i)):
                 raise LatticeError("b must be symmetric")
+        # each value fits its generator's order, so its denominator divides N
+        N = orders[-1] if orders else 1
+        scale = den // N
+        self.orders = orders
+        self.exponent = N
+        self.q_nums = tuple(v // scale % (2 * N) for v in q_nums)
+        self.b_nums = tuple(tuple(v // scale % N for v in row) for row in b_nums)
+        self.lifts = lifts
 
     @property
     def ngens(self):
@@ -215,26 +241,20 @@ class FiniteQuadraticForm:
         return prod(self.orders)
 
     def q_of(self, coords):
-        """q(sum coords_i g_i) in [0, 2)."""
-        total = Fraction(0)
+        """Q in [0, 2N) with q(sum coords_i g_i) = Q / N."""
+        total = 0
         k = self.ngens
         for i in range(k):
             a = coords[i]
             if a % self.orders[i] == 0:
                 continue
-            total += a * a * self.q_values[i]
-            for j in range(i + 1, k):
-                total += 2 * a * coords[j] * self.b_matrix[i][j]
-        return _frac_mod(total, 2)
+            row = self.b_nums[i]
+            total += a * (a * self.q_nums[i] + 2 * sum(coords[j] * row[j] for j in range(i + 1, k)))
+        return total % (2 * self.exponent)
 
     def b_of(self, coords1, coords2):
-        """b(x, y) in [0, 1)."""
-        total = Fraction(0)
-        k = self.ngens
-        for i in range(k):
-            for j in range(k):
-                total += coords1[i] * coords2[j] * self.b_matrix[i][j]
-        return _frac_mod(total, 1)
+        """B in [0, N) with b(x, y) = B / N."""
+        return sum(x * linalg.dot(row, coords2) for x, row in zip(coords1, self.b_nums) if x) % self.exponent
 
     def element_order(self, coords):
         out = 1
@@ -243,10 +263,11 @@ class FiniteQuadraticForm:
         return out
 
     def negated(self):
-        return FiniteQuadraticForm(
+        return FiniteQuadraticForm._on_numerators(
             self.orders,
-            [_frac_mod(-v, 2) for v in self.q_values],
-            [[_frac_mod(-v, 1) for v in row] for row in self.b_matrix],
+            self.exponent,
+            [-v for v in self.q_nums],
+            [[-v for v in row] for row in self.b_nums],
             lifts=self.lifts,
         )
 
@@ -273,19 +294,21 @@ class FiniteQuadraticForm:
         """Form on the subgroup generated by (coords, order) pairs.
 
         The generators must be independent with the stated orders and the
-        divisibility chain is enforced by ordering.
+        divisibility chain is enforced by ordering. The values are read over
+        a common multiple of N and the new orders, and the constructor's
+        checks bring them exactly to the subgroup's own exponent.
         """
         gens = sorted(gens, key=lambda g: g[1])
         orders = [g[1] for g in gens]
-        q_values = [self.q_of(g[0]) for g in gens]
-        b_matrix = [
-            [self.b_of(g1[0], g2[0]) for g2 in gens] for g1 in gens
-        ]
+        M = lcm(self.exponent, *orders)
+        scale = M // self.exponent
+        q_nums = [scale * self.q_of(g[0]) for g in gens]
+        b_nums = [[scale * self.b_of(g1[0], g2[0]) for g2 in gens] for g1 in gens]
         lifts = None
         if self.lifts is not None:
             den, rows = self.lifts
             lifts = den, tuple(linalg.vec_mat(g[0], rows) for g in gens)
-        return FiniteQuadraticForm(orders, q_values, b_matrix, lifts=lifts)
+        return FiniteQuadraticForm._on_numerators(orders, M, q_nums, b_nums, lifts=lifts)
 
     def all_elements(self):
         """Iterate (coords, order) over every nonzero element; small groups only."""
@@ -320,19 +343,16 @@ def _discriminant_form(L):
     S, V = linalg.snf_with_transform(L.gram)
     diag = [S[i][i] for i in range(n)]
     kept = [i for i in range(n) if diag[i] >= 2]
-    # generator i lifts to c_i / d_i = (den / d_i) c_i / den for the integer SNF column
-    # c_i and den = d_k, so b(g_i, g_j) = c_i^T G c_j / (d_i d_j), reduced by the constructor
+    # generator i lifts to c_i / d_i = l_i / N for the integer SNF column c_i, the
+    # exponent N = d_k and l_i = (N / d_i) c_i, so b(g_i, g_j) = l_i^T G l_j / N^2 and
+    # q(g_i) = l_i^T G l_i / N^2: their numerators over N are exact quotients by N
     orders = [diag[i] for i in kept]
-    cols = [tuple(V[r][i] for r in range(n)) for i in kept]
-    Gc = [linalg.mat_vec(L.gram, c) for c in cols]
-    b_matrix = [
-        [Fraction(linalg.dot(Gci, cj), di * dj) for cj, dj in zip(cols, orders)]
-        for Gci, di in zip(Gc, orders)
-    ]
-    q_values = [b_matrix[i][i] for i in range(len(kept))]
-    den = max(orders, default=1)
-    lifts = tuple(tuple(den // d * x for x in c) for c, d in zip(cols, orders))
-    return FiniteQuadraticForm(orders, q_values, b_matrix, lifts=(den, lifts))
+    N = max(orders, default=1)
+    lifts = tuple(tuple(N // diag[i] * V[r][i] for r in range(n)) for i in kept)
+    Gl = [linalg.mat_vec(L.gram, li) for li in lifts]
+    b_nums = [[linalg.dot(Gli, lj) // N for lj in lifts] for Gli in Gl]
+    q_nums = [b_nums[i][i] for i in range(len(kept))]
+    return FiniteQuadraticForm._on_numerators(orders, N, q_nums, b_nums, lifts=(N, lifts))
 
 
 def p_primary_part(form: FiniteQuadraticForm, p):
@@ -402,12 +422,15 @@ def glue_map_problems(source, target, matrix):
         scaled = tuple(c * source.orders[j] for c in col)
         if any(s % d != 0 for s, d in zip(scaled, target.orders)):
             problems.append(f"image of generator {j} has too large an order")
+    # the values of both forms over one common exponent M
+    M = lcm(source.exponent, target.exponent)
+    us, ut = M // source.exponent, M // target.exponent
     for j, col in enumerate(cols):
-        if _frac_mod(target.q_of(col) + source.q_values[j], 2) != 0:
+        if (ut * target.q_of(col) + us * source.q_nums[j]) % (2 * M):
             problems.append(f"q not negated on generator {j}")
     for i in range(ks):
         for j in range(i + 1, ks):
-            if _frac_mod(target.b_of(cols[i], cols[j]) + source.b_matrix[i][j], 1) != 0:
+            if (ut * target.b_of(cols[i], cols[j]) + us * source.b_nums[i][j]) % M:
                 problems.append(f"b not negated on generator pair ({i},{j})")
     if not problems and _subgroup_order(target, cols) != source.order():
         problems.append("map is not bijective")
@@ -526,13 +549,13 @@ def _odd_diagonalize(part, p):
     finds among the generators and their pairwise sums an element of the
     largest order p^e whose beta-value has denominator p^e, and splits it off.
     """
-    k = part.ngens
-    # work with beta = q/2 (odd order makes division by 2 harmless)
+    k, N = part.ngens, part.exponent
     gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
     out = []
 
     def beta(x):
-        return _frac_mod(part.q_of(x) / 2, 1)
+        # beta = q/2 over N: Q is even on a group of odd order
+        return part.q_of(x) // 2
 
     while gens:
         max_order = max(part.element_order(g) for g in gens)
@@ -542,17 +565,14 @@ def _odd_diagonalize(part, p):
         )
         cand = next(
             g for g in chain(gens, sums)
-            if part.element_order(g) == max_order and beta(g).denominator == max_order
+            if part.element_order(g) == max_order and N // gcd(beta(g), N) == max_order
         )
-        e = valuation(max_order, p)
-        unit = int(beta(cand) * max_order) % max_order
-        out.append((e, unit % p**e, cand))
-        bc_num = int(part.b_of(cand, cand) * max_order)
-        inv = pow(bc_num, -1, max_order)
+        # cand has order max_order = p^e, so each value at cand is an integer over p^e
+        out.append((valuation(max_order, p), beta(cand) * max_order // N, cand))
+        inv = pow(part.b_of(cand, cand) * max_order // N, -1, max_order)
         new_gens = []
         for g in gens:
-            c = int(part.b_of(cand, g) * max_order) % max_order
-            coef = (c * inv) % max_order
+            coef = part.b_of(cand, g) * max_order // N * inv % max_order
             g2 = tuple((a - coef * b) % d for a, b, d in zip(g, cand, part.orders))
             if any(g2):
                 new_gens.append(g2)
@@ -618,6 +638,7 @@ def _odd_anti_map(part1, part2, p):
     (columns = images).
     """
     orders = part2.orders
+    N = part2.exponent  # part1's too, as the orders are equal
 
     def combine(*terms):
         return tuple(sum(k * v[i] for k, v in terms) % d for i, d in enumerate(orders))
@@ -644,20 +665,20 @@ def _odd_anti_map(part1, part2, p):
                 x, y = _represent_by_binary(c1, c2, target_val, p, E)
                 chosen = combine((x, g1), (y, g2))
                 # orthogonal complement of chosen inside span(g1, g2)
-                inv = pow(int(part2.b_of(chosen, chosen) * pe), -1, pe)
+                inv = pow(part2.b_of(chosen, chosen) * pe // N, -1, pe)
                 for g in (g1, g2):
-                    cand = combine((1, g), (-int(part2.b_of(chosen, g) * pe) * inv, chosen))
-                    bh = part2.q_of(cand) / 2 % 1
-                    if part2.element_order(cand) == pe and bh.denominator == pe:
+                    cand = combine((1, g), (-(part2.b_of(chosen, g) * pe // N) * inv, chosen))
+                    bh = part2.q_of(cand) // 2
+                    if part2.element_order(cand) == pe and N // gcd(bh, N) == pe:
                         break
-                avail = [(int(bh * pe), cand)] + avail[2:]
+                avail = [(bh * pe // N, cand)] + avail[2:]
             images.append((E, d, chosen))
     cols = []
     for g in linalg.identity(part1.ngens):
         col = [0] * part2.ngens
         for E, d, image in images:
             pe = p**E
-            c = int(part1.b_of(g, d) * pe) * pow(int(part1.b_of(d, d) * pe), -1, pe)
+            c = part1.b_of(g, d) * pe // N * pow(part1.b_of(d, d) * pe // N, -1, pe)
             col = [a + c * b for a, b in zip(col, image)]
         cols.append(combine((1, col)))
     return tuple(tuple(col[i] for col in cols) for i in range(part2.ngens))
@@ -687,7 +708,8 @@ def build_glue_map(q1, q2):
     whose b(g_i, -) = (b(g_i, g_j) d_j)_j do not generate the dual, is refused.
     """
     for q in (q1, q2):
-        if _subgroup_order(q, [[b * d for b, d in zip(row, q.orders)] for row in q.b_matrix]) != q.order():
+        N = q.exponent
+        if _subgroup_order(q, [[b * d // N for b, d in zip(row, q.orders)] for row in q.b_nums]) != q.order():
             raise LatticeError("finite quadratic form is degenerate")
     if q1.orders != q2.orders:
         return None
@@ -739,10 +761,10 @@ def find_form_isometry(f1, f2):
             if _subgroup_order(f2, cols) != f1.order():
                 return False
             return True
-        key = (f1.orders[j], f1.q_values[j])
+        key = (f1.orders[j], f1.q_nums[j])
         for cand in elements.get(key, []):
             ok = all(
-                f2.b_of(chosen[i], cand) == f1.b_matrix[i][j] for i in range(j)
+                f2.b_of(chosen[i], cand) == f1.b_nums[i][j] for i in range(j)
             )
             if not ok:
                 continue
@@ -766,8 +788,4 @@ def find_anti_isometry(f1, f2):
 def hyperbolic_p_form(p, n):
     """The scale-1/p^n hyperbolic form on (Z/p^n)^2."""
     pn = p**n
-    return FiniteQuadraticForm(
-        (pn, pn),
-        (Fraction(0), Fraction(0)),
-        ((Fraction(0), Fraction(1, pn)), (Fraction(1, pn), Fraction(0))),
-    )
+    return FiniteQuadraticForm._on_numerators((pn, pn), pn, (0, 0), ((0, 1), (1, 0)))

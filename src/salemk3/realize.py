@@ -16,7 +16,6 @@ from . import codec, linalg
 from .isometries import (
     Isometry,
     TwistElement,
-    _least_power,
     _restrict_to_rows,
     discriminant_order,
     is_isometry,
@@ -35,7 +34,7 @@ from .lattices import (
     lattice_U,
     named_lattice,
 )
-from .numbertheory import is_prime, legendre, sqrt_mod
+from .numbertheory import factorize, is_prime, legendre, sqrt_mod
 from .polynomials import (
     IntPolynomial,
     NotSalemError,
@@ -370,6 +369,27 @@ class RealizationCertificate:
     glue_evidence: object = None  # dict from the construction pipeline
 
 
+def _order_mod_square(b, p):
+    """Order of the unit b modulo p^2, for p prime not dividing b.
+
+    It divides E = p (p - 1), the exponent of (Z/p^2)^*. For each q^a
+    exactly dividing E in turn, the running exponent drops its q-part and
+    climbs back one factor q at a time until b^d = 1 mod p^2 (Cohen, GTM 138,
+    Algorithm 1.4.3): the climb of ``isometries._least_power`` on a scalar.
+    """
+    m = p * p
+    d = E = p * (p - 1)
+    for q, a in factorize(E).items():
+        d //= q**a
+        x = pow(b, d, m)
+        for _ in range(a):
+            if x == 1:
+                break
+            x = pow(x, q, m)
+            d *= q
+    return d
+
+
 def pipeline_split_prime(s: IntPolynomial, exclude):
     """Split prime for the certificate pipeline, keeping the powering small.
 
@@ -383,7 +403,7 @@ def pipeline_split_prime(s: IntPolynomial, exclude):
     for p, roots in _split_primes(trace_polynomial(s), 3, 1, exclude, PIPELINE_PRIME_CAP):
         for a, w in roots:
             b = (a + w) * pow(2, -1, p) % p
-            o2 = _least_power(((b,),), p * p, lambda P: P == ((1,),))
+            o2 = _order_mod_square(b, p)
             if best is None or o2 < best[0]:
                 best = (o2, SplitPrimeEvidence(p, a, w, 1))
         found += len(roots)

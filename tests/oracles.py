@@ -435,6 +435,27 @@ def discriminant_action(L, form, F):
     return tuple(tuple(col[i] for col in cols) for i in range(k))
 
 
+def fraction_form_values(gram, form, x, y):
+    """(q(x), b(x, y)) as unreduced Fractions, for x and y given by their
+    coordinates over the generators of a form whose ``lifts`` lift them to
+    the dual of the lattice with Gram matrix ``gram``: with v and w the dual
+    vectors sum_i x_i l_i / den and sum_i y_i l_i / den, q(x) = v^T G v and
+    b(x, y) = v^T G w, so they agree with the form mod 2 and mod 1. The
+    products are taken on den v and den w, then divided by den^2."""
+    den, lifts = form.lifts
+    n = len(gram)
+
+    def scaled(coords):
+        return [sum(c * lift[r] for c, lift in zip(coords, lifts)) for r in range(n)]
+
+    v, w = scaled(x), scaled(y)
+    Gv = [sum(g * a for g, a in zip(row, v)) for row in gram]
+    return (
+        Fraction(sum(a * b for a, b in zip(v, Gv)), den * den),
+        Fraction(sum(a * b for a, b in zip(w, Gv)), den * den),
+    )
+
+
 def discriminant_order_by_iteration(L, f, cap=100000):
     """Order of the action of the integral isometry f on L^dual / L.
 

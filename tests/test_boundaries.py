@@ -37,7 +37,10 @@ CASES = {
     "primitive part of zero": (lambda: P([0]).primitive_part(), P([])),
     "str of zero": (lambda: str(P([])), "0"),
     "divides with a non-integral quotient": (lambda: divides(P([0, 2]), P([1, 1])), False),
-    "discriminant form of rank 0": (lambda: (TRIVIAL.orders, TRIVIAL.q_values, TRIVIAL.b_matrix), ((), (), ())),
+    "discriminant form of rank 0": (
+        lambda: (TRIVIAL.orders, TRIVIAL.exponent, TRIVIAL.q_nums, TRIVIAL.b_nums),
+        ((), 1, (), ()),
+    ),
     "vectors of norm 0": (lambda: enumerate_vectors_of_norm(lattice_E8(), 0), []),
     "vectors of norm 2 in a negative definite lattice": (lambda: enumerate_vectors_of_norm(lattice_E8(), 2), []),
     "forms of different orders are not isomorphic": (lambda: forms_isomorphic(A1_FORM, A2_FORM), False),

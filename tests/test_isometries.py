@@ -22,7 +22,7 @@ from salemk3.isometries import (
 from salemk3.lattices import Lattice
 from salemk3.numbertheory import factorize
 from salemk3.polynomials import IntPolynomial, companion_matrix
-from salemk3.realize import seed_for
+from salemk3.realize import _order_mod_square, seed_for
 
 from oracles import (
     discriminant_order_by_iteration,
@@ -367,7 +367,8 @@ def test_least_power_with_prescribed_factorizations():
 
 
 def test_least_power_orders_mod_p_squared():
-    # the 1 x 1 search that pipeline_split_prime runs, for every unit b mod p
+    # the 1 x 1 search and the scalar climb that pipeline_split_prime runs,
+    # for every unit b mod p, against the order by iteration
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         for b in range(1, p):
             order, x = 1, b
@@ -375,6 +376,7 @@ def test_least_power_orders_mod_p_squared():
                 x = x * b % (p * p)
                 order += 1
             assert _least_power(((b,),), p * p, lambda P: P == ((1,),)) == order
+            assert _order_mod_square(b, p) == order
 
 
 def test_discriminant_order_matches_iteration():

@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm
@@ -37,6 +38,7 @@ from oracles import (
     descartes_signature,
     discriminant_action,
     fraction_det,
+    fraction_form_values,
     fraction_glue_basis,
     fraction_inverse,
     fraction_qf_enumerate,
@@ -106,7 +108,7 @@ def test_dual_basis_examples():
 def test_discriminant_form_examples():
     q = discriminant_form(Lattice([[-2]]))
     assert q.orders == (2,)
-    assert q.q_values == (Fraction(3, 2),)
+    assert (q.exponent, q.q_nums) == (2, (3,))
     assert discriminant_form(E8).ngens == 0
     q2 = discriminant_form(Lattice([[22, 33], [33, 22]]))
     assert q2.orders == (11, 55)
@@ -150,7 +152,7 @@ def test_p_primary_parts():
 def test_e6_discriminant():
     q = discriminant_form(lattice_E6())
     assert q.orders == (3,)
-    assert q.q_values == (Fraction(2, 3),)
+    assert (q.exponent, q.q_nums) == (3, (2,))
 
 
 def test_glue_to_unimodular():
@@ -198,7 +200,9 @@ Fr = Fraction
         (lambda: FiniteQuadraticForm((2,), (Fr(1, 2),), ((0,),)), "diagonal of b must be q reduced modulo Z"),
         (lambda: FiniteQuadraticForm((3,), (Fr(1, 3),), ((Fr(1, 3),),)), "values on generator 0 do not fit its order 3"),
         (lambda: FiniteQuadraticForm((2,), (Fr(1, 4),), ((Fr(1, 4),),)), "values on generator 0 do not fit its order 2"),
+        (lambda: FiniteQuadraticForm((2,), (Fr(1, 3),), ((Fr(1, 3),),)), "values on generator 0 do not fit its order 2"),
         (lambda: FiniteQuadraticForm((2, 2), (0, 0), ((0, Fr(1, 2)), (0, 0))), "b must be symmetric"),
+        (lambda: FiniteQuadraticForm((2, 4), (0, 0), ((0, Fr(1, 2)), (Fr(1, 4), 0))), "b must be symmetric"),
         (lambda: p_primary_part(hyperbolic_p_form(2, 2), 4), "p-primary part needs a prime"),
         (lambda: forms_isomorphic(DEGENERATE, DEGENERATE), "finite quadratic form is degenerate"),
         (lambda: build_glue_map(hyperbolic_p_form(3, 1), DEGENERATE), "finite quadratic form is degenerate"),
@@ -206,12 +210,24 @@ Fr = Fraction
                                                              discriminant_form(Lattice([[-2]])), ((1,),))),
          "glue map does not match the discriminant forms"),
     ],
-    ids=["name", "order", "chain", "tables", "rows", "diagonal", "q-order", "b-order", "symmetric",
-         "prime", "degenerate", "degenerate-glue", "glue-orders"],
+    ids=["name", "order", "chain", "tables", "rows", "diagonal", "q-order", "b-order", "foreign-denominator",
+         "symmetric", "symmetric-mixed-denominators", "prime", "degenerate", "degenerate-glue", "glue-orders"],
 )
 def test_lattice_and_form_refusals_name_the_failed_condition(call, message):
     with pytest.raises(LatticeError, match=f"^{message}"):
         call()
+
+
+def test_form_constructor_reduces_rational_values_to_numerators_over_the_exponent():
+    # q = -1/2 = 3/2 mod 2 and b = -1/2 = 1/2 mod 1, given as a string and a Fraction
+    q = FiniteQuadraticForm((2,), ("-1/2",), ((Fr(-1, 2),),))
+    assert (q.exponent, q.q_nums, q.b_nums) == (2, (3,), ((1,),))
+    # values over 12 on Z/2 + Z/6 come down to the exponent 6; b is symmetric mod 1
+    q = FiniteQuadraticForm((2, 6), (Fr(6, 12), Fr(20, 12)), ((Fr(6, 12), Fr(-6, 12)), (Fr(18, 12), Fr(8, 12))))
+    assert (q.exponent, q.q_nums, q.b_nums) == (6, (3, 10), ((3, 3), (3, 4)))
+    assert q.negated().q_nums == (9, 2) and q.negated().b_nums == ((3, 3), (3, 2))
+    trivial = FiniteQuadraticForm((), (), ())
+    assert (trivial.exponent, trivial.q_nums, trivial.b_nums) == (1, (), ())
 
 
 # a form on (Z/2)^2 with q = 1 on both generators and b = 0
@@ -324,8 +340,8 @@ def test_complement_discriminant_antiisometric():
         for p in q_sub.primes():
             part_s = q_sub.p_primary_part(p)
             part_c = q_comp.p_primary_part(p).negated()
-            vals_s = sorted(part_s.q_of(c) for c, _ in part_s.all_elements())
-            vals_c = sorted(part_c.q_of(c) for c, _ in part_c.all_elements())
+            vals_s = sorted(Fraction(part_s.q_of(c), part_s.exponent) for c, _ in part_s.all_elements())
+            vals_c = sorted(Fraction(part_c.q_of(c), part_c.exponent) for c, _ in part_c.all_elements())
             assert vals_s == vals_c
 
 
@@ -912,9 +928,9 @@ def test_lifts_and_glued_bases_match_the_fraction_route(s4_certificate):
             Gli = linalg.mat_vec(L.gram, li)
             # l_i / den is in the dual lattice, and d_i l_i / den in L
             assert all(x % den == 0 for x in Gli) and all(d * x % den == 0 for x in li)
-            assert (Fraction(linalg.dot(li, Gli), den * den) - q.q_values[i]) % 2 == 0
+            assert (Fraction(linalg.dot(li, Gli), den * den) - Fraction(q.q_nums[i], q.exponent)) % 2 == 0
             for j, lj in enumerate(rows):
-                assert (Fraction(linalg.dot(lj, Gli), den * den) - q.b_matrix[i][j]) % 1 == 0
+                assert (Fraction(linalg.dot(lj, Gli), den * den) - Fraction(q.b_nums[i][j], q.exponent)) % 1 == 0
 
     seed = seed_for(s4_certificate.salem)
     pairs = [(Lattice([[-2]]), Lattice([[2]])), (E8, U), (seed.S, Lattice([[2, -1], [-1, 2]]))]
@@ -923,6 +939,87 @@ def test_lifts_and_glued_bases_match_the_fraction_route(s4_certificate):
         _, (den, H) = glue(M, N, phi)
         assert (den, H) == fraction_glue_basis(M, N, phi)
         assert all(type(x) is int for row in H for x in row)
+
+
+def _agrees_with_its_lifts(gram, form, pairs):
+    """q_of and b_of on each pair (x, y) of elements are the oracle's values
+    as numerators over the exponent, reduced into [0, 2N) and [0, N)."""
+    N = form.exponent
+    for x, y in pairs:
+        q, b = fraction_form_values(gram, form, x, y)
+        Q, B = form.q_of(x), form.b_of(x, y)
+        assert 0 <= Q < 2 * N and 0 <= B < N
+        assert (q - Fraction(Q, N)) % 2 == 0 and (b - Fraction(B, N)) % 1 == 0
+    return len(pairs)
+
+
+def _random_element(rng, form):
+    return tuple(rng.randrange(d) for d in form.orders)
+
+
+def test_integer_forms_match_the_fraction_values_of_their_lifts(s4_certificate):
+    rng = random.Random(34)
+    lattices = [E8, U.rescaled(6), lattice_E6(), Lattice([[22, 33], [33, 22]])]
+    while len(lattices) < 40:
+        n = rng.randint(1, 4)
+        G = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                v = rng.randint(-4, 4)
+                G[i][j] = G[j][i] = 2 * v if i == j else v
+        try:
+            lattices.append(Lattice(G))
+        except LatticeError:
+            continue
+    S2, R2, _ = _s4_glue_inputs(s4_certificate)
+    checked = {"every element": 0, "sampled": 0}
+    odd_parts = defaultdict(list)
+    for L in lattices + [S2, R2]:
+        q = discriminant_form(L)
+        # the subgroup m D_L, on the nonzero multiples of the generators
+        m = rng.randint(2, 6)
+        sub = q.subform([
+            (tuple(m * c for c in e), d // gcd(m, d))
+            for e, d in zip(linalg.identity(q.ngens), q.orders)
+            if d // gcd(m, d) > 1
+        ])
+        parts = [q.p_primary_part(p) for p in q.primes()]
+        forms = [(L.gram, q), (linalg.mat_scale(-1, L.gram), q.negated()), (L.gram, sub)]
+        for gram, form in forms + [(L.gram, part) for part in parts]:
+            gens = list(linalg.identity(form.ngens))
+            if form.order() <= 300:
+                elements = [(x, y) for x, _ in form.all_elements() for y in gens + [_random_element(rng, form)]]
+                checked["every element"] += _agrees_with_its_lifts(gram, form, elements)
+            else:
+                elements = [(_random_element(rng, form), _random_element(rng, form)) for _ in range(100)]
+                checked["sampled"] += _agrees_with_its_lifts(gram, form, elements)
+            # the public constructor, given the oracle's values, makes the same numerators
+            values = [[fraction_form_values(gram, form, x, y) for y in gens] for x in gens]
+            rebuilt = FiniteQuadraticForm(
+                form.orders, [row[i][0] for i, row in enumerate(values)], [[b for _, b in row] for row in values]
+            )
+            assert (rebuilt.exponent, rebuilt.q_nums, rebuilt.b_nums) == (form.exponent, form.q_nums, form.b_nums)
+        for p, part in zip(q.primes(), parts):
+            if p != 2 and part.order() <= 1000:
+                odd_parts[(p, part.orders)].append(part)
+    assert checked["every element"] > 20000 and checked["sampled"] > 3000
+
+    # diagonal odd parts from values, both determinant classes of each scale
+    for p, orders in ((3, (3, 3)), (5, (5, 5)), (7, (7,)), (3, (3, 9))):
+        for _ in range(4):
+            qs = [Fraction(2 * rng.randrange(1, p), d) for d in orders]
+            bs = [[qs[i] % 1 if i == j else 0 for j in range(len(qs))] for i in range(len(qs))]
+            odd_parts[(p, orders)].append(FiniteQuadraticForm(orders, qs, bs))
+    decided = isomorphic = 0
+    for parts in odd_parts.values():
+        for a in parts[:4]:
+            for b in parts[:4]:
+                iso = forms_isomorphic(a, b)
+                assert iso == (find_form_isometry(a, b) is not None)
+                assert forms_isomorphic(a, b, anti=True) == (find_anti_isometry(a, b) is not None)
+                decided += 1
+                isomorphic += iso
+    assert decided > 100 and 0 < isomorphic < decided
 
 
 def test_triangular_inverse_matches_gauss_jordan_and_fractions(s4_certificate, monkeypatch):

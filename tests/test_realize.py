@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from salemk3 import linalg, realize
-from salemk3.isometries import Isometry, TwistElement, twist
+from salemk3.isometries import Isometry, TwistElement, _least_power, twist
 from salemk3.lattices import (
     FiniteQuadraticForm,
     GlueMap,
@@ -28,6 +28,7 @@ from salemk3.lattices import (
     _sqrt_mod_prime_power,
 )
 from salemk3.linalg import box_shell
+from salemk3.numbertheory import is_prime, legendre, sqrt_mod
 from salemk3.polynomials import (
     IntPolynomial,
     companion_matrix,
@@ -238,6 +239,39 @@ def test_pipeline_split_prime_pinned_on_the_corpus():
             assert check_split_prime(s, ev) and ev.modulus == 1
             found.append((ev.p, ev.trace_root, ev.unit_circle_sqrt))
     assert found == PIPELINE_SPLIT_PINS
+
+
+def _s4_split_roots(exclude, cap):
+    """(p, a, w) for the split primes of S4 up to cap, as ``_split_primes``
+    yields them, without its scan of every residue: S4's trace polynomial
+    y^2 - y - 3 has the roots (1 +- sqrt 13) / 2 mod p."""
+    assert trace_polynomial(S4) == P([-3, -1, 1])
+    for p in range(3, cap + 1):
+        if not is_prime(p) or exclude % p == 0 or p == 13 or legendre(13, p) != 1:
+            continue
+        root = sqrt_mod(13, p)
+        for a in sorted((1 + sign * root) * pow(2, -1, p) % p for sign in (1, -1)):
+            if legendre(a * a - 4, p) == 1:
+                yield p, a, sqrt_mod(a * a - 4, p)
+
+
+def test_order_mod_square_matches_the_matrix_climb_on_s4_split_primes():
+    # every Salem root b = (a + w) / 2 mod p that pipeline_split_prime meets for
+    # S4 on the certificate build's exclusions, for the primes p up to 20,000
+    seed = seed_for(S4)
+    _, R = validate_seed(seed)
+    exclude = 2 * seed.S.determinant() * discriminant(S4) * R.determinant()
+    scanned = [
+        (p, a, w) for p, roots in realize._split_primes(trace_polynomial(S4), 3, 1, exclude, 1000)
+        for a, w in roots
+    ]
+    assert list(_s4_split_roots(exclude, 1000)) == scanned
+    pairs = [(p, (a + w) * pow(2, -1, p) % p) for p, a, w in _s4_split_roots(exclude, 20_000)]
+    assert len(pairs) == 1113
+    for p, b in pairs:
+        order = realize._order_mod_square(b, p)
+        assert order == _least_power(((b,),), p * p, lambda P: P == ((1,),))
+        assert pow(b, order, p * p) == 1
 
 
 def test_find_split_prime_above_discriminant():
