@@ -3,10 +3,15 @@
 Matrices act on column vectors and are validated exactly against the Gram
 matrix. Rational isometries are allowed throughout; integrality is a derived
 property and several operations (twisting, discriminant actions) insist on it.
+Orders are found by one climb on powers of x modulo the characteristic
+polynomial chi (Cayley-Hamilton), which tests each exponent as a linear
+combination of matrices formed once: the images under F^i of the dual basis
+for the action on the discriminant group, and D F^i mod D for the least
+integral power of F.
 """
 
 from dataclasses import dataclass
-from math import lcm, prod
+from math import gcd, lcm
 
 from . import linalg
 from .lattices import Lattice, LatticeError, discriminant_form, forms_isomorphic, hyperbolic_p_form
@@ -175,28 +180,28 @@ def _restrict_to_rows(den, N, B):
     return linalg.divided(tuple(row[k:] for row in R[:k]), d * den)
 
 
-def _least_power(A, m, test):
-    """Least d >= 1 with test(A^d mod m), by one climb per prime.
+def _least_power(chi, m, images, target):
+    """Least d >= 1 with sum r_i images[i] = target mod m for r = x^d mod
+    (chi, m), by one climb per prime.
 
-    The exponents that pass must form a subgroup dZ of Z that contains the
-    order of A modulo m. With chi the characteristic polynomial of A, that
-    order divides the order of x in (Z/m)[x]/(chi), hence the lcm E over
-    p^e exactly dividing m of p^(e-1) p^t lcm(p^k - 1 : k in K), where K
-    holds the degrees of the irreducible factors of chi mod p, t = 0 when
-    chi is squarefree mod p and p^t is otherwise the least power of p that
-    is >= n (the unit group of F_p[x]/(f^a) has exponent (p^k - 1) p^t for
-    f irreducible of degree k and p^t >= a). For each q^a exactly dividing
-    E in turn, the running exponent drops its q-part and climbs back one
-    factor q at a time until the test passes (Cohen, GTM 138, Algorithm
-    1.4.3). The primes already climbed hold their valuations in d and the
-    rest hold at least theirs, so each climb stops exactly at v_q(d).
-
-    The powers are polynomials: chi is monic, so Cayley-Hamilton gives
-    A^d = sum r_i A^i mod m for r = x^d mod (chi, m), and the climb raises
-    r, not A. The test receives sum r_i A^i mod m.
+    chi is a monic integer polynomial of degree n (ascending coefficients)
+    and images[0 .. n-1] are matrices of one shape. For images[i] = A^i T
+    with chi(A) = 0, Cayley-Hamilton makes the sum A^d T mod m. The
+    exponents that pass must form a subgroup dZ of Z that contains the
+    order of x in (Z/m)[x]/(chi), so x must be a unit there: chi(0) is
+    prime to m. That order divides the lcm E over p^e exactly dividing m of
+    p^(e-1) p^t lcm(p^k - 1 : k in K), where K holds the degrees of the
+    irreducible factors of chi mod p, t = 0 when chi is squarefree mod p
+    and p^t is otherwise the least power of p that is >= n (the unit group
+    of F_p[x]/(f^a) has exponent (p^k - 1) p^t for f irreducible of degree
+    k and p^t >= a). For each q^a exactly dividing E in turn, the running
+    exponent drops its q-part and climbs back one factor q at a time until
+    the test passes (Cohen, GTM 138, Algorithm 1.4.3). The primes already
+    climbed hold their valuations in d and the rest hold at least theirs,
+    so each climb stops exactly at v_q(d). Each test is one linear
+    combination of the images, with no matrix product.
     """
-    n = len(A)
-    chi = linalg.charpoly(A)
+    n = len(chi) - 1
     E = 1
     for p, e in factorize(m).items():
         if chi[0] % p == 0:  # chi(0) = det(-A)
@@ -207,22 +212,19 @@ def _least_power(A, m, test):
             while pt < n:
                 pt *= p
         E = lcm(E, p ** (e - 1) * pt, *(p**k - 1 for k in degrees))
-    powers = [linalg.identity(n), linalg.mat_mod(A, m)]
-    while len(powers) < n:
-        powers.append(linalg.mat_mod(linalg.mat_mul(powers[-1], powers[1]), m))
+    # one column of coefficients per entry: the entry of the sum is their dot product with r
+    entries = list(zip(*([x for row in P for x in row] for P in images)))
+    target = [x % m for row in target for x in row]
 
-    def at(r):
-        return tuple(
-            tuple(sum(c * P[i][j] for c, P in zip(r, powers)) % m for j in range(n))
-            for i in range(n)
-        )
+    def passes(r):
+        return all(sum(c * x for c, x in zip(r, col)) % m == t for col, t in zip(entries, target))
 
     d = E
     for q, a in factorize(E).items():
         d //= q**a
         r = powmod([0, 1], d, chi, m)
         for _ in range(a):
-            if test(at(r)):
+            if passes(r):
                 break
             r = powmod(r, q, chi, m)
             d *= q
@@ -233,70 +235,60 @@ def discriminant_order(L: Lattice, f: Isometry):
     """Order of the action of an integral isometry f on L^dual / L.
 
     With G^-1 = D / e in lowest terms (``L.dual_basis()``), e is the exponent
-    of L^dual / L and f^d acts trivially exactly when (F^d - I) D = 0 mod e.
+    of L^dual / L and f^d acts trivially exactly when F^d D = D mod e.
     The exponents that pass form a subgroup containing the order of F
-    modulo e, so the climb of ``_least_power`` finds the least one.
+    modulo e, so the climb of ``_least_power`` on the images F^i D mod e
+    finds the least one.
     """
     _check_pair(L, f)
     if not f.is_integral():
         raise IsometryError("discriminant action needs an integral isometry")
     D, e = L.dual_basis()
-    D = linalg.mat_mod(D, e)
-    return _least_power(f.matrix, e, lambda P: linalg.mat_mod(linalg.mat_mul(P, D), e) == D)
+    images = [linalg.mat_mod(D, e)]
+    while len(images) < L.rank:
+        images.append(linalg.mat_mod(linalg.mat_mul(f._num, images[-1]), e))
+    return _least_power(f.char_poly().coeffs, e, images, images[0])
 
 
 def power_to_integral(L: Lattice, f: Isometry):
     """Minimal n >= 1 with f^n integral, plus the integral matrix f^n.
 
-    Computes the module M = Z[f] L by Hermite reduction, the index
-    k = [M : L] and the integral action Psi of f on M, so that
-    F = X^-1 Psi X for the integer matrix X of L inside M, det X = k.
-    The exponents d with f^d(L) in L form a subgroup nZ (an inclusion of
-    equal covolume is an equality), and n divides the order n0 of Psi
-    modulo k, so the climb of ``_least_power`` finds n. Each test runs in
-    integers mod k: f^d is integral iff adj(X) (Psi^d mod k) X = 0 mod k.
-    The exact f^n is formed once, at the end. Psi is integral exactly when
-    the characteristic polynomial of f is (Cayley-Hamilton one way, F
-    conjugate to Psi over Q the other), so that is the integrality test.
-    M contains L (the rows include f^0), k > 1 for a non-integral f, and
-    the climb's exponent passes the test, so adj(X) Psi^n X is 0 mod k.
-    Over the denominator den of the rows, den Z^n lies in M (the f^0
-    block), so every other row is reduced modulo den before the Hermite
-    form, which is unique and so does not change (the HNF modulo D of
-    Cohen, GTM 138, Section 2.4). Its inverse is a back-substitution.
+    Let F = N / d have rank n and characteristic polynomial chi, which must
+    be integral, and let D be the least integer with D F^i integral for all
+    i < n: d^(n-1) over its gcd with the entries of the d^(n-1-i) N^i.
+    Then D F^i is integral for every i >= 0, since chi is monic and
+    integral and so F^(i+n) = -sum_(j<n) c_j F^(i+j) (Cayley-Hamilton).
+    For any k >= 0, r = x^k mod chi over Z gives F^k = sum r_i F^i, so F^k
+    is integral exactly when sum r_i (D F^i) = 0 mod D, and that depends
+    only on r mod D, that is on x^k mod (chi, D).
+
+    The integral powers form a subgroup: F is an isometry of a
+    nondegenerate form, so det F = +-1, and an integral F^k is then in
+    GL_n(Z) with F^-k integral too. It contains the order E of x modulo
+    (chi, D) (x is a unit there, as chi(0) = +-det F = +-1): x^E = 1 + D s
+    mod chi over Z, so F^E = I + sum s_i (D F^i) is integral. So the climb
+    of ``_least_power`` on the images D F^i mod D finds n, and the exact
+    f^n is (sum r_i D F^i) / D for r = x^n mod chi over Z.
     """
     _check_pair(L, f)
-    n = L.rank
     if f.is_integral():
         return 1, Isometry(L, f.matrix)
+    chi = f.char_poly().coeffs
     N, d = f._num, f._den
-    den = d ** (n - 1)
-    # the columns of F^j = N^j / d^j for j < n, as rows over one denominator
-    rows = []
-    power = linalg.identity(n)
-    for j in range(n):
-        block = linalg.mat_scale(d ** (n - 1 - j), linalg.transpose(power))
-        rows.extend(linalg.mat_mod(block, den) if j else block)
-        power = linalg.mat_mul(N, power)
-    H = linalg.hnf(rows)  # rows of H / den: basis of M
-    # X = (H / den)^-T; the rows of (H / den)^-1 are the coordinates of Z^n inside M
-    HN, e = linalg.inverse_pair(H)
-    X = linalg.mat_scale(den // e, linalg.transpose(HN))
-    k = den**n // prod(H[i][i] for i in range(n))  # det X, as H is triangular
-    adj = tuple(tuple(k * x // den for x in row) for row in linalg.transpose(H))  # k X^-1
-    # action of f in M-coordinates (column convention): X F (H / den)^T
-    Psi = linalg.mat_mul(linalg.mat_mul(X, N), linalg.transpose(H))
-    if any(x % (d * den) for row in Psi for x in row):
-        raise IsometryError("characteristic polynomial is not integral")
-    Psi = tuple(tuple(x // (d * den) for x in row) for row in Psi)
-
-    def integral(Pd):
-        P = linalg.mat_mul(linalg.mat_mul(adj, Pd), X)
-        return all(x % k == 0 for row in P for x in row)
-
-    m = _least_power(Psi, k, integral)
-    P = linalg.mat_mul(linalg.mat_mul(adj, linalg.mat_pow(Psi, m)), X)
-    return m, Isometry(L, tuple(tuple(x // k for x in row) for row in P))
+    n = L.rank
+    # d^(n-1) F^i = d^(n-1-i) N^i, each from the last as N times it over d
+    scaled = [linalg.mat_scale(d ** (n - 1), linalg.identity(n))]
+    while len(scaled) < n:
+        scaled.append(tuple(tuple(x // d for x in row) for row in linalg.mat_mul(N, scaled[-1])))
+    g = gcd(*(x for P in scaled for row in P for x in row))
+    D = d ** (n - 1) // g
+    exact = [tuple(tuple(x // g for x in row) for row in P) for P in scaled]  # D F^i
+    m = _least_power(chi, D, [linalg.mat_mod(P, D) for P in exact], linalg.zeros(n, n))
+    r = powmod([0, 1], m, chi)
+    power = tuple(
+        tuple(sum(c * P[i][j] for c, P in zip(r, exact)) // D for j in range(n)) for i in range(n)
+    )
+    return m, Isometry(L, power)
 
 
 # --- invariant forms ----------------------------------------------------------

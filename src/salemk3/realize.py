@@ -375,7 +375,9 @@ def _order_mod_square(b, p):
     It divides E = p (p - 1), the exponent of (Z/p^2)^*. For each q^a
     exactly dividing E in turn, the running exponent drops its q-part and
     climbs back one factor q at a time until b^d = 1 mod p^2 (Cohen, GTM 138,
-    Algorithm 1.4.3): the climb of ``isometries._least_power`` on a scalar.
+    Algorithm 1.4.3): the climb of ``isometries._least_power`` for chi =
+    x - b and the one image 1, with its exponent known and ``pow`` in place
+    of the polynomial powering.
     """
     m = p * p
     d = E = p * (p - 1)

@@ -30,7 +30,7 @@ from salemk3.lattices import (
     glue,
     named_lattice,
 )
-from salemk3.numbertheory import hilbert, legendre, relevant_places
+from salemk3.numbertheory import factorize, hilbert, legendre, relevant_places
 from salemk3.polynomials import (
     IntPolynomial,
     NotSalemError,
@@ -171,33 +171,41 @@ def test_criterion_3_integral_powering():
         assert power == fn.matrix
         assert linalg.is_integral(linalg.mat_pow(f.matrix, 2 * n))
         assert linalg.is_integral(linalg.mat_pow(f.matrix, 3 * n))
+        for q in factorize(n):  # minimal: no proper divisor n/q works
+            assert not linalg.is_integral(linalg.mat_pow(f.matrix, n // q))
+        # f^k is integral exactly when f^-k is
+        assert power_to_integral(L, Isometry(L, f.inverse_matrix()))[0] == n
         checked += 1
     _report(3, time.perf_counter() - t0, 30.0, f"{checked} rational isometries, powers verified independently")
 
 
 def test_criterion_3_order_search_work(monkeypatch):
-    # a work count, not a timing: the matrix products made inside the order
-    # search over the criterion-3 instances (290 with the powers kept as
-    # polynomials mod (chi, m); 2,670 when the matrices were squared)
-    calls, inside = [0], [False]
+    # a work count, not a timing: the matrix products over the criterion-3
+    # instances. The climb tests linear combinations of precomputed images
+    # and makes none; power_to_integral as a whole makes at most 200 (634
+    # when each climb step multiplied matrices and the result came from a
+    # Hermite form and a matrix power)
+    calls, inside = [0, 0], [0]
     mat_mul, least_power = linalg.mat_mul, isometries._least_power
 
     def counting_mat_mul(A, B):
-        calls[0] += inside[0]
+        calls[inside[0]] += 1
         return mat_mul(A, B)
 
     def counting_least_power(*args):
-        inside[0] = True
+        inside[0] = 1
         try:
             return least_power(*args)
         finally:
-            inside[0] = False
+            inside[0] = 0
 
+    pairs = [(L, Isometry(L, F)) for L, F in criterion_3_instances()]
     monkeypatch.setattr(linalg, "mat_mul", counting_mat_mul)
     monkeypatch.setattr(isometries, "_least_power", counting_least_power)
-    for L, F in criterion_3_instances():
-        power_to_integral(L, Isometry(L, F))
-    assert 0 < calls[0] <= 800, calls[0]
+    for L, f in pairs:
+        power_to_integral(L, f)
+    assert calls[1] == 0, calls
+    assert 0 < calls[0] <= 200, calls
 
 
 def test_criterion_4_chamber_preservation_consistency():

@@ -270,7 +270,7 @@ def test_order_mod_square_matches_the_matrix_climb_on_s4_split_primes():
     assert len(pairs) == 1113
     for p, b in pairs:
         order = realize._order_mod_square(b, p)
-        assert order == _least_power(((b,),), p * p, lambda P: P == ((1,),))
+        assert order == _least_power((-b, 1), p * p, [((1,),)], ((1,),))
         assert pow(b, order, p * p) == 1
 
 
