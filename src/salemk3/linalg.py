@@ -8,7 +8,9 @@ such as a Hermite form. The short-vector walk (``qf_half_walk``,
 ``qf_enumerate``) takes its form as such a pair, and the discriminant-form
 lifts and glued bases of ``salemk3.lattices`` are such pairs. Fractions enter
 through ``clear_denominators`` at the public boundary and leave through
-``divided`` (``Isometry.matrix``, ``rat_inverse``).
+``divided`` (``Isometry.matrix``, ``rat_inverse``), so each product has integer
+factors, and the k-th power of F is r(F) for r = x^k mod the characteristic
+polynomial of F (``polynomials.powmod``, then ``poly_at_matrix``).
 Vectors are tuples treated as columns, so ``mat_vec(A, v)`` computes
 ``A @ v``. Basis matrices for sublattices keep the basis vectors as rows.
 """
@@ -41,14 +43,14 @@ def mat_scale(c, A):
 
 def mat_mul(A, B):
     """A @ B. Entry (i, j) is the sum of row i of A times column j of B,
-    except for integer factors where at least half of A is zero: there row i
-    of A @ B sums the multiples of B's rows at the nonzero entries of A's
-    row i. Only integer factors skip zeros, because an int 0 times a Fraction
-    is the Fraction 0, so both ways give the same entries of the same types.
+    except where at least half of A is zero: there row i of A @ B sums the
+    multiples of B's rows at the nonzero entries of A's row i. ``salemk3``
+    multiplies integer matrices only. Rational factors still give exact
+    values, but a zero entry may come back as the int 0.
     On integer factors of size 4 to 22 the row sums break even with the dense
     loop when half of A is zero, and take 1.6-1.8 times as long when none is.
     B = (), the transpose of an empty basis, stands for B with no columns."""
-    if 2 * sum(row.count(0) for row in A) < len(A) * len(B) or {int} != set(map(type, chain(*A, *B))):
+    if 2 * sum(row.count(0) for row in A) < len(A) * len(B):
         Bt = transpose(B)
         return tuple(tuple(sum(map(mul, row, col)) for col in Bt) for row in A)
     rows = []
@@ -77,20 +79,6 @@ def block_diag(A, B):
     """The square block-diagonal matrix with A above B."""
     n, m = len(A), len(B)
     return tuple(tuple(row) + (0,) * m for row in A) + tuple((0,) * n + tuple(row) for row in B)
-
-
-def mat_pow(A, n):
-    """A ** n by binary powering, n >= 0."""
-    if n < 0:
-        raise ValueError(f"matrix power needs an exponent n >= 0, got {n}")
-    result = identity(len(A))
-    base = A
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
 
 
 def poly_at_matrix(coeffs, A, den):
@@ -128,7 +116,11 @@ def divided(N, d):
 
 
 def mat_to_int(A):
-    return tuple(tuple(int(a) for a in row) for row in A)
+    """A with int entries, for entries that are ints or Fractions with
+    denominator 1. Any other entry, such as 5/2 or 2.9, raises ValueError."""
+    if bad := [a for row in A for a in row if getattr(a, "denominator", None) != 1]:
+        raise ValueError(f"matrix entries must be integers, got {bad[0]}")
+    return tuple(tuple(a.numerator for a in row) for row in A)
 
 
 def bareiss_det(A):

@@ -667,8 +667,11 @@ def mulmod(f, g, modulus, m=0):
 
 
 def powmod(base, e, modulus, m=0):
-    """base^e mod a monic modulus for e >= 0, by square and multiply; the
-    result is as for ``mulmod``."""
+    """base^e mod a monic modulus by square and multiply, for e >= 0 (a
+    negative e raises ValueError); the result is as for ``mulmod``. With the
+    characteristic polynomial of F as the modulus, (x^e mod it)(F) = F^e."""
+    if e < 0:
+        raise ValueError(f"powmod needs an exponent e >= 0, got {e}")
     result, base = mulmod([1], [1], modulus, m), mulmod(base, [1], modulus, m)
     while e:
         if e & 1:

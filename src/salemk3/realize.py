@@ -43,6 +43,7 @@ from .polynomials import (
     poly_gcd_mod,
     polyval_mod,
     power_min_poly,
+    powmod,
     square_class_test,
     trace_polynomial,
 )
@@ -485,7 +486,7 @@ def build_k3_certificate(s: IntPolynomial, seed=None):
         raise RealizeError(
             f"stage power: discriminant action order {k} exceeds the cap {DESCENT_ORDER_CAP}"
         )
-    Fk = linalg.mat_pow(f2.matrix, k)
+    Fk, _ = linalg.poly_at_matrix(powmod([0, 1], k, s.coeffs), f2.matrix, 1)  # char(f2) = s
     block = linalg.block_diag(Fk, linalg.identity(R2.rank))
     N, e = linalg.inverse_pair(H)
     h = linalg.mat_mul(linalg.mat_mul(linalg.transpose(N), block), linalg.transpose(H))
@@ -635,13 +636,14 @@ def verify_certificate(cert: RealizationCertificate):
             g_char_ok = g_iso.char_poly().coeffs == cert.salem.coeffs
             if g_char_ok and lam_lo is None:
                 raise ValueError("skipped g^power: the salem item failed")
-            # with char(g) = s, the Frobenius norm of g^k is at least lambda^k,
-            # so a block too small for the power fails before g^k is formed
+            # with char(g) = s, g^k = r(g) for r = x^k mod s; its Frobenius norm
+            # is at least lambda^k, so a block too small for k fails before r is formed
             frobenius_sq = sum(x * x for row in restricted for x in row)
             match_ok = (
                 g_char_ok
                 and not _power_exceeds(lam_lo, 2 * cert.power, frobenius_sq)
-                and restricted == linalg.mat_pow(g, cert.power)
+                and restricted
+                == linalg.poly_at_matrix(powmod([0, 1], cert.power, cert.salem.coeffs), g, 1)[0]
             )
             # the complement of the kernel, the rows x with x G B^T = 0, is
             # fixed pointwise: a linear condition, so a Q-basis is enough; the

@@ -33,12 +33,15 @@ monic polynomial of degree at most 3 instead of gcds with x^(p^k) - x (for
 the factor degrees of a polynomial mod p), and one Newton step per power of
 p instead of steps that double the precision (for Hensel-lifted square
 roots), and Fraction graph rows cleared over their least common denominator
-instead of integer lifts over the exponent of the group (for glued bases).
+instead of integer lifts over the exponent of the group (for glued bases),
+and binary powering instead of r(F) for r = x^k mod the characteristic
+polynomial of F (for matrix powers).
 """
 
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
+from operator import mul
 
 import numpy as np
 
@@ -126,6 +129,19 @@ def rat_mat_mul(*factors):
             for row in P
         ]
     return tuple(tuple(row) for row in P)
+
+
+def mat_pow_by_squaring(A, n):
+    """A^n for n >= 0 by binary powering on plain sums of products: ints for
+    an integer A, exact values for a rational one."""
+    assert n >= 0
+    result = tuple(tuple(int(i == j) for j in range(len(A))) for i in range(len(A)))
+    while n:
+        if n & 1:
+            result = tuple(tuple(sum(map(mul, row, col)) for col in zip(*A)) for row in result)
+        A = tuple(tuple(sum(map(mul, row, col)) for col in zip(*A)) for row in A)
+        n >>= 1
+    return result
 
 
 def fraction_poly_at_matrix(coeffs, A):
@@ -753,10 +769,10 @@ def power_min_poly_by_companion(s_coeffs, n):
     The characteristic polynomial of C^n is a power of the wanted minimal
     polynomial m; m is its squarefree part (``_fp_squarefree``).
     """
-    from salemk3.linalg import charpoly, mat_pow
+    from salemk3.linalg import charpoly
     from salemk3.polynomials import IntPolynomial, companion_matrix
 
-    ch = [Fraction(c) for c in charpoly(mat_pow(companion_matrix(IntPolynomial(list(s_coeffs))), n))]
+    ch = [Fraction(c) for c in charpoly(mat_pow_by_squaring(companion_matrix(IntPolynomial(list(s_coeffs))), n))]
     m = _fp_squarefree(ch)
     assert all(c.denominator == 1 for c in m)
     return tuple(int(c) for c in m)

@@ -1,14 +1,17 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line, and a
-work count of the order search behind criterion 3.
+"""Acceptance suite: one test per criterion, each printing a PASS line, a
+work count of the order search behind criterion 3, and a check that every
+matrix product and matrix polynomial has integer factors.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines. Time budgets exclude interpreter and first-call warm-up (a module
 fixture pays that cost up front); every numerical assertion is exact.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -39,16 +42,19 @@ from salemk3.polynomials import (
     is_salem,
     square_class_test,
 )
-from salemk3.positivity import determinant_bound_test, obstructing_root_search
+from salemk3.positivity import determinant_bound_test, is_positive, obstructing_root_search
 from salemk3.realize import (
     build_k3_certificate,
+    certificate_from_json,
+    certificate_to_json,
     find_norm_element,
     find_split_prime,
+    seed_for,
     stable_realizable,
     verify_certificate,
 )
 
-from oracles import euler_legendre, smith_diagonal
+from oracles import euler_legendre, mat_pow_by_squaring, smith_diagonal
 from salem_corpus import LEHMER, all_entries
 
 P = IntPolynomial
@@ -169,10 +175,10 @@ def test_criterion_3_integral_powering():
             power = linalg.mat_mul(F, power)
         assert linalg.is_integral(power)
         assert power == fn.matrix
-        assert linalg.is_integral(linalg.mat_pow(f.matrix, 2 * n))
-        assert linalg.is_integral(linalg.mat_pow(f.matrix, 3 * n))
+        assert linalg.is_integral(mat_pow_by_squaring(f.matrix, 2 * n))
+        assert linalg.is_integral(mat_pow_by_squaring(f.matrix, 3 * n))
         for q in factorize(n):  # minimal: no proper divisor n/q works
-            assert not linalg.is_integral(linalg.mat_pow(f.matrix, n // q))
+            assert not linalg.is_integral(mat_pow_by_squaring(f.matrix, n // q))
         # f^k is integral exactly when f^-k is
         assert power_to_integral(L, Isometry(L, f.inverse_matrix()))[0] == n
         checked += 1
@@ -206,6 +212,51 @@ def test_criterion_3_order_search_work(monkeypatch):
         power_to_integral(L, f)
     assert calls[1] == 0, calls
     assert 0 < calls[0] <= 200, calls
+
+
+def test_products_and_matrix_polynomials_have_integer_factors(monkeypatch):
+    # mat_mul picks its loop from the zero count alone, which keeps int 0
+    # where a rational product would give Fraction 0; that is exact only
+    # because salemk3 multiplies integer matrices: every factor of an S4
+    # build, its JSON round trip and verify, of power_to_integral on the
+    # criterion-3 instances and of the search on an S4 twist is int
+    counts = {"mat_mul": 0, "poly_at_matrix": 0}
+    mat_mul, poly_at_matrix = linalg.mat_mul, linalg.poly_at_matrix
+
+    def integer_entries(*matrices):
+        return all(type(x) is int for M in matrices for x in chain(*M))
+
+    def checked_mat_mul(A, B):
+        assert integer_entries(A, B), (A, B)
+        counts["mat_mul"] += 1
+        return mat_mul(A, B)
+
+    def checked_poly_at_matrix(coeffs, A, den):
+        assert integer_entries((coeffs,), A) and type(den) is int, (coeffs, A, den)
+        counts["poly_at_matrix"] += 1
+        return poly_at_matrix(coeffs, A, den)
+
+    pairs = [(L, Isometry(L, F)) for L, F in criterion_3_instances()]  # Fraction products
+    monkeypatch.setattr(linalg, "mat_mul", checked_mat_mul)
+    monkeypatch.setattr(linalg, "poly_at_matrix", checked_poly_at_matrix)
+
+    cert = build_k3_certificate(S4)
+    back = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
+    ok, items = verify_certificate(back)
+    assert ok, items
+    assert counts["mat_mul"] and counts["poly_at_matrix"], counts
+
+    counts.update(mat_mul=0)
+    for L, f in pairs:
+        power_to_integral(L, f)
+    assert counts["mat_mul"], counts
+
+    counts.update(mat_mul=0, poly_at_matrix=0)
+    seed = seed_for(S4)
+    t = P([1, 1])
+    S2, f2 = twist(seed.S, Isometry(seed.S, seed.f_S), TwistElement(t * t))
+    assert is_positive(S2, f2).status == "not_positive"
+    assert counts["mat_mul"] and counts["poly_at_matrix"], counts
 
 
 def test_criterion_4_chamber_preservation_consistency():

@@ -1,5 +1,8 @@
 """Boundary inputs of the public calls: empty, zero, degenerate and
-mismatched arguments, each row one call and the value it must return."""
+mismatched arguments, each row one call and the value it must return, and
+non-integer matrix entries, each row one call that must refuse them."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -7,13 +10,16 @@ from salemk3 import linalg
 from salemk3.isometries import TwistElement, search_even_invariant_lattice
 from salemk3.lattices import (
     FiniteQuadraticForm,
+    GlueMap,
     Lattice,
     discriminant_form,
     enumerate_vectors_of_norm,
     find_form_isometry,
     forms_isomorphic,
+    is_primitive_sublattice,
     lattice_A2,
     lattice_E8,
+    orthogonal_complement,
 )
 from salemk3.polynomials import IntPolynomial, divides
 
@@ -48,6 +54,10 @@ CASES = {
     "isometry of forms with no generators": (lambda: find_form_isometry(TRIVIAL, TRIVIAL), ()),
     "isometry of a degenerate form": (lambda: find_form_isometry(ZERO_FORM, ZERO_FORM), ((0, 1), (1, 0))),
     "norm of the zero twist element": (lambda: TwistElement(0).norm_against(P([-1, 1])), 0),
+    "lattice with integral Fraction entries": (
+        lambda: [(x, type(x)) for row in Lattice([[Fraction(4, 2), 1], [1, Fraction(-2)]]).gram for x in row],
+        [(2, int), (1, int), (1, int), (-2, int)],
+    ),
     # the invariant forms are diag(a, c); the search passes diag(-2, -2) of
     # signature (0, 2) and the degenerate diag(-2, 0) before diag(-2, 2)
     "even invariant lattice past a degenerate candidate": (
@@ -60,6 +70,25 @@ CASES = {
 @pytest.mark.parametrize("call, expected", CASES.values(), ids=CASES)
 def test_boundary_value(call, expected):
     assert call() == expected
+
+
+# a matrix entry that is not an integer used to be truncated by int(), so
+# 5/2 and 2.9 both read as 2
+REFUSALS = {
+    "lattice with a Fraction entry": lambda: Lattice([[Fraction(5, 2), 1], [1, -2]]),
+    "lattice with a float entry": lambda: Lattice([[2.9, 1], [1, -2]]),
+    "lattice with an integral float entry": lambda: Lattice([[2.0, 1], [1, -2]]),
+    "sublattice on a Fraction row": lambda: lattice_A2().sublattice([[Fraction(1, 2), 0]]),
+    "primitivity of a float row": lambda: is_primitive_sublattice([[0.5, 1]]),
+    "complement of a Fraction row": lambda: orthogonal_complement(lattice_A2(), [[Fraction(3, 2), 1]]),
+    "glue map with a Fraction entry": lambda: GlueMap(A1_FORM, A1_FORM, ((Fraction(1, 2),),)),
+}
+
+
+@pytest.mark.parametrize("call", REFUSALS.values(), ids=REFUSALS)
+def test_non_integer_matrix_entries_are_refused(call):
+    with pytest.raises(ValueError, match="^matrix entries must be integers, got "):
+        call()
 
 
 def test_smith_form_of_a_singular_matrix():

@@ -21,7 +21,7 @@ from salemk3.isometries import (
 )
 from salemk3.lattices import Lattice
 from salemk3.numbertheory import factorize
-from salemk3.polynomials import IntPolynomial, companion_matrix
+from salemk3.polynomials import IntPolynomial, companion_matrix, powmod
 from salemk3.realize import _order_mod_square, seed_for
 
 from oracles import (
@@ -29,11 +29,13 @@ from oracles import (
     fraction_inverse,
     fraction_poly_at_matrix,
     least_power_by_iteration,
+    mat_pow_by_squaring,
     matrix_order_mod,
     rat_kernel,
     saturation_by_search,
     smith_diagonal,
 )
+from salem_corpus import LEHMER
 
 P = IntPolynomial
 QUAD = P([1, -3, 1])
@@ -186,7 +188,7 @@ def test_power_to_integral_known_case():
     f = Isometry(L, F)
     n, fn = power_to_integral(L, f)
     assert linalg.is_integral(fn.matrix)
-    assert fn.matrix == linalg.mat_to_int(linalg.mat_pow(f.matrix, n))
+    assert fn.matrix == linalg.mat_to_int(mat_pow_by_squaring(f.matrix, n))
     finv = Isometry(L, f.inverse_matrix())
     n_inv, _ = power_to_integral(L, finv)
     assert n == n_inv
@@ -236,12 +238,46 @@ def test_power_to_integral_randomized():
         L, F = built
         f = Isometry(L, F)
         n, fn = power_to_integral(L, f)
-        assert fn.matrix == linalg.mat_to_int(linalg.mat_pow(f.matrix, n))
-        assert linalg.is_integral(linalg.mat_pow(f.matrix, 2 * n))
-        assert linalg.is_integral(linalg.mat_pow(f.matrix, 3 * n))
+        assert fn.matrix == linalg.mat_to_int(mat_pow_by_squaring(f.matrix, n))
+        assert linalg.is_integral(mat_pow_by_squaring(f.matrix, 2 * n))
+        assert linalg.is_integral(mat_pow_by_squaring(f.matrix, 3 * n))
         for q in factorize(n):  # minimal: no proper divisor n/q works
-            assert not linalg.is_integral(linalg.mat_pow(f.matrix, n // q))
+            assert not linalg.is_integral(mat_pow_by_squaring(f.matrix, n // q))
         done += 1
+
+
+def test_powers_by_cayley_hamilton_match_binary_powering():
+    # F^k as r(F) for r = x^k mod chi, the route of the certificate build and
+    # verify, against binary powering: Salem companions of degree 2 to 10,
+    # alone or beside a rotation of order 3 or the identity, conjugated by
+    # seeded unimodular matrices into integral isometries of the moved form
+    rng = random.Random(36)
+    blocks = [QUAD, S4, P([1, -2, 0, 1, 0, -2, 1]), P(list(LEHMER))]
+    extras = [None, P([1, 1, 1]), P([-1, 1])]
+    checked = 0
+    for _ in range(12):
+        C = companion_matrix(rng.choice(blocks))
+        G = invariant_symmetric_forms(C)[0]
+        extra = rng.choice(extras)
+        if extra is not None:
+            E = companion_matrix(extra)
+            C, G = linalg.block_diag(C, E), linalg.block_diag(G, invariant_symmetric_forms(E)[0])
+        n = len(C)
+        U = [list(row) for row in linalg.identity(n)]
+        for _ in range(3 * n):  # row operations keep det U = 1
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        U = tuple(map(tuple, U))
+        Uinv = linalg.mat_to_int(linalg.rat_inverse(U))
+        F = linalg.mat_mul(linalg.mat_mul(U, C), Uinv)
+        f = Isometry(Lattice(linalg.mat_mul(linalg.mat_mul(linalg.transpose(Uinv), G), Uinv)), F)
+        chi = f.char_poly()
+        assert f.is_integral() and chi.is_monic()
+        for k in (0, 1, n, 272, 5000):
+            assert linalg.poly_at_matrix(powmod([0, 1], k, chi.coeffs), F, 1) == (mat_pow_by_squaring(F, k), 1)
+            checked += 1
+    assert checked == 60
 
 
 # (modulus, rank) pairs for the order search; every order stays under the

@@ -36,6 +36,7 @@ from salemk3.polynomials import (
     poly_gcd_mod,
     polyval_mod,
     power_min_poly,
+    powmod,
     trace_polynomial,
 )
 from salemk3.realize import (
@@ -64,6 +65,7 @@ from oracles import (
     discriminant_order_by_iteration,
     first_split_prime,
     lift_square_stepwise,
+    mat_pow_by_squaring,
     outside_other_primes_by_cofactor,
     smith_diagonal,
 )
@@ -408,7 +410,7 @@ def test_certificate_powering_invariant(k3_certificate):
         cert,
         power=2 * cert.power,
         salem_power_poly=power_min_poly(cert.salem, 2 * cert.power),
-        isometry=linalg.mat_pow(cert.isometry, 2),
+        isometry=mat_pow_by_squaring(cert.isometry, 2),
     )
     ok, items = verify_certificate(cert2)
     assert ok, items
@@ -550,20 +552,21 @@ def test_non_primitive_kernel_basis_fails_the_kernel_item_only(k3_certificate):
 
 
 def test_negative_power_is_refused_at_once(k3_certificate):
-    # the binary powering used to shift -1 right forever
+    # square and multiply used to shift -1 right forever
     negative = dataclasses.replace(k3_certificate, power=-1)
     ok, items = _within_one_second(lambda: verify_certificate(negative))
     assert not ok
     assert {"salem", "char_poly"} <= set(_failed(items))
-    with pytest.raises(ValueError, match="n >= 0"):
-        linalg.mat_pow(((1,),), -1)
+    with pytest.raises(ValueError, match="e >= 0"):
+        powmod([0, 1], -1, S4.coeffs)
 
 
 @pytest.mark.parametrize("power", [10**6, 10**30], ids=["1e6", "1e30"])
 def test_huge_power_fails_the_salem_and_char_poly_items_at_once(k3_certificate, power):
-    # power_min_poly and mat_pow do work that grows with the power; a power
-    # that the claimed s_k and the restricted isometry are too small for is
-    # refused before either runs (power 10^6 used to run for minutes)
+    # power_min_poly and g^power (r(g) for r = x^power mod s) do work that
+    # grows with the power; a power that the claimed s_k and the restricted
+    # isometry are too small for is refused before either runs (power 10^6
+    # used to run for minutes)
     doc = certificate_to_json(k3_certificate)
     doc["power"] = power
     ok, items = _within_one_second(lambda: verify_certificate(certificate_from_json(doc)))
@@ -860,7 +863,7 @@ def _build_torus_certificate(mod2_power=True):
     # power f until it is trivial on the discriminant group
     k1 = discriminant_order_by_iteration(S, f)
     block = [[0] * 6 for _ in range(6)]
-    fk1 = linalg.mat_pow(f.matrix, k1)
+    fk1 = mat_pow_by_squaring(f.matrix, k1)
     for i in range(4):
         for j in range(4):
             block[i][j] = fk1[i][j]
