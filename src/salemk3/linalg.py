@@ -85,16 +85,19 @@ def poly_at_matrix(coeffs, A, den):
     """p(A / den) as (P, den^m) for the ascending coefficients of p, of
     degree m, and an integer matrix A: P = den^m p(A / den) by Horner's rule
     on integers, the accumulator after j steps being den^(j-1) times the
-    partial sum, so the one division is left to the caller."""
-    acc = zeros(len(A), len(A))
-    scale = 1
-    for c in reversed(coeffs):
+    partial sum, so the one division is left to the caller. The first step
+    is the leading coefficient times I, with no product."""
+    if not coeffs:
+        return zeros(len(A), len(A)), 1
+    acc = mat_scale(coeffs[-1], identity(len(A)))
+    scale = den
+    for c in reversed(coeffs[:-1]):
         acc = tuple(
             tuple(x + c * scale if i == j else x for j, x in enumerate(row))
             for i, row in enumerate(mat_mul(acc, A))
         )
         scale *= den
-    return acc, den ** max(len(coeffs) - 1, 0)
+    return acc, den ** (len(coeffs) - 1)
 
 
 def mat_mod(A, m):
@@ -419,7 +422,10 @@ def snf_with_transform(A):
 
 
 def clear_denominators(rows):
-    """(den, int_rows): the least common denominator of rational rows and den times them."""
+    """(den, int_rows): the least common denominator of rational rows and den times them.
+    An entry that is neither an int nor a Fraction, such as 1.0 or "1", raises ValueError."""
+    if bad := [x for row in rows for x in row if not hasattr(x, "denominator")]:
+        raise ValueError(f"matrix entries must be integers or Fractions, got {bad[0]!r}")
     den = lcm(1, *(x.denominator for row in rows for x in row))
     return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
 

@@ -495,10 +495,12 @@ def power_min_poly(s, n):
     """
     if n <= 0:
         raise ValueError("power must be a positive integer")
-    is_salem(s)
-    if n == 1:
-        return s
-    c, d = s.coeffs, s.degree
+    return _power_min_poly(is_salem(s), n)
+
+
+def _power_min_poly(cert, n):
+    """``power_min_poly`` for n >= 1 on the Salem certificate of s, which the caller holds."""
+    c, d = cert.polynomial.coeffs, cert.degree
     # power sums of the roots of s: p_k = -(k c_(d-k) + sum_(i<k) c_(d-k+i) p_i)
     sums = [d]
     for k in range(1, d):

@@ -40,6 +40,10 @@ matrix apart. The majorant form's entries share the one denominator of
 1 / <u1, u2> squared. The search reads the Fincke-Pohst half walk
 (``linalg.qf_half_walk``), one vector of each +- pair, and tests its norm
 in integers. f^-1 is -adj_0, the constant coefficient of adj(x I - f).
+
+Each public entry certifies s = char f once, read with adj(x I - f) from one
+Faddeev-LeVerrier pass; ``_hyperbolic_report`` takes both from a caller that
+holds them (``realize``), so nothing below a public entry certifies s again.
 """
 
 from dataclasses import dataclass
@@ -115,19 +119,29 @@ def determinant_bound_test(S: Lattice, f: Isometry):
 
     Returns "positive" or "inconclusive"; it never asserts non-positivity.
     """
-    return _bound_and_certificate(S, f)[0]
+    return "positive" if _bound_holds(S, _hyperbolic_salem(S, f)[0]) else "inconclusive"
 
 
-def _bound_and_certificate(S, f):
-    """(verdict, cert, adj): the determinant bound's verdict, with the Salem
-    certificate of char f and the adjugate coefficients it was read from
-    (see ``_salem_char_and_adjugate``)."""
+def _hyperbolic_salem(S, f):
+    """``_salem_char_and_adjugate(f)`` for an isometry f of a hyperbolic S."""
     _check_pair(S, f)
     if not S.is_hyperbolic():
         raise PositivityError("determinant bound applies to hyperbolic lattices")
-    cert, adj_mats = _salem_char_and_adjugate(f)
-    positive = abs(S.determinant()) > 4 * abs(discriminant(cert.polynomial))
-    return ("positive" if positive else "inconclusive"), cert, adj_mats
+    return _salem_char_and_adjugate(f)
+
+
+def _bound_holds(S, cert):
+    return abs(S.determinant()) > 4 * abs(discriminant(cert.polynomial))
+
+
+def _hyperbolic_report(S, f, cert, adj_mats):
+    """``is_positive`` on a hyperbolic S, from the Salem certificate of
+    char f and the coefficients of adj(x I - f), None for a rational f."""
+    if _bound_holds(S, cert):
+        return ObstructionReport(status="positive", witnesses=(), method="determinant_bound")
+    if adj_mats is None:
+        raise PositivityError("obstructing-root search needs an integral isometry")
+    return _search(S, f, cert, adj_mats)
 
 
 def obstructing_root_search(S: Lattice, f: Isometry):
@@ -371,12 +385,5 @@ def is_positive(S: Lattice, f: Isometry):
             method="cyclic_only",
         )
     if s_plus == 1:
-        verdict, cert, adj_mats = _bound_and_certificate(S, f)
-        if verdict == "positive":
-            return ObstructionReport(
-                status="positive", witnesses=(), method="determinant_bound"
-            )
-        if adj_mats is None:
-            raise PositivityError("obstructing-root search needs an integral isometry")
-        return _search(S, f, cert, adj_mats)
+        return _hyperbolic_report(S, f, *_hyperbolic_salem(S, f))
     raise PositivityError("lattice is neither hyperbolic nor negative definite")

@@ -38,16 +38,16 @@ from .numbertheory import factorize, is_prime, legendre, sqrt_mod
 from .polynomials import (
     IntPolynomial,
     NotSalemError,
+    _power_min_poly,
     discriminant,
     is_salem,
     poly_gcd_mod,
     polyval_mod,
-    power_min_poly,
     powmod,
     square_class_test,
     trace_polynomial,
 )
-from .positivity import is_positive
+from .positivity import _hyperbolic_report
 
 
 class RealizeError(ValueError):
@@ -312,8 +312,9 @@ def seed_for(s: IntPolynomial):
 
 
 def validate_seed(seed: Seed):
-    """(f_S, R): the seed's isometry and its complement lattice R = U + R_rest,
-    formed once here for the caller, after the seed passes every check."""
+    """(cert, f_S, R): the Salem certificate of the seed's polynomial, its
+    isometry and its complement lattice R = U + R_rest, formed once here for
+    the caller, after the seed passes every check."""
     cert = is_salem(seed.salem)
     if cert.quadratic_degenerate:
         raise RealizeError("quadratic Salem seeds are not supported for K3 witnesses")
@@ -336,7 +337,7 @@ def validate_seed(seed: Seed):
         raise RealizeError("seed determinants do not match")
     if not forms_isomorphic(discriminant_form(seed.S), discriminant_form(R), anti=True):
         raise RealizeError("seed discriminant forms are not anti-isometric")
-    return f, R
+    return cert, f, R
 
 
 # --- certificates ---------------------------------------------------------------
@@ -438,7 +439,7 @@ def build_k3_certificate(s: IntPolynomial, seed=None):
                 "available through stable_realizable"
             )
     try:
-        f_seed, R = validate_seed(seed)
+        salem, f_seed, R = validate_seed(seed)
     except (RealizeError, NotSalemError, LatticeError) as exc:
         raise RealizeError(f"stage seed-validation: {exc}") from exc
     if tuple(seed.salem.coeffs) != tuple(s.coeffs):
@@ -475,7 +476,7 @@ def build_k3_certificate(s: IntPolynomial, seed=None):
     # stage: positivity of the base generator on the twisted block
     if abs(S2.determinant()) <= 4 * abs(disc_s):
         raise RealizeError("stage positivity: determinant bound unavailable")
-    report = is_positive(S2, f2)
+    report = _hyperbolic_report(S2, f2, salem, None)  # char(f2) = s, and the bound holds
 
     # stage: power the isometry until it acts trivially on the discriminant
     # group, so that it descends to the overlattice. For the glued basis B = H / den
@@ -492,7 +493,7 @@ def build_k3_certificate(s: IntPolynomial, seed=None):
     h = linalg.mat_mul(linalg.mat_mul(linalg.transpose(N), block), linalg.transpose(H))
     h = tuple(tuple(x // e for x in row) for row in h)
 
-    s_n = power_min_poly(s, k)
+    s_n = _power_min_poly(salem, k)
 
     # kernel data: the first rank-S2 rows of basis^-1 embed the twisted Salem block
     kernel_rows = tuple(tuple(den * x // e for x in row) for row in N[: S2.rank])
@@ -550,6 +551,10 @@ def verify_certificate(cert: RealizationCertificate):
     kernel generator (char poly s_n), and the orthogonal complement of the
     kernel is fixed pointwise, so char(h) = s_n(x) (x-1)^(b2 - d) without any
     large determinant computation.
+
+    The ``salem`` item certifies s once for the power polynomial and the
+    positivity item, which also reuses adj(x I - g) from the ``char_poly``
+    item's one Faddeev-LeVerrier pass and runs on a hyperbolic kernel only.
     """
     items = []
 
@@ -569,9 +574,9 @@ def verify_certificate(cert: RealizationCertificate):
         item("surface", True, K.kind)
 
     d = cert.salem_power_poly.degree
-    lam_lo = None  # a rational lower bound > 1 for the Salem number lambda
+    salem = None  # its lambda_interval[0] is a rational lower bound > 1 for lambda
     try:
-        lam_lo = is_salem(cert.salem).lambda_interval[0]
+        salem = is_salem(cert.salem)
     except NotSalemError as exc:
         item("salem", False, exc.reason)
     else:
@@ -582,8 +587,8 @@ def verify_certificate(cert: RealizationCertificate):
         power_ok = (
             cert.power >= 1
             and d == cert.salem.degree
-            and not _power_exceeds(lam_lo, cert.power, abs(c[d - 1]) + d)
-            and c == power_min_poly(cert.salem, cert.power).coeffs
+            and not _power_exceeds(salem.lambda_interval[0], cert.power, abs(c[d - 1]) + d)
+            and c == _power_min_poly(salem, cert.power).coeffs
         )
         item("salem", power_ok, f"power = {cert.power}")
 
@@ -631,17 +636,18 @@ def verify_certificate(cert: RealizationCertificate):
     if iso_ok and kernel_lat is not None:
         try:
             restricted = _restrict_to_rows(1, linalg.mat_to_int(h), rows)
-            g = cert.kernel_generator
+            g = linalg.mat_to_int(cert.kernel_generator)
             g_iso = Isometry(kernel_lat, g)
-            g_char_ok = g_iso.char_poly().coeffs == cert.salem.coeffs
-            if g_char_ok and lam_lo is None:
+            g_char, g_adj = linalg.charpoly_and_adjugate(g)
+            g_char_ok = g_char == cert.salem.coeffs
+            if g_char_ok and salem is None:
                 raise ValueError("skipped g^power: the salem item failed")
             # with char(g) = s, g^k = r(g) for r = x^k mod s; its Frobenius norm
             # is at least lambda^k, so a block too small for k fails before r is formed
             frobenius_sq = sum(x * x for row in restricted for x in row)
             match_ok = (
                 g_char_ok
-                and not _power_exceeds(lam_lo, 2 * cert.power, frobenius_sq)
+                and not _power_exceeds(salem.lambda_interval[0], 2 * cert.power, frobenius_sq)
                 and restricted
                 == linalg.poly_at_matrix(powmod([0, 1], cert.power, cert.salem.coeffs), g, 1)[0]
             )
@@ -663,8 +669,8 @@ def verify_certificate(cert: RealizationCertificate):
         item("char_poly", False, "skipped: isometry or kernel failed")
 
     if cert.surface == "k3" and cert.projective:
-        if char_ok:  # the char_poly item built g_iso on the kernel lattice
-            rep = is_positive(kernel_lat, g_iso)
+        if char_ok and kernel_lat.is_hyperbolic():  # char_poly formed g_iso and g_adj; char(g) = s
+            rep = _hyperbolic_report(kernel_lat, g_iso, salem, g_adj)
             pos_ok = rep.is_positive()
             if cert.positivity is not None:
                 pos_ok &= cert.positivity == rep

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from salemk3 import linalg
-from salemk3.isometries import TwistElement, search_even_invariant_lattice
+from salemk3.isometries import Isometry, TwistElement, is_isometry, search_even_invariant_lattice
 from salemk3.lattices import (
     FiniteQuadraticForm,
     GlueMap,
@@ -73,21 +73,27 @@ def test_boundary_value(call, expected):
 
 
 # a matrix entry that is not an integer used to be truncated by int(), so
-# 5/2 and 2.9 both read as 2
+# 5/2 and 2.9 both read as 2; an isometry may be rational, and a float or
+# str entry of one used to raise AttributeError
+INT, RAT = "integers", "integers or Fractions"
 REFUSALS = {
-    "lattice with a Fraction entry": lambda: Lattice([[Fraction(5, 2), 1], [1, -2]]),
-    "lattice with a float entry": lambda: Lattice([[2.9, 1], [1, -2]]),
-    "lattice with an integral float entry": lambda: Lattice([[2.0, 1], [1, -2]]),
-    "sublattice on a Fraction row": lambda: lattice_A2().sublattice([[Fraction(1, 2), 0]]),
-    "primitivity of a float row": lambda: is_primitive_sublattice([[0.5, 1]]),
-    "complement of a Fraction row": lambda: orthogonal_complement(lattice_A2(), [[Fraction(3, 2), 1]]),
-    "glue map with a Fraction entry": lambda: GlueMap(A1_FORM, A1_FORM, ((Fraction(1, 2),),)),
+    "lattice with a Fraction entry": (lambda: Lattice([[Fraction(5, 2), 1], [1, -2]]), INT),
+    "lattice with a float entry": (lambda: Lattice([[2.9, 1], [1, -2]]), INT),
+    "lattice with an integral float entry": (lambda: Lattice([[2.0, 1], [1, -2]]), INT),
+    "sublattice on a Fraction row": (lambda: lattice_A2().sublattice([[Fraction(1, 2), 0]]), INT),
+    "primitivity of a float row": (lambda: is_primitive_sublattice([[0.5, 1]]), INT),
+    "complement of a Fraction row": (lambda: orthogonal_complement(lattice_A2(), [[Fraction(3, 2), 1]]), INT),
+    "glue map with a Fraction entry": (lambda: GlueMap(A1_FORM, A1_FORM, ((Fraction(1, 2),),)), INT),
+    "isometry with a float entry": (lambda: Isometry(lattice_A2(), [[1.0, 0], [0, 1]]), RAT),
+    "isometry check of a float entry": (lambda: is_isometry(lattice_A2(), [[1.0, 0], [0, 1]]), RAT),
+    "isometry with a str entry": (lambda: Isometry(lattice_A2(), [["1", 0], [0, 1]]), RAT),
+    "isometry check of a str entry": (lambda: is_isometry(lattice_A2(), [["1", 0], [0, 1]]), RAT),
 }
 
 
-@pytest.mark.parametrize("call", REFUSALS.values(), ids=REFUSALS)
-def test_non_integer_matrix_entries_are_refused(call):
-    with pytest.raises(ValueError, match="^matrix entries must be integers, got "):
+@pytest.mark.parametrize("call, kind", REFUSALS.values(), ids=REFUSALS)
+def test_non_integer_matrix_entries_are_refused(call, kind):
+    with pytest.raises(ValueError, match=f"^matrix entries must be {kind}, got "):
         call()
 
 

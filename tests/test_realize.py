@@ -2,13 +2,15 @@ import dataclasses
 import json
 import random
 import re
+import sys
 from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
-from salemk3 import linalg, realize
-from salemk3.isometries import Isometry, TwistElement, _least_power, twist
+from salemk3 import linalg, polynomials, realize
+from salemk3.cli import run
+from salemk3.isometries import Isometry, TwistElement, _least_power, discriminant_order, twist
 from salemk3.lattices import (
     FiniteQuadraticForm,
     GlueMap,
@@ -21,6 +23,7 @@ from salemk3.lattices import (
     glue,
     glue_map_problems,
     hyperbolic_p_form,
+    lattice_A2,
     lattice_E6,
     lattice_E8,
     lattice_U,
@@ -39,6 +42,7 @@ from salemk3.polynomials import (
     powmod,
     trace_polynomial,
 )
+from salemk3.positivity import is_positive
 from salemk3.realize import (
     RealizationCertificate,
     RealizeError,
@@ -261,7 +265,7 @@ def test_order_mod_square_matches_the_matrix_climb_on_s4_split_primes():
     # every Salem root b = (a + w) / 2 mod p that pipeline_split_prime meets for
     # S4 on the certificate build's exclusions, for the primes p up to 20,000
     seed = seed_for(S4)
-    _, R = validate_seed(seed)
+    _, _, R = validate_seed(seed)
     exclude = 2 * seed.S.determinant() * discriminant(S4) * R.determinant()
     scanned = [
         (p, a, w) for p, roots in realize._split_primes(trace_polynomial(S4), 3, 1, exclude, 1000)
@@ -505,6 +509,86 @@ def test_verify_derives_each_object_once(k3_certificate, monkeypatch):
     ok, _ = verify_certificate(k3_certificate)
     assert ok
     assert dict(calls) == {"symmetric_bareiss": 1, "hnf": 1}
+
+
+def test_one_certificate_operation_certifies_s_three_times(monkeypatch):
+    # a build certifies s once, in validate_seed, and hands the certificate to
+    # the positivity stage and the power polynomial; each verify (the build's
+    # self-verify, then the one after the JSON round trip) certifies once and
+    # reads char(g) and adj(x I - g) from one Faddeev-LeVerrier pass, which
+    # the positivity item reuses; the build's passes are char f_S in
+    # validate_seed and char f2 in discriminant_order
+    calls = defaultdict(int)
+    certify, faddeev = polynomials.is_salem, linalg.charpoly_and_adjugate
+
+    def counted_certify(p):
+        calls["certify"] += 1
+        return certify(p)
+
+    def counted_pass(A):
+        calls["pass"] += 1
+        return faddeev(A)
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("salemk3")]
+    for module in modules:
+        if getattr(module, "is_salem", None) is certify:
+            monkeypatch.setattr(module, "is_salem", counted_certify)
+    monkeypatch.setattr(linalg, "charpoly_and_adjugate", counted_pass)
+    cert = build_k3_certificate(S4)
+    ok, _ = verify_certificate(certificate_from_json(json.loads(json.dumps(certificate_to_json(cert)))))
+    assert ok
+    assert dict(calls) == {"certify": 3, "pass": 4}
+    # the public entries still certify on entry
+    calls.clear()
+    assert power_min_poly(S4, 2) == power_min_poly(S4, 2)
+    assert dict(calls) == {"certify": 2}
+    calls.clear()
+    seed = seed_for(S4)
+    assert is_positive(seed.S, Isometry(seed.S, seed.f_S)).status == "not_positive"
+    assert dict(calls) == {"certify": 1, "pass": 1}
+
+
+def _signature_3_1_kernel_certificate():
+    """A projective K3 certificate whose kernel has signature (3, 1): the S4
+    seed block rescaled by -1, glued to E8 + E8 + A2 along build_glue_map (an
+    even unimodular lattice of signature (3, 19)), at the power
+    discriminant_order = 2, with h and the kernel rows formed as the build
+    forms them."""
+    seed = seed_for(S4)
+    S = seed.S.rescaled(-1)
+    f = Isometry(S, seed.f_S)
+    R = lattice_E8().direct_sum(lattice_E8()).direct_sum(lattice_A2())
+    L, (den, H) = glue(S, R, build_glue_map(discriminant_form(S), discriminant_form(R)))
+    k = discriminant_order(S, f)
+    Fk, _ = linalg.poly_at_matrix(powmod([0, 1], k, S4.coeffs), f.matrix, 1)
+    N, e = linalg.inverse_pair(H)
+    block = linalg.block_diag(Fk, linalg.identity(R.rank))
+    h = linalg.mat_mul(linalg.mat_mul(linalg.transpose(N), block), linalg.transpose(H))
+    return RealizationCertificate(
+        surface="k3",
+        projective=True,
+        salem=S4,
+        power=k,
+        salem_power_poly=power_min_poly(S4, k),
+        lattice=L,
+        isometry=tuple(tuple(x // e for x in row) for row in h),
+        kernel_basis=tuple(tuple(den * x // e for x in row) for row in N[: S.rank]),
+        kernel_generator=f.matrix,
+    )
+
+
+def test_a_kernel_that_is_not_hyperbolic_fails_and_skips_positivity(tmp_path, capsys):
+    # the char_poly item passes on this kernel; the positivity item used to
+    # raise PositivityError out of verify_certificate, and the CLI exited 2
+    cert = _signature_3_1_kernel_certificate()
+    assert cert.power == 2 and cert.lattice.signature() == (3, 19)
+    ok, items = verify_certificate(cert)
+    assert not ok
+    assert _failed(items) == ["kernel", "positivity"]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(certificate_to_json(cert)))
+    assert run(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("FAILED\n")
 
 
 def test_a_build_forms_each_discriminant_form_once(k3_certificate, monkeypatch):
@@ -755,7 +839,8 @@ def test_descent_cap_names_the_order(monkeypatch):
 
 def test_seed_validation():
     seed = seed_for(S4)
-    f, R = validate_seed(seed)
+    cert, f, R = validate_seed(seed)
+    assert cert.polynomial == S4
     assert f.char_poly().coeffs == S4.coeffs
     assert R == seed.R()
 
