@@ -42,6 +42,7 @@ from .isometries import (
     Isometry,
     IsometryError,
     TwistElement,
+    discriminant_order,
     invariant_symmetric_forms,
     is_isometry,
     kernel_sublattice,
@@ -103,6 +104,7 @@ __all__ = [
     "Isometry",
     "IsometryError",
     "TwistElement",
+    "discriminant_order",
     "invariant_symmetric_forms",
     "is_isometry",
     "kernel_sublattice",

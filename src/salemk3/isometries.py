@@ -243,11 +243,18 @@ def discriminant_order(L: Lattice, f: Isometry):
     _check_pair(L, f)
     if not f.is_integral():
         raise IsometryError("discriminant action needs an integral isometry")
+    return _discriminant_order(L, f, f.char_poly().coeffs)
+
+
+def _discriminant_order(L: Lattice, f: Isometry, chi):
+    """``discriminant_order`` for an integral isometry f of L whose
+    characteristic polynomial the caller already holds, as the coefficient
+    list chi."""
     D, e = L.dual_basis()
     images = [linalg.mat_mod(D, e)]
     while len(images) < L.rank:
         images.append(linalg.mat_mod(linalg.mat_mul(f._num, images[-1]), e))
-    return _least_power(f.char_poly().coeffs, e, images, images[0])
+    return _least_power(chi, e, images, images[0])
 
 
 def power_to_integral(L: Lattice, f: Isometry):

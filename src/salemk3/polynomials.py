@@ -5,10 +5,13 @@ Everything here is exact and fraction-free in its loops: resultants and
 determinants are integer computations; gcds and Sturm chains come from one
 primitive integer pseudo-remainder kernel, each Sturm member a positive
 multiple of the rational one; and signs at a rational a/b (b > 0) are read
-from the homogeneous integer sum of c_i a^i b^(d-i). Root counts are exact.
-Salem certification builds one Sturm chain, that of the trace polynomial of
-half the degree, screens that polynomial for cyclotomic factors, and
-isolates lambda by one bisection walk on the sign of the polynomial itself.
+from the homogeneous integer sum of c_i a^i b^(d-i), with b a power of two
+along lambda's bisection walk. Salem certification builds one Sturm chain,
+that of the trace polynomial of half the degree, and reads it at four
+points only (-inf, -2, 2, +inf); it screens that polynomial for cyclotomic
+factors with one evaluation modulo a product of primes per pack of orders
+(CRT), and isolates lambda by one bisection walk on the sign of the
+polynomial itself, on integer numerators over 2^k.
 One product modulo a monic polynomial (``mulmod``, with ``powmod`` on top)
 serves the exact residue rings Z[x]/(m) and the rings (Z/m)[x]/(f) alike.
 No floating point enters a decision.
@@ -327,27 +330,19 @@ def sturm_chain(p):
 
 
 def _sign_at(coeffs, x):
-    """Sign of the polynomial at "inf", "-inf" or x = (a, b) with b > 0.
-
-    At a/b it is the sign of the homogeneous sum of c_i a^i b^(d-i), which
-    is b^d times the value there.
-    """
-    if isinstance(x, str):
-        v = coeffs[-1]
-        if x == "-inf" and len(coeffs) % 2 == 0:
-            v = -v
-    else:
-        a, b = x
-        v, bp = 0, 1
-        for c in reversed(coeffs):
-            v = v * a + c * bp
-            bp *= b
+    """Sign of the polynomial at x = (a, b) with b > 0: the sign of the
+    homogeneous sum of c_i a^i b^(d-i), which is b^d times the value there."""
+    a, b = x
+    v, bp = 0, 1
+    for c in reversed(coeffs):
+        v = v * a + c * bp
+        bp *= b
     return (v > 0) - (v < 0)
 
 
 def _point(x):
-    """(numerator, denominator) of a rational, or the string "inf"/"-inf"."""
-    return x if isinstance(x, str) else (x.numerator, x.denominator)
+    """(numerator, denominator) of a rational."""
+    return x.numerator, x.denominator
 
 
 def _rational(num, den):
@@ -356,25 +351,32 @@ def _rational(num, den):
     return num // g, den // g
 
 
-def _variations(chain, x):
-    signs = [s for s in (_sign_at(c, x) for c in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_changes(values):
+    """Sign changes along a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def count_real_roots(p, a="-inf", b="inf", chain=None):
-    """Number of distinct real roots of p in the half-open interval (a, b]."""
-    if p.is_zero():
-        raise ValueError("root count of the zero polynomial")
-    if chain is None:
-        chain = sturm_chain(p)
-    return _variations(chain, _point(a)) - _variations(chain, _point(b))
+def _trace_chain_reads(chain):
+    """Sign changes of a Sturm chain at -inf, -2, 2 and +inf, in that order,
+    and the values of its first member at -2 and at 2.
 
-
-def root_bound(p):
-    """Cauchy bound: all real roots lie in (-M, M]."""
-    lead = abs(p.leading)
-    m = max(abs(c) for c in p.coeffs[:-1]) if p.degree > 0 else 0
-    return Fraction(m, lead) + 1
+    At +-inf a member has the sign of its leading coefficient, times
+    (-1)^degree at -inf; at +-2 its value comes from integer Horner. The
+    first member has V(a) - V(b) distinct real roots in (a, b].
+    """
+    at_minus_inf, at_minus_two, at_two, at_inf = [], [], [], []
+    for f in chain:
+        u = v = 0
+        for c in reversed(f):
+            u = c - 2 * u
+            v = 2 * v + c
+        at_minus_two.append(u)
+        at_two.append(v)
+        at_inf.append(f[-1])
+        at_minus_inf.append(f[-1] if len(f) % 2 else -f[-1])
+    reads = (at_minus_inf, at_minus_two, at_two, at_inf)
+    return tuple(_sign_changes(x) for x in reads), at_minus_two[0], at_two[0]
 
 
 def refine_interval(p, interval, max_width):
@@ -417,9 +419,14 @@ def is_salem(p):
     Degree-2 polynomials (no conjugates on the unit circle) are flagged
     quadratic_degenerate.
 
-    The tests read the one Sturm chain of r, of half the degree. A root y of
-    r gives the two roots of x^2 - yx + 1, which coincide only at y = +-2, so
-    p is squarefree iff the chain ends in a constant and r(2) r(-2) != 0.
+    The tests read the one Sturm chain of r, of half the degree, at four
+    points: -inf, -2, 2 and +inf, each member's sign at +-inf from its
+    leading coefficient and at +-2 from integer Horner. A root y of r gives
+    the two roots of x^2 - yx + 1, which coincide only at y = +-2, so p is
+    squarefree iff the chain ends in a constant and r(2) r(-2) != 0, the
+    first member's values at 2 and -2. The differences of the four sign
+    change counts give r's real roots, those in (2, +inf] and those in
+    (-inf, -2].
 
     Irreducibility needs no factoring. Once p is squarefree and has this
     root pattern, every irreducible factor other than the minimal polynomial
@@ -428,50 +435,65 @@ def is_salem(p):
     Hence a squarefree reducible p with the wrong pattern reports
     wrong_root_pattern, not reducible.
 
-    The cyclotomic screen runs on r too, at half the degree, and stops at
-    the first factor. r(2) r(-2) != 0 already rules out cyclotomic(1) and
-    cyclotomic(2). For n >= 3, with (l, w) from ``_cyclotomic_root(n)``,
-    p(w) = w^m r(w + 1/w) and w is a unit mod l, so cyclotomic(n) | p forces
-    r(w + 1/w) = 0 mod l; only the n that pass go through exact division.
+    The cyclotomic screen runs on r too, at half the degree. r(2) r(-2) != 0
+    already rules out cyclotomic(1) and cyclotomic(2). For n >= 3, with
+    (l, w) from ``_cyclotomic_root(n)``, p(w) = w^m r(w + 1/w) and w is a
+    unit mod l, so cyclotomic(n) | p forces r(w + 1/w) = 0 mod l. The orders
+    come in the few packs of ``_cyclotomic_packs``, each with one point Y
+    that is w + 1/w modulo each of its primes (CRT), so one value r(Y) mod L
+    per pack screens all of its orders; only the n whose l divides it go
+    through exact division.
     """
     if p.is_zero() or p.degree < 2:
         raise NotSalemError("wrong_degree", str(p))
     r = trace_polynomial(p)  # refuses p unless it is monic, of even degree and reciprocal
     chain = sturm_chain(r)
-    if len(chain[-1]) > 1 or r(2) * r(-2) == 0:
+    (minus_inf, minus_two, two, inf), r_minus_two, r_two = _trace_chain_reads(chain)
+    if len(chain[-1]) > 1 or r_two == 0 or r_minus_two == 0:
         raise NotSalemError("reducible", str(p))
-    if count_real_roots(r, chain=chain) != r.degree:
+    if minus_inf - inf != r.degree:
         raise NotSalemError("wrong_root_pattern", "trace polynomial has non-real roots")
-    above_two = count_real_roots(r, 2, "inf", chain=chain)
-    below_minus_two = count_real_roots(r, "-inf", -2, chain=chain)
+    above_two, below_minus_two = two - inf, minus_inf - minus_two
     if above_two != 1 or below_minus_two != 0:
         raise NotSalemError(
             "wrong_root_pattern",
             f"{above_two} trace roots above 2, {below_minus_two} at or below -2",
         )
-    for n in _orders_of_degree_at_most(p.degree)[2:]:  # n >= 3
-        l, w = _cyclotomic_root(n)
-        if polyval_mod(r.coeffs, (w + pow(w, -1, l)) % l, l) == 0 and divides(cyclotomic(n), p):
-            raise NotSalemError("reducible", str(p))
+    for L, Y, orders in _cyclotomic_packs(p.degree):
+        v = polyval_mod(r.coeffs, Y, L)
+        for n, l in orders:
+            if v % l == 0 and divides(cyclotomic(n), p):
+                raise NotSalemError("reducible", str(p))
     # p's only real roots are 1/lambda < 1 < lambda, both irrational, so p < 0
-    # exactly between them. Bisect (-M, M] until (a, b] holds lambda alone:
+    # exactly between them. Bisect (-M, M], M = 1 + max |p_i| (Cauchy; p is
+    # monic), on numerators a, b over 2^k until (a, b] holds lambda alone:
     # p(c) < 0 leaves only lambda in (c, b]; otherwise c lies below both roots
-    # (c < 1) or above both. Then push the interval above 1
-    b = root_bound(p)
-    a = -b
-    while _sign_at(p.coeffs, _point(c := (a + b) / 2)) > 0:
-        if c < 1:
+    # (c < 1) or above both. Then halve toward lambda, two halvings a round,
+    # until a > 1
+    coeffs = p.coeffs
+    b = max(map(abs, coeffs[:-1])) + 1
+    a, k = -b, 0
+    while True:
+        c, a, b, k = a + b, 2 * a, 2 * b, k + 1  # c / 2^k is the midpoint
+        if _sign_at(coeffs, (c, 1 << k)) <= 0:
+            a = c
+            break
+        if c < 1 << k:
             a = c
         else:
             b = c
-    a = c
-    while not a > 1:
-        a, b = refine_interval(p, (a, b), (b - a) / 4)
+    while a <= 1 << k:
+        for _ in range(2):
+            c, a, b, k = a + b, 2 * a, 2 * b, k + 1
+            if _sign_at(coeffs, (c, 1 << k)) > 0:
+                b = c
+            else:
+                a = c
     return SalemCertificate(
         polynomial=p,
         degree=p.degree,
         trace_polynomial=r,
-        lambda_interval=(a, b),
+        lambda_interval=(Fraction(a, 1 << k), Fraction(b, 1 << k)),
         quadratic_degenerate=p.degree == 2,
     )
 
@@ -585,6 +607,33 @@ def _cyclotomic_root(n):
         w = pow(a, (l - 1) // n, l)
         if all(pow(w, n // q, l) != 1 for q in factorize(n)):
             return l, w
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_packs(d):
+    """The cyclotomic screen of ``is_salem`` at degree d, as packs
+    (L, Y, ((n, l), ...)) that hold each order n >= 3 of
+    ``_orders_of_degree_at_most(d)`` once, with (l, w) from
+    ``_cyclotomic_root(n)``. The primes l of a pack are distinct, L is their
+    product and Y = w + 1/w mod each l (CRT). Orders that share their prime,
+    such as n and 2n for odd n, go to different packs: each order goes to
+    the first pack without its prime."""
+    packs = []
+    for n in _orders_of_degree_at_most(d)[2:]:
+        l = _cyclotomic_root(n)[0]
+        pack = next((pack for pack in packs if all(q != l for _, q in pack)), None)
+        if pack is None:
+            packs.append(pack := [])
+        pack.append((n, l))
+    out = []
+    for pack in packs:
+        L, Y = 1, 0
+        for n, l in pack:
+            w = _cyclotomic_root(n)[1]
+            Y += L * ((w + pow(w, -1, l) - Y) * pow(L, -1, l) % l)  # now Y = w + 1/w mod l
+            L *= l
+        out.append((L, Y, tuple(pack)))
+    return tuple(out)
 
 
 def cyclotomic_factors(p):

@@ -16,8 +16,8 @@ from . import codec, linalg
 from .isometries import (
     Isometry,
     TwistElement,
+    _discriminant_order,
     _restrict_to_rows,
-    discriminant_order,
     is_isometry,
     twist,
 )
@@ -482,7 +482,7 @@ def build_k3_certificate(s: IntPolynomial, seed=None):
     # group, so that it descends to the overlattice. For the glued basis B = H / den
     # and H^-1 = N / e, row i of B^-1 = den N / e is the coordinate vector of ambient
     # e_i, and h = (B^-1)^T block B^T = N^T block H^T / e (column convention).
-    k = discriminant_order(S2, f2)
+    k = _discriminant_order(S2, f2, s.coeffs)  # char(f2) = s
     if k > DESCENT_ORDER_CAP:
         raise RealizeError(
             f"stage power: discriminant action order {k} exceeds the cap {DESCENT_ORDER_CAP}"

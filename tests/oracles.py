@@ -651,13 +651,9 @@ def roots_on_unit_circle(coeffs, tol=1e-6):
     return all(abs(abs(r) - 1) < tol for r in roots)
 
 
-def fraction_sturm_count(coeffs, a="-inf", b="inf"):
-    """Distinct real roots in (a, b] from a Sturm chain over the rationals.
-
-    ``coeffs`` are ascending ints; ``a`` and ``b`` are rationals or the
-    strings "-inf" and "inf". The chain is p, p', then minus each Fraction
-    remainder, and signs come from Fraction Horner evaluation.
-    """
+def fraction_sturm_chain(coeffs):
+    """The Sturm chain over the rationals of the polynomial with ascending
+    int ``coeffs``: p, p', then minus each Fraction remainder."""
     chain = [[Fraction(c) for c in coeffs]]
     f1 = [Fraction(i * c) for i, c in enumerate(coeffs)][1:]
     if f1:
@@ -667,6 +663,18 @@ def fraction_sturm_count(coeffs, a="-inf", b="inf"):
         if not r:
             break
         chain.append([-c for c in r])
+    return chain
+
+
+def fraction_sturm_count(coeffs, a="-inf", b="inf", chain=None):
+    """Distinct real roots in (a, b] from a Sturm chain over the rationals.
+
+    ``coeffs`` are ascending ints; ``a`` and ``b`` are rationals or the
+    strings "-inf" and "inf". Signs come from Fraction Horner evaluation on
+    ``chain``, by default ``fraction_sturm_chain(coeffs)``.
+    """
+    if chain is None:
+        chain = fraction_sturm_chain(coeffs)
 
     def sign_at(f, x):
         if x == "inf":
@@ -686,8 +694,10 @@ def fraction_sturm_count(coeffs, a="-inf", b="inf"):
 
 def salem_certificate_by_full_sturm(p):
     """``is_salem`` by the degree-d route: the squarefree test is gcd(p, p'),
-    and lambda's interval comes from bisecting (-M, M] with root counts on
-    the Sturm chain of p, keeping the right half whenever it holds a root.
+    the root counts of r come from ``fraction_sturm_count``, and lambda's
+    interval comes from bisecting (-M, M], M the Cauchy bound, with Fraction
+    Sturm counts on the chain of p, keeping the right half whenever it holds
+    a root.
 
     Returns the same ``SalemCertificate`` or raises the same
     ``NotSalemError``, reason and message, with the checks in the same order.
@@ -695,12 +705,9 @@ def salem_certificate_by_full_sturm(p):
     from salemk3.polynomials import (
         NotSalemError,
         SalemCertificate,
-        count_real_roots,
         cyclotomic_factors,
         poly_gcd,
         refine_interval,
-        root_bound,
-        sturm_chain,
         trace_polynomial,
     )
 
@@ -715,11 +722,11 @@ def salem_certificate_by_full_sturm(p):
     if poly_gcd(p, p.derivative()).degree > 0:
         raise NotSalemError("reducible", str(p))
     r = trace_polynomial(p)
-    chain = sturm_chain(r)
-    if count_real_roots(r, chain=chain) != r.degree:
+    chain = fraction_sturm_chain(r.coeffs)
+    if fraction_sturm_count(r.coeffs, chain=chain) != r.degree:
         raise NotSalemError("wrong_root_pattern", "trace polynomial has non-real roots")
-    above_two = count_real_roots(r, 2, "inf", chain=chain)
-    below_minus_two = count_real_roots(r, "-inf", -2, chain=chain)
+    above_two = fraction_sturm_count(r.coeffs, 2, "inf", chain)
+    below_minus_two = fraction_sturm_count(r.coeffs, "-inf", -2, chain)
     if above_two != 1 or below_minus_two != 0:
         raise NotSalemError(
             "wrong_root_pattern",
@@ -727,13 +734,13 @@ def salem_certificate_by_full_sturm(p):
         )
     if cyclotomic_factors(p):
         raise NotSalemError("reducible", str(p))
-    chain = sturm_chain(p)
-    b = root_bound(p)
+    chain = fraction_sturm_chain(p.coeffs)
+    b = Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.leading)) + 1  # Cauchy
     a = -b
-    n = count_real_roots(p, a, b, chain)
+    n = fraction_sturm_count(p.coeffs, a, b, chain)
     while n > 1:
         c = (a + b) / 2
-        right = count_real_roots(p, c, b, chain)
+        right = fraction_sturm_count(p.coeffs, c, b, chain)
         if right:
             a, n = c, right
         else:

@@ -5,18 +5,19 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
 
 from salemk3.polynomials import (
     IntPolynomial,
+    _cyclotomic_packs,
     _cyclotomic_root,
     _orders_of_degree_at_most,
+    _trace_chain_reads,
     NotSalemError,
     companion_matrix,
-    count_real_roots,
     cyclotomic,
     cyclotomic_factors,
     discriminant,
@@ -253,6 +254,28 @@ def test_cyclotomic_factors_match_exact_division():
             assert {n, k} <= {i for i, _ in found}
 
 
+def test_cyclotomic_packs_cover_each_order_once():
+    # for every even degree d <= 40: each order n >= 3 with phi(n) <= d sits
+    # in exactly one pack, with its prime from _cyclotomic_root(n); a pack's
+    # primes are distinct, L is their product, and r(Y) mod l is r evaluated
+    # at w + 1/w mod l for seeded random r
+    rng = random.Random(38)
+    for d in range(2, 41, 2):
+        packs = _cyclotomic_packs(d)
+        entries = [entry for _, _, orders in packs for entry in orders]
+        assert sorted(n for n, _ in entries) == [n for n in _orders_of_degree_at_most(d) if n >= 3]
+        for L, Y, orders in packs:
+            primes = [l for _, l in orders]
+            assert len(set(primes)) == len(primes) and L == prod(primes)
+            r = [rng.randint(-50, 50) for _ in range(d // 2)] + [1]
+            value = polyval_mod(r, Y, L)
+            for n, l in orders:
+                least, w = _cyclotomic_root(n)
+                assert l == least
+                assert value % l == polyval_mod(r, (w + pow(w, -1, l)) % l, l), (d, n)
+    assert [L.bit_length() for L, _, _ in _cyclotomic_packs(22)] == [122, 92, 5]
+
+
 def test_cyclotomic_root_test_false_positives_go_to_exact_division():
     # Phi_n + l x^j vanishes at w mod l without being divisible by Phi_n
     for n in _orders_of_degree_at_most(12):
@@ -369,15 +392,20 @@ def test_field_arithmetic_and_enclosures_match_the_fraction_field():
 
 
 def test_sturm_root_counts():
-    assert count_real_roots(QUAD) == 2
-    assert count_real_roots(QUAD, Fraction(2), "inf") == 1
-    assert count_real_roots(P([1, 0, 1])) == 0
+    # QUAD = y^2 - 3y + 1 has its roots at 0.38... and 2.61...
+    (minus_inf, minus_two, two, inf), at_minus_two, at_two = _trace_chain_reads(sturm_chain(QUAD))
+    assert (minus_inf - inf, two - inf, minus_inf - minus_two) == (2, 1, 0)
+    assert (at_minus_two, at_two) == (QUAD(-2), QUAD(2)) == (11, -1)
+    (minus_inf, _, _, inf), _, _ = _trace_chain_reads(sturm_chain(P([1, 0, 1])))
+    assert minus_inf - inf == 0
 
 
 def _random_poly_with_rational_roots(rng):
     """A random integer polynomial of degree <= 8 and its chosen rational
-    roots; about half of those roots are repeated factors."""
-    roots = sorted({Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))})
+    roots, often 2 or -2; about half of those roots are repeated factors."""
+    candidates = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+    candidates += [Fraction(x) for x in (2, -2) if rng.random() < 0.3]
+    roots = sorted(set(candidates))
     p = P([1])
     for r in roots:
         p = p * P([-r.numerator, r.denominator]) ** rng.randint(1, 2)
@@ -386,18 +414,24 @@ def _random_poly_with_rational_roots(rng):
     return p, roots
 
 
-def test_count_real_roots_matches_fraction_sturm_oracle():
+def test_four_point_reads_match_fraction_sturm_oracle():
+    # the sign changes at -inf, -2, 2 and +inf count the distinct real roots
+    # in (-inf, +inf], (2, +inf], (-inf, -2] and (-2, 2], a root at exactly 2
+    # counting in (-2, 2] and one at -2 in (-inf, -2]; the first member's
+    # values at -+2 are p(-+2); roots at -+2 come simple and repeated
     rng = random.Random(20261018)
+    at_two = set()
     for _ in range(240):
         p, roots = _random_poly_with_rational_roots(rng)
         assert p.degree <= 8
-        # the chosen roots are interval endpoints, exactly
-        others = {Fraction(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(2)}
-        points = sorted(set(roots) | others)
-        pairs = [("-inf", "inf"), ("-inf", points[0]), (points[-1], "inf")]
-        pairs += list(zip(points, points[1:])) + [(r, r + 1) for r in roots] + [(r - 1, r) for r in roots]
-        for a, b in pairs:
-            assert count_real_roots(p, a, b) == fraction_sturm_count(p.coeffs, a, b), (p, a, b)
+        (minus_inf, minus_two, two, inf), p_minus_two, p_two = _trace_chain_reads(sturm_chain(p))
+        assert (p_minus_two, p_two) == (p(-2), p(2))
+        assert minus_inf - inf == fraction_sturm_count(p.coeffs), p
+        assert two - inf == fraction_sturm_count(p.coeffs, 2, "inf"), p
+        assert minus_inf - minus_two == fraction_sturm_count(p.coeffs, "-inf", -2), p
+        assert minus_two - two == fraction_sturm_count(p.coeffs, -2, 2), p
+        at_two |= {(x, divides(P([-x, 1]) ** 2, p)) for x in (-2, 2) if x in roots}
+    assert at_two == {(-2, False), (-2, True), (2, False), (2, True)}
 
 
 # monic integer polynomials whose roots are all real and inside (-2, 2)
@@ -474,9 +508,10 @@ def _outcome(certify, p):
 def _salem_family(rng):
     """Seeded polynomials of every kind that reaches the squarefree test:
     x^m r(x + 1/x) for random monic r, for Salem-shaped r = (y - c) q(y) - k
-    alone, times a square or times y -+ 2, with m = deg r <= 11; corpus
-    polynomials times a cyclotomic polynomial, its square or themselves; the
-    quadratics x^2 - tx + 1; and a few that stop before it."""
+    alone, times a square or times y -+ 2, with m = deg r <= 15; corpus
+    polynomials times a cyclotomic polynomial (up to degree 54), its square
+    or themselves; the quadratics x^2 - tx + 1; and a few that stop before
+    it."""
     corpus = [P(list(coeffs)) for _, coeffs, _ in all_entries()]
     polys = list(corpus) + [P([1, -t, 1]) for t in range(-6, 7)]
     # lambda = 1.31..., so the walk's midpoint 3/2 lies between lambda and 2
@@ -485,21 +520,23 @@ def _salem_family(rng):
     for _ in range(500):
         kind = rng.randrange(4)
         if kind == 0:
-            r = P([rng.randint(-4, 4) for _ in range(rng.randint(1, 11))] + [1])
+            r = P([rng.randint(-4, 4) for _ in range(rng.randint(1, 15))] + [1])
         else:
             q = P([1])
-            for _ in range(rng.randint(0, 4)):
+            for _ in range(rng.randint(0, 5)):
                 q = q * rng.choice(_SMALL_TRACE_FACTORS)
             r = P([-rng.randint(2, 9), 1]) * q - rng.randint(-3, 3)
             if kind == 2:
                 r = r * rng.choice(_SMALL_TRACE_FACTORS) ** 2
             elif kind == 3:
                 r = r * P([rng.choice((-2, 2)), 1])
-        if r.degree <= 11:
+        if r.degree <= 15:
             polys.append(P(expand_trace_polynomial(list(r.coeffs))))
     cyclotomics = [cyclotomic(n) for n in (1, 2, 3, 4, 5, 6, 8, 10, 12)]
+    # orders from the later packs of the screen, up to its fourth (degree >= 32)
+    wide = [cyclotomic(n) for n in (11, 25, 28, 44, 52, 102)]
     for s in corpus:
-        polys += [s * s] + [s * phi for phi in cyclotomics] + [s * phi * phi for phi in cyclotomics[:4]]
+        polys += [s * s] + [s * phi for phi in cyclotomics + wide] + [s * phi * phi for phi in cyclotomics[:4]]
     return polys
 
 
@@ -721,7 +758,6 @@ def test_certify_salem_without_sympy(tmp_path):
         (lambda: companion_matrix(P([1, 2])), ValueError, "companion matrix needs a monic polynomial of degree >= 1"),
         (lambda: trace_polynomial(P([1, 2])), NotSalemError, "not_monic"),
         (lambda: trace_polynomial(P([1, 1, 1, 1])), NotSalemError, "odd_degree"),
-        (lambda: count_real_roots(P([])), ValueError, "root count of the zero polynomial"),
         (lambda: refine_interval(P([-2, 0, 1]), (0, 1), Fraction(1, 8)), ValueError,
          "interval endpoints must straddle the root"),
         (lambda: is_cyclotomic_product(P([1, 2])), ValueError, "cyclotomic-product test needs a monic polynomial"),
@@ -729,7 +765,7 @@ def test_certify_salem_without_sympy(tmp_path):
          "cyclotomic-product test needs a nonzero constant term"),
     ],
     ids=["int-coeffs", "leading", "power", "coerce", "divide-zero", "divide-inexact", "squarefree",
-         "resultant", "discriminant", "companion", "trace-monic", "trace-degree", "root-count",
+         "resultant", "discriminant", "companion", "trace-monic", "trace-degree",
          "refine", "cyclotomic-monic", "cyclotomic-constant"],
 )
 def test_polynomial_refusals_name_the_failed_condition(call, error, message):

@@ -516,8 +516,8 @@ def test_one_certificate_operation_certifies_s_three_times(monkeypatch):
     # the positivity stage and the power polynomial; each verify (the build's
     # self-verify, then the one after the JSON round trip) certifies once and
     # reads char(g) and adj(x I - g) from one Faddeev-LeVerrier pass, which
-    # the positivity item reuses; the build's passes are char f_S in
-    # validate_seed and char f2 in discriminant_order
+    # the positivity item reuses; the build's one pass is char f_S in
+    # validate_seed, and the power stage reads char f2 = s
     calls = defaultdict(int)
     certify, faddeev = polynomials.is_salem, linalg.charpoly_and_adjugate
 
@@ -537,7 +537,7 @@ def test_one_certificate_operation_certifies_s_three_times(monkeypatch):
     cert = build_k3_certificate(S4)
     ok, _ = verify_certificate(certificate_from_json(json.loads(json.dumps(certificate_to_json(cert)))))
     assert ok
-    assert dict(calls) == {"certify": 3, "pass": 4}
+    assert dict(calls) == {"certify": 3, "pass": 3}
     # the public entries still certify on entry
     calls.clear()
     assert power_min_poly(S4, 2) == power_min_poly(S4, 2)
