@@ -5,7 +5,8 @@ dispatch to the library, and emit either human-readable text or canonical
 JSON (sorted keys, fixed separators, so identical inputs give byte-identical
 output). Exit codes: 0 yes / verified / positive, 1 no / failed, 2
 inconclusive or error; every error, a rejected input included, leaves
-through the one handler in ``run``.
+through the one handler in ``run``. Each subcommand imports the layers it
+calls when it runs, so a cold run loads no other.
 """
 
 import argparse
@@ -13,28 +14,8 @@ import sys
 import time
 
 from . import codec
-from .isometries import (
-    Isometry,
-    IsometryError,
-    TwistElement,
-    power_to_integral,
-    twist,
-    twist_split_certificate,
-)
-from .lattices import NAMED_LATTICES, named_lattice
-from .polynomials import NotSalemError, is_salem
-from .positivity import is_positive
-from .realize import (
-    Seed,
-    _power_exceeds,
-    build_k3_certificate,
-    certificate_from_json,
-    certificate_to_json,
-    seed_for,
-    stable_realizable,
-    verify_certificate,
-)
 
+NAMED_LATTICES = ("U", "E8", "3U", "U+E8", "3U+2E8")  # the names lattices.named_lattice knows
 PAIR = {"lattice": codec.lattice, "isometry": codec.rat_matrix}
 TWIST = dict(PAIR, element=codec.poly)
 TWIST_SPLIT = dict(TWIST, exponent=codec.positive_int, prime=codec.prime)
@@ -47,6 +28,8 @@ def _read(path, table, name):
 
 def _isometry(L, matrix, path):
     """Isometry(L, matrix), with an error that names the input field."""
+    from .isometries import Isometry, IsometryError
+
     try:
         return Isometry(L, matrix)
     except IsometryError as exc:
@@ -68,6 +51,8 @@ def _emit(payload, text_lines, fmt):
 
 
 def cmd_certify_salem(args):
+    from .polynomials import NotSalemError, is_salem
+
     poly = codec.poly(codec.load(args.polynomial), "polynomial")
     try:
         cert = is_salem(poly)
@@ -99,6 +84,9 @@ def cmd_certify_salem(args):
 
 
 def cmd_realizable(args):
+    from .polynomials import NotSalemError
+    from .realize import stable_realizable
+
     poly = codec.poly(codec.load(args.polynomial), "polynomial")
     try:
         decision = stable_realizable(poly, args.surface_class, projective=args.projective)
@@ -116,6 +104,8 @@ def cmd_realizable(args):
 
 
 def cmd_build_certificate(args):
+    from .realize import Seed, build_k3_certificate, certificate_to_json, seed_for
+
     poly = codec.poly(codec.load(args.polynomial), "polynomial")
     if args.seed:
         doc = _read(args.seed, SEED, "seed")
@@ -139,6 +129,8 @@ def cmd_build_certificate(args):
 
 
 def cmd_verify(args):
+    from .realize import certificate_from_json, verify_certificate
+
     ok, items = verify_certificate(certificate_from_json(codec.load(args.certificate)))
     payload = {
         "verified": ok,
@@ -152,6 +144,8 @@ def cmd_verify(args):
 
 
 def cmd_positivity(args):
+    from .positivity import is_positive
+
     _, L, f = _read_pair(args.pair, PAIR, "pair")
     start = time.perf_counter()
     report = is_positive(L, f)
@@ -165,6 +159,8 @@ def cmd_positivity(args):
 
 
 def cmd_twist(args):
+    from .isometries import TwistElement, twist
+
     doc, L, f = _read_pair(args.input, TWIST, "twist")
     twisted, f2 = twist(L, f, TwistElement(doc["element"]))
     payload = {
@@ -177,6 +173,8 @@ def cmd_twist(args):
 
 
 def cmd_power_integral(args):
+    from .isometries import power_to_integral
+
     _, L, f = _read_pair(args.pair, PAIR, "pair")
     n, fn = power_to_integral(L, f)
     payload = {"power": n, "matrix": codec.matrix_to_json(fn.matrix)}
@@ -185,6 +183,9 @@ def cmd_power_integral(args):
 
 
 def cmd_twist_split_check(args):
+    from .isometries import TwistElement, twist_split_certificate
+    from .realize import _power_exceeds
+
     doc, L, f = _read_pair(args.input, TWIST_SPLIT, "twist_split")
     limit = sys.get_int_max_str_digits()  # refuse, before t^n is formed, what str() cannot print
     if limit and _power_exceeds(doc["prime"], 2 * doc["exponent"], (10**limit - 1) // abs(L.determinant())):
@@ -203,6 +204,8 @@ def cmd_twist_split_check(args):
 
 
 def cmd_lattice(args):
+    from .lattices import named_lattice
+
     L = named_lattice(args.name)
     _emit(
         codec.lattice_to_json(L),

@@ -149,9 +149,6 @@ def lattice_A2():
     return Lattice(((-2, 1), (1, -2)))
 
 
-NAMED_LATTICES = ("U", "E8", "3U", "U+E8", "3U+2E8")
-
-
 def named_lattice(name):
     U, E8 = lattice_U(), lattice_E8()
     table = {
@@ -162,7 +159,7 @@ def named_lattice(name):
         "3U+2E8": lambda: U.direct_sum(U).direct_sum(U).direct_sum(E8).direct_sum(E8),
     }
     if name not in table:
-        raise LatticeError(f"unknown lattice name {name!r}; choose from {NAMED_LATTICES}")
+        raise LatticeError(f"unknown lattice name {name!r}; choose from {tuple(table)}")
     return table[name]()
 
 

@@ -8,11 +8,18 @@ so the Euler-criterion powering stays available as an independent check.
 from fractions import Fraction
 from math import gcd
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to every base of _MR_BASES
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin (valid far beyond 64-bit inputs)."""
+    """Deterministic Miller-Rabin to the 13 prime bases 2 .. 41.
+
+    The answer is proven for n < psi_13 = 3317044064679887385961981
+    (Sorenson and Webster, 2017). From psi_13 on, a composite that fails a
+    base is still reported, but an n that passes every base raises
+    ValueError: its primality is unproven, and a yes could be wrong.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -33,6 +40,8 @@ def is_prime(n):
                 break
         else:
             return False
+    if n >= _PSI_13:
+        raise ValueError(f"primality of {n} is unproven: it is >= psi_13 and passes every base 2 .. 41")
     return True
 
 
@@ -52,7 +61,8 @@ def _pollard_rho(n):
 
 
 def factorize(n):
-    """Prime factorization {p: exponent} of n > 0."""
+    """Prime factorization {p: exponent} of n > 0; a factor that
+    ``is_prime`` cannot decide raises its ValueError."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     factors = {}

@@ -441,8 +441,9 @@ def is_salem(p):
     unit mod l, so cyclotomic(n) | p forces r(w + 1/w) = 0 mod l. The orders
     come in the few packs of ``_cyclotomic_packs``, each with one point Y
     that is w + 1/w modulo each of its primes (CRT), so one value r(Y) mod L
-    per pack screens all of its orders; only the n whose l divides it go
-    through exact division.
+    per pack screens all of its orders. A hit l | r(Y) is confirmed at the
+    next prime l' = 1 mod n, with (l', w') from ``_cyclotomic_root(n, l)``,
+    and only the n that pass both go through exact division.
     """
     if p.is_zero() or p.degree < 2:
         raise NotSalemError("wrong_degree", str(p))
@@ -462,7 +463,10 @@ def is_salem(p):
     for L, Y, orders in _cyclotomic_packs(p.degree):
         v = polyval_mod(r.coeffs, Y, L)
         for n, l in orders:
-            if v % l == 0 and divides(cyclotomic(n), p):
+            if v % l:
+                continue
+            l2, w2 = _cyclotomic_root(n, l)
+            if polyval_mod(r.coeffs, (w2 + pow(w2, -1, l2)) % l2, l2) == 0 and divides(cyclotomic(n), p):
                 raise NotSalemError("reducible", str(p))
     # p's only real roots are 1/lambda < 1 < lambda, both irrational, so p < 0
     # exactly between them. Bisect (-M, M], M = 1 + max |p_i| (Cauchy; p is
@@ -597,11 +601,11 @@ def cyclotomic(n):
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_root(n):
-    """(l, w): the least prime l = 1 mod n and a root w of cyclotomic(n) mod
-    l, that is an element of order exactly n in (Z/l)^*."""
+def _cyclotomic_root(n, above=0):
+    """(l, w): the least prime l = 1 mod n above ``above`` and a root w of
+    cyclotomic(n) mod l, that is an element of order exactly n in (Z/l)^*."""
     l = n + 1
-    while not is_prime(l):
+    while l <= above or not is_prime(l):
         l += n
     for a in range(1, l):
         w = pow(a, (l - 1) // n, l)

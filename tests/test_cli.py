@@ -127,9 +127,15 @@ def test_twist_split_check_reports_a_zero_element(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["problems"] == ["twist element has norm 0, expected +-11"]
 
 
+# psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to the bases
+# 2 .. 37, and psi_13 one to 2 .. 41, so its primality is unproven
+PSEUDOPRIMES = (318665857834031151167461, 3317044064679887385961981)
+
+
 @pytest.mark.parametrize(
     "edit, field",
-    [({"prime": p}, "prime") for p in (0, 1, -11, 9, 15, 121)] + [({"exponent": n}, "exponent") for n in (0, -1)],
+    [({"prime": p}, "prime") for p in (0, 1, -11, 9, 15, 121) + PSEUDOPRIMES]
+    + [({"exponent": n}, "exponent") for n in (0, -1)],
     ids=str,
 )
 def test_twist_split_check_refuses_a_non_prime_or_a_non_positive_exponent(tmp_path, capsys, edit, field):

@@ -98,6 +98,19 @@ def test_is_prime_and_factorize():
         assert prod == n
 
 
+def test_is_prime_is_proven_below_psi_13_and_refuses_to_guess_above():
+    # psi_12, the least strong pseudoprime to the bases 2 .. 37, fails base 41
+    psi_12 = 318665857834031151167461
+    assert not is_prime(psi_12)
+    assert factorize(psi_12) == {399165290221: 1, 798330580441: 1}
+    # psi_13 passes all 13 bases, and nothing proves an answer from there on
+    psi_13 = 3317044064679887385961981
+    with pytest.raises(ValueError, match=f"^primality of {psi_13} is unproven: it is >= psi_13"):
+        is_prime(psi_13)
+    # a composite from psi_13 on, with no factor below 41, fails a base
+    assert not is_prime(psi_12 * psi_13)
+
+
 def test_perfect_square():
     assert is_perfect_square(0) and is_perfect_square(144)
     assert not is_perfect_square(-4) and not is_perfect_square(63)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -40,6 +41,8 @@ from salemk3.polynomials import (
 )
 from salemk3 import linalg, polynomials
 from salemk3.numberfield import RealAlgebraicField, canonical
+from salemk3.numbertheory import is_prime
+from salemk3.realize import build_k3_certificate, certificate_to_json
 
 from oracles import (
     FractionField,
@@ -274,6 +277,30 @@ def test_cyclotomic_packs_cover_each_order_once():
                 assert l == least
                 assert value % l == polyval_mod(r, (w + pow(w, -1, l)) % l, l), (d, n)
     assert [L.bit_length() for L, _, _ in _cyclotomic_packs(22)] == [122, 92, 5]
+
+
+def test_cyclotomic_screen_confirms_a_pack_hit_before_exact_division(monkeypatch):
+    # the corpus polynomials have no cyclotomic factor, yet some r(Y) mod L
+    # vanishes mod a pack prime; each such hit is checked again at the next
+    # prime = 1 mod n, and none of them reaches exact division
+    hits = [
+        n
+        for s in CORPUS_POLYS
+        for L, Y, orders in _cyclotomic_packs(s.degree)
+        for n, l in orders
+        if polyval_mod(trace_polynomial(s).coeffs, Y, L) % l == 0
+    ]
+    assert len(hits) == 5
+    for n in hits:
+        l, _ = _cyclotomic_root(n)
+        l2, w2 = _cyclotomic_root(n, l)
+        assert l2 == next(q for q in range(l + n, l2 + 1, n) if is_prime(q))
+        assert [pow(w2, k, l2) for k in range(1, n + 1)].index(1) == n - 1
+    divisions = []
+    monkeypatch.setattr(polynomials, "divides", lambda a, b: divisions.append(a) or divides(a, b))
+    for s in CORPUS_POLYS:
+        is_salem(s)
+    assert divisions == []
 
 
 def test_cyclotomic_root_test_false_positives_go_to_exact_division():
@@ -722,25 +749,62 @@ def test_product_of_salem_polynomials_reports_root_pattern():
         assert _reason(s * t) == "wrong_root_pattern"
 
 
+# the modules of salemk3 that a cold run of each subcommand loads: the
+# package, cli, codec with the two layers it reads at module level and
+# linalg under them, then the layers that the subcommand calls
+CERTIFY_MODULES = {"", ".cli", ".codec", ".polynomials", ".linalg", ".numbertheory"}
+POWER_INTEGRAL_MODULES = CERTIFY_MODULES | {".lattices", ".isometries"}
+POSITIVITY_MODULES = POWER_INTEGRAL_MODULES | {".positivity", ".numberfield"}
+VERIFY_MODULES = POSITIVITY_MODULES | {".realize"}
+
+
 def test_certify_salem_without_sympy(tmp_path):
-    path = tmp_path / "lehmer.json"
-    path.write_text(json.dumps([str(c) for c in LEHMER]), encoding="utf-8")
+    # each subcommand runs in a fresh interpreter that cannot import sympy,
+    # then prints the salemk3 modules it loaded on its last stderr line
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    lehmer = write("lehmer.json", [str(c) for c in LEHMER])
+    rational = write("rational.json", {
+        "lattice": {"rank": 2, "gram": [["-4", "0"], ["0", "5"]]},
+        "isometry": [["3/2", "5/4"], ["1", "3/2"]],
+    })
+    pair = write("pair.json", {
+        "lattice": {"rank": 2, "gram": [["2", "3"], ["3", "2"]]},
+        "isometry": [["0", "-1"], ["1", "3"]],
+    })
+    certificate = write("cert.json", certificate_to_json(build_k3_certificate(S4)))
     code = (
         "import sys; sys.modules['sympy'] = None; "
-        "from salemk3.cli import run; sys.exit(run(sys.argv[1:]))"
+        "from salemk3.cli import run; status = run(sys.argv[1:]); "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'salemk3'), file=sys.stderr); "
+        "sys.exit(status)"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "--format", "json", "certify-salem", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["accepted"] is True and payload["degree"] == 10
+    outputs = {}
+    for argv, status, modules in [
+        (["certify-salem", lehmer], 0, CERTIFY_MODULES),
+        (["power-integral", rational], 0, POWER_INTEGRAL_MODULES),
+        (["positivity", pair], 1, POSITIVITY_MODULES),
+        (["verify", certificate], 0, VERIFY_MODULES),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "--format", "json"] + argv,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == status, proc.stderr
+        assert ast.literal_eval(proc.stderr.splitlines()[-1]) == sorted("salemk3" + m for m in modules), argv[0]
+        outputs[argv[0]] = json.loads(proc.stdout)
+    assert outputs["certify-salem"]["accepted"] is True and outputs["certify-salem"]["degree"] == 10
+    assert outputs["power-integral"]["power"] == 3
+    assert outputs["positivity"]["status"] == "not_positive"
+    assert outputs["verify"]["verified"] is True
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -738,7 +742,26 @@ def test_refinement_cap_names_its_rounds_and_last_delta(monkeypatch, tmp_path, c
 
 
 def test_public_names_resolve():
-    assert all(hasattr(salemk3, name) for name in salemk3.__all__)
+    # a fresh import loads no module of the package, and a submodule still
+    # imports by name
+    code = (
+        "import sys, salemk3; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'salemk3')); "
+        "from salemk3 import linalg; print(linalg.__name__)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.splitlines() == ["['salemk3']", "salemk3.linalg"], proc.stderr
+    # every name of __all__ is the object of the module that defines it
+    assert sorted(n for names in salemk3._EXPORTS.values() for n in names) == sorted(salemk3.__all__)
+    for name in salemk3.__all__:
+        obj = getattr(salemk3, name)
+        assert obj.__module__.startswith("salemk3.") and getattr(sys.modules[obj.__module__], name) is obj
+    namespace = {}
+    exec("from salemk3 import *", namespace)
+    assert all(namespace[name] is getattr(salemk3, name) for name in salemk3.__all__)
+    with pytest.raises(AttributeError, match="^module 'salemk3' has no attribute 'no_such_name'$"):
+        salemk3.no_such_name
 
 
 # the S4 block conjugated by diag(1, 1, 1, 2): a rational isometry with the
