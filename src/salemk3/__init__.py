@@ -17,7 +17,7 @@ caller, such as one CLI subcommand, loads only the layers it uses.
 
 import importlib
 
-# the module that defines each name of __all__
+# the module that defines each public name, in the order of __all__
 _EXPORTS = {
     "polynomials": (
         "IntPolynomial", "NotSalemError", "SalemCertificate", "companion_matrix", "discriminant",
@@ -55,62 +55,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "IntPolynomial",
-    "NotSalemError",
-    "SalemCertificate",
-    "companion_matrix",
-    "discriminant",
-    "is_cyclotomic_product",
-    "is_salem",
-    "power_min_poly",
-    "resultant",
-    "square_class_test",
-    "trace_polynomial",
-    "FiniteQuadraticForm",
-    "GlueMap",
-    "Lattice",
-    "LatticeError",
-    "discriminant_form",
-    "enumerate_vectors_of_norm",
-    "glue",
-    "lattice_A2",
-    "named_lattice",
-    "orthogonal_complement",
-    "p_primary_part",
-    "hasse_invariant",
-    "hilbert",
-    "legendre",
-    "relevant_places",
-    "Isometry",
-    "IsometryError",
-    "TwistElement",
-    "discriminant_order",
-    "invariant_symmetric_forms",
-    "is_isometry",
-    "kernel_sublattice",
-    "power_to_integral",
-    "search_even_invariant_lattice",
-    "twist",
-    "twist_split_certificate",
-    "ObstructionReport",
-    "PositivityError",
-    "cyclic_roots",
-    "determinant_bound_test",
-    "is_positive",
-    "obstructing_root_search",
-    "RealizationCertificate",
-    "RealizeError",
-    "build_k3_certificate",
-    "certificate_from_json",
-    "certificate_to_json",
-    "find_norm_element",
-    "find_split_prime",
-    "mod2_trivial",
-    "rational_isometry_criterion",
-    "seed_for",
-    "stable_realizable",
-    "verify_certificate",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names]
 
 __version__ = "0.1.0"

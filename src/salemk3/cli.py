@@ -116,8 +116,11 @@ def cmd_build_certificate(args):
     cert = build_k3_certificate(poly, seed=seed)
     text = codec.dumps(certificate_to_json(cert))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write output file {args.output}: {exc.strerror}") from None
         _emit(
             {"written": args.output, "power": cert.power},
             [f"certificate written to {args.output} (power {cert.power})"],

@@ -48,6 +48,10 @@ def load(path):
             text = fh.read()
     except FileNotFoundError:
         raise ValueError(f"input file not found: {path}") from None
+    except OSError as exc:  # a directory, a file without read permission, ...
+        raise ValueError(f"cannot read input file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"input file {path} is not UTF-8: {exc}") from None
     try:
         return loads(text)
     except ValueError as exc:  # JSONDecodeError, a duplicate key or a non-finite number

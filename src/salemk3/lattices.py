@@ -174,14 +174,14 @@ class FiniteQuadraticForm:
     the trivial group): q(g_i) = Q_i / N with Q_i in [0, 2N) (``q_nums``)
     and b(g_i, g_j) = B_ij / N with B_ij in [0, N) (``b_nums``). The
     constructor takes rational values and converts them once; forms built in
-    this module start from numerators, and both pass the same checks. When
-    the form arose from a lattice, ``lifts`` keeps lifts of the generators to
-    the dual lattice as the ``linalg`` pair (den, rows): row i over den, in
-    lattice coordinates, lifts g_i. Forms built from values alone have
-    ``lifts`` None.
+    this module start from numerators (``_on_numerators``), and both pass the
+    same checks. When the form arose from a lattice, ``lifts`` keeps lifts of
+    the generators to the dual lattice as the ``linalg`` pair (den, rows):
+    row i over den, in lattice coordinates, lifts g_i. Only ``_on_numerators``
+    takes lifts; forms built from values alone have ``lifts`` None.
     """
 
-    def __init__(self, orders, q_values, b_matrix, lifts=None):
+    def __init__(self, orders, q_values, b_matrix):
         q_values = [Fraction(v) for v in q_values]
         b_matrix = [[Fraction(v) for v in row] for row in b_matrix]
         orders = tuple(int(d) for d in orders)
@@ -192,7 +192,7 @@ class FiniteQuadraticForm:
             den,
             [v.numerator * (den // v.denominator) for v in q_values],
             [[v.numerator * (den // v.denominator) for v in row] for row in b_matrix],
-            lifts,
+            None,
         )
 
     @classmethod

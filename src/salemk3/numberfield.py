@@ -12,22 +12,25 @@ field holds only what needs lambda's embedding, and the one inverse.
 
 The inverse of a nonzero element a solves the linear system of
 multiplication by a against 1 by fraction-free Gauss-Jordan elimination
-(``linalg.gauss_jordan``). Signs and enclosures are decided by interval
-Horner evaluation on the integer numerators over the interval's common
-denominator, read once per interval, refining the isolating interval by
-exact bisection until the enclosure is narrow enough or excludes zero (one
+(``linalg.gauss_jordan``). The isolating interval is held as integers
+(q, L, H): it is (L/q, H/q], and m changes sign there from negative to
+positive. It narrows by ``polynomials._halve``, the dyadic bisection step
+that also isolated lambda in ``is_salem``. Signs and enclosures are decided
+by interval Horner evaluation on the integer numerators over q, halving
+the interval until the enclosure is narrow enough or excludes zero (one
 loop, ``_refine_until``). The endpoints come out as integers over one
 denominator, the width and sign tests are made on those integers, and only
-``enclosure`` turns them into Fractions; ``endpoints`` hands them on as
-they are. That bisection ends: a nonzero element is a polynomial of
-degree < deg m, which does not vanish at lambda because m is irreducible.
+``enclosure`` and ``interval`` turn them into Fractions; ``endpoints``
+hands them on as they are. That bisection ends: a nonzero element is a
+polynomial of degree < deg m, which does not vanish at lambda because m is
+irreducible.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .polynomials import SalemCertificate, mulmod, refine_interval
+from .polynomials import SalemCertificate, _halve, _sign_at, mulmod
 
 
 def canonical(nums, den):
@@ -39,7 +42,8 @@ def canonical(nums, den):
 class RealAlgebraicField:
     """Q(lambda) for the Salem number lambda of ``cert``: Q[x]/(cert.polynomial)
     embedded in R at the root isolated by ``interval``, which starts as
-    ``cert.lambda_interval`` and only narrows.
+    ``cert.lambda_interval`` and only narrows. An interval whose ends do not
+    straddle lambda (m < 0 at the left end, m > 0 at the right) is refused.
 
     Elements are ``(nums, den)`` pairs; see the module docstring.
     """
@@ -47,7 +51,12 @@ class RealAlgebraicField:
     def __init__(self, cert: SalemCertificate):
         self.min_poly = cert.polynomial
         self.degree = cert.degree
-        self._set_interval(cert.lambda_interval)
+        lo, hi = cert.lambda_interval
+        q = lcm(lo.denominator, hi.denominator)
+        L, H = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+        if not _sign_at(self.min_poly.coeffs, (L, q)) < 0 < _sign_at(self.min_poly.coeffs, (H, q)):
+            raise ValueError("interval endpoints must straddle the root")
+        self._grid = q, L, H
 
     def is_zero(self, a):
         return not any(a[0])
@@ -72,15 +81,20 @@ class RealAlgebraicField:
 
     # --- certified real data ---
 
-    def refine(self, max_width):
-        self._set_interval(refine_interval(self.min_poly, self.interval, max_width))
+    @property
+    def interval(self):
+        """The isolating interval (lo, hi] as Fractions."""
+        q, L, H = self._grid
+        return Fraction(L, q), Fraction(H, q)
 
-    def _set_interval(self, interval):
-        """Make ``interval`` the isolating interval, and read it once as
-        (q, L, H): the endpoints L / q and H / q over one denominator q."""
-        self.interval = lo, hi = interval
-        q = lcm(lo.denominator, hi.denominator)
-        self._grid = q, lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    def refine(self, max_width):
+        """Halve the isolating interval until its width is at most max_width,
+        a positive rational."""
+        w, v = max_width.numerator, max_width.denominator
+        q, L, H = self._grid
+        while (H - L) * v > w * q:
+            L, H, q = _halve(self.min_poly.coeffs, L, H, q)
+        self._grid = q, L, H
 
     def enclosure(self, a, max_width=None):
         """Rational interval (Fractions) certified to contain the real value
@@ -105,13 +119,11 @@ class RealAlgebraicField:
 
     def _refine_until(self, a, done):
         """The endpoints of a (``_eval_interval``) once ``done`` accepts
-        them, halving the width of the isolating interval, from its current
-        width, until then."""
+        them, halving the isolating interval until then."""
         ends = self._eval_interval(a)
-        width = self.interval[1] - self.interval[0]
         while not done(*ends):
-            width /= 2
-            self.refine(width)
+            q, L, H = self._grid
+            self.refine(Fraction(H - L, 2 * q))
             ends = self._eval_interval(a)
         return ends
 

@@ -11,7 +11,9 @@ that of the trace polynomial of half the degree, and reads it at four
 points only (-inf, -2, 2, +inf); it screens that polynomial for cyclotomic
 factors with one evaluation modulo a product of primes per pack of orders
 (CRT), and isolates lambda by one bisection walk on the sign of the
-polynomial itself, on integer numerators over 2^k.
+polynomial itself, on integer numerators over 2^k. That walk's step,
+``_halve``, is the one dyadic bisection step of the package: it also
+refines lambda's interval for ``numberfield``.
 One product modulo a monic polynomial (``mulmod``, with ``powmod`` on top)
 serves the exact residue rings Z[x]/(m) and the rings (Z/m)[x]/(f) alike.
 No floating point enters a decision.
@@ -308,7 +310,7 @@ def trace_polynomial(p):
     return IntPolynomial(r)
 
 
-# --- Sturm chains, root counting, refinement --------------------------------
+# --- Sturm chains, root counting, bisection ---------------------------------
 
 
 def sturm_chain(p):
@@ -340,15 +342,13 @@ def _sign_at(coeffs, x):
     return (v > 0) - (v < 0)
 
 
-def _point(x):
-    """(numerator, denominator) of a rational."""
-    return x.numerator, x.denominator
-
-
-def _rational(num, den):
-    """Reduced (numerator, denominator) pair, den > 0."""
-    g = gcd(num, den)
-    return num // g, den // g
+def _halve(coeffs, a, b, q):
+    """One bisection step on an interval (a/q, b/q] where the polynomial
+    changes sign from negative to positive: (a, b, 2q) for the half that
+    keeps that change. p(c) > 0 at the midpoint c = (a + b) / 2q puts the
+    change at or below c, so b becomes c; otherwise a does."""
+    c, q = a + b, 2 * q
+    return (2 * a, c, q) if _sign_at(coeffs, (c, q)) > 0 else (c, 2 * b, q)
 
 
 def _sign_changes(values):
@@ -377,25 +377,6 @@ def _trace_chain_reads(chain):
         at_minus_inf.append(f[-1] if len(f) % 2 else -f[-1])
     reads = (at_minus_inf, at_minus_two, at_two, at_inf)
     return tuple(_sign_changes(x) for x in reads), at_minus_two[0], at_two[0]
-
-
-def refine_interval(p, interval, max_width):
-    """Bisect an isolating interval of an irreducible p of degree >= 2 down
-    to the given width. p has no rational root, so no midpoint is a root."""
-    a, b = interval
-    coeffs = p.coeffs
-    (an, ad), (bn, bd) = _point(a), _point(b)
-    wn, wd = _point(max_width)
-    sa, sb = _sign_at(coeffs, (an, ad)), _sign_at(coeffs, (bn, bd))
-    if sa == 0 or sb == 0 or sa == sb:
-        raise ValueError("interval endpoints must straddle the root")
-    while (bn * ad - an * bd) * wd > wn * ad * bd:
-        mn, md = _rational(an * bd + bn * ad, 2 * ad * bd)
-        if _sign_at(coeffs, (mn, md)) == sb:
-            bn, bd = mn, md
-        else:
-            an, ad = mn, md
-    return Fraction(an, ad), Fraction(bn, bd)
 
 
 # --- Salem certification -----------------------------------------------------
@@ -470,34 +451,30 @@ def is_salem(p):
                 raise NotSalemError("reducible", str(p))
     # p's only real roots are 1/lambda < 1 < lambda, both irrational, so p < 0
     # exactly between them. Bisect (-M, M], M = 1 + max |p_i| (Cauchy; p is
-    # monic), on numerators a, b over 2^k until (a, b] holds lambda alone:
-    # p(c) < 0 leaves only lambda in (c, b]; otherwise c lies below both roots
-    # (c < 1) or above both. Then halve toward lambda, two halvings a round,
-    # until a > 1
+    # monic), on numerators a, b over q = 2^k until (a/q, b/q] holds lambda
+    # alone: p(c/q) < 0 leaves only lambda in (c/q, b/q]; otherwise c/q lies
+    # below both roots (c < q) or above both. Then halve toward lambda
+    # (``_halve``), two halvings a round, until a/q > 1
     coeffs = p.coeffs
     b = max(map(abs, coeffs[:-1])) + 1
-    a, k = -b, 0
+    a, q = -b, 1
     while True:
-        c, a, b, k = a + b, 2 * a, 2 * b, k + 1  # c / 2^k is the midpoint
-        if _sign_at(coeffs, (c, 1 << k)) <= 0:
+        c, a, b, q = a + b, 2 * a, 2 * b, 2 * q  # c / q is the midpoint
+        if _sign_at(coeffs, (c, q)) <= 0:
             a = c
             break
-        if c < 1 << k:
+        if c < q:
             a = c
         else:
             b = c
-    while a <= 1 << k:
+    while a <= q:
         for _ in range(2):
-            c, a, b, k = a + b, 2 * a, 2 * b, k + 1
-            if _sign_at(coeffs, (c, 1 << k)) > 0:
-                b = c
-            else:
-                a = c
+            a, b, q = _halve(coeffs, a, b, q)
     return SalemCertificate(
         polynomial=p,
         degree=p.degree,
         trace_polynomial=r,
-        lambda_interval=(Fraction(a, 1 << k), Fraction(b, 1 << k)),
+        lambda_interval=(Fraction(a, q), Fraction(b, q)),
         quadratic_degenerate=p.degree == 2,
     )
 

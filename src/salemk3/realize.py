@@ -11,6 +11,7 @@ to the overlattice.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import codec, linalg
 from .isometries import (
@@ -297,14 +298,9 @@ def _quartic_seed():
     return Seed(salem=s4, S=S, f_S=f, R_rest=R_rest)
 
 
-_SEEDS = None
-
-
+@cache
 def seed_library():
-    global _SEEDS
-    if _SEEDS is None:
-        _SEEDS = {(1, -1, -1, -1, 1): _quartic_seed()}
-    return _SEEDS
+    return {(1, -1, -1, -1, 1): _quartic_seed()}
 
 
 def seed_for(s: IntPolynomial):

@@ -707,7 +707,6 @@ def salem_certificate_by_full_sturm(p):
         SalemCertificate,
         cyclotomic_factors,
         poly_gcd,
-        refine_interval,
         trace_polynomial,
     )
 
@@ -745,8 +744,13 @@ def salem_certificate_by_full_sturm(p):
             a, n = c, right
         else:
             b = c
-    while not a > 1:
-        a, b = refine_interval(p, (a, b), (b - a) / 4)
+    while not a > 1:  # two halvings a round, keeping the half that holds lambda
+        for _ in range(2):
+            c = (a + b) / 2
+            if fraction_sturm_count(p.coeffs, c, b, chain):
+                a = c
+            else:
+                b = c
     return SalemCertificate(
         polynomial=p,
         degree=p.degree,
@@ -890,9 +894,16 @@ class FractionField:
         return acc
 
     def _halve(self, width):
-        from salemk3.polynomials import refine_interval
-
-        self.interval = refine_interval(self.min_poly, self.interval, width / 2)
+        """Bisect the interval by Fraction midpoints to at most half of
+        width, keeping the half where m changes sign from - to +."""
+        a, b = self.interval
+        while b - a > width / 2:
+            c = (a + b) / 2
+            if _fp_eval(self.min_poly.coeffs, c) > 0:
+                b = c
+            else:
+                a = c
+        self.interval = a, b
         return width / 2
 
     def enclosure(self, a, max_width=None):

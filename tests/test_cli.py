@@ -361,6 +361,44 @@ def test_s4_certificate_bytes_are_pinned(tmp_path, capsys):
     assert digest == "9dc789226e00bb556a4d5a9aae5f3712b70865bf27e419ca3b6d8af9b21fd462"
 
 
+def test_s4_verify_bytes_are_pinned(tmp_path, capsys):
+    # verify's report on the pinned certificate is a contract too, in both formats
+    poly = write(tmp_path, "s4.json", S4_JSON)
+    assert run(["--format", "json", "build-certificate", poly]) == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(capsys.readouterr().out, encoding="utf-8")
+    digests = {}
+    for fmt in ("json", "text"):
+        assert run(["--format", fmt, "verify", str(cert)]) == 0
+        digests[fmt] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digests == {
+        "json": "5de4f7c69eaec6f759fd6a6a75655f52c58d0362adcd0b42e892e12f12ad6295",
+        "text": "d3cb46d6032f157773d05513ef18623f486adb09d0e813b8bb5e52de27d2c96b",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify-salem", "{dir}"], "cannot read input file {dir}: "),
+        (["certify-salem", "{latin1}"], "input file {latin1} is not UTF-8: "),
+        (["build-certificate", "{s4}", "--output", "{missing}"], "cannot write output file {missing}: "),
+    ],
+    ids=["input-directory", "input-not-utf8", "output-in-missing-directory"],
+)
+def test_file_errors_exit_2_and_name_the_file(tmp_path, capsys, argv, message):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('["1", "\u00e9"]'.encode("latin-1"))
+    paths = {
+        "dir": str(tmp_path),
+        "latin1": str(latin1),
+        "s4": write(tmp_path, "s4.json", S4_JSON),
+        "missing": str(tmp_path / "no" / "such" / "cert.json"),
+    }
+    assert run(["--format", "json"] + [arg.format(**paths) for arg in argv]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith(message.format(**paths))
+
+
 def test_verify_empty_kernel_basis_fails_the_kernel_item(tmp_path, capsys):
     # used to raise IndexError in linalg.saturation: a traceback and an empty stdout
     poly = write(tmp_path, "s4.json", S4_JSON)

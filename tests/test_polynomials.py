@@ -18,6 +18,7 @@ from salemk3.polynomials import (
     _orders_of_degree_at_most,
     _trace_chain_reads,
     NotSalemError,
+    SalemCertificate,
     companion_matrix,
     cyclotomic,
     cyclotomic_factors,
@@ -32,7 +33,6 @@ from salemk3.polynomials import (
     polyval_mod,
     power_min_poly,
     powmod,
-    refine_interval,
     resultant,
     square_class_test,
     squarefree_part,
@@ -352,6 +352,12 @@ def fractions_of(a):
     return tuple(Fraction(x, den) for x in nums)
 
 
+def sign_at(p, x):
+    """Sign of p at the Fraction x, by Fraction arithmetic."""
+    value = sum(c * x**i for i, c in enumerate(p.coeffs))
+    return (value > 0) - (value < 0)
+
+
 def test_field_inverse_on_the_corpus():
     rng = random.Random(11)
     for degree, coeffs, _ in all_entries():
@@ -414,6 +420,8 @@ def test_field_arithmetic_and_enclosures_match_the_fraction_field():
                 assert K.sign(rational_element(x)) == O.sign(x)
                 refined += O.interval != before
             assert K.interval == O.interval
+            # the refined interval still isolates lambda: s(lo) < 0 < s(hi)
+            assert [sign_at(s, x) for x in K.interval] == [-1, 1]
             assert K.sign(((0,) * degree, 1)) == O.sign((0,) * degree) == 0
     assert refined > 10
 
@@ -822,8 +830,8 @@ def test_certify_salem_without_sympy(tmp_path):
         (lambda: companion_matrix(P([1, 2])), ValueError, "companion matrix needs a monic polynomial of degree >= 1"),
         (lambda: trace_polynomial(P([1, 2])), NotSalemError, "not_monic"),
         (lambda: trace_polynomial(P([1, 1, 1, 1])), NotSalemError, "odd_degree"),
-        (lambda: refine_interval(P([-2, 0, 1]), (0, 1), Fraction(1, 8)), ValueError,
-         "interval endpoints must straddle the root"),
+        (lambda: RealAlgebraicField(SalemCertificate(S4, 4, P([-3, -1, 1]), (Fraction(2), Fraction(3)), False)),
+         ValueError, "interval endpoints must straddle the root"),
         (lambda: is_cyclotomic_product(P([1, 2])), ValueError, "cyclotomic-product test needs a monic polynomial"),
         (lambda: is_cyclotomic_product(P([0, 1])), ValueError,
          "cyclotomic-product test needs a nonzero constant term"),

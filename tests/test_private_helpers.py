@@ -28,12 +28,13 @@ def _references(tree):
 
 
 def _exported(modules):
-    """The names listed in ``__all__`` of the package's ``__init__.py``."""
+    """The names listed in ``_EXPORTS`` (module -> names) of the package's
+    ``__init__.py``, from which ``__all__`` is built."""
     for node in modules.get("__init__.py", ast.Module(body=[])).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            isinstance(target, ast.Name) and target.id == "_EXPORTS" for target in node.targets
         ):
-            return set(ast.literal_eval(node.value))
+            return {name for names in ast.literal_eval(node.value).values() for name in names}
     return set()
 
 
@@ -133,7 +134,8 @@ def test_an_unreferenced_helper_is_reported(tmp_path):
 
 def test_an_unreferenced_unexported_name_is_reported(tmp_path):
     (tmp_path / "__init__.py").write_text(
-        "from .a import exported\n\n__all__ = [\"exported\"]\n", encoding="utf-8"
+        '_EXPORTS = {"a": ("exported",)}\n\n__all__ = [name for names in _EXPORTS.values() for name in names]\n',
+        encoding="utf-8",
     )
     (tmp_path / "a.py").write_text(
         "def exported():\n    return helper()\n\n\n"
