@@ -187,7 +187,7 @@ def cmd_power_integral(args):
 
 def cmd_twist_split_check(args):
     from .isometries import TwistElement, twist_split_certificate
-    from .realize import _power_exceeds
+    from .numbertheory import _power_exceeds
 
     doc, L, f = _read_pair(args.input, TWIST_SPLIT, "twist_split")
     limit = sys.get_int_max_str_digits()  # refuse, before t^n is formed, what str() cannot print

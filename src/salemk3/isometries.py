@@ -21,6 +21,7 @@ from .polynomials import (
     NotSalemError,
     discriminant,
     distinct_degrees_mod,
+    divides,
     is_salem,
     powmod,
     resultant,
@@ -149,8 +150,6 @@ class KernelSublattice:
 def kernel_sublattice(f: Isometry, p: IntPolynomial):
     """Saturated sublattice ker p(f) with its induced form and isometry."""
     char = f.char_poly()
-    from .polynomials import divides
-
     if not divides(p, char):
         raise IsometryError("polynomial does not divide the characteristic polynomial")
     P, _ = linalg.poly_at_matrix(p.coeffs, f._num, f._den)

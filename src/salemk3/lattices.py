@@ -14,7 +14,7 @@ original generators.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd, lcm, prod
 
 from . import linalg
@@ -309,8 +309,6 @@ class FiniteQuadraticForm:
 
     def all_elements(self):
         """Iterate (coords, order) over every nonzero element; small groups only."""
-        from itertools import product
-
         for coords in product(*[range(d) for d in self.orders]):
             if any(coords):
                 yield coords, self.element_order(coords)
@@ -529,8 +527,8 @@ def enumerate_vectors_of_norm(L: Lattice, m):
     if sign * m < 0:
         return []
     G = linalg.mat_scale(sign, L.gram)
-    found = linalg.qf_enumerate(1, G, sign * m)
-    return sorted(v for v in found if L.norm(v) == m)
+    half = [v for v in linalg.qf_half_walk(1, G, sign * m) if L.norm(v) == m]
+    return sorted(half + [tuple(-a for a in v) for v in half])
 
 
 # --- isomorphism of finite quadratic forms -------------------------------------

@@ -1,18 +1,19 @@
 """Exact linear algebra over the integers and rationals.
 
-Matrices are tuples of row tuples. A rational matrix is an integer matrix
-over one positive denominator, the pair (den, int_rows), and every elimination
-runs on integers: Gauss-Jordan through the fraction-free ``gauss_jordan``,
-except that ``inverse_pair`` back-substitutes on an upper triangular matrix,
-such as a Hermite form. The short-vector walk (``qf_half_walk``,
-``qf_enumerate``) takes its form as such a pair, and the discriminant-form
-lifts and glued bases of ``salemk3.lattices`` are such pairs. Fractions enter
+Matrices are tuples of row tuples. A rational matrix is an integer matrix over
+one positive denominator, the pair (den, int_rows), and every elimination runs
+on integers: Gauss-Jordan through the fraction-free ``gauss_jordan``, except
+that ``inverse_pair`` back-substitutes on an upper triangular matrix, such as
+a Hermite form. The short-vector walk ``qf_half_walk`` takes its form as such
+a pair and lists one vector of each +- pair, and the discriminant-form lifts
+and glued bases of ``salemk3.lattices`` are such pairs. Fractions enter
 through ``clear_denominators`` at the public boundary and leave through
-``divided`` (``Isometry.matrix``, ``rat_inverse``), so each product has integer
-factors, and the k-th power of F is r(F) for r = x^k mod the characteristic
-polynomial of F (``polynomials.powmod``, then ``poly_at_matrix``).
-Vectors are tuples treated as columns, so ``mat_vec(A, v)`` computes
-``A @ v``. Basis matrices for sublattices keep the basis vectors as rows.
+``divided`` (``Isometry.matrix``, ``rat_inverse``), so each product has
+integer factors, and the k-th power of F is r(F) for r = x^k mod the
+characteristic polynomial of F (``polynomials.powmod``, then
+``poly_at_matrix``). Vectors are tuples treated as columns, so
+``mat_vec(A, v)`` computes ``A @ v``. Basis matrices for sublattices keep the
+basis vectors as rows.
 """
 
 from fractions import Fraction
@@ -490,23 +491,12 @@ def box_shell(dim, radius):
             yield (c,) + tail
 
 
-def qf_enumerate(den, G, bound):
-    """All integer vectors v != 0 with v^T (G / den) v <= bound, for an
-    integer symmetric G and den > 0 with G / den positive definite.
-
-    Raises ValueError when G is not positive definite and bound >= 0.
-    Output is sorted, and closed under negation: the half walk
-    ``qf_half_walk`` and its negations.
-    """
-    half = qf_half_walk(den, G, bound)
-    return sorted(half + [tuple(-a for a in v) for v in half])
-
-
 def qf_half_walk(den, G, bound):
-    """One vector of each +- pair of ``qf_enumerate(den, G, bound)``: the
-    integer v != 0 with v^T (G / den) v <= bound whose last nonzero
-    coordinate is positive, in walk order. Raises ValueError as
-    ``qf_enumerate`` does.
+    """One vector of each +- pair of the integer v != 0 with
+    v^T (G / den) v <= bound, for an integer symmetric G and den > 0 with
+    G / den positive definite: the one whose last nonzero coordinate is
+    positive, in walk order. The negations complete the set. Raises
+    ValueError when G is not positive definite and bound >= 0.
 
     Fincke-Pohst on integer budgets. ``symmetric_bareiss(G)`` leaves in
     row i the leading minor d_{i+1} on the diagonal and, right of it,

@@ -6,7 +6,7 @@ so the Euler-criterion powering stays available as an independent check.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to every base of _MR_BASES
@@ -82,9 +82,11 @@ def factorize(n):
 
 
 def valuation(n, p):
-    """Largest e with p^e | n, for n != 0."""
+    """Largest e with p^e | n, for n != 0 and p >= 2."""
     if n == 0:
         raise ValueError("valuation of zero")
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p}")
     e = 0
     while n % p == 0:
         n //= p
@@ -92,11 +94,23 @@ def valuation(n, p):
     return e
 
 
+def _power_exceeds(lam, k, bound):
+    """lam^k > bound for k >= 1 and a rational lam > 1 or integer lam >= 0, by
+    a square and multiply that stops once the running product or the square
+    lam^(2^i), both at most lam^k, passes the bound: numbers stay near its size."""
+    a, b, pn, pd = lam.numerator, lam.denominator, 1, 1
+    while k > 0:
+        if k & 1:
+            pn, pd = pn * a, pd * b
+        if pn > bound * pd or a > bound * b:
+            return True
+        a, b, k = a * a, b * b, k >> 1
+    return False
+
+
 def is_perfect_square(n):
     if n < 0:
         return False
-    from math import isqrt
-
     r = isqrt(n)
     return r * r == n
 

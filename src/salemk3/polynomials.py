@@ -2,17 +2,18 @@
 
 Coefficients are arbitrary-precision ints in ascending degree order.
 Everything here is exact and fraction-free in its loops: resultants and
-determinants are integer computations; gcds and Sturm chains come from one
-primitive integer pseudo-remainder kernel, each Sturm member a positive
-multiple of the rational one; and signs at a rational a/b (b > 0) are read
-from the homogeneous integer sum of c_i a^i b^(d-i), with b a power of two
-along lambda's bisection walk. Salem certification builds one Sturm chain,
-that of the trace polynomial of half the degree, and reads it at four
-points only (-inf, -2, 2, +inf); it screens that polynomial for cyclotomic
-factors with one evaluation modulo a product of primes per pack of orders
-(CRT), and isolates lambda by one bisection walk on the sign of the
-polynomial itself, on integer numerators over 2^k. That walk's step,
-``_halve``, is the one dyadic bisection step of the package: it also
+determinants are integer computations; Sturm chains come from one primitive
+integer pseudo-remainder kernel, each member a positive multiple of the
+rational one; the cyclotomic-product test divides out, by exact integer
+division, the cyclotomic factors that ``cyclotomic_factors`` lists; and signs
+at a rational a/b (b > 0) are read from the homogeneous integer sum of
+c_i a^i b^(d-i), with b a power of two along lambda's bisection walk. Salem
+certification builds one Sturm chain, that of the trace polynomial of half the
+degree, and reads it at four points only (-inf, -2, 2, +inf); it screens that
+polynomial for cyclotomic factors with one evaluation modulo a product of
+primes per pack of orders (CRT), and isolates lambda by one bisection walk on
+the sign of the polynomial itself, on integer numerators over 2^k. That walk's
+step, ``_halve``, is the one dyadic bisection step of the package: it also
 refines lambda's interval for ``numberfield``.
 One product modulo a monic polynomial (``mulmod``, with ``powmod`` on top)
 serves the exact residue rings Z[x]/(m) and the rings (Z/m)[x]/(f) alike.
@@ -117,19 +118,6 @@ class IntPolynomial:
     def is_reciprocal(self):
         return not self.is_zero() and self.coeffs == tuple(reversed(self.coeffs))
 
-    def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
-
-    def primitive_part(self):
-        c = self.content()
-        if c == 0:
-            return self
-        sign = 1 if self.leading > 0 else -1
-        return IntPolynomial([x // (sign * c) for x in self.coeffs])
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -214,27 +202,6 @@ def _neg_prem(a, b):
     return [-(x // g) for x in a]
 
 
-def poly_gcd(p, q):
-    """Primitive gcd over Z with positive leading coefficient."""
-    a, b = list(p.primitive_part().coeffs), list(q.primitive_part().coeffs)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _neg_prem(a, b)
-    return IntPolynomial(a).primitive_part()
-
-
-def squarefree_part(p):
-    """p divided by gcd(p, p'); primitive, same sign of leading coefficient."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no squarefree part")
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.primitive_part()
-    q, _ = poly_divmod_exact(p, g)
-    return q.primitive_part()
-
-
 def sylvester_matrix(p, q):
     """Sylvester block matrix with the q-coefficient rows stacked on top."""
     m, n = p.degree, q.degree
@@ -265,7 +232,7 @@ def resultant(p, q):
 
 def discriminant(p):
     """(-1)^(d(d-1)/2) res(p, p') for monic p of degree >= 1."""
-    if p.is_zero() or p.degree < 1:
+    if p.degree < 1:
         raise ValueError("discriminant needs degree >= 1")
     if not p.is_monic():
         raise ValueError("discriminant implemented for monic polynomials only")
@@ -540,31 +507,38 @@ def square_class_test(s):
 
 @lru_cache(maxsize=None)
 def _orders_of_degree_at_most(d):
-    """Ascending n <= 2 d^2 + 6 with phi(n) <= d: the orders of the roots of
-    unity of degree at most d (phi(n) >= sqrt(n / 2) bounds n by 2 d^2)."""
-    out = []
-    for n in range(1, 2 * d * d + 7):
-        phi = n
-        for q in factorize(n):
-            phi = phi // q * (q - 1)
-        if phi <= d:
-            out.append(n)
-    return tuple(out)
+    """Ascending n with phi(n) <= d: the orders of the roots of unity of
+    degree at most d. Built prime by prime: each n found so far, with phi(n),
+    is multiplied by p, p^2, ... while phi(n) p^(e-1) (p - 1) <= d, so only
+    primes p <= d + 1 enter and every n is reached once."""
+    phi = {1: 1} if d >= 1 else {}
+    for p in range(2, d + 2):
+        if is_prime(p):
+            for n, f in list(phi.items()):
+                n, f = n * p, f * (p - 1)
+                while f <= d:
+                    phi[n] = f
+                    n, f = n * p, f * p
+    return tuple(sorted(phi))
 
 
 def is_cyclotomic_product(c):
     """True iff every irreducible factor of c is cyclotomic.
 
-    Reads the cyclotomic factor list (Kronecker): the squarefree part of c
-    is a product of cyclotomic polynomials exactly when the degrees of the
-    distinct cyclotomic factors dividing it add up to its degree.
+    Reads the cyclotomic factor list (Kronecker): dividing each listed
+    factor out of c as often as it goes leaves 1 exactly when c is a
+    product of cyclotomic polynomials.
     """
     if c.is_zero() or not c.is_monic():
         raise ValueError("cyclotomic-product test needs a monic polynomial")
     if c.coeffs[0] == 0:
         raise ValueError("cyclotomic-product test needs a nonzero constant term")
-    sf = squarefree_part(c)
-    return sum(phi.degree for _, phi in cyclotomic_factors(sf)) == sf.degree
+    for _, phi in cyclotomic_factors(c):
+        q, r = poly_divmod_exact(c, phi)
+        while r.is_zero():
+            c = q
+            q, r = poly_divmod_exact(c, phi)
+    return c.degree == 0
 
 
 @lru_cache(maxsize=None)

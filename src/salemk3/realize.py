@@ -35,7 +35,7 @@ from .lattices import (
     lattice_U,
     named_lattice,
 )
-from .numbertheory import factorize, is_prime, legendre, sqrt_mod
+from .numbertheory import _power_exceeds, factorize, is_prime, legendre, sqrt_mod
 from .polynomials import (
     IntPolynomial,
     NotSalemError,
@@ -185,7 +185,7 @@ def _split_primes(r: IntPolynomial, first, step, exclude, cap):
     that divides neither ``exclude`` nor disc r, where roots, ascending and
     not empty, lists (a, w) for each root a of r mod p (simple, as p does not
     divide disc r) with a^2 - 4 a nonzero square mod p, and w its square root."""
-    disc_r = discriminant(r) if r.degree >= 1 else 1
+    disc_r = discriminant(r)
     for p in range(first, cap + 1, step):
         if not is_prime(p) or exclude % p == 0 or disc_r % p == 0:
             continue
@@ -523,20 +523,6 @@ def build_k3_certificate(s: IntPolynomial, seed=None):
         failing = [name for name, passed, _ in items if not passed]
         raise RealizeError(f"stage self-verify: certificate failed {failing}")
     return cert
-
-
-def _power_exceeds(lam, k, bound):
-    """lam^k > bound for k >= 1 and a rational lam > 1 or integer lam >= 0, by
-    a square and multiply that stops once the running product or the square
-    lam^(2^i), both at most lam^k, passes the bound: numbers stay near its size."""
-    a, b, pn, pd = lam.numerator, lam.denominator, 1, 1
-    while k > 0:
-        if k & 1:
-            pn, pd = pn * a, pd * b
-        if pn > bound * pd or a > bound * b:
-            return True
-        a, b, k = a * a, b * b, k >> 1
-    return False
 
 
 def verify_certificate(cert: RealizationCertificate):

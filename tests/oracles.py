@@ -11,11 +11,12 @@ Smith reduction instead of the transform-tracking one, Euler powering
 instead of reciprocity, repeated multiplication instead of prime stripping
 (for matrix orders and discriminant actions), full orbit sums instead of
 cyclotomic kernels, a Fraction Sturm chain instead of the integer
-pseudo-remainder one, gcd(p, p') and root counts on the Sturm chain of p
-instead of the one chain of the trace polynomial and the sign of p (for
-Salem certificates), a companion-matrix power instead of traces of
-x^n mod s, the growth of <f^k z, z> instead of a projection onto the
-geodesic plane, numpy roots of the squarefree part instead of the
+pseudo-remainder one, a Fraction gcd(p, p') and root counts on the Sturm
+chain of p instead of the one chain of the trace polynomial and the sign of
+p (for Salem certificates), a companion-matrix power instead of traces of
+x^n mod s, a totient sieve instead of products of prime powers (for the
+orders of roots of unity of bounded degree), the growth of <f^k z, z>
+instead of a projection onto the geodesic plane, numpy roots of the squarefree part instead of the
 cyclotomic factor list, a scan over every element of a discriminant group
 instead of Smith coordinates, convolution powers of x^2 + 1 instead of
 the binomial peeling in trace_polynomial, the roots of s mod p instead of
@@ -382,13 +383,25 @@ def factor_degrees_by_trial_division(coeffs, p):
     return degrees, squarefree
 
 
+def orders_by_totient_sieve(d):
+    """Ascending n with phi(n) <= d, from a totient sieve over n <= 2 d^2 + 6
+    (phi(n) >= sqrt(n / 2) bounds n by 2 d^2)."""
+    size = 2 * d * d + 7
+    phi = list(range(size))
+    for p in range(2, size):
+        if phi[p] == p:  # p is prime: no smaller prime has touched it
+            for k in range(p, size, p):
+                phi[k] -= phi[k] // p
+    return [n for n in range(1, size) if phi[n] <= d]
+
+
 def cyclotomic_factors_by_division(p):
     """(n, cyclotomic(n)) for every cyclotomic polynomial dividing p, by
     exact division by every cyclotomic(n) with phi(n) <= deg p."""
-    from salemk3.polynomials import _orders_of_degree_at_most, cyclotomic, divides
+    from salemk3.polynomials import cyclotomic, divides
 
     out = []
-    for n in _orders_of_degree_at_most(p.degree):
+    for n in orders_by_totient_sieve(p.degree):
         cyc = cyclotomic(n)
         if divides(cyc, p):
             out.append((n, cyc))
@@ -626,14 +639,19 @@ def _fp_divmod(a, b):
     return q, a
 
 
+def fraction_gcd(f, g):
+    """The monic gcd over Q of two polynomials with ascending rational
+    coefficients, not both zero, by the Fraction Euclidean algorithm."""
+    f, g = [Fraction(c) for c in f], [Fraction(c) for c in g]
+    while g:
+        f, g = g, _fp_divmod(f, g)[1]
+        g = [c / g[-1] for c in g]  # monic remainders keep the Fractions small
+    return [c / f[-1] for c in f]
+
+
 def _fp_squarefree(f):
-    """f / gcd(f, f') for ascending Fraction coefficients, by a Fraction
-    Euclidean algorithm, made monic."""
-    g, h = f, [i * c for i, c in enumerate(f)][1:]
-    while h:
-        g, h = h, _fp_divmod(g, h)[1]
-        h = [c / h[-1] for c in h]  # monic remainders keep the Fractions small
-    m, rem = _fp_divmod(f, g)
+    """f / gcd(f, f') for ascending Fraction coefficients, made monic."""
+    m, rem = _fp_divmod(f, fraction_gcd(f, [i * c for i, c in enumerate(f)][1:]))
     assert not rem
     return [c / m[-1] for c in m]
 
@@ -693,11 +711,11 @@ def fraction_sturm_count(coeffs, a="-inf", b="inf", chain=None):
 
 
 def salem_certificate_by_full_sturm(p):
-    """``is_salem`` by the degree-d route: the squarefree test is gcd(p, p'),
-    the root counts of r come from ``fraction_sturm_count``, and lambda's
-    interval comes from bisecting (-M, M], M the Cauchy bound, with Fraction
-    Sturm counts on the chain of p, keeping the right half whenever it holds
-    a root.
+    """``is_salem`` by the degree-d route: the squarefree test is
+    ``fraction_gcd(p, p')``, the root counts of r come from
+    ``fraction_sturm_count``, and lambda's interval comes from bisecting
+    (-M, M], M the Cauchy bound, with Fraction Sturm counts on the chain of
+    p, keeping the right half whenever it holds a root.
 
     Returns the same ``SalemCertificate`` or raises the same
     ``NotSalemError``, reason and message, with the checks in the same order.
@@ -706,7 +724,6 @@ def salem_certificate_by_full_sturm(p):
         NotSalemError,
         SalemCertificate,
         cyclotomic_factors,
-        poly_gcd,
         trace_polynomial,
     )
 
@@ -718,7 +735,7 @@ def salem_certificate_by_full_sturm(p):
         raise NotSalemError("odd_degree", str(p))
     if not p.is_reciprocal():
         raise NotSalemError("not_reciprocal", str(p))
-    if poly_gcd(p, p.derivative()).degree > 0:
+    if len(fraction_gcd(p.coeffs, p.derivative().coeffs)) > 1:
         raise NotSalemError("reducible", str(p))
     r = trace_polynomial(p)
     chain = fraction_sturm_chain(r.coeffs)

@@ -15,8 +15,9 @@ tests/test_cli.py pins and ``demo.NAME`` that of tests/demo_stdout/NAME.txt.
 The commands run in this process through ``cli.run``, the demos in child
 interpreters. The workloads come from ``bench/workloads.py``, loaded by path
 as ``tests/test_bench_smoke.py`` does; nothing under bench/ is written. It
-uses the standard library only and is not part of the test suite. Two
-checkouts print identical lines exactly when these outputs agree.
+uses the standard library only. Two checkouts print identical lines exactly
+when these outputs agree, and ``tests/test_outputs.py`` compares the lines
+with those recorded in ``tests/outputs.txt``.
 """
 
 import contextlib

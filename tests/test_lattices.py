@@ -456,11 +456,18 @@ def seeded_forms():
         yield G, (Fraction(rng.randint(-3, -1), rng.randint(1, 4)), 0, Fraction(rng.randint(1, 40), rng.randint(1, 4)))
 
 
+def _both_signs(den, G, bound):
+    """The half walk with its negations, sorted: every integer v != 0 with
+    v^T (G / den) v <= bound."""
+    half = linalg.qf_half_walk(den, G, bound)
+    return sorted(half + [tuple(-x for x in v) for v in half])
+
+
 def test_qf_enumerate_matches_the_fraction_oracle():
     bounds_hit = 0
     for G, bounds in seeded_forms():
         for bound in bounds:
-            mine = linalg.qf_enumerate(*linalg.clear_denominators(G), bound)
+            mine = _both_signs(*linalg.clear_denominators(G), bound)
             assert mine == fraction_qf_enumerate(G, bound), (G, bound)
             bounds_hit += bool(mine)
     assert bounds_hit > 150
@@ -497,7 +504,7 @@ def test_qf_half_walk_depends_only_on_the_rational_form():
                         linalg.qf_half_walk(*scaled)
                 else:
                     assert linalg.qf_half_walk(*scaled) == linalg.qf_half_walk(den, IG, bound), (G, bound, k)
-                    assert linalg.qf_enumerate(*scaled) == expected, (G, bound, k)
+                    assert _both_signs(*scaled) == expected, (G, bound, k)
             refused += expected is None
     assert refused == 3 * (4 + len(NOT_POSITIVE_DEFINITE))  # 4 seeded forms are refused
 
@@ -520,16 +527,16 @@ def _search_minorants(coeffs):
 
 
 def _checked_enumeration(den, G, bound):
-    """qf_enumerate(den, G, bound), checked against the oracle on G / den, or
+    """_both_signs(den, G, bound), checked against the oracle on G / den, or
     None when both refuse the form as not positive definite."""
     F = linalg.divided(G, den)
     try:
         expected = fraction_qf_enumerate(F, bound)
     except ValueError:
         with pytest.raises(ValueError, match="not positive definite"):
-            linalg.qf_enumerate(den, G, bound)
+            _both_signs(den, G, bound)
         return None
-    mine = linalg.qf_enumerate(den, G, bound)
+    mine = _both_signs(den, G, bound)
     assert mine == expected, (F, bound)
     assert mine == sorted(mine)
     assert {tuple(-x for x in v) for v in mine} == set(mine)
@@ -571,9 +578,9 @@ def test_qf_enumerate_matches_the_oracle_on_large_denominators():
 
 def test_qf_half_walk_holds_one_vector_of_each_pair():
     """The half walk lists each +- pair once, by its member whose last
-    nonzero coordinate is positive, and qf_enumerate, the half walk with its
-    negations sorted, is the oracle's list: on random forms and on the form
-    the rank 6 corpus search walks."""
+    nonzero coordinate is positive, and the half walk with its negations
+    sorted is the oracle's list: on random forms and on the form the rank 6
+    corpus search walks."""
     rng = random.Random(27)
     cases = [_search_minorants((1, -2, -1, 3, -1, -2, 1))[-1]]
     while len(cases) < 61:
@@ -585,8 +592,7 @@ def test_qf_half_walk_holds_one_vector_of_each_pair():
         assert len(set(half)) == len(half)
         assert all(next(x for x in reversed(v) if x) > 0 for v in half)
         expected = fraction_qf_enumerate(linalg.divided(G, den), bound)
-        assert sorted(half + [tuple(-x for x in v) for v in half]) == expected
-        assert linalg.qf_enumerate(den, G, bound) == expected
+        assert _both_signs(den, G, bound) == expected
     assert linalg.qf_half_walk(*cases[0])  # the search form has candidates
 
 
@@ -596,7 +602,7 @@ def test_qf_enumerate_rejects_forms_that_are_not_positive_definite(G):
     assert not is_positive_definite(G)
     for bound in (0, 1, Fraction(7, 2)):
         with pytest.raises(ValueError, match="not positive definite"):
-            linalg.qf_enumerate(*linalg.clear_denominators(G), bound)
+            linalg.qf_half_walk(*linalg.clear_denominators(G), bound)
         with pytest.raises(ValueError, match="not positive definite"):
             fraction_qf_enumerate(G, bound)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from salemk3.lattices import hyperbolic_p_form
 from salemk3.numbertheory import (
     factorize,
     hasse_invariant,
@@ -15,6 +16,7 @@ from salemk3.numbertheory import (
     valuation,
 )
 
+from edits import within
 from oracles import euler_legendre
 
 
@@ -121,10 +123,15 @@ def test_perfect_square():
     [
         (lambda: factorize(0), "factorize expects a positive integer"),
         (lambda: valuation(0, 3), "valuation of zero"),
+        (lambda: within(1.0, lambda: valuation(8, 1)), "valuation needs a base p >= 2, got 1"),
+        (lambda: within(1.0, lambda: valuation(8, 0)), "valuation needs a base p >= 2, got 0"),
+        (lambda: within(1.0, lambda: hyperbolic_p_form(3, 2).p_primary_part(1)),
+         "valuation needs a base p >= 2, got 1"),
         (lambda: hilbert(0, 1), "hilbert symbol needs nonzero arguments"),
         (lambda: hilbert(2, 3, 4), "hilbert symbol place must be prime or None"),
     ],
-    ids=["factorize", "valuation", "hilbert-zero", "hilbert-place"],
+    ids=["factorize", "valuation", "valuation-base-1", "valuation-base-0", "primary-part-1",
+         "hilbert-zero", "hilbert-place"],
 )
 def test_number_theory_refusals_name_the_failed_condition(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

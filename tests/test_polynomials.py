@@ -29,13 +29,11 @@ from salemk3.polynomials import (
     is_salem,
     mulmod,
     poly_divmod_exact,
-    poly_gcd,
     polyval_mod,
     power_min_poly,
     powmod,
     resultant,
     square_class_test,
-    squarefree_part,
     sturm_chain,
     trace_polynomial,
 )
@@ -49,8 +47,10 @@ from oracles import (
     cyclotomic_factors_by_division,
     expand_trace_polynomial,
     factor_degrees_by_trial_division,
+    fraction_gcd,
     fraction_sturm_count,
     numpy_salem_profile,
+    orders_by_totient_sieve,
     power_min_poly_by_companion,
     roots_on_unit_circle,
     salem_certificate_by_full_sturm,
@@ -102,8 +102,8 @@ def test_discriminant_zero_iff_gcd_nonconstant():
     rng = random.Random(3)
     for _ in range(30):
         p = P([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [1])
-        g = poly_gcd(p, p.derivative())
-        assert (discriminant(p) == 0) == (g.degree > 0)
+        g = fraction_gcd(p.coeffs, p.derivative().coeffs)
+        assert (discriminant(p) == 0) == (len(g) > 1)
 
 
 def test_non_monic_discriminant_rejected():
@@ -242,6 +242,30 @@ def test_cyclotomic_product_matches_unit_circle_oracle():
         assert is_cyclotomic_product(f) is expected, f.coeffs
         answers.append(expected)
     assert 20 < sum(answers) < 130
+
+
+def test_cyclotomic_product_matches_unit_circle_oracle_on_powers():
+    # up to three cyclotomic factors to powers up to 3, half of them times a
+    # monic factor that may be squared (degree <= 170): each repeated factor
+    # is divided out as often as it goes
+    rng = random.Random(41)
+    answers = []
+    for _ in range(300):
+        f = P([1])
+        for _ in range(rng.randint(1, 3)):
+            f = f * cyclotomic(rng.randint(1, 20)) ** rng.randint(1, 3)
+        if rng.random() < 0.5:
+            middle = [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]
+            f = f * P([rng.choice([-2, -1, 1, 2])] + middle + [1]) ** rng.randint(1, 2)
+        expected = roots_on_unit_circle(f.coeffs)
+        assert is_cyclotomic_product(f) is expected, f.coeffs
+        answers.append(expected)
+    assert 100 < sum(answers) < 250
+
+
+def test_orders_of_degree_at_most_match_the_totient_sieve():
+    for d in range(0, 81):
+        assert list(_orders_of_degree_at_most(d)) == orders_by_totient_sieve(d), d
 
 
 def test_cyclotomic_factors_match_exact_division():
@@ -511,25 +535,19 @@ def test_lambda_interval_isolates_the_largest_root():
 
 def test_is_salem_takes_no_gcd_and_one_trace_chain(monkeypatch):
     # a work count: a certification builds one Sturm chain, that of the trace
-    # polynomial (degree d/2), and runs no gcd; the squarefree test reads the
-    # chain's last member, and lambda's walk reads only signs of p
-    gcds, chains = [0], []
-
-    def counting_gcd(p, q):
-        gcds[0] += 1
-        return poly_gcd(p, q)
+    # polynomial (degree d/2); the squarefree test reads the chain's last
+    # member, and lambda's walk reads only signs of p
+    chains = []
 
     def recording_chain(p):
         chains.append(p.degree)
         return sturm_chain(p)
 
-    monkeypatch.setattr(polynomials, "poly_gcd", counting_gcd)
     monkeypatch.setattr(polynomials, "sturm_chain", recording_chain)
     for degree, coeffs, _ in all_entries():
         chains.clear()
         is_salem(P(list(coeffs)))
         assert chains == [degree // 2]
-    assert gcds[0] == 0
 
 
 def _outcome(certify, p):
@@ -585,7 +603,7 @@ def test_is_salem_matches_the_full_sturm_oracle():
         assert got == _outcome(salem_certificate_by_full_sturm, p), p
         if isinstance(got, tuple) and got[0] == "reducible":
             r = trace_polynomial(p)
-            if poly_gcd(r, r.derivative()).degree > 0:
+            if len(fraction_gcd(r.coeffs, r.derivative().coeffs)) > 1:
                 branches.add("reducible: r not squarefree")
             elif r(2) * r(-2) == 0:
                 branches.add("reducible: r(+-2) = 0")
@@ -688,25 +706,6 @@ def test_sturm_chain_is_integer_lists():
             assert all(type(c) is int for c in member)
 
 
-def test_poly_gcd_is_primitive_with_positive_leading_coefficient():
-    rng = random.Random(17)
-    cases = [
-        (P([1, 1]), P([-1, 1]), P([3, 0, 3])),  # content 3 is dropped
-        (P([2, -4]), P([6, 3]), P([-1, 2, -5])),  # negative leading coefficient
-        (P([1, 0, 1]), P([-2, 1]), P([-7])),  # constant gcd
-        (P([0, 1]), P([1]), P([4, -4, -8])),
-    ]
-    while len(cases) < 40:
-        a, b, c = (P([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]) for _ in range(3))
-        if not (a.is_zero() or b.is_zero() or c.is_zero()) and resultant(a, b) != 0:
-            cases.append((a, b, c))
-    for a, b, c in cases:
-        expected = c.primitive_part()
-        g = poly_gcd(a * c, b * c)
-        assert g.coeffs == expected.coeffs, (a, b, c)
-        assert g.leading > 0 and g.content() == 1
-
-
 def test_power_min_poly_matches_companion_oracle():
     for _, coeffs, _ in all_entries():
         for n in (2, 3, 5, 7):
@@ -723,7 +722,6 @@ def test_companion_matrix_charpoly():
 def test_poly_division_and_squarefree():
     q, r = poly_divmod_exact(S4 * QUAD, QUAD)
     assert q.coeffs == S4.coeffs and r.is_zero()
-    assert squarefree_part(QUAD * QUAD * S4).coeffs == (QUAD * S4).coeffs
 
 
 # --- irreducibility through Kronecker's theorem -------------------------------
@@ -779,10 +777,12 @@ def test_certify_salem_without_sympy(tmp_path):
         "lattice": {"rank": 2, "gram": [["-4", "0"], ["0", "5"]]},
         "isometry": [["3/2", "5/4"], ["1", "3/2"]],
     })
-    pair = write("pair.json", {
+    pair_doc = {
         "lattice": {"rank": 2, "gram": [["2", "3"], ["3", "2"]]},
         "isometry": [["0", "-1"], ["1", "3"]],
-    })
+    }
+    pair = write("pair.json", pair_doc)
+    twist_split = write("tsc.json", dict(pair_doc, element=["11"], exponent=1, prime=11))
     certificate = write("cert.json", certificate_to_json(build_k3_certificate(S4)))
     code = (
         "import sys; sys.modules['sympy'] = None; "
@@ -796,6 +796,7 @@ def test_certify_salem_without_sympy(tmp_path):
     for argv, status, modules in [
         (["certify-salem", lehmer], 0, CERTIFY_MODULES),
         (["power-integral", rational], 0, POWER_INTEGRAL_MODULES),
+        (["twist-split-check", twist_split], 0, POWER_INTEGRAL_MODULES),
         (["positivity", pair], 1, POSITIVITY_MODULES),
         (["verify", certificate], 0, VERIFY_MODULES),
     ]:
@@ -811,6 +812,7 @@ def test_certify_salem_without_sympy(tmp_path):
         outputs[argv[0]] = json.loads(proc.stdout)
     assert outputs["certify-salem"]["accepted"] is True and outputs["certify-salem"]["degree"] == 10
     assert outputs["power-integral"]["power"] == 3
+    assert outputs["twist-split-check"]["passed"] is True
     assert outputs["positivity"]["status"] == "not_positive"
     assert outputs["verify"]["verified"] is True
 
@@ -824,7 +826,6 @@ def test_certify_salem_without_sympy(tmp_path):
         (lambda: P([1, 1]) + "x", TypeError, "cannot coerce 'x' to IntPolynomial"),
         (lambda: poly_divmod_exact(P([1, 1]), P([])), ZeroDivisionError, "division by zero polynomial"),
         (lambda: poly_divmod_exact(P([1, 0, 1]), P([1, 2])), ArithmeticError, "polynomial division is not integral"),
-        (lambda: squarefree_part(P([])), ValueError, "zero polynomial has no squarefree part"),
         (lambda: resultant(P([]), P([1, 1])), ValueError, "resultant of the zero polynomial is undefined"),
         (lambda: discriminant(P([3])), ValueError, "discriminant needs degree >= 1"),
         (lambda: companion_matrix(P([1, 2])), ValueError, "companion matrix needs a monic polynomial of degree >= 1"),
@@ -836,7 +837,7 @@ def test_certify_salem_without_sympy(tmp_path):
         (lambda: is_cyclotomic_product(P([0, 1])), ValueError,
          "cyclotomic-product test needs a nonzero constant term"),
     ],
-    ids=["int-coeffs", "leading", "power", "coerce", "divide-zero", "divide-inexact", "squarefree",
+    ids=["int-coeffs", "leading", "power", "coerce", "divide-zero", "divide-inexact",
          "resultant", "discriminant", "companion", "trace-monic", "trace-degree",
          "refine", "cyclotomic-monic", "cyclotomic-constant"],
 )
