@@ -19,12 +19,12 @@ from .numbertheory import factorize, is_prime, valuation
 from .polynomials import (
     IntPolynomial,
     NotSalemError,
+    _norm,
     discriminant,
     distinct_degrees_mod,
     divides,
     is_salem,
     powmod,
-    resultant,
     trace_polynomial,
 )
 
@@ -112,10 +112,14 @@ class TwistElement:
         return linalg.poly_at_matrix(self.poly.coeffs, W, e)
 
     def norm_against(self, trace_poly: IntPolynomial):
-        """Field norm from Z[w]: resultant of the trace polynomial with a(w)."""
+        """Field norm of a(w) from Z[w] = Z[y]/(r) for the monic trace
+        polynomial r: the determinant of multiplication by a(w), which is
+        the resultant res(a, r). A non-monic r is refused."""
+        if not trace_poly.is_monic():
+            raise IsometryError("the norm needs a monic trace polynomial")
         if self.poly.is_zero():
             return 0
-        return resultant(self.poly, trace_poly)
+        return _norm(self.poly.coeffs, trace_poly.coeffs)
 
 
 def twist(L: Lattice, f: Isometry, a: TwistElement):

@@ -14,6 +14,7 @@ original generators.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product
 from math import gcd, lcm, prod
 
@@ -149,7 +150,9 @@ def lattice_A2():
     return Lattice(((-2, 1), (1, -2)))
 
 
+@cache
 def named_lattice(name):
+    """The lattice of that name, built once; the Lattice is immutable."""
     U, E8 = lattice_U(), lattice_E8()
     table = {
         "U": lambda: U,
@@ -275,7 +278,10 @@ class FiniteQuadraticForm:
         return sorted(out)
 
     def p_primary_part(self, p):
-        """Restriction to the p-Sylow subgroup (orthogonal summand)."""
+        """Restriction to the p-Sylow subgroup (orthogonal summand), for a
+        prime p; any other p is refused."""
+        if not is_prime(p):
+            raise LatticeError("p-primary part needs a prime")
         gens = []
         for i, d in enumerate(self.orders):
             e = valuation(d, p) if d % p == 0 else 0
@@ -351,8 +357,6 @@ def _discriminant_form(L):
 
 
 def p_primary_part(form: FiniteQuadraticForm, p):
-    if not is_prime(p):
-        raise LatticeError("p-primary part needs a prime")
     return form.p_primary_part(p)
 
 

@@ -16,7 +16,9 @@ the sign of the polynomial itself, on integer numerators over 2^k. That walk's
 step, ``_halve``, is the one dyadic bisection step of the package: it also
 refines lambda's interval for ``numberfield``.
 One product modulo a monic polynomial (``mulmod``, with ``powmod`` on top)
-serves the exact residue rings Z[x]/(m) and the rings (Z/m)[x]/(f) alike.
+serves the exact residue rings Z[x]/(m) and the rings (Z/m)[x]/(f) alike;
+norms in Z[x]/(r) for a monic r are determinants of multiplication on that
+ring, and the discriminant is one of them.
 No floating point enters a decision.
 """
 
@@ -230,15 +232,30 @@ def resultant(p, q):
     return linalg.bareiss_det(sylvester_matrix(p, q))
 
 
+def _norm(t, r):
+    """N(t) in Z[x]/(r) for a coefficient sequence t and a monic r of degree
+    n: the n x n determinant of multiplication by t, whose column j is
+    t x^j mod r. It equals the product of t over the roots of r, that is
+    res(t, r), from a matrix of side n instead of the Sylvester side
+    n + deg t."""
+    cols, col = [], list(t)
+    for _ in range(len(r) - 1):
+        col = reduce_mod(col, r)
+        cols.append(col)
+        col = [0] + col
+    return linalg.bareiss_det(cols)  # the transpose: columns as rows
+
+
 def discriminant(p):
-    """(-1)^(d(d-1)/2) res(p, p') for monic p of degree >= 1."""
+    """(-1)^(d(d-1)/2) N(p') in Z[x]/(p) for monic p of degree >= 1, which is
+    (-1)^(d(d-1)/2) res(p, p')."""
     if p.degree < 1:
         raise ValueError("discriminant needs degree >= 1")
     if not p.is_monic():
         raise ValueError("discriminant implemented for monic polynomials only")
     d = p.degree
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative())
+    return sign * _norm(p.derivative().coeffs, p.coeffs)
 
 
 def companion_matrix(p):

@@ -12,6 +12,9 @@ to the overlattice.
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
+from math import gcd
+from operator import mul
 
 from . import codec, linalg
 from .isometries import (
@@ -39,6 +42,7 @@ from .numbertheory import _power_exceeds, factorize, is_prime, legendre, sqrt_mo
 from .polynomials import (
     IntPolynomial,
     NotSalemError,
+    _norm,
     _power_min_poly,
     discriminant,
     is_salem,
@@ -233,12 +237,19 @@ def check_split_prime(s: IntPolynomial, ev: SplitPrimeEvidence):
 def find_norm_element(s: IntPolynomial, ev: SplitPrimeEvidence, l_max=3, box=30):
     """Generator t of a power of the chosen degree-one split prime.
 
-    Scans integer polynomials t(w) of degree < deg r with coefficients up to
-    ``box``, shell by shell, for |Norm(t)| = p^l, t(a) = 0 mod p, and no
-    vanishing at the other primes above p. Deterministic order; raises
-    RealizeError when a is not a simple root of r mod p, and
-    SearchCapExceeded when the box is exhausted (a class-group obstruction
-    would need a larger box or l_max).
+    Searches integer polynomials t(w) of degree < m = deg r with coefficients
+    up to ``box``, shell by shell, for |Norm(t)| = p^l, t(a) = 0 mod p, and
+    no vanishing at the other primes above p. Within a shell of radius R it
+    walks the heads (t_0, ..., t_(m-2)) in [-R, R]^(m-1) in lexicographic
+    order and solves t(a) = 0 mod p for the last coefficient: t_(m-1) a^(m-1)
+    = -sum t_k a^k mod p. Its solutions in [-R, R] ascending, only +-R when
+    the head lies inside the shell, are exactly the points of
+    ``linalg.box_shell(m, R)`` with t(a) = 0 mod p, in that order, so the
+    first hit (t, l) is the one a scan of the shell would return. When
+    a = 0 mod p every last coefficient solves a head with t_0 = 0 mod p and
+    none solves any other. Raises RealizeError when a is not a simple root of
+    r mod p, and SearchCapExceeded when the box is exhausted (a class-group
+    obstruction would need a larger box or l_max).
     """
     r = trace_polynomial(s)
     m = r.degree
@@ -248,21 +259,34 @@ def find_norm_element(s: IntPolynomial, ev: SplitPrimeEvidence, l_max=3, box=30)
     if m == 1:
         return TwistElement(IntPolynomial([p])), 1
     powers = {p**l: l for l in range(1, l_max + 1)}
+    head_powers = [pow(a, k, p) for k in range(m - 1)]
+    # lead x = -h mod p has a solution exactly when g | h, and then the
+    # solutions are one class mod p / g (g = p when a = 0 mod p: every x)
+    lead = pow(a, m - 1, p)
+    g = gcd(lead, p)
+    step = p // g
+    inverse = pow(lead // g, -1, step)
     for radius in range(1, box + 1):
-        for coeffs in linalg.box_shell(m, radius):
-            # t(a) = 0 mod p first: it rejects all but ~1/p of the box
-            # before the resultant norm is computed
-            if polyval_mod(coeffs, a, p) != 0:
+        full = range(-radius, radius + 1)
+        for head in product(full, repeat=m - 1):
+            h = sum(map(mul, head, head_powers)) % p
+            if h % g:
                 continue
-            t = TwistElement(IntPolynomial(coeffs))
-            norm = abs(t.norm_against(r))
-            if norm not in powers:
-                continue
-            # a is a simple root of r mod p and t(a) = 0, so t lies in no
-            # other prime above p exactly when gcd(t, r) mod p is y - a
-            if len(poly_gcd_mod(coeffs, r.coeffs, p)) != 2:
-                continue
-            return t, powers[norm]
+            c = -(h // g) * inverse % step
+            if max(map(abs, head)) == radius:
+                lasts = range((c + radius) % step - radius, radius + 1, step)
+            else:
+                lasts = [x for x in (-radius, radius) if (x - c) % step == 0]
+            for last in lasts:
+                coeffs = head + (last,)
+                norm = abs(_norm(coeffs, r.coeffs))
+                if norm not in powers:
+                    continue
+                # a is a simple root of r mod p and t(a) = 0, so t lies in no
+                # other prime above p exactly when gcd(t, r) mod p is y - a
+                if len(poly_gcd_mod(coeffs, r.coeffs, p)) != 2:
+                    continue
+                return TwistElement(IntPolynomial(coeffs)), powers[norm]
     raise SearchCapExceeded(
         f"no norm element with |N(t)| = p^l, p = {p}, l <= {l_max} up to radius {box}"
     )

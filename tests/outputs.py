@@ -8,7 +8,13 @@ library from that checkout's src/ and prints digests of
 - ``verify.text`` and ``verify.json``: ``verify`` on that certificate;
 - ``demo.NAME``: the stdout of each script in demos/;
 - ``WORKLOAD.NN``: the ``repr`` of the result of item NN of each benchmark
-  workload, in the order of a round at the benchmark's default seed.
+  workload, in the order of a round at the benchmark's default seed;
+- ``norm_element.DD``: the ``repr`` of the split-prime evidence of
+  ``find_split_prime(s, 1, lower_bound=2)`` and of the (t, l) that
+  ``find_norm_element`` returns for it, for the corpus polynomial s of
+  degree DD = 14 and 16 in tests/salem_corpus.py, which no workload searches;
+- ``discriminant.NN``: ``discriminant(s)`` of corpus polynomial NN, in
+  corpus order.
 
 Each line digests stdout alone, so ``certificate`` is the digest that
 tests/test_cli.py pins and ``demo.NAME`` that of tests/demo_stdout/NAME.txt.
@@ -82,6 +88,18 @@ def main():
             for i, item in enumerate(workload.items):
                 result, _ = workload.run(item)
                 digest(f"{name}.{i:02d}", repr(result))
+
+    from salem_corpus import all_entries
+    from salemk3.polynomials import IntPolynomial, discriminant
+    from salemk3.realize import find_norm_element, find_split_prime
+
+    corpus = [(degree, IntPolynomial(coeffs)) for degree, coeffs, _ in all_entries()]
+    for degree, s in corpus:
+        if degree in (14, 16):
+            ev = find_split_prime(s, 1, lower_bound=2)
+            digest(f"norm_element.{degree}", repr((ev, find_norm_element(s, ev))))
+    for i, (_, s) in enumerate(corpus):
+        digest(f"discriminant.{i:02d}", repr(discriminant(s)))
 
 
 if __name__ == "__main__":

@@ -84,6 +84,16 @@ def test_signature_examples():
         assert descartes_signature(L.gram) == expected
 
 
+def test_named_lattice_is_built_once():
+    for name in ("U", "E8", "3U", "U+E8", "3U+2E8"):
+        assert named_lattice(name) is named_lattice(name)
+    assert named_lattice("3U+2E8") == U.direct_sum(U).direct_sum(U).direct_sum(E8).direct_sum(E8)
+    # a refused name is not cached: each call raises again, naming it
+    for _ in range(2):
+        with pytest.raises(LatticeError, match="^unknown lattice name '2U'"):
+            named_lattice("2U")
+
+
 def test_signature_additive_det_multiplicative():
     rng = random.Random(17)
     mats = [U, E8, Lattice([[-2]]), Lattice([[4]]), lattice_A2()]

@@ -126,12 +126,14 @@ def test_perfect_square():
         (lambda: within(1.0, lambda: valuation(8, 1)), "valuation needs a base p >= 2, got 1"),
         (lambda: within(1.0, lambda: valuation(8, 0)), "valuation needs a base p >= 2, got 0"),
         (lambda: within(1.0, lambda: hyperbolic_p_form(3, 2).p_primary_part(1)),
-         "valuation needs a base p >= 2, got 1"),
+         "p-primary part needs a prime"),
+        (lambda: within(1.0, lambda: hyperbolic_p_form(2, 3).p_primary_part(4)),
+         "p-primary part needs a prime"),
         (lambda: hilbert(0, 1), "hilbert symbol needs nonzero arguments"),
         (lambda: hilbert(2, 3, 4), "hilbert symbol place must be prime or None"),
     ],
     ids=["factorize", "valuation", "valuation-base-1", "valuation-base-0", "primary-part-1",
-         "hilbert-zero", "hilbert-place"],
+         "primary-part-composite", "hilbert-zero", "hilbert-place"],
 )
 def test_number_theory_refusals_name_the_failed_condition(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -38,6 +38,7 @@ from salemk3.polynomials import (
     trace_polynomial,
 )
 from salemk3 import linalg, polynomials
+from salemk3.isometries import IsometryError, TwistElement
 from salemk3.numberfield import RealAlgebraicField, canonical
 from salemk3.numbertheory import is_prime
 from salemk3.realize import build_k3_certificate, certificate_to_json
@@ -68,6 +69,7 @@ LEHMER_P = P(LEHMER)
 def test_resultant_examples():
     assert resultant(P([-1, 1]), P([1, 1])) == -2
     assert resultant(S4, P([1])) == 1
+    assert resultant(P([-2]), S4) == 16
     assert resultant(P([1, 0, 1]), P([-1, 0, 1])) == 4
 
 
@@ -109,6 +111,38 @@ def test_discriminant_zero_iff_gcd_nonconstant():
 def test_non_monic_discriminant_rejected():
     with pytest.raises(ValueError):
         discriminant(P([1, 2]) * 2)
+
+
+def _seeded_monic(rng, degree):
+    return P([rng.randint(-4, 4) for _ in range(degree)] + [1])
+
+
+def test_norms_and_discriminants_match_the_sylvester_oracle():
+    # seeded monic r of degree 1 to 22; every third one is g^2 h or shares the
+    # factor g with t, so its discriminant, or the norm of t, is 0
+    rng = random.Random(17)
+    zeros = 0
+    for degree in range(1, 23):
+        t = _seeded_monic(rng, rng.randint(0, degree + 2)) * rng.choice((1, -2, 3))
+        if degree % 3 == 0:
+            g = _seeded_monic(rng, rng.randint(1, degree // 3))
+            r = g * g * _seeded_monic(rng, degree - 2 * g.degree)
+            t = g * t
+        else:
+            r = _seeded_monic(rng, degree)
+        assert r.degree == degree
+        norm = TwistElement(t).norm_against(r)
+        assert norm == sylvester_resultant(t.coeffs, r.coeffs), (t, r)
+        disc = discriminant(r)
+        sign = -1 if (degree * (degree - 1) // 2) % 2 else 1
+        assert disc == sign * sylvester_resultant(r.coeffs, r.derivative().coeffs), r
+        zeros += (norm == 0) + (disc == 0)
+    assert zeros >= 14
+
+
+def test_norm_refuses_a_non_monic_trace_polynomial():
+    with pytest.raises(IsometryError, match="^the norm needs a monic trace polynomial$"):
+        TwistElement(P([1, 1])).norm_against(P([-3, -1, 2]))
 
 
 def test_trace_polynomial_examples():

@@ -67,11 +67,13 @@ from salemk3.realize import (
 
 from oracles import (
     discriminant_order_by_iteration,
+    expand_trace_polynomial,
     first_split_prime,
     lift_square_stepwise,
     mat_pow_by_squaring,
     outside_other_primes_by_cofactor,
     smith_diagonal,
+    sylvester_resultant,
 )
 from edits import integer_leaves, leaf_field, one_field_edits, within
 from salem_corpus import LEHMER, all_entries
@@ -366,6 +368,57 @@ def test_other_primes_criterion_matches_the_cofactor_oracle():
                     assert (len(poly_gcd_mod(t, r, p)) == 2) == expected, (coeffs, t)
                     outcomes.add(expected)
     assert outcomes == {False, True}
+
+
+def _norm_element_by_scan(r, p, a, l_max, box):
+    """The first t of the box shells, in ``box_shell`` order, with t(a) = 0
+    mod p, |res(t, r)| = p^l for an l <= l_max (a Fraction Sylvester
+    determinant) and in no other prime above p (the cofactor oracle), as
+    (t coefficients, l); None when the box has none."""
+    powers = {p**l: l for l in range(1, l_max + 1)}
+    for radius in range(1, box + 1):
+        for t in box_shell(len(r) - 1, radius):
+            if sum(c * a**k for k, c in enumerate(t)) % p:
+                continue
+            t = list(t)
+            while t[-1] == 0:
+                t.pop()
+            norm = abs(sylvester_resultant(t, r))
+            if norm in powers and outside_other_primes_by_cofactor(t, r, a, p):
+                return tuple(t), powers[norm]
+    return None
+
+
+def test_find_norm_element_matches_the_shell_scan():
+    # seeded monic r of degree 2 to 6 as trace polynomials of s(x) = x^m r(x + 1/x),
+    # a simple root a of r mod p; a third of the r get r(0) = 0 mod p, so that
+    # a = 0 can be drawn, and the boxes are small enough that p <= 2 box + 1 occurs
+    rng = random.Random(42)
+    boxes = {2: 3, 3: 2, 4: 2, 5: 1, 6: 1}
+    seen = set()
+    for _ in range(100):
+        m = rng.choice((2, 2, 3, 3, 4, 4, 5, 5, 6))  # degree 6 is the slow oracle case
+        box, p, l_max = boxes[m], rng.choice((2, 3, 5, 7, 11, 13)), rng.randint(1, 3)
+        r = [rng.randint(-6, 6) for _ in range(m)] + [1]
+        if rng.random() < 1 / 3:
+            r[0] = p * rng.randint(-2, 2)
+        derivative = [k * c for k, c in enumerate(r)][1:]
+        roots = [a for a in range(p) if polyval_mod(r, a, p) == 0 and polyval_mod(derivative, a, p)]
+        if not roots:
+            continue
+        a = rng.choice(roots)
+        s = P(expand_trace_polynomial(r))
+        assert trace_polynomial(s).coeffs == tuple(r)
+        expected = _norm_element_by_scan(r, p, a, l_max, box)
+        ev = SplitPrimeEvidence(p, a, 0, 1)
+        if expected is None:
+            with pytest.raises(SearchCapExceeded, match=f"p = {p}, l <= {l_max} up to radius {box}$"):
+                find_norm_element(s, ev, l_max=l_max, box=box)
+        else:
+            t, l = find_norm_element(s, ev, l_max=l_max, box=box)
+            assert (t.poly.coeffs, l) == expected, (r, p, a)
+        seen.update({("found", expected is not None), ("a = 0", a == 0), ("p <= 2 box + 1", p <= 2 * box + 1)})
+    assert seen == {(kind, flag) for kind in ("found", "a = 0", "p <= 2 box + 1") for flag in (False, True)}
 
 
 # --- certificates -----------------------------------------------------------
