@@ -4,14 +4,18 @@ Matrices act on column vectors and are validated exactly against the Gram
 matrix. Rational isometries are allowed throughout; integrality is a derived
 property and several operations (twisting, discriminant actions) insist on it.
 Orders are found by one climb on powers of x modulo the characteristic
-polynomial chi (Cayley-Hamilton), which tests each exponent as a linear
-combination of matrices formed once: the images under F^i of the dual basis
-for the action on the discriminant group, and D F^i mod D for the least
-integral power of F.
+polynomial chi (Cayley-Hamilton), which starts each prime from one table of
+squares x^(2^j) and tests each exponent as a linear combination of matrices
+formed once: the images under F^i of the dual basis for the action on the
+discriminant group, and D F^i mod D for the least integral power of F. The
+least integral power reads chi off the traces of the same powers F^i.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .lattices import Lattice, LatticeError, discriminant_form, forms_isomorphic, hyperbolic_p_form
@@ -20,10 +24,12 @@ from .polynomials import (
     IntPolynomial,
     NotSalemError,
     _norm,
+    _top_coefficients,
     discriminant,
     distinct_degrees_mod,
     divides,
     is_salem,
+    mulmod,
     powmod,
     trace_polynomial,
 )
@@ -185,24 +191,27 @@ def _restrict_to_rows(den, N, B):
 
 def _least_power(chi, m, images, target):
     """Least d >= 1 with sum r_i images[i] = target mod m for r = x^d mod
-    (chi, m), by one climb per prime.
+    (chi, m), by one climb per prime from one table of squares.
 
     chi is a monic integer polynomial of degree n (ascending coefficients)
-    and images[0 .. n-1] are matrices of one shape. For images[i] = A^i T
-    with chi(A) = 0, Cayley-Hamilton makes the sum A^d T mod m. The
-    exponents that pass must form a subgroup dZ of Z that contains the
-    order of x in (Z/m)[x]/(chi), so x must be a unit there: chi(0) is
-    prime to m. That order divides the lcm E over p^e exactly dividing m of
-    p^(e-1) p^t lcm(p^k - 1 : k in K), where K holds the degrees of the
-    irreducible factors of chi mod p, t = 0 when chi is squarefree mod p
-    and p^t is otherwise the least power of p that is >= n (the unit group
-    of F_p[x]/(f^a) has exponent (p^k - 1) p^t for f irreducible of degree
-    k and p^t >= a). For each q^a exactly dividing E in turn, the running
-    exponent drops its q-part and climbs back one factor q at a time until
-    the test passes (Cohen, GTM 138, Algorithm 1.4.3). The primes already
-    climbed hold their valuations in d and the rest hold at least theirs,
-    so each climb stops exactly at v_q(d). Each test is one linear
-    combination of the images, with no matrix product.
+    and images[0 .. n-1] are integer matrices of one shape, read mod m. For
+    images[i] = A^i T with chi(A) = 0, Cayley-Hamilton makes the sum A^d T
+    mod m. The exponents that pass must form a subgroup dZ of Z that
+    contains the order of x in (Z/m)[x]/(chi), so x must be a unit there:
+    chi(0) is prime to m. That order divides the lcm E over p^e exactly
+    dividing m of p^(e-1) p^t lcm(p^k - 1 : k in K), where K holds the
+    degrees of the irreducible factors of chi mod p, t = 0 when chi is
+    squarefree mod p and p^t is otherwise the least power of p that is >= n
+    (the unit group of F_p[x]/(f^a) has exponent (p^k - 1) p^t for f
+    irreducible of degree k and p^t >= a). The table holds x^(2^j) mod
+    (chi, m) for 2^j < E. For each q^a exactly dividing E in turn, the
+    running exponent drops its q-part, its power of x is the product of the
+    table entries at its set bits, and it climbs back one factor q at a time
+    (r <- r^q) until the test passes (Cohen, GTM 138, Algorithm 1.4.3). The
+    primes already climbed hold their valuations in d and the rest hold at
+    least theirs, so each climb stops exactly at v_q(d), and d stays at most
+    E. Each test is one dot product per entry of the images, with no matrix
+    product.
     """
     n = len(chi) - 1
     E = 1
@@ -216,16 +225,19 @@ def _least_power(chi, m, images, target):
                 pt *= p
         E = lcm(E, p ** (e - 1) * pt, *(p**k - 1 for k in degrees))
     # one column of coefficients per entry: the entry of the sum is their dot product with r
-    entries = list(zip(*([x for row in P for x in row] for P in images)))
-    target = [x % m for row in target for x in row]
+    entries = [[x % m for x in col] for col in zip(*(chain.from_iterable(P) for P in images))]
+    target = [x % m for x in chain.from_iterable(target)]
 
     def passes(r):
-        return all(sum(c * x for c, x in zip(r, col)) % m == t for col, t in zip(entries, target))
+        return all(sum(map(mul, r, col)) % m == t for col, t in zip(entries, target))
 
+    squares = [mulmod([0, 1], [1], chi, m)]
+    while 2 ** len(squares) < E:  # every starting exponent is below E
+        squares.append(mulmod(squares[-1], squares[-1], chi, m))
     d = E
     for q, a in factorize(E).items():
         d //= q**a
-        r = powmod([0, 1], d, chi, m)
+        r = reduce(lambda u, v: mulmod(u, v, chi, m), (x for j, x in enumerate(squares) if d >> j & 1))
         for _ in range(a):
             if passes(r):
                 break
@@ -263,14 +275,21 @@ def _discriminant_order(L: Lattice, f: Isometry, chi):
 def power_to_integral(L: Lattice, f: Isometry):
     """Minimal n >= 1 with f^n integral, plus the integral matrix f^n.
 
-    Let F = N / d have rank n and characteristic polynomial chi, which must
-    be integral, and let D be the least integer with D F^i integral for all
-    i < n: d^(n-1) over its gcd with the entries of the d^(n-1-i) N^i.
-    Then D F^i is integral for every i >= 0, since chi is monic and
-    integral and so F^(i+n) = -sum_(j<n) c_j F^(i+j) (Cayley-Hamilton).
-    For any k >= 0, r = x^k mod chi over Z gives F^k = sum r_i F^i, so F^k
-    is integral exactly when sum r_i (D F^i) = 0 mod D, and that depends
-    only on r mod D, that is on x^k mod (chi, D).
+    Let F = N / d have rank n. The products d^(n-1-i) N^i = d^(n-1) F^i for
+    i < n are formed once, each from the last as N times it over d. They
+    also give the characteristic polynomial chi, which must be integral, as
+    ``Isometry.char_poly`` gives it: the power sums tr(N^k) are their traces
+    over d^(n-1-k), and tr(N^n) is the entrywise sum of N^(n-1) times N^T,
+    with no further product. Newton's identities give det(x I - N), whose
+    x^k coefficient over d^(n-k) is that of chi.
+
+    Let D be the least integer with D F^i integral for all i < n: d^(n-1)
+    over its gcd with the entries of the d^(n-1-i) N^i. Then D F^i is
+    integral for every i >= 0, since chi is monic and integral and so
+    F^(i+n) = -sum_(j<n) c_j F^(i+j) (Cayley-Hamilton). For any k >= 0,
+    r = x^k mod chi over Z gives F^k = sum r_i F^i, so F^k is integral
+    exactly when sum r_i (D F^i) = 0 mod D, and that depends only on r mod
+    D, that is on x^k mod (chi, D).
 
     The integral powers form a subgroup: F is an isometry of a
     nondegenerate form, so det F = +-1, and an integral F^k is then in
@@ -278,27 +297,32 @@ def power_to_integral(L: Lattice, f: Isometry):
     (chi, D) (x is a unit there, as chi(0) = +-det F = +-1): x^E = 1 + D s
     mod chi over Z, so F^E = I + sum s_i (D F^i) is integral. So the climb
     of ``_least_power`` on the images D F^i mod D finds n, and the exact
-    f^n is (sum r_i D F^i) / D for r = x^n mod chi over Z.
+    f^n is (sum r_i D F^i) / D for r = x^n mod chi over Z, one dot product
+    per entry.
     """
     _check_pair(L, f)
     if f.is_integral():
         return 1, Isometry(L, f.matrix)
-    chi = f.char_poly().coeffs
     N, d = f._num, f._den
     n = L.rank
     # d^(n-1) F^i = d^(n-1-i) N^i, each from the last as N times it over d
     scaled = [linalg.mat_scale(d ** (n - 1), linalg.identity(n))]
     while len(scaled) < n:
         scaled.append(tuple(tuple(x // d for x in row) for row in linalg.mat_mul(N, scaled[-1])))
-    g = gcd(*(x for P in scaled for row in P for x in row))
+    sums = [sum(P[i][i] for i in range(n)) // d ** (n - 1 - k) for k, P in enumerate(scaled[1:], 1)]
+    sums.append(sum(map(mul, chain.from_iterable(scaled[-1]), chain.from_iterable(zip(*N)))))
+    coeffs = [divmod(c, d**k) for k, c in enumerate(_top_coefficients(sums), 1)]
+    if any(r for _, r in coeffs):
+        raise IsometryError("characteristic polynomial is not integral")
+    chi = [q for q, _ in reversed(coeffs)] + [1]
+    g = gcd(*chain.from_iterable(chain.from_iterable(scaled)))
     D = d ** (n - 1) // g
     exact = [tuple(tuple(x // g for x in row) for row in P) for P in scaled]  # D F^i
-    m = _least_power(chi, D, [linalg.mat_mod(P, D) for P in exact], linalg.zeros(n, n))
+    m = _least_power(chi, D, exact, linalg.zeros(n, n))
     r = powmod([0, 1], m, chi)
-    power = tuple(
-        tuple(sum(c * P[i][j] for c, P in zip(r, exact)) // D for j in range(n)) for i in range(n)
-    )
-    return m, Isometry(L, power)
+    columns = zip(*(chain.from_iterable(P) for P in exact))
+    power = [sum(map(mul, r, col)) // D for col in columns]
+    return m, Isometry(L, tuple(tuple(power[i * n : (i + 1) * n]) for i in range(n)))
 
 
 # --- invariant forms ----------------------------------------------------------

@@ -498,15 +498,25 @@ def _power_min_poly(cert, n):
     for _ in range(d // 2):
         yj = mulmod(yj, y, c)
         traces.append(sum(a * b for a, b in zip(yj, sums)))
-    # char poly coefficients: k ch_(d-k) = -(P_k + sum_(i<k) ch_(d-k+i) P_i)
     ch = [0] * d + [1]
-    for k in range(1, d // 2 + 1):
-        q, r = divmod(-traces[k - 1] - sum(ch[d - k + i] * traces[i - 1] for i in range(1, k)), k)
-        assert r == 0
-        ch[d - k] = q
+    ch[d - d // 2 : d] = reversed(_top_coefficients(traces))
     for k in range(d // 2):
         ch[k] = ch[d - k]
     return IntPolynomial(ch)
+
+
+def _top_coefficients(sums):
+    """[c_(d-1), ..., c_(d-k)] for the monic c of degree d >= k whose roots
+    have the power sums sums = [P_1, ..., P_k], all integers, by Newton's
+    identities k c_(d-k) = -(P_k + sum_(i<k) c_(d-k+i) P_i): exact integer
+    divisions when c is integral, as for the characteristic polynomial of an
+    integer matrix or of an algebraic integer."""
+    top = [1]  # top[j] = c_(d-j)
+    for k in range(1, len(sums) + 1):
+        q, r = divmod(-sums[k - 1] - sum(top[k - i] * sums[i - 1] for i in range(1, k)), k)
+        assert r == 0
+        top.append(q)
+    return top[1:]
 
 
 def square_class_test(s):

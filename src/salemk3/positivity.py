@@ -342,6 +342,8 @@ def _orbit_reduce(K, f, finv, gu1, gu2, witnesses):
     K is built from the Salem certificate of s, whose lambda_interval has
     its left end > 1, and refinement only narrows it.
     """
+    if not witnesses:
+        return []
     lam_lo = K.interval[0]
     norm1 = [sum(max(-lo, hi) for lo, hi in (K.enclosure((row, 1)) for row in gu)) for gu in (gu1, gu2)]
     seen, reps = set(), set()

@@ -247,13 +247,15 @@ def find_norm_element(s: IntPolynomial, ev: SplitPrimeEvidence, l_max=3, box=30)
     ``linalg.box_shell(m, R)`` with t(a) = 0 mod p, in that order, so the
     first hit (t, l) is the one a scan of the shell would return. When
     a = 0 mod p every last coefficient solves a head with t_0 = 0 mod p and
-    none solves any other. Raises RealizeError when a is not a simple root of
-    r mod p, and SearchCapExceeded when the box is exhausted (a class-group
-    obstruction would need a larger box or l_max).
+    none solves any other. Raises RealizeError when p is not a prime or a is
+    not a simple root of r mod p, and SearchCapExceeded when the box is
+    exhausted (a class-group obstruction would need a larger box or l_max).
     """
     r = trace_polynomial(s)
     m = r.degree
     p, a = ev.p, ev.trace_root
+    if not is_prime(p):
+        raise RealizeError(f"split prime {p} is not a prime")
     if polyval_mod(r.coeffs, a, p) != 0 or polyval_mod(r.derivative().coeffs, a, p) == 0:
         raise RealizeError(f"trace_root {a} is not a simple root of the trace polynomial mod {p}")
     if m == 1:
@@ -399,7 +401,7 @@ def _order_mod_square(b, p):
     climbs back one factor q at a time until b^d = 1 mod p^2 (Cohen, GTM 138,
     Algorithm 1.4.3): the climb of ``isometries._least_power`` for chi =
     x - b and the one image 1, with its exponent known and ``pow`` in place
-    of the polynomial powering.
+    of the table of squares and the polynomial powering.
     """
     m = p * p
     d = E = p * (p - 1)

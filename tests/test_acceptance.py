@@ -15,7 +15,7 @@ from itertools import chain
 
 import pytest
 
-from salemk3 import isometries, linalg
+from salemk3 import isometries, linalg, polynomials
 from salemk3.isometries import (
     Isometry,
     TwistElement,
@@ -131,10 +131,10 @@ def test_criterion_2_twist_split_reproduction():
     _report(2, time.perf_counter() - t0, 10.0, f"{len(instances)} split-prime twists, SNF cross-checked")
 
 
-def criterion_3_instances():
+def criterion_3_instances(seed=20260808):
     """The 20 (L, F) of criterion 3: a conjugate F of the companion matrix of a
     Salem polynomial of degree 2, 4 or 6 and a lattice L that F preserves."""
-    rng = random.Random(20260808)
+    rng = random.Random(seed)
     polys = {
         2: QUAD,
         4: S4,
@@ -186,17 +186,23 @@ def test_criterion_3_integral_powering():
 
 
 def test_criterion_3_order_search_work(monkeypatch):
-    # a work count, not a timing: the matrix products over the criterion-3
-    # instances. The climb tests linear combinations of precomputed images
-    # and makes none; power_to_integral as a whole makes at most 200 (634
-    # when each climb step multiplied matrices and the result came from a
-    # Hermite form and a matrix power)
-    calls, inside = [0, 0], [0]
-    mat_mul, least_power = linalg.mat_mul, isometries._least_power
+    # work counts, not timings, over the criterion-3 instances. The climb
+    # tests linear combinations of precomputed images and makes no matrix
+    # product; power_to_integral as a whole makes 98: the n - 1 products
+    # d^(n-1-i) N^i of each of the 18 rational instances, with chi read off
+    # their traces, and the two of each result's form check. The climb's
+    # products mod (chi, m), the distinct-degree factorizations included,
+    # number 816, its starting powers taken from one table of squares
+    calls, products, inside = [0, 0], [0], [0]
+    mat_mul, mulmod, least_power = linalg.mat_mul, polynomials.mulmod, isometries._least_power
 
     def counting_mat_mul(A, B):
         calls[inside[0]] += 1
         return mat_mul(A, B)
+
+    def counting_mulmod(*args):
+        products[0] += inside[0]
+        return mulmod(*args)
 
     def counting_least_power(*args):
         inside[0] = 1
@@ -207,11 +213,38 @@ def test_criterion_3_order_search_work(monkeypatch):
 
     pairs = [(L, Isometry(L, F)) for L, F in criterion_3_instances()]
     monkeypatch.setattr(linalg, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(polynomials, "mulmod", counting_mulmod)  # powmod's products
+    monkeypatch.setattr(isometries, "mulmod", counting_mulmod)  # the table of squares
     monkeypatch.setattr(isometries, "_least_power", counting_least_power)
     for L, f in pairs:
         power_to_integral(L, f)
     assert calls[1] == 0, calls
-    assert 0 < calls[0] <= 200, calls
+    assert 0 < calls[0] <= 98, calls
+    assert 0 < products[0] <= 816, products
+
+
+@pytest.mark.parametrize("seed", [7, 43, 20261022])
+def test_power_to_integral_forms_the_char_poly_of_the_isometry(seed, monkeypatch):
+    # the chi that power_to_integral reads off the traces of its powers is
+    # Isometry.char_poly's (Faddeev-LeVerrier), on the criterion-3 generator
+    # at other seeds and on the inverses of its isometries
+    formed = []
+    least_power = isometries._least_power
+
+    def recording(chi, *args):
+        formed.append(tuple(chi))
+        return least_power(chi, *args)
+
+    monkeypatch.setattr(isometries, "_least_power", recording)
+    rational = 0
+    for L, F in criterion_3_instances(seed):
+        f = Isometry(L, F)
+        for g in (f, Isometry(L, f.inverse_matrix())):
+            formed.clear()
+            power_to_integral(L, g)
+            assert formed == ([] if g.is_integral() else [g.char_poly().coeffs]), (seed, g.matrix)
+            rational += not g.is_integral()
+    assert rational >= 30
 
 
 def test_products_and_matrix_polynomials_have_integer_factors(monkeypatch):

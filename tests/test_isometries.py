@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from salemk3 import linalg, positivity
+from salemk3 import isometries, linalg, positivity
 from salemk3.isometries import (
     Isometry,
     IsometryError,
@@ -195,11 +195,28 @@ def test_power_to_integral_known_case():
 
 
 def test_power_to_integral_rejects_non_integral_char_poly():
-    # rotation by an angle of infinite order: x^2 - 6/5 x + 1
-    L = Lattice([[1, 0], [0, 1]])
-    f = Isometry(L, ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5))))
-    with pytest.raises(IsometryError, match="characteristic polynomial is not integral"):
-        power_to_integral(L, f)
+    # rotations of Z^2 by an angle of infinite order (x^2 - 6/5 x + 1 for the
+    # first), alone, beside the S4 companion matrix on its invariant form and
+    # conjugated by an integral matrix of determinant 2: chi is x^2 - 2a/c x + 1
+    # times an integral factor, refused as Isometry.char_poly refuses it
+    C = companion_matrix(P([1, -1, -1, -1, 1]))
+    G = invariant_symmetric_forms(C)[0]
+    A = ((1, 1), (-1, 1))
+    for a, b, c in [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)]:
+        R = ((Fraction(a, c), Fraction(-b, c)), (Fraction(b, c), Fraction(a, c)))
+        moved = linalg.mat_mul(linalg.mat_mul(A, R), linalg.rat_inverse(A))
+        cases = [
+            (Lattice([[1, 0], [0, 1]]), R),
+            (Lattice(linalg.block_diag(((1, 0), (0, 1)), G)), linalg.block_diag(R, C)),
+            (Lattice([[2, 0], [0, 2]]), moved),  # A^-T I A^-1 = I / 2, scaled by 4
+        ]
+        for L, F in cases:
+            f = Isometry(L, F)
+            with pytest.raises(IsometryError) as by_char_poly:
+                f.char_poly()
+            with pytest.raises(IsometryError) as by_powers:
+                power_to_integral(L, f)
+            assert str(by_powers.value) == str(by_char_poly.value) == "characteristic polynomial is not integral"
 
 
 def _random_conjugated_companion(rng, char_poly):
@@ -284,6 +301,8 @@ def test_powers_by_cayley_hamilton_match_binary_powering():
 # oracles' iteration cap
 ORDER_CASES = [(m, rank) for m in (2, 3, 4, 8, 9, 12, 25) for rank in (2, 3, 4)]
 ORDER_CASES += [(72, 2), (72, 3), (867, 2)]
+# moduli with a repeated prime besides those above
+REPEATED_PRIME_CASES = [(49, 2), (49, 3), (50, 3), (200, 2), (675, 2), (1125, 3)]
 
 
 def _climb(A, m, D=None):
@@ -322,10 +341,20 @@ def test_matrix_order_mod_rejects_singular():
     assert _climb(A, 25) == matrix_order_mod(A, 25)
 
 
-def test_least_power_subgroup_test_matches_iteration():
-    # the least d with A^d D = D mod m: a subgroup test other than the identity
+def test_least_power_subgroup_test_matches_iteration(monkeypatch):
+    # the least d with A^d D = D mod m: a subgroup test other than the identity,
+    # also at moduli with a repeated prime, where the exponent E has three or
+    # more primes and each climb starts from a product of the table of squares
+    factored = []
+
+    def recording(k):
+        factored.append(k)  # m, then E
+        return factorize(k)
+
+    monkeypatch.setattr(isometries, "factorize", recording)
     rng = random.Random(15)
-    for m, rank in ORDER_CASES:
+    widest = 0
+    for m, rank in ORDER_CASES + REPEATED_PRIME_CASES:
         checked = 0
         while checked < 4:
             A = tuple(tuple(rng.randint(-6, 6) for _ in range(rank)) for _ in range(rank))
@@ -334,8 +363,12 @@ def test_least_power_subgroup_test_matches_iteration():
             cols = rng.randint(1, rank)
             D = tuple(tuple(rng.randrange(m) for _ in range(cols)) for _ in range(rank))
 
+            factored.clear()
             assert _climb(A, m, D) == least_power_by_iteration(A, D, m)
+            if (m, rank) in REPEATED_PRIME_CASES:
+                widest = max(widest, len(factorize(factored[1])))
             checked += 1
+    assert widest >= 3
 
 
 # monic blocks by degree: the quadratics and cubics are irreducible over Q and

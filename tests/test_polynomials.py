@@ -748,6 +748,29 @@ def test_power_min_poly_matches_companion_oracle():
         assert power_min_poly(S4, n).coeffs == power_min_poly_by_companion(S4.coeffs, n)
 
 
+def test_power_min_poly_reads_the_shared_newton_step(monkeypatch):
+    # _power_min_poly takes its top coefficients from _top_coefficients, the
+    # Newton step that power_to_integral also runs; for n = 1 .. 7 on the
+    # corpus its result is det(x I - C^n) for the companion matrix C of s
+    lengths = []
+    top_coefficients = polynomials._top_coefficients
+
+    def recording(sums):
+        lengths.append(len(sums))
+        return top_coefficients(sums)
+
+    monkeypatch.setattr(polynomials, "_top_coefficients", recording)
+    for degree, coeffs, _ in all_entries():
+        s = P(list(coeffs))
+        cert, C = is_salem(s), companion_matrix(s)
+        power = C
+        for n in range(1, 8):
+            lengths.clear()
+            assert polynomials._power_min_poly(cert, n).coeffs == linalg.charpoly(power), (coeffs, n)
+            assert lengths == [degree // 2]
+            power = linalg.mat_mul(C, power)
+
+
 def test_companion_matrix_charpoly():
     C = companion_matrix(S4)
     assert tuple(linalg.charpoly(C)) == S4.coeffs

@@ -597,6 +597,12 @@ def test_orbit_minimum_several_steps_from_the_witness():
         assert representatives(L2, F2, [v]) == [(-1, 1), w]
 
 
+def test_orbit_reduce_without_witnesses_reads_nothing():
+    # nothing to reduce: neither the field nor the matrices are read, so no
+    # enclosure of G u1 and G u2 is formed
+    assert positivity._orbit_reduce(None, None, None, None, None, []) == []
+
+
 def fraction_pairing(z, u):
     """Sum of z_i u_i for elements u_i of the Fraction field: <z, u> when
     u = G u', read coefficient by coefficient."""

@@ -348,6 +348,24 @@ def test_find_norm_element_rejects_evidence_without_a_simple_root(ev):
         find_norm_element(S4, ev)
 
 
+@pytest.mark.parametrize(
+    "ev",
+    [
+        SplitPrimeEvidence(39, 7, 0, 1),  # 39 = 3 * 13
+        SplitPrimeEvidence(51, 13, 0, 1),  # 51 = 3 * 17
+    ],
+    ids=["39", "51"],
+)
+def test_find_norm_element_refuses_a_composite_p(ev):
+    # 7 mod 39 and 13 mod 51 pass the simple-root test on r = y^2 - y - 3 (a
+    # root where r' is nonzero mod p), so the refusal is the primality check
+    r = trace_polynomial(S4)
+    assert polyval_mod(r.coeffs, ev.trace_root, ev.p) == 0
+    assert polyval_mod(r.derivative().coeffs, ev.trace_root, ev.p) != 0
+    with pytest.raises(RealizeError, match=f"^split prime {ev.p} is not a prime$"):
+        find_norm_element(S4, ev)
+
+
 def test_other_primes_criterion_matches_the_cofactor_oracle():
     # t(a) = 0 mod p, a simple: t lies in no other prime above p exactly
     # when gcd(t, r) mod p has degree 1. Almost every small t is outside the
